@@ -46,10 +46,10 @@ DIST_BENCH = BenchmarkDistSharded|BenchmarkDistDegraded
 # an all-cache-hit second pass (see docs/pipeline.md).
 GRID_BENCH = BenchmarkGridLocal|BenchmarkGridServer|BenchmarkGridServerCached
 
-.PHONY: check vet build test race race-search race-fault race-serve race-count race-store race-dist race-grid fmt fuzzbuild bench bench-engine bench-search bench-fault bench-serve bench-trace bench-count bench-store bench-dist bench-grid serve
+.PHONY: check vet build test test-bench race race-search race-fault race-serve race-count race-store race-dist race-grid fmt fuzzbuild bench bench-engine bench-search bench-fault bench-serve bench-trace bench-count bench-store bench-dist bench-grid serve
 
 # check is the single entry point: everything CI (or a reviewer) needs.
-check: vet build race race-search race-fault race-serve race-count race-store race-dist race-grid fmt fuzzbuild
+check: vet build race race-search race-fault race-serve race-count race-store race-dist race-grid fmt fuzzbuild test-bench
 
 vet:
 	$(GO) vet ./...
@@ -59,6 +59,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-bench runs the benchmark module's tests. bench/ is a Go module
+# of its own, so ./... does not reach it; its TestSmoke pins the
+# first-pass summary digests, which guards every campaign artifact
+# byte for byte end to end.
+test-bench:
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

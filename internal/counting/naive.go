@@ -56,7 +56,7 @@ func (pr *NaiveVariant) Count(c *core.Config) int { return c.Leader.(BST).N }
 func (pr *NaiveVariant) LeaderInteract(l core.LeaderState, x core.State) (core.LeaderState, core.State) {
 	b := l.(BST)
 	if b.N >= pr.p || (x != 0 && int(x) <= b.N) {
-		return b, x
+		return l, x // null: l, not b, which would box a fresh copy
 	}
 	if x == 0 {
 		b.K++

@@ -82,6 +82,9 @@ func (pr *Protocol1) InitLeader() core.LeaderState { return BST{} }
 func (pr *Protocol1) LeaderInteract(l core.LeaderState, x core.State) (core.LeaderState, core.State) {
 	b := l.(BST)
 	n2, k2, x2 := CountingStep(b.N, b.K, x, pr.p, pr.p-1)
+	if n2 == b.N && k2 == b.K {
+		return l, x2 // unchanged leader: l, not a fresh BST, which would box a copy
+	}
 	return BST{N: n2, K: k2}, x2
 }
 

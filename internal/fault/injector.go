@@ -44,7 +44,8 @@ type Injector struct {
 	pr   core.Protocol
 	ap   core.ArbitraryInitProtocol   // nil unless needed
 	alp  core.ArbitraryLeaderProtocol // nil unless needed
-	rng  *rand.Rand
+	seed int64
+	rng  *rand.Rand // seeded from seed on the first draw; see rand
 
 	next      int // index of the next unfired plan event
 	initState core.State
@@ -71,8 +72,7 @@ func mix64(z uint64) uint64 {
 // leader events an ArbitraryLeaderProtocol (RandomLeader), so a
 // misdirected plan fails before any stepping instead of mid-run.
 func NewInjector(plan *Plan, pr core.Protocol, seed int64) (*Injector, error) {
-	inj := &Injector{plan: plan, pr: pr}
-	inj.rng = rand.New(rand.NewSource(int64(mix64(uint64(seed)) ^ mix64(uint64(plan.Seed)*0x9e3779b97f4a7c15))))
+	inj := &Injector{plan: plan, pr: pr, seed: int64(mix64(uint64(seed)) ^ mix64(uint64(plan.Seed)*0x9e3779b97f4a7c15))}
 	if up, ok := pr.(core.UniformInitProtocol); ok {
 		inj.initState = up.InitMobile()
 	}
@@ -148,6 +148,17 @@ func (inj *Injector) FireConv(step int64, cfg *core.Config) (fired, mutated bool
 	return true, inj.apply(ev, step, cfg, "conv")
 }
 
+// rand returns the injector's RNG, seeding it on first use. Seeding a
+// math/rand source takes some 1,800 generator steps, and an injector
+// that never draws — admission's capability check, or a run that ends
+// before its first drawing event — need not pay for it.
+func (inj *Injector) rand() *rand.Rand {
+	if inj.rng == nil {
+		inj.rng = rand.New(rand.NewSource(inj.seed))
+	}
+	return inj.rng
+}
+
 // apply executes one event, advances the plan cursor, logs and journals
 // the firing, and reports whether the configuration was mutated.
 func (inj *Injector) apply(ev Event, step int64, cfg *core.Config, trigger string) (mutated bool) {
@@ -158,11 +169,11 @@ func (inj *Injector) apply(ev Event, step int64, cfg *core.Config, trigger strin
 	switch ev.Kind {
 	case Corrupt:
 		for _, i := range inj.victims(ev.Arg, cfg.N(), nil) {
-			cfg.Mobile[i] = inj.ap.RandomMobile(inj.rng)
+			cfg.Mobile[i] = inj.ap.RandomMobile(inj.rand())
 		}
 		mutated = true
 	case Leader:
-		cfg.Leader = inj.alp.RandomLeader(inj.rng)
+		cfg.Leader = inj.alp.RandomLeader(inj.rand())
 		mutated = true
 	case Crash:
 		if inj.crashed == nil {
@@ -210,7 +221,7 @@ func (inj *Injector) victims(k, n int, eligible func(int) bool) []int {
 		k = len(idx)
 	}
 	for i := 0; i < k; i++ {
-		j := i + inj.rng.Intn(len(idx)-i)
+		j := i + inj.rand().Intn(len(idx)-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	return idx[:k]

@@ -1,12 +1,13 @@
 package grid
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 )
 
@@ -61,7 +62,11 @@ func (cp *Campaign) logf(format string, args ...any) {
 // and writes the artifacts. Cell failures don't stop the campaign:
 // remaining cells run, the failures come back in Result.Failed, and
 // reduction covers the successful cells only — err is reserved for
-// campaign-level failures (bad spec, unwritable directory).
+// campaign-level failures (bad spec, unwritable directory, a journal
+// that does not reduce).
+//
+// Each cell is reduced as it finishes, from the journal bytes it just
+// wrote, so every worker holds one journal in memory at a time.
 func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 	if err := cp.Spec.Validate(); err != nil {
 		return nil, err
@@ -71,6 +76,7 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 	}
 	cells := cp.Spec.Cells()
 	res := &Result{Cells: cells}
+	outs := make([]cellOutcome, len(cells))
 	workers := cp.Workers
 	if workers < 1 {
 		workers = 1
@@ -87,6 +93,7 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var journal bytes.Buffer // reused from cell to cell
 			for {
 				mu.Lock()
 				i := next
@@ -96,13 +103,13 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 					return
 				}
 				c := cells[i]
-				ran, err := cp.runOne(ctx, c)
+				out := cp.runOne(ctx, c, &journal)
 				mu.Lock()
+				outs[i] = out
 				switch {
-				case err != nil:
-					res.Failed = append(res.Failed, CellError{Cell: c, Err: err})
-					cp.logf("cell %s: FAILED: %v", c.ID(), err)
-				case ran:
+				case out.err != nil:
+					cp.logf("cell %s: FAILED: %v", c.ID(), out.err)
+				case out.ran:
 					res.Ran++
 					cp.logf("cell %s: done", c.ID())
 				default:
@@ -114,25 +121,24 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 		}()
 	}
 	wg.Wait()
-	sort.Slice(res.Failed, func(i, j int) bool {
-		return res.Failed[i].Cell.Index < res.Failed[j].Cell.Index
-	})
-	failed := make(map[int]bool, len(res.Failed))
-	for _, f := range res.Failed {
-		failed[f.Cell.Index] = true
-	}
-	ok := cells[:0:0]
-	for _, c := range cells {
-		if !failed[c.Index] {
-			ok = append(ok, c)
+	stats := make([]CellStats, 0, len(cells))
+	var reduceErr error
+	for i, out := range outs {
+		switch {
+		case out.err != nil:
+			res.Failed = append(res.Failed, CellError{Cell: cells[i], Err: out.err})
+		case out.reduceErr != nil:
+			if reduceErr == nil {
+				reduceErr = fmt.Errorf("grid: reduce cell %s: %w", cells[i].ID(), out.reduceErr)
+			}
+		default:
+			stats = append(stats, out.stats)
 		}
 	}
-	stats, err := Reduce(cp.Spec, ok, func(c Cell) (io.ReadCloser, error) {
-		return os.Open(cp.JournalPath(c))
-	})
-	if err != nil {
-		return res, err
+	if reduceErr != nil {
+		return res, reduceErr
 	}
+	wireKS(stats)
 	res.Stats = stats
 	if err := cp.writeArtifacts(stats); err != nil {
 		return res, err
@@ -140,48 +146,56 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// runOne executes one cell into its journal path, atomically: the
-// journal is written to a temp file and renamed into place only after
-// the runner finishes cleanly, so a crashed or failed cell never
-// leaves a plausible-looking journal behind (at worst a *.tmp).
-func (cp *Campaign) runOne(ctx context.Context, c Cell) (ran bool, err error) {
-	path := cp.JournalPath(c)
-	if cp.Resume && cp.journalComplete(c, path) {
-		return false, nil
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return false, err
-	}
-	runErr := cp.Runner.RunCell(ctx, cp.Spec, c, f)
-	closeErr := f.Close()
-	if runErr == nil {
-		runErr = closeErr
-	}
-	if runErr != nil {
-		os.Remove(tmp)
-		return false, runErr
-	}
-	return true, os.Rename(tmp, path)
+// cellOutcome is one cell's result inside Execute.
+type cellOutcome struct {
+	stats     CellStats
+	ran       bool  // false when resumed from a complete journal
+	err       error // the cell failed; it goes to Result.Failed
+	reduceErr error // the journal did not reduce; the campaign fails
 }
 
-// journalComplete reports whether the cell's journal on disk is a
-// finished run of this exact cell: readable, untorn, header seed
-// matching the cell's derived seed (a spec edit that reshuffles seeds
-// invalidates stale journals), and a batch summary covering every
-// trial.
-func (cp *Campaign) journalComplete(c Cell, path string) bool {
+// runOne executes one cell into journal and then into its journal
+// path, atomically: the bytes go to a temp file renamed into place only
+// after the runner finishes cleanly, so a crashed or failed cell never
+// leaves a plausible-looking journal behind (at worst a *.tmp). The
+// cell is reduced from the same bytes, not read back from the file.
+func (cp *Campaign) runOne(ctx context.Context, c Cell, journal *bytes.Buffer) cellOutcome {
+	path := cp.JournalPath(c)
+	if cp.Resume {
+		if cs, ok := cp.completeStats(c, path); ok {
+			return cellOutcome{stats: cs}
+		}
+	}
+	journal.Reset()
+	if err := cp.Runner.RunCell(ctx, cp.Spec, c, journal); err != nil {
+		return cellOutcome{err: err}
+	}
+	if err := writeFileWith(path, func(w io.Writer) error {
+		_, err := w.Write(journal.Bytes())
+		return err
+	}); err != nil {
+		return cellOutcome{err: err}
+	}
+	cs, err := reduceCell(c, bytes.NewReader(journal.Bytes()))
+	return cellOutcome{stats: cs, ran: true, reduceErr: err}
+}
+
+// completeStats reduces the cell's journal on disk and reports whether
+// it is a finished run of this exact cell: readable, untorn, header
+// seed matching the cell's derived seed (a spec edit that reshuffles
+// seeds invalidates stale journals), and a batch summary covering
+// every trial.
+func (cp *Campaign) completeStats(c Cell, path string) (CellStats, bool) {
 	f, err := os.Open(path)
 	if err != nil {
-		return false
+		return CellStats{}, false
 	}
 	defer f.Close()
 	cs, err := reduceCell(c, f)
 	if err != nil || cs.Torn {
-		return false
+		return cs, false
 	}
-	return cs.Trials == cp.Spec.Trials
+	return cs, cs.Trials == cp.Spec.Trials
 }
 
 // writeArtifacts renders the reduced campaign: summary table in text,
@@ -223,14 +237,20 @@ func (cp *Campaign) writeArtifacts(stats []CellStats) error {
 	return nil
 }
 
-// writeFileWith renders into path atomically (temp + rename).
+// writeFileWith renders into path atomically (temp + rename), through
+// a buffer so renderers that write line by line cost one write call per
+// buffer, not per line.
 func writeFileWith(path string, render func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	rerr := render(f)
+	bw := bufio.NewWriter(f)
+	rerr := render(bw)
+	if rerr == nil {
+		rerr = bw.Flush()
+	}
 	cerr := f.Close()
 	if rerr == nil {
 		rerr = cerr

@@ -9,9 +9,11 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"popnaming/internal/obs"
 	"popnaming/internal/serve"
 )
 
@@ -203,4 +205,45 @@ func TestCampaignE2E(t *testing.T) {
 		t.Errorf("second server pass: %d cache hits, want 8", hits)
 	}
 	assertArtifactsEqual(t, serverDir, serverDir2)
+}
+
+// badSeedRunner runs cells locally, except that the cells in bad get a
+// journal whose header seed is not theirs, which does not reduce.
+type badSeedRunner struct{ bad map[int]bool }
+
+func (r badSeedRunner) RunCell(ctx context.Context, sp *Spec, c Cell, w io.Writer) error {
+	if !r.bad[c.Index] {
+		return LocalRunner{}.RunCell(ctx, sp, c, w)
+	}
+	hdr := obs.NewHeader(Tool)
+	hdr.Seed = c.Seed + 1
+	return obs.NewJournalSink(w).Emit(hdr)
+}
+
+// TestExecuteReduceError pins the campaign-level failure: the first
+// journal in cell order that does not reduce fails Execute, whichever
+// cell finished first, and no artifact is written.
+func TestExecuteReduceError(t *testing.T) {
+	dir := t.TempDir()
+	sp := parse(t, e2eSpec)
+	cells := sp.Cells()
+	cp := &Campaign{Spec: sp, Runner: badSeedRunner{bad: map[int]bool{2: true, 5: true}}, Out: dir, Workers: 2}
+	res, err := cp.Execute(context.Background())
+	if err == nil {
+		t.Fatal("Execute succeeded over a journal that does not reduce")
+	}
+	if want := "reduce cell " + cells[2].ID() + ":"; !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to name %s", err, want)
+	}
+	if res == nil || res.Ran != len(cells) || res.Stats != nil {
+		t.Errorf("result = %+v, want every cell ran and no stats", res)
+	}
+	if _, err := os.Stat(cp.JournalPath(cells[5])); err != nil {
+		t.Errorf("journal of a cell that does not reduce: %v", err)
+	}
+	for _, f := range []string{"summary.csv", "summary.txt", "summary.tex", "plots"} {
+		if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
+			t.Errorf("artifact %s written after a reduce error (stat: %v)", f, err)
+		}
+	}
 }

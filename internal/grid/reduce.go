@@ -76,9 +76,14 @@ func Reduce(sp *Spec, cells []Cell, open JournalOpener) ([]CellStats, error) {
 		}
 		out[i] = cs
 	}
-	// Fault cells compare against their block's no-fault baseline.
-	// KSDistance needs non-empty samples; an all-aborted cell simply
-	// carries no comparison.
+	wireKS(out)
+	return out, nil
+}
+
+// wireKS compares every fault cell in out against its block's no-fault
+// baseline, when the baseline is in out too. KSDistance needs
+// non-empty samples; an all-aborted cell simply carries no comparison.
+func wireKS(out []CellStats) {
 	byIndex := make(map[int]*CellStats, len(out))
 	for i := range out {
 		byIndex[out[i].Cell.Index] = &out[i]
@@ -95,7 +100,6 @@ func Reduce(sp *Spec, cells []Cell, open JournalOpener) ([]CellStats, error) {
 		same, d, crit := stats.KSSame(base.ConvergedSteps, cs.ConvergedSteps, KSAlpha)
 		cs.KS = &KSResult{Same: same, D: d, Critical: crit}
 	}
-	return out, nil
 }
 
 // reduceCell folds one journal. Supervised trials may emit one summary

@@ -91,6 +91,7 @@ func (pr *GlobalP) RandomMobile(r *rand.Rand) core.State {
 // pseudo-code.
 func (pr *GlobalP) LeaderInteract(l core.LeaderState, x core.State) (core.LeaderState, core.State) {
 	b := l.(PtrBST)
+	orig := b
 	b.N, b.K, x = counting.CountingStep(b.N, b.K, x, pr.p, pr.p-1) // lines 2-9
 	if b.N == pr.p && b.NamePtr < pr.p {                           // line 11
 		if int(x) == b.NamePtr { // line 12
@@ -99,6 +100,9 @@ func (pr *GlobalP) LeaderInteract(l core.LeaderState, x core.State) (core.Leader
 			x = core.State(b.NamePtr) // line 15
 			b.NamePtr = 0             // line 16
 		}
+	}
+	if b == orig {
+		return l, x // unchanged leader: l, not b, which would box a fresh copy
 	}
 	return b, x
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"popnaming/internal/core"
+	"popnaming/internal/counting"
 )
 
 // allProtocols returns one instance of every protocol in the package,
@@ -95,5 +96,42 @@ func TestConstructorsRejectTinyBounds(t *testing.T) {
 			}()
 			ctor()
 		}()
+	}
+}
+
+// TestNullLeaderStepAllocs pins that a null leader step — the leader
+// meeting an agent it already named — hands back the incoming leader
+// state instead of boxing a fresh copy, so it does not allocate. Most
+// leader steps of a converging run are null.
+func TestNullLeaderStepAllocs(t *testing.T) {
+	const p = 6
+	cases := []struct {
+		proto  core.LeaderProtocol
+		leader core.LeaderState
+		named  core.State
+	}{
+		{NewSelfStab(p), ResetBST{N: 3, K: 5}, 2},
+		{NewNoReset(p), ResetBST{N: 3, K: 5}, 2},
+		{NewInitLeader(p), Counter{C: 2}, 0},
+		{NewGlobalP(p), PtrBST{N: 3, K: 5}, 2},
+		{counting.New(p), counting.BST{N: 3, K: 5}, 2},
+		{counting.NewNaive(p), counting.BST{N: 3, K: 3}, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.proto.Name(), func(t *testing.T) {
+			if !core.IsNullLeader(c.proto, c.leader, c.named) {
+				t.Fatalf("(%v, %d) is not a null leader step", c.leader, c.named)
+			}
+			var l2 core.LeaderState
+			allocs := testing.AllocsPerRun(100, func() {
+				l2, _ = c.proto.LeaderInteract(c.leader, c.named)
+			})
+			if allocs != 0 {
+				t.Errorf("null leader step allocates %v times, want 0", allocs)
+			}
+			if !l2.Equal(c.leader) {
+				t.Errorf("leader %v became %v", c.leader, l2)
+			}
+		})
 	}
 }

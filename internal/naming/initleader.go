@@ -79,5 +79,5 @@ func (pr *InitLeader) LeaderInteract(l core.LeaderState, x core.State) (core.Lea
 		named := core.State(c.C)
 		return Counter{C: c.C + 1}, named
 	}
-	return c, x
+	return l, x // null: l, not c, which would box a fresh copy
 }

@@ -72,5 +72,5 @@ func (pr *NoReset) LeaderInteract(l core.LeaderState, x core.State) (core.Leader
 		n2, k2, x2 := counting.CountingStep(b.N, b.K, x, pr.p+1, pr.p)
 		return ResetBST{N: n2, K: k2}, x2
 	}
-	return b, x
+	return l, x // null: l, not b, which would box a fresh copy
 }

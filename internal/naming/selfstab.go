@@ -101,5 +101,5 @@ func (pr *SelfStab) LeaderInteract(l core.LeaderState, x core.State) (core.Leade
 	if b.N > pr.p && x == 0 { // line 11: naming failed; restart
 		return ResetBST{}, x // line 12
 	}
-	return b, x
+	return l, x // null: l, not b, which would box a fresh copy
 }

@@ -31,13 +31,13 @@ func (discard) Emit(any) error { return nil }
 // retained and returned by every subsequent Emit and by Err.
 type JournalSink struct {
 	mu  sync.Mutex
-	w   io.Writer
+	enc *json.Encoder // writes each record and its newline in one Write
 	err error
 }
 
 // NewJournalSink returns a JSONL sink over w.
 func NewJournalSink(w io.Writer) *JournalSink {
-	return &JournalSink{w: w}
+	return &JournalSink{enc: json.NewEncoder(w)}
 }
 
 // Emit implements Sink. A nil *JournalSink drops the record: callers
@@ -54,13 +54,7 @@ func (s *JournalSink) Emit(rec any) error {
 	if s.err != nil {
 		return s.err
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		s.err = err
-		return err
-	}
-	b = append(b, '\n')
-	if _, err := s.w.Write(b); err != nil {
+	if err := s.enc.Encode(rec); err != nil {
 		s.err = err
 		return err
 	}

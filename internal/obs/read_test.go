@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -141,9 +145,87 @@ func TestReadJournalEmpty(t *testing.T) {
 	}
 }
 
+// refDecodeRec is the reference decoder: a full json.Unmarshal probe
+// for "type", then a second decode into the typed record. decodeRec
+// must agree with it on every line.
+func refDecodeRec(line []byte) (Rec, bool) {
+	var probe struct {
+		Type string `json:"type"`
+	}
+	if err := json.Unmarshal(line, &probe); err != nil || probe.Type == "" {
+		return Rec{}, false
+	}
+	rec := Rec{Type: probe.Type, Raw: line}
+	var dst any
+	switch probe.Type {
+	case "header":
+		rec.Header = &Header{}
+		dst = rec.Header
+	case "progress":
+		rec.Progress = &Progress{}
+		dst = rec.Progress
+	case "summary":
+		rec.Summary = &Summary{}
+		dst = rec.Summary
+	case "batch_summary":
+		rec.Batch = &BatchSummaryRec{}
+		dst = rec.Batch
+	case "census":
+		rec.Census = &CensusRec{}
+		dst = rec.Census
+	case "fault":
+		rec.Fault = &FaultRec{}
+		dst = rec.Fault
+	case "experiment":
+		rec.Experiment = &ExperimentRec{}
+		dst = rec.Experiment
+	case "explore":
+		rec.Explore = &ExploreRec{}
+		dst = rec.Explore
+	case "stage":
+		rec.Stage = &StageRec{}
+		dst = rec.Stage
+	case "lease":
+		rec.Lease = &LeaseRec{}
+		dst = rec.Lease
+	case "span":
+		rec.Span = &SpanRec{}
+		dst = rec.Span
+	default:
+		return rec, true
+	}
+	if err := json.Unmarshal(line, dst); err != nil {
+		return Rec{}, false
+	}
+	return rec, true
+}
+
+// refReadJournal is ReadJournal's line loop over refDecodeRec,
+// collecting the delivered records.
+func refReadJournal(data []byte) (recs []Rec, torn bool) {
+	br := bufio.NewReader(bytes.NewReader(data))
+	for {
+		line, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			return recs, len(bytes.TrimSpace(line)) > 0
+		}
+		trimmed := bytes.TrimSpace(line)
+		if len(trimmed) == 0 {
+			continue
+		}
+		rec, ok := refDecodeRec(trimmed)
+		if !ok {
+			return recs, true
+		}
+		recs = append(recs, rec)
+	}
+}
+
 // FuzzJournalRead pins the decoder's robustness contract: arbitrary
 // bytes never panic, torn and err are never both set, and every
-// delivered record carries a non-empty type with its Raw bytes.
+// delivered record carries a non-empty type with its Raw bytes. It
+// also holds the single-decode read to the reference decoder: the
+// same records and the same torn verdict on every input.
 func FuzzJournalRead(f *testing.F) {
 	valid := journalBytes(f)
 	f.Add(valid)
@@ -153,7 +235,19 @@ func FuzzJournalRead(f *testing.F) {
 	f.Add([]byte("not json\n"))
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte{})
+	// Lines the prefix read must hand to the probe: duplicate and
+	// case-variant type keys, an escaped name, a truncated record, an
+	// unknown type and a non-string duplicate.
+	f.Add([]byte(`{"v":1,"type":"summary","type":"header","seed":3}` + "\n"))
+	f.Add([]byte(`{"v":1,"type":"summary","Type":"progress","step":5}` + "\n"))
+	f.Add([]byte(`{"v":1,"Type":"summary","steps":4}` + "\n"))
+	f.Add([]byte(`{"v":1,"type":"summ\u0061ry","steps":4}` + "\n"))
+	f.Add([]byte(`{"v":1,"type":"summary"`))
+	f.Add([]byte(`{"v":1,"type":"summary"` + "\n"))
+	f.Add([]byte(`{"v":1,"type":"job","id":"j1","state":"done"}` + "\n"))
+	f.Add([]byte(`{"v":1,"type":"summary","type":5}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var got []Rec
 		torn, err := ReadJournal(bytes.NewReader(data), func(rec Rec) error {
 			if rec.Type == "" {
 				t.Error("record with empty type delivered")
@@ -161,10 +255,18 @@ func FuzzJournalRead(f *testing.F) {
 			if len(rec.Raw) == 0 {
 				t.Error("record without Raw delivered")
 			}
+			got = append(got, rec)
 			return nil
 		})
 		if torn && err != nil {
 			t.Errorf("torn and err both set: %v", err)
+		}
+		want, wantTorn := refReadJournal(data)
+		if torn != wantTorn {
+			t.Errorf("torn = %v, reference %v", torn, wantTorn)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("records differ from the reference:\n got %+v\nwant %+v", got, want)
 		}
 	})
 }

@@ -45,9 +45,14 @@ const randBatch = 128
 // pair and derives both sides by fixed-point multiply-and-shift, so the
 // steady-state cost of Next is a buffer load. The sequence is a
 // deterministic function of the seed, as before.
+//
+// The source is seeded on the first refill, not at construction:
+// seeding takes some 1,800 generator steps, and admission builds
+// schedulers only to check that they can be built.
 type Random struct {
 	n          int
 	withLeader bool
+	seed       int64
 	src        rand.Source64 // held directly: refill skips the *rand.Rand wrapper
 	lo         int
 	buf        [randBatch]core.Pair
@@ -64,7 +69,7 @@ func NewRandom(n int, withLeader bool, seed int64) *Random {
 	if withLeader {
 		lo = -1
 	}
-	s := &Random{n: n, withLeader: withLeader, src: rand.NewSource(seed).(rand.Source64), lo: lo}
+	s := &Random{n: n, withLeader: withLeader, seed: seed, lo: lo}
 	s.pos = len(s.buf) // force a refill on first Next
 	return s
 }
@@ -88,6 +93,9 @@ func (s *Random) Next() core.Pair {
 // range reduction; the bias of at most span/2³² is far below anything a
 // fairness statistic can resolve).
 func (s *Random) refill() {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
 	span := uint64(s.n - s.lo)
 	for i := range s.buf {
 		v := s.src.Uint64()

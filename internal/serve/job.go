@@ -393,8 +393,9 @@ func prepare(spec Spec) (*validated, *Error) {
 	return v, nil
 }
 
-// validateRun checks the sim/batch sched/init keys by probing the
-// builders once, so the per-attempt builders on the worker cannot fail.
+// validateRun checks the sim/batch sched/init keys — the init key by
+// capability, the scheduler by probing its builder once — so the
+// per-attempt builders on the worker cannot fail.
 // For count-engine jobs the probe is a throwaway CountRunner, which
 // also enforces the compiled-table state cap and the pair-weight
 // overflow bound on N.
@@ -424,7 +425,7 @@ func validateRun(v *validated) *Error {
 		}
 		return nil
 	}
-	if _, err := buildConfig(v.proto, sp.N, sp.Init, sp.Seed); err != nil {
+	if err := checkInit(v.proto, sp.Init); err != nil {
 		return badRequest("%v", err)
 	}
 	if _, err := buildScheduler(v.proto, sp.N, sp.Sched, sp.Seed); err != nil {

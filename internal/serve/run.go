@@ -13,27 +13,41 @@ import (
 	"popnaming/internal/sim"
 )
 
-// buildConfig mirrors the CLI initialization keys. The keys were
-// validated at admission, so workers call this infallibly per attempt.
-func buildConfig(proto core.Protocol, n int, initKey string, seed int64) (*core.Config, error) {
+// checkInit reports whether buildConfig accepts initKey for proto. It
+// builds nothing, so admission checks the key without drawing an
+// arbitrary configuration.
+func checkInit(proto core.Protocol, initKey string) error {
 	switch initKey {
-	case "zero":
-		cfg := core.NewConfig(n, 0)
-		if lp, ok := proto.(core.LeaderProtocol); ok {
-			cfg.Leader = lp.InitLeader()
+	case "zero", "uniform":
+		return nil
+	case "arbitrary":
+		if _, ok := proto.(core.ArbitraryInitProtocol); !ok {
+			return fmt.Errorf("protocol %q does not support arbitrary initialization", proto.Name())
 		}
-		return cfg, nil
+		return nil
+	default:
+		return fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
+	}
+}
+
+// buildConfig mirrors the CLI initialization keys. The keys were
+// validated at admission (checkInit), so workers call this infallibly
+// per attempt.
+func buildConfig(proto core.Protocol, n int, initKey string, seed int64) (*core.Config, error) {
+	if err := checkInit(proto, initKey); err != nil {
+		return nil, err
+	}
+	switch initKey {
 	case "uniform":
 		return sim.UniformConfig(proto, n), nil
 	case "arbitrary":
-		ap, ok := proto.(core.ArbitraryInitProtocol)
-		if !ok {
-			return nil, fmt.Errorf("protocol %q does not support arbitrary initialization", proto.Name())
-		}
-		return sim.ArbitraryConfig(ap, n, rand.New(rand.NewSource(seed))), nil
-	default:
-		return nil, fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
+		return sim.ArbitraryConfig(proto.(core.ArbitraryInitProtocol), n, rand.New(rand.NewSource(seed))), nil
 	}
+	cfg := core.NewConfig(n, 0) // "zero"
+	if lp, ok := proto.(core.LeaderProtocol); ok {
+		cfg.Leader = lp.InitLeader()
+	}
+	return cfg, nil
 }
 
 // buildCountStart mirrors buildConfig in count space: the subset of

@@ -433,6 +433,12 @@ func TestPrepareDefaults(t *testing.T) {
 	if _, err := prepare(Spec{Kind: KindCampaign, Protocol: "initleader"}); err == nil {
 		t.Fatal("campaign on a protocol without arbitrary init accepted")
 	}
+	if _, err := prepare(Spec{Kind: KindBatch, Protocol: "initleader", Init: "arbitrary"}); err == nil {
+		t.Fatal("arbitrary init on a protocol without RandomMobile accepted")
+	}
+	if _, err := prepare(Spec{Kind: KindBatch, Protocol: "asym", Init: "bogus"}); err == nil {
+		t.Fatal("unknown init key accepted")
+	}
 	v, err = prepare(Spec{Kind: KindSim, Protocol: "asym"})
 	if err != nil {
 		t.Fatal(err)
