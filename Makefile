@@ -24,10 +24,10 @@ SERVE_BENCH = BenchmarkServeLoad
 TRACE_BENCH = BenchmarkSpanEmit|BenchmarkSpanEmitJournal|BenchmarkSupervisedNilTrace|BenchmarkSupervisedTraced
 
 # Count-engine benchmarks gating the large-N scaling claims: per-step
-# cost flat in N against the agent engine's baseline, plus the
-# fenwick-vs-alias sampler head-to-head that picks the "auto" default
-# (see DESIGN.md "Count-based engine" and EXPERIMENTS.md).
-COUNT_BENCH = BenchmarkCountEngineScale|BenchmarkAgentEngineScale|BenchmarkCountSampler|BenchmarkAliasRebuild
+# cost flat in N against the agent engine's baseline, plus the Fenwick
+# sampler's per-step cost across |Q| (see DESIGN.md "Count-based
+# engine" and EXPERIMENTS.md).
+COUNT_BENCH = BenchmarkCountEngineScale|BenchmarkAgentEngineScale|BenchmarkCountSampler
 
 # Durability benchmarks gating the job-store claims: WAL append vs the
 # fsync-bearing finalize, boot-time replay scaling with log size, and
@@ -46,10 +46,10 @@ DIST_BENCH = BenchmarkDistSharded|BenchmarkDistDegraded
 # an all-cache-hit second pass (see docs/pipeline.md).
 GRID_BENCH = BenchmarkGridLocal|BenchmarkGridServer|BenchmarkGridServerCached
 
-.PHONY: check vet build test test-bench race race-search race-fault race-serve race-count race-store race-dist race-grid fmt fuzzbuild bench bench-engine bench-search bench-fault bench-serve bench-trace bench-count bench-store bench-dist bench-grid serve
+.PHONY: check vet build test test-bench race fmt fuzzbuild bench bench-engine bench-search bench-fault bench-serve bench-trace bench-count bench-store bench-dist bench-grid serve
 
 # check is the single entry point: everything CI (or a reviewer) needs.
-check: vet build race race-search race-fault race-serve race-count race-store race-dist race-grid fmt fuzzbuild test-bench
+check: vet build race fmt fuzzbuild test-bench
 
 vet:
 	$(GO) vet ./...
@@ -67,56 +67,13 @@ test:
 test-bench:
 	cd bench && $(GO) test ./...
 
+# race runs every package under the race detector with caching
+# disabled, so each check run actually exercises the concurrent paths:
+# worker pools in the explorer, search and batch runner, shared sinks
+# and injectors, the service's jobs, buffers and WAL, the lease
+# coordinator and the campaign pipeline.
 race:
-	$(GO) test -race ./...
-
-# race-search re-runs the parallel explorer and sharded search under
-# the race detector with caching disabled, so every check run actually
-# exercises the worker-pool interleavings.
-race-search:
-	$(GO) test -race -count=1 ./internal/explore ./internal/search
-
-# race-fault re-runs the fault layer and supervised batch runner under
-# the race detector with caching disabled: supervised batches share
-# sinks and injector wiring across worker goroutines.
-race-fault:
-	$(GO) test -race -count=1 ./internal/fault ./internal/sim ./internal/experiments
-
-# race-serve re-runs the service and the observability layer under the
-# race detector with caching disabled: the service scrapes live
-# observers and shares job buffers between workers and HTTP streams.
-race-serve:
-	$(GO) test -race -count=1 ./internal/serve ./internal/obs
-
-# race-count re-runs the count-engine tests (including the KS
-# differential and RunCountBatch, which shares a sink across worker
-# goroutines) under the race detector with caching disabled.
-race-count:
-	$(GO) test -race -count=1 -run 'Count' ./internal/sim ./internal/serve ./internal/experiments
-
-# race-store re-runs the durability layer under the race detector with
-# caching disabled: the WAL shares per-job appenders between workers and
-# the replay path, and the cancel-vs-pickup race writes store records
-# from two goroutines.
-race-store:
-	$(GO) test -race -count=1 ./internal/serve/store
-	$(GO) test -race -count=1 -run 'TestCancelRacePickup|TestCacheHitServes|TestRestartRestores|TestRestartRequeues|TestLateEmit|TestBufferSpill' ./internal/serve
-
-# race-dist re-runs the lease coordinator and the chaos/sharding suite
-# under the race detector with caching disabled: the coordinator shares
-# lease state between peer executor goroutines, the local fallback loop
-# and the delivery path, and the chaos proxies race it from real HTTP
-# handlers.
-race-dist:
-	$(GO) test -race -count=1 ./internal/dist
-	$(GO) test -race -count=1 -run 'TestDist' ./internal/serve
-
-# race-grid re-runs the campaign pipeline under the race detector with
-# caching disabled: campaigns fan cells out across worker goroutines
-# that share the spec, the result accumulator and (in server mode) one
-# peer's health window.
-race-grid:
-	$(GO) test -race -count=1 ./internal/grid ./cmd/ppanalyze
+	$(GO) test -race -count=1 ./...
 
 # serve runs the simulation service locally on :8080.
 serve:

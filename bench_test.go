@@ -11,6 +11,7 @@
 package popnaming
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -423,15 +424,16 @@ func BenchmarkE17ExactTimes(b *testing.B) {
 func BenchmarkBatchThroughput(b *testing.B) {
 	const n = 12
 	pr := naming.NewSelfStab(n)
+	sup := sim.Supervision{StepBudget: 100_000_000, Slice: 100_000_000}
 	for i := 0; i < b.N; i++ {
-		results := sim.RunBatch(pr, 16, 100_000_000, 0, func(trial int) sim.Trial {
+		sum := sim.RunBatch(context.Background(), pr, 0, 16, 0, sup, sim.BatchObs{}, func(trial, _ int) sim.Trial {
 			r := rand.New(rand.NewSource(int64(i*100 + trial)))
 			return sim.Trial{
 				Cfg:   sim.ArbitraryConfig(pr, n, r),
 				Sched: sched.NewRandom(n, true, int64(i*100+trial)),
 			}
 		})
-		for _, br := range results {
+		for _, br := range sum.Results {
 			if !br.Result.Converged {
 				b.Fatal("batch trial did not converge")
 			}

@@ -19,8 +19,7 @@
 // large-N scaling regime). The count engine knows no agent identities,
 // so it is restricted to -sched random and -init zero|uniform, and the
 // identity-dependent flags (-audit, -adversary, -faults, -deadline,
-// -retries, -stall) are rejected at flag-parse time; -sampler picks the
-// state sampler (auto | fenwick | alias).
+// -retries, -stall) are rejected at flag-parse time.
 //
 // Fault injection (see docs/robustness.md): -faults takes a fault-plan
 // string (events "@step:kind=arg" or "@conv:kind=arg"; kinds corrupt,
@@ -48,6 +47,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"time"
 
 	"popnaming/internal/adversary"
@@ -68,7 +68,6 @@ type options struct {
 	sched    string
 	init     string
 	engine   string
-	sampler  string
 	seed     int64
 	derived  bool
 	budget   int
@@ -101,7 +100,6 @@ func main() {
 		schedKey = flag.String("sched", "random", "scheduler: random | roundrobin | matching | eclipse")
 		initKey  = flag.String("init", "zero", "initialization: zero | uniform | arbitrary")
 		engine   = flag.String("engine", "compiled", "execution engine: compiled | interp | count")
-		sampler  = flag.String("sampler", "auto", "count-engine state sampler: auto | fenwick | alias")
 		seed     = flag.Int64("seed", 1, "random seed (0: auto-derive from the clock; the seed used is printed)")
 		budget   = flag.Int("budget", 50_000_000, "max interactions")
 		audit    = flag.Bool("audit", false, "audit the played schedule for weak fairness")
@@ -129,8 +127,7 @@ func main() {
 	}
 	o := options{
 		proto: *protoKey, p: *p, n: *n, sched: *schedKey, init: *initKey, engine: *engine,
-		sampler: *sampler,
-		budget:  *budget, audit: *audit, adv: *adv, hidden: *hidden, hide: *hide,
+		budget: *budget, audit: *audit, adv: *adv, hidden: *hidden, hide: *hide,
 		faults: *faults, deadline: *deadline, retries: *retries, stall: *stall,
 		journal: *journal, metrics: *metrics, progress: *progress, pprof: *pprofPfx,
 	}
@@ -156,9 +153,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "namesim: -engine count: incompatible flag %s\n", msg)
 			os.Exit(2)
 		}
-	} else if o.sampler != "auto" {
-		fmt.Fprintln(os.Stderr, "namesim: -sampler requires -engine count")
-		os.Exit(2)
 	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "namesim:", err)
@@ -169,25 +163,25 @@ func main() {
 // countIncompatibility returns a description of the first flag that the
 // count engine cannot honor, or "" when the selection is count-runnable.
 // The count engine sees per-state counts only; anything that addresses
-// an individual agent has no meaning there.
+// an individual agent has no meaning there. Beyond namesim's own
+// -adversary and -audit, the engine declares its limits itself
+// (sim.CountUnsupported).
 func countIncompatibility(o options) string {
 	switch {
 	case o.adv:
 		return "-adversary (the greedy adversary picks individual agents)"
-	case o.faults != "":
-		return "-faults (fault kinds target individual agents)"
-	case o.supervised():
-		return "-deadline/-retries/-stall (the supervised runner is agent-engine only)"
 	case o.audit:
 		return "-audit (a fairness audit needs the agent-level schedule)"
-	case o.sched != "random":
-		return "-sched " + o.sched + " (count dynamics are defined only for the uniform random scheduler)"
-	case o.init == "arbitrary":
-		return "-init arbitrary (arbitrary initialization draws an agent array)"
-	case !sim.ValidCountSampler(o.sampler):
-		return "-sampler " + o.sampler + " (want auto | fenwick | alias)"
 	}
-	return ""
+	sup := sim.Supervision{Deadline: o.deadline, Retries: o.retries, StallQuiet: o.stall}
+	feature, reason := sim.CountUnsupported(o.faults != "", sup, o.sched, o.init)
+	switch feature {
+	case "":
+		return ""
+	case "supervision":
+		feature = "deadline/-retries/-stall"
+	}
+	return "-" + strings.Replace(feature, ":", " ", 1) + " (" + reason + ")"
 }
 
 func run(o options) (err error) {
@@ -487,14 +481,14 @@ func runAdversarial(proto core.Protocol, cfg *core.Config, o options, sink *obs.
 // Journals from this path carry engine:"count", census records instead
 // of pair statistics, and the same per-rule fire counts as agent runs.
 func runCount(proto core.Protocol, o options, sink *obs.JournalSink) error {
-	cc, err := buildCountConfig(proto, o.n, o.init)
+	cc, err := sim.CountStart(proto, o.n, o.init)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("protocol %s (P=%d, %d states/agent, symmetric=%v, leader=%v)\n",
 		proto.Name(), proto.P(), proto.States(), proto.Symmetric(), core.HasLeader(proto))
-	fmt.Printf("population N=%d, engine count (sampler %s), init %s, seed %d%s\n",
-		o.n, o.sampler, o.init, o.seed, seedNote(o.derived))
+	fmt.Printf("population N=%d, engine count, init %s, seed %d%s\n",
+		o.n, o.init, o.seed, seedNote(o.derived))
 	fmt.Printf("start: %s\n", cc)
 	if sink != nil {
 		hdr := header("namesim", proto, o)
@@ -508,7 +502,6 @@ func runCount(proto core.Protocol, o options, sink *obs.JournalSink) error {
 	if err != nil {
 		return err
 	}
-	runner.Sampler = o.sampler
 	var observer *obs.Observer
 	if sink != nil || o.metrics {
 		observer = obs.NewObserver(o.n, core.HasLeader(proto), obs.ObserverOptions{
@@ -532,25 +525,6 @@ func runCount(proto core.Protocol, o options, sink *obs.JournalSink) error {
 		observer.Dump(os.Stdout)
 	}
 	return nil
-}
-
-// buildCountConfig builds the starting counts for the count engine.
-// Only the identity-free initializations are representable: all-zero
-// and the protocol's uniform start ("arbitrary" draws an agent array).
-func buildCountConfig(proto core.Protocol, n int, initKey string) (*core.CountConfig, error) {
-	switch initKey {
-	case "zero":
-		cc := core.NewCountConfig(proto.States())
-		cc.Counts[0] = n
-		if lp, ok := proto.(core.LeaderProtocol); ok {
-			cc.Leader = lp.InitLeader()
-		}
-		return cc, nil
-	case "uniform":
-		return sim.UniformCountConfig(proto, n), nil
-	default:
-		return nil, fmt.Errorf("init %q is not count-representable (zero | uniform)", initKey)
-	}
 }
 
 func header(tool string, proto core.Protocol, o options) obs.Header {

@@ -10,6 +10,7 @@ import (
 
 	"popnaming/internal/experiments"
 	"popnaming/internal/obs"
+	"popnaming/internal/sim"
 )
 
 // countOpts returns a flag set that the count engine accepts; tests
@@ -17,7 +18,7 @@ import (
 func countOpts() options {
 	return options{
 		proto: "asym", p: 12, n: 10, sched: "random", init: "zero",
-		engine: "count", sampler: "auto", budget: 1_000_000, seed: 7,
+		engine: "count", budget: 1_000_000, seed: 7,
 	}
 }
 
@@ -40,7 +41,6 @@ func TestCountIncompatibility(t *testing.T) {
 		{"matching", func(o *options) { o.sched = "matching" }, "-sched matching"},
 		{"eclipse", func(o *options) { o.sched = "eclipse" }, "-sched eclipse"},
 		{"arbitrary", func(o *options) { o.init = "arbitrary" }, "-init arbitrary"},
-		{"badsampler", func(o *options) { o.sampler = "vose" }, "-sampler vose"},
 	}
 	for _, c := range cases {
 		o := countOpts()
@@ -50,27 +50,23 @@ func TestCountIncompatibility(t *testing.T) {
 			t.Errorf("%s: countIncompatibility = %q, want mention of %q", c.name, msg, c.want)
 		}
 	}
-	// uniform init and the explicit samplers stay accepted.
-	for _, ok := range []func(*options){
-		func(o *options) { o.init = "uniform" },
-		func(o *options) { o.sampler = "fenwick" },
-		func(o *options) { o.sampler = "alias" },
-	} {
-		o := countOpts()
-		ok(&o)
-		if msg := countIncompatibility(o); msg != "" {
-			t.Errorf("compatible variation rejected: %s", msg)
-		}
+	// uniform init stays accepted.
+	o := countOpts()
+	o.init = "uniform"
+	if msg := countIncompatibility(o); msg != "" {
+		t.Errorf("compatible variation rejected: %s", msg)
 	}
 }
 
+// TestBuildCountConfig pins the count-space starts namesim's -init keys
+// build for -engine count (sim.CountStart).
 func TestBuildCountConfig(t *testing.T) {
 	spec, err := experiments.Lookup("initleader")
 	if err != nil {
 		t.Fatal(err)
 	}
 	pr := spec.New(6)
-	cc, err := buildCountConfig(pr, 6, "zero")
+	cc, err := sim.CountStart(pr, 6, "zero")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +76,10 @@ func TestBuildCountConfig(t *testing.T) {
 	if cc.Leader == nil {
 		t.Fatal("leader protocol start lost its leader")
 	}
-	if _, err := buildCountConfig(pr, 6, "uniform"); err != nil {
+	if _, err := sim.CountStart(pr, 6, "uniform"); err != nil {
 		t.Fatalf("uniform init: %v", err)
 	}
-	if _, err := buildCountConfig(pr, 6, "arbitrary"); err == nil {
+	if _, err := sim.CountStart(pr, 6, "arbitrary"); err == nil {
 		t.Fatal("arbitrary init must be rejected as not count-representable")
 	}
 }

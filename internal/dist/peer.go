@@ -26,10 +26,6 @@ type Peer struct {
 	// Client is the HTTP client; nil uses a default with sane
 	// timeouts (per-attempt deadlines come from the request context).
 	Client *http.Client
-	// ShardBody renders the submission body for a lease: the full
-	// original job spec with shard set to the lease range. Supplied
-	// by the serving layer so dist stays spec-schema-agnostic.
-	ShardBody func(r Range) ([]byte, error)
 	// QuarantineAfter is the consecutive-failure threshold; <= 0
 	// means 3.
 	QuarantineAfter int
@@ -114,26 +110,17 @@ func (p *Peer) probe(ctx context.Context) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// Run executes one lease on the peer: submit the shard job, follow its
-// result stream to completion, and return the raw shard lines. Any
-// 5xx/429, connection drop, deadline, truncated NDJSON tail or
-// non-done terminal record is an attempt failure — the coordinator
-// re-issues the lease elsewhere. Peers deduplicate re-submissions of
-// the same shard through their content-addressed result cache, so a
-// re-issued lease that lands on a node that already ran it is served
-// from memory.
-func (p *Peer) Run(ctx context.Context, r Range) ([][]byte, error) {
-	body, err := p.ShardBody(r)
-	if err != nil {
-		return nil, fmt.Errorf("dist: shard body: %w", err)
-	}
-	return p.RunBody(ctx, r, body)
-}
-
-// RunBody is Run with the submission body supplied by the caller —
-// the hook for serving layers that keep one long-lived Peer (with its
-// health window) across many jobs, each rendering its own shard
-// bodies.
+// RunBody executes one lease on the peer: submit body (the original
+// job spec with shard set to the lease range, rendered by the serving
+// layer so dist stays spec-schema-agnostic), follow the job's result
+// stream to completion, and return the raw shard lines. Any 5xx/429,
+// connection drop, deadline, truncated NDJSON tail or non-done
+// terminal record is an attempt failure — the coordinator re-issues
+// the lease elsewhere. Peers deduplicate re-submissions of the same
+// shard through their content-addressed result cache, so a re-issued
+// lease that lands on a node that already ran it is served from
+// memory. One long-lived Peer (with its health window) serves many
+// jobs, each supplying its own bodies.
 func (p *Peer) RunBody(ctx context.Context, r Range, body []byte) ([][]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.Base+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {

@@ -187,7 +187,6 @@ type CountScalePoint struct {
 type CountScaleResult struct {
 	Protocol      string
 	States        int
-	Sampler       string
 	Points        []CountScalePoint
 	FlatnessRatio float64
 }
@@ -198,8 +197,6 @@ type CountScaleOptions struct {
 	Sizes []int
 	// Steps is the fixed interaction budget timed per rung (default 2M).
 	Steps int
-	// Sampler selects the count sampler (default "auto").
-	Sampler string
 	// Seed seeds each rung's runner.
 	Seed int64
 }
@@ -210,9 +207,6 @@ func (o *CountScaleOptions) fill() {
 	}
 	if o.Steps == 0 {
 		o.Steps = 2_000_000
-	}
-	if o.Sampler == "" {
-		o.Sampler = "auto"
 	}
 }
 
@@ -225,7 +219,7 @@ func (o *CountScaleOptions) fill() {
 func CountScale(opts CountScaleOptions) CountScaleResult {
 	opts.fill()
 	pr := naming.NewAsymmetric(12)
-	res := CountScaleResult{Protocol: pr.Name(), States: pr.States(), Sampler: opts.Sampler}
+	res := CountScaleResult{Protocol: pr.Name(), States: pr.States()}
 	minRate, maxRate := 0.0, 0.0
 	for _, n := range opts.Sizes {
 		cc := core.NewCountConfig(pr.States())
@@ -238,7 +232,6 @@ func CountScale(opts CountScaleOptions) CountScaleResult {
 			res.Points = append(res.Points, pt)
 			continue
 		}
-		r.Sampler = opts.Sampler
 		start := time.Now()
 		run, err := r.Run(opts.Steps)
 		pt.WallNS = time.Since(start).Nanoseconds()
@@ -265,7 +258,7 @@ func CountScale(opts CountScaleOptions) CountScaleResult {
 // RenderCountScale prints E24.
 func RenderCountScale(w io.Writer, res CountScaleResult) {
 	tab := report.NewTable(
-		fmt.Sprintf("E24 — count-engine throughput vs N (%s, sampler %s)", res.Protocol, res.Sampler),
+		fmt.Sprintf("E24 — count-engine throughput vs N (%s)", res.Protocol),
 		"N", "interactions", "wall", "steps/sec")
 	for _, p := range res.Points {
 		tab.AddRowf(p.N, p.Steps,

@@ -182,7 +182,7 @@ func StabilizePlan(name string, pr core.ArbitraryInitProtocol, plan *fault.Plan,
 		Trace:      opts.Trace,
 	}
 	bo := sim.BatchObs{Sink: opts.Sink}
-	sum := sim.RunBatchSupervised(context.Background(), pr, opts.Trials, opts.Workers, sup, bo, func(trial, attempt int) sim.Trial {
+	sum := sim.RunBatch(context.Background(), pr, 0, opts.Trials, opts.Workers, sup, bo, func(trial, attempt int) sim.Trial {
 		seed := sim.DeriveSeed(opts.Seed, trial, attempt)
 		rng := rand.New(rand.NewSource(seed))
 		cfg := sim.ArbitraryConfig(pr, opts.N, rng)

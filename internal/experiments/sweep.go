@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -122,7 +123,8 @@ func Sweep(name string, mkProto func(p int) core.Protocol, opts SweepOptions) Sw
 		// Trials are independent; run them on all cores. Each trial
 		// derives its randomness from (Seed, N, trial), so results are
 		// independent of worker scheduling.
-		batch := sim.RunBatch(pr, opts.Trials, opts.Budget, 0, func(trial int) sim.Trial {
+		sup := sim.Supervision{StepBudget: opts.Budget, Slice: opts.Budget}
+		batch := sim.RunBatch(context.Background(), pr, 0, opts.Trials, 0, sup, sim.BatchObs{}, func(trial, _ int) sim.Trial {
 			r := rand.New(rand.NewSource(opts.Seed + int64(nn*100000+trial)))
 			var s sched.Scheduler
 			if opts.Global {
@@ -133,7 +135,7 @@ func Sweep(name string, mkProto func(p int) core.Protocol, opts SweepOptions) Sw
 			return sim.Trial{Cfg: startConfig(pr, nn, r, opts.Start), Sched: s}
 		})
 		var steps []float64
-		for _, br := range batch {
+		for _, br := range batch.Results {
 			if !br.Result.Converged || !br.Result.Final.ValidNaming() {
 				point.Failures++
 				continue

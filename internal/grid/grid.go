@@ -52,14 +52,13 @@ type Spec struct {
 	// to 10; Budget 0 selects the service default; Workers is the
 	// per-cell trial parallelism and defaults to 1, the deterministic
 	// choice (record order across trials follows worker scheduling).
-	Trials        int    `json:"trials,omitempty"`
-	Budget        int    `json:"budget,omitempty"`
-	Workers       int    `json:"workers,omitempty"`
-	Stall         int    `json:"stall,omitempty"`
-	Retries       int    `json:"retries,omitempty"`
-	DeadlineMS    int64  `json:"deadlineMs,omitempty"`
-	ProgressEvery int    `json:"progressEvery,omitempty"`
-	Sampler       string `json:"sampler,omitempty"`
+	Trials        int   `json:"trials,omitempty"`
+	Budget        int   `json:"budget,omitempty"`
+	Workers       int   `json:"workers,omitempty"`
+	Stall         int   `json:"stall,omitempty"`
+	Retries       int   `json:"retries,omitempty"`
+	DeadlineMS    int64 `json:"deadlineMs,omitempty"`
+	ProgressEvery int   `json:"progressEvery,omitempty"`
 
 	// Seed is the campaign master seed; 0 derives one from the clock
 	// (resolved exactly once, at Parse, and recorded so the run stays
@@ -139,28 +138,6 @@ func (sp *Spec) normalize() error {
 			return fmt.Errorf("grid: duplicate population {p:%d,n:%d}", p.P, p.N)
 		}
 		seenPop[p] = true
-	}
-	// The count engine rejects faults and supervision at admission;
-	// a mixed grid would produce a ragged product, so reject it whole.
-	for _, e := range sp.Engines {
-		if e != "count" {
-			continue
-		}
-		for _, f := range sp.Faults {
-			if f != "" {
-				return fmt.Errorf("grid: engine \"count\" cannot combine with fault plan %q (faults target individual agents); split the grid", f)
-			}
-		}
-		if sp.Stall != 0 || sp.Retries != 0 || sp.DeadlineMS != 0 {
-			return fmt.Errorf("grid: engine \"count\" runs unsupervised; drop stall/retries/deadlineMs or split the grid")
-		}
-	}
-	if sp.Sampler != "" {
-		for _, e := range sp.Engines {
-			if e != "count" {
-				return fmt.Errorf("grid: sampler applies to the count engine only (engines axis has %q)", e)
-			}
-		}
 	}
 	sp.Seed, sp.SeedDerived = obs.ResolveSeed(sp.Seed)
 	return nil
@@ -255,7 +232,6 @@ func (sp *Spec) JobSpec(c Cell) serve.Spec {
 		Sched:         c.Sched,
 		Init:          c.Init,
 		Engine:        engine,
-		Sampler:       sp.Sampler,
 		Seed:          c.Seed,
 		Budget:        sp.Budget,
 		Trials:        sp.Trials,

@@ -3,6 +3,8 @@ package grid
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"regexp"
 	"strings"
@@ -49,9 +51,6 @@ func TestParseStrict(t *testing.T) {
 		`{"protocols":["asym","asym"],"populations":[{"p":6,"n":4}]}`,           // dup axis value
 		`{"protocols":["asym"],"populations":[{"p":6,"n":4},{"p":6,"n":4}]}`,    // dup population
 		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"trials":-1}`,
-		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"engines":["count"],"faults":["@1:corrupt=1"]}`,
-		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"engines":["count"],"retries":2}`,
-		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"sampler":"alias"}`, // sampler on agent engine
 	}
 	for _, src := range bad {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
@@ -130,6 +129,8 @@ func TestValidateRejectsBadCells(t *testing.T) {
 		`{"protocols":["nosuch"],"populations":[{"p":6,"n":4}],"seed":1}`,
 		`{"protocols":["asym"],"populations":[{"p":6,"n":9}],"seed":1}`, // n > p on agent engine
 		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"faults":["@oops"],"seed":1}`,
+		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"engines":["count"],"faults":["@1:corrupt=1"],"seed":1}`,
+		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"engines":["count"],"retries":2,"seed":1}`,
 	} {
 		sp := parse(t, src)
 		if err := sp.Validate(); err == nil {
@@ -233,13 +234,33 @@ func stripWallClock(b []byte) []byte {
 	return re.ReplaceAll(b, []byte(`"$1":0`))
 }
 
+// TestLocalRunnerDeterministic runs each cell twice and pins the
+// SHA-256 of its wall-clock-stripped journal, so a change to any record
+// either engine emits — not just nondeterminism within one build — fails
+// here.
 func TestLocalRunnerDeterministic(t *testing.T) {
-	sp := parse(t, `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"trials":2,"budget":100000,"seed":9}`)
-	c := sp.Cells()[0]
-	a := stripWallClock(runCellBuf(t, sp, c))
-	b := stripWallClock(runCellBuf(t, sp, c))
-	if !bytes.Equal(a, b) {
-		t.Errorf("same cell produced different journals:\n%s\n---\n%s", a, b)
+	for _, c := range []struct {
+		name, spec, sha256 string
+	}{
+		{"agent-zero", `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"trials":2,"budget":100000,"seed":9}`,
+			"e3b892a8f184a3bc8a410ceb8a5a48802edd6383f6896e09cbc13d52a632f1df"},
+		{"agent-arbitrary-corrupt", `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"inits":["arbitrary"],"faults":["@100:corrupt=2"],"trials":2,"budget":100000,"seed":9}`,
+			"c54bc6cbe3e3efa8fa9a30e6330fd9cea314eca3a65d28acbab6cbdb84f51390"},
+		{"count-1e4", `{"protocols":["asym"],"engines":["count"],"populations":[{"p":6,"n":10000}],"trials":2,"budget":100000,"progressEvery":40000,"seed":9}`,
+			"afcda8c56fe2f2976629a9aeb8abf578dd2a907a42083c8db5223df9fe43f9c0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sp := parse(t, c.spec)
+			cell := sp.Cells()[0]
+			a := stripWallClock(runCellBuf(t, sp, cell))
+			b := stripWallClock(runCellBuf(t, sp, cell))
+			if !bytes.Equal(a, b) {
+				t.Fatalf("same cell produced different journals:\n%s\n---\n%s", a, b)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(a)); got != c.sha256 {
+				t.Errorf("journal sha256 %s, pinned %s:\n%s", got, c.sha256, a)
+			}
+		})
 	}
 }
 

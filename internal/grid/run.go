@@ -43,15 +43,11 @@ func (LocalRunner) RunCell(ctx context.Context, sp *Spec, c Cell, w io.Writer) e
 	}
 	js := p.Spec()
 	bo := sim.BatchObs{Sink: sink, ProgressEvery: js.ProgressEvery}
-	if js.Engine == "count" {
-		sum := sim.RunCountBatchRange(ctx, p.Proto(), 0, js.Trials, js.Budget, js.Workers, bo, p.CountTrialMaker())
-		for _, r := range sum.Results {
-			if r.Err != nil {
-				return fmt.Errorf("cell %s trial %d: %w", c.ID(), r.Trial, r.Err)
-			}
+	sum := sim.RunBatch(ctx, p.Proto(), 0, js.Trials, js.Workers, p.Supervision(sink), bo, p.TrialMaker())
+	for _, r := range sum.Results {
+		if r.Err != nil {
+			return fmt.Errorf("cell %s trial %d: %w", c.ID(), r.Trial, r.Err)
 		}
-	} else {
-		sim.RunBatchRangeSupervised(ctx, p.Proto(), 0, js.Trials, js.Workers, p.Supervision(sink), bo, p.TrialMaker())
 	}
 	return sink.Err()
 }

@@ -39,7 +39,6 @@ func TestCountAdmissionRejections(t *testing.T) {
 		{"roundrobin", func(sp *Spec) { sp.Sched = "roundrobin" }, "sched:roundrobin"},
 		{"matching", func(sp *Spec) { sp.Sched = "matching" }, "sched:matching"},
 		{"arbitrary", func(sp *Spec) { sp.Init = "arbitrary" }, "init:arbitrary"},
-		{"badsampler", func(sp *Spec) { sp.Sampler = "vose" }, ""},
 		{"badengine", func(sp *Spec) { sp.Engine = "warp" }, ""},
 	}
 	for _, c := range cases {
@@ -62,14 +61,6 @@ func TestCountAdmissionRejections(t *testing.T) {
 			}
 		})
 	}
-
-	// Sampler on an agent-engine job is a plain validation 400 too.
-	sp := countSpec()
-	sp.Engine = ""
-	sp.Sampler = "fenwick"
-	if code, _, e, _ := postJob(t, ts, sp); code != http.StatusBadRequest || e == nil || !strings.Contains(e.Message, "count-engine jobs only") {
-		t.Fatalf("agent job with sampler: status %d, error %+v", code, e)
-	}
 }
 
 // TestCountSimJob runs a count sim job end to end: the stream header
@@ -79,13 +70,12 @@ func TestCountSimJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
 	sp := countSpec()
 	sp.ProgressEvery = 1000
-	sp.Sampler = "alias"
 	code, v, e, _ := postJob(t, ts, sp)
 	if code != http.StatusAccepted {
 		t.Fatalf("status %d, error %+v", code, e)
 	}
-	if v.Engine != "count" || v.Sampler != "alias" {
-		t.Fatalf("view engine=%q sampler=%q", v.Engine, v.Sampler)
+	if v.Engine != "count" {
+		t.Fatalf("view engine=%q", v.Engine)
 	}
 	done := waitState(t, ts, v.ID, StateDone, 30*time.Second)
 	if done.Summary == nil || !done.Summary.OK || !done.Summary.Converged || !done.Summary.ValidNaming {
@@ -157,7 +147,6 @@ func TestCountLargeN(t *testing.T) {
 
 	// The identical spec on the agent engine is over the N ≤ P bound.
 	sp.Engine = ""
-	sp.Sampler = ""
 	if code, _, e, _ := postJob(t, ts, sp); code != http.StatusBadRequest || e == nil {
 		t.Fatalf("agent job at N=5e7: status %d, error %+v", code, e)
 	}

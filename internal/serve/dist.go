@@ -89,7 +89,7 @@ func (ls *lineSink) take() [][]byte {
 	return lines
 }
 
-// runShardLocal executes one lease in-process: the same range runners
+// runShardLocal executes one lease in-process: the same range runner
 // the peer side uses, into a private sink instead of the job buffer.
 // A canceled run is an error — its summary covers fewer trials than
 // the lease and must never be accepted as a completed shard.
@@ -97,13 +97,7 @@ func (s *Server) runShardLocal(j *Job, ctx context.Context, r dist.Range) ([][]b
 	sp := j.v.spec
 	sink := &lineSink{}
 	bo := sim.BatchObs{Sink: sink, ProgressEvery: sp.ProgressEvery}
-	if sp.Engine == "count" {
-		sim.RunCountBatchRange(ctx, j.v.proto, r.Lo, r.Hi, sp.Budget, sp.Workers, bo, countTrialMaker(j.v))
-	} else {
-		sup := j.supervision()
-		sup.Sink = sink
-		sim.RunBatchRangeSupervised(ctx, j.v.proto, r.Lo, r.Hi, sp.Workers, sup, bo, batchTrialMaker(j.v))
-	}
+	sim.RunBatch(ctx, j.v.proto, r.Lo, r.Hi, sp.Workers, supervisionFor(j.v, sink), bo, batchTrialMaker(j.v))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ import (
 const (
 	// KindSim is one supervised execution (namesim's supervised path).
 	KindSim = "sim"
-	// KindBatch is a multi-trial supervised batch (sim.RunBatchSupervised).
+	// KindBatch is a multi-trial batch (sim.RunBatch).
 	KindBatch = "batch"
 	// KindCampaign is a fault-injection campaign (experiments.Stabilize).
 	KindCampaign = "campaign"
@@ -86,10 +86,8 @@ type Spec struct {
 	// identities, so identity-dependent features (campaign/table1 kinds,
 	// fault plans, supervision, non-random schedulers, arbitrary init)
 	// are rejected at admission with a structured 400 naming the
-	// feature. Sampler picks its state sampler (auto | fenwick | alias;
-	// count jobs only).
-	Engine  string `json:"engine,omitempty"`
-	Sampler string `json:"sampler,omitempty"`
+	// feature (see sim.CountUnsupported).
+	Engine string `json:"engine,omitempty"`
 
 	// Seed is the base RNG seed (0: auto-derive; echoed back).
 	Seed int64 `json:"seed,omitempty"`
@@ -209,27 +207,17 @@ func prepare(spec Spec) (*validated, *Error) {
 	default:
 		return nil, badRequest("unknown engine %q (agent | count)", sp.Engine)
 	}
-	// The count engine knows no agent identities: everything that
-	// addresses an individual agent is rejected here, at admission, with
-	// the offending feature named in the error body.
+	// The count engine knows no agent identities: everything it cannot
+	// run is rejected here, at admission, with the offending feature
+	// named in the error body.
 	if sp.Engine == "count" {
 		if sp.Kind == KindCampaign || sp.Kind == KindTable1 {
 			return nil, countBadRequest("kind:"+sp.Kind,
 				"%s jobs need the agent engine (fault campaigns and Table 1 cells drive identity-dependent machinery); the count engine supports kinds sim | batch", sp.Kind)
 		}
-		if sp.Faults != "" {
-			return nil, countBadRequest("faults",
-				"count-engine jobs cannot inject faults: fault kinds target individual agents")
+		if feature, reason := sim.CountUnsupported(sp.Faults != "", supervisionFor(v, nil), sp.Sched, sp.Init); feature != "" {
+			return nil, countBadRequest(feature, "count-engine jobs cannot take %s: %s", feature, reason)
 		}
-		if sp.DeadlineMS != 0 || sp.Retries != 0 || sp.Stall != 0 {
-			return nil, countBadRequest("supervision",
-				"count-engine jobs run unsupervised: deadlineMs/retries/stall are agent-engine features")
-		}
-		if !sim.ValidCountSampler(sp.Sampler) {
-			return nil, badRequest("unknown sampler %q (auto | fenwick | alias)", sp.Sampler)
-		}
-	} else if sp.Sampler != "" {
-		return nil, badRequest("sampler applies to count-engine jobs only (set \"engine\": \"count\")")
 	}
 	sp.Seed, v.seedDerived = obs.ResolveSeed(sp.Seed)
 	if sp.Budget == 0 {
@@ -395,8 +383,9 @@ func prepare(spec Spec) (*validated, *Error) {
 
 // validateRun checks the sim/batch sched/init keys — the init key by
 // capability, the scheduler by probing its builder once — so the
-// per-attempt builders on the worker cannot fail.
-// For count-engine jobs the probe is a throwaway CountRunner, which
+// worker's per-attempt setup cannot fail. For count-engine
+// jobs (whose sched and init prepare already held to
+// sim.CountUnsupported) the probe is a throwaway CountRunner, which
 // also enforces the compiled-table state cap and the pair-weight
 // overflow bound on N.
 func validateRun(v *validated) *Error {
@@ -408,15 +397,7 @@ func validateRun(v *validated) *Error {
 		sp.Init = "zero"
 	}
 	if sp.Engine == "count" {
-		if sp.Sched != "random" {
-			return countBadRequest("sched:"+sp.Sched,
-				"count dynamics are defined only for the uniform random scheduler (got %q)", sp.Sched)
-		}
-		if sp.Init == "arbitrary" {
-			return countBadRequest("init:arbitrary",
-				"arbitrary initialization draws an agent array; count-engine jobs take init zero | uniform")
-		}
-		cc, err := buildCountStart(v.proto, sp.N, sp.Init)
+		cc, err := sim.CountStart(v.proto, sp.N, sp.Init)
 		if err != nil {
 			return badRequest("%v", err)
 		}
@@ -480,16 +461,10 @@ func (p *Prepared) SeedDerived() bool { return p.v.seedDerived }
 // job, under the given tool name.
 func (p *Prepared) Header(tool string) obs.Header { return headerFor(p.v, tool) }
 
-// TrialMaker returns the per-trial constructor for agent-engine
-// batches, with the service's seed recipe (see batchTrialMaker).
+// TrialMaker returns the per-trial constructor for batches on either
+// engine, with the service's seed recipe (see batchTrialMaker).
 func (p *Prepared) TrialMaker() func(trial, attempt int) sim.Trial {
 	return batchTrialMaker(p.v)
-}
-
-// CountTrialMaker returns the per-trial constructor for count-engine
-// batches, with the service's seed recipe (see countTrialMaker).
-func (p *Prepared) CountTrialMaker() func(trial int) sim.CountTrial {
-	return countTrialMaker(p.v)
 }
 
 // Supervision returns the sim.Supervision for the spec's bounds, wired
@@ -581,7 +556,6 @@ type JobView struct {
 	Sched       string   `json:"sched,omitempty"`
 	Init        string   `json:"init,omitempty"`
 	Engine      string   `json:"engine,omitempty"`
-	Sampler     string   `json:"sampler,omitempty"`
 	Faults      string   `json:"faults,omitempty"`
 	Budget      int      `json:"budget,omitempty"`
 	Trials      int      `json:"trials,omitempty"`
@@ -616,7 +590,7 @@ func (j *Job) view() JobView {
 	view := JobView{
 		ID: j.ID, Kind: sp.Kind, State: j.state,
 		Protocol: sp.Protocol, P: sp.P, N: sp.N, Sched: sp.Sched, Init: sp.Init,
-		Engine: sp.Engine, Sampler: sp.Sampler,
+		Engine: sp.Engine,
 		Faults: sp.Faults, Budget: sp.Budget, Trials: sp.Trials, Workers: sp.Workers,
 		Seed: sp.Seed, SeedDerived: j.v.seedDerived, Shard: sp.Shard,
 		Cached: j.cached, IdempotencyKey: j.key,

@@ -50,26 +50,6 @@ func buildConfig(proto core.Protocol, n int, initKey string, seed int64) (*core.
 	return cfg, nil
 }
 
-// buildCountStart mirrors buildConfig in count space: the subset of
-// initialization keys whose starting configurations are exchangeable —
-// fully described by per-state counts. "arbitrary" draws an agent
-// array and is rejected at admission before this is reached.
-func buildCountStart(proto core.Protocol, n int, initKey string) (*core.CountConfig, error) {
-	switch initKey {
-	case "zero":
-		cc := core.NewCountConfig(proto.States())
-		cc.Counts[0] = n
-		if lp, ok := proto.(core.LeaderProtocol); ok {
-			cc.Leader = lp.InitLeader()
-		}
-		return cc, nil
-	case "uniform":
-		return sim.UniformCountConfig(proto, n), nil
-	default:
-		return nil, fmt.Errorf("init %q is not count-representable (zero | uniform)", initKey)
-	}
-}
-
 // buildScheduler mirrors the CLI scheduler keys minus eclipse (an
 // attack-study scheduler with extra knobs the job schema doesn't
 // carry). The per-trial scheduler seed is trialSeed+1, matching the
@@ -164,19 +144,15 @@ func (s *Server) execute(j *Job) error {
 		return err
 	}
 	j.queueSpan.End()
-	count := j.v.spec.Engine == "count"
 	switch j.v.spec.Kind {
 	case KindSim:
-		if count {
+		if j.v.spec.Engine == "count" {
 			return s.runCountSim(j)
 		}
 		return s.runSim(j)
 	case KindBatch:
 		if s.distEligible(j) {
 			return s.runDistBatch(j)
-		}
-		if count {
-			return s.runCountBatch(j)
 		}
 		return s.runBatch(j)
 	case KindCampaign:
@@ -245,7 +221,7 @@ func (s *Server) runSim(j *Job) error {
 func (s *Server) runCountSim(j *Job) error {
 	sp := j.v.spec
 	pr := j.v.proto
-	cc, err := buildCountStart(pr, sp.N, sp.Init)
+	cc, err := sim.CountStart(pr, sp.N, sp.Init)
 	if err != nil {
 		return err
 	}
@@ -253,7 +229,6 @@ func (s *Server) runCountSim(j *Job) error {
 	if err != nil {
 		return err
 	}
-	runner.Sampler = sp.Sampler
 	runner.Interrupt = func() bool { return j.ctx.Err() != nil }
 	o := obs.NewObserver(sp.N, core.HasLeader(pr), obs.ObserverOptions{
 		Sink:          j.buf,
@@ -288,30 +263,22 @@ func (s *Server) runCountSim(j *Job) error {
 	return nil
 }
 
-// countTrialMaker builds the per-trial constructor for count-engine
-// batches: trialSeed = DeriveSeed(jobSeed, trial, 0), engine seed
-// trialSeed+1 (the scheduler-seed role). The trial index is the global
-// one, so the same maker serves full batches and shard ranges.
-func countTrialMaker(v *validated) func(trial int) sim.CountTrial {
-	sp := v.spec
-	pr := v.proto
-	return func(trial int) sim.CountTrial {
-		seed := sim.DeriveSeed(sp.Seed, trial, 0)
-		cc, _ := buildCountStart(pr, sp.N, sp.Init)
-		return sim.CountTrial{Cfg: cc, Seed: seed + 1, Sampler: sp.Sampler}
-	}
-}
-
-// batchTrialMaker builds the per-trial constructor for agent-engine
-// batches with the experiment harness's seed recipe: trialSeed =
-// DeriveSeed(jobSeed, trial, attempt), scheduler seed trialSeed+1,
-// injector seeded with trialSeed. Global trial indexes, like
-// countTrialMaker.
+// batchTrialMaker builds the per-trial constructor for batches with
+// the experiment harness's seed recipe: trialSeed =
+// DeriveSeed(jobSeed, trial, attempt). An agent trial seeds its
+// scheduler with trialSeed+1 and its injector with trialSeed; a count
+// trial (one attempt) seeds its engine with trialSeed+1, the
+// scheduler-seed role. The trial index is the global one, so the same
+// maker serves full batches and shard ranges.
 func batchTrialMaker(v *validated) func(trial, attempt int) sim.Trial {
 	sp := v.spec
 	pr := v.proto
 	return func(trial, attempt int) sim.Trial {
 		seed := sim.DeriveSeed(sp.Seed, trial, attempt)
+		if sp.Engine == "count" {
+			cc, _ := sim.CountStart(pr, sp.N, sp.Init)
+			return sim.Trial{Count: cc, Seed: seed + 1}
+		}
 		cfg, _ := buildConfig(pr, sp.N, sp.Init, seed)
 		sc, _ := buildScheduler(pr, sp.N, sp.Sched, seed+1)
 		t := sim.Trial{Cfg: cfg, Sched: sc}
@@ -333,35 +300,9 @@ func (j *Job) shardRange() (lo, hi int) {
 	return 0, sp.Trials
 }
 
-// runCountBatch executes independent count-engine trials with the
-// batch seed recipe (see countTrialMaker), so a seeded count batch
-// replays the equivalent direct sim.RunCountBatch call. A shard job
-// runs just its range; trial seeds derive from global indexes either
-// way, so the shard's records match the same trials of a full run.
-func (s *Server) runCountBatch(j *Job) error {
-	sp := j.v.spec
-	pr := j.v.proto
-	lo, hi := j.shardRange()
-	bo := sim.BatchObs{Sink: j.buf, ProgressEvery: sp.ProgressEvery}
-	sum := sim.RunCountBatchRange(j.ctx, pr, lo, hi, sp.Budget, sp.Workers, bo, countTrialMaker(j.v))
-	j.setSummary(&JobSummary{
-		Trials:          sum.Trials,
-		TrialsConverged: sum.Converged,
-		Aborted:         sum.Aborted,
-		Steps:           sum.TotalSteps,
-		NonNull:         sum.TotalNonNull,
-		OK:              sum.Converged == sum.Trials,
-	})
-	s.met.trialSteps.Add(uint64(sum.TotalSteps))
-	s.met.trialNonNull.Add(uint64(sum.TotalNonNull))
-	s.met.trialsRun.Add(uint64(sum.Trials))
-	s.met.trialsConverged.Add(uint64(sum.Converged))
-	return nil
-}
-
-// runBatch executes a supervised batch with the experiment harness's
-// trial-seed recipe (see batchTrialMaker). A seeded batch job
-// therefore replays the equivalent direct sim.RunBatchSupervised call
+// runBatch executes a batch on either engine with the experiment
+// harness's trial-seed recipe (see batchTrialMaker). A seeded batch
+// job therefore replays the equivalent direct sim.RunBatch call
 // record-for-record (the e2e test pins this byte-for-byte modulo
 // wall-clock fields). A shard job runs just its range on the same
 // global seed recipe.
@@ -370,7 +311,7 @@ func (s *Server) runBatch(j *Job) error {
 	pr := j.v.proto
 	lo, hi := j.shardRange()
 	bo := sim.BatchObs{Sink: j.buf, ProgressEvery: sp.ProgressEvery}
-	sum := sim.RunBatchRangeSupervised(j.ctx, pr, lo, hi, sp.Workers, j.supervision(), bo, batchTrialMaker(j.v))
+	sum := sim.RunBatch(j.ctx, pr, lo, hi, sp.Workers, j.supervision(), bo, batchTrialMaker(j.v))
 	j.setSummary(&JobSummary{
 		Trials:          sum.Trials,
 		TrialsConverged: sum.Converged,

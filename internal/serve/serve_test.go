@@ -194,7 +194,7 @@ func TestJobDeterminism(t *testing.T) {
 	pr := spec2.proto
 	buf := newBuffer(0, nil, nil, nil)
 	sup := sim.Supervision{StepBudget: spec.Budget, Sink: buf}
-	sim.RunBatchSupervised(context.Background(), pr, spec.Trials, 1, sup,
+	sim.RunBatch(context.Background(), pr, 0, spec.Trials, 1, sup,
 		sim.BatchObs{Sink: buf}, func(trial, attempt int) sim.Trial {
 			seed := sim.DeriveSeed(spec.Seed, trial, attempt)
 			cfg, err := buildConfig(pr, spec.N, "zero", seed)

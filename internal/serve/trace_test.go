@@ -44,12 +44,27 @@ func spanRecs(t *testing.T, lines [][]byte) []obs.SpanRec {
 // the same seeded job submitted twice yields byte-identical span trees
 // — IDs included — modulo the wall-clock fields. Only the "job"
 // lifecycle records (which carry the per-submission job ID) differ.
+// Batches on either engine get one trial span per trial.
 func TestTracedJobDeterminism(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8})
-	spec := Spec{
-		Kind: KindBatch, Protocol: "asym", P: 4, N: 4,
-		Seed: 7, Trials: 3, Workers: 1, Budget: 200_000, Trace: true,
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{
+		{"agent", Spec{
+			Kind: KindBatch, Protocol: "asym", P: 4, N: 4,
+			Seed: 7, Trials: 3, Workers: 1, Budget: 200_000, Trace: true,
+		}},
+		{"count", Spec{
+			Kind: KindBatch, Protocol: "asym", P: 4, N: 10_000, Engine: "count",
+			Seed: 7, Trials: 3, Workers: 1, Budget: 20_000, Trace: true,
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkTracedDeterminism(t, ts, c.spec) })
 	}
+}
+
+func checkTracedDeterminism(t *testing.T, ts *httptest.Server, spec Spec) {
 	viewA, linesA := runTraced(t, ts, spec)
 	viewB, linesB := runTraced(t, ts, spec)
 
@@ -120,6 +135,20 @@ func TestTracedJobDeterminism(t *testing.T) {
 	}
 	if term.QueueWaitNS <= 0 {
 		t.Fatalf("terminal job record queueWaitNs %d, want > 0", term.QueueWaitNS)
+	}
+
+	// One trial span per trial, indexed by its trial.
+	trials := make(map[int]bool)
+	for _, sp := range spans {
+		if sp.Name == "trial" {
+			if trials[sp.Trial] {
+				t.Fatalf("trial %d has two trial spans", sp.Trial)
+			}
+			trials[sp.Trial] = true
+		}
+	}
+	if len(trials) != spec.Trials {
+		t.Fatalf("%d trial spans, want one per trial (%d)", len(trials), spec.Trials)
 	}
 
 	// Every trace ID matches and every parent resolves to an emitted

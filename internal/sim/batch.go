@@ -12,30 +12,40 @@ import (
 	"popnaming/internal/sched"
 )
 
-// Trial describes one independent execution of a batch: its starting
-// configuration, scheduler and optional fault injector. Batches share
+// Trial describes one independent execution of a batch, on either
+// engine. An agent trial sets Cfg and Sched, and Inject for fault
+// injection; a count trial sets Count and Seed instead. Batches share
 // one Protocol value across goroutines, which is safe because protocols
 // are immutable and their transition functions are pure.
 type Trial struct {
 	Cfg   *core.Config
 	Sched sched.Scheduler
 	// Inject, when non-nil, is installed as the trial runner's fault
-	// injector. Injectors are single-use: supervised batches call
-	// mkTrial once per attempt and expect a fresh one each time.
+	// injector. Injectors are single-use: batches call mk once per
+	// attempt and expect a fresh one each time.
 	Inject *fault.Injector
+	// Count, when non-nil, runs the trial on the count engine from
+	// these per-state counts, with Seed as the engine seed (see
+	// CountRunner.Seed).
+	Count *core.CountConfig
+	Seed  int64
 }
 
 // BatchResult pairs a trial index with its outcome.
 type BatchResult struct {
-	Trial  int
+	Trial int
+	// Result is the trial's outcome. Final is nil for count trials and
+	// for trials aborted before they started.
 	Result Result
 	// Status, Attempts and Reason carry the supervision outcome (see
-	// SupervisedResult); plain RunBatch trials always report TrialOK
-	// with one attempt. A trial whose batch deadline or interrupt hit
-	// before it started is TrialAborted with a zero Result (nil Final).
+	// SupervisedResult). A trial whose batch deadline or interrupt hit
+	// before it started is TrialAborted with a zero Result.
 	Status   TrialStatus
 	Attempts int
 	Reason   string
+	// Err carries a count trial's construction failure (population
+	// out of bounds, table mismatch); such a trial did not run.
+	Err error
 }
 
 // BatchObs configures observability for a batch run.
@@ -97,59 +107,35 @@ func (s *BatchSummary) Record() obs.BatchSummaryRec {
 	}
 }
 
-// RunBatch executes independent trials concurrently on up to `workers`
-// goroutines (0 selects GOMAXPROCS) and returns the results indexed by
-// trial. mkTrial is called exactly once per trial index, from the worker
-// goroutine that runs it; the configurations and schedulers it returns
-// must not be shared across trials.
-func RunBatch(pr core.Protocol, trials, budget, workers int, mkTrial func(trial int) Trial) []BatchResult {
-	return RunBatchObserved(pr, trials, budget, workers, BatchObs{}, mkTrial).Results
-}
-
-// RunBatchObserved is RunBatch with observability: each trial gets its
-// own obs.Observer journaling to the shared sink (when one is set), and
-// the merged batch summary — wall clock, worker utilization and the
-// convergence-step histogram — is returned and journaled. With a zero
-// BatchObs it degrades to exactly RunBatch's unobserved fast path.
+// RunBatch runs the contiguous trial range [lo, hi) of a logical batch
+// on up to `workers` goroutines (0 selects GOMAXPROCS). The summary
+// describes just the range: Trials = hi-lo, with Results indexed by
+// offset from lo. Every trial index that escapes — mk arguments, result
+// tags, progress/summary records, injector tags, span names — is the
+// global index, so a shard's records are byte-identical to the same
+// trials' records in a full run (trial seeds derive from the global
+// index via DeriveSeed). This is the execution half of the dist shard
+// protocol (see internal/dist).
 //
-// It is the unsupervised special case of RunBatchSupervised: one
-// attempt per trial, the whole budget in one slice, no deadline — so
-// results are step-for-step what a bare Runner.Run(budget) per trial
-// produces.
-func RunBatchObserved(pr core.Protocol, trials, budget, workers int, bo BatchObs, mkTrial func(trial int) Trial) BatchSummary {
-	sup := Supervision{StepBudget: budget, Slice: budget}
-	return RunBatchSupervised(context.Background(), pr, trials, workers, sup, bo, func(trial, attempt int) Trial {
-		return mkTrial(trial)
-	})
-}
-
-// RunBatchSupervised executes independent supervised trials
-// concurrently: each trial runs under sup (step budget, stall retry,
-// interrupt) with the deadline interpreted batch-wide — one instant,
-// computed at entry, bounds every trial, and trials claimed after it
-// passes are tagged TrialAborted without running. mkTrial is called
-// once per attempt (fresh configuration, scheduler and injector each
-// time; derive per-attempt seeds with DeriveSeed); trial injectors are
-// wired to the batch sink and their trial index before the run starts.
+// mk(trial, 0) decides the engine. An agent trial runs under sup (step
+// budget, stall retry, interrupt) with the deadline interpreted
+// batch-wide: one instant, computed at entry, bounds every trial. mk is
+// called once per attempt (fresh configuration, scheduler and injector
+// each time; derive per-attempt seeds with DeriveSeed), and injectors
+// are wired to the batch sink and their trial index before the run
+// starts. An unsupervised batch passes Supervision{StepBudget: b,
+// Slice: b}: one attempt and one slice, so each trial is step-for-step
+// a bare Runner.Run(b). A count trial (Count set) runs once, one
+// unsliced CountRunner.Run(sup.StepBudget); the count engine supports
+// no other supervision (see CountUnsupported).
 //
-// ctx cancellation is honored like the batch deadline: trials claimed
-// after the cancel are tagged TrialAborted with reason "canceled"
-// without running, and in-flight trials abort at their next slice
-// boundary with partial results. A nil ctx is context.Background().
-func RunBatchSupervised(ctx context.Context, pr core.Protocol, trials, workers int, sup Supervision, bo BatchObs, mkTrial func(trial, attempt int) Trial) BatchSummary {
-	return RunBatchRangeSupervised(ctx, pr, 0, trials, workers, sup, bo, mkTrial)
-}
-
-// RunBatchRangeSupervised runs the contiguous trial range [lo, hi) of a
-// logical batch. Every trial index that escapes — mkTrial arguments,
-// result tags, progress/summary records, injector tags, span names —
-// is the global index, so a shard's records are byte-identical to the
-// same trials' records in a full run (trial seeds derive from the
-// global index via DeriveSeed). The summary describes just the range:
-// Trials = hi-lo, with Results indexed by offset from lo. This is the
-// execution half of the dist shard protocol (see internal/dist);
-// RunBatchSupervised is the lo=0, hi=trials special case.
-func RunBatchRangeSupervised(ctx context.Context, pr core.Protocol, lo, hi, workers int, sup Supervision, bo BatchObs, mkTrial func(trial, attempt int) Trial) BatchSummary {
+// Trials claimed after ctx is canceled, the interrupt fires or the
+// deadline passes are tagged TrialAborted without running. A cancel
+// also stops in-flight trials — agent trials at their next slice
+// boundary, count trials at their next interrupt poll — tagged
+// TrialAborted/"canceled" with partial results. A nil ctx is
+// context.Background().
+func RunBatch(ctx context.Context, pr core.Protocol, lo, hi, workers int, sup Supervision, bo BatchObs, mk func(trial, attempt int) Trial) BatchSummary {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -164,9 +150,10 @@ func RunBatchRangeSupervised(ctx context.Context, pr core.Protocol, lo, hi, work
 		workers = trials
 	}
 	withLeader := core.HasLeader(pr)
-	// Compile once and share the (immutable) table across all workers,
-	// instead of once per trial. A protocol that fails to compile runs
-	// every trial on the interface path, as a single run would.
+	// Compile once and share the (immutable) table across all workers
+	// and both engines, instead of once per trial. A protocol that fails
+	// to compile runs every agent trial on the interface path, as a
+	// single run would, and fails every count trial.
 	var tab *core.Compiled
 	if pr.States() <= maxCompiledStates {
 		tab, _ = core.Compile(pr)
@@ -226,36 +213,44 @@ func RunBatchRangeSupervised(ctx context.Context, pr core.Protocol, lo, hi, work
 					tspan.Trial = i
 					tsup.Trace = tspan.Context()
 				}
-				sr := superviseUntil(ctx, tsup, deadlineAt, func(attempt int) *Runner {
-					t := mkTrial(i, attempt)
-					run := NewRunner(pr, t.Sched, t.Cfg)
-					if t.Inject != nil {
-						t.Inject.Trial = i
-						if bo.Sink != nil {
-							t.Inject.Sink = bo.Sink
+				var br BatchResult
+				if t := mk(i, 0); t.Count != nil {
+					br = runCountEngine(ctx, pr, tab, i, t, tsup.stepBudget(), bo)
+				} else {
+					sr := superviseUntil(ctx, tsup, deadlineAt, func(attempt int) *Runner {
+						if attempt > 0 {
+							t = mk(i, attempt)
 						}
-						run.Inject = t.Inject
-					}
-					if bo.Sink != nil {
-						run.Obs = obs.NewObserver(t.Cfg.N(), withLeader, obs.ObserverOptions{
-							Sink:          bo.Sink,
-							ProgressEvery: bo.ProgressEvery,
-							Trial:         i,
-						})
-					}
-					if tab != nil {
-						run.UseCompiled(tab)
-					}
-					return run
-				})
+						run := NewRunner(pr, t.Sched, t.Cfg)
+						if t.Inject != nil {
+							t.Inject.Trial = i
+							if bo.Sink != nil {
+								t.Inject.Sink = bo.Sink
+							}
+							run.Inject = t.Inject
+						}
+						if bo.Sink != nil {
+							run.Obs = obs.NewObserver(t.Cfg.N(), withLeader, obs.ObserverOptions{
+								Sink:          bo.Sink,
+								ProgressEvery: bo.ProgressEvery,
+								Trial:         i,
+							})
+						}
+						if tab != nil {
+							run.UseCompiled(tab)
+						}
+						return run
+					})
+					br = BatchResult{Trial: i, Result: sr.Result, Status: sr.Status, Attempts: sr.Attempts, Reason: sr.Reason}
+				}
 				if tspan != nil {
-					tspan.Attr("attempts", int64(sr.Attempts)).Attr("steps", int64(sr.Result.Steps)).Attr("nonNull", int64(sr.Result.NonNull))
-					if sr.Result.Converged {
+					tspan.Attr("attempts", int64(br.Attempts)).Attr("steps", int64(br.Result.Steps)).Attr("nonNull", int64(br.Result.NonNull))
+					if br.Result.Converged {
 						tspan.Attr("converged", 1)
 					}
 					tspan.End()
 				}
-				out[off] = BatchResult{Trial: i, Result: sr.Result, Status: sr.Status, Attempts: sr.Attempts, Reason: sr.Reason}
+				out[off] = br
 				busy[w] += time.Since(t0).Nanoseconds()
 			}
 		}(w)
@@ -293,4 +288,34 @@ func RunBatchRangeSupervised(ctx context.Context, pr core.Protocol, lo, hi, work
 		_ = bo.Sink.Emit(sum.Record())
 	}
 	return sum
+}
+
+// runCountEngine runs trial i on the count engine: one unsliced Run over
+// the whole budget that polls ctx, journaling through a trial-tagged
+// observer. A trial the cancel stops mid-run is TrialAborted/"canceled"
+// with its partial result.
+func runCountEngine(ctx context.Context, pr core.Protocol, tab *core.Compiled, i int, t Trial, budget int, bo BatchObs) BatchResult {
+	run, err := newCountRunner(pr, tab, t.Count, t.Seed)
+	if err != nil {
+		return BatchResult{Trial: i, Err: err}
+	}
+	canceled := false
+	run.Interrupt = func() bool {
+		canceled = ctx.Err() != nil
+		return canceled
+	}
+	if bo.Sink != nil {
+		run.Obs = obs.NewObserver(t.Count.N(), core.HasLeader(pr), obs.ObserverOptions{
+			Sink:          bo.Sink,
+			ProgressEvery: bo.ProgressEvery,
+			Trial:         i,
+			NoPairs:       true,
+		})
+	}
+	res, err := run.Run(budget)
+	br := BatchResult{Trial: i, Result: Result{Converged: res.Converged, Steps: res.Steps, NonNull: res.NonNull}, Attempts: 1, Err: err}
+	if canceled {
+		br.Status, br.Reason = TrialAborted, "canceled"
+	}
+	return br
 }

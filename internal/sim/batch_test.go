@@ -1,17 +1,28 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"popnaming/internal/core"
 	"popnaming/internal/naming"
 	"popnaming/internal/sched"
 )
 
+// runBatch runs trials [0, trials) unsupervised: one attempt, the whole
+// budget in one slice, no sink.
+func runBatch(pr core.Protocol, trials, budget, workers int, mk func(trial int) Trial) []BatchResult {
+	sup := Supervision{StepBudget: budget, Slice: budget}
+	return RunBatch(context.Background(), pr, 0, trials, workers, sup, BatchObs{}, func(trial, _ int) Trial {
+		return mk(trial)
+	}).Results
+}
+
 func TestRunBatchAllConverge(t *testing.T) {
 	const n, trials = 8, 40
 	pr := naming.NewSelfStab(n)
-	results := RunBatch(pr, trials, 10_000_000, 4, func(trial int) Trial {
+	results := runBatch(pr, trials, 10_000_000, 4, func(trial int) Trial {
 		r := rand.New(rand.NewSource(int64(trial)))
 		return Trial{
 			Cfg:   ArbitraryConfig(pr, n, r),
@@ -37,7 +48,7 @@ func TestRunBatchDeterministicPerTrial(t *testing.T) {
 	const n, trials = 6, 16
 	pr := naming.NewAsymmetric(n)
 	run := func(workers int) []int {
-		results := RunBatch(pr, trials, 5_000_000, workers, func(trial int) Trial {
+		results := runBatch(pr, trials, 5_000_000, workers, func(trial int) Trial {
 			r := rand.New(rand.NewSource(int64(trial)))
 			return Trial{
 				Cfg:   ArbitraryConfig(pr, n, r),
@@ -61,7 +72,7 @@ func TestRunBatchDeterministicPerTrial(t *testing.T) {
 
 func TestRunBatchZeroWorkersDefaults(t *testing.T) {
 	pr := naming.NewAsymmetric(4)
-	results := RunBatch(pr, 3, 1_000_000, 0, func(trial int) Trial {
+	results := runBatch(pr, 3, 1_000_000, 0, func(trial int) Trial {
 		return Trial{
 			Cfg:   UniformConfig(pr, 4),
 			Sched: sched.NewRoundRobin(4, false),
@@ -76,7 +87,7 @@ func TestRunBatchRace(t *testing.T) {
 	// Exercised under -race in CI-style runs: many workers sharing one
 	// protocol value.
 	pr := naming.NewGlobalP(4)
-	RunBatch(pr, 32, 100_000, 16, func(trial int) Trial {
+	runBatch(pr, 32, 100_000, 16, func(trial int) Trial {
 		r := rand.New(rand.NewSource(int64(trial)))
 		return Trial{
 			Cfg:   ArbitraryConfig(pr, 3, r),

@@ -1,14 +1,10 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
-	"time"
 
 	"popnaming/internal/core"
 	"popnaming/internal/obs"
@@ -32,10 +28,8 @@ import (
 // random agent of state p is not the initiator itself) or redrawn —
 // which is exactly "a uniformly random agent among the other N−1". The
 // rejection probability is 1/N per step, so the factorization is both
-// exact and cheaper than maintaining |Q|² weights.
-//
-// Two interchangeable samplers implement the c-proportional draw (see
-// CountSamplers); the benchmark-selected default is the Fenwick tree.
+// exact and cheaper than maintaining |Q|² weights. A Fenwick tree over
+// the counts implements the c-proportional draw (fenwickSampler).
 
 // countRNG supplies unbiased bounded uniforms from a Source64. The
 // agent scheduler tolerates multiply-shift bias (a fairness statistic
@@ -63,41 +57,12 @@ func (r *countRNG) uint64n(n uint64) uint64 {
 	return hi
 }
 
-// countSampler draws a state with probability proportional to its
-// current count. After the census mutates the shared counts slice the
-// runner calls sync for each touched state; sync is idempotent.
-type countSampler interface {
-	draw(r *countRNG) core.State
-	sync(s core.State)
-}
-
-// CountSamplers lists the sampler implementations selectable through
-// CountRunner.Sampler: "fenwick" (a Fenwick tree over the counts,
-// O(log |Q|) draw and update) and "alias" (an integer Vose alias table
-// over a count snapshot, O(1) amortized draw with exact staleness
-// rejection between lazy rebuilds). "auto" or empty selects the
-// benchmark winner (see BenchmarkCountSampler): the Fenwick tree, which
-// BENCH_PR7.json shows ahead at |Q| ≤ 8 and tied at |Q| = 64 — every
-// registry protocol lives there — and overtaken by the alias table's
-// O(1) draw only near the |Q| = 1024 compiled-table cap (~81 vs ~71
-// ns/step), where the alias sampler remains selectable (and
-// differentially tested) for protocols that big.
-var CountSamplers = []string{"auto", "fenwick", "alias"}
-
-// ValidCountSampler reports whether name selects a sampler.
-func ValidCountSampler(name string) bool {
-	for _, s := range CountSamplers {
-		if name == s || name == "" {
-			return true
-		}
-	}
-	return false
-}
-
-// fenwickSampler keeps the counts in a Fenwick (binary indexed) tree:
-// drawing descends the implicit prefix sums in O(log |Q|), syncing a
-// state updates O(log |Q|) nodes. No staleness, no rejection — the
-// simple baseline the alias sampler must beat.
+// fenwickSampler draws a state with probability proportional to its
+// current count. It keeps the counts in a Fenwick (binary indexed)
+// tree: drawing descends the implicit prefix sums in O(log |Q|), syncing
+// a state updates O(log |Q|) nodes. After the census mutates the shared
+// counts slice the runner calls sync for each touched state; sync is
+// idempotent.
 type fenwickSampler struct {
 	counts  []int   // live, shared with the census
 	shadow  []int   // last value synced into the tree, per state
@@ -158,188 +123,6 @@ func (f *fenwickSampler) sync(s core.State) {
 	}
 }
 
-// aliasSampler draws in O(1) amortized from an integer Vose alias table
-// built over a snapshot of the counts, rebuilt lazily. Between rebuilds
-// the live counts drift from the snapshot; exactness is restored by
-// rejection: states are proposed from the mixture (snap + d⁺)/(N + D⁺),
-// where d⁺[s] = max(0, c[s] − snap[s]) and D⁺ = Σ d⁺, and a proposed s
-// is accepted with probability c[s]/(snap[s] + d⁺[s]) ≤ 1. The mixture
-// dominates the target (c ≤ snap + d⁺ pointwise), so accepted draws are
-// exactly c-proportional however stale the table is. A rebuild triggers
-// once D⁺ reaches max(64, N/8), bounding the worst-case acceptance rate
-// below by about 7/9 and amortizing the O(|Q|) rebuild over at least 32
-// transitions (each non-null transition adds at most 2 to D⁺).
-//
-// The table itself is exact in integers: weights snap[i]·|Q| (≤ 2⁴² for
-// N ≤ 2³², |Q| ≤ 2¹⁰) are Vose-packed into |Q| buckets of capacity N,
-// and one uniform draw from [0, N·|Q|) yields the bucket (quotient) and
-// the threshold comparand (remainder) at once.
-type aliasSampler struct {
-	counts []int  // live, shared with the census
-	n      uint64 // population N (constant)
-	q      int
-
-	snap   []int64 // counts at the last rebuild
-	thresh []uint64
-	alias  []int32
-
-	dplus   []int64 // d⁺ per state; positive entries are in touched
-	dtot    uint64  // D⁺
-	touched []int32
-	inTouch []bool
-
-	rebuildAt uint64
-	rebuilds  uint64
-
-	scratch []int64 // Vose weights
-	small   []int32 // Vose worklists
-	large   []int32
-}
-
-func newAliasSampler(counts []int, n int) *aliasSampler {
-	q := len(counts)
-	a := &aliasSampler{
-		counts:  counts,
-		n:       uint64(n),
-		q:       q,
-		snap:    make([]int64, q),
-		thresh:  make([]uint64, q),
-		alias:   make([]int32, q),
-		dplus:   make([]int64, q),
-		inTouch: make([]bool, q),
-		scratch: make([]int64, q),
-		small:   make([]int32, 0, q),
-		large:   make([]int32, 0, q),
-	}
-	a.rebuildAt = uint64(n / 8)
-	if a.rebuildAt < 64 {
-		a.rebuildAt = 64
-	}
-	a.rebuild()
-	return a
-}
-
-// rebuild snapshots the counts and repacks the alias table (integer
-// Vose): every bucket ends with threshold in [0, N] and an alias, and
-// leftover buckets are exactly full (threshold N, alias unused).
-func (a *aliasSampler) rebuild() {
-	n := int64(a.n)
-	q := int64(a.q)
-	small, large := a.small[:0], a.large[:0]
-	for i := range a.counts {
-		a.snap[i] = int64(a.counts[i])
-		w := a.snap[i] * q
-		a.scratch[i] = w
-		if w < n {
-			small = append(small, int32(i))
-		} else {
-			large = append(large, int32(i))
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		a.thresh[s] = uint64(a.scratch[s])
-		a.alias[s] = l
-		a.scratch[l] -= n - a.scratch[s]
-		if a.scratch[l] < n {
-			large = large[:len(large)-1]
-			small = append(small, l)
-		}
-	}
-	// Total weight is exactly N·|Q|, so whatever remains is exactly
-	// full: threshold N means the alias is never taken.
-	for _, i := range small {
-		a.thresh[i] = a.n
-		a.alias[i] = i
-	}
-	for _, i := range large {
-		a.thresh[i] = a.n
-		a.alias[i] = i
-	}
-	a.small, a.large = small[:0], large[:0]
-	for _, s := range a.touched {
-		a.dplus[s] = 0
-		a.inTouch[s] = false
-	}
-	a.touched = a.touched[:0]
-	a.dtot = 0
-	a.rebuilds++
-}
-
-// Rebuilds returns the number of alias-table rebuilds so far (the
-// first, at construction, included).
-func (a *aliasSampler) Rebuilds() uint64 { return a.rebuilds }
-
-func (a *aliasSampler) tableDraw(r *countRNG) int {
-	t := r.uint64n(a.n * uint64(a.q))
-	b := t / a.n
-	if t%a.n < a.thresh[b] {
-		return int(b)
-	}
-	return int(a.alias[b])
-}
-
-func (a *aliasSampler) draw(r *countRNG) core.State {
-	for {
-		var s int
-		if a.dtot == 0 {
-			// Counts sum to N on both sides, so D⁺ = 0 means the
-			// snapshot is exact: no mixture, no rejection.
-			return core.State(a.tableDraw(r))
-		}
-		if t := r.uint64n(a.n + a.dtot); t < a.n {
-			s = a.tableDraw(r)
-		} else {
-			t -= a.n
-			for _, st := range a.touched {
-				if d := uint64(a.dplus[st]); t < d {
-					s = int(st)
-					break
-				} else if a.dplus[st] > 0 {
-					t -= d
-				}
-			}
-		}
-		prop := uint64(a.snap[s] + a.dplus[s])
-		if c := uint64(a.counts[s]); c >= prop || r.uint64n(prop) < c {
-			return core.State(s)
-		}
-	}
-}
-
-func (a *aliasSampler) sync(s core.State) {
-	i := int(s)
-	dp := int64(a.counts[i]) - a.snap[i]
-	if dp < 0 {
-		dp = 0
-	}
-	if dp == a.dplus[i] {
-		return
-	}
-	a.dtot = uint64(int64(a.dtot) + dp - a.dplus[i])
-	a.dplus[i] = dp
-	if dp > 0 && !a.inTouch[i] {
-		a.inTouch[i] = true
-		a.touched = append(a.touched, int32(i))
-	}
-	if a.dtot >= a.rebuildAt {
-		a.rebuild()
-	}
-}
-
-func newCountSampler(name string, counts []int, n int) (countSampler, error) {
-	switch name {
-	case "", "auto", "fenwick":
-		return newFenwickSampler(counts, n), nil
-	case "alias":
-		return newAliasSampler(counts, n), nil
-	default:
-		return nil, fmt.Errorf("sim: unknown count sampler %q (auto | fenwick | alias)", name)
-	}
-}
-
 // CountResult summarizes one count-engine execution, mirroring Result.
 type CountResult struct {
 	Converged bool
@@ -394,10 +177,6 @@ type CountRunner struct {
 	// budget boundary, which is the right trade at N ≥ 2³⁰).
 	QuietThreshold int
 
-	// Sampler selects the c-proportional state sampler (see
-	// CountSamplers); empty or "auto" uses the benchmark default.
-	Sampler string
-
 	// Obs, when non-nil, receives per-rule accounting via the
 	// identity-free observe methods, periodic progress + census
 	// records, and the final summary. The runner wires CompileRules
@@ -411,7 +190,7 @@ type CountRunner struct {
 
 	tab    *core.Compiled
 	census *core.Census
-	smp    countSampler
+	smp    *fenwickSampler
 	rng    countRNG
 	lp     core.LeaderProtocol
 	n      int
@@ -428,15 +207,23 @@ type CountRunner struct {
 // any N (naming itself is then unachievable by pigeonhole), and the
 // large-N scaling benchmarks depend on exactly that.
 func NewCountRunner(p core.Protocol, cfg *core.CountConfig, seed int64) (*CountRunner, error) {
+	return newCountRunner(p, nil, cfg, seed)
+}
+
+// newCountRunner is NewCountRunner over tab, p's compiled table, when it
+// is non-nil: batches compile once and share the table across trials.
+func newCountRunner(p core.Protocol, tab *core.Compiled, cfg *core.CountConfig, seed int64) (*CountRunner, error) {
 	if core.HasLeader(p) != (cfg.Leader != nil) {
 		return nil, fmt.Errorf("sim: protocol %q and count configuration disagree about leader presence", p.Name())
 	}
-	if q := p.States(); q > maxCompiledStates {
-		return nil, fmt.Errorf("sim: count engine requires a compiled table: %q has %d states (max %d)", p.Name(), q, maxCompiledStates)
-	}
-	tab, err := core.Compile(p)
-	if err != nil {
-		return nil, fmt.Errorf("sim: count engine requires a compiled table: %w", err)
+	if tab == nil {
+		if q := p.States(); q > maxCompiledStates {
+			return nil, fmt.Errorf("sim: count engine requires a compiled table: %q has %d states (max %d)", p.Name(), q, maxCompiledStates)
+		}
+		var err error
+		if tab, err = core.Compile(p); err != nil {
+			return nil, fmt.Errorf("sim: count engine requires a compiled table: %w", err)
+		}
 	}
 	if len(cfg.Counts) != p.States() {
 		return nil, fmt.Errorf("sim: count configuration has %d states, protocol %q declares %d", len(cfg.Counts), p.Name(), p.States())
@@ -461,17 +248,8 @@ func (r *CountRunner) Steps() int { return r.steps }
 // NonNull returns the number of state-changing interactions so far.
 func (r *CountRunner) NonNull() int { return r.nonNull }
 
-// AliasRebuilds returns the number of alias-table rebuilds performed,
-// or 0 when the Fenwick sampler is active (benchmark instrumentation).
-func (r *CountRunner) AliasRebuilds() uint64 {
-	if a, ok := r.smp.(*aliasSampler); ok {
-		return a.Rebuilds()
-	}
-	return 0
-}
-
-// ensure builds the census, sampler and RNG on first use, honoring
-// Sampler/Obs fields assigned after construction.
+// ensure builds the census, sampler and RNG on first use, honoring an
+// Obs field assigned after construction.
 func (r *CountRunner) ensure() error {
 	if r.ready {
 		return nil
@@ -480,11 +258,7 @@ func (r *CountRunner) ensure() error {
 	if err != nil {
 		return err
 	}
-	smp, err := newCountSampler(r.Sampler, r.Cfg.Counts, r.n)
-	if err != nil {
-		return err
-	}
-	r.census, r.smp = census, smp
+	r.census, r.smp = census, newFenwickSampler(r.Cfg.Counts, r.n)
 	r.rng = newCountRNG(r.Seed)
 	if r.Obs != nil {
 		r.Obs.CompileRules(r.tab)
@@ -612,169 +386,6 @@ func (r *CountRunner) run(maxSteps int) CountResult {
 	return CountResult{Converged: r.silent(), Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
 }
 
-// CountTrial describes one independent count-engine execution.
-type CountTrial struct {
-	Cfg *core.CountConfig
-	// Seed seeds the trial runner (the scheduler-seed role; see
-	// CountRunner.Seed).
-	Seed int64
-	// Sampler optionally overrides the sampler per trial.
-	Sampler string
-}
-
-// CountBatchResult pairs a trial index with its outcome.
-type CountBatchResult struct {
-	Trial  int
-	Result CountResult
-	// Aborted marks a trial claimed after cancellation (zero Result);
-	// Err carries a per-trial construction failure (population out of
-	// bounds, table mismatch).
-	Aborted bool
-	Err     error
-}
-
-// CountBatchSummary aggregates one count-engine batch, mirroring
-// BatchSummary; Record emits the same batch_summary journal record.
-type CountBatchSummary struct {
-	Results         []CountBatchResult
-	Trials          int
-	Converged       int
-	Aborted         int
-	TotalSteps      int64
-	TotalNonNull    int64
-	StepsToConverge obs.Histogram
-	Workers         int
-	WallNS          int64
-	Utilization     float64
-}
-
-// Record converts the summary to its journal record.
-func (s *CountBatchSummary) Record() obs.BatchSummaryRec {
-	return obs.BatchSummaryRec{
-		V:            obs.Version,
-		Type:         "batch_summary",
-		Trials:       s.Trials,
-		Converged:    s.Converged,
-		Aborted:      s.Aborted,
-		TotalSteps:   s.TotalSteps,
-		TotalNonNull: s.TotalNonNull,
-		StepsHist:    s.StepsToConverge.Buckets(),
-		Workers:      s.Workers,
-		WallNS:       s.WallNS,
-		Utilization:  s.Utilization,
-	}
-}
-
-// RunCountBatch executes independent count-engine trials concurrently
-// on up to `workers` goroutines (0 selects GOMAXPROCS). mkTrial is
-// called exactly once per trial index from the worker goroutine that
-// runs it. ctx cancellation marks unclaimed trials aborted and stops
-// in-flight trials at their next interrupt poll; a nil ctx is
-// context.Background(). When bo.Sink is set every trial gets its own
-// trial-tagged observer (progress + census records) and the batch
-// closes with the merged batch_summary record.
-func RunCountBatch(ctx context.Context, pr core.Protocol, trials, budget, workers int, bo BatchObs, mkTrial func(trial int) CountTrial) CountBatchSummary {
-	return RunCountBatchRange(ctx, pr, 0, trials, budget, workers, bo, mkTrial)
-}
-
-// RunCountBatchRange runs the contiguous trial range [lo, hi) of a
-// logical count batch. As with RunBatchRangeSupervised, every index
-// that escapes (mkTrial argument, result and record tags) is the
-// global trial index, so shard records are byte-identical to the same
-// trials in a full run; the summary describes just the range.
-func RunCountBatchRange(ctx context.Context, pr core.Protocol, lo, hi, budget, workers int, bo BatchObs, mkTrial func(trial int) CountTrial) CountBatchSummary {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	trials := hi - lo
-	if trials < 0 {
-		trials = 0
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-	withLeader := core.HasLeader(pr)
-	out := make([]CountBatchResult, trials)
-	busy := make([]int64, workers)
-	start := time.Now()
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				off := next
-				next++
-				mu.Unlock()
-				if off >= trials {
-					return
-				}
-				i := lo + off
-				if ctx.Err() != nil {
-					out[off] = CountBatchResult{Trial: i, Aborted: true}
-					continue
-				}
-				t0 := time.Now()
-				t := mkTrial(i)
-				run, err := NewCountRunner(pr, t.Cfg, t.Seed)
-				if err != nil {
-					out[off] = CountBatchResult{Trial: i, Err: err}
-					continue
-				}
-				run.Sampler = t.Sampler
-				run.Interrupt = func() bool { return ctx.Err() != nil }
-				if bo.Sink != nil {
-					run.Obs = obs.NewObserver(t.Cfg.N(), withLeader, obs.ObserverOptions{
-						Sink:          bo.Sink,
-						ProgressEvery: bo.ProgressEvery,
-						Trial:         i,
-						NoPairs:       true,
-					})
-				}
-				res, err := run.Run(budget)
-				out[off] = CountBatchResult{Trial: i, Result: res, Err: err}
-				busy[w] += time.Since(t0).Nanoseconds()
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	sum := CountBatchSummary{
-		Results: out,
-		Trials:  trials,
-		Workers: workers,
-		WallNS:  time.Since(start).Nanoseconds(),
-	}
-	for _, br := range out {
-		sum.TotalSteps += int64(br.Result.Steps)
-		sum.TotalNonNull += int64(br.Result.NonNull)
-		if br.Result.Converged {
-			sum.Converged++
-			sum.StepsToConverge.Observe(int64(br.Result.Steps))
-		}
-		if br.Aborted {
-			sum.Aborted++
-		}
-	}
-	var totalBusy int64
-	for _, b := range busy {
-		totalBusy += b
-	}
-	if sum.WallNS > 0 && workers > 0 {
-		sum.Utilization = float64(totalBusy) / (float64(sum.WallNS) * float64(workers))
-	}
-	if bo.Sink != nil {
-		_ = bo.Sink.Emit(sum.Record())
-	}
-	return sum
-}
-
 // UniformCountConfig builds the protocol's intended starting
 // configuration in count space: all N agents in the uniform initial
 // mobile state (state 0 when the protocol declares none) plus the
@@ -790,4 +401,45 @@ func UniformCountConfig(p core.Protocol, n int) *core.CountConfig {
 		cc.Leader = lp.InitLeader()
 	}
 	return cc
+}
+
+// CountStart builds the count-space start for an initialization key:
+// "zero" puts all n agents in state 0, "uniform" is UniformCountConfig,
+// and a leader starts initialized either way. Other keys have no count
+// representation ("arbitrary" draws an agent array) and are an error.
+func CountStart(p core.Protocol, n int, initKey string) (*core.CountConfig, error) {
+	switch initKey {
+	case "zero":
+		cc := core.NewCountConfig(p.States())
+		cc.Counts[0] = n
+		if lp, ok := p.(core.LeaderProtocol); ok {
+			cc.Leader = lp.InitLeader()
+		}
+		return cc, nil
+	case "uniform":
+		return UniformCountConfig(p, n), nil
+	}
+	return nil, fmt.Errorf("init %q is not count-representable (zero | uniform)", initKey)
+}
+
+// CountUnsupported names the first part of a run request the count
+// engine cannot honor, or returns "" when the request is count-runnable.
+// The engine sees per-state counts under the uniform random pair law and
+// runs each trial in one unsliced pass, so fault plans, supervision
+// beyond the step budget, schedulers other than random and arbitrary
+// initialization are out. feature is "faults", "supervision",
+// "sched:<key>" or "init:arbitrary"; reason says why. Empty schedKey and
+// initKey stand for the defaults, random and zero.
+func CountUnsupported(faults bool, sup Supervision, schedKey, initKey string) (feature, reason string) {
+	switch {
+	case faults:
+		return "faults", "fault kinds target individual agents"
+	case sup.Deadline != 0 || sup.Retries != 0 || sup.StallQuiet != 0:
+		return "supervision", "count trials run unsupervised: deadlines and stall retries are agent-engine features"
+	case schedKey != "" && schedKey != "random":
+		return "sched:" + schedKey, "count dynamics are defined only for the uniform random scheduler"
+	case initKey == "arbitrary":
+		return "init:arbitrary", "arbitrary initialization draws an agent array"
+	}
+	return "", ""
 }

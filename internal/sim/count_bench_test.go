@@ -11,11 +11,10 @@ import (
 // The BENCH_PR7 suite: per-step cost of the count engine across four
 // decades of population size (the flatness claim), the agent engine's
 // ladder for comparison (it stops at 10⁶ — an agent array per step is
-// exactly what the count engine exists to avoid), the two samplers
-// head-to-head across |Q| (the "pick via benchmark" decision), and the
-// alias-table rebuild cost in isolation.
+// exactly what the count engine exists to avoid), and the sampler's
+// per-step cost across |Q|.
 
-func benchCountScale(b *testing.B, n int, sampler string) {
+func benchCountScale(b *testing.B, n int) {
 	pr := churnProto(8)
 	cc := core.NewCountConfig(8)
 	cc.Counts[0] = n
@@ -23,7 +22,6 @@ func benchCountScale(b *testing.B, n int, sampler string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.Sampler = sampler
 	if err := r.ensure(); err != nil {
 		b.Fatal(err)
 	}
@@ -34,7 +32,6 @@ func benchCountScale(b *testing.B, n int, sampler string) {
 	if res.Steps != b.N {
 		b.Fatalf("ran %d of %d steps (converged early?)", res.Steps, b.N)
 	}
-	b.ReportMetric(float64(r.AliasRebuilds())/float64(b.N), "rebuilds/op")
 }
 
 // BenchmarkCountEngineScale measures per-step cost at N = 10⁴ … 10⁸.
@@ -43,7 +40,7 @@ func benchCountScale(b *testing.B, n int, sampler string) {
 func BenchmarkCountEngineScale(b *testing.B) {
 	for _, n := range []int{1e4, 1e5, 1e6, 1e7, 1e8} {
 		b.Run(fmt.Sprintf("N=%.0e", float64(n)), func(b *testing.B) {
-			benchCountScale(b, n, "auto")
+			benchCountScale(b, n)
 		})
 	}
 }
@@ -72,53 +69,28 @@ func BenchmarkAgentEngineScale(b *testing.B) {
 	}
 }
 
-// BenchmarkCountSampler compares the two sampler implementations across
-// state-space sizes at fixed N = 10⁶; the winner is wired as "auto"
-// (see CountSamplers).
+// BenchmarkCountSampler measures per-step cost across state-space
+// sizes up to the compiled-table cap at fixed N = 10⁶: the Fenwick
+// draw and sync are O(log |Q|).
 func BenchmarkCountSampler(b *testing.B) {
-	for _, sampler := range []string{"fenwick", "alias"} {
-		for _, q := range []int{8, 64, 1024} {
-			b.Run(fmt.Sprintf("%s/Q=%d", sampler, q), func(b *testing.B) {
-				pr := churnProto(q)
-				cc := core.NewCountConfig(q)
-				cc.Counts[0] = 1e6
-				r, err := NewCountRunner(pr, cc, 7)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r.Sampler = sampler
-				if err := r.ensure(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				res := r.run(b.N)
-				b.StopTimer()
-				if res.Steps != b.N {
-					b.Fatalf("ran %d of %d steps", res.Steps, b.N)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAliasRebuild isolates the cost of one alias-table rebuild
-// (snapshot + integer Vose repack), the amortized price the lazy
-// strategy pays every ≥ 32 transitions.
-func BenchmarkAliasRebuild(b *testing.B) {
 	for _, q := range []int{8, 64, 1024} {
 		b.Run(fmt.Sprintf("Q=%d", q), func(b *testing.B) {
-			counts := make([]int, q)
-			n := 0
-			for i := range counts {
-				counts[i] = 1000 + i
-				n += counts[i]
+			pr := churnProto(q)
+			cc := core.NewCountConfig(q)
+			cc.Counts[0] = 1e6
+			r, err := NewCountRunner(pr, cc, 7)
+			if err != nil {
+				b.Fatal(err)
 			}
-			a := newAliasSampler(counts, n)
+			if err := r.ensure(); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.rebuild()
+			res := r.run(b.N)
+			b.StopTimer()
+			if res.Steps != b.N {
+				b.Fatalf("ran %d of %d steps", res.Steps, b.N)
 			}
 		})
 	}

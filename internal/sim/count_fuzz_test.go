@@ -6,24 +6,23 @@ import (
 	"popnaming/internal/core"
 )
 
-// FuzzCountSampler drives both samplers through an arbitrary initial
+// FuzzCountSampler drives the sampler through an arbitrary initial
 // occupancy and an arbitrary interleaving of draws and count moves,
 // checking the pair-sampler invariants:
 //
-//   - weights sum: the samplers' internal totals always equal N (the
-//     Fenwick root sums, the alias snapshot plus D⁺ mixture mass);
+//   - weights sum: the Fenwick tree's full prefix sum always equals N;
 //   - draws land only on occupied states;
 //   - diagonal correction: a responder draw never collides with the
 //     initiator when the initiator's state holds a single agent;
 //   - counts conserve N across every applied transition.
 //
 // The corpus seeds cover the boundary shapes: single occupied state,
-// all-distinct counts, alias-rebuild-forcing churn.
+// all-distinct counts, heavy churn.
 func FuzzCountSampler(f *testing.F) {
 	f.Add(int64(1), []byte{10, 0, 0, 0})        // one occupied state
 	f.Add(int64(2), []byte{1, 1, 1, 1})         // all distinct (valid naming)
 	f.Add(int64(3), []byte{200, 1, 0, 55})      // skewed with a sole agent
-	f.Add(int64(4), []byte{255, 255, 255, 255}) // heavy counts, forces rebuilds
+	f.Add(int64(4), []byte{255, 255, 255, 255}) // heavy counts
 	f.Add(int64(5), []byte{0, 0, 0, 2})         // minimal population at the edge
 	f.Fuzz(func(t *testing.T, seed int64, occ []byte) {
 		if len(occ) == 0 {
@@ -43,7 +42,6 @@ func FuzzCountSampler(f *testing.F) {
 			return
 		}
 		fen := newFenwickSampler(append([]int(nil), counts...), n)
-		ali := newAliasSampler(append([]int(nil), counts...), n)
 		rng := newCountRNG(seed)
 		moves := newCountRNG(seed + 1)
 
@@ -61,44 +59,23 @@ func FuzzCountSampler(f *testing.F) {
 			if total != int64(n) {
 				t.Fatalf("step %d: fenwick total %d, want %d", step, total, n)
 			}
-			// Alias: snapshot mass is exactly N, and D⁺ equals the sum
-			// of positive drifts.
-			var snap, dtot int64
-			for i := range ali.snap {
-				snap += ali.snap[i]
-				dtot += ali.dplus[i]
-			}
-			if snap != int64(n) {
-				t.Fatalf("step %d: alias snapshot mass %d, want %d", step, snap, n)
-			}
-			if uint64(dtot) != ali.dtot {
-				t.Fatalf("step %d: alias D⁺ %d, tracked %d", step, dtot, ali.dtot)
-			}
 		}
 		checkTotals(-1)
 
 		for step := 0; step < 300; step++ {
-			// Draw from both samplers; draws must hit occupied states.
+			// Draws must hit occupied states.
 			fs := fen.draw(&rng)
 			if fen.counts[fs] <= 0 {
 				t.Fatalf("step %d: fenwick drew empty state %d", step, fs)
-			}
-			as := ali.draw(&rng)
-			if ali.counts[as] <= 0 {
-				t.Fatalf("step %d: alias drew empty state %d", step, as)
 			}
 			// Move one agent between states (a transition's worth of
 			// drift), keeping N conserved by construction.
 			from := int(fen.draw(&moves))
 			to := int(moves.uint64n(uint64(q)))
-			for _, s := range [][]int{fen.counts, ali.counts} {
-				s[from]--
-				s[to]++
-			}
+			fen.counts[from]--
+			fen.counts[to]++
 			fen.sync(core.State(from))
 			fen.sync(core.State(to))
-			ali.sync(core.State(from))
-			ali.sync(core.State(to))
 			if step%37 == 0 {
 				checkTotals(step)
 				sum := 0

@@ -38,7 +38,7 @@ func (oversized) States() int                                     { return maxCo
 func (oversized) Symmetric() bool                                 { return true }
 func (oversized) Mobile(x, y core.State) (core.State, core.State) { return x, y }
 
-func checkProportional(t *testing.T, name string, s countSampler, rng *countRNG, counts []int, draws int) {
+func checkProportional(t *testing.T, name string, s *fenwickSampler, rng *countRNG, counts []int, draws int) {
 	t.Helper()
 	n := 0
 	for _, c := range counts {
@@ -79,107 +79,50 @@ func sqrtf(x float64) float64 {
 
 func TestCountSamplerProportional(t *testing.T) {
 	counts := []int{5, 0, 3, 2}
-	for _, name := range []string{"fenwick", "alias"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			local := append([]int(nil), counts...)
-			s, err := newCountSampler(name, local, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := newCountRNG(42)
-			checkProportional(t, name, s, &rng, local, 50000)
+	t.Run("fenwick", func(t *testing.T) {
+		local := append([]int(nil), counts...)
+		s := newFenwickSampler(local, 10)
+		rng := newCountRNG(42)
+		checkProportional(t, "fenwick", s, &rng, local, 50000)
 
-			// Mutate (conserving N) and sync: 0 → 1 twice, 2 → 3 once.
-			local[0] -= 2
-			local[1] += 2
-			local[2]--
-			local[3]++
-			for st := range local {
-				s.sync(core.State(st))
-			}
-			checkProportional(t, name+"/after-sync", s, &rng, local, 50000)
-		})
-	}
-}
-
-// TestAliasSamplerStale exercises the staleness-rejection path: with
-// N = 10 the rebuild threshold is 64, so small mutations keep the
-// snapshot stale and every draw goes through the d⁺ mixture.
-func TestAliasSamplerStale(t *testing.T) {
-	counts := []int{4, 4, 2, 0}
-	a := newAliasSampler(counts, 10)
-	rng := newCountRNG(7)
-	// Drain state 0 into state 3 entirely: snapshot still claims 4.
-	for i := 0; i < 4; i++ {
-		counts[0]--
-		counts[3]++
-		a.sync(0)
-		a.sync(3)
-	}
-	if a.dtot == 0 {
-		t.Fatal("expected a stale snapshot (dtot > 0)")
-	}
-	checkProportional(t, "alias/stale", a, &rng, counts, 50000)
-	if a.Rebuilds() != 1 {
-		t.Fatalf("unexpected rebuild: %d (want the constructor's only)", a.Rebuilds())
-	}
-}
-
-// TestAliasSamplerRebuild forces enough drift to cross the rebuild
-// threshold and checks the rebuilt table is exact again.
-func TestAliasSamplerRebuild(t *testing.T) {
-	n := 1000
-	counts := make([]int, 4)
-	counts[0] = n
-	a := newAliasSampler(counts, n)
-	rng := newCountRNG(11)
-	// Move agents 0 → 1 until D⁺ crosses max(64, n/8) = 125.
-	for i := 0; i < 200; i++ {
-		counts[0]--
-		counts[1]++
-		a.sync(0)
-		a.sync(1)
-	}
-	if a.Rebuilds() < 2 {
-		t.Fatalf("rebuilds = %d, want ≥ 2 after 200 moves with threshold 125", a.Rebuilds())
-	}
-	if a.dtot != 0 && a.dtot >= a.rebuildAt {
-		t.Fatalf("dtot %d not reset below threshold %d", a.dtot, a.rebuildAt)
-	}
-	checkProportional(t, "alias/rebuilt", a, &rng, counts, 50000)
+		// Mutate (conserving N) and sync: 0 → 1 twice, 2 → 3 once.
+		local[0] -= 2
+		local[1] += 2
+		local[2]--
+		local[3]++
+		for st := range local {
+			s.sync(core.State(st))
+		}
+		checkProportional(t, "fenwick/after-sync", s, &rng, local, 50000)
+	})
 }
 
 func TestCountRunnerConverges(t *testing.T) {
 	pr := mergeProto()
-	for _, sampler := range []string{"fenwick", "alias"} {
-		sampler := sampler
-		t.Run(sampler, func(t *testing.T) {
-			cc := core.NewCountConfig(3)
-			cc.Counts[0], cc.Counts[1] = 50, 50
-			r, err := NewCountRunner(pr, cc, 123)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Sampler = sampler
-			res, err := r.Run(10_000_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Converged {
-				t.Fatalf("did not converge: %v", res)
-			}
-			if cc.N() != 100 {
-				t.Fatalf("population not conserved: %d", cc.N())
-			}
-			if cc.Counts[0] != 0 && cc.Counts[1] != 0 {
-				t.Fatalf("silent but both 0 and 1 occupied: %v", cc)
-			}
-			if res.NonNull == 0 || res.Steps < res.NonNull {
-				t.Fatalf("implausible counters: %v", res)
-			}
-		})
-	}
+	t.Run("fenwick", func(t *testing.T) {
+		cc := core.NewCountConfig(3)
+		cc.Counts[0], cc.Counts[1] = 50, 50
+		r, err := NewCountRunner(pr, cc, 123)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run(10_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("did not converge: %v", res)
+		}
+		if cc.N() != 100 {
+			t.Fatalf("population not conserved: %d", cc.N())
+		}
+		if cc.Counts[0] != 0 && cc.Counts[1] != 0 {
+			t.Fatalf("silent but both 0 and 1 occupied: %v", cc)
+		}
+		if res.NonNull == 0 || res.Steps < res.NonNull {
+			t.Fatalf("implausible counters: %v", res)
+		}
+	})
 }
 
 func TestCountRunnerSilentStart(t *testing.T) {
@@ -360,16 +303,21 @@ func TestCountRunnerObserver(t *testing.T) {
 	}
 }
 
+// countTrials returns a batch trial maker over fresh {0:k, 1:k} starts
+// of mergeProto, seeded per trial.
+func countTrials(k int) func(trial, attempt int) Trial {
+	return func(trial, attempt int) Trial {
+		cc := core.NewCountConfig(3)
+		cc.Counts[0], cc.Counts[1] = k, k
+		return Trial{Count: cc, Seed: DeriveSeed(900, trial, attempt) + 1}
+	}
+}
+
 func TestRunCountBatch(t *testing.T) {
 	pr := mergeProto()
 	sink := &syncSink{}
-	sum := RunCountBatch(context.Background(), pr, 8, 10_000_000, 4,
-		BatchObs{Sink: sink, ProgressEvery: 1000},
-		func(trial int) CountTrial {
-			cc := core.NewCountConfig(3)
-			cc.Counts[0], cc.Counts[1] = 40, 40
-			return CountTrial{Cfg: cc, Seed: DeriveSeed(900, trial, 0) + 1}
-		})
+	sum := RunBatch(context.Background(), pr, 0, 8, 4, Supervision{StepBudget: 10_000_000},
+		BatchObs{Sink: sink, ProgressEvery: 1000}, countTrials(40))
 	if sum.Trials != 8 || sum.Converged != 8 || sum.Aborted != 0 {
 		t.Fatalf("batch summary: %+v", sum)
 	}
@@ -398,13 +346,33 @@ func TestRunCountBatch(t *testing.T) {
 	// A canceled context aborts unclaimed trials.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sum = RunCountBatch(ctx, pr, 5, 1000, 2, BatchObs{}, func(trial int) CountTrial {
-		cc := core.NewCountConfig(3)
-		cc.Counts[0], cc.Counts[1] = 10, 10
-		return CountTrial{Cfg: cc, Seed: int64(trial)}
-	})
+	sum = RunBatch(ctx, pr, 0, 5, 2, Supervision{StepBudget: 1000}, BatchObs{}, countTrials(10))
 	if sum.Aborted != 5 {
 		t.Fatalf("canceled batch: %d aborted, want 5", sum.Aborted)
+	}
+}
+
+// TestRunCountBatchCancelInFlight is the in-flight cancellation
+// regression: a count trial whose run stops at the interrupt poll is
+// aborted/"canceled", like the unclaimed trials after it, not reported
+// as completed.
+func TestRunCountBatchCancelInFlight(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mk := countTrials(1000)
+	sum := RunBatch(ctx, churnProto(3), 0, 3, 1, Supervision{StepBudget: 1 << 30}, BatchObs{}, func(trial, attempt int) Trial {
+		if trial == 0 {
+			cancel()
+		}
+		return mk(trial, attempt)
+	})
+	if sum.Aborted != 3 {
+		t.Fatalf("aborted = %d, want 3", sum.Aborted)
+	}
+	for _, br := range sum.Results {
+		if br.Status != TrialAborted || br.Reason != "canceled" {
+			t.Fatalf("trial %d: status %s reason %q, want aborted/canceled", br.Trial, br.Status, br.Reason)
+		}
 	}
 }
 
@@ -420,20 +388,6 @@ func TestUniformCountConfigMatchesAgent(t *testing.T) {
 		if folded.Counts[s] != direct.Counts[s] {
 			t.Fatalf("state %d: folded %d != direct %d", s, folded.Counts[s], direct.Counts[s])
 		}
-	}
-}
-
-func TestValidCountSampler(t *testing.T) {
-	for _, ok := range []string{"", "auto", "fenwick", "alias"} {
-		if !ValidCountSampler(ok) {
-			t.Errorf("ValidCountSampler(%q) = false", ok)
-		}
-	}
-	if ValidCountSampler("bogus") {
-		t.Error("ValidCountSampler(bogus) = true")
-	}
-	if _, err := newCountSampler("bogus", []int{1, 1}, 2); err == nil {
-		t.Error("newCountSampler(bogus): want error")
 	}
 }
 

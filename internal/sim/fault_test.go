@@ -334,7 +334,7 @@ func TestRunBatchSupervisedDeadlineTagsTrials(t *testing.T) {
 	const n, trials = 4, 6
 	pr := naming.NewAsymmetric(n)
 	sup := Supervision{Deadline: time.Nanosecond}
-	sum := RunBatchSupervised(context.Background(), pr, trials, 2, sup, BatchObs{}, func(trial, attempt int) Trial {
+	sum := RunBatch(context.Background(), pr, 0, trials, 2, sup, BatchObs{}, func(trial, attempt int) Trial {
 		return Trial{Cfg: zeroStart(n), Sched: sched.NewRoundRobin(n, false)}
 	})
 	if sum.Aborted != trials {
@@ -353,7 +353,7 @@ func TestRunBatchSupervisedRetries(t *testing.T) {
 	const n, trials = 2, 4
 	pr := naming.NewAsymmetric(n)
 	sup := Supervision{StepBudget: 10_000_000, StallQuiet: 1024, Retries: 1, Slice: 4096}
-	sum := RunBatchSupervised(context.Background(), pr, trials, 2, sup, BatchObs{}, func(trial, attempt int) Trial {
+	sum := RunBatch(context.Background(), pr, 0, trials, 2, sup, BatchObs{}, func(trial, attempt int) Trial {
 		tr := Trial{Cfg: zeroStart(n), Sched: sched.NewRoundRobin(n, false)}
 		if attempt == 0 {
 			tr.Inject = mustInjector(t, mustPlan(t, "@0:crash=1"), pr, DeriveSeed(8, trial, attempt))
@@ -426,7 +426,7 @@ func TestRunBatchSupervisedContextCancel(t *testing.T) {
 	pr := naming.NewAsymmetric(n)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sum := RunBatchSupervised(ctx, pr, trials, 2, Supervision{}, BatchObs{}, func(trial, attempt int) Trial {
+	sum := RunBatch(ctx, pr, 0, trials, 2, Supervision{}, BatchObs{}, func(trial, attempt int) Trial {
 		return Trial{Cfg: zeroStart(n), Sched: sched.NewRoundRobin(n, false)}
 	})
 	if sum.Aborted != trials {

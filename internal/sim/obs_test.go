@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"regexp"
@@ -91,7 +92,8 @@ func TestRunBatchObservedJournal(t *testing.T) {
 	pr := naming.NewSelfStab(n)
 	var buf bytes.Buffer
 	sink := obs.NewJournalSink(&buf)
-	sum := RunBatchObserved(pr, trials, 50_000_000, 4, BatchObs{Sink: sink}, func(trial int) Trial {
+	sup := Supervision{StepBudget: 50_000_000, Slice: 50_000_000}
+	sum := RunBatch(context.Background(), pr, 0, trials, 4, sup, BatchObs{Sink: sink}, func(trial, _ int) Trial {
 		r := rand.New(rand.NewSource(int64(trial)))
 		return Trial{
 			Cfg:   ArbitraryConfig(pr, n, r),
@@ -148,8 +150,8 @@ func TestRunBatchObservedJournal(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesObserved checks the compatibility wrapper returns
-// identical results with observability disabled.
+// TestRunBatchMatchesObserved checks that journaling a batch leaves its
+// results identical to the unobserved fast path.
 func TestRunBatchMatchesObserved(t *testing.T) {
 	const n, trials = 5, 6
 	pr := naming.NewAsymmetric(n)
@@ -159,8 +161,11 @@ func TestRunBatchMatchesObserved(t *testing.T) {
 			Sched: sched.NewRoundRobin(n, false),
 		}
 	}
-	a := RunBatch(pr, trials, 1_000_000, 2, mk)
-	b := RunBatchObserved(pr, trials, 1_000_000, 2, BatchObs{}, mk).Results
+	a := runBatch(pr, trials, 1_000_000, 2, mk)
+	sup := Supervision{StepBudget: 1_000_000, Slice: 1_000_000}
+	b := RunBatch(context.Background(), pr, 0, trials, 2, sup, BatchObs{Sink: &syncSink{}}, func(trial, _ int) Trial {
+		return mk(trial)
+	}).Results
 	for i := range a {
 		if a[i].Result.Steps != b[i].Result.Steps || a[i].Result.Converged != b[i].Result.Converged {
 			t.Fatalf("trial %d: %+v vs %+v", i, a[i], b[i])
