@@ -51,8 +51,11 @@ GRID_BENCH = BenchmarkGridLocal|BenchmarkGridServer|BenchmarkGridServerCached
 # check is the single entry point: everything CI (or a reviewer) needs.
 check: vet build race fmt fuzzbuild test-bench
 
+# vet covers the benchmark module too: bench/ has its own go.mod, so
+# ./... does not reach it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

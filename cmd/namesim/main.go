@@ -45,7 +45,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 	"time"
@@ -202,7 +201,7 @@ func run(o options) (err error) {
 
 	var cfg *core.Config
 	if o.engine != "count" {
-		if cfg, err = buildConfig(proto, o.n, o.init, o.seed); err != nil {
+		if cfg, err = sim.AgentStart(proto, o.n, o.init, o.seed); err != nil {
 			return err
 		}
 	}
@@ -319,7 +318,7 @@ func runSupervised(proto core.Protocol, o options, sink *obs.JournalSink) error 
 	if _, err := fault.NewInjector(plan, proto, o.seed); err != nil {
 		return err
 	}
-	if _, err := buildConfig(proto, o.n, o.init, o.seed); err != nil {
+	if _, err := sim.AgentStart(proto, o.n, o.init, o.seed); err != nil {
 		return err
 	}
 	s0, err := buildScheduler(proto, o.n, o.sched, o.seed, o.hidden, o.hide)
@@ -371,7 +370,7 @@ func runSupervised(proto core.Protocol, o options, sink *obs.JournalSink) error 
 			seed = sim.DeriveSeed(o.seed, 0, attempt)
 			fmt.Printf("retry %d: derived seed %d\n", attempt, seed)
 		}
-		cfg, _ := buildConfig(proto, o.n, o.init, seed)
+		cfg, _ := sim.AgentStart(proto, o.n, o.init, seed)
 		finalCfg = cfg
 		s, _ := buildScheduler(proto, o.n, o.sched, seed, o.hidden, o.hide)
 		runner := sim.NewRunner(proto, s, cfg)
@@ -546,27 +545,6 @@ func seedNote(derived bool) string {
 		return " (auto-derived)"
 	}
 	return ""
-}
-
-func buildConfig(proto core.Protocol, n int, initKey string, seed int64) (*core.Config, error) {
-	switch initKey {
-	case "zero":
-		cfg := core.NewConfig(n, 0)
-		if lp, ok := proto.(core.LeaderProtocol); ok {
-			cfg.Leader = lp.InitLeader()
-		}
-		return cfg, nil
-	case "uniform":
-		return sim.UniformConfig(proto, n), nil
-	case "arbitrary":
-		ap, ok := proto.(core.ArbitraryInitProtocol)
-		if !ok {
-			return nil, fmt.Errorf("protocol %q does not support arbitrary initialization", proto.Name())
-		}
-		return sim.ArbitraryConfig(ap, n, rand.New(rand.NewSource(seed))), nil
-	default:
-		return nil, fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
-	}
 }
 
 func buildScheduler(proto core.Protocol, n int, schedKey string, seed int64, hidden, hide int) (sched.Scheduler, error) {

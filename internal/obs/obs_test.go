@@ -216,7 +216,7 @@ func nonEmptyLines(s string) []string {
 // TestConcurrentScrape is the -race coverage for the concurrency
 // guarantees the package documents: metric primitives and
 // Observer.Snapshot are readable while a single writer mutates them.
-// Run under the race detector (make race-serve) this fails on any
+// Run under the race detector (make race) this fails on any
 // unsynchronized access; the assertions additionally pin that scraped
 // counters are monotone and land exactly on the writer's totals.
 func TestConcurrentScrape(t *testing.T) {

@@ -138,9 +138,12 @@ type ObserverSnapshot struct {
 // feeding the observer — the ppserved /metrics endpoint scrapes live
 // jobs through it.
 func (o *Observer) Snapshot() ObserverSnapshot {
+	// Load nonNull before steps: the writer bumps steps first, so a
+	// snapshot concurrent with it still reads NonNull <= Steps.
+	nonNull := o.nonNull.Value()
 	return ObserverSnapshot{
 		Steps:        o.steps.Value(),
-		NonNull:      o.nonNull.Value(),
+		NonNull:      nonNull,
 		Quiet:        atomic.LoadInt64(&o.quiet),
 		QuietStreaks: o.quietHist.Snapshot(),
 	}

@@ -24,9 +24,9 @@ type PromLabel struct {
 // first underlying write error and turns later calls into no-ops;
 // check Err once at the end.
 //
-// Callers are expected to emit one family at a time: Family (or the
-// Counter/Gauge one-liners) then every sample of that family before
-// the next Family call. The writer does not reorder.
+// Callers are expected to emit one family at a time: Family, then
+// every sample of that family before the next Family call. The writer
+// does not reorder. Registry is the usual caller.
 type PromWriter struct {
 	w   io.Writer
 	err error
@@ -76,37 +76,29 @@ func (p *PromWriter) Family(name, typ, help string) {
 
 // Sample emits one sample line: name{labels} value.
 func (p *PromWriter) Sample(name string, labels []PromLabel, v float64) {
-	if p.err != nil {
-		return
+	p.printf("%s %s\n", seriesName(name, labels), formatValue(v))
+}
+
+// seriesName renders a series the way a sample line names it:
+// name{label="value",...}, label values escaped.
+func seriesName(name string, labels []PromLabel) string {
+	if len(labels) == 0 {
+		return name
 	}
 	var sb strings.Builder
 	sb.WriteString(name)
-	if len(labels) > 0 {
-		sb.WriteByte('{')
-		for i, l := range labels {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(l.Name)
-			sb.WriteString(`="`)
-			sb.WriteString(escapeLabel(l.Value))
-			sb.WriteByte('"')
+	sb.WriteByte('{')
+	for i, l := range labels {
+		if i > 0 {
+			sb.WriteByte(',')
 		}
-		sb.WriteByte('}')
+		sb.WriteString(l.Name)
+		sb.WriteString(`="`)
+		sb.WriteString(escapeLabel(l.Value))
+		sb.WriteByte('"')
 	}
-	p.printf("%s %s\n", sb.String(), formatValue(v))
-}
-
-// Counter emits a single-sample counter family.
-func (p *PromWriter) Counter(name, help string, v uint64) {
-	p.Family(name, "counter", help)
-	p.Sample(name, nil, float64(v))
-}
-
-// Gauge emits a single-sample gauge family.
-func (p *PromWriter) Gauge(name, help string, v float64) {
-	p.Family(name, "gauge", help)
-	p.Sample(name, nil, v)
+	sb.WriteByte('}')
+	return sb.String()
 }
 
 // Histogram emits one labeled series of a histogram family (call

@@ -11,10 +11,12 @@ import (
 func TestPromWriterFamiliesAndEscaping(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
-	p.Counter("jobs_total", "Jobs with a \\ and\na newline.", 42)
+	p.Family("jobs_total", "counter", "Jobs with a \\ and\na newline.")
+	p.Sample("jobs_total", nil, 42)
 	p.Family("jobs", "gauge", "By state.")
 	p.Sample("jobs", []PromLabel{{Name: "state", Value: `do"ne\n` + "\n"}}, 3)
-	p.Gauge("ratio", "Non-integral gauge.", 0.5)
+	p.Family("ratio", "gauge", "Non-integral gauge.")
+	p.Sample("ratio", nil, 0.5)
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +105,13 @@ func TestPromWriterSkewClamp(t *testing.T) {
 // TestPromWriterRetainsError pins the sticky-error contract.
 func TestPromWriterRetainsError(t *testing.T) {
 	p := NewPromWriter(failWriter{})
-	p.Counter("x_total", "X.", 1)
+	p.Family("x_total", "counter", "X.")
+	p.Sample("x_total", nil, 1)
 	if p.Err() == nil {
 		t.Fatal("write error not retained")
 	}
-	p.Gauge("y", "Y.", 2) // must be a no-op, not a panic
+	p.Family("y", "gauge", "Y.") // must be no-ops, not a panic
+	p.Sample("y", nil, 2)
 	if p.Err() == nil {
 		t.Fatal("error cleared by later call")
 	}

@@ -111,7 +111,7 @@ func (s *Server) runShardLocal(j *Job, ctx context.Context, r dist.Range) ([][]b
 // it falls back to the configured ceiling.
 func (s *Server) leaseTimeout(r dist.Range) time.Duration {
 	max := s.cfg.LeaseTimeout
-	km := s.met.kind(KindBatch)
+	km := s.met.kinds[KindBatch]
 	if km == nil {
 		return max
 	}
@@ -249,9 +249,6 @@ func (s *Server) runDistBatch(j *Job) error {
 		NonNull:         merged.TotalNonNull,
 		OK:              merged.Converged == merged.Trials,
 	})
-	s.met.trialSteps.Add(uint64(merged.TotalSteps))
-	s.met.trialNonNull.Add(uint64(merged.TotalNonNull))
-	s.met.trialsRun.Add(uint64(merged.Trials))
-	s.met.trialsConverged.Add(uint64(merged.Converged))
+	s.met.addTrials(merged.Trials, merged.Converged, merged.TotalSteps, merged.TotalNonNull)
 	return nil
 }

@@ -3,7 +3,8 @@ package serve
 import (
 	"fmt"
 	"io"
-	"strings"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -11,86 +12,32 @@ import (
 	"popnaming/internal/report"
 )
 
-// metrics holds the service-level gauges and counters scraped by
-// GET /metrics. All fields follow the obs concurrency discipline:
-// single atomic writes, single atomic reads, no cross-field
-// transactions. The routes map is built once at server construction
-// and never mutated afterwards, so reads need no lock.
+// metrics holds the service's counters and histograms, grouped by the
+// section newMetrics registers them in, with their help text. Updates
+// are single atomic writes and scrapes single atomic reads (the obs
+// discipline); the routes and kinds maps are built once at
+// construction and never mutated, so reads need no lock.
 type metrics struct {
-	start time.Time
+	reg obs.Registry
 
-	// Job lifecycle counters.
-	submitted obs.Counter
-	rejected  obs.Counter // full-queue 429s
-	completed obs.Counter
-	failed    obs.Counter
-	canceled  obs.Counter
+	// ppserved service. jobWallMS's mean drives the Retry-After
+	// estimate; active counts the workers executing a job (int64 via
+	// sync/atomic: it decrements).
+	submitted, rejected, completed, failed, canceled obs.Counter
+	spans, streamWriteTimeouts                       obs.Counter
+	jobWallMS                                        obs.Histogram
+	active                                           int64
 
-	// active is the number of worker goroutines currently executing a
-	// job (int64 via sync/atomic: it decrements).
-	active int64
+	// Store and cache, distributed leases and simulation totals.
+	restored, requeued, cacheHits, cacheMisses, cacheEvictions     obs.Counter
+	bufSpills, bufSpilledBytes, lateEmits, storeWriteErrors        obs.Counter
+	leasesIssued, leasesReissued, leasesCompleted, leasesDuplicate obs.Counter
+	leasesRestored, leaseFailures                                  obs.Counter
+	trialsRun, trialsConverged, trialSteps, trialNonNull           obs.Counter
 
-	// jobWallMS is the wall-clock distribution of finished jobs in
-	// milliseconds; its mean drives the Retry-After estimate.
-	jobWallMS obs.Histogram
-
-	// spans counts trace span records emitted into result streams.
-	spans obs.Counter
-
-	// Result-cache counters: hits answered without re-simulation,
-	// misses (cache enabled, key absent), LRU evictions by byte budget.
-	cacheHits      obs.Counter
-	cacheMisses    obs.Counter
-	cacheEvictions obs.Counter
-
-	// Store-replay counters, set once at construction: terminal jobs
-	// restored with their results, and non-terminal jobs re-queued for
-	// a deterministic re-run.
-	restored obs.Counter
-	requeued obs.Counter
-
-	// Buffer hygiene: live-buffer spills to the store (and their byte
-	// volume), and emits that arrived after job finalization (each one
-	// a detected worker bug; see ErrLateEmit).
-	bufSpills       obs.Counter
-	bufSpilledBytes obs.Counter
-	lateEmits       obs.Counter
-
-	// streamWriteTimeouts counts /results streams torn down because a
-	// stalled client missed the per-write deadline (the slow-client
-	// guard: one dead follower cannot pin a goroutine and its buffer).
-	streamWriteTimeouts obs.Counter
-
-	// storeWriteErrors counts failed writes to the job store (WAL
-	// append, result spill, finalize). Spill failures fail the job with
-	// a structured error; this counter makes the disk trouble visible
-	// either way.
-	storeWriteErrors obs.Counter
-
-	// Distributed-execution counters (the internal/dist coordinator's
-	// lease lifecycle; see docs/service.md "Sharded execution").
-	leasesIssued    obs.Counter // first issues + re-issues
-	leasesReissued  obs.Counter
-	leasesCompleted obs.Counter
-	leasesDuplicate obs.Counter // late shards discarded by epoch
-	leasesRestored  obs.Counter // completed shards reused across restart
-	leaseFailures   obs.Counter // attempts ended by timeout/5xx/drop
-
-	// Simulation aggregates across every job run by this server.
-	trialsRun       obs.Counter
-	trialsConverged obs.Counter
-	trialSteps      obs.Counter
-	trialNonNull    obs.Counter
-
-	// Per-route request counters and latency histograms (microseconds,
-	// log2 buckets). Keyed by the route pattern.
-	routes     map[string]*routeMetric
-	routeOrder []string
-
-	// Per-job-kind phase histograms (queue wait, execution, result
-	// streaming). Keyed by job kind; built once at construction.
-	kinds     map[string]*kindMetric
-	kindOrder []string
+	// HTTP requests by route pattern and job phases by job kind.
+	routes map[string]*routeMetric
+	kinds  map[string]*kindMetric
 }
 
 type routeMetric struct {
@@ -112,26 +59,127 @@ type kindMetric struct {
 // double as metrics label values.
 var jobKinds = []string{KindSim, KindBatch, KindCampaign, KindTable1}
 
-func newMetrics(routes []string) *metrics {
-	m := &metrics{
-		start:      time.Now(),
-		routes:     make(map[string]*routeMetric, len(routes)),
-		routeOrder: routes,
-		kinds:      make(map[string]*kindMetric, len(jobKinds)),
-		kindOrder:  jobKinds,
+// jobStates lists the job lifecycle states in the order of the
+// ppserved_jobs series.
+var jobStates = []string{string(StateQueued), string(StateRunning), string(StateDone), string(StateFailed), string(StateCanceled)}
+
+// newMetrics declares every service metric once (name, type, help text
+// and label) in the sections and order both /metrics formats render.
+// It reads s's config and store kind; gauges read the rest when scraped.
+func newMetrics(s *Server) *metrics {
+	m := &metrics{routes: map[string]*routeMetric{}, kinds: map[string]*kindMetric{}}
+	r := &m.reg
+	start := time.Now()
+	// readyIs reads 1 while Ready reports reason, else 0.
+	readyIs := func(reason string) func() float64 {
+		return func() float64 {
+			if _, why := s.Ready(); why == reason {
+				return 1
+			}
+			return 0
+		}
 	}
-	for _, r := range routes {
-		m.routes[r] = &routeMetric{}
+	memStat := func(field func(*runtime.MemStats) float64) func() float64 {
+		return func() float64 {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return field(&ms)
+		}
 	}
+
+	r.Section("ppserved service")
+	r.Gauge("ppserved_uptime_seconds", "Seconds since the server started.", func() float64 { return time.Since(start).Seconds() })
+	r.Gauge("ppserved_workers", "Configured job worker pool size.", func() float64 { return float64(s.cfg.Workers) })
+	r.Gauge("ppserved_workers_active", "Workers currently executing a job.", func() float64 { return float64(atomic.LoadInt64(&m.active)) })
+	r.Gauge("ppserved_queue_depth", "Jobs waiting in the admission queue.", func() float64 { return float64(len(s.queue)) })
+	r.Gauge("ppserved_queue_capacity", "Admission queue capacity.", func() float64 { return float64(s.cfg.QueueCap) })
+	r.Gauge("ppserved_queue_high_watermark", "Queue depth at which /readyz turns unready.", func() float64 { return float64(s.cfg.HighWater) })
+	r.Gauge("ppserved_draining", "1 while the server is draining, else 0.", readyIs("draining"))
+	r.Gauge("ppserved_ready", "1 while /readyz answers 200, else 0.", readyIs("ready"))
+	r.Counter("ppserved_jobs_submitted_total", "Jobs admitted to the queue.", &m.submitted)
+	r.Counter("ppserved_jobs_rejected_total", "Submissions rejected with 429 (queue full).", &m.rejected)
+	r.Counter("ppserved_jobs_completed_total", "Jobs that reached state done.", &m.completed)
+	r.Counter("ppserved_jobs_failed_total", "Jobs that reached state failed.", &m.failed)
+	r.Counter("ppserved_jobs_canceled_total", "Jobs that reached state canceled.", &m.canceled)
+	r.Histogram("ppserved_job_wall_milliseconds", "Wall-clock time of finished jobs.", &m.jobWallMS)
+	r.Counter("ppserved_spans_total", "Trace span records emitted into result streams.", &m.spans)
+	r.Counter("ppserved_stream_write_timeouts_total", "Result streams disconnected by the per-write deadline (stalled clients).", &m.streamWriteTimeouts)
+
+	r.Section("store and cache")
+	r.Gauge("ppserved_store_info", "Job store implementation in use (value is always 1).", func() float64 { return 1 },
+		obs.PromLabel{Name: "kind", Value: s.store.Kind()})
+	r.Counter("ppserved_jobs_restored_total", "Terminal jobs restored from the store at boot.", &m.restored)
+	r.Counter("ppserved_jobs_requeued_total", "Interrupted jobs re-queued from the store at boot.", &m.requeued)
+	r.Gauge("ppserved_cache_entries", "Result-cache entries resident.", func() float64 {
+		entries, _ := s.cache.stats()
+		return float64(entries)
+	})
+	r.Gauge("ppserved_cache_bytes", "Result-cache resident bytes.", func() float64 {
+		_, bytes := s.cache.stats()
+		return float64(bytes)
+	})
+	r.Gauge("ppserved_cache_capacity_bytes", "Result-cache byte budget (0 when disabled).", func() float64 { return float64(s.cacheCapacity()) })
+	r.Counter("ppserved_cache_hits_total", "Submissions served from the result cache without re-simulation.", &m.cacheHits)
+	r.Counter("ppserved_cache_misses_total", "Submissions that missed the result cache.", &m.cacheMisses)
+	r.Counter("ppserved_cache_evictions_total", "Result-cache entries evicted by the byte budget.", &m.cacheEvictions)
+	r.Counter("ppserved_buffer_spills_total", "Live result-buffer spills to the job store.", &m.bufSpills)
+	r.Counter("ppserved_buffer_spilled_bytes_total", "Bytes spilled from live result buffers to the job store.", &m.bufSpilledBytes)
+	r.Counter("ppserved_late_emits_total", "Records emitted into a result buffer after job finalization (worker bugs).", &m.lateEmits)
+	r.Counter("ppserved_store_write_errors_total", "Failed writes to the job store (spills, finalization, lease records).", &m.storeWriteErrors)
+
+	r.Section("distributed leases")
+	r.Gauge("ppserved_dist_peers", "Configured peer ppserved nodes for sharded execution.", func() float64 { return float64(len(s.peers)) })
+	r.Counter("ppserved_dist_leases_issued_total", "Lease attempts issued to executors (first issues and re-issues).", &m.leasesIssued)
+	r.Counter("ppserved_dist_leases_reissued_total", "Lease re-issues after a failed attempt.", &m.leasesReissued)
+	r.Counter("ppserved_dist_leases_completed_total", "Leases whose shard was accepted and merged.", &m.leasesCompleted)
+	r.Counter("ppserved_dist_leases_duplicate_total", "Late duplicate shards discarded by lease epoch.", &m.leasesDuplicate)
+	r.Counter("ppserved_dist_leases_restored_total", "Completed shards restored from the store across a restart.", &m.leasesRestored)
+	r.Counter("ppserved_dist_lease_failures_total", "Lease attempts ended by timeout, error status or connection loss.", &m.leaseFailures)
+
+	r.Section("jobs by state")
+	r.Gauges("ppserved_jobs", "Jobs currently known to the server, by lifecycle state.", "state", jobStates, s.jobsByState)
+
+	r.Section("http requests")
+	for _, route := range routePatterns {
+		rm := &routeMetric{}
+		label := obs.PromLabel{Name: "route", Value: route}
+		r.Counter("ppserved_http_requests_total", "Handled HTTP requests by route.", &rm.reqs, label)
+		r.Histogram("ppserved_http_request_latency_microseconds", "HTTP request latency by route.", &rm.latUS, label)
+		m.routes[route] = rm
+	}
+
+	r.Section("job phases by kind")
 	for _, k := range jobKinds {
-		m.kinds[k] = &kindMetric{}
+		km := &kindMetric{}
+		label := obs.PromLabel{Name: "kind", Value: k}
+		r.Histogram("ppserved_job_queue_wait_microseconds", "Queue wait (admission to execution start) by job kind.", &km.queueWaitUS, label)
+		r.Histogram("ppserved_job_exec_milliseconds", "Execution wall clock by job kind.", &km.execMS, label)
+		r.Histogram("ppserved_job_stream_milliseconds", "Result-stream connection time by job kind.", &km.streamMS, label)
+		m.kinds[k] = km
 	}
+
+	r.Section("simulation totals")
+	r.Counter("ppserved_trials_total", "Simulation trials run across all jobs.", &m.trialsRun)
+	r.Counter("ppserved_trials_converged_total", "Trials that reached silence within budget.", &m.trialsConverged)
+	r.Counter("ppserved_interactions_total", "Scheduled interactions across all trials.", &m.trialSteps)
+	r.Counter("ppserved_interactions_non_null_total", "State-changing interactions across all trials.", &m.trialNonNull)
+
+	r.Section("go runtime")
+	r.Gauge("go_goroutines", "Number of live goroutines.", func() float64 { return float64(runtime.NumGoroutine()) })
+	r.Gauge("go_heap_alloc_bytes", "Bytes of allocated heap objects.", memStat(func(ms *runtime.MemStats) float64 { return float64(ms.HeapAlloc) }))
+	r.Gauge("go_heap_objects", "Number of allocated heap objects.", memStat(func(ms *runtime.MemStats) float64 { return float64(ms.HeapObjects) }))
+	r.CounterFunc("go_gc_cycles_total", "Completed GC cycles.", memStat(func(ms *runtime.MemStats) float64 { return float64(ms.NumGC) }))
+	r.CounterFunc("go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", memStat(func(ms *runtime.MemStats) float64 { return float64(ms.PauseTotalNs) / 1e9 }))
 	return m
 }
 
-// kind returns the phase histograms for a job kind (nil for unknown
-// kinds, which cannot pass admission).
-func (m *metrics) kind(k string) *kindMetric { return m.kinds[k] }
+// addTrials folds finished trials into the simulation totals.
+func (m *metrics) addTrials(trials, converged int, steps, nonNull int64) {
+	m.trialsRun.Add(uint64(trials))
+	m.trialsConverged.Add(uint64(converged))
+	m.trialSteps.Add(uint64(steps))
+	m.trialNonNull.Add(uint64(nonNull))
+}
 
 // spanSink wraps a job's result buffer for span records, counting them
 // into the service metrics on the way through. Safe for concurrent use
@@ -156,145 +204,45 @@ func (m *metrics) observe(route string, d time.Duration) {
 	rm.latUS.Observe(d.Microseconds())
 }
 
-// activeWorkers reads the in-flight job count.
-func (m *metrics) activeWorkers() int64 { return atomic.LoadInt64(&m.active) }
-
-// render writes the /metrics tables: service gauges, job states, the
-// per-route request histograms, live job progress and the simulation
-// totals — all through report.Table, like every other tool in the
-// repo.
-func (s *Server) renderMetrics(w io.Writer) {
-	m := s.met
-
+// jobsByState counts the server's jobs by lifecycle state in one pass,
+// in the order of jobStates.
+func (s *Server) jobsByState() []float64 {
+	counts := make([]float64, len(jobStates))
 	s.mu.Lock()
-	depth := len(s.queue)
-	draining := s.draining
-	byState := make(map[JobState]int)
-	type liveRow struct {
-		id, kind, proto string
-		records         int
-		snap            *obs.ObserverSnapshot
-	}
-	var live []liveRow
+	defer s.mu.Unlock()
 	for _, j := range s.order {
-		v := j.view()
-		byState[v.State]++
-		if v.State == StateRunning {
-			live = append(live, liveRow{id: v.ID, kind: v.Kind, proto: v.Protocol, records: v.Records, snap: v.Live})
+		j.mu.Lock()
+		counts[slices.Index(jobStates, string(j.state))]++
+		j.mu.Unlock()
+	}
+	return counts
+}
+
+// renderLiveJobs writes the running jobs' live progress after the
+// metric tables: the one /metrics table that shows per-job state
+// rather than a metric, so it is rendered here, not registered.
+func (s *Server) renderLiveJobs(w io.Writer) {
+	var live []JobView
+	s.mu.Lock()
+	for _, j := range s.order {
+		if v := j.view(); v.State == StateRunning {
+			live = append(live, v)
 		}
 	}
 	s.mu.Unlock()
-
-	svc := report.NewTable("ppserved service", "metric", "value")
-	svc.AddRowf("uptime_seconds", fmt.Sprintf("%.0f", time.Since(m.start).Seconds()))
-	svc.AddRowf("workers", s.cfg.Workers)
-	svc.AddRowf("workers_active", m.activeWorkers())
-	svc.AddRowf("queue_depth", depth)
-	svc.AddRowf("queue_capacity", s.cfg.QueueCap)
-	svc.AddRowf("draining", draining)
-	svc.AddRowf("jobs_submitted", m.submitted.Value())
-	svc.AddRowf("jobs_rejected", m.rejected.Value())
-	svc.AddRowf("jobs_completed", m.completed.Value())
-	svc.AddRowf("jobs_failed", m.failed.Value())
-	svc.AddRowf("jobs_canceled", m.canceled.Value())
-	jw := m.jobWallMS.Snapshot()
-	svc.AddRowf("job_wall_ms_mean", fmt.Sprintf("%.1f", jw.Mean))
-	svc.AddRowf("job_wall_ms_max", jw.Max)
-	svc.AddRowf("spans_emitted", m.spans.Value())
-	svc.AddRowf("stream_write_timeouts", m.streamWriteTimeouts.Value())
-	svc.Render(w)
-	fmt.Fprintln(w)
-
-	entries, bytes := s.cache.stats()
-	st := report.NewTable("store and cache", "metric", "value")
-	st.AddRowf("store_kind", s.store.Kind())
-	st.AddRowf("jobs_restored", m.restored.Value())
-	st.AddRowf("jobs_requeued", m.requeued.Value())
-	st.AddRowf("cache_entries", entries)
-	st.AddRowf("cache_bytes", bytes)
-	st.AddRowf("cache_capacity_bytes", s.cacheCapacity())
-	st.AddRowf("cache_hits", m.cacheHits.Value())
-	st.AddRowf("cache_misses", m.cacheMisses.Value())
-	st.AddRowf("cache_evictions", m.cacheEvictions.Value())
-	st.AddRowf("buffer_spills", m.bufSpills.Value())
-	st.AddRowf("buffer_spilled_bytes", m.bufSpilledBytes.Value())
-	st.AddRowf("late_emits", m.lateEmits.Value())
-	st.AddRowf("store_write_errors", m.storeWriteErrors.Value())
-	st.Render(w)
-	fmt.Fprintln(w)
-
-	if len(s.peers) > 0 || m.leasesCompleted.Value() > 0 || m.leasesRestored.Value() > 0 {
-		dt := report.NewTable("distributed leases", "metric", "value")
-		dt.AddRowf("peers", len(s.peers))
-		dt.AddRowf("leases_issued", m.leasesIssued.Value())
-		dt.AddRowf("leases_reissued", m.leasesReissued.Value())
-		dt.AddRowf("leases_completed", m.leasesCompleted.Value())
-		dt.AddRowf("leases_duplicate", m.leasesDuplicate.Value())
-		dt.AddRowf("leases_restored", m.leasesRestored.Value())
-		dt.AddRowf("lease_failures", m.leaseFailures.Value())
-		dt.Render(w)
-		fmt.Fprintln(w)
+	if len(live) == 0 {
+		return
 	}
-
-	states := report.NewTable("jobs by state", "state", "count")
-	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
-		states.AddRowf(string(st), byState[st])
-	}
-	states.Render(w)
-	fmt.Fprintln(w)
-
-	reqs := report.NewTable("http requests", "route", "count", "lat_us_mean", "lat_us_max", "lat_us_log2")
-	for _, route := range m.routeOrder {
-		rm := m.routes[route]
-		snap := rm.latUS.Snapshot()
-		reqs.AddRowf(route, rm.reqs.Value(),
-			fmt.Sprintf("%.0f", snap.Mean), snap.Max, bucketString(snap))
-	}
-	reqs.Render(w)
-	fmt.Fprintln(w)
-
-	phases := report.NewTable("job phases by kind", "kind", "jobs", "queue_wait_us_mean", "exec_ms_mean", "exec_ms_max", "stream_ms_mean")
-	for _, k := range m.kindOrder {
-		km := m.kinds[k]
-		qw, ex, st := km.queueWaitUS.Snapshot(), km.execMS.Snapshot(), km.streamMS.Snapshot()
-		phases.AddRowf(k, qw.Count,
-			fmt.Sprintf("%.0f", qw.Mean), fmt.Sprintf("%.1f", ex.Mean), ex.Max, fmt.Sprintf("%.1f", st.Mean))
-	}
-	phases.Render(w)
-	fmt.Fprintln(w)
-
-	if len(live) > 0 {
-		lt := report.NewTable("live jobs", "id", "kind", "protocol", "records", "steps", "nonNull", "quiet")
-		for _, r := range live {
-			if r.snap != nil {
-				lt.AddRowf(r.id, r.kind, r.proto, r.records, r.snap.Steps, r.snap.NonNull, r.snap.Quiet)
-			} else {
-				lt.AddRowf(r.id, r.kind, r.proto, r.records, "-", "-", "-")
-			}
+	lt := report.NewTable("live jobs", "id", "kind", "protocol", "records", "steps", "nonNull", "quiet")
+	for _, v := range live {
+		if v.Live != nil {
+			lt.AddRowf(v.ID, v.Kind, v.Protocol, v.Records, v.Live.Steps, v.Live.NonNull, v.Live.Quiet)
+		} else {
+			lt.AddRowf(v.ID, v.Kind, v.Protocol, v.Records, "-", "-", "-")
 		}
-		lt.Render(w)
-		fmt.Fprintln(w)
 	}
-
-	sim := report.NewTable("simulation totals", "metric", "value")
-	sim.AddRowf("trials_run", m.trialsRun.Value())
-	sim.AddRowf("trials_converged", m.trialsConverged.Value())
-	sim.AddRowf("interactions_total", m.trialSteps.Value())
-	sim.AddRowf("interactions_non_null", m.trialNonNull.Value())
-	sim.Render(w)
-}
-
-// bucketString renders a histogram snapshot's non-empty log2 buckets
-// compactly: "lo-hi:count lo-hi:count ...".
-func bucketString(s obs.HistogramSnapshot) string {
-	if len(s.Buckets) == 0 {
-		return "-"
-	}
-	parts := make([]string, 0, len(s.Buckets))
-	for _, b := range s.Buckets {
-		parts = append(parts, fmt.Sprintf("%d-%d:%d", b.Lo, b.Hi, b.Count))
-	}
-	return strings.Join(parts, " ")
+	fmt.Fprintln(w)
+	lt.Render(w)
 }
 
 // Retry-After clamp bounds: an empty wall-time history answers the

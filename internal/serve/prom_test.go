@@ -456,7 +456,7 @@ func TestPrometheusConformance(t *testing.T) {
 }
 
 // TestPrometheusScrapeRace hammers the prometheus endpoint while a
-// traced batch job runs, so the race detector (make race-serve) checks
+// traced batch job runs, so the race detector (make race) checks
 // scraping against concurrent span emission and metric writes; every
 // scrape must still pass the strict checker.
 func TestPrometheusScrapeRace(t *testing.T) {

@@ -176,12 +176,15 @@ func TestCountCancelRacePickup(t *testing.T) {
 }
 
 // TestMetricsExposeRobustnessCounters pins that the write-error and
-// stream-timeout counters appear in both /metrics formats.
+// stream-timeout counters appear in both /metrics formats, and that the
+// two formats expose the same set: every Prometheus family names a row
+// of the tables, and every table row names a Prometheus family.
 func TestMetricsExposeRobustnessCounters(t *testing.T) {
-	// A configured (never contacted) peer makes the human-format
-	// distributed-leases table render alongside the Prometheus families.
+	// A configured (never contacted) peer runs the check with sharded
+	// execution on.
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4,
 		Peers: []string{"http://127.0.0.1:1"}})
+	bodies := make(map[string]string)
 	for _, format := range []string{"", "?format=prometheus"} {
 		resp, err := http.Get(ts.URL + "/metrics" + format)
 		if err != nil {
@@ -197,5 +200,30 @@ func TestMetricsExposeRobustnessCounters(t *testing.T) {
 				t.Fatalf("GET /metrics%s missing %q", format, want)
 			}
 		}
+		bodies[format] = string(body)
+	}
+
+	// A table row's first cell is a family name, plus {label=value} for
+	// a labeled series; header and rule rows are skipped.
+	rows := make(map[string]bool)
+	for _, line := range strings.Split(bodies[""], "\n") {
+		cell, ok := strings.CutPrefix(line, "| ")
+		if !ok {
+			continue
+		}
+		name, _, _ := strings.Cut(cell, " ")
+		name, _, _ = strings.Cut(name, "{")
+		if name != "metric" && !strings.HasPrefix(name, "-") {
+			rows[name] = true
+		}
+	}
+	for _, f := range parseProm(t, bodies["?format=prometheus"]) {
+		if !rows[f.name] {
+			t.Errorf("Prometheus family %q has no row in the tables", f.name)
+		}
+		delete(rows, f.name)
+	}
+	for name := range rows {
+		t.Errorf("table row %q is not a Prometheus family", name)
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"popnaming/internal/core"
@@ -13,8 +12,8 @@ import (
 	"popnaming/internal/sim"
 )
 
-// checkInit reports whether buildConfig accepts initKey for proto. It
-// builds nothing, so admission checks the key without drawing an
+// checkInit reports whether sim.AgentStart accepts initKey for proto.
+// It builds nothing, so admission checks the key without drawing an
 // arbitrary configuration.
 func checkInit(proto core.Protocol, initKey string) error {
 	switch initKey {
@@ -28,26 +27,6 @@ func checkInit(proto core.Protocol, initKey string) error {
 	default:
 		return fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
 	}
-}
-
-// buildConfig mirrors the CLI initialization keys. The keys were
-// validated at admission (checkInit), so workers call this infallibly
-// per attempt.
-func buildConfig(proto core.Protocol, n int, initKey string, seed int64) (*core.Config, error) {
-	if err := checkInit(proto, initKey); err != nil {
-		return nil, err
-	}
-	switch initKey {
-	case "uniform":
-		return sim.UniformConfig(proto, n), nil
-	case "arbitrary":
-		return sim.ArbitraryConfig(proto.(core.ArbitraryInitProtocol), n, rand.New(rand.NewSource(seed))), nil
-	}
-	cfg := core.NewConfig(n, 0) // "zero"
-	if lp, ok := proto.(core.LeaderProtocol); ok {
-		cfg.Leader = lp.InitLeader()
-	}
-	return cfg, nil
 }
 
 // buildScheduler mirrors the CLI scheduler keys minus eclipse (an
@@ -176,7 +155,7 @@ func (s *Server) runSim(j *Job) error {
 		if attempt > 0 {
 			seed = sim.DeriveSeed(sp.Seed, 0, attempt)
 		}
-		cfg, _ := buildConfig(pr, sp.N, sp.Init, seed)
+		cfg, _ := sim.AgentStart(pr, sp.N, sp.Init, seed)
 		finalCfg = cfg
 		sc, _ := buildScheduler(pr, sp.N, sp.Sched, seed+1)
 		runner := sim.NewRunner(pr, sc, cfg)
@@ -205,12 +184,11 @@ func (s *Server) runSim(j *Job) error {
 		sum.ValidNaming = finalCfg.ValidNaming()
 	}
 	j.setSummary(sum)
-	s.met.trialSteps.Add(uint64(sr.Steps))
-	s.met.trialNonNull.Add(uint64(sr.NonNull))
-	s.met.trialsRun.Inc()
+	converged := 0
 	if sr.Converged {
-		s.met.trialsConverged.Inc()
+		converged = 1
 	}
+	s.met.addTrials(1, converged, int64(sr.Steps), int64(sr.NonNull))
 	return nil
 }
 
@@ -254,12 +232,11 @@ func (s *Server) runCountSim(j *Job) error {
 		NonNull:     int64(res.NonNull),
 		OK:          j.ctx.Err() == nil,
 	})
-	s.met.trialSteps.Add(uint64(res.Steps))
-	s.met.trialNonNull.Add(uint64(res.NonNull))
-	s.met.trialsRun.Inc()
+	converged := 0
 	if res.Converged {
-		s.met.trialsConverged.Inc()
+		converged = 1
 	}
+	s.met.addTrials(1, converged, int64(res.Steps), int64(res.NonNull))
 	return nil
 }
 
@@ -279,7 +256,7 @@ func batchTrialMaker(v *validated) func(trial, attempt int) sim.Trial {
 			cc, _ := sim.CountStart(pr, sp.N, sp.Init)
 			return sim.Trial{Count: cc, Seed: seed + 1}
 		}
-		cfg, _ := buildConfig(pr, sp.N, sp.Init, seed)
+		cfg, _ := sim.AgentStart(pr, sp.N, sp.Init, seed)
 		sc, _ := buildScheduler(pr, sp.N, sp.Sched, seed+1)
 		t := sim.Trial{Cfg: cfg, Sched: sc}
 		if !v.plan.Empty() {
@@ -321,10 +298,7 @@ func (s *Server) runBatch(j *Job) error {
 		NonNull:         sum.TotalNonNull,
 		OK:              sum.Converged == sum.Trials,
 	})
-	s.met.trialSteps.Add(uint64(sum.TotalSteps))
-	s.met.trialNonNull.Add(uint64(sum.TotalNonNull))
-	s.met.trialsRun.Add(uint64(sum.Trials))
-	s.met.trialsConverged.Add(uint64(sum.Converged))
+	s.met.addTrials(sum.Trials, sum.Converged, sum.TotalSteps, sum.TotalNonNull)
 	return nil
 }
 

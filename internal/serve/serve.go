@@ -210,7 +210,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		mux:    http.NewServeMux(),
-		met:    newMetrics(routePatterns),
 		sink:   cfg.Sink,
 		store:  cfg.Store,
 		cache:  newResultCache(cacheBytes),
@@ -224,6 +223,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.peers = append(s.peers, &dist.Peer{Base: base})
 	}
+	s.met = newMetrics(s)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	requeue, err := s.restore()
 	if err != nil {
@@ -350,7 +350,7 @@ func (s *Server) restoreTerminal(snap store.Snapshot, spec Spec) *Job {
 				c := *j.summary
 				sum = &c
 			}
-			s.cache.put(j.key, lines[:len(lines)-1], sum)
+			s.met.cacheEvictions.Add(uint64(s.cache.put(j.key, lines[:len(lines)-1], sum)))
 		}
 	}
 	return j
@@ -535,7 +535,7 @@ func (s *Server) runJob(j *Job) {
 		s.finalize(j)
 		return
 	}
-	if km := s.met.kind(j.v.spec.Kind); km != nil {
+	if km := s.met.kinds[j.v.spec.Kind]; km != nil {
 		km.queueWaitUS.Observe(j.queueWait() / int64(time.Microsecond))
 	}
 	_ = s.sink.Emit(j.rec()) // running
@@ -648,7 +648,7 @@ func (s *Server) finalize(j *Job) {
 	}
 	if wall > 0 {
 		s.met.jobWallMS.Observe(wall / int64(time.Millisecond))
-		if km := s.met.kind(j.v.spec.Kind); km != nil {
+		if km := s.met.kinds[j.v.spec.Kind]; km != nil {
 			km.execMS.Observe(wall / int64(time.Millisecond))
 		}
 	}
@@ -775,7 +775,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	follow := r.URL.Query().Get("follow") != "false"
-	if km := s.met.kind(j.v.spec.Kind); km != nil {
+	if km := s.met.kinds[j.v.spec.Kind]; km != nil {
 		t0 := time.Now()
 		defer func() { km.streamMS.Observe(time.Since(t0).Milliseconds()) }()
 	}
@@ -839,10 +839,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		s.renderMetrics(w)
+		s.met.reg.WriteTables(w)
+		s.renderLiveJobs(w)
 	case "prometheus":
 		w.Header().Set("Content-Type", obs.PromContentType)
-		s.renderPrometheus(w)
+		// A write error means the client went away mid-body; there is
+		// no one left to report it to.
+		_ = s.met.reg.WritePrometheus(w)
 	default:
 		writeError(w, badRequest("unknown metrics format %q (omit for tables, or \"prometheus\")", format))
 	}

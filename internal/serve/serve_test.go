@@ -197,7 +197,7 @@ func TestJobDeterminism(t *testing.T) {
 	sim.RunBatch(context.Background(), pr, 0, spec.Trials, 1, sup,
 		sim.BatchObs{Sink: buf}, func(trial, attempt int) sim.Trial {
 			seed := sim.DeriveSeed(spec.Seed, trial, attempt)
-			cfg, err := buildConfig(pr, spec.N, "zero", seed)
+			cfg, err := sim.AgentStart(pr, spec.N, "zero", seed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -319,6 +319,42 @@ func TestRestartRestoresCompletedJobs(t *testing.T) {
 	}
 }
 
+// TestRestartCountsCacheEvictions pins that re-seeding the result cache
+// at boot counts its evictions like a live finalize does: each restored
+// done job either holds a cache entry or was evicted by a later one.
+func TestRestartCountsCacheEvictions(t *testing.T) {
+	m := store.NewMemory()
+	// A budget of four quickSpec streams, so six jobs evict two.
+	cfg := Config{Workers: 1, QueueCap: 8, Store: m, CacheBytes: 4000}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	const jobs = 6
+	for seed := int64(1); seed <= jobs; seed++ {
+		status, v, _, _ := postJob(t, ts1, quickSpec(seed))
+		if status != http.StatusAccepted {
+			t.Fatalf("submit status %d", status)
+		}
+		waitState(t, ts1, v.ID, StateDone, 30*time.Second)
+	}
+	ts1.Close()
+	s1.Close()
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	entries, _ := s2.cache.stats()
+	evictions := s2.met.cacheEvictions.Value()
+	if evictions == 0 || uint64(entries)+evictions != jobs {
+		t.Fatalf("after restart: %d cache entries + %d evictions, want %d restored done jobs with evictions > 0",
+			entries, evictions, jobs)
+	}
+}
+
 // TestRestartRequeuesInterruptedJobs pins mid-flight recovery: jobs the
 // previous process left queued or running are re-queued at boot, their
 // partial result logs reset, and the deterministic re-run matches a
@@ -404,7 +440,7 @@ func TestRestartRequeuesInterruptedJobs(t *testing.T) {
 }
 
 // TestCancelRacePickup drives the cancel-while-queued vs worker-pickup
-// race under load (run with -race via make race-store): every job must
+// race under load (run with -race via make race): every job must
 // land terminal canceled in both the server's view and the store's
 // record sequence, never journaled running after canceled.
 func TestCancelRacePickup(t *testing.T) {

@@ -403,6 +403,31 @@ func UniformCountConfig(p core.Protocol, n int) *core.CountConfig {
 	return cc
 }
 
+// AgentStart builds the agent-engine start for an initialization key,
+// the counterpart of CountStart: "zero" puts all n agents in state 0
+// with the leader initialized, "uniform" is UniformConfig, and
+// "arbitrary" is ArbitraryConfig drawn from seed, for protocols that
+// support it. Other keys are an error.
+func AgentStart(p core.Protocol, n int, initKey string, seed int64) (*core.Config, error) {
+	switch initKey {
+	case "zero":
+		cfg := core.NewConfig(n, 0)
+		if lp, ok := p.(core.LeaderProtocol); ok {
+			cfg.Leader = lp.InitLeader()
+		}
+		return cfg, nil
+	case "uniform":
+		return UniformConfig(p, n), nil
+	case "arbitrary":
+		ap, ok := p.(core.ArbitraryInitProtocol)
+		if !ok {
+			return nil, fmt.Errorf("protocol %q does not support arbitrary initialization", p.Name())
+		}
+		return ArbitraryConfig(ap, n, rand.New(rand.NewSource(seed))), nil
+	}
+	return nil, fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
+}
+
 // CountStart builds the count-space start for an initialization key:
 // "zero" puts all n agents in state 0, "uniform" is UniformCountConfig,
 // and a leader starts initialized either way. Other keys have no count
