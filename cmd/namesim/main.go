@@ -547,21 +547,11 @@ func seedNote(derived bool) string {
 	return ""
 }
 
+// buildScheduler adds the eclipse attack scheduler, whose knobs only
+// the CLI carries, to the shared keys of sim.AgentScheduler.
 func buildScheduler(proto core.Protocol, n int, schedKey string, seed int64, hidden, hide int) (sched.Scheduler, error) {
-	withLeader := core.HasLeader(proto)
-	switch schedKey {
-	case "random":
-		return sched.NewRandom(n, withLeader, seed), nil
-	case "roundrobin":
-		return sched.NewRoundRobin(n, withLeader), nil
-	case "matching":
-		if withLeader {
-			return nil, fmt.Errorf("matching scheduler is leaderless only")
-		}
-		return sched.NewMatching(n), nil
-	case "eclipse":
-		return sched.NewEclipse(n, withLeader, hidden, hide, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q (random | roundrobin | matching | eclipse)", schedKey)
+	if schedKey == "eclipse" {
+		return sched.NewEclipse(n, core.HasLeader(proto), hidden, hide, seed), nil
 	}
+	return sim.AgentScheduler(proto, n, schedKey, seed)
 }

@@ -32,6 +32,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -81,9 +82,9 @@ const (
 )
 
 // Event is one lease transition, handed to Coordinator.Journal. On
-// completed (and restored) events Shard carries the normalized shard
-// log — the trial-ordered workload lines plus one trailing
-// batch_summary line — for persistence, and Lines its length.
+// completed events Shard carries the normalized shard — the
+// trial-ordered workload lines plus the shard's own batch_summary line
+// — for persistence, and Lines its length.
 type Event struct {
 	Lease  int
 	Range  Range
@@ -95,10 +96,10 @@ type Event struct {
 	Shard  [][]byte
 }
 
-// Executor runs one lease and returns the raw NDJSON lines of its
-// journal shard (service envelope included or not — normalization
-// strips header and job records either way). An Executor is used from
-// one goroutine at a time.
+// Executor runs one lease and returns the NDJSON lines of its journal
+// shard: the workload records and the shard's batch_summary, without
+// the result-stream envelope (Peer.RunBody strips it). An Executor is
+// used from one goroutine at a time.
 type Executor interface {
 	// Name labels the executor in lease records ("local" or the peer
 	// base URL).
@@ -119,9 +120,10 @@ type Coordinator struct {
 	Job string
 	// Seed feeds the deterministic backoff jitter (the job seed).
 	Seed int64
-	// Local executes a lease in-process; it is the fallback of last
-	// resort and must only fail on context cancellation. Nil means no
-	// local degradation: a lease that exhausts Retries fails the run.
+	// Local executes a lease in-process, returning shard lines as an
+	// Executor does; it is the fallback of last resort and must only
+	// fail on context cancellation. Nil means no local degradation: a
+	// lease that exhausts Retries fails the run.
 	Local func(ctx context.Context, r Range) ([][]byte, error)
 	// Peers are the remote executors; the slice may be empty.
 	Peers []Executor
@@ -140,14 +142,13 @@ type Coordinator struct {
 	// Journal, when non-nil, receives every lease transition (called
 	// under the coordinator lock: keep it fast, never re-entrant).
 	Journal func(ev Event)
-	// Deliver receives completed shards strictly in lease order:
-	// trial-ordered workload lines (service records stripped, the
-	// shard batch_summary removed) plus the parsed summary for
-	// aggregation. Called under the coordinator lock.
+	// Deliver receives completed shards strictly in lease order: the
+	// normalized shard minus its batch_summary line, plus the parsed
+	// summary for aggregation. Called under the coordinator lock.
 	Deliver func(lease int, r Range, lines [][]byte, sum obs.BatchSummaryRec)
-	// Restored maps lease index to the shard log persisted by a
-	// previous incarnation (as handed to Journal in Event.Shard);
-	// those leases deliver without executing.
+	// Restored maps lease index to the shard persisted by a previous
+	// incarnation (as handed to Journal in Event.Shard); those leases
+	// deliver without executing.
 	Restored map[int][][]byte
 
 	mu     sync.Mutex
@@ -173,7 +174,7 @@ type lease struct {
 	epoch    int
 	reissues int
 	done     bool
-	lines    [][]byte // trial-ordered workload lines, nil after delivery
+	shard    [][]byte // normalized shard, nil after delivery
 	sum      obs.BatchSummaryRec
 }
 
@@ -206,9 +207,9 @@ func (c *Coordinator) Run(ctx context.Context, plan []Range) error {
 	var pending []int
 	c.mu.Lock()
 	for _, l := range c.leases {
-		if shard, ok := c.Restored[l.idx]; ok {
-			if lines, sum, err := parseShardLog(shard, l.rng); err == nil {
-				l.lines, l.sum, l.done = lines, sum, true
+		if raw, ok := c.Restored[l.idx]; ok {
+			if shard, sum, err := normalizeShard(raw, l.rng); err == nil {
+				l.shard, l.sum, l.done = shard, sum, true
 				c.event(l, StateRestored, "store", "")
 				continue
 			}
@@ -317,10 +318,10 @@ func (c *Coordinator) peerLoop(ctx context.Context, p Executor, peerQ, localQ ch
 		if cancel != nil {
 			cancel()
 		}
-		var lines [][]byte
+		var shard [][]byte
 		var sum obs.BatchSummaryRec
 		if err == nil {
-			lines, sum, err = normalizeShard(raw, l.rng)
+			shard, sum, err = normalizeShard(raw, l.rng)
 		}
 		if err != nil {
 			p.Observe(false)
@@ -331,7 +332,7 @@ func (c *Coordinator) peerLoop(ctx context.Context, p Executor, peerQ, localQ ch
 			continue
 		}
 		p.Observe(true)
-		c.accept(l, epoch, p.Name(), lines, sum)
+		c.accept(l, epoch, p.Name(), shard, sum)
 	}
 }
 
@@ -363,10 +364,10 @@ func (c *Coordinator) localLoop(ctx context.Context, peerQ, localQ chan int) {
 			continue
 		}
 		raw, err := c.Local(ctx, l.rng)
-		var lines [][]byte
+		var shard [][]byte
 		var sum obs.BatchSummaryRec
 		if err == nil {
-			lines, sum, err = normalizeShard(raw, l.rng)
+			shard, sum, err = normalizeShard(raw, l.rng)
 		}
 		if err != nil {
 			if ctx.Err() != nil {
@@ -377,7 +378,7 @@ func (c *Coordinator) localLoop(ctx context.Context, peerQ, localQ chan int) {
 			c.abort(l, epoch, err)
 			return
 		}
-		c.accept(l, epoch, "local", lines, sum)
+		c.accept(l, epoch, "local", shard, sum)
 	}
 }
 
@@ -404,7 +405,7 @@ func (c *Coordinator) issue(idx int, peer string) (*lease, int, bool) {
 // per lease wins and advances in-order delivery; later completions
 // (an older epoch's slow peer finishing after a re-issue) are
 // journaled as duplicates and discarded.
-func (c *Coordinator) accept(l *lease, epoch int, peer string, lines [][]byte, sum obs.BatchSummaryRec) {
+func (c *Coordinator) accept(l *lease, epoch int, peer string, shard [][]byte, sum obs.BatchSummaryRec) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if l.done {
@@ -412,9 +413,8 @@ func (c *Coordinator) accept(l *lease, epoch int, peer string, lines [][]byte, s
 		return
 	}
 	l.done = true
-	l.lines, l.sum = lines, sum
+	l.shard, l.sum = shard, sum
 	if c.Journal != nil {
-		shard := shardLog(lines, sum)
 		c.Journal(Event{Lease: l.idx, Range: l.rng, Epoch: epoch, State: StateCompleted,
 			Peer: peer, Lines: len(shard), Shard: shard})
 	}
@@ -480,9 +480,9 @@ func (c *Coordinator) advanceLocked() {
 	for c.next < len(c.leases) && c.leases[c.next].done {
 		l := c.leases[c.next]
 		if c.Deliver != nil {
-			c.Deliver(l.idx, l.rng, l.lines, l.sum)
+			c.Deliver(l.idx, l.rng, l.shard[:len(l.shard)-1], l.sum)
 		}
-		l.lines = nil
+		l.shard = nil
 		c.next++
 		c.left--
 	}
@@ -537,32 +537,35 @@ type lineMeta struct {
 	Trial *int   `json:"trial"`
 }
 
-// normalizeShard validates and normalizes one shard's raw NDJSON
-// lines: service-envelope records (header, job) are stripped, the
-// shard's batch_summary is extracted and checked against the lease
-// range, and the remaining workload lines are grouped by global trial
-// index in ascending order (stable within a trial). The result is
-// exactly what a workers=1 run of the same range would emit, whatever
-// worker count the shard actually ran with.
+// normalizeShard validates and normalizes one shard's lines (a
+// result-stream body, envelope already stripped): the shard's single
+// batch_summary is checked against the lease range, and the workload
+// lines are grouped by global trial index in ascending order (stable
+// within a trial). It returns those lines followed by the
+// batch_summary line as received — the one form in which a shard is
+// persisted, restored and (minus the summary line) delivered — plus
+// the decoded summary. The workload lines are exactly what a workers=1
+// run of the same range would emit, whatever worker count the shard
+// actually ran with, and a normalized shard normalizes to itself.
 func normalizeShard(raw [][]byte, r Range) ([][]byte, obs.BatchSummaryRec, error) {
 	n := r.Hi - r.Lo
 	byTrial := make([][][]byte, n)
 	var sum obs.BatchSummaryRec
-	sums := 0
+	var sumLine []byte
 	total := 0
 	for _, line := range raw {
 		var m lineMeta
 		if err := json.Unmarshal(line, &m); err != nil {
 			return nil, sum, fmt.Errorf("dist: bad shard line: %w", err)
 		}
-		switch m.Type {
-		case "header", "job":
-			continue // service envelope: the coordinator emits its own
-		case "batch_summary":
+		if m.Type == "batch_summary" {
+			if sumLine != nil {
+				return nil, sum, fmt.Errorf("dist: shard %s carries more than one batch_summary record", r)
+			}
 			if err := json.Unmarshal(line, &sum); err != nil {
 				return nil, sum, fmt.Errorf("dist: bad shard summary: %w", err)
 			}
-			sums++
+			sumLine = line
 			continue
 		}
 		t := 0
@@ -575,40 +578,17 @@ func normalizeShard(raw [][]byte, r Range) ([][]byte, obs.BatchSummaryRec, error
 		byTrial[t-r.Lo] = append(byTrial[t-r.Lo], line)
 		total++
 	}
-	if sums != 1 {
-		return nil, sum, fmt.Errorf("dist: shard %s carries %d batch_summary records, want 1", r, sums)
+	if sumLine == nil {
+		return nil, sum, fmt.Errorf("dist: shard %s carries no batch_summary record", r)
 	}
 	if sum.Trials != n {
 		return nil, sum, fmt.Errorf("dist: shard %s summary covers %d trials, want %d", r, sum.Trials, n)
 	}
-	lines := make([][]byte, 0, total)
+	shard := make([][]byte, 0, total+1)
 	for _, tl := range byTrial {
-		lines = append(lines, tl...)
+		shard = append(shard, tl...)
 	}
-	return lines, sum, nil
-}
-
-// shardLog is the persisted form of a completed shard: the normalized
-// workload lines plus one trailing batch_summary line, so a restored
-// shard carries everything delivery needs.
-func shardLog(lines [][]byte, sum obs.BatchSummaryRec) [][]byte {
-	body, err := json.Marshal(sum)
-	if err != nil {
-		return lines
-	}
-	out := make([][]byte, 0, len(lines)+1)
-	out = append(out, lines...)
-	out = append(out, append(body, '\n'))
-	return out
-}
-
-// parseShardLog inverts shardLog for restored shards.
-func parseShardLog(shard [][]byte, r Range) ([][]byte, obs.BatchSummaryRec, error) {
-	var sum obs.BatchSummaryRec
-	if len(shard) == 0 {
-		return nil, sum, fmt.Errorf("dist: empty shard log")
-	}
-	return normalizeShard(shard, r)
+	return append(shard, sumLine), sum, nil
 }
 
 // MergeSummaries rebuilds the logical batch summary from per-shard
@@ -643,19 +623,11 @@ func MergeSummaries(sums []obs.BatchSummaryRec, workers, trials int, wallNS int6
 		}
 	}
 	if len(order) > 0 {
-		sortInt64s(order)
+		slices.Sort(order)
 		out.StepsHist = make([]obs.HistBucket, 0, len(order))
 		for _, lo := range order {
 			out.StepsHist = append(out.StepsHist, *byLo[lo])
 		}
 	}
 	return out
-}
-
-func sortInt64s(xs []int64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

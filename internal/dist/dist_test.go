@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,10 +14,10 @@ import (
 	"popnaming/internal/obs"
 )
 
-// mkShard builds a valid raw shard for a range: one trial record per
-// trial (tagged with the global index; trial 0 untagged, mirroring the
-// omitempty fault-record encoding) plus a batch_summary line, wrapped
-// in a header/job envelope like a real peer stream.
+// mkShard builds a valid raw shard for a range, as an Executor returns
+// it (no service envelope): one trial record per trial (tagged with
+// the global index; trial 0 untagged, mirroring the omitempty
+// fault-record encoding) plus a batch_summary line.
 func mkShard(t *testing.T, r Range) [][]byte {
 	t.Helper()
 	var lines [][]byte
@@ -27,7 +28,6 @@ func mkShard(t *testing.T, r Range) [][]byte {
 		}
 		lines = append(lines, append(b, '\n'))
 	}
-	add(map[string]any{"v": 1, "type": "header", "tool": "test"})
 	for i := r.Lo; i < r.Hi; i++ {
 		rec := map[string]any{"v": 1, "type": "trial", "converged": true, "steps": 10 * (i + 1)}
 		if i != 0 {
@@ -37,7 +37,6 @@ func mkShard(t *testing.T, r Range) [][]byte {
 	}
 	add(obs.BatchSummaryRec{V: 1, Type: "batch_summary", Trials: r.Hi - r.Lo,
 		Converged: r.Hi - r.Lo, TotalSteps: int64(r.Hi-r.Lo) * 10, Workers: 1})
-	add(map[string]any{"v": 1, "type": "job", "state": "done"})
 	return lines
 }
 
@@ -98,19 +97,24 @@ func TestBackoffDeterminism(t *testing.T) {
 
 func TestNormalizeShard(t *testing.T) {
 	r := Range{0, 3}
-	lines, sum, err := normalizeShard(mkShard(t, r), r)
+	raw := mkShard(t, r)
+	shard, sum, err := normalizeShard(raw, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 3 {
-		t.Fatalf("got %d workload lines, want 3 (envelope stripped)", len(lines))
+	if len(shard) != 4 {
+		t.Fatalf("got %d shard lines, want 3 workload lines plus the summary", len(shard))
 	}
 	if sum.Trials != 3 || sum.Converged != 3 {
 		t.Fatalf("summary %+v", sum)
 	}
+	// The shard ends with the input's batch_summary, byte for byte.
+	if got, want := shard[len(shard)-1], raw[len(raw)-1]; !bytes.Equal(got, want) {
+		t.Fatalf("shard ends with %q, want the input summary %q", got, want)
+	}
 	// The untagged record folded to trial 0, so lines are already in
 	// trial order: 0, 1, 2 by their steps payload.
-	for i, line := range lines {
+	for i, line := range shard[:3] {
 		var rec struct {
 			Steps int `json:"steps"`
 		}
@@ -142,6 +146,11 @@ func TestNormalizeShard(t *testing.T) {
 	short := mkShard(t, Range{0, 2})
 	if _, _, err := normalizeShard(short, r); err == nil {
 		t.Fatal("short shard accepted")
+	}
+	// A second batch_summary is rejected.
+	twice := append(mkShard(t, r), raw[len(raw)-1])
+	if _, _, err := normalizeShard(twice, r); err == nil {
+		t.Fatal("shard with two summaries accepted")
 	}
 }
 
@@ -349,7 +358,7 @@ func TestCoordinatorAtMostOnceAcceptance(t *testing.T) {
 	r := Range{0, 2}
 	co.leases = []*lease{{idx: 0, rng: r}}
 	co.left = 1
-	lines, sum, err := normalizeShard(mkShard(t, r), r)
+	shard, sum, err := normalizeShard(mkShard(t, r), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,9 +372,9 @@ func TestCoordinatorAtMostOnceAcceptance(t *testing.T) {
 		t.Fatalf("second issue: ok=%v epochs %d/%d", ok, epoch0, epoch1)
 	}
 	// ...the newer attempt completes first and wins.
-	co.accept(l, epoch1, "p2", lines, sum)
+	co.accept(l, epoch1, "p2", shard, sum)
 	// The older attempt's late result must be discarded as a duplicate.
-	co.accept(l, epoch0, "p1", lines, sum)
+	co.accept(l, epoch0, "p1", shard, sum)
 	if len(col.order) != 1 {
 		t.Fatalf("delivered %d times, want exactly once", len(col.order))
 	}
@@ -382,7 +391,7 @@ func TestCoordinatorRestoredSkipsExecution(t *testing.T) {
 		Peers:   []Executor{exec},
 		Journal: col.journal, Deliver: col.deliver,
 		Restored: map[int][][]byte{
-			0: shardLog(mustNormalize(t, mkShard(t, plan[0]), plan[0])),
+			0: mustNormalize(t, mkShard(t, plan[0]), plan[0]),
 			// Lease 2's restored shard is corrupt: it must re-execute.
 			2: {[]byte("not json\n")},
 		},
@@ -412,13 +421,13 @@ func TestCoordinatorRestoredSkipsExecution(t *testing.T) {
 	}
 }
 
-func mustNormalize(t *testing.T, raw [][]byte, r Range) ([][]byte, obs.BatchSummaryRec) {
+func mustNormalize(t *testing.T, raw [][]byte, r Range) [][]byte {
 	t.Helper()
-	lines, sum, err := normalizeShard(raw, r)
+	shard, _, err := normalizeShard(raw, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lines, sum
+	return shard
 }
 
 func TestCoordinatorCancel(t *testing.T) {

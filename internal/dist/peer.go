@@ -113,14 +113,17 @@ func (p *Peer) probe(ctx context.Context) bool {
 // RunBody executes one lease on the peer: submit body (the original
 // job spec with shard set to the lease range, rendered by the serving
 // layer so dist stays spec-schema-agnostic), follow the job's result
-// stream to completion, and return the raw shard lines. Any 5xx/429,
-// connection drop, deadline, truncated NDJSON tail or non-done
-// terminal record is an attempt failure — the coordinator re-issues
-// the lease elsewhere. Peers deduplicate re-submissions of the same
-// shard through their content-addressed result cache, so a re-issued
-// lease that lands on a node that already ran it is served from
-// memory. One long-lived Peer (with its health window) serves many
-// jobs, each supplying its own bodies.
+// stream to completion, and return the stream's body — the lines
+// between the service header and the terminal job record, byte for
+// byte. RunBody is the one reader of that envelope, so callers never
+// see it. Any 5xx/429, connection drop, deadline, truncated NDJSON
+// tail, missing header or non-done terminal record is an attempt
+// failure — the coordinator re-issues the lease elsewhere. Peers
+// deduplicate re-submissions of the same shard through their
+// content-addressed result cache, so a re-issued lease that lands on a
+// node that already ran it is served from memory. One long-lived Peer
+// (with its health window) serves many jobs, each supplying its own
+// bodies.
 func (p *Peer) RunBody(ctx context.Context, r Range, body []byte) ([][]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.Base+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
@@ -168,10 +171,13 @@ func (p *Peer) RunBody(ctx context.Context, r Range, body []byte) ([][]byte, err
 	return lines, nil
 }
 
-// readShardStream collects the NDJSON stream, requiring a cleanly
-// terminated log: every line newline-framed and the last one a
-// terminal job record in state done. A connection cut mid-stream (a
-// half-written shard) fails here rather than merging short.
+// readShardStream reads a ppserved result stream and returns its body.
+// The envelope is positional — the server writes the header record
+// first and the terminal job record last — so only those two lines are
+// decoded; the lines between them are returned as read. A stream that
+// is empty, cut mid-line (a half-written shard), missing its header or
+// ending in anything but a job record in state done fails here rather
+// than merging short.
 func readShardStream(body io.Reader) ([][]byte, error) {
 	var lines [][]byte
 	br := bufio.NewReaderSize(body, 1<<16)
@@ -188,13 +194,16 @@ func readShardStream(body io.Reader) ([][]byte, error) {
 		}
 		lines = append(lines, line)
 	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("empty shard stream")
+	if len(lines) < 2 {
+		return nil, fmt.Errorf("result stream has %d lines, want a header and a terminal record", len(lines))
 	}
-	var last struct {
+	var first, last struct {
 		Type  string `json:"type"`
 		State string `json:"state"`
 		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(lines[0], &first); err != nil || first.Type != "header" {
+		return nil, fmt.Errorf("result stream does not start with a header record")
 	}
 	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
 		return nil, fmt.Errorf("bad terminal record: %w", err)
@@ -202,7 +211,7 @@ func readShardStream(body io.Reader) ([][]byte, error) {
 	if last.Type != "job" || last.State != "done" {
 		return nil, fmt.Errorf("shard ended %s/%s: %s", last.Type, last.State, last.Error)
 	}
-	return lines, nil
+	return lines[1 : len(lines)-1], nil
 }
 
 // cancelJob fires a best-effort cancel for an abandoned shard job.

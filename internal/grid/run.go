@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"popnaming/internal/dist"
 	"popnaming/internal/obs"
 	"popnaming/internal/serve"
-	"popnaming/internal/sim"
 )
 
 // Tool names the pipeline in journal headers. Both execution paths
@@ -27,9 +25,9 @@ type CellRunner interface {
 }
 
 // LocalRunner executes cells in-process through the service admission
-// and execution recipe (serve.Prepare), which is what guarantees the
-// local path and a ppserved node produce the same records for the same
-// cell.
+// and execution recipe (serve.Prepare, Prepared.Run), which is what
+// guarantees the local path and a ppserved node produce the same
+// records for the same cell.
 type LocalRunner struct{}
 
 func (LocalRunner) RunCell(ctx context.Context, sp *Spec, c Cell, w io.Writer) error {
@@ -41,9 +39,7 @@ func (LocalRunner) RunCell(ctx context.Context, sp *Spec, c Cell, w io.Writer) e
 	if err := sink.Emit(p.Header(Tool)); err != nil {
 		return err
 	}
-	js := p.Spec()
-	bo := sim.BatchObs{Sink: sink, ProgressEvery: js.ProgressEvery}
-	sum := sim.RunBatch(ctx, p.Proto(), 0, js.Trials, js.Workers, p.Supervision(sink), bo, p.TrialMaker())
+	sum := p.Run(ctx, sink)
 	for _, r := range sum.Results {
 		if r.Err != nil {
 			return fmt.Errorf("cell %s trial %d: %w", c.ID(), r.Trial, r.Err)
@@ -123,28 +119,14 @@ func (sr *ServerRunner) RunCell(ctx context.Context, sp *Spec, c Cell, w io.Writ
 	if lastErr != nil {
 		return lastErr
 	}
-	sink := obs.NewJournalSink(w)
-	if err := sink.Emit(p.Header(Tool)); err != nil {
+	// The peer client returns the stream without its service envelope
+	// (the server's header and terminal job record), so the journal
+	// is the grid's header plus the workload records: exactly the
+	// local journal's shape.
+	if err := obs.NewJournalSink(w).Emit(p.Header(Tool)); err != nil {
 		return err
 	}
-	return writeStripped(w, lines)
-}
-
-// writeStripped writes the workload records of a result stream,
-// dropping the service envelope — the server's header (the grid stamps
-// its own) and the terminal job record — so a server-run cell journal
-// has exactly the local journal's shape.
-func writeStripped(w io.Writer, lines [][]byte) error {
 	for _, line := range lines {
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(bytes.TrimSpace(line), &probe); err != nil {
-			return fmt.Errorf("grid: bad stream record: %w", err)
-		}
-		if probe.Type == "header" || probe.Type == "job" {
-			continue
-		}
 		if _, err := w.Write(line); err != nil {
 			return err
 		}

@@ -100,6 +100,30 @@ func TestCountSimJob(t *testing.T) {
 	}
 }
 
+// TestCountSimJobCancel pins the cancel reason on the count engine: a
+// count sim job canceled mid-run reports aborted/canceled, as agent
+// sim jobs and batch trials on both engines do. With N > P the
+// population can never fall silent, so only the cancel ends the run.
+func TestCountSimJobCancel(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	sp := countSpec()
+	sp.P, sp.N, sp.Budget = 8, 1_000_000, 1<<40
+	code, v, e, _ := postJob(t, ts, sp)
+	if code != http.StatusAccepted {
+		t.Fatalf("status %d, error %+v", code, e)
+	}
+	waitState(t, ts, v.ID, StateRunning, 10*time.Second)
+	resp, err := http.Post(ts.URL+"/v1/jobs/"+v.ID+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	final := waitState(t, ts, v.ID, StateCanceled, 30*time.Second)
+	if final.Summary == nil || final.Summary.Status != "aborted" || final.Summary.Reason != "canceled" {
+		t.Fatalf("canceled count sim summary = %+v, want aborted/canceled", final.Summary)
+	}
+}
+
 // TestCountBatchJob runs a count batch job and checks the aggregate
 // summary plus the closing batch_summary record.
 func TestCountBatchJob(t *testing.T) {

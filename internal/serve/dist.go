@@ -4,19 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"popnaming/internal/dist"
 	"popnaming/internal/obs"
 	"popnaming/internal/serve/store"
-	"popnaming/internal/sim"
 )
 
 // This file is the serving half of distributed batch execution: it
 // decides which jobs shard (distEligible), drives the internal/dist
 // coordinator for them (runDistBatch), supplies the coordinator's
-// local executor (a range run into a private line sink) and its
+// local executor (a range run into a private buffer) and its
 // persistence hooks (lease records and shard logs into the job
 // store), and rebuilds restored shards after a coordinator restart.
 
@@ -62,46 +60,18 @@ func (jp *jobPeer) Run(ctx context.Context, r dist.Range) ([][]byte, error) {
 	return jp.p.RunBody(ctx, r, body)
 }
 
-// lineSink collects marshaled journal records as newline-terminated
-// raw lines — the same bytes buffer.Emit would produce — so a local
-// shard run yields a stream normalizeShard can merge byte-identically.
-type lineSink struct {
-	mu    sync.Mutex
-	lines [][]byte
-}
-
-func (ls *lineSink) Emit(rec any) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	ls.mu.Lock()
-	ls.lines = append(ls.lines, append(b, '\n'))
-	ls.mu.Unlock()
-	return nil
-}
-
-func (ls *lineSink) take() [][]byte {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	lines := ls.lines
-	ls.lines = nil
-	return lines
-}
-
 // runShardLocal executes one lease in-process: the same range runner
-// the peer side uses, into a private sink instead of the job buffer.
-// A canceled run is an error — its summary covers fewer trials than
-// the lease and must never be accepted as a completed shard.
+// the peer side uses, into a private unspilled buffer instead of the
+// job buffer. A canceled run is an error — its summary covers fewer
+// trials than the lease and must never be accepted as a completed
+// shard.
 func (s *Server) runShardLocal(j *Job, ctx context.Context, r dist.Range) ([][]byte, error) {
-	sp := j.v.spec
-	sink := &lineSink{}
-	bo := sim.BatchObs{Sink: sink, ProgressEvery: sp.ProgressEvery}
-	sim.RunBatch(ctx, j.v.proto, r.Lo, r.Hi, sp.Workers, supervisionFor(j.v, sink), bo, batchTrialMaker(j.v))
+	buf := newBuffer(0, nil, nil, nil)
+	j.v.runRange(ctx, r.Lo, r.Hi, buf, obs.SpanContext{})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return sink.take(), nil
+	return buf.all()
 }
 
 // leaseTimeout bounds one peer attempt. With enough execution history

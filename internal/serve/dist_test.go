@@ -273,9 +273,9 @@ func TestDistRestoreSkipsCompletedLeases(t *testing.T) {
 	_, refTS := newTestServer(t, Config{Workers: 2, QueueCap: 8})
 	want := runCanonical(t, refTS, spec)
 
-	// Produce lease 0's shard log the way a peer would: run the shard
-	// job on a standalone server and keep its raw stream (the envelope
-	// records are stripped during restore, like any shard).
+	// Produce lease 0's shard the way a peer would: run the shard job
+	// on a standalone server and keep its stream minus the header and
+	// terminal job record, as the peer client returns it.
 	shardSpec := spec
 	shardSpec.Shard = &ShardRange{Lo: 0, Hi: 3}
 	_, shardTS := newTestServer(t, Config{Workers: 2, QueueCap: 8})
@@ -285,7 +285,8 @@ func TestDistRestoreSkipsCompletedLeases(t *testing.T) {
 	}
 	waitState(t, shardTS, sv.ID, StateDone, 30*time.Second)
 	var shard [][]byte
-	for _, line := range streamLines(t, shardTS, sv.ID) {
+	lines := streamLines(t, shardTS, sv.ID)
+	for _, line := range lines[1 : len(lines)-1] {
 		shard = append(shard, append(line, '\n'))
 	}
 

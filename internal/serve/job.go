@@ -18,7 +18,9 @@ import (
 
 // Job kinds accepted by POST /v1/jobs.
 const (
-	// KindSim is one supervised execution (namesim's supervised path).
+	// KindSim is one supervised execution: attempt seeds as in
+	// namesim's supervised path, scheduler seed attemptSeed+1 (see
+	// Server.runSim).
 	KindSim = "sim"
 	// KindBatch is a multi-trial batch (sim.RunBatch).
 	KindBatch = "batch"
@@ -409,7 +411,7 @@ func validateRun(v *validated) *Error {
 	if err := checkInit(v.proto, sp.Init); err != nil {
 		return badRequest("%v", err)
 	}
-	if _, err := buildScheduler(v.proto, sp.N, sp.Sched, sp.Seed); err != nil {
+	if _, err := sim.AgentScheduler(v.proto, sp.N, sp.Sched, sp.Seed); err != nil {
 		return badRequest("%v", err)
 	}
 	return nil
@@ -425,12 +427,11 @@ func defaultBudget(kind string) int {
 
 // Prepared is a job spec that passed the service's admission
 // validation: defaults filled, seed resolved, protocol instantiated,
-// fault plan parsed and capability-checked. It exposes the exact
-// execution recipe the service workers use — trial seeds, supervision
-// bounds, stream header — to in-process embedders: the campaign
-// pipeline (internal/grid) runs grid cells through it so a local cell
-// run is record-for-record identical to the same cell submitted to a
-// ppserved node.
+// fault plan parsed and capability-checked. It exposes the service's
+// stream header and batch execution recipe to in-process embedders:
+// the campaign pipeline (internal/grid) runs grid cells through it so
+// a local cell run is record-for-record identical to the same cell
+// submitted to a ppserved node.
 type Prepared struct {
 	v *validated
 }
@@ -451,26 +452,15 @@ func Prepare(spec Spec) (*Prepared, error) {
 // it to a ppserved node re-validates to the identical spec.
 func (p *Prepared) Spec() Spec { return p.v.spec }
 
-// Proto returns the instantiated protocol (nil for table1 jobs).
-func (p *Prepared) Proto() core.Protocol { return p.v.proto }
-
-// SeedDerived reports whether the seed was auto-derived at Prepare.
-func (p *Prepared) SeedDerived() bool { return p.v.seedDerived }
-
 // Header returns the v1 stream header the service would emit for this
 // job, under the given tool name.
 func (p *Prepared) Header(tool string) obs.Header { return headerFor(p.v, tool) }
 
-// TrialMaker returns the per-trial constructor for batches on either
-// engine, with the service's seed recipe (see batchTrialMaker).
-func (p *Prepared) TrialMaker() func(trial, attempt int) sim.Trial {
-	return batchTrialMaker(p.v)
-}
-
-// Supervision returns the sim.Supervision for the spec's bounds, wired
-// to sink (tracing disabled).
-func (p *Prepared) Supervision(sink obs.Sink) sim.Supervision {
-	return supervisionFor(p.v, sink)
+// Run executes a prepared batch in-process, every trial journaled
+// into sink (tracing disabled), through the range runner the service
+// workers use, and returns the batch summary.
+func (p *Prepared) Run(ctx context.Context, sink obs.Sink) sim.BatchSummary {
+	return p.v.runRange(ctx, 0, p.v.spec.Trials, sink, obs.SpanContext{})
 }
 
 // JobSummary condenses a finished job's outcome for the job view (the

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,7 +9,6 @@ import (
 	"popnaming/internal/experiments"
 	"popnaming/internal/fault"
 	"popnaming/internal/obs"
-	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
 
@@ -26,28 +26,6 @@ func checkInit(proto core.Protocol, initKey string) error {
 		return nil
 	default:
 		return fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
-	}
-}
-
-// buildScheduler mirrors the CLI scheduler keys minus eclipse (an
-// attack-study scheduler with extra knobs the job schema doesn't
-// carry). The per-trial scheduler seed is trialSeed+1, matching the
-// stabilization experiments, so a seeded service job replays the
-// equivalent direct run exactly.
-func buildScheduler(proto core.Protocol, n int, schedKey string, seed int64) (sched.Scheduler, error) {
-	withLeader := core.HasLeader(proto)
-	switch schedKey {
-	case "random":
-		return sched.NewRandom(n, withLeader, seed), nil
-	case "roundrobin":
-		return sched.NewRoundRobin(n, withLeader), nil
-	case "matching":
-		if withLeader {
-			return nil, fmt.Errorf("matching scheduler is leaderless only")
-		}
-		return sched.NewMatching(n), nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q (random | roundrobin | matching)", schedKey)
 	}
 }
 
@@ -101,15 +79,6 @@ func supervisionFor(v *validated, sink obs.Sink) sim.Supervision {
 	}
 }
 
-// supervision is supervisionFor against the job's result buffer,
-// carrying the job's trace context (disabled for untraced jobs) so
-// attempt/slice spans parent under the job's root span.
-func (j *Job) supervision() sim.Supervision {
-	sup := supervisionFor(j.v, j.buf)
-	sup.Trace = j.traceCtx()
-	return sup
-}
-
 // execute runs the job's workload on the worker goroutine, streaming
 // records into the job buffer. Cancellation arrives through j.ctx and
 // aborts at the next supervision check; the generic lifecycle
@@ -143,21 +112,28 @@ func (s *Server) execute(j *Job) error {
 	}
 }
 
-// runSim executes one supervised trial, exactly namesim's supervised
-// path: per-attempt seeds sim.DeriveSeed(seed, 0, attempt), scheduler
-// seed attemptSeed+1, fresh injector per attempt.
+// runSim executes one supervised trial with per-attempt seeds
+// sim.DeriveSeed(seed, 0, attempt) (the job seed itself on attempt 0),
+// scheduler seed attemptSeed+1 — the batch recipe's scheduler role —
+// and a fresh injector seeded with attemptSeed per attempt. namesim's
+// supervised path seeds its scheduler with the attempt seed itself, so
+// a sim job and a same-seed namesim run draw different schedules.
+// Attempt and slice spans parent under the job's root span (disabled
+// for untraced jobs).
 func (s *Server) runSim(j *Job) error {
 	sp := j.v.spec
 	pr := j.v.proto
+	sup := supervisionFor(j.v, j.buf)
+	sup.Trace = j.traceCtx()
 	var finalCfg *core.Config
-	sr := sim.Supervise(j.ctx, j.supervision(), func(attempt int) *sim.Runner {
+	sr := sim.Supervise(j.ctx, sup, func(attempt int) *sim.Runner {
 		seed := sp.Seed
 		if attempt > 0 {
 			seed = sim.DeriveSeed(sp.Seed, 0, attempt)
 		}
 		cfg, _ := sim.AgentStart(pr, sp.N, sp.Init, seed)
 		finalCfg = cfg
-		sc, _ := buildScheduler(pr, sp.N, sp.Sched, seed+1)
+		sc, _ := sim.AgentScheduler(pr, sp.N, sp.Sched, seed+1)
 		runner := sim.NewRunner(pr, sc, cfg)
 		if !j.v.plan.Empty() {
 			inj, _ := fault.NewInjector(j.v.plan, pr, seed)
@@ -221,7 +197,7 @@ func (s *Server) runCountSim(j *Job) error {
 	}
 	status, reason := "ok", ""
 	if j.ctx.Err() != nil {
-		status, reason = "aborted", "interrupt"
+		status, reason = "aborted", "canceled"
 	}
 	j.setSummary(&JobSummary{
 		Status:      status,
@@ -257,7 +233,7 @@ func batchTrialMaker(v *validated) func(trial, attempt int) sim.Trial {
 			return sim.Trial{Count: cc, Seed: seed + 1}
 		}
 		cfg, _ := sim.AgentStart(pr, sp.N, sp.Init, seed)
-		sc, _ := buildScheduler(pr, sp.N, sp.Sched, seed+1)
+		sc, _ := sim.AgentScheduler(pr, sp.N, sp.Sched, seed+1)
 		t := sim.Trial{Cfg: cfg, Sched: sc}
 		if !v.plan.Empty() {
 			inj, _ := fault.NewInjector(v.plan, pr, seed)
@@ -267,28 +243,33 @@ func batchTrialMaker(v *validated) func(trial, attempt int) sim.Trial {
 	}
 }
 
-// shardRange resolves the job's executed trial range: the whole batch,
-// or the spec's shard window for the peer side of a distributed job.
-func (j *Job) shardRange() (lo, hi int) {
-	sp := j.v.spec
-	if sp.Shard != nil {
-		return sp.Shard.Lo, sp.Shard.Hi
-	}
-	return 0, sp.Trials
+// runRange runs the batch trials [lo, hi) into sink: sim.RunBatch
+// with the spec's worker count, supervision bounds and progress period
+// and the service trial-seed recipe (batchTrialMaker), tracing under
+// trace (the zero context disables it). It is the one batch recipe —
+// whole batches, shard windows, the coordinator's local leases and
+// in-process grid cells (Prepared.Run) all run through it, so a seeded
+// batch emits the same records on every path.
+func (v *validated) runRange(ctx context.Context, lo, hi int, sink obs.Sink, trace obs.SpanContext) sim.BatchSummary {
+	sup := supervisionFor(v, sink)
+	sup.Trace = trace
+	bo := sim.BatchObs{Sink: sink, ProgressEvery: v.spec.ProgressEvery}
+	return sim.RunBatch(ctx, v.proto, lo, hi, v.spec.Workers, sup, bo, batchTrialMaker(v))
 }
 
-// runBatch executes a batch on either engine with the experiment
-// harness's trial-seed recipe (see batchTrialMaker). A seeded batch
-// job therefore replays the equivalent direct sim.RunBatch call
+// runBatch executes a batch on either engine through runRange: the
+// whole batch, or the spec's shard window for the peer side of a
+// distributed job (the same global seed recipe either way). A seeded
+// batch job therefore replays the equivalent direct sim.RunBatch call
 // record-for-record (the e2e test pins this byte-for-byte modulo
-// wall-clock fields). A shard job runs just its range on the same
-// global seed recipe.
+// wall-clock fields).
 func (s *Server) runBatch(j *Job) error {
 	sp := j.v.spec
-	pr := j.v.proto
-	lo, hi := j.shardRange()
-	bo := sim.BatchObs{Sink: j.buf, ProgressEvery: sp.ProgressEvery}
-	sum := sim.RunBatch(j.ctx, pr, lo, hi, sp.Workers, j.supervision(), bo, batchTrialMaker(j.v))
+	lo, hi := 0, sp.Trials
+	if sp.Shard != nil {
+		lo, hi = sp.Shard.Lo, sp.Shard.Hi
+	}
+	sum := j.v.runRange(j.ctx, lo, hi, j.buf, j.traceCtx())
 	j.setSummary(&JobSummary{
 		Trials:          sum.Trials,
 		TrialsConverged: sum.Converged,

@@ -201,7 +201,7 @@ func TestJobDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc, err := buildScheduler(pr, spec.N, "random", seed+1)
+			sc, err := sim.AgentScheduler(pr, spec.N, "random", seed+1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ import (
 
 	"popnaming/internal/core"
 	"popnaming/internal/obs"
+	"popnaming/internal/sched"
 )
 
 // The count-based (Gillespie) engine. Under the uniform random
@@ -426,6 +427,26 @@ func AgentStart(p core.Protocol, n int, initKey string, seed int64) (*core.Confi
 		return ArbitraryConfig(ap, n, rand.New(rand.NewSource(seed))), nil
 	}
 	return nil, fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
+}
+
+// AgentScheduler builds the agent-engine scheduler for a scheduler key,
+// the counterpart of AgentStart: "random" draws pairs from seed,
+// "roundrobin" and "matching" are deterministic, and matching is
+// leaderless only. Other keys are an error.
+func AgentScheduler(p core.Protocol, n int, key string, seed int64) (sched.Scheduler, error) {
+	withLeader := core.HasLeader(p)
+	switch key {
+	case "random":
+		return sched.NewRandom(n, withLeader, seed), nil
+	case "roundrobin":
+		return sched.NewRoundRobin(n, withLeader), nil
+	case "matching":
+		if withLeader {
+			return nil, fmt.Errorf("matching scheduler is leaderless only")
+		}
+		return sched.NewMatching(n), nil
+	}
+	return nil, fmt.Errorf("unknown scheduler %q (random | roundrobin | matching)", key)
 }
 
 // CountStart builds the count-space start for an initialization key:
