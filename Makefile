@@ -46,7 +46,7 @@ DIST_BENCH = BenchmarkDistSharded|BenchmarkDistDegraded
 # an all-cache-hit second pass (see docs/pipeline.md).
 GRID_BENCH = BenchmarkGridLocal|BenchmarkGridServer|BenchmarkGridServerCached
 
-.PHONY: check vet build test test-bench race fmt fuzzbuild bench bench-engine bench-search bench-fault bench-serve bench-trace bench-count bench-store bench-dist bench-grid serve
+.PHONY: check vet build test test-bench race fmt fuzzbuild paper bench bench-engine bench-search bench-fault bench-serve bench-trace bench-count bench-store bench-dist bench-grid serve
 
 # check is the single entry point: everything CI (or a reviewer) needs.
 check: vet build race fmt fuzzbuild test-bench
@@ -91,6 +91,19 @@ fmt:
 # only (no fuzzing time), so a broken target fails check.
 fuzzbuild:
 	$(GO) test -run='^Fuzz' -count=1 ./...
+
+# paper regenerates docs/paper_output.txt, the convergence-cost tables
+# of E12, E12b and E15: every grid under examples/grids/paper/ runs
+# through ppanalyze, whose stdout (summary table, then growth table) is
+# deterministic for a seeded grid. Journals and plots go to .paper_out/.
+PAPER_GRIDS = $(sort $(wildcard examples/grids/paper/*.json))
+paper:
+	$(GO) build -o .paper_out/ppanalyze ./cmd/ppanalyze
+	@for g in $(PAPER_GRIDS); do \
+		.paper_out/ppanalyze -q -grid $$g -out .paper_out/$$(basename $$g .json) || exit 1; \
+		echo; \
+	done > docs/paper_output.txt
+	@echo "wrote docs/paper_output.txt"
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

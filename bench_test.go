@@ -1,9 +1,9 @@
-// Package popnaming's root benchmark harness regenerates every
-// experiment of the paper reproduction (see DESIGN.md's experiment index
-// E1-E14 and EXPERIMENTS.md for recorded outcomes). Each benchmark's
-// reported ns/op is the cost of one full experiment run; benchmarks that
-// reproduce convergence-cost figures additionally report
-// interactions/op, the paper-relevant metric.
+// Package popnaming's root benchmark harness regenerates the experiments
+// of the paper reproduction (see DESIGN.md's experiment index E1-E22 and
+// EXPERIMENTS.md for recorded outcomes). Each benchmark's reported ns/op
+// is the cost of one full experiment run; benchmarks that reproduce
+// convergence-cost figures additionally report interactions/op, the
+// paper-relevant metric.
 //
 // Run everything:
 //
@@ -14,12 +14,15 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/counting"
 	"popnaming/internal/experiments"
 	"popnaming/internal/explore"
+	"popnaming/internal/grid"
 	"popnaming/internal/impossible"
 	"popnaming/internal/naming"
 	"popnaming/internal/sched"
@@ -218,19 +221,39 @@ func BenchmarkE11FairnessSeparation(b *testing.B) {
 	}
 }
 
-// BenchmarkE12Sweep: one full convergence-cost curve (the figure-style
-// E12 extension) per iteration, small sizes.
-func BenchmarkE12Sweep(b *testing.B) {
+// benchPaperGrid runs one checked-in paper grid end to end through the
+// campaign pipeline per iteration, and fails on any failed cell or
+// unconverged trial.
+func benchPaperGrid(b *testing.B, name string) {
+	f, err := os.Open(filepath.Join("examples", "grids", "paper", name+".json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, err := grid.Parse(f)
+	f.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		s := experiments.Sweep("asym", func(p int) core.Protocol { return naming.NewAsymmetric(p) },
-			experiments.SweepOptions{Sizes: []int{4, 8, 16}, Trials: 5, Seed: int64(i)})
-		for _, pt := range s.Points {
-			if pt.Failures > 0 {
-				b.Fatalf("sweep failure at N=%d", pt.N)
+		cp := &grid.Campaign{Spec: sp, Runner: grid.LocalRunner{}, Out: b.TempDir()}
+		res, err := cp.Execute(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Failed) > 0 {
+			b.Fatalf("cell %s failed: %v", res.Failed[0].Cell.ID(), res.Failed[0].Err)
+		}
+		for _, cs := range res.Stats {
+			if cs.Converged != cs.Trials {
+				b.Fatalf("cell %s: %d/%d trials converged", cs.Cell.ID(), cs.Converged, cs.Trials)
 			}
 		}
 	}
 }
+
+// BenchmarkE12Sweep: the E12 convergence-cost curves of the polynomial
+// protocols (examples/grids/paper/e12-poly.json) per iteration.
+func BenchmarkE12Sweep(b *testing.B) { benchPaperGrid(b, "e12-poly") }
 
 // BenchmarkE13Recovery: corruption/re-convergence for Protocol 2.
 func BenchmarkE13Recovery(b *testing.B) {
@@ -383,18 +406,8 @@ func BenchmarkGraphBuild(b *testing.B) {
 }
 
 // BenchmarkE15Slack: time price of exact space optimality — fixed N,
-// growing state budget P.
-func BenchmarkE15Slack(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Slack("symglobal", func(p int) core.Protocol { return naming.NewSymGlobal(p) },
-			experiments.SlackOptions{N: 6, MaxSlack: 4, Trials: 3, Seed: int64(i)})
-		for _, pt := range res.Points {
-			if pt.Failures > 0 {
-				b.Fatalf("slack run failed at P=%d", pt.P)
-			}
-		}
-	}
-}
+// growing state budget P (examples/grids/paper/e15-symglobal.json).
+func BenchmarkE15Slack(b *testing.B) { benchPaperGrid(b, "e15-symglobal") }
 
 // BenchmarkE16ResetAblation: exhaustive check of Protocol 2's reset line.
 func BenchmarkE16ResetAblation(b *testing.B) {

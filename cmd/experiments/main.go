@@ -3,12 +3,9 @@
 // outcomes):
 //
 //	experiments table1         Table 1 feasibility/state-space matrix (E1)
-//	experiments sweep          convergence cost vs N, all protocols (E12)
-//	experiments fullpop        Protocol 3 N=P cost blow-up (E12b)
 //	experiments recovery       corruption / re-convergence (E13)
 //	experiments ablation       U* vs naive sequence (E14)
 //	experiments separation     weak vs global fairness on Protocol 3 (E11)
-//	experiments slack          time price of exact space optimality (E15)
 //	experiments resetablation  Protocol 2 without its reset line (E16)
 //	experiments exact          exact expected convergence times (E17)
 //	experiments thm11          Theorem 11 beyond model-checkable sizes (E18)
@@ -16,17 +13,13 @@
 //	experiments distribution   exact convergence-time distributions (E20)
 //	experiments oracle         constructive proof schedules (E21)
 //	experiments stabilize      multi-epoch fault injection / re-convergence (E22)
-//	experiments countdiff      count vs agent engine KS differential (E23)
 //	experiments countscale     count-engine throughput at N = 10^3…10^8 (E24)
 //	experiments all            everything above
 //
-// -engine selects the execution engine the suite may assume: "agent"
-// (default) runs everything; "count" restricts the suite to the
-// count-compatible experiments (countdiff, countscale) — "all" then
-// means exactly those two, and explicitly selecting an experiment that
-// needs identity-dependent machinery (agent schedulers, fairness
-// audits, targeted faults, state-graph exploration) is rejected at
-// flag-parse time, naming the incompatibility.
+// The convergence-cost sweeps E12, E12b and E15 are campaign grids
+// under examples/grids/paper/, run by `make paper` through ppanalyze;
+// E23, the count-vs-agent differential, is the sim package's
+// TestCountMatchesAgentDistribution.
 //
 // With -json the selected experiments are emitted as one JSON document
 // on stdout instead of rendered tables (including a "timings" section
@@ -72,12 +65,9 @@ import (
 type results struct {
 	Seed          int64                            `json:"seed"`
 	Table1        []experiments.Cell               `json:"table1,omitempty"`
-	Sweeps        []experiments.SweepResult        `json:"sweeps,omitempty"`
-	FullPop       *experiments.SweepResult         `json:"fullPopulation,omitempty"`
 	Recovery      []experiments.RecoveryResult     `json:"recovery,omitempty"`
 	UStarAblation *experiments.AblationResult      `json:"ustarAblation,omitempty"`
 	Separation    *experiments.SeparationResult    `json:"fairnessSeparation,omitempty"`
-	Slack         []experiments.SlackResult        `json:"slack,omitempty"`
 	ResetAblation *experiments.ResetAblationResult `json:"resetAblation,omitempty"`
 	Exact         []experiments.ExactPoint         `json:"exactTimes,omitempty"`
 	Thm11         []experiments.Thm11Point         `json:"thm11Scaling,omitempty"`
@@ -85,41 +75,19 @@ type results struct {
 	Distributions []experiments.DistPoint          `json:"distributions,omitempty"`
 	Oracle        []experiments.OraclePoint        `json:"oracleSchedules,omitempty"`
 	Stabilize     []experiments.StabilizeResult    `json:"stabilize,omitempty"`
-	CountDiff     []experiments.CountDiffPoint     `json:"countDifferential,omitempty"`
 	CountScale    *experiments.CountScaleResult    `json:"countScale,omitempty"`
 	Timings       []obs.ExperimentRec              `json:"timings,omitempty"`
 }
 
 // listSuite renders the suite registry: one row per experiment with
-// its DESIGN.md tag, CLI selector, compatible engines and description.
+// its DESIGN.md tag, CLI selector and description.
 func listSuite(w io.Writer) {
 	tab := report.NewTable("experiment suite (run with: experiments <key>)",
-		"tag", "key", "engines", "description")
+		"tag", "key", "description")
 	for _, e := range experiments.Suite() {
-		engines := "agent"
-		if experiments.CountCompatible(e.Key) {
-			engines = "agent, count"
-		}
-		tab.AddRow(e.Tag, e.Key, engines, e.Description)
+		tab.AddRow(e.Tag, e.Key, e.Description)
 	}
 	tab.Render(w)
-}
-
-// engineSelectionError rejects engine/experiment combinations at
-// flag-parse time: an unknown engine name, or an explicitly selected
-// experiment that the count engine cannot run.
-func engineSelectionError(engine, which string) error {
-	switch engine {
-	case "agent":
-		return nil
-	case "count":
-		if which == "all" || experiments.CountCompatible(which) {
-			return nil
-		}
-		return fmt.Errorf("experiment %q needs the agent engine (identity-dependent machinery); -engine count supports: countdiff countscale", which)
-	default:
-		return fmt.Errorf("unknown engine %q (agent | count)", engine)
-	}
 }
 
 // suiteRunner times each selected experiment, journals it, and keeps
@@ -183,7 +151,6 @@ func main() {
 		seedFlag = flag.Int64("seed", 1, "random seed (0: auto-derive from the clock; the seed used is reported)")
 		p        = flag.Int("p", 6, "population bound for table1 simulation checks")
 		mcp      = flag.Int("mcp", 3, "population bound for exhaustive model checks")
-		maxP     = flag.Int("maxp", 4, "largest P for the full-population cost probe")
 		asJSON   = flag.Bool("json", false, "emit structured JSON instead of tables")
 		journal  = flag.String("journal", "", "write a JSONL run journal to this file (see docs/observability.md)")
 		metrics  = flag.Bool("metrics", false, "print the per-experiment timing table")
@@ -192,8 +159,7 @@ func main() {
 		faults   = flag.String("faults", "", "fault plan for the stabilize experiment, e.g. '@conv:corrupt=2,@conv:crash=1' (default: 3 epochs of @conv:corrupt=2)")
 		deadline = flag.Duration("deadline", 0, "wall-clock deadline per stabilize batch (0: none)")
 		retries  = flag.Int("retries", 0, "stall-retry allowance per stabilize trial")
-		engine   = flag.String("engine", "agent", "execution engine: agent | count (count restricts the suite to count-compatible experiments)")
-		list     = flag.Bool("list", false, "list the experiment suite (tag, selector, engines, description) and exit")
+		list     = flag.Bool("list", false, "list the experiment suite (tag, selector, description) and exit")
 	)
 	flag.Parse()
 
@@ -228,10 +194,6 @@ func main() {
 				which, experiments.SuiteKeys())
 			os.Exit(2)
 		}
-	}
-	if err := engineSelectionError(*engine, which); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: -engine:", err)
-		os.Exit(2)
 	}
 
 	seed, derived := obs.ResolveSeed(*seedFlag)
@@ -290,16 +252,8 @@ func main() {
 		sr.sink.Emit(hdr)
 	}
 
-	runAll := which == "all"
-	// sel gates each experiment: selected by name or by "all", minus
-	// whatever the chosen engine cannot run (under -engine count, "all"
-	// shrinks to the count-compatible experiments).
-	sel := func(key string) bool {
-		if *engine == "count" && !experiments.CountCompatible(key) {
-			return false
-		}
-		return runAll || which == key
-	}
+	// sel gates each experiment: selected by name or by "all".
+	sel := func(key string) bool { return which == "all" || which == key }
 	out := results{Seed: seed}
 
 	if sel("table1") {
@@ -318,27 +272,7 @@ func main() {
 			return true
 		})
 	}
-	if sel("sweep") {
-		sr.run("sweep", func() bool {
-			out.Sweeps = experiments.StandardSweeps(seed)
-			if !*asJSON {
-				experiments.RenderSweeps(os.Stdout, out.Sweeps)
-				fmt.Println()
-			}
-			return true
-		})
-	}
-	if sel("fullpop") {
-		sr.run("fullpop", func() bool {
-			fp := experiments.FullPopulationCost(seed, *maxP)
-			out.FullPop = &fp
-			if !*asJSON {
-				experiments.RenderSweeps(os.Stdout, []experiments.SweepResult{fp})
-				fmt.Println()
-			}
-			return true
-		})
-	}
+
 	if sel("recovery") {
 		sr.run("recovery", func() bool {
 			out.Recovery = experiments.StandardRecovery(seed)
@@ -371,16 +305,7 @@ func main() {
 			return true
 		})
 	}
-	if sel("slack") {
-		sr.run("slack", func() bool {
-			out.Slack = experiments.StandardSlack(seed)
-			if !*asJSON {
-				experiments.RenderSlack(os.Stdout, out.Slack)
-				fmt.Println()
-			}
-			return true
-		})
-	}
+
 	if sel("resetablation") {
 		sr.run("resetablation", func() bool {
 			ra := experiments.ResetAblation(2)
@@ -470,21 +395,7 @@ func main() {
 			return len(out.Stabilize) > 0
 		})
 	}
-	if sel("countdiff") {
-		sr.run("countdiff", func() bool {
-			out.CountDiff = experiments.CountDifferential(experiments.CountDiffOptions{Seed: seed})
-			if !*asJSON {
-				experiments.RenderCountDiff(os.Stdout, out.CountDiff)
-				fmt.Println()
-			}
-			for _, pt := range out.CountDiff {
-				if !pt.OK {
-					return false
-				}
-			}
-			return len(out.CountDiff) > 0
-		})
-	}
+
 	if sel("countscale") {
 		sr.run("countscale", func() bool {
 			cs := experiments.CountScale(experiments.CountScaleOptions{Seed: seed})

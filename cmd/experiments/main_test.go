@@ -7,67 +7,15 @@ import (
 	"popnaming/internal/experiments"
 )
 
-func TestEngineSelectionError(t *testing.T) {
-	cases := []struct {
-		engine, which string
-		wantErr       string // substring, "" = accepted
-	}{
-		{"agent", "all", ""},
-		{"agent", "table1", ""},
-		{"agent", "countdiff", ""},
-		{"count", "all", ""},
-		{"count", "countdiff", ""},
-		{"count", "countscale", ""},
-		{"count", "table1", "needs the agent engine"},
-		{"count", "sweep", "needs the agent engine"},
-		{"count", "stabilize", "needs the agent engine"},
-		{"warp", "all", "unknown engine"},
-	}
-	for _, c := range cases {
-		err := engineSelectionError(c.engine, c.which)
-		if c.wantErr == "" {
-			if err != nil {
-				t.Errorf("engineSelectionError(%q, %q) = %v, want accept", c.engine, c.which, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("engineSelectionError(%q, %q) = %v, want error containing %q", c.engine, c.which, err, c.wantErr)
-		}
-	}
-}
-
-// TestEngineSelectionCoversSuite pins the contract the -engine count
-// gate relies on: every suite key either runs under count or is
-// rejected with the structured flag-parse error — no silent third path.
-func TestEngineSelectionCoversSuite(t *testing.T) {
-	for _, e := range experiments.Suite() {
-		err := engineSelectionError("count", e.Key)
-		if experiments.CountCompatible(e.Key) != (err == nil) {
-			t.Errorf("key %q: CountCompatible=%v but engineSelectionError=%v", e.Key, experiments.CountCompatible(e.Key), err)
-		}
-	}
-}
-
 // TestListSuite pins the -list output: every registry entry appears
-// with its tag and engine compatibility, and only the two
-// count-compatible experiments advertise the count engine.
+// with its tag and description.
 func TestListSuite(t *testing.T) {
 	var b strings.Builder
 	listSuite(&b)
 	out := b.String()
-	countRows := 0
 	for _, e := range experiments.Suite() {
 		if !strings.Contains(out, e.Key) || !strings.Contains(out, e.Tag) || !strings.Contains(out, e.Description) {
 			t.Errorf("entry %s (%s) missing from listing:\n%s", e.Key, e.Tag, out)
 		}
-	}
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "agent, count") {
-			countRows++
-		}
-	}
-	if countRows != 2 {
-		t.Errorf("%d rows advertise the count engine, want 2 (countdiff, countscale)", countRows)
 	}
 }

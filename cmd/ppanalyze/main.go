@@ -3,8 +3,10 @@
 // population × scheduler × init × fault product), executes every cell
 // — in-process by default, or against a running ppserved node with
 // -server — and reduces the per-cell journals into convergence
-// summaries: summary.{csv,txt,tex} plus per-cell convergence-CDF plots
-// under plots/ (ASCII and SVG). See docs/pipeline.md.
+// summaries: summary.{csv,txt,tex}, growth.{csv,txt,tex} when a block
+// of cells spans three or more N (grid.GrowthTable), plus per-cell
+// convergence-CDF plots under plots/ (ASCII and SVG). The summary and
+// growth tables also go to stdout. See docs/pipeline.md.
 //
 //	ppanalyze -grid examples/grids/quickstart.json -out out/
 //	ppanalyze -grid sweep.json -out out/ -server http://node:8080
@@ -96,6 +98,10 @@ func run() int {
 		return 2
 	}
 	grid.SummaryTable(sp, res.Stats).Render(os.Stdout)
+	if g := grid.GrowthTable(sp, res.Stats); g != nil {
+		fmt.Println()
+		g.Render(os.Stdout)
+	}
 	fmt.Fprintf(os.Stderr, "ppanalyze: %d cells: %d ran, %d resumed, %d failed; artifacts in %s\n",
 		len(res.Cells), res.Ran, res.Skipped, len(res.Failed), *out)
 	if len(res.Failed) > 0 {

@@ -5,45 +5,6 @@ import (
 	"testing"
 )
 
-func TestCountCompatible(t *testing.T) {
-	compatible := 0
-	for _, e := range Suite() {
-		if CountCompatible(e.Key) {
-			compatible++
-		}
-	}
-	if compatible != 2 {
-		t.Fatalf("count-compatible suite entries = %d, want 2", compatible)
-	}
-	if !CountCompatible("countdiff") || !CountCompatible("countscale") {
-		t.Fatal("countdiff/countscale must be count-compatible")
-	}
-	if CountCompatible("table1") || CountCompatible("nonsense") {
-		t.Fatal("identity-dependent keys must not be count-compatible")
-	}
-}
-
-func TestCountDifferentialSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("engine differential is not short")
-	}
-	// A down-scaled E23: enough trials for the rate check on every
-	// protocol, KS only where convergence is plentiful. The full-size run
-	// is exercised by the sim package's differential suite.
-	points := CountDifferential(CountDiffOptions{Trials: 40, Budget: 300_000, Seed: 9})
-	if len(points) != len(RegistryKeys()) {
-		t.Fatalf("got %d points, want one per registry protocol (%d)", len(points), len(RegistryKeys()))
-	}
-	for _, p := range points {
-		if !p.OK {
-			t.Errorf("%s: not OK: %s (agent %d, count %d)", p.Protocol, p.Detail, p.AgentConverged, p.CountConverged)
-		}
-		if p.Protocol == "asym" && !p.KSUsed {
-			t.Errorf("asym: expected enough converged mass for the KS test, got %d/%d", p.AgentConverged, p.CountConverged)
-		}
-	}
-}
-
 func TestCountScaleSmall(t *testing.T) {
 	res := CountScale(CountScaleOptions{Sizes: []int{1_000, 100_000}, Steps: 200_000, Seed: 3})
 	if len(res.Points) != 2 {

@@ -49,18 +49,6 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
-func TestRenderSweepsIncludesFits(t *testing.T) {
-	s := Sweep("asym", protoAsym, SweepOptions{Sizes: []int{2, 4, 8, 16}, Trials: 3, Seed: 7})
-	var b strings.Builder
-	RenderSweeps(&b, []SweepResult{s})
-	out := b.String()
-	for _, want := range []string{"Growth-model fits", "# series: asym", "median"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendering missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestRenderRecovery(t *testing.T) {
 	res := Recovery("selfstab", protoSelfStab(4), RecoveryOptions{
 		N: 4, Trials: 2, Budget: 5_000_000, Seed: 8,
@@ -69,44 +57,5 @@ func TestRenderRecovery(t *testing.T) {
 	RenderRecovery(&b, []RecoveryResult{res})
 	if !strings.Contains(b.String(), "selfstab") {
 		t.Error("rendering incomplete")
-	}
-}
-
-func TestRenderSlackTable(t *testing.T) {
-	res := Slack("asym", protoAsym, SlackOptions{N: 4, MaxSlack: 2, Trials: 2, Budget: 2_000_000, Seed: 9})
-	var b strings.Builder
-	RenderSlack(&b, []SlackResult{res})
-	if !strings.Contains(b.String(), "slack") {
-		t.Error("rendering incomplete")
-	}
-}
-
-// TestGrowthFitDetectsExponential: the selfstab sweep's fitted model is
-// exponential with doubling-rate slope near 1.
-func TestGrowthFitDetectsExponential(t *testing.T) {
-	s := Sweep("selfstab", func(p int) core.Protocol { return protoSelfStab(p) },
-		SweepOptions{Sizes: []int{4, 6, 8, 10, 12}, Trials: 5, Budget: 50_000_000, Seed: 10})
-	fit, ok := s.GrowthFit()
-	if !ok {
-		t.Fatal("no fit")
-	}
-	if fit.Model != "y = A*2^(B*x)" {
-		t.Fatalf("selfstab fitted as %s (%+v); expected exponential", fit.Model, fit)
-	}
-	if fit.B < 0.5 || fit.B > 2.0 {
-		t.Errorf("doubling slope %v outside plausible range", fit.B)
-	}
-}
-
-// TestGrowthFitDetectsPolynomial: the asymmetric protocol's cost is
-// polynomial in N.
-func TestGrowthFitDetectsPolynomial(t *testing.T) {
-	s := Sweep("asym", protoAsym, SweepOptions{Sizes: []int{4, 8, 16, 32, 64}, Trials: 5, Seed: 11})
-	fit, ok := s.GrowthFit()
-	if !ok {
-		t.Fatal("no fit")
-	}
-	if fit.Model != "y = A*x^B" {
-		t.Fatalf("asymmetric fitted as %s (%+v); expected power law", fit.Model, fit)
 	}
 }

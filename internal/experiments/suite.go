@@ -17,12 +17,9 @@ type SuiteEntry struct {
 func Suite() []SuiteEntry {
 	return []SuiteEntry{
 		{"table1", "E1", "Table 1 feasibility/state-space matrix"},
-		{"sweep", "E12", "convergence cost vs N, all protocols"},
-		{"fullpop", "E12b", "Protocol 3 N=P cost blow-up"},
 		{"recovery", "E13", "corruption / re-convergence"},
 		{"ablation", "E14", "U* vs naive sequence"},
 		{"separation", "E11", "weak vs global fairness on Protocol 3"},
-		{"slack", "E15", "time price of exact space optimality"},
 		{"resetablation", "E16", "Protocol 2 without its reset line"},
 		{"exact", "E17", "exact expected convergence times"},
 		{"thm11", "E18", "Theorem 11 beyond model-checkable sizes"},
@@ -30,22 +27,8 @@ func Suite() []SuiteEntry {
 		{"distribution", "E20", "exact convergence-time distributions"},
 		{"oracle", "E21", "constructive proof schedules"},
 		{"stabilize", "E22", "multi-epoch fault injection / re-convergence"},
-		{"countdiff", "E23", "count vs agent engine KS differential"},
 		{"countscale", "E24", "count-engine throughput at N = 10^3...10^8"},
 	}
-}
-
-// CountCompatible reports whether the experiment registered under key
-// can run entirely on the count engine. Everything else in the suite
-// leans on identity-dependent machinery — agent-array schedulers,
-// fairness audits, targeted faults, exhaustive state-graph exploration —
-// that a counts-only representation cannot express.
-func CountCompatible(key string) bool {
-	switch key {
-	case "countdiff", "countscale":
-		return true
-	}
-	return false
 }
 
 // SuiteKeys returns the experiment selectors in suite run order.

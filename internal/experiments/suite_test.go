@@ -21,9 +21,9 @@ func TestSuiteKeysUniqueAndTagged(t *testing.T) {
 }
 
 func TestSuiteLookup(t *testing.T) {
-	e, ok := SuiteLookup("sweep")
-	if !ok || e.Tag != "E12" {
-		t.Fatalf("SuiteLookup(sweep) = %+v, %v", e, ok)
+	e, ok := SuiteLookup("recovery")
+	if !ok || e.Tag != "E13" {
+		t.Fatalf("SuiteLookup(recovery) = %+v, %v", e, ok)
 	}
 	if _, ok := SuiteLookup("nonsense"); ok {
 		t.Fatal("SuiteLookup(nonsense) should fail")

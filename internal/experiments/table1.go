@@ -1,13 +1,15 @@
 // Package experiments implements the paper-reproduction harness: every
-// table and figure of the evaluation, as runnable experiments with
+// table and figure of the evaluation that is not a plain protocol ×
+// population × scheduler product, as runnable experiments with
 // structured results. The cmd/table1 and cmd/experiments binaries and
 // the repository-root benchmarks are thin wrappers over this package.
 //
 // The paper (a brief announcement) has one table — Table 1, the
 // synthesis of feasibility and exact state-space optimality across model
 // parameters — plus constructive proofs. Table1 reproduces every cell
-// with executable evidence; the sweep/recovery/ablation experiments
-// cover the figure-style extensions recorded in EXPERIMENTS.md.
+// with executable evidence; the recovery/ablation/oracle experiments
+// cover the extensions recorded in EXPERIMENTS.md. The convergence-cost
+// sweeps (E12, E12b, E15) are campaign grids under examples/grids/paper/.
 package experiments
 
 import (

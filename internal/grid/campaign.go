@@ -9,11 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"popnaming/internal/report"
 )
 
 // Campaign executes a grid spec into an output directory:
 // out/journals/<cell>.jsonl per cell, then the reduced artifacts
-// out/summary.{csv,txt,tex} and out/plots/<cell>.{txt,svg}.
+// out/summary.{csv,txt,tex}, out/growth.{csv,txt,tex} when GrowthTable
+// has a row, and out/plots/<cell>.{txt,svg}.
 type Campaign struct {
 	Spec   *Spec
 	Runner CellRunner
@@ -181,10 +184,10 @@ func (cp *Campaign) runOne(ctx context.Context, c Cell, journal *bytes.Buffer) c
 }
 
 // completeStats reduces the cell's journal on disk and reports whether
-// it is a finished run of this exact cell: readable, untorn, header
-// seed matching the cell's derived seed (a spec edit that reshuffles
-// seeds invalidates stale journals), and a batch summary covering
-// every trial.
+// it is a finished run of this exact cell: readable, untorn (intact
+// last line and a batch summary), header seed matching the cell's
+// derived seed (a spec edit that reshuffles seeds invalidates stale
+// journals), and the batch summary covering every trial.
 func (cp *Campaign) completeStats(c Cell, path string) (CellStats, bool) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -198,26 +201,21 @@ func (cp *Campaign) completeStats(c Cell, path string) (CellStats, bool) {
 	return cs, cs.Trials == cp.Spec.Trials
 }
 
-// writeArtifacts renders the reduced campaign: summary table in text,
-// CSV and LaTeX, plus one convergence-CDF plot per cell in ASCII and
-// SVG. All emitters are wall-clock free, so re-rendering the same
-// journals is byte-stable.
+// writeArtifacts renders the reduced campaign: summary table, and the
+// growth table when it has a row, in text, CSV and LaTeX, plus one
+// convergence-CDF plot per cell in ASCII and SVG. All emitters are
+// wall-clock free, so re-rendering the same journals is byte-stable.
 func (cp *Campaign) writeArtifacts(stats []CellStats) error {
 	if err := os.MkdirAll(filepath.Join(cp.Out, "plots"), 0o755); err != nil {
 		return err
 	}
-	tab := SummaryTable(cp.Spec, stats)
-	if err := writeFileWith(filepath.Join(cp.Out, "summary.txt"), func(w io.Writer) error {
-		tab.Render(w)
-		return nil
-	}); err != nil {
+	if err := writeTable(filepath.Join(cp.Out, "summary"), SummaryTable(cp.Spec, stats)); err != nil {
 		return err
 	}
-	if err := writeFileWith(filepath.Join(cp.Out, "summary.csv"), tab.RenderCSV); err != nil {
-		return err
-	}
-	if err := writeFileWith(filepath.Join(cp.Out, "summary.tex"), tab.RenderLaTeX); err != nil {
-		return err
+	if g := GrowthTable(cp.Spec, stats); g != nil {
+		if err := writeTable(filepath.Join(cp.Out, "growth"), g); err != nil {
+			return err
+		}
 	}
 	for _, cs := range stats {
 		cdf := ConvergenceCDF(cs)
@@ -235,6 +233,20 @@ func (cp *Campaign) writeArtifacts(stats []CellStats) error {
 		}
 	}
 	return nil
+}
+
+// writeTable renders tab to base.txt, base.csv and base.tex.
+func writeTable(base string, tab *report.Table) error {
+	if err := writeFileWith(base+".txt", func(w io.Writer) error {
+		tab.Render(w)
+		return nil
+	}); err != nil {
+		return err
+	}
+	if err := writeFileWith(base+".csv", tab.RenderCSV); err != nil {
+		return err
+	}
+	return writeFileWith(base+".tex", tab.RenderLaTeX)
 }
 
 // writeFileWith renders into path atomically (temp + rename), through

@@ -207,6 +207,38 @@ func TestCampaignE2E(t *testing.T) {
 	assertArtifactsEqual(t, serverDir, serverDir2)
 }
 
+// TestResumeRerunsJournalWithoutBatchSummary: a journal cut at a line
+// boundary just before its batch summary is intact line by line but not
+// complete, so -resume re-runs the cell instead of keeping the counts
+// its per-trial records show.
+func TestResumeRerunsJournalWithoutBatchSummary(t *testing.T) {
+	sp := parse(t, `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"trials":3,"seed":5}`)
+	cp := &Campaign{Spec: sp, Runner: LocalRunner{}, Out: t.TempDir()}
+	if _, err := cp.Execute(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	path := cp.JournalPath(sp.Cells()[0])
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := strings.Index(string(full), `{"v":1,"type":"batch_summary"`)
+	if cut < 0 {
+		t.Fatalf("journal has no batch summary:\n%s", full)
+	}
+	if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp.Resume = true
+	res, err := cp.Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ran != 1 || res.Skipped != 0 {
+		t.Fatalf("resume over a journal without its batch summary: ran %d skipped %d, want 1/0", res.Ran, res.Skipped)
+	}
+}
+
 // badSeedRunner runs cells locally, except that the cells in bad get a
 // journal whose header seed is not theirs, which does not reduce.
 type badSeedRunner struct{ bad map[int]bool }

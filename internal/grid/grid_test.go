@@ -6,9 +6,15 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"math"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"popnaming/internal/report"
+	"popnaming/internal/stats"
 )
 
 func parse(t *testing.T, src string) *Spec {
@@ -279,4 +285,128 @@ func TestConvergenceCDF(t *testing.T) {
 	if s.Y[2] != 0.75 {
 		t.Errorf("CDF top = %v, want 0.75", s.Y[2])
 	}
+}
+
+// TestGrowthTable fits one row per block of cells that differ only in
+// population, and gives no row to a block a fit cannot use: one that
+// never converged, or one that fixes N (a P sweep, whose abscissae
+// would make the regression divide by zero). A population that omits n
+// is no point, and a grid with fewer than three populations costs no
+// allocation and writes no growth files.
+func TestGrowthTable(t *testing.T) {
+	withMedians := func(sp *Spec, median func(c Cell) float64) []CellStats {
+		var out []CellStats
+		for _, c := range sp.Cells() {
+			out = append(out, CellStats{Cell: c, Steps: stats.Summary{Median: median(c)}})
+		}
+		return out
+	}
+	sp := parse(t, `{"protocols":["asym","selfstab","naive"],"populations":[{"p":16,"n":2},{"p":16,"n":4},{"p":16,"n":8},{"p":16,"n":16}],"seed":1}`)
+	tab := GrowthTable(sp, withMedians(sp, func(c Cell) float64 {
+		n := float64(c.Pop.N)
+		switch c.Protocol {
+		case "asym":
+			return 3 * n * n
+		case "selfstab":
+			return 5 * math.Exp2(n)
+		}
+		return 0 // naive: no trial converged
+	}))
+	csvOf := func(tab *report.Table) string {
+		if tab == nil {
+			return "<nil>"
+		}
+		var b strings.Builder
+		if err := tab.RenderCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	const header = "protocol,engine,sched,init,faults,points,law,a,b,r2\n"
+	want := header +
+		"asym,agent,random,zero,,4,N^2,3,2,1.0000\n" +
+		"selfstab,agent,random,zero,,4,2^(1N),5,1,1.0000\n"
+	if got := csvOf(tab); got != want {
+		t.Errorf("growth CSV:\n%s\nwant:\n%s", got, want)
+	}
+
+	// A population that omits n runs at N = P; its literal N = 0 is no
+	// point of a log-log fit, and must not reach one.
+	implicitN := parse(t, `{"protocols":["asym"],"populations":[{"p":8},{"p":8,"n":2},{"p":8,"n":4},{"p":8,"n":8}],"seed":1}`)
+	tab = GrowthTable(implicitN, withMedians(implicitN, func(c Cell) float64 {
+		if c.Pop.N == 0 {
+			return 50
+		}
+		return float64(10 * c.Pop.N * c.Pop.N)
+	}))
+	if got, want := csvOf(tab), header+"asym,agent,random,zero,,3,N^2,10,2,1.0000\n"; got != want {
+		t.Errorf("growth CSV over the three explicit N:\n%s\nwant:\n%s", got, want)
+	}
+
+	oneN := parse(t, `{"protocols":["globalp"],"populations":[{"p":4,"n":4},{"p":5,"n":4},{"p":6,"n":4}],"seed":1}`)
+	if tab := GrowthTable(oneN, withMedians(oneN, func(c Cell) float64 { return float64(100 * c.Pop.P) })); tab != nil {
+		t.Errorf("a block with one N got a row:\n%s", tab)
+	}
+
+	two := parse(t, `{"protocols":["asym"],"populations":[{"p":6,"n":2},{"p":6,"n":4}],"trials":2,"seed":3}`)
+	twoStats := withMedians(two, func(c Cell) float64 { return float64(c.Pop.N) })
+	if allocs := testing.AllocsPerRun(10, func() { GrowthTable(two, twoStats) }); allocs != 0 {
+		t.Errorf("GrowthTable over two populations allocated %v times", allocs)
+	}
+	dir := t.TempDir()
+	cp := &Campaign{Spec: two, Runner: LocalRunner{}, Out: dir}
+	if _, err := cp.Execute(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "summary.csv")); err != nil {
+		t.Fatal(err)
+	}
+	for _, ext := range []string{".txt", ".csv", ".tex"} {
+		if _, err := os.Stat(filepath.Join(dir, "growth"+ext)); !os.IsNotExist(err) {
+			t.Errorf("two-population campaign wrote growth%s (stat: %v)", ext, err)
+		}
+	}
+}
+
+// FuzzGridSpec holds the grid spec boundary to its contract: any input
+// either fails Parse or Validate with an error, or expands to cells with
+// pairwise distinct IDs (an ID names the cell's journal file), and none
+// panics. Products over 64 cells are skipped to bound Validate's cost.
+// The seeds are the specs shipped under examples/grids/.
+func FuzzGridSpec(f *testing.F) {
+	for _, pattern := range []string{"*.json", filepath.Join("paper", "*.json")} {
+		paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "grids", pattern))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		cells := 1
+		for _, n := range []int{len(sp.Protocols), len(sp.Engines), len(sp.Populations), len(sp.Scheds), len(sp.Inits), len(sp.Faults)} {
+			if cells *= n; cells > 64 {
+				t.Skip("product over 64 cells")
+			}
+		}
+		if err := sp.Validate(); err != nil {
+			return
+		}
+		seen := make(map[string]bool)
+		for _, c := range sp.Cells() {
+			if seen[c.ID()] {
+				t.Fatalf("two cells share ID %s", c.ID())
+			}
+			seen[c.ID()] = true
+		}
+	})
 }

@@ -42,8 +42,8 @@ type CellStats struct {
 	// for baseline cells and when either sample is empty.
 	KS *KSResult
 
-	// Torn marks a journal with a torn tail (the cell still reduces
-	// from its intact records).
+	// Torn marks a journal that lost its tail — a torn last line or no
+	// batch summary — so the cell reduces from its intact records.
 	Torn bool
 }
 
@@ -140,6 +140,7 @@ func reduceCell(c Cell, r io.Reader) (CellStats, error) {
 	if !sawBatch {
 		// A journal cut before its batch summary: count what the
 		// intact records show.
+		cs.Torn = true
 		cs.Trials = len(perTrial)
 		for _, s := range perTrial {
 			if s.Converged {
@@ -188,6 +189,57 @@ func SummaryTable(sp *Spec, results []CellStats) *report.Table {
 			fmt.Sprintf("%.6g", cs.Steps.Mean), fmt.Sprintf("%.6g", cs.Steps.Median),
 			fmt.Sprintf("%.6g", cs.Steps.P90), ksSame, ksD,
 		)
+	}
+	return tab
+}
+
+// GrowthTable fits median steps against N for every block of cells that
+// differ only in population (same protocol, engine, scheduler, init and
+// fault plan), one row per block with the better of an exponential and
+// a power law (stats.BetterFit). Only cells with a positive median and
+// an explicit N are points (a population that omits n runs at N = P,
+// and its literal 0 has no logarithm), and a block needs three distinct
+// N: blocks that fix N (a P sweep) or never converged get no row. It returns nil when no block
+// has a row, and at once when the populations axis is too short for one.
+func GrowthTable(sp *Spec, results []CellStats) *report.Table {
+	if len(sp.Populations) < 3 {
+		return nil
+	}
+	var blocks []Cell
+	xs, ys := map[Cell][]float64{}, map[Cell][]float64{}
+	for _, cs := range results {
+		if cs.Steps.Median <= 0 || cs.Cell.Pop.N < 1 {
+			continue
+		}
+		c := cs.Cell
+		k := Cell{Protocol: c.Protocol, Engine: c.Engine, Sched: c.Sched, Init: c.Init, Fault: c.Fault, FaultIdx: c.FaultIdx}
+		if xs[k] == nil {
+			blocks = append(blocks, k)
+		}
+		xs[k] = append(xs[k], float64(c.Pop.N))
+		ys[k] = append(ys[k], cs.Steps.Median)
+	}
+	var tab *report.Table
+	for _, k := range blocks {
+		distinct := map[float64]bool{}
+		for _, x := range xs[k] {
+			distinct[x] = true
+		}
+		if len(distinct) < 3 {
+			continue
+		}
+		fit := stats.BetterFit(xs[k], ys[k])
+		law := fmt.Sprintf("N^%.3g", fit.B)
+		if fit.Model == stats.ModelExp2 {
+			law = fmt.Sprintf("2^(%.3gN)", fit.B)
+		}
+		if tab == nil {
+			tab = report.NewTable(fmt.Sprintf("campaign %s: median steps vs N", sp.Name),
+				"protocol", "engine", "sched", "init", "faults", "points", "law", "a", "b", "r2")
+		}
+		tab.AddRow(k.Protocol, k.Engine, k.Sched, k.Init, k.Fault,
+			fmt.Sprintf("%d", len(xs[k])), law,
+			fmt.Sprintf("%.6g", fit.A), fmt.Sprintf("%.6g", fit.B), fmt.Sprintf("%.4f", fit.R2))
 	}
 	return tab
 }

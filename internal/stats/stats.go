@@ -82,6 +82,12 @@ func (s Summary) String() string {
 		s.Count, s.Min, s.Median, s.Mean, s.P90, s.Max, s.StdDev)
 }
 
+// The growth models FitExp2 and FitPower fit, as named in Fit.Model.
+const (
+	ModelExp2  = "y = A*2^(B*x)"
+	ModelPower = "y = A*x^B"
+)
+
 // Fit is a least-squares fit of a two-parameter growth model.
 type Fit struct {
 	// Model names the fitted form.
@@ -103,7 +109,7 @@ func (f Fit) String() string {
 func FitExp2(x, y []float64) Fit {
 	ly := logs(y, math.Log2)
 	a, b, r2 := linreg(x, ly)
-	return Fit{Model: "y = A*2^(B*x)", A: math.Exp2(a), B: b, R2: r2}
+	return Fit{Model: ModelExp2, A: math.Exp2(a), B: b, R2: r2}
 }
 
 // FitPower fits y ≈ A · x^B by linear regression of ln(y) on ln(x).
@@ -112,7 +118,7 @@ func FitPower(x, y []float64) Fit {
 	lx := logs(x, math.Log)
 	ly := logs(y, math.Log)
 	a, b, r2 := linreg(lx, ly)
-	return Fit{Model: "y = A*x^B", A: math.Exp(a), B: b, R2: r2}
+	return Fit{Model: ModelPower, A: math.Exp(a), B: b, R2: r2}
 }
 
 // BetterFit fits both models and returns the one with higher R².
