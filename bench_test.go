@@ -460,7 +460,7 @@ func BenchmarkE18Thm11Scaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		points := experiments.Thm11Scaling(4, 200_000, int64(i))
 		for _, p := range points {
-			if !p.GlobalPDefeated || p.SelfStabSteps == 0 {
+			if !p.GlobalPDefeated || !p.SelfStabConverged {
 				b.Fatalf("outcome changed at P=%d", p.P)
 			}
 		}

@@ -21,20 +21,23 @@
 // identity-dependent flags (-audit, -adversary, -faults, -deadline,
 // -retries, -stall) are rejected at flag-parse time.
 //
-// Fault injection (see docs/robustness.md): -faults takes a fault-plan
-// string (events "@step:kind=arg" or "@conv:kind=arg"; kinds corrupt,
-// leader, crash, churn, omit) executed mid-run by the supervised
-// runner; -deadline, -retries and -stall bound the run's wall clock,
-// stall retries and stall detection. Any of these flags selects the
-// supervised path, which reports the trial status (ok | retried |
-// aborted) alongside the result.
+// Every agent-engine run goes through one sim.Supervise call. Fault
+// injection (see docs/robustness.md): -faults takes a fault-plan string
+// (events "@step:kind=arg" or "@conv:kind=arg"; kinds corrupt, leader,
+// crash, churn, omit) executed mid-run by the runner; -deadline,
+// -retries and -stall bound the run's wall clock, stall retries and
+// stall detection. Any of these flags switches on supervision, which
+// reports the trial status (ok | retried | aborted) alongside the
+// result. -adversary makes the greedy anti-naming adversary the
+// runner's scheduler (adversary.Scheduler, enforced weak fairness).
 //
 // Protocols: asym, symglobal, initleader, selfstab, globalp, counting,
 // naive (see -list).
 //
 // Observability (see docs/observability.md): -journal writes a JSONL
 // run journal (header, periodic progress snapshots, final summary with
-// per-rule fire counts), -metrics prints the metrics tables after the
+// per-rule fire counts, plus under -adversary the fairness-forced count
+// the scheduler reports), -metrics prints the metrics tables after the
 // run, -pprof captures CPU and heap profiles, and -seed 0 auto-derives
 // a seed from the clock — the seed actually used is always printed and
 // journaled so any run can be replayed exactly.
@@ -85,8 +88,8 @@ type options struct {
 	pprof    string
 }
 
-// supervised reports whether any fault/supervision flag selects the
-// supervised execution path.
+// supervised reports whether any fault/supervision flag switches on
+// supervision (deadline, stall retries, fault plan) for the agent run.
 func (o *options) supervised() bool {
 	return o.faults != "" || o.deadline > 0 || o.retries > 0 || o.stall > 0
 }
@@ -235,16 +238,29 @@ func run(o options) (err error) {
 	if o.engine == "count" {
 		return runCount(proto, o, sink)
 	}
-	if o.adv {
-		if o.supervised() {
-			return fmt.Errorf("-faults/-deadline/-retries/-stall cannot be combined with -adversary")
+	if o.adv && o.supervised() {
+		return fmt.Errorf("-faults/-deadline/-retries/-stall cannot be combined with -adversary")
+	}
+	return runAgent(proto, cfg, o, sink)
+}
+
+// runAgent drives every agent-engine run through one sim.Supervise
+// call. A plain run is one attempt of one slice, step for step
+// Runner.Run(budget). The supervision flags add the deadline, stall
+// retries with derived seeds, and the fault plan, whose events fire
+// mid-run on the live runner.
+func runAgent(proto core.Protocol, cfg *core.Config, o options, sink *obs.JournalSink) error {
+	if o.engine != "compiled" && o.engine != "interp" {
+		return fmt.Errorf("unknown engine %q (compiled | interp)", o.engine)
+	}
+	// The plan was parsed at flag-parse time; check its capabilities
+	// here, so the per-attempt builder below cannot fail.
+	if !o.plan.Empty() {
+		if _, err := fault.NewInjector(o.plan, proto, o.seed); err != nil {
+			return err
 		}
-		return runAdversarial(proto, cfg, o, sink)
 	}
-	if o.supervised() {
-		return runSupervised(proto, o, sink)
-	}
-	s, err := buildScheduler(proto, o.n, o.sched, o.seed, o.hidden, o.hide)
+	s, err := buildScheduler(proto, cfg, o, o.seed)
 	if err != nil {
 		return err
 	}
@@ -254,159 +270,84 @@ func run(o options) (err error) {
 	fmt.Printf("population N=%d, scheduler %s, init %s, seed %d%s\n",
 		o.n, s.Name(), o.init, o.seed, seedNote(o.derived))
 	fmt.Printf("start: %s\n", cfg)
-
-	if sink != nil {
-		hdr := header("namesim", proto, o)
-		hdr.Scheduler = s.Name()
-		if herr := sink.Emit(hdr); herr != nil {
-			return herr
+	sup := sim.Supervision{StepBudget: o.budget, Slice: o.budget}
+	if o.supervised() {
+		fmt.Printf("supervised: plan %q, deadline %v, retries %d\n", o.plan.String(), o.deadline, o.retries)
+		sup = sim.Supervision{
+			StepBudget: o.budget,
+			Deadline:   o.deadline,
+			StallQuiet: o.stall,
+			Retries:    o.retries,
+			Sink:       sink,
+		}
+		if sup.StallQuiet == 0 {
+			// Retries and deadlines only help if stalls are detected:
+			// default to a large multiple of the silence-check window.
+			sup.StallQuiet = 2048 * sim.QuietWindow(o.n)
 		}
 	}
-
-	runner := sim.NewRunner(proto, s, cfg)
-	switch o.engine {
-	case "compiled":
-		// default: the runner compiles transparently when it can
-	case "interp":
-		runner.Interpret = true
-	default:
-		return fmt.Errorf("unknown engine %q (compiled | interp)", o.engine)
-	}
-	var observer *obs.Observer
-	if sink != nil || o.metrics {
-		observer = obs.NewObserver(o.n, core.HasLeader(proto), obs.ObserverOptions{
-			Sink:          sink,
-			ProgressEvery: o.progress,
-		})
-		runner.Obs = observer
-	}
-	var col trace.Collector
-	if o.audit {
-		runner.OnStep = col.Record
-	}
-	engine := "interpreted"
-	if runner.Compiled() {
-		engine = "compiled"
-	}
-	fmt.Printf("engine: %s\n", engine)
-	res := runner.Run(o.budget)
-	fmt.Printf("result: %s\n", res)
-	fmt.Printf("valid naming: %v\n", cfg.ValidNaming())
-	if res.Converged {
-		fmt.Printf("parallel time: %.1f\n", res.ParallelTime(o.n))
-	}
-	if o.audit {
-		a := fairness.AuditPairs(col.Pairs(), o.n, core.HasLeader(proto))
-		fmt.Printf("%s\n", a)
-	}
-	if o.metrics {
-		fmt.Println()
-		observer.Dump(os.Stdout)
-	}
-	return err
-}
-
-// runSupervised drives a fault-injected run under the supervisor:
-// the plan's events fire mid-run on the live runner (census resynced
-// after every mutating fault), stalls are retried with derived seeds,
-// and deadline/stall exhaustion yields a partial result tagged aborted
-// instead of a hang.
-func runSupervised(proto core.Protocol, o options, sink *obs.JournalSink) error {
-	plan := o.plan // parsed (and rejected if malformed) at flag-parse time
-	// Validate plan capabilities and the init/scheduler keys once, so
-	// the per-attempt builder below cannot fail.
-	if _, err := fault.NewInjector(plan, proto, o.seed); err != nil {
+	if err := sink.Emit(header(proto, o, "", s.Name())); err != nil {
 		return err
 	}
-	if _, err := sim.AgentStart(proto, o.n, o.init, o.seed); err != nil {
-		return err
-	}
-	s0, err := buildScheduler(proto, o.n, o.sched, o.seed, o.hidden, o.hide)
-	if err != nil {
-		return err
-	}
-	if o.engine != "compiled" && o.engine != "interp" {
-		return fmt.Errorf("unknown engine %q (compiled | interp)", o.engine)
-	}
 
-	fmt.Printf("protocol %s (P=%d, %d states/agent, symmetric=%v, leader=%v)\n",
-		proto.Name(), proto.P(), proto.States(), proto.Symmetric(), core.HasLeader(proto))
-	fmt.Printf("population N=%d, scheduler %s, init %s, seed %d%s\n",
-		o.n, s0.Name(), o.init, o.seed, seedNote(o.derived))
-	fmt.Printf("supervised: plan %q, deadline %v, retries %d\n", plan.String(), o.deadline, o.retries)
-	if sink != nil {
-		hdr := header("namesim", proto, o)
-		hdr.Scheduler = s0.Name()
-		if herr := sink.Emit(hdr); herr != nil {
-			return herr
-		}
-	}
-
-	sup := sim.Supervision{
-		StepBudget: o.budget,
-		Deadline:   o.deadline,
-		StallQuiet: o.stall,
-		Retries:    o.retries,
-	}
-	if sup.StallQuiet == 0 {
-		// Retries and deadlines only help if stalls are detected:
-		// default to a large multiple of the silence-check window.
-		w := 4 * o.n * o.n
-		if w < 64 {
-			w = 64
-		}
-		sup.StallQuiet = 2048 * w
-	}
-	if sink != nil {
-		sup.Sink = sink
-	}
-	var inj *fault.Injector
-	var observer *obs.Observer
-	var finalCfg *core.Config
-	var col *trace.Collector
+	var (
+		runner *sim.Runner
+		col    trace.Collector
+	)
 	sr := sim.Supervise(context.Background(), sup, func(attempt int) *sim.Runner {
 		seed := o.seed
 		if attempt > 0 {
 			seed = sim.DeriveSeed(o.seed, 0, attempt)
 			fmt.Printf("retry %d: derived seed %d\n", attempt, seed)
+			cfg, _ = sim.AgentStart(proto, o.n, o.init, seed)
+			s, _ = buildScheduler(proto, cfg, o, seed)
 		}
-		cfg, _ := sim.AgentStart(proto, o.n, o.init, seed)
-		finalCfg = cfg
-		s, _ := buildScheduler(proto, o.n, o.sched, seed, o.hidden, o.hide)
-		runner := sim.NewRunner(proto, s, cfg)
+		runner = sim.NewRunner(proto, s, cfg)
 		runner.Interpret = o.engine == "interp"
-		inj, _ = fault.NewInjector(plan, proto, seed)
-		if sink != nil {
-			inj.Sink = sink
+		if !o.plan.Empty() {
+			runner.Inject, _ = fault.NewInjector(o.plan, proto, seed)
+			runner.Inject.Sink = sink
 		}
-		runner.Inject = inj
 		if sink != nil || o.metrics {
-			observer = obs.NewObserver(o.n, core.HasLeader(proto), obs.ObserverOptions{
+			runner.Obs = obs.NewObserver(o.n, core.HasLeader(proto), obs.ObserverOptions{
 				Sink:          sink,
 				ProgressEvery: o.progress,
 			})
-			runner.Obs = observer
 		}
 		if o.audit {
-			col = &trace.Collector{}
+			col = trace.Collector{}
 			runner.OnStep = col.Record
+		}
+		if attempt == 0 {
+			engine := "interpreted"
+			if runner.Compiled() {
+				engine = "compiled"
+			}
+			fmt.Printf("engine: %s\n", engine)
 		}
 		return runner
 	})
 
-	fmt.Printf("status: %s (attempts %d", sr.Status, sr.Attempts)
-	if sr.Reason != "" {
-		fmt.Printf(", reason %s", sr.Reason)
+	if o.supervised() {
+		fmt.Printf("status: %s (attempts %d", sr.Status, sr.Attempts)
+		if sr.Reason != "" {
+			fmt.Printf(", reason %s", sr.Reason)
+		}
+		fmt.Printf(", wall %v)\n", time.Duration(sr.WallNS).Round(time.Millisecond))
 	}
-	fmt.Printf(", wall %v)\n", time.Duration(sr.WallNS).Round(time.Millisecond))
-	for _, f := range inj.Fired() {
-		fmt.Printf("fault: %s fired at step %d\n", f.Event, f.Step)
-	}
-	if got, want := len(inj.Fired()), len(plan.Events); got < want {
-		fmt.Printf("faults pending: %d of %d events never fired\n", want-got, want)
+	if inj := runner.Inject; inj != nil {
+		for _, f := range inj.Fired() {
+			fmt.Printf("fault: %s fired at step %d\n", f.Event, f.Step)
+		}
+		if got, want := len(inj.Fired()), len(o.plan.Events); got < want {
+			fmt.Printf("faults pending: %d of %d events never fired\n", want-got, want)
+		}
 	}
 	fmt.Printf("result: %s\n", sr.Result)
-	fmt.Printf("valid naming: %v\n", finalCfg.ValidNaming())
+	if adv, ok := s.(*adversary.Scheduler); ok {
+		fmt.Printf("fairness-forced: %d interactions\n", adv.Forced())
+	}
+	fmt.Printf("valid naming: %v\n", cfg.ValidNaming())
 	if sr.Converged {
 		fmt.Printf("parallel time: %.1f\n", sr.ParallelTime(o.n))
 	}
@@ -416,60 +357,7 @@ func runSupervised(proto core.Protocol, o options, sink *obs.JournalSink) error 
 	}
 	if o.metrics {
 		fmt.Println()
-		observer.Dump(os.Stdout)
-	}
-	return nil
-}
-
-// runAdversarial drives the execution with the greedy anti-naming
-// adversary under mechanically enforced weak fairness. The adversarial
-// runner only exposes pair events, so journals and metrics from this
-// path carry no per-rule fire counts.
-func runAdversarial(proto core.Protocol, cfg *core.Config, o options, sink *obs.JournalSink) error {
-	fmt.Printf("protocol %s (P=%d, %d states/agent), N=%d, greedy adversary, init %s, seed %d%s\n",
-		proto.Name(), proto.P(), proto.States(), o.n, o.init, o.seed, seedNote(o.derived))
-	fmt.Printf("start: %s\n", cfg)
-	if sink != nil {
-		hdr := header("namesim", proto, o)
-		hdr.Scheduler = "greedy-adversary"
-		if err := sink.Emit(hdr); err != nil {
-			return err
-		}
-	}
-	runner := adversary.NewRunner(proto, cfg, adversary.NewGreedyNaming(proto))
-	var observer *obs.Observer
-	if sink != nil || o.metrics {
-		observer = obs.NewObserver(o.n, core.HasLeader(proto), obs.ObserverOptions{
-			Sink:          sink,
-			ProgressEvery: o.progress,
-		})
-	}
-	var col trace.Collector
-	runner.OnStep = func(e trace.Event) {
-		if o.audit {
-			col.Record(e)
-		}
-		if observer != nil {
-			observer.ObservePair(e.Pair, e.NonNull)
-		}
-	}
-	silent := runner.Run(o.budget)
-	if observer != nil {
-		// Surface the enforced-fairness count in the summary record so
-		// adversarial runs are auditable like scheduler runs.
-		observer.SetForced(int64(runner.Forced()))
-		observer.Finish(silent)
-	}
-	fmt.Printf("silent: %v after %d interactions (%d fairness-forced)\n",
-		silent, runner.Steps(), runner.Forced())
-	fmt.Printf("valid naming: %v\nfinal: %s\n", cfg.ValidNaming(), cfg)
-	if o.audit {
-		a := fairness.AuditPairs(col.Pairs(), o.n, core.HasLeader(proto))
-		fmt.Printf("%s\n", a)
-	}
-	if o.metrics {
-		fmt.Println()
-		observer.Dump(os.Stdout)
+		runner.Obs.Dump(os.Stdout)
 	}
 	return nil
 }
@@ -489,13 +377,8 @@ func runCount(proto core.Protocol, o options, sink *obs.JournalSink) error {
 	fmt.Printf("population N=%d, engine count, init %s, seed %d%s\n",
 		o.n, o.init, o.seed, seedNote(o.derived))
 	fmt.Printf("start: %s\n", cc)
-	if sink != nil {
-		hdr := header("namesim", proto, o)
-		hdr.Engine = "count"
-		hdr.Scheduler = "random"
-		if herr := sink.Emit(hdr); herr != nil {
-			return herr
-		}
+	if err := sink.Emit(header(proto, o, "count", "random")); err != nil {
+		return err
 	}
 	runner, err := sim.NewCountRunner(proto, cc, o.seed)
 	if err != nil {
@@ -526,8 +409,12 @@ func runCount(proto core.Protocol, o options, sink *obs.JournalSink) error {
 	return nil
 }
 
-func header(tool string, proto core.Protocol, o options) obs.Header {
-	hdr := obs.NewHeader(tool)
+// header is the journal's first record. A nil sink drops it, so
+// callers emit it unconditionally.
+func header(proto core.Protocol, o options, engine, scheduler string) obs.Header {
+	hdr := obs.NewHeader("namesim")
+	hdr.Engine = engine
+	hdr.Scheduler = scheduler
 	hdr.Protocol = proto.Name()
 	hdr.P = proto.P()
 	hdr.States = proto.States()
@@ -547,11 +434,16 @@ func seedNote(derived bool) string {
 	return ""
 }
 
-// buildScheduler adds the eclipse attack scheduler, whose knobs only
-// the CLI carries, to the shared keys of sim.AgentScheduler.
-func buildScheduler(proto core.Protocol, n int, schedKey string, seed int64, hidden, hide int) (sched.Scheduler, error) {
-	if schedKey == "eclipse" {
-		return sched.NewEclipse(n, core.HasLeader(proto), hidden, hide, seed), nil
+// buildScheduler adds namesim's own schedulers to the shared keys of
+// sim.AgentScheduler: the greedy anti-naming adversary over the live
+// configuration cfg (-adversary), and the eclipse attack, whose knobs
+// only the CLI carries.
+func buildScheduler(proto core.Protocol, cfg *core.Config, o options, seed int64) (sched.Scheduler, error) {
+	switch {
+	case o.adv:
+		return adversary.NewScheduler(proto, cfg, adversary.NewGreedyNaming(proto)), nil
+	case o.sched == "eclipse":
+		return sched.NewEclipse(o.n, core.HasLeader(proto), o.hidden, o.hide, seed), nil
 	}
-	return sim.AgentScheduler(proto, n, schedKey, seed)
+	return sim.AgentScheduler(proto, o.n, o.sched, seed)
 }

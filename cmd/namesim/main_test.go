@@ -2,13 +2,16 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"popnaming/internal/experiments"
+	"popnaming/internal/fault"
 	"popnaming/internal/obs"
 	"popnaming/internal/sim"
 )
@@ -138,5 +141,116 @@ func TestRunCountLargeN(t *testing.T) {
 	o.budget = 200_000
 	if err := run(o); err != nil {
 		t.Fatalf("run at N=5e7: %v", err)
+	}
+}
+
+// agentOpts is a small agent-engine run from an arbitrary start that
+// journals into a fresh temporary directory.
+func agentOpts(t *testing.T) options {
+	return options{
+		proto: "selfstab", p: 6, n: 6, sched: "random", init: "arbitrary",
+		engine: "compiled", budget: 1_000_000, seed: 3, progress: 500,
+		journal: filepath.Join(t.TempDir(), "run.jsonl"),
+	}
+}
+
+// setFaults sets -faults the way main does, parsed plan included.
+func setFaults(t *testing.T, o *options, plan string) {
+	t.Helper()
+	p, err := fault.Parse(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.faults, o.plan = plan, p
+}
+
+// runJournal runs namesim with o and returns its journal's records.
+func runJournal(t *testing.T, o options) [][]byte {
+	t.Helper()
+	if err := run(o); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	data, err := os.ReadFile(o.journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+}
+
+// faultRecs returns the kind/trigger of every fault record, in order.
+func faultRecs(t *testing.T, lines [][]byte) []string {
+	t.Helper()
+	var out []string
+	for _, line := range lines {
+		var rec obs.FaultRec
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == "fault" {
+			out = append(out, rec.Kind+"/"+rec.Trigger)
+		}
+	}
+	return out
+}
+
+// TestRunAgentEngineTwins: a compiled run and its -engine interp twin
+// journal the same records, so compiled ≡ interpreted holds at the CLI
+// surface.
+func TestRunAgentEngineTwins(t *testing.T) {
+	o := agentOpts(t)
+	interp := agentOpts(t)
+	interp.engine = "interp"
+	a := bytes.Join(runJournal(t, o), []byte("\n"))
+	b := bytes.Join(runJournal(t, interp), []byte("\n"))
+	if !bytes.Equal(obs.Canonical(a), obs.Canonical(b)) {
+		t.Fatalf("compiled and interpreted journals differ:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestRunAgentConvFaults: each @conv event fires at a detected
+// convergence and journals a fault record.
+func TestRunAgentConvFaults(t *testing.T) {
+	o := agentOpts(t)
+	setFaults(t, &o, "@conv:corrupt=3,@conv:corrupt=3")
+	got := faultRecs(t, runJournal(t, o))
+	if want := []string{"corrupt/conv", "corrupt/conv"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fault records %v, want %v", got, want)
+	}
+}
+
+// TestRunAgentStallRetry: one crashed agent of two suppresses every
+// interaction, so the run stalls, retries once on a derived seed (whose
+// injector crashes again), stalls again and aborts.
+func TestRunAgentStallRetry(t *testing.T) {
+	o := agentOpts(t)
+	o.proto, o.p, o.n, o.init = "asym", 2, 2, "zero"
+	o.retries, o.stall = 1, 500
+	setFaults(t, &o, "@0:crash=1")
+	got := faultRecs(t, runJournal(t, o))
+	if want := []string{"crash/step", "retry/stall", "crash/step", "abort/stall"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fault records %v, want %v", got, want)
+	}
+}
+
+// TestRunAgentAdversary: -adversary runs the greedy adversary as the
+// runner's scheduler, so its journal names it and its summary carries
+// the fairness-forced count and the per-rule fire counts.
+func TestRunAgentAdversary(t *testing.T) {
+	o := agentOpts(t)
+	o.proto, o.init, o.adv = "asym", "zero", true
+	lines := runJournal(t, o)
+	var hdr obs.Header
+	if err := json.Unmarshal(lines[0], &hdr); err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Scheduler != "greedy-adversary" {
+		t.Fatalf("header scheduler %q", hdr.Scheduler)
+	}
+	var sum obs.Summary
+	if err := json.Unmarshal(lines[len(lines)-1], &sum); err != nil || sum.Type != "summary" {
+		t.Fatalf("last record is not a summary: %v %s", err, lines[len(lines)-1])
+	}
+	if sum.Forced <= 0 || len(sum.Rules) == 0 {
+		t.Fatalf("summary forced %d, %d rules", sum.Forced, len(sum.Rules))
 	}
 }

@@ -1,7 +1,7 @@
 // Package adversary provides state-aware adversarial scheduling under a
 // mechanical weak-fairness guarantee. Ordinary schedulers (internal/
 // sched) are blind; an Adversary sees the current configuration and
-// picks the interaction it likes least for the protocol. The Runner
+// picks the interaction it likes least for the protocol. The Scheduler
 // keeps the resulting infinite execution weakly fair by construction:
 // every unordered pair carries a deadline, and a pair that has waited a
 // full window is scheduled by force before the adversary chooses again.
@@ -13,10 +13,7 @@
 // the Theorem 11 scaling experiment).
 package adversary
 
-import (
-	"popnaming/internal/core"
-	"popnaming/internal/trace"
-)
+import "popnaming/internal/core"
 
 // Adversary picks, given the current configuration, the next ordered
 // pair to schedule from the offered candidates.
@@ -28,113 +25,81 @@ type Adversary interface {
 	Pick(cfg *core.Config, candidates []core.Pair) core.Pair
 }
 
-// Runner drives a protocol under an adversary while enforcing weak
-// fairness: any unordered pair unscheduled for Window steps preempts
-// the adversary's choice.
-type Runner struct {
-	Proto core.Protocol
-	Cfg   *core.Config
-	Adv   Adversary
+// Scheduler is a sched.Scheduler that lets an adversary choose every
+// interaction while enforcing weak fairness: any unordered pair
+// unscheduled for Window steps preempts the adversary's choice. It
+// reads the live configuration Cfg, which the runner driving it (a
+// sim.Runner over the same Cfg) mutates in place, and assumes one Next
+// call per executed interaction.
+type Scheduler struct {
+	Cfg *core.Config
+	Adv Adversary
 	// Window is the fairness bound in steps (default: 8 x number of
 	// unordered pairs).
 	Window int
-	// OnStep, when non-nil, receives every interaction.
-	OnStep func(trace.Event)
 
 	candidates []core.Pair
-	lastSeen   map[core.Pair]int
+	lo, m      int   // agent indices run over [lo, lo+m)
+	lastSeen   []int // [(a-lo)*m + (b-lo)], a < b: step after the pair last interacted
 	steps      int
 	forced     int
 }
 
-// NewRunner returns an adversarial runner.
-func NewRunner(p core.Protocol, cfg *core.Config, adv Adversary) *Runner {
-	r := &Runner{Proto: p, Cfg: cfg, Adv: adv}
-	lo := 0
+// NewScheduler returns a fairness-enforcing scheduler for adv over the
+// configuration cfg of protocol p.
+func NewScheduler(p core.Protocol, cfg *core.Config, adv Adversary) *Scheduler {
+	s := &Scheduler{Cfg: cfg, Adv: adv, m: cfg.N()}
 	if core.HasLeader(p) {
-		lo = -1
+		s.lo, s.m = -1, s.m+1
 	}
-	for a := lo; a < cfg.N(); a++ {
-		for b := lo; b < cfg.N(); b++ {
+	for a := s.lo; a < cfg.N(); a++ {
+		for b := s.lo; b < cfg.N(); b++ {
 			if a != b {
-				r.candidates = append(r.candidates, core.Pair{A: a, B: b})
+				s.candidates = append(s.candidates, core.Pair{A: a, B: b})
 			}
 		}
 	}
-	r.lastSeen = make(map[core.Pair]int)
-	for _, c := range r.candidates {
-		r.lastSeen[unordered(c)] = 0
-	}
-	if r.Window == 0 {
-		r.Window = 8 * len(r.lastSeen)
-	}
-	return r
+	s.lastSeen = make([]int, s.m*s.m)
+	s.Window = 8 * s.m * (s.m - 1) / 2
+	return s
 }
 
-func unordered(p core.Pair) core.Pair {
-	if p.A > p.B {
-		return core.Pair{A: p.B, B: p.A}
-	}
-	return p
-}
-
-// Steps returns the number of interactions executed.
-func (r *Runner) Steps() int { return r.steps }
+// Name implements sched.Scheduler with the adversary's name.
+func (s *Scheduler) Name() string { return s.Adv.Name() }
 
 // Forced returns how many interactions were fairness preemptions rather
 // than adversary choices.
-func (r *Runner) Forced() int { return r.forced }
+func (s *Scheduler) Forced() int { return s.forced }
 
-// Step executes one interaction: an overdue pair if any, otherwise the
-// adversary's pick. It reports whether any state changed.
-func (r *Runner) Step() bool {
-	pair, forced := r.next()
+// Next implements sched.Scheduler: the most overdue pair past the
+// window if any, otherwise the adversary's pick.
+func (s *Scheduler) Next() core.Pair {
+	pair, forced := s.overdue()
 	if forced {
-		r.forced++
+		s.forced++
+	} else {
+		pair = s.Adv.Pick(s.Cfg, s.candidates)
 	}
-	changed := core.ApplyPair(r.Proto, r.Cfg, pair)
-	if r.OnStep != nil {
-		r.OnStep(trace.Event{Step: r.steps, Pair: pair, NonNull: changed})
-	}
-	r.steps++
-	r.lastSeen[unordered(pair)] = r.steps
-	return changed
+	s.steps++
+	a, b := pair.A-s.lo, pair.B-s.lo
+	s.lastSeen[min(a, b)*s.m+max(a, b)] = s.steps
+	return pair
 }
 
-func (r *Runner) next() (core.Pair, bool) {
-	// Most-overdue pair past the window preempts.
+// overdue returns the unordered pair (A < B) that has waited longest,
+// when that wait has reached the window. Ties go to the first pair in
+// candidate order, so a seeded run is reproducible.
+func (s *Scheduler) overdue() (core.Pair, bool) {
 	var worst core.Pair
 	worstWait := -1
-	for u, last := range r.lastSeen {
-		if wait := r.steps - last; wait >= r.Window && wait > worstWait {
-			worst, worstWait = u, wait
+	for a := 0; a < s.m; a++ {
+		for b := a + 1; b < s.m; b++ {
+			if wait := s.steps - s.lastSeen[a*s.m+b]; wait >= s.Window && wait > worstWait {
+				worst, worstWait = core.Pair{A: a + s.lo, B: b + s.lo}, wait
+			}
 		}
 	}
-	if worstWait >= 0 {
-		return worst, true
-	}
-	return r.Adv.Pick(r.Cfg, r.candidates), false
-}
-
-// Run executes maxSteps interactions (or stops early at silence) and
-// reports whether the final configuration is silent.
-func (r *Runner) Run(maxSteps int) bool {
-	quiet := 0
-	threshold := 4 * r.Cfg.N() * r.Cfg.N()
-	if threshold < 64 {
-		threshold = 64
-	}
-	for r.steps < maxSteps {
-		if r.Step() {
-			quiet = 0
-		} else {
-			quiet++
-		}
-		if quiet > 0 && quiet%threshold == 0 && core.Silent(r.Proto, r.Cfg) {
-			return true
-		}
-	}
-	return core.Silent(r.Proto, r.Cfg)
+	return worst, worstWait >= 0
 }
 
 // NewGreedy returns a one-step look-ahead adversary: it applies each
@@ -154,7 +119,7 @@ func NewGreedy(p core.Protocol, label string, score func(*core.Config) float64) 
 // mobile states — it prefers interactions that create or preserve
 // homonyms.
 func NewGreedyNaming(p core.Protocol) Adversary {
-	return NewGreedy(p, "greedy-anti-naming", func(c *core.Config) float64 {
+	return NewGreedy(p, "greedy-adversary", func(c *core.Config) float64 {
 		return float64(DistinctStates(c))
 	})
 }

@@ -33,7 +33,8 @@ func TestRunnerEnforcesWeakFairness(t *testing.T) {
 	const p = 4
 	pr := naming.NewGlobalP(p)
 	cfg := core.NewConfig(p, 0).WithLeader(pr.InitLeader())
-	run := NewRunner(pr, cfg, NewGreedyNaming(pr))
+	adv := NewScheduler(pr, cfg, NewGreedyNaming(pr))
+	run := sim.NewRunner(pr, adv, cfg)
 	var col trace.Collector
 	run.OnStep = col.Record
 	const steps = 50000
@@ -46,7 +47,7 @@ func TestRunnerEnforcesWeakFairness(t *testing.T) {
 	}
 	// Every pair recurs within a bounded gap: the enforcement window
 	// plus the backlog of simultaneously overdue pairs.
-	bound := run.Window + fairness.PairCount(p, true)
+	bound := adv.Window + fairness.PairCount(p, true)
 	if a.MaxGap > bound {
 		t.Fatalf("max gap %d exceeds enforcement bound %d", a.MaxGap, bound)
 	}
@@ -63,8 +64,8 @@ func TestGreedyDefeatsGlobalPAtFullPopulation(t *testing.T) {
 		pr := naming.NewGlobalP(p)
 		r := rand.New(rand.NewSource(int64(p)))
 		cfg := sim.ArbitraryConfig(pr, p, r)
-		run := NewRunner(pr, cfg, NewGreedyNaming(pr))
-		if run.Run(budget) {
+		run := sim.NewRunner(pr, NewScheduler(pr, cfg, NewGreedyNaming(pr)), cfg)
+		if run.Run(budget).Converged {
 			t.Fatalf("P=N=%d: adversary failed to prevent convergence (final %s)", p, cfg)
 		}
 		if cfg.ValidNaming() {
@@ -81,8 +82,8 @@ func TestGreedyCannotDefeatSelfStab(t *testing.T) {
 		pr := naming.NewSelfStab(p)
 		r := rand.New(rand.NewSource(int64(p * 7)))
 		cfg := sim.ArbitraryConfig(pr, p, r)
-		run := NewRunner(pr, cfg, NewGreedyNaming(pr))
-		if !run.Run(5_000_000) {
+		run := sim.NewRunner(pr, NewScheduler(pr, cfg, NewGreedyNaming(pr)), cfg)
+		if !run.Run(5_000_000).Converged {
 			t.Fatalf("P=N=%d: Protocol 2 did not converge under adversary", p)
 		}
 		if !cfg.ValidNaming() {
@@ -98,8 +99,8 @@ func TestGreedyCannotDefeatAsymmetric(t *testing.T) {
 	pr := naming.NewAsymmetric(p)
 	r := rand.New(rand.NewSource(11))
 	cfg := sim.ArbitraryConfig(pr, p, r)
-	run := NewRunner(pr, cfg, NewGreedyNaming(pr))
-	if !run.Run(5_000_000) || !cfg.ValidNaming() {
+	run := sim.NewRunner(pr, NewScheduler(pr, cfg, NewGreedyNaming(pr)), cfg)
+	if !run.Run(5_000_000).Converged || !cfg.ValidNaming() {
 		t.Fatalf("asymmetric protocol lost to the adversary: %s", cfg)
 	}
 }
@@ -110,11 +111,12 @@ func TestForcedFractionBounded(t *testing.T) {
 	const p = 4
 	pr := naming.NewGlobalP(p)
 	cfg := core.NewConfig(p, 0).WithLeader(pr.InitLeader())
-	run := NewRunner(pr, cfg, NewGreedyNaming(pr))
+	adv := NewScheduler(pr, cfg, NewGreedyNaming(pr))
+	run := sim.NewRunner(pr, adv, cfg)
 	for i := 0; i < 100000; i++ {
 		run.Step()
 	}
-	if frac := float64(run.Forced()) / float64(run.Steps()); frac > 0.5 {
+	if frac := float64(adv.Forced()) / float64(run.Steps()); frac > 0.5 {
 		t.Fatalf("forced fraction %.2f too high; adversary barely chooses", frac)
 	}
 }
@@ -131,7 +133,7 @@ func TestRunnerWithTrivialAdversaryStillFair(t *testing.T) {
 	const n = 5
 	pr := naming.NewAsymmetric(n)
 	cfg := core.NewConfig(n, 0)
-	run := NewRunner(pr, cfg, pickFirst{})
+	run := sim.NewRunner(pr, NewScheduler(pr, cfg, pickFirst{}), cfg)
 	var col trace.Collector
 	run.OnStep = col.Record
 	for i := 0; i < 20000; i++ {
@@ -140,5 +142,33 @@ func TestRunnerWithTrivialAdversaryStillFair(t *testing.T) {
 	a := fairness.AuditPairs(col.Pairs(), n, false)
 	if len(a.Missing) > 0 {
 		t.Fatalf("pairs never scheduled despite enforcement: %v", a.Missing)
+	}
+}
+
+// TestForcedTieGoesToFirstPairInCandidateOrder: pickFirst schedules
+// only (0,1), so at step Window every other unordered pair is equally
+// overdue. The forced steps must then sweep them in candidate order —
+// a seeded run depends on nothing but its seed.
+func TestForcedTieGoesToFirstPairInCandidateOrder(t *testing.T) {
+	const n = 5
+	pr := naming.NewAsymmetric(n)
+	s := NewScheduler(pr, core.NewConfig(n, 0), pickFirst{})
+	for i := 0; i < s.Window; i++ {
+		if got := s.Next(); got != (core.Pair{A: 0, B: 1}) {
+			t.Fatalf("step %d: %v, want the adversary's (0,1)", i, got)
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if a == 0 && b == 1 {
+				continue
+			}
+			if got, want := s.Next(), (core.Pair{A: a, B: b}); got != want {
+				t.Fatalf("forced %v, want %v", got, want)
+			}
+		}
+	}
+	if got, want := s.Forced(), n*(n-1)/2-1; got != want {
+		t.Fatalf("Forced() = %d, want %d", got, want)
 	}
 }

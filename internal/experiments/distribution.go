@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"popnaming/internal/core"
@@ -11,6 +12,7 @@ import (
 	"popnaming/internal/naming"
 	"popnaming/internal/report"
 	"popnaming/internal/sched"
+	"popnaming/internal/sim"
 )
 
 // DistPoint is one instance of the exact convergence-time distribution
@@ -83,20 +85,17 @@ func Distributions(simTrials int, seed int64) []DistPoint {
 	return out
 }
 
-// ksAgainstSim simulates `trials` precise first-silence times and
-// returns the maximum gap between empirical and exact CDFs.
+// ksAgainstSim simulates `trials` precise first-silence times on
+// sim.Runner and returns the maximum gap between empirical and exact
+// CDFs. A silence check after every null step ends a converged run one
+// step past its first silence.
 func ksAgainstSim(pr core.Protocol, start *core.Config, d markov.Distribution, trials int, seed int64) float64 {
 	samples := make([]int, trials)
 	n := start.N()
 	for i := range samples {
-		cfg := start.Clone()
-		s := sched.NewRandom(n, core.HasLeader(pr), seed+int64(i))
-		steps := 0
-		for !core.Silent(pr, cfg) {
-			core.ApplyPair(pr, cfg, s.Next())
-			steps++
-		}
-		samples[i] = steps
+		run := sim.NewRunner(pr, sched.NewRandom(n, core.HasLeader(pr), seed+int64(i)), start.Clone())
+		run.QuietThreshold = 1
+		samples[i] = max(0, run.Run(math.MaxInt).Steps-1)
 	}
 	sort.Ints(samples)
 	maxGap := 0.0

@@ -112,14 +112,10 @@ func (o *StabilizeOptions) fill(p int) {
 		o.Budget = 50_000_000
 	}
 	if o.StallQuiet == 0 {
-		// The silence-check window is 4N² interactions (sim.Runner);
-		// a streak of many windows with no silence means the run is
-		// wedged (e.g. a crashed agent pinning an active pair).
-		w := 4 * o.N * o.N
-		if w < 64 {
-			w = 64
-		}
-		o.StallQuiet = 2048 * w
+		// A streak of many silence-check windows with no silence means
+		// the run is wedged (e.g. a crashed agent pinning an active
+		// pair).
+		o.StallQuiet = 2048 * sim.QuietWindow(o.N)
 	}
 }
 

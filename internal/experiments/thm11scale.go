@@ -19,11 +19,13 @@ type Thm11Point struct {
 	// N = P within the budget.
 	GlobalPDefeated bool
 	// GlobalPForced is the fraction of fairness-preempted steps in that
-	// run.
+	// run (0 for a run that started silent).
 	GlobalPForced float64
-	// SelfStabSteps is how quickly the P+1-state Protocol 2 converged
-	// under the SAME adversary (0 if it failed).
-	SelfStabSteps int
+	// SelfStabConverged reports that the P+1-state Protocol 2 reached a
+	// valid naming under the SAME adversary, and SelfStabSteps how
+	// quickly (0 for a silent start).
+	SelfStabConverged bool
+	SelfStabSteps     int
 	// Budget is the adversarial step budget.
 	Budget int
 }
@@ -46,16 +48,19 @@ func Thm11Scaling(maxP int, budget int, seed int64) []Thm11Point {
 		gp := naming.NewGlobalP(p)
 		r := rand.New(rand.NewSource(seed + int64(p)))
 		cfg := sim.ArbitraryConfig(gp, p, r)
-		run := adversary.NewRunner(gp, cfg, adversary.NewGreedyNaming(gp))
-		silent := run.Run(budget)
-		pt.GlobalPDefeated = !silent && !cfg.ValidNaming()
-		pt.GlobalPForced = float64(run.Forced()) / float64(run.Steps())
+		adv := adversary.NewScheduler(gp, cfg, adversary.NewGreedyNaming(gp))
+		res := sim.NewRunner(gp, adv, cfg).Run(budget)
+		pt.GlobalPDefeated = !res.Converged && !cfg.ValidNaming()
+		if res.Steps > 0 {
+			pt.GlobalPForced = float64(adv.Forced()) / float64(res.Steps)
+		}
 
 		ss := naming.NewSelfStab(p)
 		cfg2 := sim.ArbitraryConfig(ss, p, r)
-		run2 := adversary.NewRunner(ss, cfg2, adversary.NewGreedyNaming(ss))
-		if run2.Run(budget) && cfg2.ValidNaming() {
-			pt.SelfStabSteps = run2.Steps()
+		res2 := sim.NewRunner(ss, adversary.NewScheduler(ss, cfg2, adversary.NewGreedyNaming(ss)), cfg2).Run(budget)
+		pt.SelfStabConverged = res2.Converged && cfg2.ValidNaming()
+		if pt.SelfStabConverged {
+			pt.SelfStabSteps = res2.Steps
 		}
 		out = append(out, pt)
 	}
@@ -68,7 +73,7 @@ func RenderThm11(w io.Writer, points []Thm11Point) {
 		"P", "P-state Protocol 3 defeated", "forced-step fraction", "P+1-state Protocol 2 converged in", "budget")
 	for _, p := range points {
 		conv := "FAILED"
-		if p.SelfStabSteps > 0 {
+		if p.SelfStabConverged {
 			conv = fmt.Sprintf("%d steps", p.SelfStabSteps)
 		}
 		tab.AddRowf(p.P, p.GlobalPDefeated, fmt.Sprintf("%.3f", p.GlobalPForced), conv, p.Budget)

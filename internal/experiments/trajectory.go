@@ -10,6 +10,7 @@ import (
 	"popnaming/internal/report"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
+	"popnaming/internal/trace"
 )
 
 // TrajectoryPoint samples the progress of one execution.
@@ -46,8 +47,6 @@ func (tr Trajectory) Series() report.Series {
 // `every` interactions (plus the final configuration).
 func TraceTrajectory(pr core.Protocol, cfg *core.Config, s sched.Scheduler, budget, every int) Trajectory {
 	tr := Trajectory{Protocol: pr.Name(), N: cfg.N(), ConvergedAt: -1}
-	run := sim.NewRunner(pr, s, cfg)
-	lastChange := 0
 	sample := func(step int) {
 		tr.Points = append(tr.Points, TrajectoryPoint{
 			Step:     step,
@@ -55,20 +54,25 @@ func TraceTrajectory(pr core.Protocol, cfg *core.Config, s sched.Scheduler, budg
 			Sink:     cfg.Count(0),
 		})
 	}
-	sample(0)
-	for run.Steps() < budget {
-		if run.Step() {
-			lastChange = run.Steps()
+	run := sim.NewRunner(pr, s, cfg)
+	// A trajectory ends 4N²+65 quiet steps after its last change, once
+	// that configuration is silent.
+	run.QuietThreshold = 4*cfg.N()*cfg.N() + 65
+	lastChange := 0
+	run.OnStep = func(e trace.Event) {
+		if e.NonNull {
+			lastChange = e.Step + 1
 		}
-		if run.Steps()%every == 0 {
-			sample(run.Steps())
-		}
-		if run.Steps()-lastChange > 4*cfg.N()*cfg.N()+64 && core.Silent(pr, cfg) {
-			tr.ConvergedAt = lastChange
-			break
+		if (e.Step+1)%every == 0 {
+			sample(e.Step + 1)
 		}
 	}
-	sample(run.Steps())
+	sample(0)
+	res := run.Run(budget)
+	if res.Converged {
+		tr.ConvergedAt = lastChange
+	}
+	sample(res.Steps)
 	return tr
 }
 

@@ -120,14 +120,19 @@ func (sp *Spec) normalize() error {
 	if sp.Trials < 1 {
 		return fmt.Errorf("grid: trials %d < 1", sp.Trials)
 	}
-	for axis, vals := range map[string][]string{
-		"protocols": sp.Protocols, "engines": sp.Engines,
-		"scheds": sp.Scheds, "inits": sp.Inits, "faults": sp.Faults,
+	// Axes are checked in declaration order, so the first duplicated
+	// axis is the one named.
+	for _, ax := range []struct {
+		name string
+		vals []string
+	}{
+		{"protocols", sp.Protocols}, {"engines", sp.Engines},
+		{"scheds", sp.Scheds}, {"inits", sp.Inits}, {"faults", sp.Faults},
 	} {
-		seen := make(map[string]bool, len(vals))
-		for _, v := range vals {
+		seen := make(map[string]bool, len(ax.vals))
+		for _, v := range ax.vals {
 			if seen[v] {
-				return fmt.Errorf("grid: duplicate %q in %s axis", v, axis)
+				return fmt.Errorf("grid: duplicate %q in %s axis", v, ax.name)
 			}
 			seen[v] = true
 		}

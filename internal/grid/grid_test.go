@@ -9,10 +9,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
+	"popnaming/internal/obs"
 	"popnaming/internal/report"
 	"popnaming/internal/stats"
 )
@@ -61,6 +61,23 @@ func TestParseStrict(t *testing.T) {
 	for _, src := range bad {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("Parse accepted %s", src)
+		}
+	}
+}
+
+// TestDuplicateAxisNamesFirstAxis: a spec with duplicates in several
+// axes is rejected naming the first of them in declaration order, on
+// every parse.
+func TestDuplicateAxisNamesFirstAxis(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`{"protocols":["asym","asym"],"scheds":["random","random"],"populations":[{"p":6,"n":4}]}`, "protocols axis"},
+		{`{"protocols":["asym"],"engines":["agent","agent"],"inits":["zero","zero"],"populations":[{"p":6,"n":4}]}`, "engines axis"},
+		{`{"protocols":["asym"],"scheds":["random","random"],"faults":["",""],"populations":[{"p":6,"n":4}]}`, "scheds axis"},
+	} {
+		for i := 0; i < 20; i++ {
+			if _, err := Parse(strings.NewReader(c.src)); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Parse(%s) = %v, want the %s named", c.src, err, c.want)
+			}
 		}
 	}
 }
@@ -232,16 +249,8 @@ func TestReduceAllUnconverged(t *testing.T) {
 	}
 }
 
-// stripWallClock blanks the journal fields outside the determinism
-// contract (elapsedNs, wallNs, utilization) so runs can be compared
-// byte-for-byte on everything else.
-func stripWallClock(b []byte) []byte {
-	re := regexp.MustCompile(`"(elapsedNs|wallNs|utilization)":[0-9.eE+-]+`)
-	return re.ReplaceAll(b, []byte(`"$1":0`))
-}
-
 // TestLocalRunnerDeterministic runs each cell twice and pins the
-// SHA-256 of its wall-clock-stripped journal, so a change to any record
+// SHA-256 of its canonical journal (obs.Canonical), so a change to any record
 // either engine emits — not just nondeterminism within one build — fails
 // here.
 func TestLocalRunnerDeterministic(t *testing.T) {
@@ -249,17 +258,17 @@ func TestLocalRunnerDeterministic(t *testing.T) {
 		name, spec, sha256 string
 	}{
 		{"agent-zero", `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"trials":2,"budget":100000,"seed":9}`,
-			"e3b892a8f184a3bc8a410ceb8a5a48802edd6383f6896e09cbc13d52a632f1df"},
+			"6e0c74995dab82ef7e0a8d40231bfd4eca09411624198b7bbe6c1d4808dac01f"},
 		{"agent-arbitrary-corrupt", `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"inits":["arbitrary"],"faults":["@100:corrupt=2"],"trials":2,"budget":100000,"seed":9}`,
-			"c54bc6cbe3e3efa8fa9a30e6330fd9cea314eca3a65d28acbab6cbdb84f51390"},
+			"a39bcd6e1c0fa2b9877b522f2bfc0658bf5916060c372afd3ca895118a047945"},
 		{"count-1e4", `{"protocols":["asym"],"engines":["count"],"populations":[{"p":6,"n":10000}],"trials":2,"budget":100000,"progressEvery":40000,"seed":9}`,
-			"afcda8c56fe2f2976629a9aeb8abf578dd2a907a42083c8db5223df9fe43f9c0"},
+			"2d57b09c33927903d6d5e876a2736905162d726fc2e121b7d812b11eba4a52c7"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sp := parse(t, c.spec)
 			cell := sp.Cells()[0]
-			a := stripWallClock(runCellBuf(t, sp, cell))
-			b := stripWallClock(runCellBuf(t, sp, cell))
+			a := obs.Canonical(runCellBuf(t, sp, cell))
+			b := obs.Canonical(runCellBuf(t, sp, cell))
 			if !bytes.Equal(a, b) {
 				t.Fatalf("same cell produced different journals:\n%s\n---\n%s", a, b)
 			}

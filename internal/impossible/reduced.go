@@ -5,6 +5,7 @@ import (
 
 	"popnaming/internal/core"
 	"popnaming/internal/sched"
+	"popnaming/internal/sim"
 )
 
 // Reduced executions are the technical device of the paper's Section
@@ -121,10 +122,7 @@ func IsReduced(c *core.Config, sink core.State) bool {
 // budget is exhausted, returning whether it converged.
 func (r *ReducedRunner) Run(maxSteps int) bool {
 	quiet := 0
-	threshold := 4 * r.Cfg.N() * r.Cfg.N()
-	if threshold < 64 {
-		threshold = 64
-	}
+	threshold := sim.QuietWindow(r.Cfg.N())
 	for r.steps < maxSteps {
 		if r.Step() {
 			quiet = 0

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -70,6 +71,39 @@ func (s *JournalSink) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
+}
+
+// WallClockKeys are the record fields outside the determinism
+// contract: durations, rates and shares read off the wall clock. Two
+// runs of one seeded configuration journal identical records apart
+// from these.
+var WallClockKeys = []string{"elapsedNs", "wallNs", "utilization", "nodesPerSec", "durNs", "queueWaitNs"}
+
+// Canonical returns the deterministic form of a journal: every record
+// line re-encoded with its top-level WallClockKeys dropped and its
+// object keys sorted, one line each. Numbers keep their literal text,
+// so int64 values beyond 2⁵³ (seeds) survive exactly. Blank lines are
+// dropped, and a line that is not a JSON object passes through as is.
+func Canonical(journal []byte) []byte {
+	var out []byte
+	for _, line := range bytes.Split(journal, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.UseNumber()
+		var rec map[string]any
+		if dec.Decode(&rec) == nil && rec != nil {
+			for _, k := range WallClockKeys {
+				delete(rec, k)
+			}
+			if b, err := json.Marshal(rec); err == nil {
+				line = b
+			}
+		}
+		out = append(append(out, line...), '\n')
+	}
+	return out
 }
 
 // OpenJournal creates path and returns a buffered JournalSink over it
@@ -182,8 +216,10 @@ type Summary struct {
 	// broken by rule text, so the order is deterministic).
 	Rules []RuleCount `json:"rules,omitempty"`
 
-	// Forced counts the interactions a fairness-enforcing adversary was
-	// forced to schedule (adversary.Runner); zero for scheduler runs.
+	// Forced counts the interactions a fairness-enforcing scheduler
+	// (adversary.Scheduler) forced instead of letting the adversary
+	// choose; sim.Runner reads it from the scheduler when it finishes
+	// the run. Zero for every other scheduler.
 	Forced int64 `json:"forced,omitempty"`
 
 	ElapsedNS int64 `json:"elapsedNs"`

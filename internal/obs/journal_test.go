@@ -158,8 +158,29 @@ func TestNilJournalSink(t *testing.T) {
 		t.Fatalf("nil sink Err: %v", err)
 	}
 	o := NewObserver(4, false, ObserverOptions{Sink: s, ProgressEvery: 1})
-	o.ObservePair(core.Pair{A: 0, B: 1}, true)
+	o.ObserveMobile(core.Pair{A: 0, B: 1}, 0, 0, 0, 1, true)
 	o.TrackCensus([]int{2, 2})
 	o.ObserveRule(0, 1, 1, 1, true)
 	o.Finish(true)
+}
+
+// TestCanonical: the canonical form drops exactly the wall-clock keys,
+// sorts object keys, keeps int64 seeds beyond 2⁵³ exact (a float64
+// round trip would merge these two), and passes foreign lines through.
+func TestCanonical(t *testing.T) {
+	in := []byte(`{"v":1,"type":"header","seed":8932749823749823749,"elapsedNs":5}` + "\n" +
+		`{"type":"span","durNs":7,"queueWaitNs":3,"name":"trial","wallNs":1,"utilization":0.5,"nodesPerSec":9.5}` + "\n" +
+		"\n" +
+		"not json\n")
+	want := `{"seed":8932749823749823749,"type":"header","v":1}` + "\n" +
+		`{"name":"trial","type":"span"}` + "\n" +
+		"not json\n"
+	if got := string(Canonical(in)); got != want {
+		t.Fatalf("Canonical =\n%s\nwant\n%s", got, want)
+	}
+	a := Canonical([]byte(`{"seed":8932749823749823749}`))
+	b := Canonical([]byte(`{"seed":8932749823749823750}`))
+	if bytes.Equal(a, b) {
+		t.Fatalf("distinct seeds canonicalized to the same bytes %s", a)
+	}
 }

@@ -229,7 +229,7 @@ func TestConcurrentScrape(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < steps; i++ {
-			o.ObservePair(core.Pair{A: i % 8, B: (i + 3) % 8}, i%5 == 0)
+			o.ObserveMobile(core.Pair{A: i % 8, B: (i + 3) % 8}, 0, 0, 0, 1, i%5 == 0)
 			h.Observe(int64(i % 1024))
 			c.Inc()
 			g.Set(float64(i))

@@ -37,7 +37,8 @@ type ObserverOptions struct {
 // Observer accumulates the metrics of one execution: interaction and
 // non-null counters, per-rule fire counts, quiet-streak statistics, and
 // scheduler pair-coverage/fairness gauges. It is fed by sim.Runner
-// through its Obs field (or by any driver via ObservePair) and is
+// through its Obs field (the count engine through the identity-free
+// ObserveRule methods) and is
 // single-writer: only the goroutine driving the run may call its
 // mutating methods, and its rule map and pair tracking are unsafe to
 // read while the run is live. Batch runs give each trial its own
@@ -150,9 +151,9 @@ func (o *Observer) Snapshot() ObserverSnapshot {
 }
 
 // SetForced records the number of interactions a fairness-enforcing
-// adversary was forced to schedule, surfaced in the summary record so
-// adversarial runs are auditable like scheduler runs. Call it before
-// Finish.
+// scheduler forced, surfaced in the summary record so adversarial runs
+// are auditable like scheduler runs. Call it before Finish; sim.Runner
+// does so for any scheduler with a Forced method.
 func (o *Observer) SetForced(n int64) { o.forced = n }
 
 // CompileRules switches mobile per-rule accounting to a dense counter
@@ -168,42 +169,31 @@ func (o *Observer) CompileRules(tab *core.Compiled) {
 }
 
 // ObserveMobile records a mobile-mobile interaction with its before and
-// after states.
+// after states: ObserveRule plus the pair's coverage and fairness gauges.
 func (o *Observer) ObserveMobile(p core.Pair, x, y, x2, y2 core.State, changed bool) {
-	if changed {
-		if o.rulesDense != nil {
-			o.rulesDense[o.ruleTab.Idx(x, y)]++
-		} else {
-			o.rules[RuleKey{X: x, Y: y, X2: x2, Y2: y2}]++
-		}
-	}
-	o.ObservePair(p, changed)
+	o.trackPair(p)
+	o.ObserveRule(x, y, x2, y2, changed)
 }
 
 // ObserveLeader records a leader-mobile interaction; x and x2 are the
 // mobile peer's before and after states.
 func (o *Observer) ObserveLeader(p core.Pair, x, x2 core.State, changed bool) {
-	if changed {
-		o.rules[RuleKey{Leader: true, X: x, X2: x2}]++
-	}
-	o.ObservePair(p, changed)
+	o.trackPair(p)
+	o.ObserveLeaderRule(x, x2, changed)
 }
 
-// ObservePair records an interaction without state attribution (no
-// per-rule accounting), for drivers that only expose pair events, such
-// as the adversarial runner's OnStep hook.
-func (o *Observer) ObservePair(p core.Pair, changed bool) {
-	step := int64(o.steps.Value())
-	if o.pairTrack {
-		idx := (p.A-o.lo)*o.m + (p.B - o.lo)
-		if idx >= 0 && idx < len(o.lastSeen) {
-			if o.lastSeen[idx] < 0 {
-				o.pairsSeen++
-			}
-			o.lastSeen[idx] = step
-		}
+// trackPair records that pair p interacts at the current step, for the
+// pair-coverage and fairness-gap gauges.
+func (o *Observer) trackPair(p core.Pair) {
+	if !o.pairTrack {
+		return
 	}
-	o.observeStep(changed)
+	if idx := (p.A-o.lo)*o.m + (p.B - o.lo); idx >= 0 && idx < len(o.lastSeen) {
+		if o.lastSeen[idx] < 0 {
+			o.pairsSeen++
+		}
+		o.lastSeen[idx] = int64(o.steps.Value())
+	}
 }
 
 // ObserveRule records a mobile-mobile interaction by its states alone —

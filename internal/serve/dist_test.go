@@ -25,22 +25,6 @@ func distSpec() Spec {
 	}
 }
 
-// workloadCanon reduces a result stream to its canonical workload
-// form: service-envelope records dropped, wall-clock fields stripped,
-// keys sorted.
-func workloadCanon(t *testing.T, lines [][]byte) []string {
-	t.Helper()
-	var out []string
-	for _, line := range lines {
-		switch recType(t, line) {
-		case "header", "job":
-			continue
-		}
-		out = append(out, canonicalize(t, line))
-	}
-	return out
-}
-
 // runCanonical submits a spec, waits for completion, and returns the
 // canonical workload stream.
 func runCanonical(t *testing.T, ts *httptest.Server, spec Spec) []string {
@@ -50,7 +34,7 @@ func runCanonical(t *testing.T, ts *httptest.Server, spec Spec) []string {
 		t.Fatalf("submit: status %d, error %+v", code, e)
 	}
 	waitState(t, ts, v.ID, StateDone, 60*time.Second)
-	return workloadCanon(t, streamLines(t, ts, v.ID))
+	return canonRecords(t, streamLines(t, ts, v.ID), "header", "job")
 }
 
 func assertSameStream(t *testing.T, got, want []string) {
@@ -222,7 +206,7 @@ func TestDistKillPeerMidJob(t *testing.T) {
 	peer2.Close()
 
 	waitState(t, ts, v.ID, StateDone, 60*time.Second)
-	got := workloadCanon(t, streamLines(t, ts, v.ID))
+	got := canonRecords(t, streamLines(t, ts, v.ID), "header", "job")
 	assertSameStream(t, got, want)
 }
 
@@ -313,7 +297,7 @@ func TestDistRestoreSkipsCompletedLeases(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8,
 		Store: mem, Peers: []string{peerTS.URL}, LeaseTrials: 3})
 	waitState(t, ts, id, StateDone, 60*time.Second)
-	got := workloadCanon(t, streamLines(t, ts, id))
+	got := canonRecords(t, streamLines(t, ts, id), "header", "job")
 	assertSameStream(t, got, want)
 	if restored := s.met.leasesRestored.Value(); restored != 1 {
 		t.Fatalf("%d leases restored, want 1", restored)

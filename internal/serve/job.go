@@ -250,11 +250,12 @@ func prepare(spec Spec) (*validated, *Error) {
 	if sp.Kind == KindTable1 {
 		// Table 1 runs a fixed protocol roster; the per-protocol knobs
 		// make no sense and are rejected rather than silently ignored.
-		for field, val := range map[string]string{
-			"protocol": sp.Protocol, "sched": sp.Sched, "init": sp.Init, "faults": sp.Faults,
+		// The first one set, in declaration order, is named.
+		for _, f := range []struct{ name, val string }{
+			{"protocol", sp.Protocol}, {"sched", sp.Sched}, {"init", sp.Init}, {"faults", sp.Faults},
 		} {
-			if val != "" {
-				return nil, badRequest("table1 jobs take no %q field", field)
+			if f.val != "" {
+				return nil, badRequest("table1 jobs take no %q field", f.name)
 			}
 		}
 		if sp.Trials != 0 || sp.N != 0 || sp.Epochs != 0 || sp.CorruptK != 0 {

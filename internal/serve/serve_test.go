@@ -12,11 +12,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"popnaming/internal/obs"
 	"popnaming/internal/sim"
 )
 
@@ -123,28 +125,19 @@ func streamLines(t *testing.T, ts *httptest.Server, id string) [][]byte {
 	return lines
 }
 
-// wallClockKeys are the journal fields excluded from the determinism
-// contract (docs/observability.md); canonicalize drops them before
-// comparing record streams.
-var wallClockKeys = []string{"elapsedNs", "wallNs", "utilization", "nodesPerSec", "durNs", "queueWaitNs"}
-
-// canonicalize re-marshals a record line with wall-clock fields
-// dropped and keys sorted (Go's map marshaling), giving a
-// deterministic byte form.
-func canonicalize(t *testing.T, line []byte) string {
+// canonRecords reduces a result stream to its records' canonical forms
+// (obs.Canonical) for cross-run comparison, dropping records of the
+// skipped types: "job" records carry the per-submission job ID, and
+// "header" and "job" are the service envelope a direct run lacks.
+func canonRecords(t *testing.T, lines [][]byte, skip ...string) []string {
 	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(line, &m); err != nil {
-		t.Fatalf("bad record line %q: %v", line, err)
+	var out []string
+	for _, line := range lines {
+		if !slices.Contains(skip, recType(t, line)) {
+			out = append(out, string(obs.Canonical(line)))
+		}
 	}
-	for _, k := range wallClockKeys {
-		delete(m, k)
-	}
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
+	return out
 }
 
 // recType extracts a record line's type field.
@@ -212,19 +205,8 @@ func TestJobDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var got []string
-	for _, line := range lines {
-		switch recType(t, line) {
-		case "header", "job":
-			// Service-only envelope records.
-		default:
-			got = append(got, canonicalize(t, line))
-		}
-	}
-	var want []string
-	for _, line := range direct {
-		want = append(want, canonicalize(t, bytes.TrimSuffix(line, []byte("\n"))))
-	}
+	got := canonRecords(t, lines, "header", "job")
+	want := canonRecords(t, direct)
 	if len(got) != len(want) {
 		t.Fatalf("record count mismatch: service %d, direct %d", len(got), len(want))
 	}
@@ -445,6 +427,26 @@ func TestPrepareDefaults(t *testing.T) {
 	}
 	if v.spec.Seed == 0 || !v.seedDerived {
 		t.Fatalf("seed not auto-derived: %+v", v.spec)
+	}
+}
+
+// TestTable1RejectionNamesFirstField: a table1 spec that sets several
+// per-protocol fields is rejected naming the first of them in
+// declaration order, on every admission.
+func TestTable1RejectionNamesFirstField(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Kind: KindTable1, Protocol: "asym", Sched: "random"}, `"protocol"`},
+		{Spec{Kind: KindTable1, Sched: "random", Init: "zero", Faults: "@1:omit=1"}, `"sched"`},
+		{Spec{Kind: KindTable1, Init: "zero", Faults: "@1:omit=1"}, `"init"`},
+	} {
+		for i := 0; i < 20; i++ {
+			if _, err := prepare(c.spec); err == nil || !strings.Contains(err.Message, c.want) {
+				t.Fatalf("prepare(%+v) = %v, want %s named", c.spec, err, c.want)
+			}
+		}
 	}
 }
 

@@ -23,23 +23,6 @@ func quickSpec(seed int64) Spec {
 	return Spec{Kind: KindSim, Protocol: "asym", P: 4, N: 4, Seed: seed, Budget: 100_000}
 }
 
-// canonStream canonicalizes a result stream for cross-run comparison:
-// wall-clock fields dropped, "job" records skipped (they carry the
-// job's ID, which differs between runs of the same spec). The header
-// and every engine record survive — for one spec they must match
-// byte-for-byte after canonicalization.
-func canonStream(t *testing.T, lines [][]byte) []string {
-	t.Helper()
-	var out []string
-	for _, line := range lines {
-		if recType(t, line) == "job" {
-			continue
-		}
-		out = append(out, canonicalize(t, line))
-	}
-	return out
-}
-
 // postJobKey is postJob with an Idempotency-Key request header.
 func postJobKey(t *testing.T, ts *httptest.Server, spec Spec, key string) (int, JobView, *Error, http.Header) {
 	t.Helper()
@@ -405,7 +388,7 @@ func TestRestartRequeuesInterruptedJobs(t *testing.T) {
 		t.Fatalf("reference submit status %d", status)
 	}
 	waitState(t, tsRef, ref.ID, StateDone, 30*time.Second)
-	want := canonStream(t, streamLines(t, tsRef, ref.ID))
+	want := canonRecords(t, streamLines(t, tsRef, ref.ID), "job")
 
 	for _, id := range []string{"j000001", "j000002"} {
 		lines := streamLines(t, ts, id)
@@ -414,7 +397,7 @@ func TestRestartRequeuesInterruptedJobs(t *testing.T) {
 				t.Fatalf("%s: stale pre-crash line survived the reset: %s", id, line)
 			}
 		}
-		got := canonStream(t, lines)
+		got := canonRecords(t, lines, "job")
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d canonical records, reference %d", id, len(got), len(want))
 		}
@@ -659,12 +642,12 @@ func TestKillRestartRecovery(t *testing.T) {
 		t.Fatalf("reference submit status %d", status)
 	}
 	waitState(t, tsRef, ref.ID, StateDone, 30*time.Second)
-	want := canonStream(t, streamLines(t, tsRef, ref.ID))
+	want := canonRecords(t, streamLines(t, tsRef, ref.ID), "job")
 	var rerunLines [][]byte
 	for _, line := range bytes.Split(bytes.TrimSuffix(results(base2, j2.ID), []byte("\n")), []byte("\n")) {
 		rerunLines = append(rerunLines, line)
 	}
-	got := canonStream(t, rerunLines)
+	got := canonRecords(t, rerunLines, "job")
 	if len(got) != len(want) {
 		t.Fatalf("rerun stream %d canonical records, reference %d", len(got), len(want))
 	}

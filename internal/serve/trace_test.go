@@ -73,17 +73,7 @@ func checkTracedDeterminism(t *testing.T, ts *httptest.Server, spec Spec) {
 		t.Fatalf("view trace IDs %q/%q, want %q", viewA.Trace, viewB.Trace, wantTrace)
 	}
 
-	canon := func(lines [][]byte) []string {
-		var out []string
-		for _, line := range lines {
-			if recType(t, line) == "job" {
-				continue // carries the per-submission job ID
-			}
-			out = append(out, canonicalize(t, line))
-		}
-		return out
-	}
-	a, b := canon(linesA), canon(linesB)
+	a, b := canonRecords(t, linesA, "job"), canonRecords(t, linesB, "job")
 	if len(a) != len(b) {
 		t.Fatalf("record counts differ: %d vs %d", len(a), len(b))
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 
@@ -173,9 +172,7 @@ type CountRunner struct {
 	Seed int64
 
 	// QuietThreshold overrides the silence-test window (0: the Runner
-	// default, 4N² with a floor of 64, saturating for populations so
-	// large that 4N² overflows — such runs test silence only at the
-	// budget boundary, which is the right trade at N ≥ 2³⁰).
+	// default, QuietWindow(N)).
 	QuietThreshold int
 
 	// Obs, when non-nil, receives per-rule accounting via the
@@ -275,17 +272,7 @@ func (r *CountRunner) quietThreshold() int {
 	if r.QuietThreshold > 0 {
 		return r.QuietThreshold
 	}
-	if r.n > 1<<30 {
-		// 4N² would overflow; saturate, deferring the silence test to
-		// the budget boundary (a population this large converging
-		// inside any realistic budget is not a case worth optimizing).
-		return math.MaxInt
-	}
-	t := 4 * r.n * r.n
-	if t < 64 {
-		t = 64
-	}
-	return t
+	return QuietWindow(r.n)
 }
 
 // step executes one interaction and reports whether it was non-null.

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"popnaming/internal/core"
-	"popnaming/internal/fault"
-	"popnaming/internal/trace"
-)
+import "popnaming/internal/core"
 
 // Resync rebuilds the compiled engine's incremental census from the
 // current configuration. Call it after mutating Cfg from outside the
@@ -29,107 +25,43 @@ func (r *Runner) Resync() {
 	}
 }
 
-// runFault is the injector-aware run loop. It mirrors the generic loop
-// in run — same silence-check points, same counter semantics — with
-// three insertions: due step-triggered events fire before the
-// interaction that crosses them, each successful silence check offers
-// the injector a convergence trigger (the run only returns converged
-// once no conv event is pending), and every mutating event resyncs the
-// census. It never uses the fused loop: fault runs trade the last ~20%
-// of step throughput for injection points, and the nil-injector path is
-// untouched.
-func (r *Runner) runFault(maxSteps int) Result {
+// settled reports, after a successful silence check, whether the
+// silence ends the run: it does unless fault events are pending. A
+// silent population still interacts (nullly), so a pending
+// step-triggered event is idled toward, and a pending conv event fires
+// right here. The quiet streak restarts after every fired event, so
+// the next epoch gets a full quiet window before its first silence
+// check.
+func (r *Runner) settled() bool {
 	inj := r.Inject
-	if inj.FireDue(int64(r.steps), r.Cfg) {
+	if inj == nil || inj.Exhausted() {
+		return true
+	}
+	if fired, mutated := inj.FireConv(int64(r.steps), r.Cfg); mutated {
 		r.Resync()
-	}
-	if r.silent() {
-		if inj.Exhausted() {
-			return Result{Converged: true, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
-		}
-		r.fireConv(inj)
-	}
-	threshold := r.quietThreshold()
-	for r.steps < maxSteps {
-		if next := inj.NextStep(); next >= 0 && int64(r.steps) >= next {
-			if inj.FireDue(int64(r.steps), r.Cfg) {
-				r.Resync()
-			}
-		}
-		r.stepFault(inj)
-		if r.quiet > 0 && r.quiet%threshold == 0 && r.silent() {
-			// Silence is only terminal once the whole plan has fired:
-			// a silent population still interacts (nullly), so pending
-			// step-triggered events still happen — the run idles
-			// toward them. A pending conv event fires right here.
-			if inj.Exhausted() {
-				return Result{Converged: true, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
-			}
-			r.fireConv(inj)
-		}
-	}
-	return Result{Converged: r.silent() && inj.Exhausted(), Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
-}
-
-// fireConv offers the injector a detected convergence; nothing happens
-// when the next plan event is step-triggered (the run idles toward it).
-// The quiet streak restarts after every fired event, so the next epoch
-// gets a full quiet window before its first silence check.
-func (r *Runner) fireConv(inj *fault.Injector) {
-	fired, mutated := inj.FireConv(int64(r.steps), r.Cfg)
-	if !fired {
-		return
-	}
-	if mutated {
-		r.Resync()
-	} else {
+	} else if fired {
 		r.quiet = 0
 	}
+	return false
 }
 
-// stepFault is Step plus injector suppression: a pair the injector
-// suppresses (omission burst, crashed agent) consumes the scheduler
-// draw and counts as a null interaction, but no transition is applied.
-func (r *Runner) stepFault(inj *fault.Injector) {
-	var pair core.Pair
-	if r.rnd != nil {
-		pair = r.rnd.Next()
-	} else {
-		pair = r.Sched.Next()
+// suppressed reports whether the injector drops pair (omission burst,
+// crashed agent). A dropped pair is fed to the observer as a null event
+// with unchanged states. Kept out of Step's body, so a nil injector
+// costs Step one pointer test.
+func (r *Runner) suppressed(pair core.Pair) bool {
+	if !r.Inject.Suppress(pair) {
+		return false
 	}
-	var changed bool
-	switch {
-	case inj.Suppress(pair):
-		if r.Obs != nil {
-			r.observeSuppressed(pair)
-		}
-	case r.tab != nil:
-		changed = r.applyCompiled(pair)
-	case r.Obs == nil:
-		changed = core.ApplyPair(r.Proto, r.Cfg, pair)
-	default:
-		changed = r.observedApply(pair)
+	if r.Obs == nil {
+		return true
 	}
-	if r.OnStep != nil {
-		r.OnStep(trace.Event{Step: r.steps, Pair: pair, NonNull: changed})
-	}
-	r.steps++
-	if changed {
-		r.nonNull++
-		r.quiet = 0
-	} else {
-		r.quiet++
-	}
-}
-
-// observeSuppressed feeds the observer a suppressed interaction as a
-// null event with unchanged states.
-func (r *Runner) observeSuppressed(pair core.Pair) {
 	if pair.HasLeader() {
 		x := r.Cfg.Mobile[pair.MobilePeer()]
 		r.Obs.ObserveLeader(pair, x, x, false)
-		return
+		return true
 	}
 	x, y := r.Cfg.Mobile[pair.A], r.Cfg.Mobile[pair.B]
 	r.Obs.ObserveMobile(pair, x, y, x, y, false)
+	return true
 }

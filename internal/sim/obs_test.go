@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
-	"regexp"
 	"testing"
 
 	"popnaming/internal/core"
@@ -62,10 +61,8 @@ func TestRunnerObserverMatchesResult(t *testing.T) {
 	}
 }
 
-var wallClockFields = regexp.MustCompile(`"(elapsedNs|wallNs|utilization)":[0-9.e+-]+`)
-
 // TestJournalDeterministic: two runs with the same seed produce
-// byte-identical journals modulo the wall-clock fields.
+// byte-identical canonical journals (obs.Canonical).
 func TestJournalDeterministic(t *testing.T) {
 	journal := func() []byte {
 		const n = 6
@@ -76,7 +73,7 @@ func TestJournalDeterministic(t *testing.T) {
 		run := NewRunner(pr, sched.NewRandom(n, true, 3), cfg)
 		run.Obs = obs.NewObserver(n, true, obs.ObserverOptions{Sink: sink, ProgressEvery: 1000})
 		run.Run(50_000_000)
-		return wallClockFields.ReplaceAll(buf.Bytes(), []byte(`"wall":0`))
+		return obs.Canonical(buf.Bytes())
 	}
 	a, b := journal(), journal()
 	if !bytes.Equal(a, b) {

@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -79,8 +80,7 @@ type Runner struct {
 
 	// QuietThreshold is the number of consecutive null interactions
 	// after which the runner checks the configuration for silence
-	// (convergence). Zero selects a default proportional to the square
-	// of the population size.
+	// (convergence). Zero selects QuietWindow(N).
 	QuietThreshold int
 
 	// OnStep, when non-nil, receives every interaction event (for trace
@@ -99,17 +99,18 @@ type Runner struct {
 	// paths equivalent; set it before the first Step or Run.
 	Interpret bool
 
-	// Inject, when non-nil, is a fault injector Run consults between
-	// interactions: step-triggered events fire before the interaction
-	// that crosses their step count, convergence-triggered events fire
-	// when a silence check succeeds, and the runner resyncs its census
+	// Inject, when non-nil, is a fault injector. Step applies its
+	// suppression: a dropped pair (omission burst, crashed agent)
+	// consumes the scheduler draw and counts as a null interaction.
+	// Only Run fires its events: step-triggered events before the
+	// interaction that crosses their step count, convergence-triggered
+	// events when a silence check succeeds, with the census resynced
 	// after every mutating event. Silence is only terminal once every
 	// plan event has fired — a silent population still interacts
 	// (nullly), so the run idles toward pending step triggers, and a
 	// budget-exhausted run reports Converged only if it is silent with
-	// the plan exhausted. Run with a nil Inject is unchanged — one
-	// pointer test per run, zero cost per step. The manual Step API
-	// does not consult the injector.
+	// the plan exhausted. A nil Inject keeps the fused loop untouched
+	// and costs the generic loop one pointer test per interaction.
 	Inject *fault.Injector
 
 	steps   int
@@ -193,6 +194,7 @@ func (r *Runner) initEngine(tab *core.Compiled) {
 }
 
 // Step executes one interaction and reports whether it was non-null.
+// A pair the injector suppresses counts as a null interaction.
 func (r *Runner) Step() bool {
 	if !r.engineInit { // branch instead of a call: ensureEngine is over the inline budget
 		r.ensureEngine()
@@ -204,11 +206,13 @@ func (r *Runner) Step() bool {
 		pair = r.Sched.Next()
 	}
 	var changed bool
-	if r.tab != nil {
+	switch {
+	case r.Inject != nil && r.suppressed(pair):
+	case r.tab != nil:
 		changed = r.applyCompiled(pair)
-	} else if r.Obs == nil {
+	case r.Obs == nil:
 		changed = core.ApplyPair(r.Proto, r.Cfg, pair)
-	} else {
+	default:
 		changed = r.observedApply(pair)
 	}
 	if r.OnStep != nil {
@@ -290,16 +294,22 @@ func (r *Runner) silent() bool {
 	return core.Silent(r.Proto, r.Cfg)
 }
 
+// QuietWindow is the default silence-check window for n agents:
+// max(64, 4n²) consecutive null interactions. It saturates at
+// math.MaxInt above n = 2³⁰, where 4n² would overflow, deferring the
+// silence test to the budget boundary.
+func QuietWindow(n int) int {
+	if n > 1<<30 {
+		return math.MaxInt
+	}
+	return max(64, 4*n*n)
+}
+
 func (r *Runner) quietThreshold() int {
 	if r.QuietThreshold > 0 {
 		return r.QuietThreshold
 	}
-	n := r.Cfg.N()
-	t := 4 * n * n
-	if t < 64 {
-		t = 64
-	}
-	return t
+	return QuietWindow(r.Cfg.N())
 }
 
 // Run executes interactions until the configuration is silent or
@@ -311,31 +321,56 @@ func (r *Runner) quietThreshold() int {
 // record) before returning.
 func (r *Runner) Run(maxSteps int) Result {
 	res := r.run(maxSteps)
-	if r.Obs != nil {
-		r.Obs.Finish(res.Converged)
-	}
+	r.finish(res.Converged)
 	return res
 }
 
+// finish closes the attached observer. A scheduler that counts forced
+// steps (adversary.Scheduler) has its count recorded in the summary.
+func (r *Runner) finish(converged bool) {
+	if r.Obs == nil {
+		return
+	}
+	if f, ok := r.Sched.(interface{ Forced() int }); ok {
+		r.Obs.SetForced(int64(f.Forced()))
+	}
+	r.Obs.Finish(converged)
+}
+
+func (r *Runner) result(converged bool) Result {
+	return Result{Converged: converged, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+}
+
+// run is Run without finishing the observer (Supervise calls it once
+// per slice). An injector's due step events fire before the
+// interaction that crosses them, and its conv events at a successful
+// silence check (see settled); without an injector an eligible runner
+// takes the fused loop.
 func (r *Runner) run(maxSteps int) Result {
 	r.ensureEngine()
-	if r.Inject != nil {
-		return r.runFault(maxSteps)
+	inj := r.Inject
+	if inj != nil && inj.FireDue(int64(r.steps), r.Cfg) {
+		r.Resync()
 	}
-	if r.silent() {
-		return Result{Converged: true, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+	if r.silent() && r.settled() {
+		return r.result(true)
 	}
-	if r.tab != nil && r.rnd != nil && r.Obs == nil && r.OnStep == nil {
+	if inj == nil && r.tab != nil && r.rnd != nil && r.Obs == nil && r.OnStep == nil {
 		return r.runCompiled(maxSteps)
 	}
 	threshold := r.quietThreshold()
 	for r.steps < maxSteps {
+		if inj != nil {
+			if next := inj.NextStep(); next >= 0 && int64(r.steps) >= next && inj.FireDue(int64(r.steps), r.Cfg) {
+				r.Resync()
+			}
+		}
 		r.Step()
-		if r.quiet > 0 && r.quiet%threshold == 0 && r.silent() {
-			return Result{Converged: true, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+		if r.quiet > 0 && r.quiet%threshold == 0 && r.silent() && r.settled() {
+			return r.result(true)
 		}
 	}
-	return Result{Converged: r.silent(), Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+	return r.result(r.silent() && (inj == nil || inj.Exhausted()))
 }
 
 // RunCompiled is Run restricted to the fused fast loop: scheduler draw,
@@ -349,7 +384,7 @@ func (r *Runner) RunCompiled(maxSteps int) Result {
 		panic("sim: RunCompiled requires the compiled engine, a random scheduler and no observers")
 	}
 	if r.silent() {
-		return Result{Converged: true, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+		return r.result(true)
 	}
 	return r.runCompiled(maxSteps)
 }

@@ -214,9 +214,7 @@ func superviseUntil(ctx context.Context, sup Supervision, deadlineAt time.Time, 
 				break
 			}
 		}
-		if r.Obs != nil {
-			r.Obs.Finish(res.Converged)
-		}
+		r.finish(res.Converged)
 		if aspan != nil {
 			if r.Inject != nil {
 				for _, f := range r.Inject.Fired() {

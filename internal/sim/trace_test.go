@@ -4,20 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"regexp"
 	"strings"
 	"testing"
 
 	"popnaming/internal/fault"
 	"popnaming/internal/obs"
 )
-
-// durFields strips the wall-clock span fields (durNs is the only one a
-// supervised trial emits; queueWaitNs appears on service roots only),
-// leaving the deterministic span bytes.
-var durFields = regexp.MustCompile(`,"(durNs|queueWaitNs)":-?\d+`)
-
-func stripDur(s string) string { return durFields.ReplaceAllString(s, "") }
 
 // traceSwap runs one supervised swap trial with tracing into a buffer
 // and returns the journal bytes.
@@ -44,10 +36,10 @@ func traceSwap(t *testing.T, seed int64, budget, slice int) string {
 func TestSupervisedTraceDeterministic(t *testing.T) {
 	a := traceSwap(t, 7, 100_000, 1<<14)
 	b := traceSwap(t, 7, 100_000, 1<<14)
-	if stripDur(a) != stripDur(b) {
+	if !bytes.Equal(obs.Canonical([]byte(a)), obs.Canonical([]byte(b))) {
 		t.Fatalf("same-seed span trees differ:\n--- a\n%s--- b\n%s", a, b)
 	}
-	if stripDur(a) == stripDur(traceSwap(t, 8, 100_000, 1<<14)) {
+	if bytes.Equal(obs.Canonical([]byte(a)), obs.Canonical([]byte(traceSwap(t, 8, 100_000, 1<<14)))) {
 		t.Fatal("different seeds produced identical span trees")
 	}
 
