@@ -16,10 +16,19 @@
 //	experiments countscale     count-engine throughput at N = 10^3…10^8 (E24)
 //	experiments all            everything above
 //
-// The convergence-cost sweeps E12, E12b and E15 are campaign grids
-// under examples/grids/paper/, run by `make paper` through ppanalyze;
-// E23, the count-vs-agent differential, is the sim package's
+// Every experiment is an entry of experiments.Suite(), which runs,
+// renders and names its result; this command loops over it. The
+// convergence-cost sweeps E12, E12b and E15 are campaign grids under
+// examples/grids/paper/, run by `make paper` through ppanalyze; E23,
+// the count-vs-agent differential, is the sim package's
 // TestCountMatchesAgentDistribution.
+//
+// Table 1 (E1) is sized by -p (simulation bound, which also bounds the
+// stabilize experiment), -mcp (exhaustive model-check bound), -budget
+// (per-run interaction budget) and -workers (goroutines for its
+// exhaustive searches and graph builds; cells are identical at any
+// count). `experiments table1` exits 1 when a cell disagrees with the
+// paper.
 //
 // With -json the selected experiments are emitted as one JSON document
 // on stdout instead of rendered tables (including a "timings" section
@@ -31,8 +40,9 @@
 // and -retries grants stalled trials fresh derived-seed attempts.
 //
 // Observability (see docs/observability.md): -journal records one
-// "experiment" line per experiment run (plus "fault" lines from the
-// stabilize experiment), -metrics prints the timing table,
+// "experiment" line per experiment run, plus one per Table 1 cell
+// (keyed table1/<leader>/<rules>) and the stabilize experiment's
+// trial and "fault" lines; -metrics prints the timing table,
 // -progress-every 1 announces each experiment on stderr as it
 // completes, and -pprof captures CPU/heap profiles. The seed actually
 // used is always reported, including when -seed 0 auto-derives one.
@@ -44,8 +54,8 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -60,25 +70,6 @@ import (
 	"popnaming/internal/report"
 )
 
-// results accumulates the structured outputs for -json mode. Fields are
-// nil when the corresponding experiment was not selected.
-type results struct {
-	Seed          int64                            `json:"seed"`
-	Table1        []experiments.Cell               `json:"table1,omitempty"`
-	Recovery      []experiments.RecoveryResult     `json:"recovery,omitempty"`
-	UStarAblation *experiments.AblationResult      `json:"ustarAblation,omitempty"`
-	Separation    *experiments.SeparationResult    `json:"fairnessSeparation,omitempty"`
-	ResetAblation *experiments.ResetAblationResult `json:"resetAblation,omitempty"`
-	Exact         []experiments.ExactPoint         `json:"exactTimes,omitempty"`
-	Thm11         []experiments.Thm11Point         `json:"thm11Scaling,omitempty"`
-	Trajectories  []experiments.Trajectory         `json:"trajectories,omitempty"`
-	Distributions []experiments.DistPoint          `json:"distributions,omitempty"`
-	Oracle        []experiments.OraclePoint        `json:"oracleSchedules,omitempty"`
-	Stabilize     []experiments.StabilizeResult    `json:"stabilize,omitempty"`
-	CountScale    *experiments.CountScaleResult    `json:"countScale,omitempty"`
-	Timings       []obs.ExperimentRec              `json:"timings,omitempty"`
-}
-
 // listSuite renders the suite registry: one row per experiment with
 // its DESIGN.md tag, CLI selector and description.
 func listSuite(w io.Writer) {
@@ -88,6 +79,18 @@ func listSuite(w io.Writer) {
 		tab.AddRow(e.Tag, e.Key, e.Description)
 	}
 	tab.Render(w)
+}
+
+// checkFlags rejects, at flag-parse time, the bounds the protocol
+// constructors cannot take.
+func checkFlags(p, mcp int) error {
+	if p < 2 {
+		return fmt.Errorf("-p %d: the population bound must be at least 2", p)
+	}
+	if mcp < 2 {
+		return fmt.Errorf("-mcp %d: the model-check bound must be at least 2", mcp)
+	}
+	return nil
 }
 
 // suiteRunner times each selected experiment, journals it, and keeps
@@ -103,31 +106,26 @@ type suiteRunner struct {
 	interrupted func() bool
 }
 
-// run executes the experiment registered under key. body returns
-// whether the experiment's checks passed.
-func (sr *suiteRunner) run(key string, body func() bool) {
-	entry, _ := experiments.SuiteLookup(key)
+// run executes one suite entry's body, which returns whether the
+// experiment's checks passed.
+func (sr *suiteRunner) run(e experiments.SuiteEntry, body func() bool) {
 	if sr.interrupted != nil && sr.interrupted() {
-		rec := obs.NewExperimentRec(key, entry.Tag, false, 0)
+		rec := obs.NewExperimentRec(e.Key, e.Tag, false, 0)
 		rec.Skipped = true
 		rec.Detail = "skipped: interrupted"
 		sr.timings = append(sr.timings, rec)
-		if sr.sink != nil {
-			sr.sink.Emit(rec)
-		}
+		sr.sink.Emit(rec)
 		return
 	}
 	start := time.Now()
 	ok := body()
-	rec := obs.NewExperimentRec(key, entry.Tag, ok, time.Since(start).Nanoseconds())
-	rec.Detail = entry.Description
+	rec := obs.NewExperimentRec(e.Key, e.Tag, ok, time.Since(start).Nanoseconds())
+	rec.Detail = e.Description
 	sr.timings = append(sr.timings, rec)
-	if sr.sink != nil {
-		sr.sink.Emit(rec)
-	}
+	sr.sink.Emit(rec)
 	if sr.progress > 0 && len(sr.timings)%sr.progress == 0 {
 		fmt.Fprintf(os.Stderr, "experiments: %s (%s) done in %v\n",
-			key, entry.Tag, time.Duration(rec.WallNS).Round(time.Millisecond))
+			e.Key, e.Tag, time.Duration(rec.WallNS).Round(time.Millisecond))
 	}
 	if !ok {
 		sr.ok = false
@@ -146,11 +144,39 @@ func (sr *suiteRunner) dump(w *os.File) {
 	t.Render(w)
 }
 
+// result is one experiment's outcome under its -json field name.
+type result struct {
+	name string
+	v    any
+}
+
+// writeJSON prints the -json document: one indented object holding the
+// seed, each result in suite order, then the timings. Like omitempty
+// fields, empty results are left out.
+func writeJSON(w io.Writer, seed int64, results []result, timings []obs.ExperimentRec) error {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "{\n  \"seed\": %d", seed)
+	for _, r := range append(results, result{"timings", timings}) {
+		raw, err := json.MarshalIndent(r.v, "  ", "  ")
+		if err != nil {
+			return err
+		}
+		if s := string(raw); s != "null" && s != "[]" {
+			fmt.Fprintf(&b, ",\n  %q: %s", r.name, raw)
+		}
+	}
+	b.WriteString("\n}\n")
+	_, err := w.Write(b.Bytes())
+	return err
+}
+
 func main() {
 	var (
 		seedFlag = flag.Int64("seed", 1, "random seed (0: auto-derive from the clock; the seed used is reported)")
-		p        = flag.Int("p", 6, "population bound for table1 simulation checks")
+		p        = flag.Int("p", 6, "population bound for table1 simulation checks and the stabilize experiment")
 		mcp      = flag.Int("mcp", 3, "population bound for exhaustive model checks")
+		budget   = flag.Int("budget", 20_000_000, "per-run interaction budget for table1")
+		workers  = flag.Int("workers", 1, "worker goroutines for table1's exhaustive searches and model checks (1 = sequential)")
 		asJSON   = flag.Bool("json", false, "emit structured JSON instead of tables")
 		journal  = flag.String("journal", "", "write a JSONL run journal to this file (see docs/observability.md)")
 		metrics  = flag.Bool("metrics", false, "print the per-experiment timing table")
@@ -167,21 +193,22 @@ func main() {
 		listSuite(os.Stdout)
 		return
 	}
+	if err := checkFlags(*p, *mcp); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 
-	var faultPlan *fault.Plan
+	opts := experiments.SuiteOptions{
+		P: *p, ModelCheckP: *mcp, Budget: *budget, Workers: *workers,
+		Deadline: *deadline, Retries: *retries,
+	}
 	if *faults != "" {
 		pl, perr := fault.Parse(*faults)
 		if perr != nil {
-			var pe *fault.ParseError
-			if errors.As(perr, &pe) {
-				fmt.Fprintf(os.Stderr, "experiments: -faults: bad %s at offset %d: token %q: %s\n",
-					pe.Kind, pe.Offset, pe.Token, pe.Reason)
-			} else {
-				fmt.Fprintln(os.Stderr, "experiments: -faults:", perr)
-			}
+			fmt.Fprintln(os.Stderr, "experiments: -faults:", perr)
 			os.Exit(2)
 		}
-		faultPlan = pl
+		opts.Plan = pl
 	}
 
 	which := "all"
@@ -197,6 +224,7 @@ func main() {
 	}
 
 	seed, derived := obs.ResolveSeed(*seedFlag)
+	opts.Seed = seed
 	seedOut := os.Stdout
 	if *asJSON {
 		seedOut = os.Stderr
@@ -207,17 +235,10 @@ func main() {
 	}
 	fmt.Fprintf(seedOut, "experiments: seed %d%s\n", seed, note)
 
-	if *pprofPfx != "" {
-		stop, perr := obs.StartPprof(*pprofPfx)
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", perr)
-			os.Exit(1)
-		}
-		defer func() {
-			if serr := stop(); serr != nil {
-				fmt.Fprintln(os.Stderr, "experiments: pprof:", serr)
-			}
-		}()
+	sink, finish, err := obs.OpenRun("experiments", *journal, *pprofPfx)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
 
 	// First SIGINT sets the flag: supervised work aborts at its next
@@ -234,185 +255,39 @@ func main() {
 		signal.Stop(sigc)
 		fmt.Fprintln(os.Stderr, "experiments: interrupt — finishing up, flushing journal (^C again to kill)")
 	}()
+	opts.Interrupt = interrupted.Load
 
-	sr := &suiteRunner{progress: *progress, ok: true, interrupted: interrupted.Load}
-	var closeJournal func() error
-	if *journal != "" {
-		s, closeFn, jerr := obs.OpenJournal(*journal)
-		if jerr != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", jerr)
-			os.Exit(1)
-		}
-		sr.sink = s
-		closeJournal = closeFn
+	sr := &suiteRunner{sink: sink, progress: *progress, ok: true, interrupted: interrupted.Load}
+	if sink != nil {
+		// A nil *JournalSink in the obs.Sink interface would be a
+		// non-nil sink and attach an observer to every stabilize trial.
+		opts.Sink = sink
 		hdr := obs.NewHeader("experiments")
 		hdr.P = *p
 		hdr.Seed = seed
 		hdr.SeedDerived = derived
-		sr.sink.Emit(hdr)
+		sink.Emit(hdr)
 	}
 
-	// sel gates each experiment: selected by name or by "all".
-	sel := func(key string) bool { return which == "all" || which == key }
-	out := results{Seed: seed}
-
-	if sel("table1") {
-		sr.run("table1", func() bool {
-			cells := experiments.Table1(experiments.Table1Options{P: *p, ModelCheckP: *mcp, Seed: seed})
-			out.Table1 = cells
-			if !*asJSON {
-				experiments.RenderTable1(os.Stdout, cells)
+	var results []result
+	for _, e := range experiments.Suite() {
+		if which != "all" && which != e.Key {
+			continue
+		}
+		sr.run(e, func() bool {
+			v, ok := e.Run(opts)
+			if *asJSON {
+				results = append(results, result{e.JSON, v})
+			} else {
+				e.Render(os.Stdout, v)
 				fmt.Println()
 			}
-			for _, c := range cells {
-				if !c.OK {
-					return false
-				}
-			}
-			return true
+			return ok
 		})
 	}
-
-	if sel("recovery") {
-		sr.run("recovery", func() bool {
-			out.Recovery = experiments.StandardRecovery(seed)
-			if !*asJSON {
-				experiments.RenderRecovery(os.Stdout, out.Recovery)
-				fmt.Println()
-			}
-			return true
-		})
-	}
-	if sel("ablation") {
-		sr.run("ablation", func() bool {
-			ab := experiments.UStarAblation(3)
-			out.UStarAblation = &ab
-			if !*asJSON {
-				experiments.RenderAblation(os.Stdout, ab)
-				fmt.Println()
-			}
-			return true
-		})
-	}
-	if sel("separation") {
-		sr.run("separation", func() bool {
-			sep := experiments.FairnessSeparation(3, seed)
-			out.Separation = &sep
-			if !*asJSON {
-				experiments.RenderSeparation(os.Stdout, sep)
-				fmt.Println()
-			}
-			return true
-		})
-	}
-
-	if sel("resetablation") {
-		sr.run("resetablation", func() bool {
-			ra := experiments.ResetAblation(2)
-			out.ResetAblation = &ra
-			if !*asJSON {
-				experiments.RenderResetAblation(os.Stdout, ra)
-				fmt.Println()
-			}
-			return true
-		})
-	}
-	if sel("exact") {
-		sr.run("exact", func() bool {
-			out.Exact = experiments.ExactTimes()
-			if !*asJSON {
-				experiments.RenderExact(os.Stdout, out.Exact)
-				fmt.Println()
-			}
-			return true
-		})
-	}
-	if sel("thm11") {
-		sr.run("thm11", func() bool {
-			out.Thm11 = experiments.Thm11Scaling(6, 500_000, seed)
-			if !*asJSON {
-				experiments.RenderThm11(os.Stdout, out.Thm11)
-				fmt.Println()
-			}
-			return true
-		})
-	}
-	if sel("trajectory") {
-		sr.run("trajectory", func() bool {
-			out.Trajectories = experiments.StandardTrajectories(seed)
-			if !*asJSON {
-				experiments.RenderTrajectories(os.Stdout, out.Trajectories)
-				fmt.Println()
-			}
-			return true
-		})
-	}
-	if sel("distribution") {
-		sr.run("distribution", func() bool {
-			out.Distributions = experiments.Distributions(2000, seed)
-			if !*asJSON {
-				experiments.RenderDistributions(os.Stdout, out.Distributions)
-				fmt.Println()
-			}
-			return true
-		})
-	}
-	if sel("oracle") {
-		sr.run("oracle", func() bool {
-			out.Oracle = experiments.OracleSchedules(seed)
-			if !*asJSON {
-				experiments.RenderOracle(os.Stdout, out.Oracle)
-				fmt.Println()
-			}
-			return true
-		})
-	}
-	if sel("stabilize") {
-		sr.run("stabilize", func() bool {
-			opts := experiments.StabilizeOptions{
-				Seed:      seed,
-				Plan:      faultPlan,
-				Deadline:  *deadline,
-				Retries:   *retries,
-				Interrupt: interrupted.Load,
-			}
-			if sr.sink != nil {
-				opts.Sink = sr.sink
-			}
-			out.Stabilize = experiments.StabilizeAll(*p, opts)
-			if !*asJSON {
-				experiments.RenderStabilize(os.Stdout, out.Stabilize)
-				fmt.Println()
-			}
-			if interrupted.Load() {
-				return false
-			}
-			for _, res := range out.Stabilize {
-				if !res.OK {
-					return false
-				}
-			}
-			return len(out.Stabilize) > 0
-		})
-	}
-
-	if sel("countscale") {
-		sr.run("countscale", func() bool {
-			cs := experiments.CountScale(experiments.CountScaleOptions{Seed: seed})
-			out.CountScale = &cs
-			if !*asJSON {
-				experiments.RenderCountScale(os.Stdout, cs)
-				fmt.Println()
-			}
-			return len(cs.Points) > 0
-		})
-	}
-	out.Timings = sr.timings
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := writeJSON(os.Stdout, seed, results, sr.timings); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
@@ -420,11 +295,9 @@ func main() {
 	if *metrics {
 		sr.dump(seedOut)
 	}
-	if closeJournal != nil {
-		if err := closeJournal(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: journal:", err)
-			os.Exit(1)
-		}
+	if err := finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments: journal:", err)
+		os.Exit(1)
 	}
 	if interrupted.Load() {
 		fmt.Fprintln(os.Stderr, "experiments: interrupted; partial results journaled")

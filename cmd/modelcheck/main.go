@@ -56,10 +56,28 @@ func main() {
 		pprofPfx   = flag.String("pprof", "", "write CPU/heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
 	)
 	flag.Parse()
+	if err := checkFlags(*p, *n); err != nil {
+		fmt.Fprintln(os.Stderr, "modelcheck:", err)
+		os.Exit(2)
+	}
 	if err := run(*protoKey, *p, *n, *maxNodes, *workers, *exact, *allLeaders, *journal, *metrics, *pprofPfx); err != nil {
 		fmt.Fprintln(os.Stderr, "modelcheck:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects, at flag-parse time, the sizes the protocol
+// constructors and the start-set enumeration cannot take: every
+// protocol needs P >= 2, and N must not be negative (-n 0 means
+// N = P).
+func checkFlags(p, n int) error {
+	if p < 2 {
+		return fmt.Errorf("-p %d: the population bound must be at least 2", p)
+	}
+	if n < 0 {
+		return fmt.Errorf("-n %d: the population size must not be negative", n)
+	}
+	return nil
 }
 
 // stageTimer journals and accumulates per-phase wall-clock timings.
@@ -98,31 +116,16 @@ func run(protoKey string, p, n, maxNodes, workers int, exact, allLeaders bool, j
 	}
 	proto := spec.New(p)
 
-	if pprofPfx != "" {
-		stop, perr := obs.StartPprof(pprofPfx)
-		if perr != nil {
-			return perr
-		}
-		defer func() {
-			if serr := stop(); serr != nil {
-				fmt.Fprintln(os.Stderr, "modelcheck: pprof:", serr)
-			}
-		}()
+	sink, finish, err := obs.OpenRun("modelcheck", journal, pprofPfx)
+	if err != nil {
+		return err
 	}
-
-	st := &stageTimer{}
-	if journal != "" {
-		s, closeFn, jerr := obs.OpenJournal(journal)
-		if jerr != nil {
-			return jerr
+	defer func() {
+		if ferr := finish(); ferr != nil && err == nil {
+			err = ferr
 		}
-		st.sink = s
-		defer func() {
-			if cerr := closeFn(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-	}
+	}()
+	st := &stageTimer{sink: sink}
 
 	starts, err := buildStarts(proto, n, allLeaders)
 	if err != nil {
@@ -262,21 +265,5 @@ func buildStarts(proto core.Protocol, n int, allLeaders bool) ([]*core.Config, e
 		leaders = append(leaders, nil)
 	}
 
-	var out []*core.Config
-	states := make([]core.State, n)
-	for code := 0; code < total; code++ {
-		c := code
-		for i := range states {
-			states[i] = core.State(c % q)
-			c /= q
-		}
-		for _, l := range leaders {
-			cfg := core.NewConfigStates(states...)
-			if l != nil {
-				cfg.Leader = l.Clone()
-			}
-			out = append(out, cfg)
-		}
-	}
-	return out, nil
+	return explore.AllConfigs(q, n, leaders...), nil
 }

@@ -45,7 +45,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -134,17 +133,15 @@ func main() {
 		journal: *journal, metrics: *metrics, progress: *progress, pprof: *pprofPfx,
 	}
 	o.seed, o.derived = obs.ResolveSeed(*seed)
+	if err := checkFlags(o); err != nil {
+		fmt.Fprintln(os.Stderr, "namesim:", err)
+		os.Exit(2)
+	}
 	// Reject a malformed -faults plan at flag-parse time, before any
 	// protocol or journal setup, with the parser's structured location.
 	var perr error
 	if o.plan, perr = fault.Parse(o.faults); perr != nil {
-		var pe *fault.ParseError
-		if errors.As(perr, &pe) {
-			fmt.Fprintf(os.Stderr, "namesim: -faults: bad %s at offset %d: token %q: %s\n",
-				pe.Kind, pe.Offset, pe.Token, pe.Reason)
-		} else {
-			fmt.Fprintln(os.Stderr, "namesim: -faults:", perr)
-		}
+		fmt.Fprintln(os.Stderr, "namesim: -faults:", perr)
 		os.Exit(2)
 	}
 	// The count engine has no agent identities: reject identity-dependent
@@ -160,6 +157,40 @@ func main() {
 		fmt.Fprintln(os.Stderr, "namesim:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects, at flag-parse time, the values the protocol
+// constructors and schedulers cannot take. Every protocol needs
+// P >= 2. The agent engine needs one slot per agent, so N lies in
+// [1, P] (-n 0 means N = P); count dynamics are defined for any N
+// (naming is then unachievable when N > P, the large-N scaling
+// regime). The eclipse scheduler hides agent -hidden of the N while
+// the others keep interacting.
+func checkFlags(o options) error {
+	n := o.n
+	if n == 0 {
+		n = o.p
+	}
+	if o.p < 2 {
+		return fmt.Errorf("-p %d: the population bound must be at least 2", o.p)
+	}
+	if o.engine != "count" && (n < 1 || n > o.p) {
+		return fmt.Errorf("-n %d: the agent engine needs N in [1, P=%d]", o.n, o.p)
+	}
+	if o.engine == "count" || o.adv || o.sched != "eclipse" {
+		return nil
+	}
+	if o.hidden < 0 || o.hidden >= n {
+		return fmt.Errorf("-hidden %d: the eclipsed agent must lie in [0, N=%d)", o.hidden, n)
+	}
+	minN := 3 // the N-1 visible agents need a pair
+	if spec, err := experiments.Lookup(o.proto); err == nil && core.HasLeader(spec.New(o.p)) {
+		minN = 2 // the leader pairs with the visible agent
+	}
+	if n < minN {
+		return fmt.Errorf("-sched eclipse: N=%d leaves the visible agents no pair (want N >= %d)", n, minN)
+	}
+	return nil
 }
 
 // countIncompatibility returns a description of the first flag that the
@@ -194,12 +225,6 @@ func run(o options) (err error) {
 	if o.n == 0 {
 		o.n = o.p
 	}
-	// The agent engine needs one slot per agent, so N is bounded by P;
-	// count dynamics are defined for any N (naming is then unachievable
-	// when N > P, which is exactly the large-N scaling regime).
-	if o.engine != "count" && o.n > o.p {
-		return fmt.Errorf("population size %d exceeds bound P=%d", o.n, o.p)
-	}
 	proto := spec.New(o.p)
 
 	var cfg *core.Config
@@ -209,31 +234,15 @@ func run(o options) (err error) {
 		}
 	}
 
-	if o.pprof != "" {
-		stop, perr := obs.StartPprof(o.pprof)
-		if perr != nil {
-			return perr
-		}
-		defer func() {
-			if serr := stop(); serr != nil {
-				fmt.Fprintln(os.Stderr, "namesim: pprof:", serr)
-			}
-		}()
+	sink, finish, err := obs.OpenRun("namesim", o.journal, o.pprof)
+	if err != nil {
+		return err
 	}
-
-	var sink *obs.JournalSink
-	if o.journal != "" {
-		s, closeFn, jerr := obs.OpenJournal(o.journal)
-		if jerr != nil {
-			return jerr
+	defer func() {
+		if ferr := finish(); ferr != nil && err == nil {
+			err = ferr
 		}
-		sink = s
-		defer func() {
-			if cerr := closeFn(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-	}
+	}()
 
 	if o.engine == "count" {
 		return runCount(proto, o, sink)

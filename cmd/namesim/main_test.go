@@ -254,3 +254,41 @@ func TestRunAgentAdversary(t *testing.T) {
 		t.Fatalf("summary forced %d, %d rules", sum.Forced, len(sum.Rules))
 	}
 }
+
+// TestCheckFlags: the values the protocol constructors and schedulers
+// cannot take are rejected with the flag named, instead of panicking
+// inside run.
+func TestCheckFlags(t *testing.T) {
+	base := options{proto: "asym", p: 8, sched: "random", init: "zero", engine: "compiled", hide: 100}
+	for _, c := range []struct {
+		name   string
+		mutate func(*options)
+		want   string // "" accepts; else the flag the error names
+	}{
+		{"defaults", func(*options) {}, ""},
+		{"p0", func(o *options) { o.p = 0 }, "-p 0"},
+		{"p1", func(o *options) { o.p = 1 }, "-p 1"},
+		{"n-1", func(o *options) { o.n = -1 }, "-n -1"},
+		{"n>p", func(o *options) { o.n = 9 }, "-n 9"},
+		{"count n>p", func(o *options) { o.engine = "count"; o.n = 1000 }, ""},
+		{"hidden9", func(o *options) { o.sched = "eclipse"; o.hidden = 9 }, "-hidden 9"},
+		{"hidden-1", func(o *options) { o.sched = "eclipse"; o.hidden = -1 }, "-hidden -1"},
+		{"eclipse n2", func(o *options) { o.sched = "eclipse"; o.n = 2 }, "-sched eclipse"},
+		{"eclipse n2 leader", func(o *options) { o.sched = "eclipse"; o.n = 2; o.proto = "initleader" }, ""},
+		{"eclipse n1 leader", func(o *options) { o.sched = "eclipse"; o.n = 1; o.proto = "initleader" }, "-sched eclipse"},
+		{"adversary ignores eclipse", func(o *options) { o.adv = true; o.sched = "eclipse"; o.hidden = 9 }, ""},
+	} {
+		o := base
+		c.mutate(&o)
+		err := checkFlags(o)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: checkFlags = %v, want accepted", c.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.HasPrefix(err.Error(), c.want+":") {
+			t.Errorf("%s: checkFlags = %v, want an error naming %s", c.name, err, c.want)
+		}
+	}
+}

@@ -139,8 +139,3 @@ func (c *Compiled) Null(x, y State) bool {
 	idx := int(x)*c.q + int(y)
 	return c.null[idx>>6]&(1<<(idx&63)) != 0
 }
-
-// NullAt is Null by flat table index.
-func (c *Compiled) NullAt(idx int) bool {
-	return c.null[idx>>6]&(1<<(idx&63)) != 0
-}

@@ -513,18 +513,8 @@ func (c *Coordinator) backoffDelay(idx, epoch int) time.Duration {
 	if d > c.MaxBackoff {
 		d = c.MaxBackoff
 	}
-	jitter := splitmix64(uint64(c.Seed) ^ uint64(idx)<<32 ^ uint64(epoch)<<16)
+	jitter := obs.Mix64(uint64(c.Seed) ^ uint64(idx)<<32 ^ uint64(epoch)<<16)
 	return d + time.Duration(jitter%uint64(d/2+1))
-}
-
-// splitmix64 is the finalizer used for jitter derivation (same
-// construction as sim.DeriveSeed's mixer, duplicated to keep dist
-// dependency-light).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // ---- shard normalization and merging ----

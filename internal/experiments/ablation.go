@@ -35,7 +35,7 @@ func UStarAblation(p int) AblationResult {
 	check := func(pr core.LeaderProtocol, count func(*core.Config) int) (bool, string, int) {
 		explored := 0
 		for n := 1; n <= p; n++ {
-			g, err := explore.Build(pr, allStarts(pr.States(), n, pr.InitLeader()), explore.Options{MaxNodes: 1 << 20})
+			g, err := explore.Build(pr, explore.AllConfigs(pr.States(), n, pr.InitLeader()), explore.Options{MaxNodes: 1 << 20})
 			if err != nil {
 				return false, err.Error(), explored
 			}

@@ -52,7 +52,7 @@ func Distributions(simTrials int, seed int64) []DistPoint {
 		}
 		start := core.NewConfig(n, 0)
 		start.Leader = leader
-		g, err := explore.Build(pr, allStarts(pr.States(), n, leader), explore.Options{MaxNodes: 1 << 20})
+		g, err := explore.Build(pr, explore.AllConfigs(pr.States(), n, leader), explore.Options{MaxNodes: 1 << 20})
 		if err != nil {
 			pt.Err = err.Error()
 			out = append(out, pt)

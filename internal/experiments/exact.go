@@ -39,7 +39,7 @@ func ExactTimes() []ExactPoint {
 		if lp, ok := pr.(core.LeaderProtocol); ok {
 			leader = lp.InitLeader()
 		}
-		g, err := explore.Build(pr, allStarts(pr.States(), n, leader), explore.Options{MaxNodes: 1 << 21})
+		g, err := explore.Build(pr, explore.AllConfigs(pr.States(), n, leader), explore.Options{MaxNodes: 1 << 21})
 		if err != nil {
 			pt.Err = err.Error()
 			out = append(out, pt)

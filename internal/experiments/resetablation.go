@@ -37,7 +37,7 @@ func ResetAblation(p int) ResetAblationResult {
 
 	check := func(pr core.LeaderProtocol, leaders []core.LeaderState, n int) (explore.Verdict, bool) {
 		var starts []*core.Config
-		for _, base := range allStarts(pr.States(), n, nil) {
+		for _, base := range explore.AllConfigs(pr.States(), n, nil) {
 			for _, l := range leaders {
 				c := base.Clone()
 				c.Leader = l.Clone()

@@ -44,7 +44,7 @@ type SeparationResult struct {
 func FairnessSeparation(p int, seed int64) SeparationResult {
 	res := SeparationResult{P: p}
 	pr := naming.NewGlobalP(p)
-	starts := allStarts(pr.States(), p, pr.InitLeader())
+	starts := explore.AllConfigs(pr.States(), p, pr.InitLeader())
 	g, err := explore.Build(pr, starts, explore.Options{MaxNodes: 1 << 21})
 	if err != nil {
 		return res

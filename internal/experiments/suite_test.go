@@ -5,8 +5,9 @@ import "testing"
 func TestSuiteKeysUniqueAndTagged(t *testing.T) {
 	seenKey := map[string]bool{}
 	seenTag := map[string]bool{}
+	seenJSON := map[string]bool{}
 	for _, e := range Suite() {
-		if e.Key == "" || e.Tag == "" || e.Description == "" {
+		if e.Key == "" || e.Tag == "" || e.Description == "" || e.JSON == "" || e.Run == nil || e.Render == nil {
 			t.Fatalf("incomplete entry %+v", e)
 		}
 		if seenKey[e.Key] {
@@ -15,8 +16,12 @@ func TestSuiteKeysUniqueAndTagged(t *testing.T) {
 		if seenTag[e.Tag] {
 			t.Fatalf("duplicate tag %q", e.Tag)
 		}
+		if seenJSON[e.JSON] {
+			t.Fatalf("duplicate JSON name %q", e.JSON)
+		}
 		seenKey[e.Key] = true
 		seenTag[e.Tag] = true
+		seenJSON[e.JSON] = true
 	}
 }
 

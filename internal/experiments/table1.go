@@ -1,8 +1,12 @@
 // Package experiments implements the paper-reproduction harness: every
 // table and figure of the evaluation that is not a plain protocol ×
 // population × scheduler product, as runnable experiments with
-// structured results. The cmd/table1 and cmd/experiments binaries and
-// the repository-root benchmarks are thin wrappers over this package.
+// structured results. Suite lists every runnable experiment, each
+// entry running, rendering and naming its own result; the
+// cmd/experiments binary (Table 1 included, as `experiments table1`)
+// is one loop over it, and the repository-root benchmarks call the
+// experiments directly. Table 1 journals one record per cell
+// (Cell.Record) through SuiteOptions.Sink.
 //
 // The paper (a brief announcement) has one table — Table 1, the
 // synthesis of feasibility and exact state-space optimality across model
@@ -22,6 +26,7 @@ import (
 	"popnaming/internal/explore"
 	"popnaming/internal/impossible"
 	"popnaming/internal/naming"
+	"popnaming/internal/obs"
 	"popnaming/internal/report"
 	"popnaming/internal/sched"
 	"popnaming/internal/search"
@@ -43,6 +48,15 @@ type Cell struct {
 	OK bool
 	// WallNS is the wall-clock time spent verifying the cell.
 	WallNS int64 `json:"wallNs"`
+}
+
+// Record is the cell's journal record: an experiment record keyed
+// table1/<leader>/<rules>, tagged E1, with the evidence as its detail
+// and the cell's verification time as its wall clock.
+func (c Cell) Record() obs.ExperimentRec {
+	rec := obs.NewExperimentRec("table1/"+c.Leader+"/"+c.Rules, "E1", c.OK, c.WallNS)
+	rec.Detail = c.Evidence
+	return rec
 }
 
 // Table1Options sizes the Table 1 reproduction.
@@ -168,7 +182,7 @@ func cellNoLeaderSymGlobal(o Table1Options) Cell {
 
 func modelCheckSymGlobal(p, workers int) explore.Verdict {
 	pr := naming.NewSymGlobal(p)
-	g, err := explore.Build(pr, allStarts(pr.States(), 3, nil), explore.Options{MaxNodes: 1 << 20, Workers: workers})
+	g, err := explore.Build(pr, explore.AllConfigs(pr.States(), 3, nil), explore.Options{MaxNodes: 1 << 20, Workers: workers})
 	if err != nil {
 		return explore.Verdict{Reason: err.Error()}
 	}
@@ -180,7 +194,7 @@ func modelCheckSymGlobal(p, workers int) explore.Verdict {
 func cellAsymmetric(o Table1Options, leader string) Cell {
 	pr := naming.NewAsymmetric(o.P)
 	simOK, runs := convergeMany(pr, o, nil, false)
-	g, err := explore.Build(pr, allStarts(pr.States(), 3, nil), explore.Options{MaxNodes: 1 << 20, Workers: o.Workers})
+	g, err := explore.Build(pr, explore.AllConfigs(pr.States(), 3, nil), explore.Options{MaxNodes: 1 << 20, Workers: o.Workers})
 	verdictOK := false
 	explored := 0
 	if err == nil {
@@ -250,7 +264,7 @@ func cellInitLeaderSymWeak(o Table1Options) Cell {
 
 func modelCheckGlobalPWeak(p, workers int) explore.Verdict {
 	pr := naming.NewGlobalP(p)
-	g, err := explore.Build(pr, allStarts(pr.States(), p, pr.InitLeader()), explore.Options{MaxNodes: 1 << 20, Workers: workers})
+	g, err := explore.Build(pr, explore.AllConfigs(pr.States(), p, pr.InitLeader()), explore.Options{MaxNodes: 1 << 20, Workers: workers})
 	if err != nil {
 		return explore.Verdict{OK: true, Reason: err.Error()} // treat as inconclusive
 	}
@@ -261,7 +275,7 @@ func modelCheckGlobalPWeak(p, workers int) explore.Verdict {
 func cellInitLeaderSymGlobal(o Table1Options) Cell {
 	mcP := o.ModelCheckP
 	pr := naming.NewGlobalP(mcP)
-	g, err := explore.Build(pr, allStarts(pr.States(), mcP, pr.InitLeader()), explore.Options{MaxNodes: 1 << 21, Workers: o.Workers})
+	g, err := explore.Build(pr, explore.AllConfigs(pr.States(), mcP, pr.InitLeader()), explore.Options{MaxNodes: 1 << 21, Workers: o.Workers})
 	verdict := explore.Verdict{}
 	if err == nil {
 		verdict = g.CheckGlobal(explore.Naming)
@@ -319,10 +333,4 @@ func convergeMany(pr core.Protocol, o Table1Options, sizeFilter func(int) bool, 
 		}
 	}
 	return ok, runs
-}
-
-// allStarts enumerates every mobile configuration of n agents over q
-// states, attaching the given leader state (nil for leaderless).
-func allStarts(q, n int, leader core.LeaderState) []*core.Config {
-	return explore.AllConfigs(q, n, leader)
 }

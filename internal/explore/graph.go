@@ -295,15 +295,19 @@ func orientations(label core.Pair, symmetric bool) []core.Pair {
 }
 
 // AllConfigs enumerates every configuration of n mobile agents over
-// states [0, q), attaching a clone of the given leader state to each
-// (nil for leaderless protocols) — the standard start set for
-// exhaustive checks.
-func AllConfigs(q, n int, leader core.LeaderState) []*core.Config {
+// states [0, q) — the standard start set for exhaustive checks — once
+// per given leader state, code-major and leader-minor, each
+// configuration carrying a clone of its leader. With no leaders (or a
+// single nil one) the configurations are leaderless.
+func AllConfigs(q, n int, leaders ...core.LeaderState) []*core.Config {
+	if len(leaders) == 0 {
+		leaders = []core.LeaderState{nil}
+	}
 	total := 1
 	for i := 0; i < n; i++ {
 		total *= q
 	}
-	out := make([]*core.Config, 0, total)
+	out := make([]*core.Config, 0, total*len(leaders))
 	states := make([]core.State, n)
 	for code := 0; code < total; code++ {
 		c := code
@@ -311,11 +315,13 @@ func AllConfigs(q, n int, leader core.LeaderState) []*core.Config {
 			states[i] = core.State(c % q)
 			c /= q
 		}
-		cfg := core.NewConfigStates(states...)
-		if leader != nil {
-			cfg.Leader = leader.Clone()
+		for _, l := range leaders {
+			cfg := core.NewConfigStates(states...)
+			if l != nil {
+				cfg.Leader = l.Clone()
+			}
+			out = append(out, cfg)
 		}
-		out = append(out, cfg)
 	}
 	return out
 }

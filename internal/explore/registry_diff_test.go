@@ -1,12 +1,14 @@
 package explore_test
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/experiments"
 	"popnaming/internal/explore"
+	"popnaming/internal/naming"
 )
 
 // TestRegistryParallelBuildDifferential builds the reachability graph
@@ -64,4 +66,31 @@ func nodeKeys(g *explore.Graph) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestAllConfigsLeaderMinor pins the start-set order with several
+// leader states (code-major, leader-minor) and the leaderless default.
+func TestAllConfigsLeaderMinor(t *testing.T) {
+	l0, l1 := naming.ResetBST{N: 0, K: 0}, naming.ResetBST{N: 1, K: 2}
+	got := explore.AllConfigs(2, 2, l0, l1)
+	want := []struct {
+		mobile []core.State
+		leader core.LeaderState
+	}{
+		{[]core.State{0, 0}, l0}, {[]core.State{0, 0}, l1},
+		{[]core.State{1, 0}, l0}, {[]core.State{1, 0}, l1},
+		{[]core.State{0, 1}, l0}, {[]core.State{0, 1}, l1},
+		{[]core.State{1, 1}, l0}, {[]core.State{1, 1}, l1},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("AllConfigs returned %d configurations, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if !slices.Equal(got[i].Mobile, w.mobile) || !got[i].Leader.Equal(w.leader) {
+			t.Errorf("configuration %d = %v, want mobile %v leader %v", i, got[i], w.mobile, w.leader)
+		}
+	}
+	if leaderless := explore.AllConfigs(2, 2); len(leaderless) != 4 || leaderless[3].Leader != nil {
+		t.Fatalf("AllConfigs without leaders = %v", leaderless)
+	}
 }

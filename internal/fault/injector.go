@@ -57,22 +57,13 @@ type Injector struct {
 	scratch  []int // victim-selection index pool
 }
 
-// mix64 is the splitmix64 finalizer, used to fold the plan seed into
-// the run seed without correlation between nearby seeds.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // NewInjector builds an injector for one run of protocol pr. It
 // validates the plan against the protocol's capabilities up front:
 // corrupt events need an ArbitraryInitProtocol (RandomMobile) and
 // leader events an ArbitraryLeaderProtocol (RandomLeader), so a
 // misdirected plan fails before any stepping instead of mid-run.
 func NewInjector(plan *Plan, pr core.Protocol, seed int64) (*Injector, error) {
-	inj := &Injector{plan: plan, pr: pr, seed: int64(mix64(uint64(seed)) ^ mix64(uint64(plan.Seed)*0x9e3779b97f4a7c15))}
+	inj := &Injector{plan: plan, pr: pr, seed: int64(obs.Mix64(uint64(seed)) ^ obs.Mix64(uint64(plan.Seed)*0x9e3779b97f4a7c15))}
 	if up, ok := pr.(core.UniformInitProtocol); ok {
 		inj.initState = up.InitMobile()
 	}
@@ -243,11 +234,6 @@ func (inj *Injector) Suppress(pair core.Pair) bool {
 		return true
 	}
 	return pair.B >= 0 && inj.crashed[pair.B]
-}
-
-// Crashed reports whether agent i is currently crashed.
-func (inj *Injector) Crashed(i int) bool {
-	return inj.crashed != nil && inj.crashed[i]
 }
 
 // NumCrashed returns the number of currently crashed agents.

@@ -154,6 +154,7 @@ func TestValidateRejectsBadCells(t *testing.T) {
 		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"faults":["@oops"],"seed":1}`,
 		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"engines":["count"],"faults":["@1:corrupt=1"],"seed":1}`,
 		`{"protocols":["asym"],"populations":[{"p":6,"n":4}],"engines":["count"],"retries":2,"seed":1}`,
+		`{"protocols":["asym"],"populations":[{"p":6,"n":3}],"scheds":["matching"],"seed":1}`, // odd n under matching
 	} {
 		sp := parse(t, src)
 		if err := sp.Validate(); err == nil {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -46,5 +47,34 @@ func StartPprof(prefix string) (stop func() error, err error) {
 		defer hf.Close()
 		runtime.GC()
 		return pprof.WriteHeapProfile(hf)
+	}, nil
+}
+
+// OpenRun is the run setup the CLIs share: it starts CPU profiling
+// when pprofPrefix is set (see StartPprof) and opens the JSONL journal
+// when journalPath is set, returning a nil sink otherwise. finish
+// closes the journal and then stops the profile; it returns the
+// journal's first write, flush or close error, while a profile error
+// is only printed to stderr as a warning under the tool's name.
+func OpenRun(tool, journalPath, pprofPrefix string) (sink *JournalSink, finish func() error, err error) {
+	stop := func() error { return nil }
+	if pprofPrefix != "" {
+		if stop, err = StartPprof(pprofPrefix); err != nil {
+			return nil, nil, err
+		}
+	}
+	closeJournal := func() error { return nil }
+	if journalPath != "" {
+		if sink, closeJournal, err = OpenJournal(journalPath); err != nil {
+			stop()
+			return nil, nil, err
+		}
+	}
+	return sink, func() error {
+		err := closeJournal()
+		if serr := stop(); serr != nil {
+			fmt.Fprintf(os.Stderr, "%s: pprof: %v\n", tool, serr)
+		}
+		return err
 	}, nil
 }

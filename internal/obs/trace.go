@@ -30,9 +30,10 @@ type SpanID uint64
 func (t TraceID) String() string { return fmt.Sprintf("%016x", uint64(t)) }
 func (s SpanID) String() string  { return fmt.Sprintf("%016x", uint64(s)) }
 
-// mix64 is the splitmix64 finalizer (the repo-wide seed-derivation
-// primitive; cf. sim.DeriveSeed).
-func mix64(z uint64) uint64 {
+// Mix64 is the splitmix64 finalizer, the repo-wide mixing primitive:
+// trace and span IDs here, sim.DeriveSeed's per-trial seeds, the fault
+// injector's seed folding and the lease-backoff jitter in dist.
+func Mix64(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -53,7 +54,7 @@ func fnv64a(s string) uint64 {
 // The derivation is deterministic and never returns zero, so a
 // same-seed resubmission carries the same trace ID.
 func NewTraceID(seed int64) TraceID {
-	z := mix64(uint64(seed))
+	z := Mix64(uint64(seed))
 	if z == 0 {
 		z = 0x9e3779b97f4a7c15
 	}
@@ -66,9 +67,9 @@ func NewTraceID(seed int64) TraceID {
 // counters, no randomness — is what keeps span trees byte-identical
 // across same-seed runs regardless of worker interleaving.
 func DeriveSpanID(trace TraceID, parent SpanID, name string, index int) SpanID {
-	z := mix64(uint64(trace) ^ uint64(parent))
-	z = mix64(z ^ fnv64a(name))
-	z = mix64(z ^ uint64(index)*0x9e3779b97f4a7c15)
+	z := Mix64(uint64(trace) ^ uint64(parent))
+	z = Mix64(z ^ fnv64a(name))
+	z = Mix64(z ^ uint64(index)*0x9e3779b97f4a7c15)
 	if z == 0 {
 		z = 1
 	}

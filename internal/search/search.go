@@ -293,7 +293,7 @@ func SymmetricNamingOpts(q int, sizes []int, fairness Fairness, init Init, opts 
 	case Arbitrary:
 		arbitrary = make([][]*core.Config, len(sizes))
 		for i, n := range sizes {
-			arbitrary[i] = allStarts(q, n)
+			arbitrary[i] = explore.AllConfigs(q, n)
 		}
 	}
 
@@ -407,23 +407,4 @@ func checkAll(t *core.RuleTable, startSets [][]*core.Config, fairness Fairness, 
 		return candidateInconclusive
 	}
 	return candidateSolved
-}
-
-// allStarts enumerates every configuration of n agents over q states.
-func allStarts(q, n int) []*core.Config {
-	total := 1
-	for i := 0; i < n; i++ {
-		total *= q
-	}
-	out := make([]*core.Config, 0, total)
-	states := make([]core.State, n)
-	for code := 0; code < total; code++ {
-		c := code
-		for i := range states {
-			states[i] = core.State(c % q)
-			c /= q
-		}
-		out = append(out, core.NewConfigStates(states...))
-	}
-	return out
 }

@@ -357,6 +357,11 @@ func prepare(spec Spec) (*validated, *Error) {
 		if _, ok := v.proto.(core.ArbitraryInitProtocol); !ok {
 			return nil, badRequest("protocol %q does not support arbitrary initialization (campaign jobs need it)", sp.Protocol)
 		}
+		// Probe the random scheduler the trials run on, so a population
+		// with no pair is a 400 here rather than a worker panic.
+		if _, err := sim.AgentScheduler(v.proto, sp.N, "random", sp.Seed); err != nil {
+			return nil, badRequest("%v", err)
+		}
 		if sp.Trials == 0 {
 			sp.Trials = 10
 		}

@@ -330,11 +330,7 @@ func (s *Server) runTable1(j *Job) error {
 		Seed:        sp.Seed,
 		Workers:     sp.Workers,
 		Interrupt:   func() bool { return j.ctx.Err() != nil },
-		OnCell: func(i int, c experiments.Cell) {
-			rec := obs.NewExperimentRec(fmt.Sprintf("table1/%s/%s", c.Leader, c.Rules), "E1", c.OK, c.WallNS)
-			rec.Detail = c.Evidence
-			_ = j.buf.Emit(rec)
-		},
+		OnCell:      func(_ int, c experiments.Cell) { _ = j.buf.Emit(c.Record()) },
 	})
 	if err := j.buf.Emit(Table1Rec{V: obs.Version, Type: "table1", Cells: cells}); err != nil {
 		return err

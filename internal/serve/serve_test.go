@@ -395,6 +395,29 @@ func TestStructuredBadRequest(t *testing.T) {
 	}
 }
 
+// TestPairlessPopulationRejected: a spec whose population has no pair
+// to schedule, or an odd one under the matching scheduler, is a
+// structured 400 at admission — over HTTP and through Submit — rather
+// than a panic in Prepare or, for a campaign, in a worker.
+func TestPairlessPopulationRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	for _, sp := range []Spec{
+		{Kind: KindCampaign, Protocol: "asym", P: 8, N: 1},
+		{Kind: KindSim, Protocol: "asym", P: 8, N: 3, Sched: "matching"},
+		{Kind: KindBatch, Protocol: "symglobal", P: 8, N: 5, Sched: "matching"},
+		{Kind: KindSim, Protocol: "asym", P: 8, N: 1},
+		{Kind: KindBatch, Protocol: "asym", P: 8, N: 1, Sched: "roundrobin"},
+	} {
+		code, _, e, _ := postJob(t, ts, sp)
+		if code != http.StatusBadRequest || e == nil || e.Kind != "validation" {
+			t.Errorf("%+v: status %d, error %+v; want a structured 400", sp, code, e)
+		}
+		if _, e := s.Submit(sp); e == nil {
+			t.Errorf("Submit admitted %+v", sp)
+		}
+	}
+}
+
 // TestPrepareDefaults spot-checks admission defaults and bounds.
 func TestPrepareDefaults(t *testing.T) {
 	v, err := prepare(Spec{Kind: KindBatch, Protocol: "asym", Seed: 5})

@@ -27,6 +27,9 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"kind":"campaign","protocol":"asym","p":8,"seed":3,"trials":10,"epochs":5,"corruptK":3}`))
 	f.Add([]byte(`{"kind":"sim","protocol":"asym","faults":"@5000:corrupt=3,@conv:crash=1","retries":2,"stall":5000,"trace":true}`))
 	f.Add([]byte(`{"kind":"batch","protocol":"asym","engine":"count","p":6,"n":1000000,"trials":4,"shard":{"lo":1,"hi":3}}`))
+	f.Add([]byte(`{"kind":"campaign","protocol":"asym","p":8,"n":1}`))
+	f.Add([]byte(`{"kind":"sim","protocol":"asym","p":8,"n":3,"sched":"matching"}`))
+	f.Add([]byte(`{"kind":"batch","protocol":"asym","p":8,"n":1,"sched":"roundrobin"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var spec Spec
 		dec := json.NewDecoder(bytes.NewReader(body))

@@ -3,20 +3,20 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 )
 
 // Memory is the in-memory job store: the pre-durability behavior
-// (jobs and result logs live in maps, nothing survives the process),
-// extracted behind the store interface so the serving layer stays
-// implementation-blind. It also doubles as the restart-recovery test
-// double: hand the same *Memory to a second server and Replay returns
-// everything the first one stored.
+// (nothing survives the process), extracted behind the store interface
+// so the serving layer stays implementation-blind. Lifecycle
+// transitions are kept as the same Rec sequence the WAL writes, and
+// Replay folds them with Fold, so both stores answer by one set of
+// rules; result and shard logs live in maps. It also doubles as the
+// restart-recovery test double: hand the same *Memory to a second
+// server and Replay returns everything the first one stored.
 type Memory struct {
 	mu      sync.Mutex
-	snaps   map[string]*Snapshot
-	order   []string
+	recs    []Rec
 	results map[string][][]byte
 	shards  map[string]map[int][][]byte
 }
@@ -24,7 +24,6 @@ type Memory struct {
 // NewMemory builds an empty in-memory store.
 func NewMemory() *Memory {
 	return &Memory{
-		snaps:   make(map[string]*Snapshot),
 		results: make(map[string][][]byte),
 		shards:  make(map[string]map[int][][]byte),
 	}
@@ -33,72 +32,33 @@ func NewMemory() *Memory {
 // Kind identifies the implementation for metrics and startup lines.
 func (m *Memory) Kind() string { return "memory" }
 
-// Admit records a new job admission. Duplicate admissions keep the
-// original (matching Fold's WAL semantics).
-func (m *Memory) Admit(id string, spec json.RawMessage, seedDerived bool) error {
+func (m *Memory) record(r Rec) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.snaps[id]; ok {
-		return nil
-	}
-	m.snaps[id] = &Snapshot{
-		ID: id, Spec: append(json.RawMessage(nil), spec...),
-		SeedDerived: seedDerived, State: StateQueued,
-	}
-	m.order = append(m.order, id)
+	m.recs = append(m.recs, r)
 	return nil
 }
 
+// Admit records a new job admission.
+func (m *Memory) Admit(id string, spec json.RawMessage, seedDerived bool) error {
+	return m.record(Rec{T: RecAdmit, ID: id, Spec: append(json.RawMessage(nil), spec...), SeedDerived: seedDerived})
+}
+
 // SetState records a non-terminal transition (queued on re-queue,
-// running on pickup). Terminal states are sticky, like Fold.
+// running on pickup).
 func (m *Memory) SetState(id, state string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.snaps[id]
-	if !ok || Terminal(s.State) {
-		return nil
-	}
-	s.State = state
-	return nil
+	return m.record(Rec{T: RecState, ID: id, State: state})
 }
 
 // Finalize records a terminal transition and its outcome.
 func (m *Memory) Finalize(id string, fin Final) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.snaps[id]
-	if !ok || Terminal(s.State) {
-		return nil
-	}
-	s.State = fin.State
-	s.Error = fin.Error
-	s.Summary = append(json.RawMessage(nil), fin.Summary...)
-	s.Cached = fin.Cached
-	s.WallNS = fin.WallNS
-	s.ResultLines = fin.ResultLines
-	return nil
+	fin.Summary = append(json.RawMessage(nil), fin.Summary...)
+	return m.record(fin.rec(id))
 }
 
-// PutLease records a lease transition, folding like the WAL: latest
-// record per lease index wins, completed is sticky.
+// PutLease records a lease transition.
 func (m *Memory) PutLease(id string, l LeaseSnap) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.snaps[id]
-	if !ok {
-		return nil
-	}
-	for i := range s.Leases {
-		if s.Leases[i].Idx == l.Idx {
-			if s.Leases[i].State != LeaseCompleted {
-				s.Leases[i] = l
-			}
-			return nil
-		}
-	}
-	s.Leases = append(s.Leases, l)
-	sort.Slice(s.Leases, func(a, b int) bool { return s.Leases[a].Idx < s.Leases[b].Idx })
-	return nil
+	return m.record(Rec{T: RecLease, ID: id, Lease: &l})
 }
 
 // PutShard replaces the lease's shard log.
@@ -158,17 +118,12 @@ func (m *Memory) ReadResults(id string, from, to int) ([][]byte, error) {
 	return lines[from:to], nil
 }
 
-// Replay returns every stored job in admission order.
+// Replay folds the recorded transitions into every stored job's
+// snapshot, in admission order.
 func (m *Memory) Replay() ([]Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	snaps := make([]Snapshot, 0, len(m.order))
-	for _, id := range m.order {
-		s := *m.snaps[id]
-		s.Leases = append([]LeaseSnap(nil), s.Leases...)
-		snaps = append(snaps, s)
-	}
-	return snaps, nil
+	return Fold(m.recs), nil
 }
 
 // Close is a no-op for the in-memory store.

@@ -1,9 +1,9 @@
 // Package store persists ppserved jobs across process restarts: job
 // admissions, lifecycle state transitions and finalized NDJSON result
 // logs. Two implementations share one record model — Memory (the
-// pre-durability behavior: everything in maps, gone with the process)
-// and WAL (an append-only write-ahead log plus per-job result files,
-// stdlib only) — mirroring the in-memory-vs-append-only split common
+// pre-durability behavior: the same records kept in memory, gone with
+// the process) and WAL (an append-only write-ahead log plus per-job
+// result files, stdlib only) — mirroring the in-memory-vs-append-only split common
 // in audit-log services, so the serving layer programs against one
 // interface and the deployment picks the durability.
 //
@@ -110,6 +110,15 @@ type Final struct {
 	Cached      bool
 	WallNS      int64
 	ResultLines int
+}
+
+// rec is the terminal state record of job id.
+func (fin Final) rec(id string) Rec {
+	return Rec{
+		T: RecState, ID: id, State: fin.State, Error: fin.Error,
+		Summary: fin.Summary, Cached: fin.Cached,
+		WallNS: fin.WallNS, ResultLines: fin.ResultLines,
+	}
 }
 
 // Snapshot is one job's folded durable state, as returned by Replay in

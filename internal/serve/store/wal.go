@@ -164,11 +164,7 @@ func (w *WAL) Finalize(id string, fin Final) error {
 			return fmt.Errorf("store: results close: %w", err)
 		}
 	}
-	if err := w.appendLocked(Rec{
-		T: RecState, ID: id, State: fin.State, Error: fin.Error,
-		Summary: fin.Summary, Cached: fin.Cached,
-		WallNS: fin.WallNS, ResultLines: fin.ResultLines,
-	}); err != nil {
+	if err := w.appendLocked(fin.rec(id)); err != nil {
 		return err
 	}
 	if err := w.sync(); err != nil {

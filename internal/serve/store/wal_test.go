@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -229,6 +230,7 @@ func TestStoreParity(t *testing.T) {
 		Admit(string, json.RawMessage, bool) error
 		SetState(string, string) error
 		Finalize(string, Final) error
+		PutLease(string, LeaseSnap) error
 		AppendResults(string, [][]byte) error
 		ResetResults(string) error
 		ReadResults(string, int, int) ([][]byte, error)
@@ -242,6 +244,13 @@ func TestStoreParity(t *testing.T) {
 		}
 		must(s.Admit("j000001", json.RawMessage(`{"kind":"sim","seed":1}`), false))
 		must(s.SetState("j000001", StateRunning))
+		// Leases: the latest record per index wins, and completed is
+		// sticky (issued -> completed -> issued stays completed).
+		must(s.PutLease("j000001", LeaseSnap{Idx: 1, Lo: 5, Hi: 10, State: LeaseIssued, Peer: "a"}))
+		must(s.PutLease("j000001", LeaseSnap{Idx: 0, Lo: 0, Hi: 5, State: LeaseIssued, Peer: "a"}))
+		must(s.PutLease("j000001", LeaseSnap{Idx: 1, Lo: 5, Hi: 10, State: LeaseCompleted, Peer: "a", Lines: 5}))
+		must(s.PutLease("j000001", LeaseSnap{Idx: 1, Lo: 5, Hi: 10, Epoch: 1, State: LeaseIssued, Peer: "b"}))
+		must(s.PutLease("j000001", LeaseSnap{Idx: 0, Lo: 0, Hi: 5, Epoch: 1, State: LeaseIssued, Peer: "b"}))
 		must(s.AppendResults("j000001", lines(`{"partial":1}`)))
 		must(s.ResetResults("j000001"))
 		must(s.AppendResults("j000001", lines(`{"a":1}`, `{"b":2}`)))
@@ -269,6 +278,13 @@ func TestStoreParity(t *testing.T) {
 	_, walRes := run(w)
 	if len(memSnaps) != 2 || memSnaps[0].State != StateDone || memSnaps[1].State != StateQueued {
 		t.Fatalf("memory snapshots: %+v", memSnaps)
+	}
+	wantLeases := []LeaseSnap{
+		{Idx: 0, Lo: 0, Hi: 5, Epoch: 1, State: LeaseIssued, Peer: "b"},
+		{Idx: 1, Lo: 5, Hi: 10, State: LeaseCompleted, Peer: "a", Lines: 5},
+	}
+	if !reflect.DeepEqual(memSnaps[0].Leases, wantLeases) {
+		t.Fatalf("memory leases: %+v, want %+v", memSnaps[0].Leases, wantLeases)
 	}
 	if len(memRes) != len(walRes) {
 		t.Fatalf("result lines: memory %d, wal %d", len(memRes), len(walRes))
@@ -299,7 +315,8 @@ func TestStoreParity(t *testing.T) {
 		m, ww := memSnaps[i], reSnaps[i]
 		if m.ID != ww.ID || m.State != ww.State || m.Error != ww.Error ||
 			m.SeedDerived != ww.SeedDerived || m.ResultLines != ww.ResultLines ||
-			!bytes.Equal(m.Spec, ww.Spec) || !bytes.Equal(m.Summary, ww.Summary) {
+			!bytes.Equal(m.Spec, ww.Spec) || !bytes.Equal(m.Summary, ww.Summary) ||
+			!reflect.DeepEqual(m.Leases, ww.Leases) {
 			t.Fatalf("snapshot %d differs:\nmemory: %+v\nwal:    %+v", i, m, ww)
 		}
 	}

@@ -419,9 +419,14 @@ func AgentStart(p core.Protocol, n int, initKey string, seed int64) (*core.Confi
 // AgentScheduler builds the agent-engine scheduler for a scheduler key,
 // the counterpart of AgentStart: "random" draws pairs from seed,
 // "roundrobin" and "matching" are deterministic, and matching is
-// leaderless only. Other keys are an error.
+// leaderless only and needs an even n. Other keys, and a population
+// with no pair to schedule (n < 1, or n < 2 without a leader), are an
+// error, reported before any constructor could panic on them.
 func AgentScheduler(p core.Protocol, n int, key string, seed int64) (sched.Scheduler, error) {
 	withLeader := core.HasLeader(p)
+	if n < 1 || (n < 2 && !withLeader) {
+		return nil, fmt.Errorf("population n=%d (leader=%v) has no pair to schedule", n, withLeader)
+	}
 	switch key {
 	case "random":
 		return sched.NewRandom(n, withLeader, seed), nil
@@ -430,6 +435,9 @@ func AgentScheduler(p core.Protocol, n int, key string, seed int64) (sched.Sched
 	case "matching":
 		if withLeader {
 			return nil, fmt.Errorf("matching scheduler is leaderless only")
+		}
+		if n%2 != 0 {
+			return nil, fmt.Errorf("matching scheduler needs an even population, got n=%d", n)
 		}
 		return sched.NewMatching(n), nil
 	}

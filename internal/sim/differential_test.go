@@ -111,20 +111,3 @@ func TestCompiledRunMatchesInterpretedRun(t *testing.T) {
 		})
 	}
 }
-
-// TestRunCompiledExplicit exercises the exported fused-loop entry point
-// directly and checks it against the interpreted reference.
-func TestRunCompiledExplicit(t *testing.T) {
-	const seed, budget = 31415, 400000
-	pr, n := diffCase(t, "selfstab")
-
-	comp := sim.NewRunner(pr, sched.NewRandom(n, true, seed), diffStart(pr, n, seed))
-	interp := sim.NewRunner(pr, sched.NewRandom(n, true, seed), diffStart(pr, n, seed))
-	interp.Interpret = true
-
-	got := comp.RunCompiled(budget)
-	want := interp.Run(budget)
-	if got.Converged != want.Converged || got.Steps != want.Steps || got.NonNull != want.NonNull {
-		t.Fatalf("RunCompiled diverged from interpreted Run:\n  compiled    %v\n  interpreted %v", got, want)
-	}
-}

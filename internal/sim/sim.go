@@ -373,22 +373,6 @@ func (r *Runner) run(maxSteps int) Result {
 	return r.result(r.silent() && (inj == nil || inj.Exhausted()))
 }
 
-// RunCompiled is Run restricted to the fused fast loop: scheduler draw,
-// table lookup and census update in one allocation-free loop with the
-// counters kept in registers. It requires the compiled engine, a
-// *sched.Random scheduler and no observers, and panics otherwise (use
-// Run, which selects it automatically when eligible).
-func (r *Runner) RunCompiled(maxSteps int) Result {
-	r.ensureEngine()
-	if r.tab == nil || r.rnd == nil || r.Obs != nil || r.OnStep != nil {
-		panic("sim: RunCompiled requires the compiled engine, a random scheduler and no observers")
-	}
-	if r.silent() {
-		return r.result(true)
-	}
-	return r.runCompiled(maxSteps)
-}
-
 // runCompiled is the fused hot loop. It must preserve the exact control
 // flow of the generic path — same silence-check points, same counter
 // semantics — so that compiled and interpreted runs of one seed yield

@@ -120,18 +120,10 @@ type SupervisedResult struct {
 // splitmix64 mixing, so retries explore fresh randomness while staying
 // reproducible from (base, trial, attempt).
 func DeriveSeed(base int64, trial, attempt int) int64 {
-	z := smix(uint64(base))
-	z = smix(z ^ uint64(trial)*0x9e3779b97f4a7c15)
-	z = smix(z ^ uint64(attempt)*0xbf58476d1ce4e5b9)
+	z := obs.Mix64(uint64(base))
+	z = obs.Mix64(z ^ uint64(trial)*0x9e3779b97f4a7c15)
+	z = obs.Mix64(z ^ uint64(attempt)*0xbf58476d1ce4e5b9)
 	return int64(z)
-}
-
-// smix is the splitmix64 finalizer.
-func smix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Supervise runs one trial under supervision. mk builds the runner for

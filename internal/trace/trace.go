@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"strings"
 
 	"popnaming/internal/core"
 )
@@ -63,79 +62,4 @@ func (c *Collector) NonNullCount() int {
 		}
 	}
 	return n
-}
-
-// Reset discards all recorded events.
-func (c *Collector) Reset() { c.events = c.events[:0] }
-
-// Tail formats the last k events, one per line, for failure reports.
-func (c *Collector) Tail(k int) string {
-	start := len(c.events) - k
-	if start < 0 {
-		start = 0
-	}
-	var b strings.Builder
-	for _, e := range c.events[start:] {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Ring keeps only the most recent capacity events, for long executions
-// where a full log would be too large. The zero value is unusable; use
-// NewRing.
-type Ring struct {
-	buf   []Event
-	next  int
-	total int
-}
-
-// NewRing returns a ring log holding the last capacity events.
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		panic("trace: ring capacity must be positive")
-	}
-	return &Ring{buf: make([]Event, 0, capacity)}
-}
-
-// Record appends an event, evicting the oldest when full.
-func (r *Ring) Record(e Event) {
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-		r.next = (r.next + 1) % cap(r.buf)
-	}
-	r.total++
-}
-
-// Total returns how many events were recorded over the execution,
-// including evicted ones.
-func (r *Ring) Total() int { return r.total }
-
-// Events returns the retained events in chronological order.
-func (r *Ring) Events() []Event {
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Tail formats the last k retained events, one per line, mirroring
-// Collector.Tail so failure reports work with ring traces too.
-func (r *Ring) Tail(k int) string {
-	ev := r.Events()
-	if k < 0 {
-		k = 0
-	}
-	if k < len(ev) {
-		ev = ev[len(ev)-k:]
-	}
-	var b strings.Builder
-	for _, e := range ev {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
 	"popnaming/internal/core"
@@ -27,27 +26,6 @@ func TestCollector(t *testing.T) {
 	if len(pairs) != 3 || pairs[1] != (core.Pair{A: core.LeaderIndex, B: 0}) {
 		t.Fatalf("Pairs = %v", pairs)
 	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatal("Reset did not clear events")
-	}
-}
-
-func TestCollectorTail(t *testing.T) {
-	var c Collector
-	for i := 0; i < 5; i++ {
-		c.Record(Event{Step: i, Pair: core.Pair{A: 0, B: 1}})
-	}
-	tail := c.Tail(2)
-	if strings.Count(tail, "\n") != 2 {
-		t.Fatalf("Tail(2) = %q", tail)
-	}
-	if !strings.Contains(tail, "#4") || !strings.Contains(tail, "#3") {
-		t.Fatalf("Tail(2) = %q, want last two events", tail)
-	}
-	if got := c.Tail(100); strings.Count(got, "\n") != 5 {
-		t.Fatalf("Tail(100) should return all events, got %q", got)
-	}
 }
 
 func TestEventString(t *testing.T) {
@@ -59,114 +37,4 @@ func TestEventString(t *testing.T) {
 	if got := e.String(); got != "#7 (L,2) " {
 		t.Errorf("String = %q", got)
 	}
-}
-
-func TestRingEviction(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 7; i++ {
-		r.Record(Event{Step: i, Pair: core.Pair{A: 0, B: 1}})
-	}
-	if r.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", r.Total())
-	}
-	ev := r.Events()
-	if len(ev) != 3 {
-		t.Fatalf("retained %d events, want 3", len(ev))
-	}
-	for i, e := range ev {
-		if e.Step != 4+i {
-			t.Errorf("event %d has Step %d, want %d (chronological order)", i, e.Step, 4+i)
-		}
-	}
-}
-
-func TestRingPartiallyFilled(t *testing.T) {
-	r := NewRing(10)
-	r.Record(Event{Step: 0})
-	r.Record(Event{Step: 1})
-	ev := r.Events()
-	if len(ev) != 2 || ev[0].Step != 0 || ev[1].Step != 1 {
-		t.Fatalf("Events = %v", ev)
-	}
-}
-
-func TestRingCapacityOne(t *testing.T) {
-	r := NewRing(1)
-	for i := 0; i < 4; i++ {
-		r.Record(Event{Step: i, Pair: core.Pair{A: 0, B: 1}})
-	}
-	if r.Total() != 4 {
-		t.Fatalf("Total = %d, want 4", r.Total())
-	}
-	ev := r.Events()
-	if len(ev) != 1 || ev[0].Step != 3 {
-		t.Fatalf("Events = %v, want just the last event", ev)
-	}
-}
-
-func TestRingExactCapacity(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 4; i++ {
-		r.Record(Event{Step: i, Pair: core.Pair{A: 0, B: 1}})
-	}
-	ev := r.Events()
-	if len(ev) != 4 {
-		t.Fatalf("retained %d events, want 4", len(ev))
-	}
-	for i, e := range ev {
-		if e.Step != i {
-			t.Errorf("event %d has Step %d, want %d", i, e.Step, i)
-		}
-	}
-	// One more record evicts exactly the oldest.
-	r.Record(Event{Step: 4, Pair: core.Pair{A: 0, B: 1}})
-	ev = r.Events()
-	if len(ev) != 4 || ev[0].Step != 1 || ev[3].Step != 4 {
-		t.Fatalf("after overflow: %v", ev)
-	}
-}
-
-func TestRingOrderAfterManyWraps(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 100; i++ {
-		r.Record(Event{Step: i, Pair: core.Pair{A: 0, B: 1}})
-	}
-	ev := r.Events()
-	for i, e := range ev {
-		if e.Step != 97+i {
-			t.Fatalf("Events = %v, want chronological 97..99", ev)
-		}
-	}
-}
-
-func TestRingTail(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 7; i++ {
-		r.Record(Event{Step: i, Pair: core.Pair{A: 0, B: 1}})
-	}
-	tail := r.Tail(2)
-	if strings.Count(tail, "\n") != 2 {
-		t.Fatalf("Tail(2) = %q", tail)
-	}
-	if !strings.Contains(tail, "#5") || !strings.Contains(tail, "#6") {
-		t.Fatalf("Tail(2) = %q, want last two retained events", tail)
-	}
-	if got := r.Tail(100); strings.Count(got, "\n") != 3 {
-		t.Fatalf("Tail(100) should return all retained events, got %q", got)
-	}
-	if got := r.Tail(0); got != "" {
-		t.Fatalf("Tail(0) = %q, want empty", got)
-	}
-	if got := r.Tail(-1); got != "" {
-		t.Fatalf("Tail(-1) = %q, want empty", got)
-	}
-}
-
-func TestRingRejectsZeroCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRing(0) did not panic")
-		}
-	}()
-	NewRing(0)
 }
