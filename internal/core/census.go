@@ -39,10 +39,10 @@ func NewCensus(tab *Compiled, cfg *Config) (*Census, error) {
 
 // NewCensusCounts builds a census directly over an occupancy vector,
 // sharing the slice: every Apply/ApplyOne flows back into counts, so a
-// CountConfig and its census stay in lockstep without copying. This is
-// the count engine's entry point — it never materializes an agent
-// array. len(counts) must equal tab.States() and counts must be
-// non-negative.
+// CountConfig and its census stay in lockstep without copying, and no
+// agent array is materialized. The count engine's tests hold its
+// weight-based silence test (W = 0) to this census's Silent.
+// len(counts) must equal tab.States() and counts must be non-negative.
 func NewCensusCounts(tab *Compiled, counts []int) (*Census, error) {
 	if len(counts) != tab.States() {
 		return nil, fmt.Errorf("core: census: counts length %d != states %d", len(counts), tab.States())

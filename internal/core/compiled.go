@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Compiled is a protocol whose mobile-mobile transition function has
 // been precomputed into dense flat tables over all |Q|² ordered state
@@ -9,8 +12,10 @@ import "fmt"
 // and the null-pair bitset lets silence detection reason about state
 // pairs without re-evaluating the transition function.
 //
-// A Compiled is immutable after Compile returns and is safe for
-// concurrent use by any number of runners (batch trials share one).
+// A Compiled is immutable after Compile returns, apart from its
+// non-null adjacency (NonNull), which is built once on first use, and
+// is safe for concurrent use by any number of runners (batch trials
+// share one).
 // It implements Protocol, delegating the metadata methods to the
 // source protocol; leader transitions stay interface-dispatched on the
 // source (LeaderState is unbounded, so they cannot be tabulated).
@@ -25,6 +30,72 @@ type Compiled struct {
 	// null is a bitset over the same index space: bit set iff the pair
 	// (x, y) is a null transition.
 	null []uint64
+
+	adjOnce sync.Once
+	adj     Adjacency
+}
+
+// Adjacency holds the non-null ordered state pairs of a compiled table
+// in compressed form, once by row and once by column, each list in
+// increasing state order. The count engine walks a row to pick a
+// responder and a column to find the initiators whose non-null partner
+// count moved with a state's count.
+type Adjacency struct {
+	rowStart, colStart []int32
+	rows, cols         []State
+}
+
+// Row returns every responder y with (x, y) non-null.
+func (a *Adjacency) Row(x State) []State { return a.rows[a.rowStart[x]:a.rowStart[x+1]] }
+
+// Col returns every initiator x with (x, y) non-null.
+func (a *Adjacency) Col(y State) []State { return a.cols[a.colStart[y]:a.colStart[y+1]] }
+
+// NonNull returns the table's non-null adjacency. It is built on the
+// first call, so runs that never ask for it (every agent-engine run)
+// never pay for it.
+func (c *Compiled) NonNull() *Adjacency {
+	c.adjOnce.Do(c.buildAdjacency)
+	return &c.adj
+}
+
+// buildAdjacency fills adj from the null bitset with two exact-size
+// allocations, one for the row and column offsets and one for the
+// lists: a counting pass, then a row-major pass for the rows and a
+// column-major pass for the columns.
+func (c *Compiled) buildAdjacency() {
+	q, a := c.q, &c.adj
+	starts := make([]int32, 2*(q+1))
+	a.rowStart, a.colStart = starts[:q+1], starts[q+1:]
+	for x := 0; x < q; x++ {
+		for y := 0; y < q; y++ {
+			if !c.Null(State(x), State(y)) {
+				a.rowStart[x+1]++
+				a.colStart[y+1]++
+			}
+		}
+	}
+	for s := 0; s < q; s++ {
+		a.rowStart[s+1] += a.rowStart[s]
+		a.colStart[s+1] += a.colStart[s]
+	}
+	nnz := int(a.rowStart[q])
+	lists := make([]State, 2*nnz)
+	a.rows, a.cols = lists[:0:nnz], lists[nnz:nnz]
+	for x := 0; x < q; x++ {
+		for y := 0; y < q; y++ {
+			if !c.Null(State(x), State(y)) {
+				a.rows = append(a.rows, State(y))
+			}
+		}
+	}
+	for y := 0; y < q; y++ {
+		for x := 0; x < q; x++ {
+			if !c.Null(State(x), State(y)) {
+				a.cols = append(a.cols, State(x))
+			}
+		}
+	}
 }
 
 // Compile precomputes the mobile-mobile transition table of p and

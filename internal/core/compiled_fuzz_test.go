@@ -6,7 +6,8 @@ import "testing"
 // right-hand sides escape the state space and wrappers whose Symmetric()
 // claim contradicts the rules — and checks that Compile accepts exactly
 // the well-formed ones. On success the dense table must agree pointwise
-// with the interface protocol, including the null bitset.
+// with the interface protocol, including the null bitset and its
+// row and column adjacency.
 //
 // RuleTable recomputes its symmetry flag on every Add, so its claim is
 // always truthful; a lyingProtocol wrapper negating it is therefore
@@ -50,8 +51,20 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
+		adj := c.NonNull()
+		var rows, cols [][]State
+		for s := 0; s < q; s++ {
+			rows = append(rows, adj.Row(State(s)))
+			cols = append(cols, adj.Col(State(s)))
+		}
 		for x := 0; x < q; x++ {
 			for y := 0; y < q; y++ {
+				if !c.Null(State(x), State(y)) {
+					if len(rows[x]) == 0 || rows[x][0] != State(y) || len(cols[y]) == 0 || cols[y][0] != State(x) {
+						t.Fatalf("(%d,%d): non-null pair missing from adjacency row %v or column %v", x, y, rows[x], cols[y])
+					}
+					rows[x], cols[y] = rows[x][1:], cols[y][1:]
+				}
 				wx, wy := rt.Mobile(State(x), State(y))
 				gx, gy := c.Mobile(State(x), State(y))
 				if gx != wx || gy != wy {
@@ -60,6 +73,11 @@ func FuzzCompile(f *testing.F) {
 				if c.Null(State(x), State(y)) != IsNullMobile(rt, State(x), State(y)) {
 					t.Fatalf("(%d,%d): null bitset disagrees with IsNullMobile", x, y)
 				}
+			}
+		}
+		for s := 0; s < q; s++ {
+			if len(rows[s]) != 0 || len(cols[s]) != 0 {
+				t.Fatalf("state %d: adjacency lists null pairs: row %v, column %v", s, rows[s], cols[s])
 			}
 		}
 		if c.Symmetric() != rt.Symmetric() {

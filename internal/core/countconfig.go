@@ -20,10 +20,9 @@ const MaxCountN = 1 << 32
 // Under the uniform-random scheduler the per-state counts are a
 // sufficient statistic for the whole process, which is what lets the
 // count-based engine simulate populations of 10⁶–10⁹ agents with
-// per-step cost independent of N (see sim.CountRunner).
+// per-interaction cost independent of N (see sim.CountRunner).
 //
-// A CountConfig is mutable; the count engine mutates Counts in place
-// through a core.Census that shares the backing slice.
+// A CountConfig is mutable; the count engine mutates Counts in place.
 type CountConfig struct {
 	// Counts is the occupancy vector, indexed by state; len(Counts)
 	// must equal the protocol's States().

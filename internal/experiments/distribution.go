@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"popnaming/internal/core"
 	"popnaming/internal/explore"
@@ -46,25 +45,7 @@ func Distributions(simTrials int, seed int64) []DistPoint {
 	var out []DistPoint
 	add := func(name string, pr core.Protocol, p, n int) {
 		pt := DistPoint{Protocol: name, P: p, N: n, SimTrials: simTrials}
-		var leader core.LeaderState
-		if lp, ok := pr.(core.LeaderProtocol); ok {
-			leader = lp.InitLeader()
-		}
-		start := core.NewConfig(n, 0)
-		start.Leader = leader
-		g, err := explore.Build(pr, explore.AllConfigs(pr.States(), n, leader), explore.Options{MaxNodes: 1 << 20})
-		if err != nil {
-			pt.Err = err.Error()
-			out = append(out, pt)
-			return
-		}
-		chain, err := markov.New(g)
-		if err != nil {
-			pt.Err = err.Error()
-			out = append(out, pt)
-			return
-		}
-		d, err := chain.DistributionFrom(start, 1e-9, 1<<22)
+		start, d, err := ZeroStartLaw(pr, n)
 		if err != nil {
 			pt.Err = err.Error()
 			out = append(out, pt)
@@ -74,7 +55,7 @@ func Distributions(simTrials int, seed int64) []DistPoint {
 		pt.Median, _ = d.Quantile(0.5)
 		pt.P90, _ = d.Quantile(0.9)
 		pt.P99, _ = d.Quantile(0.99)
-		pt.SimAgreement = ksAgainstSim(pr, start, d, simTrials, seed)
+		pt.SimAgreement = d.KS(firstSilenceTimes(pr, start, simTrials, seed))
 		out = append(out, pt)
 	}
 
@@ -85,32 +66,43 @@ func Distributions(simTrials int, seed int64) []DistPoint {
 	return out
 }
 
-// ksAgainstSim simulates `trials` precise first-silence times on
-// sim.Runner and returns the maximum gap between empirical and exact
-// CDFs. A silence check after every null step ends a converged run one
-// step past its first silence.
-func ksAgainstSim(pr core.Protocol, start *core.Config, d markov.Distribution, trials int, seed int64) float64 {
+// ZeroStartLaw returns the exact law of pr's convergence (first-silence)
+// time from n agents in state 0, the leader initialized, under the
+// uniform random scheduler, together with that start configuration.
+// The law is power-iterated over the explored configuration graph until
+// the survival probability falls below 10⁻⁹.
+func ZeroStartLaw(pr core.Protocol, n int) (*core.Config, markov.Distribution, error) {
+	var leader core.LeaderState
+	if lp, ok := pr.(core.LeaderProtocol); ok {
+		leader = lp.InitLeader()
+	}
+	start := core.NewConfig(n, 0)
+	start.Leader = leader
+	g, err := explore.Build(pr, explore.AllConfigs(pr.States(), n, leader), explore.Options{MaxNodes: 1 << 20})
+	if err != nil {
+		return nil, markov.Distribution{}, err
+	}
+	chain, err := markov.New(g)
+	if err != nil {
+		return nil, markov.Distribution{}, err
+	}
+	d, err := chain.DistributionFrom(start, 1e-9, 1<<22)
+	return start, d, err
+}
+
+// firstSilenceTimes simulates `trials` precise first-silence times on
+// sim.Runner. A silence check after every null step ends a converged
+// run one step past its first silence. Trial i's scheduler seed is
+// sim.DeriveSeed(seed, i, 0), so runs at different seeds share no trial.
+func firstSilenceTimes(pr core.Protocol, start *core.Config, trials int, seed int64) []int {
 	samples := make([]int, trials)
 	n := start.N()
 	for i := range samples {
-		run := sim.NewRunner(pr, sched.NewRandom(n, core.HasLeader(pr), seed+int64(i)), start.Clone())
+		run := sim.NewRunner(pr, sched.NewRandom(n, core.HasLeader(pr), sim.DeriveSeed(seed, i, 0)), start.Clone())
 		run.QuietThreshold = 1
 		samples[i] = max(0, run.Run(math.MaxInt).Steps-1)
 	}
-	sort.Ints(samples)
-	maxGap := 0.0
-	for t := 0; t < len(d.Survival); t++ {
-		exactCDF := 1 - d.Survival[t]
-		// Empirical CDF at t: fraction of samples <= t.
-		idx := sort.SearchInts(samples, t+1)
-		empCDF := float64(idx) / float64(trials)
-		if gap := empCDF - exactCDF; gap > maxGap {
-			maxGap = gap
-		} else if -gap > maxGap {
-			maxGap = -gap
-		}
-	}
-	return maxGap
+	return samples
 }
 
 // RenderDistributions prints E20.

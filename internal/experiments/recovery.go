@@ -66,9 +66,12 @@ func Recovery(name string, pr core.ArbitraryInitProtocol, opts RecoveryOptions) 
 	opts.fill()
 	res := RecoveryResult{Protocol: name, N: opts.N}
 	r := rand.New(rand.NewSource(opts.Seed))
-	mkSched := func(trial int) sched.Scheduler {
+	// Run `phase` (0: converge, 1: recover) of trial i draws its random
+	// schedule from sim.DeriveSeed(opts.Seed, i, phase), so runs at
+	// different seeds share no schedule.
+	mkSched := func(i, phase int) sched.Scheduler {
 		if opts.Global {
-			return sched.NewRandom(opts.N, core.HasLeader(pr), opts.Seed+int64(trial))
+			return sched.NewRandom(opts.N, core.HasLeader(pr), sim.DeriveSeed(opts.Seed, i, phase))
 		}
 		return sched.NewRoundRobin(opts.N, core.HasLeader(pr))
 	}
@@ -77,13 +80,14 @@ func Recovery(name string, pr core.ArbitraryInitProtocol, opts RecoveryOptions) 
 		point := RecoveryPoint{Corrupted: k, Trials: opts.Trials, LeaderCorrupt: opts.CorruptLeader}
 		var steps []float64
 		for trial := 0; trial < opts.Trials; trial++ {
+			i := (k-1)*opts.Trials + trial
 			cfg := sim.ArbitraryConfig(pr, opts.N, r)
-			if run := sim.NewRunner(pr, mkSched(trial), cfg).Run(opts.Budget); !run.Converged {
+			if run := sim.NewRunner(pr, mkSched(i, 0), cfg).Run(opts.Budget); !run.Converged {
 				point.Failures++
 				continue
 			}
 			sim.Corrupt(pr, cfg, r, k, opts.CorruptLeader)
-			run := sim.NewRunner(pr, mkSched(trial+1000), cfg).Run(opts.Budget)
+			run := sim.NewRunner(pr, mkSched(i, 1), cfg).Run(opts.Budget)
 			if !run.Converged || !cfg.ValidNaming() {
 				point.Failures++
 				continue

@@ -2,6 +2,8 @@ package markov
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"popnaming/internal/core"
 )
@@ -42,6 +44,24 @@ func (d Distribution) Mean() float64 {
 		sum += s
 	}
 	return sum
+}
+
+// KS returns the one-sample Kolmogorov–Smirnov statistic of samples
+// (convergence times) against the law: the largest gap between their
+// empirical CDF and the exact CDF over the computed horizon. Both CDFs
+// step only at integers, so checking every integer t finds the sup.
+// samples must be non-empty; it is not modified.
+func (d Distribution) KS(samples []int) float64 {
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	m := float64(len(sorted))
+	gap := 0.0
+	for t, s := range d.Survival {
+		le, _ := slices.BinarySearch(sorted, t+1) // samples ≤ t
+		emp := float64(le) / m
+		gap = math.Max(gap, math.Abs(emp-(1-s)))
+	}
+	return gap
 }
 
 // DistributionFrom computes the exact distribution of the convergence

@@ -46,6 +46,20 @@ func TestBlackWhiteDistribution(t *testing.T) {
 	}
 }
 
+// TestDistributionKS: the one-sample statistic is the largest CDF gap at
+// an integer. For P[T > t] = (2/3)^t, the samples {0, 1, 1, 3} have
+// empirical CDF 1/4, 3/4, 3/4, 1 at t = 0..3 against 0, 1/3, 5/9,
+// 19/27: the gap peaks at t = 1 with 3/4 − 1/3 = 5/12.
+func TestDistributionKS(t *testing.T) {
+	var d Distribution
+	for tt := 0; tt < 40; tt++ {
+		d.Survival = append(d.Survival, math.Pow(2.0/3.0, float64(tt)))
+	}
+	if got := d.KS([]int{3, 1, 0, 1}); math.Abs(got-5.0/12) > 1e-12 {
+		t.Fatalf("KS = %v, want 5/12", got)
+	}
+}
+
 // TestDistributionMeanMatchesLinearSolve: the power-iteration mean must
 // agree with the Gaussian-elimination expectation on Protocol 3 at
 // N = P = 3.

@@ -179,6 +179,41 @@ func TestObserverProgressEvery(t *testing.T) {
 	}
 }
 
+// TestObserveNullsMatchesSingleCalls: a null run observed in bulk
+// leaves the same journal — progress and census records at the same
+// steps with the same counters, the same quiet-streak histogram — as
+// the same run observed one interaction at a time.
+func TestObserveNullsMatchesSingleCalls(t *testing.T) {
+	// Null-run lengths between non-null interactions; 0 is two non-null
+	// interactions back to back.
+	runs := []int{0, 3, 1, 7, 0, 12, 2, 5}
+	journal := func(bulk bool) []byte {
+		var buf strings.Builder
+		o := NewObserver(4, false, ObserverOptions{Sink: NewJournalSink(&buf), ProgressEvery: 3, NoPairs: true})
+		o.TrackCensus([]int{2, 1, 1})
+		for _, k := range runs {
+			if bulk {
+				o.ObserveNulls(k)
+			} else {
+				for i := 0; i < k; i++ {
+					o.ObserveRule(0, 1, 0, 1, false)
+				}
+			}
+			o.ObserveRule(0, 0, 0, 1, true)
+		}
+		o.ObserveNulls(4)
+		o.Finish(false)
+		return Canonical([]byte(buf.String()))
+	}
+	single, bulk := journal(false), journal(true)
+	if string(single) != string(bulk) {
+		t.Fatalf("bulk nulls journal differs:\nsingle:\n%s\nbulk:\n%s", single, bulk)
+	}
+	if n := strings.Count(string(single), `"type":"census"`); n != 15 {
+		t.Fatalf("got %d census records, want 15 (one per multiple of 3 in 42 steps, plus Finish's):\n%s", n, single)
+	}
+}
+
 func TestObserverDump(t *testing.T) {
 	o := NewObserver(3, false, ObserverOptions{})
 	o.ObserveMobile(core.Pair{A: 0, B: 1}, 0, 0, 1, 0, true)

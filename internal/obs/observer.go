@@ -219,6 +219,26 @@ func (o *Observer) ObserveLeaderRule(x, x2 core.State, changed bool) {
 	o.observeStep(changed)
 }
 
+// ObserveNulls records k consecutive null interactions at once — the
+// count engine's bulk form of k null Observe* calls. Counters, the quiet
+// streak and every progress (and census) record come out exactly as the
+// k single calls would leave and emit them.
+func (o *Observer) ObserveNulls(k int) {
+	for k > 0 {
+		d := uint64(k)
+		emit := o.progressEvery > 0 && o.sink != nil
+		if emit {
+			d = min(d, o.progressEvery-o.steps.Value()%o.progressEvery)
+		}
+		o.steps.Add(d)
+		atomic.AddInt64(&o.quiet, int64(d))
+		k -= int(d)
+		if emit && o.steps.Value()%o.progressEvery == 0 {
+			o.emitProgress()
+		}
+	}
+}
+
 // TrackCensus attaches a live occupancy vector: every progress emission
 // (and Finish) is then followed by a census record snapshotting the
 // per-state counts. The slice is read, never written; the caller must

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 
@@ -12,31 +13,40 @@ import (
 
 // The count-based (Gillespie) engine. Under the uniform random
 // scheduler a configuration is fully described by its per-state counts:
-// the probability that the next interaction is an ordered state pair
-// (p, q) is c[p]·c[q] / N(N−1) off the diagonal and c[p]·(c[p]−1) /
-// N(N−1) on it (two distinct agents of one state), and with a leader
-// the leader interacts with probability 2/(N+1), its peer uniform over
-// the N mobile agents. CountRunner samples state pairs from exactly
-// these weights, applies the compiled transition directly to the
-// counts, and never materializes an agent array — per-step cost depends
-// on |Q|, not N, which is what unlocks populations of 10⁶–10⁹ agents.
+// every ordered pair of distinct entities (N agents, plus the leader
+// when there is one) is equally likely, so a step draws from T = N(N−1)
+// ordered pairs, or N(N+1) with a leader. CountRunner applies the
+// compiled transition directly to the counts and never materializes an
+// agent array — its cost depends on |Q| and on how many interactions
+// change anything, not on N.
 //
-// The |Q|² pair distribution is never tabulated: it factors exactly
-// into two |Q|-ary draws. The initiator p is a state drawn ∝ c[p]; the
-// responder is a state drawn ∝ c[q] and, when it collides with p,
-// accepted with probability (c[p]−1)/c[p] (the chance a uniformly
-// random agent of state p is not the initiator itself) or redrawn —
-// which is exactly "a uniformly random agent among the other N−1". The
-// rejection probability is 1/N per step, so the factorization is both
-// exact and cheaper than maintaining |Q|² weights. A Fenwick tree over
-// the counts implements the c-proportional draw (fenwickSampler).
+// Most interactions change nothing once N ≫ |Q|, so the engine draws
+// only the ones that do. It keeps W, the number of non-null ordered
+// pairs of the current configuration:
+//
+//   - R[x] = Σ_{y : (x,y) non-null} c[y] − [(x,x) non-null] is the number
+//     of non-null responders of one initiator in state x, and
+//     w[x] = c[x]·R[x] the non-null pairs it initiates, kept in a Fenwick
+//     tree over the states;
+//   - leaderC counts the agents whose leader interaction is non-null;
+//     with roles collapsed, each gives the leader two ordered pairs;
+//   - W = Σ w + 2·leaderC.
+//
+// Until the configuration changes, every step is non-null with
+// probability W/T, independently, so the number of null steps before
+// the next non-null one is geometric and is drawn in one go (nullRun);
+// the non-null pair is then uniform over the W pairs (pair). Null runs
+// advance the step count, the observer and the interrupt poll in bulk.
+// The configuration is silent exactly when W = 0. A count change at
+// state s moves R only for the initiators in column s of the non-null
+// table (move).
 
 // countRNG supplies unbiased bounded uniforms from a Source64. The
 // agent scheduler tolerates multiply-shift bias (a fairness statistic
-// cannot resolve span/2³²), but the count engine's collision and
-// staleness rejections compare against exact integer thresholds, so it
-// uses Lemire's debiased method: one multiply per draw, a second only
-// in the rare sliver where the low word forces the bias check.
+// cannot resolve span/2³²), but the count engine's draws partition exact
+// integer weights, so it uses Lemire's debiased method: one multiply per
+// draw, a second only in the rare sliver where the low word forces the
+// bias check.
 type countRNG struct {
 	src rand.Source64
 }
@@ -57,70 +67,18 @@ func (r *countRNG) uint64n(n uint64) uint64 {
 	return hi
 }
 
-// fenwickSampler draws a state with probability proportional to its
-// current count. It keeps the counts in a Fenwick (binary indexed)
-// tree: drawing descends the implicit prefix sums in O(log |Q|), syncing
-// a state updates O(log |Q|) nodes. After the census mutates the shared
-// counts slice the runner calls sync for each touched state; sync is
-// idempotent.
-type fenwickSampler struct {
-	counts  []int   // live, shared with the census
-	shadow  []int   // last value synced into the tree, per state
-	tree    []int64 // 1-indexed Fenwick array
-	total   uint64  // population N (constant: transitions conserve it)
-	highbit int     // largest power of two ≤ len(counts)
-	q       int
+// unit returns a uniform draw from (0, 1] on the 2⁻⁵³ grid.
+func (r *countRNG) unit() float64 {
+	return float64(r.src.Uint64()>>11+1) * 0x1p-53
 }
 
-func newFenwickSampler(counts []int, n int) *fenwickSampler {
-	q := len(counts)
-	hb := 1
-	for hb*2 <= q {
-		hb *= 2
-	}
-	f := &fenwickSampler{
-		counts:  counts,
-		shadow:  make([]int, q),
-		tree:    make([]int64, q+1),
-		total:   uint64(n),
-		highbit: hb,
-		q:       q,
-	}
-	copy(f.shadow, counts)
-	// Linear-time Fenwick construction from the initial counts.
-	for i := 0; i < q; i++ {
-		f.tree[i+1] += int64(counts[i])
-		if j := i + 1 + ((i + 1) & -(i + 1)); j <= q {
-			f.tree[j] += f.tree[i+1]
-		}
-	}
-	return f
-}
-
-func (f *fenwickSampler) draw(r *countRNG) core.State {
-	u := int64(r.uint64n(f.total))
-	// Prefix-sum descent: find the first state whose cumulative count
-	// exceeds u.
-	pos := 0
-	for k := f.highbit; k > 0; k >>= 1 {
-		if next := pos + k; next <= f.q && f.tree[next] <= u {
-			u -= f.tree[next]
-			pos = next
-		}
-	}
-	return core.State(pos)
-}
-
-func (f *fenwickSampler) sync(s core.State) {
-	i := int(s)
-	delta := int64(f.counts[i] - f.shadow[i])
-	if delta == 0 {
-		return
-	}
-	f.shadow[i] = f.counts[i]
-	for j := i + 1; j <= f.q; j += j & -j {
-		f.tree[j] += delta
-	}
+// countRow is one initiator state's share of the non-null weight.
+type countRow struct {
+	resp int64  // R[x]; −1 only while x is unoccupied
+	w    uint64 // c[x]·R[x], as last written into the Fenwick tree
+	// leader reports that the leader's interaction with state x is
+	// non-null; it is kept current for occupied states only.
+	leader bool
 }
 
 // CountResult summarizes one count-engine execution, mirroring Result.
@@ -157,11 +115,11 @@ func (r CountResult) String() string {
 // (the pair law is fixed to uniform random — the one scheduler whose
 // executions are count-measurable), no fault injector (fault kinds
 // target agent identities), and no interpreted path. Convergence
-// semantics match Runner exactly: silence is tested initially and after
-// every full QuietThreshold window of consecutive null interactions, so
-// converged Steps include the same quiet tail and the two engines'
-// convergence-step distributions agree (the differential tests hold
-// them to a Kolmogorov–Smirnov test).
+// semantics match Runner exactly: a converged run reports the step of
+// its last state change plus one full QuietThreshold window of null
+// interactions, so the two engines' convergence-step distributions
+// agree (the differential tests hold them to a Kolmogorov–Smirnov test,
+// and the law tests hold the count engine to the exact law).
 type CountRunner struct {
 	Proto core.Protocol
 	// Cfg is mutated in place as transitions are applied.
@@ -181,21 +139,28 @@ type CountRunner struct {
 	// and TrackCensus itself.
 	Obs *obs.Observer
 
-	// Interrupt, when non-nil, is polled every few thousand steps; a
-	// true return stops the run at that boundary (Converged reports
-	// the actual silence state).
+	// Interrupt, when non-nil, is polled before every interaction whose
+	// index is a multiple of 2¹⁴, null runs included; a true return
+	// stops the run at that boundary (Converged reports the actual
+	// silence state).
 	Interrupt func() bool
 
-	tab    *core.Compiled
-	census *core.Census
-	smp    *fenwickSampler
-	rng    countRNG
-	lp     core.LeaderProtocol
-	n      int
+	tab *core.Compiled
+	adj *core.Adjacency
+	rng countRNG
+	lp  core.LeaderProtocol
+	n   int
+	// pairs is T, the number of ordered pairs a step draws from.
+	pairs uint64
+
+	rows    []countRow
+	fen     []uint64 // 1-indexed Fenwick tree over rows[x].w
+	highbit int      // largest power of two ≤ len(rows)
+	mobileW uint64   // Σ rows[x].w
+	leaderC uint64   // agents whose leader interaction is non-null
 
 	steps   int
 	nonNull int
-	quiet   int
 	ready   bool
 }
 
@@ -236,8 +201,9 @@ func newCountRunner(p core.Protocol, tab *core.Compiled, cfg *core.CountConfig, 
 	if n < 1 {
 		return nil, fmt.Errorf("sim: population too small for interactions (n=%d)", n)
 	}
+	pairs, _ := core.TotalPairWeight(n, cfg.Leader != nil)
 	lp, _ := p.(core.LeaderProtocol)
-	return &CountRunner{Proto: p, Cfg: cfg, Seed: seed, tab: tab, lp: lp, n: n}, nil
+	return &CountRunner{Proto: p, Cfg: cfg, Seed: seed, tab: tab, lp: lp, n: n, pairs: pairs}, nil
 }
 
 // Steps returns the number of interactions executed so far.
@@ -246,17 +212,32 @@ func (r *CountRunner) Steps() int { return r.steps }
 // NonNull returns the number of state-changing interactions so far.
 func (r *CountRunner) NonNull() int { return r.nonNull }
 
-// ensure builds the census, sampler and RNG on first use, honoring an
+// ensure builds the pair weights and the RNG on first use, honoring an
 // Obs field assigned after construction.
 func (r *CountRunner) ensure() error {
 	if r.ready {
 		return nil
 	}
-	census, err := core.NewCensusCounts(r.tab, r.Cfg.Counts)
-	if err != nil {
+	if len(r.Cfg.Counts) != r.tab.States() || r.Cfg.N() != r.n {
+		return fmt.Errorf("sim: count configuration changed shape since NewCountRunner (%d states, %d agents)", len(r.Cfg.Counts), r.Cfg.N())
+	}
+	if err := r.Cfg.Validate(); err != nil {
 		return err
 	}
-	r.census, r.smp = census, newFenwickSampler(r.Cfg.Counts, r.n)
+	r.adj = r.tab.NonNull()
+	r.rows = make([]countRow, len(r.Cfg.Counts))
+	r.fen = make([]uint64, len(r.rows)+1)
+	r.highbit = 1
+	for r.highbit*2 <= len(r.rows) {
+		r.highbit *= 2
+	}
+	for x := range r.rows {
+		r.rows[x].resp = r.recountResp(core.State(x))
+		r.reweigh(core.State(x))
+	}
+	if r.lp != nil {
+		r.leaderSet()
+	}
 	r.rng = newCountRNG(r.Seed)
 	if r.Obs != nil {
 		r.Obs.CompileRules(r.tab)
@@ -266,7 +247,20 @@ func (r *CountRunner) ensure() error {
 	return nil
 }
 
-func (r *CountRunner) silent() bool { return r.census.Silent(r.Cfg.Leader) }
+// recountResp recomputes R[x] from the counts.
+func (r *CountRunner) recountResp(x core.State) int64 {
+	var resp int64
+	for _, y := range r.adj.Row(x) {
+		resp += int64(r.Cfg.Counts[y])
+		if y == x {
+			resp--
+		}
+	}
+	return resp
+}
+
+// weight returns W, the number of non-null ordered pairs.
+func (r *CountRunner) weight() uint64 { return r.mobileW + 2*r.leaderC }
 
 func (r *CountRunner) quietThreshold() int {
 	if r.QuietThreshold > 0 {
@@ -275,69 +269,175 @@ func (r *CountRunner) quietThreshold() int {
 	return QuietWindow(r.n)
 }
 
-// step executes one interaction and reports whether it was non-null.
-func (r *CountRunner) step() bool {
-	// With a leader, a uniformly random ordered pair of the N+1
-	// entities involves the leader with probability 2N/((N+1)N) =
-	// 2/(N+1); the mobile peer is uniform over the N agents, i.e. its
-	// state is drawn ∝ c. Initiator/responder roles collapse, exactly
-	// as the agent engine's ApplyLeader does.
-	if r.lp != nil && r.rng.uint64n(uint64(r.n)+1) < 2 {
-		x := r.smp.draw(&r.rng)
-		l2, x2 := r.lp.LeaderInteract(r.Cfg.Leader, x)
-		changed := x2 != x || !l2.Equal(r.Cfg.Leader)
-		r.Cfg.Leader = l2
-		if x2 != x {
-			r.census.ApplyOne(x, x2)
-			r.smp.sync(x)
-			r.smp.sync(x2)
-		}
-		if r.Obs != nil {
-			r.Obs.ObserveLeaderRule(x, x2, changed)
-		}
-		return changed
+// reweigh writes w[x] = c[x]·R[x] into the Fenwick tree.
+func (r *CountRunner) reweigh(x core.State) {
+	row := &r.rows[x]
+	var w uint64
+	if c := r.Cfg.Counts[x]; c > 0 {
+		w = uint64(c) * uint64(row.resp)
 	}
-	p := r.smp.draw(&r.rng)
-	q := r.drawResponder(p)
-	p2, q2 := r.tab.At(r.tab.Idx(p, q))
-	changed := p2 != p || q2 != q
-	if changed {
-		r.census.Apply(p, q, p2, q2)
-		r.smp.sync(p)
-		r.smp.sync(q)
-		r.smp.sync(p2)
-		r.smp.sync(q2)
+	d := w - row.w // modular: the tree's sums stay exact
+	if d == 0 {
+		return
 	}
-	if r.Obs != nil {
-		r.Obs.ObserveRule(p, q, p2, q2, changed)
+	row.w = w
+	r.mobileW += d
+	for j := int(x) + 1; j < len(r.fen); j += j & -j {
+		r.fen[j] += d
 	}
-	return changed
 }
 
-// drawResponder draws the responder state: a c-proportional draw that,
-// when it collides with the initiator's state p, is kept only with
-// probability (c[p]−1)/c[p] — the chance that a uniformly random agent
-// of state p is not the initiator itself. The accepted draw is exactly
-// the state of a uniformly random agent among the other N−1; the
-// rejection probability is 1/N per attempt.
-func (r *CountRunner) drawResponder(p core.State) core.State {
-	for {
-		q := r.smp.draw(&r.rng)
-		if q != p {
-			return q
+// move adds d (±1) agents to state s and updates every weight that
+// depends on c[s]: R of each initiator in column s, the rows whose w
+// moved, and leaderC. A newly occupied state gets its leader flag.
+func (r *CountRunner) move(s core.State, d int) {
+	r.Cfg.Counts[s] += d
+	self := false
+	for _, x := range r.adj.Col(s) {
+		r.rows[x].resp += int64(d)
+		r.reweigh(x)
+		self = self || x == s
+	}
+	if !self {
+		r.reweigh(s)
+	}
+	if r.lp == nil {
+		return
+	}
+	row := &r.rows[s]
+	if d > 0 && r.Cfg.Counts[s] == 1 {
+		row.leader = !core.IsNullLeader(r.lp, r.Cfg.Leader, s)
+	}
+	if row.leader {
+		r.leaderC += uint64(d)
+	}
+}
+
+// leaderSet re-evaluates the leader flag of every occupied state against
+// the current leader state and recounts leaderC. Unoccupied states are
+// skipped: a leader interaction boxes its result, and move evaluates a
+// state when it becomes occupied.
+func (r *CountRunner) leaderSet() {
+	r.leaderC = 0
+	for x, c := range r.Cfg.Counts {
+		if c == 0 {
+			continue
 		}
-		if cp := uint64(r.Cfg.Counts[p]); r.rng.uint64n(cp) < cp-1 {
-			return q
+		nn := !core.IsNullLeader(r.lp, r.Cfg.Leader, core.State(x))
+		r.rows[x].leader = nn
+		if nn {
+			r.leaderC += uint64(c)
 		}
+	}
+}
+
+// nullRun draws the number of null interactions before the next
+// non-null one, geometric with success probability W/T, together with
+// the index u of that non-null pair, uniform on [0, W). When W ≥ T − W
+// it draws pairs on [0, T) until one falls below W, which is then the
+// index; otherwise it inverts the geometric law in one draw. Both are
+// exact; the test is written W ≥ T − W because 2W can overflow near
+// core.MaxCountN. The returned run may exceed any step budget.
+func (r *CountRunner) nullRun(w uint64) (run float64, u uint64) {
+	if w >= r.pairs-w {
+		for {
+			if u = r.rng.uint64n(r.pairs); u < w {
+				return run, u
+			}
+			run++
+		}
+	}
+	run = math.Floor(math.Log(r.rng.unit()) / math.Log1p(-float64(w)/float64(r.pairs)))
+	return run, r.rng.uint64n(w)
+}
+
+// pair maps an index u in [0, W) to its non-null interaction. The
+// first 2·leaderC indices are the leader meeting agent ⌊u/2⌋ of the
+// leader-non-null states (leader is true and x is that agent's state);
+// the rest select an initiator state x through the Fenwick tree and a
+// responder state y among its R[x] non-null partners with a fresh draw.
+func (r *CountRunner) pair(u uint64) (x, y core.State, leader bool) {
+	lw := 2 * r.leaderC
+	if u < lw {
+		return r.leaderPeer(u / 2), 0, true
+	}
+	u -= lw
+	pos := 0
+	for k := r.highbit; k > 0; k >>= 1 {
+		if next := pos + k; next < len(r.fen) && r.fen[next] <= u {
+			u -= r.fen[next]
+			pos = next
+		}
+	}
+	x = core.State(pos)
+	v := r.rng.uint64n(uint64(r.rows[x].resp))
+	for _, y = range r.adj.Row(x) {
+		c := uint64(r.Cfg.Counts[y])
+		if y == x {
+			c--
+		}
+		if v < c {
+			break
+		}
+		v -= c
+	}
+	return x, y, false
+}
+
+// leaderPeer returns the state of agent k, in state order, among the
+// agents whose leader interaction is non-null.
+func (r *CountRunner) leaderPeer(k uint64) core.State {
+	for s, c := range r.Cfg.Counts {
+		if c > 0 && r.rows[s].leader {
+			if k < uint64(c) {
+				return core.State(s)
+			}
+			k -= uint64(c)
+		}
+	}
+	panic("sim: leader peer index past leaderC")
+}
+
+// apply executes the non-null interaction with index u in [0, W).
+func (r *CountRunner) apply(u uint64) {
+	x, y, leader := r.pair(u)
+	if leader {
+		l := r.Cfg.Leader
+		l2, x2 := r.lp.LeaderInteract(l, x)
+		r.Cfg.Leader = l2
+		if x2 != x {
+			r.move(x, -1)
+			r.move(x2, 1)
+		}
+		if !l2.Equal(l) {
+			r.leaderSet()
+		}
+		if r.Obs != nil {
+			r.Obs.ObserveLeaderRule(x, x2, true)
+		}
+		return
+	}
+	x2, y2 := r.tab.At(r.tab.Idx(x, y))
+	if x2 != x {
+		r.move(x, -1)
+		r.move(x2, 1)
+	}
+	if y2 != y {
+		r.move(y, -1)
+		r.move(y2, 1)
+	}
+	if r.Obs != nil {
+		r.Obs.ObserveRule(x, y, x2, y2, true)
 	}
 }
 
 // Run executes interactions until the configuration is silent or
 // maxSteps interactions have been executed. Silence is checked
-// initially and then whenever the execution has been quiet (all-null)
-// for a full QuietThreshold window — the same schedule as Runner.Run,
-// so the two engines' Steps distributions are comparable. When Obs is
-// set, Run finishes it before returning.
+// initially; once a state change leaves the configuration silent, the
+// run goes on for one full QuietThreshold window of null interactions
+// (or to the budget) and stops — the schedule of Runner.Run, so the two
+// engines' Steps distributions are comparable. When Obs is set, Run
+// finishes it before returning.
 func (r *CountRunner) Run(maxSteps int) (CountResult, error) {
 	if err := r.ensure(); err != nil {
 		return CountResult{}, err
@@ -349,29 +449,70 @@ func (r *CountRunner) Run(maxSteps int) (CountResult, error) {
 	return res, nil
 }
 
+const interruptMask = 1<<14 - 1
+
 func (r *CountRunner) run(maxSteps int) CountResult {
-	if r.silent() {
-		return CountResult{Converged: true, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+	if r.weight() == 0 {
+		return r.result()
 	}
 	threshold := r.quietThreshold()
-	const interruptMask = 1<<14 - 1
 	for r.steps < maxSteps {
-		if r.Interrupt != nil && r.steps&interruptMask == 0 && r.Interrupt() {
+		left := maxSteps - r.steps
+		w := r.weight()
+		if w == 0 {
+			r.nulls(min(threshold, left))
 			break
 		}
-		changed := r.step()
+		run, u := r.nullRun(w)
+		if run >= float64(left) {
+			r.nulls(left)
+			break
+		}
+		if !r.nulls(int(run)) || r.interrupted() {
+			break
+		}
+		r.apply(u)
 		r.steps++
-		if changed {
-			r.nonNull++
-			r.quiet = 0
-		} else {
-			r.quiet++
-			if r.quiet%threshold == 0 && r.silent() {
-				return CountResult{Converged: true, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+		r.nonNull++
+	}
+	return r.result()
+}
+
+func (r *CountRunner) result() CountResult {
+	return CountResult{Converged: r.weight() == 0, Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+}
+
+// interrupted polls Interrupt when the next interaction's index is a
+// multiple of 2¹⁴.
+func (r *CountRunner) interrupted() bool {
+	return r.Interrupt != nil && r.steps&interruptMask == 0 && r.Interrupt()
+}
+
+// nulls executes k null interactions in bulk, polling Interrupt at every
+// multiple of 2¹⁴ it crosses as the per-interaction loop would. It
+// reports false when the poll stopped the run, at that boundary.
+func (r *CountRunner) nulls(k int) bool {
+	end := r.steps + k
+	if r.Interrupt != nil {
+		for b := (r.steps + interruptMask) &^ interruptMask; b < end; b += interruptMask + 1 {
+			r.skip(b - r.steps)
+			if r.Interrupt() {
+				return false
+			}
+			if end-b <= interruptMask {
+				break
 			}
 		}
 	}
-	return CountResult{Converged: r.silent(), Steps: r.steps, NonNull: r.nonNull, Final: r.Cfg}
+	r.skip(end - r.steps)
+	return true
+}
+
+func (r *CountRunner) skip(k int) {
+	r.steps += k
+	if r.Obs != nil && k > 0 {
+		r.Obs.ObserveNulls(k)
+	}
 }
 
 // UniformCountConfig builds the protocol's intended starting

@@ -8,17 +8,29 @@ import (
 	"popnaming/internal/sched"
 )
 
-// The BENCH_PR7 suite: per-step cost of the count engine across four
-// decades of population size (the flatness claim), the agent engine's
-// ladder for comparison (it stops at 10⁶ — an agent array per step is
-// exactly what the count engine exists to avoid), and the sampler's
-// per-step cost across |Q|.
+// The BENCH_PR7 suite: per-interaction cost of the count engine across
+// four decades of population size (the flatness claim), the agent
+// engine's ladder for comparison (it stops at 10⁶ — an agent array per
+// step is exactly what the count engine exists to avoid), and the
+// count engine's cost across |Q|. Count runs start balanced, N/|Q|
+// agents per state: the engine pays per non-null interaction, and from
+// an all-zero start the non-null share — so ns/op — would depend on how
+// far b.N lets the run drift.
+
+// balancedCount spreads n agents evenly over q states.
+func balancedCount(q, n int) *core.CountConfig {
+	cc := core.NewCountConfig(q)
+	for s := range cc.Counts {
+		cc.Counts[s] = n / q
+		if s < n%q {
+			cc.Counts[s]++
+		}
+	}
+	return cc
+}
 
 func benchCountScale(b *testing.B, n int) {
-	pr := churnProto(8)
-	cc := core.NewCountConfig(8)
-	cc.Counts[0] = n
-	r, err := NewCountRunner(pr, cc, 7)
+	r, err := NewCountRunner(churnProto(8), balancedCount(8, n), 7)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,9 +46,9 @@ func benchCountScale(b *testing.B, n int) {
 	}
 }
 
-// BenchmarkCountEngineScale measures per-step cost at N = 10⁴ … 10⁸.
-// The acceptance bar: steps/sec within 2× across the whole range (the
-// step loop never touches anything N-sized).
+// BenchmarkCountEngineScale measures per-interaction cost at N = 10⁴ …
+// 10⁸. The acceptance bar: interactions/sec within 2× across the whole
+// range (the run loop never touches anything N-sized).
 func BenchmarkCountEngineScale(b *testing.B) {
 	for _, n := range []int{1e4, 1e5, 1e6, 1e7, 1e8} {
 		b.Run(fmt.Sprintf("N=%.0e", float64(n)), func(b *testing.B) {
@@ -69,16 +81,14 @@ func BenchmarkAgentEngineScale(b *testing.B) {
 	}
 }
 
-// BenchmarkCountSampler measures per-step cost across state-space
-// sizes up to the compiled-table cap at fixed N = 10⁶: the Fenwick
-// draw and sync are O(log |Q|).
+// BenchmarkCountSampler measures per-interaction cost across
+// state-space sizes up to the compiled-table cap at fixed N = 10⁶: the
+// Fenwick descent and updates are O(log |Q|), and the non-null share of
+// a balanced churn configuration is about 1/|Q|.
 func BenchmarkCountSampler(b *testing.B) {
 	for _, q := range []int{8, 64, 1024} {
 		b.Run(fmt.Sprintf("Q=%d", q), func(b *testing.B) {
-			pr := churnProto(q)
-			cc := core.NewCountConfig(q)
-			cc.Counts[0] = 1e6
-			r, err := NewCountRunner(pr, cc, 7)
+			r, err := NewCountRunner(churnProto(q), balancedCount(q, 1e6), 7)
 			if err != nil {
 				b.Fatal(err)
 			}

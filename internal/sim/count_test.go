@@ -2,10 +2,12 @@ package sim
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
 	"popnaming/internal/core"
+	"popnaming/internal/naming"
 	"popnaming/internal/obs"
 )
 
@@ -38,63 +40,161 @@ func (oversized) States() int                                     { return maxCo
 func (oversized) Symmetric() bool                                 { return true }
 func (oversized) Mobile(x, y core.State) (core.State, core.State) { return x, y }
 
-func checkProportional(t *testing.T, name string, s *fenwickSampler, rng *countRNG, counts []int, draws int) {
+// denseProto is a q-state protocol in which every ordered pair is
+// non-null: the initiator steps forward (mod q), so every schedulable
+// pair, the diagonal included, is a candidate draw.
+func denseProto(q int) core.Protocol {
+	t := core.NewRuleTable("dense", q, q)
+	for x := 0; x < q; x++ {
+		for y := 0; y < q; y++ {
+			t.Add(core.State(x), core.State(y), core.State((x+1)%q), core.State(y))
+		}
+	}
+	return t
+}
+
+// readyCountRunner builds a count runner over counts and its weights.
+func readyCountRunner(t testing.TB, pr core.Protocol, counts []int, leader core.LeaderState, seed int64) *CountRunner {
 	t.Helper()
-	n := 0
-	for _, c := range counts {
-		n += c
+	r, err := NewCountRunner(pr, &core.CountConfig{Counts: counts, Leader: leader}, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	freq := make([]int, len(counts))
-	for i := 0; i < draws; i++ {
-		freq[s.draw(rng)]++
+	if err := r.ensure(); err != nil {
+		t.Fatal(err)
 	}
-	for st, c := range counts {
-		want := float64(draws) * float64(c) / float64(n)
-		got := float64(freq[st])
-		if c == 0 {
-			if freq[st] != 0 {
-				t.Fatalf("%s: drew empty state %d (%d times)", name, st, freq[st])
-			}
-			continue
-		}
-		// 5 sigma on a binomial with p = c/n.
-		p := float64(c) / float64(n)
-		sigma := 5 * sqrtf(float64(draws)*p*(1-p))
-		if got < want-sigma || got > want+sigma {
-			t.Errorf("%s: state %d drawn %v times, want %v ± %v", name, st, got, want, sigma)
-		}
-	}
+	return r
 }
 
-func sqrtf(x float64) float64 {
-	if x <= 0 {
+// pairWeight is the number of ordered pairs of distinct entities that
+// make the non-null interaction (x, y), or the leader's with x.
+func pairWeight(r *CountRunner, x, y core.State, leader bool) uint64 {
+	c := r.Cfg.Counts
+	switch {
+	case leader:
+		if c[x] == 0 || core.IsNullLeader(r.lp, r.Cfg.Leader, x) {
+			return 0
+		}
+		return 2 * uint64(c[x])
+	case r.tab.Null(x, y) || c[x] == 0:
 		return 0
+	case x == y:
+		return uint64(c[x]) * uint64(c[x]-1)
 	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
+	return uint64(c[x]) * uint64(c[y])
 }
 
-func TestCountSamplerProportional(t *testing.T) {
-	counts := []int{5, 0, 3, 2}
-	t.Run("fenwick", func(t *testing.T) {
-		local := append([]int(nil), counts...)
-		s := newFenwickSampler(local, 10)
-		rng := newCountRNG(42)
-		checkProportional(t, "fenwick", s, &rng, local, 50000)
-
-		// Mutate (conserving N) and sync: 0 → 1 twice, 2 → 3 once.
-		local[0] -= 2
-		local[1] += 2
-		local[2]--
-		local[3]++
-		for st := range local {
-			s.sync(core.State(st))
+// recountWeight recomputes W from the counts, the table and the
+// leader: the sum of pairWeight over every interaction.
+func recountWeight(r *CountRunner) uint64 {
+	var w uint64
+	for x := range r.Cfg.Counts {
+		if r.lp != nil {
+			w += pairWeight(r, core.State(x), 0, true)
 		}
-		checkProportional(t, "fenwick/after-sync", s, &rng, local, 50000)
+		for y := range r.Cfg.Counts {
+			w += pairWeight(r, core.State(x), core.State(y), false)
+		}
+	}
+	return w
+}
+
+// fenwickTotal is the Fenwick tree's full prefix sum.
+func fenwickTotal(r *CountRunner) uint64 {
+	var total uint64
+	for j := len(r.fen) - 1; j > 0; j -= j & -j {
+		total += r.fen[j]
+	}
+	return total
+}
+
+// TestCountSamplerProportional: indices uniform on [0, W) draw every
+// non-null interaction in proportion to its pair weight — the
+// conditional law of the next non-null interaction — and never a null
+// or unschedulable one. Checked before and after count moves.
+func TestCountSamplerProportional(t *testing.T) {
+	t.Run("fenwick", func(t *testing.T) {
+		r := readyCountRunner(t, denseProto(4), []int{5, 0, 3, 2}, nil, 42)
+		u := newCountRNG(43)
+		check := func(name string, draws int) {
+			t.Helper()
+			w := r.weight()
+			if got := recountWeight(r); w != got {
+				t.Fatalf("%s: W = %d, recounted %d", name, w, got)
+			}
+			freq := map[[2]core.State]int{}
+			for i := 0; i < draws; i++ {
+				x, y, _ := r.pair(u.uint64n(w))
+				freq[[2]core.State{x, y}]++
+			}
+			for x := core.State(0); x < 4; x++ {
+				for y := core.State(0); y < 4; y++ {
+					got, p := float64(freq[[2]core.State{x, y}]), float64(pairWeight(r, x, y, false))/float64(w)
+					want, sigma := float64(draws)*p, 5*math.Sqrt(float64(draws)*p*(1-p))
+					if p == 0 && got != 0 || math.Abs(got-want) > sigma {
+						t.Errorf("%s: pair (%d,%d) drawn %v times, want %v ± %v", name, x, y, got, want, sigma)
+					}
+				}
+			}
+		}
+		check("start", 50000)
+		// Move agents by hand, conserving N: 0 → 1 twice, 2 → 3 once.
+		r.move(0, -1)
+		r.move(1, 1)
+		r.move(0, -1)
+		r.move(1, 1)
+		r.move(2, -1)
+		r.move(3, 1)
+		check("after-move", 50000)
 	})
+}
+
+// TestCountNullRunGeometric: the null-run length is geometric with
+// success probability W/T in both regimes of nullRun (pairs drawn until
+// a non-null one when W ≥ T − W, one inverted draw otherwise), and the
+// index that comes with it is uniform on [0, W).
+func TestCountNullRunGeometric(t *testing.T) {
+	const draws = 200000
+	for _, c := range []struct {
+		name   string
+		counts []int
+	}{
+		{"inverted", []int{1, 1, 30}},        // W/T = 2/992
+		{"rejection", []int{20, 20, 0}},      // W/T = 800/1560
+		{"inverted-even", []int{15, 15, 10}}, // W/T = 450/1560
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := readyCountRunner(t, mergeProto(), c.counts, nil, 7)
+			w := r.weight()
+			p := float64(w) / float64(r.pairs)
+			var sum float64
+			zeros, low := 0, 0
+			for i := 0; i < draws; i++ {
+				run, u := r.nullRun(w)
+				if u >= w {
+					t.Fatalf("index %d outside [0, %d)", u, w)
+				}
+				if u < w/2 {
+					low++
+				}
+				if run == 0 {
+					zeros++
+				}
+				sum += run
+			}
+			mean, wantMean := sum/draws, (1-p)/p
+			sdMean := math.Sqrt(1-p) / p / math.Sqrt(draws)
+			if math.Abs(mean-wantMean) > 5*sdMean {
+				t.Errorf("mean null run %.4f, want %.4f ± %.4f", mean, wantMean, 5*sdMean)
+			}
+			if got, sd := float64(zeros)/draws, math.Sqrt(p*(1-p)/draws); math.Abs(got-p) > 5*sd {
+				t.Errorf("P(run = 0) = %.4f, want %.4f ± %.4f", got, p, 5*sd)
+			}
+			if got, want := float64(low)/draws, float64(w/2)/float64(w); math.Abs(got-want) > 5*math.Sqrt(want*(1-want)/draws) {
+				t.Errorf("index below W/2 with frequency %.4f, want %.4f", got, want)
+			}
+		})
+	}
 }
 
 func TestCountRunnerConverges(t *testing.T) {
@@ -153,35 +253,41 @@ func TestCountRunnerConservesN(t *testing.T) {
 	if err := r.ensure(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20000; i++ {
-		r.step()
-		if i%1000 == 0 && cc.N() != 1000 {
-			t.Fatalf("step %d: population drifted to %d", i, cc.N())
+	for budget := 1000; budget <= 20000; budget += 1000 {
+		if res := r.run(budget); res.Steps != budget {
+			t.Fatalf("ran to step %d of %d", res.Steps, budget)
+		}
+		if cc.N() != 1000 {
+			t.Fatalf("step %d: population drifted to %d", budget, cc.N())
+		}
+		if w := recountWeight(r); r.weight() != w || fenwickTotal(r) != w {
+			t.Fatalf("step %d: W = %d, tree %d, recounted %d", budget, r.weight(), fenwickTotal(r), w)
 		}
 	}
-	if cc.N() != 1000 {
-		t.Fatalf("population drifted to %d", cc.N())
+	if r.NonNull() == 0 {
+		t.Fatal("no state changes in 20000 interactions")
 	}
 }
 
 // TestDrawResponderExcludesSoleAgent pins the diagonal correction: when
 // the initiator's state has a single agent, the responder can never be
-// that state (there is no second agent to meet).
+// that state (there is no second agent to meet), even though the pair
+// is non-null.
 func TestDrawResponderExcludesSoleAgent(t *testing.T) {
-	pr := churnProto(4)
-	cc := core.NewCountConfig(4)
-	cc.Counts[0], cc.Counts[1] = 1, 9
-	r, err := NewCountRunner(pr, cc, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ensure(); err != nil {
-		t.Fatal(err)
-	}
+	r := readyCountRunner(t, denseProto(4), []int{1, 9, 0, 0}, nil, 5)
+	u := newCountRNG(6)
+	initiated := 0
 	for i := 0; i < 5000; i++ {
-		if q := r.drawResponder(0); q == 0 {
-			t.Fatal("responder collided with the sole agent of state 0")
+		x, y, _ := r.pair(u.uint64n(r.weight()))
+		if x == 0 {
+			initiated++
+			if y == 0 {
+				t.Fatal("responder collided with the sole agent of state 0")
+			}
 		}
+	}
+	if initiated == 0 {
+		t.Fatal("the sole agent never initiated; the test checked nothing")
 	}
 }
 
@@ -300,6 +406,87 @@ func TestCountRunnerObserver(t *testing.T) {
 	}
 	if len(sum.Rules) == 0 {
 		t.Fatal("summary has no rule accounting")
+	}
+}
+
+// TestCountRunnerSkipContract pins what bulk null runs must not change:
+// a run with ProgressEvery = k emits a progress record at exactly each
+// multiple of k (plus Finish's), each followed by a census record; the
+// quiet-streak histogram sums to Steps − NonNull; and a converged run
+// reports its last state change plus exactly one QuietWindow(N).
+func TestCountRunnerSkipContract(t *testing.T) {
+	const k = 7
+	cc := core.NewCountConfig(3)
+	cc.Counts[0], cc.Counts[1] = 12, 12
+	r, err := NewCountRunner(mergeProto(), cc, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &recSink{}
+	r.Obs = obs.NewObserver(24, false, obs.ObserverOptions{Sink: sink, ProgressEvery: k, NoPairs: true})
+	res, err := r.Run(1 << 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("did not converge: %v", res)
+	}
+	if q := r.Obs.Snapshot().Quiet; q != int64(QuietWindow(24)) {
+		t.Fatalf("converged run ends with %d null interactions after its last change, want QuietWindow(24) = %d", q, QuietWindow(24))
+	}
+	if sum := r.Obs.QuietStreaks().Sum(); sum != int64(res.Steps-res.NonNull) {
+		t.Fatalf("quiet streaks sum to %d, want Steps − NonNull = %d", sum, res.Steps-res.NonNull)
+	}
+	var steps []uint64
+	for i, rec := range sink.recs {
+		p, ok := rec.(obs.Progress)
+		if !ok {
+			continue
+		}
+		steps = append(steps, p.Step)
+		if c, ok := sink.recs[i+1].(obs.CensusRec); !ok || c.Step != p.Step {
+			t.Fatalf("progress at step %d not followed by its census record: %#v", p.Step, sink.recs[i+1])
+		}
+	}
+	want := res.Steps / k
+	if len(steps) != want+1 || steps[want] != uint64(res.Steps) {
+		t.Fatalf("%d progress records (last at %d), want %d multiples of %d plus the final one at %d", len(steps), steps[len(steps)-1], want, k, res.Steps)
+	}
+	for i, s := range steps[:want] {
+		if s != uint64(k*(i+1)) {
+			t.Fatalf("progress record %d at step %d, want %d", i, s, k*(i+1))
+		}
+	}
+}
+
+// TestCountRunnerInterruptInNullRun cancels a run inside one long null
+// run: Protocol 2 at N = 10⁶ interacts non-null about once in 500k
+// interactions, and the budget is 2⁴⁰. The run must stop at the first
+// 2¹⁴ boundary where Interrupt returns true, not at the end of the skip.
+func TestCountRunnerInterruptInNullRun(t *testing.T) {
+	pr := naming.NewSelfStab(64)
+	cc, err := CountStart(pr, 1_000_000, "zero")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewCountRunner(pr, cc, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := 0
+	r.Interrupt = func() bool {
+		polls++
+		return polls == 3
+	}
+	res, err := r.Run(1 << 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps != 2<<14 || polls != 3 {
+		t.Fatalf("stopped at step %d after %d polls, want step %d after 3 (polls at 0, 2¹⁴, 2·2¹⁴)", res.Steps, polls, 2<<14)
+	}
+	if res.NonNull != 0 || res.Converged {
+		t.Fatalf("want a stop inside the first null run: %v", res)
 	}
 }
 

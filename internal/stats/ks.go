@@ -60,11 +60,27 @@ func KSCritical(alpha float64, m, n int) float64 {
 	if m <= 0 || n <= 0 {
 		panic(fmt.Sprintf("stats: KSCritical with sample sizes %d, %d", m, n))
 	}
-	if alpha <= 0 || alpha >= 1 {
-		panic(fmt.Sprintf("stats: KSCritical with alpha %v outside (0,1)", alpha))
+	return ksC(alpha) * math.Sqrt(float64(m+n)/(float64(m)*float64(n)))
+}
+
+// KSCriticalOne is the one-sample counterpart of KSCritical: m draws
+// from a fully specified distribution F keep their empirical CDF within
+// c(α)/sqrt(m) of F with probability ≥ 1−α. For a discrete F, such as
+// an exact convergence-time law, the test is conservative. It panics
+// on a non-positive m or an out-of-range alpha.
+func KSCriticalOne(alpha float64, m int) float64 {
+	if m <= 0 {
+		panic(fmt.Sprintf("stats: KSCriticalOne with sample size %d", m))
 	}
-	c := math.Sqrt(-math.Log(alpha/2) / 2)
-	return c * math.Sqrt(float64(m+n)/(float64(m)*float64(n)))
+	return ksC(alpha) / math.Sqrt(float64(m))
+}
+
+// ksC is the large-sample KS coefficient c(α) = sqrt(−ln(α/2)/2).
+func ksC(alpha float64) float64 {
+	if alpha <= 0 || alpha >= 1 {
+		panic(fmt.Sprintf("stats: KS critical value with alpha %v outside (0,1)", alpha))
+	}
+	return math.Sqrt(-math.Log(alpha/2) / 2)
 }
 
 // KSSame reports whether the two samples pass the KS test at level

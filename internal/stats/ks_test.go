@@ -72,6 +72,24 @@ func TestKSCritical(t *testing.T) {
 	}
 }
 
+func TestKSCriticalOne(t *testing.T) {
+	// c(0.001) = sqrt(-ln(0.0005)/2) ≈ 1.94947: 0.03082 at m = 4000 and
+	// 0.06892 at m = 800.
+	for _, c := range []struct {
+		m    int
+		want float64
+	}{{4000, 0.03082}, {800, 0.06892}} {
+		if got := KSCriticalOne(0.001, c.m); math.Abs(got-c.want) > 1e-5 {
+			t.Errorf("KSCriticalOne(0.001, %d) = %v, want ≈%v", c.m, got, c.want)
+		}
+	}
+	// The one-sample value is the two-sample value's limit as the second
+	// sample grows.
+	if one, two := KSCriticalOne(0.05, 100), KSCritical(0.05, 100, 1<<40); math.Abs(one-two) > 1e-9 {
+		t.Errorf("one-sample %v, two-sample limit %v", one, two)
+	}
+}
+
 func TestKSSameOnSampledData(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := make([]float64, 400)
