@@ -263,7 +263,7 @@ func TestLocalRunnerDeterministic(t *testing.T) {
 		{"agent-arbitrary-corrupt", `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"inits":["arbitrary"],"faults":["@100:corrupt=2"],"trials":2,"budget":100000,"seed":9}`,
 			"a39bcd6e1c0fa2b9877b522f2bfc0658bf5916060c372afd3ca895118a047945"},
 		{"count-1e4", `{"protocols":["asym"],"engines":["count"],"populations":[{"p":6,"n":10000}],"trials":2,"budget":100000,"progressEvery":40000,"seed":9}`,
-			"79ffb53facde742fcf2a09e45ea11c573800697b83d07bee5c1e5dcd1599c0af"},
+			"fcec664cf683e8a0535fbe6f42f34acaf9953ea23806338b1d247f600ea23cce"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sp := parse(t, c.spec)

@@ -26,11 +26,15 @@
 // atomic.Int64 values) so that the types stay copyable by value once
 // the writer has finished — sim.BatchSummary embeds a Histogram.
 //
-// Observer is single-writer: only the goroutine driving the run may
-// call its Observe*/Finish/Set* methods, and its map-backed rule
-// accounting and pair tracking are reader-unsafe while the run is
-// live. The one concurrent window into a live Observer is Snapshot,
-// which reads only the atomic counters and the quiet-streak histogram.
+// Observer is single-writer: while the run is live only the goroutine
+// driving it may call its methods, and its Observe*/Finish/Set* methods
+// write plain fields (no atomics on the per-interaction path). The one
+// concurrent window into a live Observer is Snapshot. It reads a copy of the interaction counters and the
+// quiet-streak histogram that the writer refreshes under a mutex,
+// without allocating, whenever its step count reaches a multiple of
+// 2¹⁴ (bulk null runs included), at every progress emission and at
+// Finish. A live snapshot is therefore consistent but lags the writer
+// by fewer than 2¹⁴ interactions, and is exact once Finish has run.
 package obs
 
 import (
@@ -95,6 +99,20 @@ func (h *Histogram) Observe(v int64) {
 			return
 		}
 	}
+}
+
+// add is Observe with plain writes, for a histogram that only its
+// writer touches while it is live: the Observer's quiet-streak
+// histogram, which concurrent scrapes read through a published copy.
+func (h *Histogram) add(v int64) {
+	idx := 0
+	if v > 0 {
+		idx = bits.Len64(uint64(v))
+	}
+	h.buckets[idx]++
+	h.count++
+	h.sum += v
+	h.max = max(h.max, v)
 }
 
 // Count returns the number of observations.

@@ -252,10 +252,12 @@ func nonEmptyLines(s string) []string {
 // guarantees the package documents: metric primitives and
 // Observer.Snapshot are readable while a single writer mutates them.
 // Run under the race detector (make race) this fails on any
-// unsynchronized access; the assertions additionally pin that scraped
-// counters are monotone and land exactly on the writer's totals.
+// unsynchronized access; the assertions additionally pin the live
+// snapshot contract: scrapes are monotone and internally consistent,
+// a mid-run scrape lands on a publish boundary (a multiple of 2¹⁴
+// interactions), and a scrape after Finish is exact.
 func TestConcurrentScrape(t *testing.T) {
-	const steps = 100_000
+	const steps = 100_000 // not a multiple of 2¹⁴: only Finish publishes it
 	o := NewObserver(8, false, ObserverOptions{})
 	var h Histogram
 	var c Counter
@@ -269,6 +271,7 @@ func TestConcurrentScrape(t *testing.T) {
 			c.Inc()
 			g.Set(float64(i))
 		}
+		o.Finish(false)
 	}()
 	var lastSteps uint64
 	for scraping := true; scraping; {
@@ -285,14 +288,22 @@ func TestConcurrentScrape(t *testing.T) {
 		if snap.NonNull > snap.Steps {
 			t.Fatalf("nonNull %d exceeds steps %d", snap.NonNull, snap.Steps)
 		}
+		if snap.Steps != steps {
+			if snap.Steps%publishEvery != 0 {
+				t.Fatalf("mid-run scrape at step %d, not a multiple of %d", snap.Steps, publishEvery)
+			}
+			if got := snap.NonNull + uint64(snap.QuietStreaks.Sum+snap.Quiet); got != snap.Steps {
+				t.Fatalf("inconsistent scrape: nonNull+streaks+quiet = %d, steps %d", got, snap.Steps)
+			}
+		}
 		_ = h.Snapshot()
 		_ = h.Mean()
 		_ = c.Value()
 		_ = g.Value()
 	}
 	final := o.Snapshot()
-	if final.Steps != steps {
-		t.Fatalf("final steps = %d, want %d", final.Steps, steps)
+	if final.Steps != steps || final.NonNull != steps/5 {
+		t.Fatalf("final steps/nonNull = %d/%d, want %d/%d", final.Steps, final.NonNull, steps, steps/5)
 	}
 	if c.Value() != steps || h.Count() != steps {
 		t.Fatalf("counter %d / histogram count %d, want %d", c.Value(), h.Count(), steps)

@@ -3,8 +3,9 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"popnaming/internal/core"
@@ -15,6 +16,11 @@ import (
 // (about 2k agents) pair coverage and fairness-gap gauges are disabled
 // rather than spending O(n^2) memory per run.
 const maxTrackedPairs = 1 << 22
+
+// publishEvery is the period, in interactions, at which the writer
+// refreshes the copy that Snapshot reads: the engines' interrupt-poll
+// period, so a scrape taken at a poll sees the poll's own step count.
+const publishEvery = 1 << 14
 
 // ObserverOptions configures an Observer.
 type ObserverOptions struct {
@@ -38,13 +44,14 @@ type ObserverOptions struct {
 // non-null counters, per-rule fire counts, quiet-streak statistics, and
 // scheduler pair-coverage/fairness gauges. It is fed by sim.Runner
 // through its Obs field (the count engine through the identity-free
-// ObserveRule methods) and is
-// single-writer: only the goroutine driving the run may call its
-// mutating methods, and its rule map and pair tracking are unsafe to
-// read while the run is live. Batch runs give each trial its own
-// Observer sharing one concurrency-safe Sink. The one method safe to
-// call from another goroutine during a live run is Snapshot, which
-// reads only the atomically maintained counters.
+// ObserveRule methods) and is single-writer: while the run is live only
+// the goroutine driving it may call its methods, and the mutating ones
+// write plain fields with no atomics. Batch runs give each trial its
+// own Observer sharing one concurrency-safe Sink. The one method safe
+// to call from another goroutine during a live run is Snapshot, which
+// reads a copy of the counters that the writer publishes under a mutex
+// every publishEvery interactions, at every progress emission and at
+// Finish.
 type Observer struct {
 	sink          Sink
 	progressEvery uint64
@@ -54,10 +61,16 @@ type Observer struct {
 	start         time.Time
 	finished      bool
 
-	steps   Counter
-	nonNull Counter
+	steps   uint64
+	nonNull uint64
 	quiet   int64
 	rules   map[RuleKey]uint64
+
+	// next is the step count of the next boundary, the earlier of
+	// nextProgress and the next multiple of publishEvery: the hot path
+	// compares against it instead of taking a modulo per interaction.
+	next         uint64
+	nextProgress uint64 // math.MaxUint64 when no progress is emitted
 
 	// Dense per-rule accounting for the compiled engine: fire counts
 	// keyed by the transition-table index initiator*|Q|+responder, with
@@ -77,6 +90,18 @@ type Observer struct {
 	// vector of a count-engine run; every progress emission is followed
 	// by a census record snapshotting it.
 	censusCounts []int
+
+	// mu guards pub, the copy of the counters that Snapshot reads.
+	mu  sync.Mutex
+	pub published
+}
+
+// published is the part of an Observer that a concurrent scrape may
+// read, as of the writer's last publish.
+type published struct {
+	steps, nonNull uint64
+	quiet          int64
+	quietHist      Histogram
 }
 
 // NewObserver returns an observer for a population of n mobile agents
@@ -96,9 +121,14 @@ func NewObserver(n int, withLeader bool, opts ObserverOptions) *Observer {
 		start: time.Now(),
 		rules: make(map[RuleKey]uint64),
 	}
+	o.nextProgress = math.MaxUint64
 	if opts.ProgressEvery > 0 {
 		o.progressEvery = uint64(opts.ProgressEvery)
+		if o.sink != nil {
+			o.nextProgress = o.progressEvery
+		}
 	}
+	o.next = min(o.nextProgress, publishEvery)
 	// m ≤ 2¹¹ implies m·m ≤ maxTrackedPairs; testing m first keeps the
 	// product from overflowing at count-engine populations.
 	if !opts.NoPairs && m <= 1<<11 && m*m <= maxTrackedPairs {
@@ -112,18 +142,19 @@ func NewObserver(n int, withLeader bool, opts ObserverOptions) *Observer {
 }
 
 // Steps returns the number of observed interactions.
-func (o *Observer) Steps() uint64 { return o.steps.Value() }
+func (o *Observer) Steps() uint64 { return o.steps }
 
 // NonNull returns the number of observed state-changing interactions.
-func (o *Observer) NonNull() uint64 { return o.nonNull.Value() }
+func (o *Observer) NonNull() uint64 { return o.nonNull }
 
 // QuietStreaks returns the histogram of completed all-null streak
 // lengths (Finish flushes the trailing streak).
 func (o *Observer) QuietStreaks() *Histogram { return &o.quietHist }
 
 // ObserverSnapshot is a point-in-time scrape of a live run: the
-// atomically maintained counters only. Rule counts, pair coverage and
-// fairness gaps are single-writer state and are not included.
+// interaction counters and the quiet-streak statistics as the writer
+// last published them. Rule counts, pair coverage and fairness gaps are
+// single-writer state and are not included.
 type ObserverSnapshot struct {
 	// Steps and NonNull are the interaction counters.
 	Steps   uint64 `json:"steps"`
@@ -134,20 +165,33 @@ type ObserverSnapshot struct {
 	QuietStreaks HistogramSnapshot `json:"quietStreaks"`
 }
 
-// Snapshot scrapes the observer's atomic counters. Unlike every other
-// Observer method it is safe to call concurrently with the run that is
-// feeding the observer — the ppserved /metrics endpoint scrapes live
-// jobs through it.
+// Snapshot scrapes the observer's published counters. Unlike every
+// other Observer method it is safe to call concurrently with the run
+// that is feeding the observer — the ppserved /metrics endpoint scrapes
+// live jobs through it. A live snapshot is consistent (all its fields
+// come from one publish) but lags the writer by fewer than 2¹⁴
+// interactions: the writer publishes when its step count reaches a
+// multiple of 2¹⁴, at every progress emission and at Finish, so a
+// snapshot taken after Finish is exact.
 func (o *Observer) Snapshot() ObserverSnapshot {
-	// Load nonNull before steps: the writer bumps steps first, so a
-	// snapshot concurrent with it still reads NonNull <= Steps.
-	nonNull := o.nonNull.Value()
+	o.mu.Lock()
+	p := o.pub
+	o.mu.Unlock()
 	return ObserverSnapshot{
-		Steps:        o.steps.Value(),
-		NonNull:      nonNull,
-		Quiet:        atomic.LoadInt64(&o.quiet),
-		QuietStreaks: o.quietHist.Snapshot(),
+		Steps:        p.steps,
+		NonNull:      p.nonNull,
+		Quiet:        p.quiet,
+		QuietStreaks: p.quietHist.Snapshot(),
 	}
+}
+
+// publish refreshes the copy Snapshot reads. It copies fixed-size
+// values only, so it allocates nothing.
+func (o *Observer) publish() {
+	o.mu.Lock()
+	o.pub.steps, o.pub.nonNull, o.pub.quiet = o.steps, o.nonNull, o.quiet
+	o.pub.quietHist = o.quietHist
+	o.mu.Unlock()
 }
 
 // SetForced records the number of interactions a fairness-enforcing
@@ -192,7 +236,7 @@ func (o *Observer) trackPair(p core.Pair) {
 		if o.lastSeen[idx] < 0 {
 			o.pairsSeen++
 		}
-		o.lastSeen[idx] = int64(o.steps.Value())
+		o.lastSeen[idx] = int64(o.steps)
 	}
 }
 
@@ -221,20 +265,16 @@ func (o *Observer) ObserveLeaderRule(x, x2 core.State, changed bool) {
 
 // ObserveNulls records k consecutive null interactions at once — the
 // count engine's bulk form of k null Observe* calls. Counters, the quiet
-// streak and every progress (and census) record come out exactly as the
-// k single calls would leave and emit them.
+// streak, every progress (and census) record and every publish come out
+// exactly as the k single calls would leave and emit them.
 func (o *Observer) ObserveNulls(k int) {
 	for k > 0 {
-		d := uint64(k)
-		emit := o.progressEvery > 0 && o.sink != nil
-		if emit {
-			d = min(d, o.progressEvery-o.steps.Value()%o.progressEvery)
-		}
-		o.steps.Add(d)
-		atomic.AddInt64(&o.quiet, int64(d))
+		d := min(uint64(k), o.next-o.steps)
+		o.steps += d
+		o.quiet += int64(d)
 		k -= int(d)
-		if emit && o.steps.Value()%o.progressEvery == 0 {
-			o.emitProgress()
+		if o.steps == o.next {
+			o.boundary()
 		}
 	}
 }
@@ -246,22 +286,33 @@ func (o *Observer) ObserveNulls(k int) {
 func (o *Observer) TrackCensus(counts []int) { o.censusCounts = counts }
 
 // observeStep advances the interaction counters and quiet streak and
-// emits the periodic progress snapshot — the shared tail of every
-// Observe* method.
+// handles a due boundary — the shared tail of every Observe* method.
 func (o *Observer) observeStep(changed bool) {
-	o.steps.Inc()
+	o.steps++
 	if changed {
-		o.nonNull.Inc()
-		if q := atomic.LoadInt64(&o.quiet); q > 0 {
-			o.quietHist.Observe(q)
-			atomic.StoreInt64(&o.quiet, 0)
+		o.nonNull++
+		if o.quiet > 0 {
+			o.quietHist.add(o.quiet)
+			o.quiet = 0
 		}
 	} else {
-		atomic.AddInt64(&o.quiet, 1)
+		o.quiet++
 	}
-	if o.progressEvery > 0 && o.sink != nil && o.steps.Value()%o.progressEvery == 0 {
+	if o.steps == o.next {
+		o.boundary()
+	}
+}
+
+// boundary runs when the step count reaches next: it emits the due
+// progress record, publishes the scrape copy and schedules the next
+// boundary.
+func (o *Observer) boundary() {
+	if o.steps == o.nextProgress {
+		o.nextProgress += o.progressEvery
 		o.emitProgress()
 	}
+	o.publish()
+	o.next = min(o.nextProgress, o.steps&^(publishEvery-1)+publishEvery)
 }
 
 // emitProgress emits a progress snapshot, followed by a census record
@@ -275,7 +326,7 @@ func (o *Observer) emitProgress() {
 			V:      Version,
 			Type:   "census",
 			Trial:  o.trial,
-			Step:   o.steps.Value(),
+			Step:   o.steps,
 			Counts: counts,
 		})
 	}
@@ -297,7 +348,7 @@ func (o *Observer) FairnessGap() int64 {
 	if !o.pairTrack {
 		return -1
 	}
-	steps := int64(o.steps.Value())
+	steps := int64(o.steps)
 	var max int64
 	for a := 0; a < o.m; a++ {
 		row := o.lastSeen[a*o.m : (a+1)*o.m]
@@ -329,9 +380,9 @@ func (o *Observer) snapshot() Progress {
 		V:           Version,
 		Type:        "progress",
 		Trial:       o.trial,
-		Step:        o.steps.Value(),
-		NonNull:     o.nonNull.Value(),
-		Quiet:       atomic.LoadInt64(&o.quiet),
+		Step:        o.steps,
+		NonNull:     o.nonNull,
+		Quiet:       o.quiet,
 		PairsSeen:   o.pairsSeen,
 		PairsTotal:  o.pairsTotal(),
 		FairnessGap: o.FairnessGap(),
@@ -392,9 +443,10 @@ func (o *Observer) RuleCounts() []RuleCount {
 }
 
 // Finish closes the run: it folds the trailing quiet streak into the
-// streak histogram and, when a sink is attached, emits a final progress
-// snapshot followed by the summary record. It is idempotent; sim.Runner
-// calls it automatically at the end of Run.
+// streak histogram, publishes the final counters to Snapshot and, when
+// a sink is attached, emits a final progress snapshot followed by the
+// summary record. It is idempotent; sim.Runner calls it automatically
+// at the end of Run.
 func (o *Observer) Finish(converged bool) {
 	if o.finished {
 		return
@@ -403,9 +455,10 @@ func (o *Observer) Finish(converged bool) {
 	if o.sink != nil {
 		o.emitProgress()
 	}
-	if q := atomic.LoadInt64(&o.quiet); q > 0 {
-		o.quietHist.Observe(q)
+	if o.quiet > 0 {
+		o.quietHist.add(o.quiet)
 	}
+	o.publish()
 	if o.sink != nil {
 		_ = o.sink.Emit(o.summary(converged))
 	}
@@ -414,15 +467,15 @@ func (o *Observer) Finish(converged bool) {
 func (o *Observer) summary(converged bool) Summary {
 	par := 0.0
 	if o.n > 0 {
-		par = float64(o.steps.Value()) / float64(o.n)
+		par = float64(o.steps) / float64(o.n)
 	}
 	return Summary{
 		V:            Version,
 		Type:         "summary",
 		Trial:        o.trial,
 		Converged:    converged,
-		Steps:        o.steps.Value(),
-		NonNull:      o.nonNull.Value(),
+		Steps:        o.steps,
+		NonNull:      o.nonNull,
 		ParallelTime: par,
 		MaxQuiet:     o.quietHist.Max(),
 		QuietStreaks: o.quietHist.Buckets(),
@@ -442,8 +495,7 @@ type KV struct {
 
 // Vars returns the scalar metrics as ordered name/value pairs.
 func (o *Observer) Vars() []KV {
-	steps := o.steps.Value()
-	nonNull := o.nonNull.Value()
+	steps, nonNull := o.steps, o.nonNull
 	nullFrac := 0.0
 	if steps > 0 {
 		nullFrac = 1 - float64(nonNull)/float64(steps)
@@ -493,7 +545,7 @@ func (o *Observer) RulesTable(limit int) *report.Table {
 	}
 	for _, rc := range counts {
 		share := 0.0
-		if nn := o.nonNull.Value(); nn > 0 {
+		if nn := o.nonNull; nn > 0 {
 			share = 100 * float64(rc.Count) / float64(nn)
 		}
 		t.AddRow(rc.Rule, fmt.Sprintf("%d", rc.Count), fmt.Sprintf("%.1f%%", share))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"popnaming/internal/core"
+	"popnaming/internal/obs"
 	"popnaming/internal/sched"
 )
 
@@ -29,11 +30,12 @@ func balancedCount(q, n int) *core.CountConfig {
 	return cc
 }
 
-func benchCountScale(b *testing.B, n int) {
+func benchCountScale(b *testing.B, n int, o *obs.Observer) {
 	r, err := NewCountRunner(churnProto(8), balancedCount(8, n), 7)
 	if err != nil {
 		b.Fatal(err)
 	}
+	r.Obs = o
 	if err := r.ensure(); err != nil {
 		b.Fatal(err)
 	}
@@ -48,13 +50,18 @@ func benchCountScale(b *testing.B, n int) {
 
 // BenchmarkCountEngineScale measures per-interaction cost at N = 10⁴ …
 // 10⁸. The acceptance bar: interactions/sec within 2× across the whole
-// range (the run loop never touches anything N-sized).
+// range (the run loop never touches anything N-sized). The observed
+// rung repeats N = 10⁶ with an observer journaling to obs.Discard, as
+// every grid cell runs.
 func BenchmarkCountEngineScale(b *testing.B) {
 	for _, n := range []int{1e4, 1e5, 1e6, 1e7, 1e8} {
 		b.Run(fmt.Sprintf("N=%.0e", float64(n)), func(b *testing.B) {
-			benchCountScale(b, n)
+			benchCountScale(b, n, nil)
 		})
 	}
+	b.Run("observed-N=1e+06", func(b *testing.B) {
+		benchCountScale(b, 1e6, obs.NewObserver(1e6, false, obs.ObserverOptions{Sink: obs.Discard, NoPairs: true}))
+	})
 }
 
 // BenchmarkAgentEngineScale is the agent engine on the identical

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -149,22 +150,40 @@ func TestCountSamplerProportional(t *testing.T) {
 	})
 }
 
+// countingSource counts the 64-bit draws taken from the source it wraps.
+type countingSource struct {
+	rand.Source64
+	draws int
+}
+
+func (s *countingSource) Uint64() uint64 {
+	s.draws++
+	return s.Source64.Uint64()
+}
+
 // TestCountNullRunGeometric: the null-run length is geometric with
 // success probability W/T in both regimes of nullRun (pairs drawn until
-// a non-null one when W ≥ T − W, one inverted draw otherwise), and the
-// index that comes with it is uniform on [0, W).
+// a non-null one when W ≥ ⌊T/4⌋, one inverted draw otherwise), and the
+// index that comes with it is uniform on [0, W). The even fixtures sit
+// just either side of the switch, and every case checks by its draw
+// count which branch it took: a rejection call takes run+1 draws, an
+// inverted one exactly two.
 func TestCountNullRunGeometric(t *testing.T) {
 	const draws = 200000
 	for _, c := range []struct {
-		name   string
-		counts []int
+		name      string
+		counts    []int
+		rejection bool
 	}{
-		{"inverted", []int{1, 1, 30}},        // W/T = 2/992
-		{"rejection", []int{20, 20, 0}},      // W/T = 800/1560
-		{"inverted-even", []int{15, 15, 10}}, // W/T = 450/1560
+		{"inverted", []int{1, 1, 30}, false},        // W/T = 2/992
+		{"rejection", []int{20, 20, 0}, true},       // W/T = 800/1560
+		{"inverted-even", []int{35, 35, 30}, false}, // W/T = 2450/9900 ≈ 0.2475, ⌊T/4⌋ = 2475
+		{"rejection-even", []int{14, 14, 12}, true}, // W/T = 392/1560 ≈ 0.2513, ⌊T/4⌋ = 390
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r := readyCountRunner(t, mergeProto(), c.counts, nil, 7)
+			src := &countingSource{Source64: r.rng.src}
+			r.rng.src = src
 			w := r.weight()
 			p := float64(w) / float64(r.pairs)
 			var sum float64
@@ -181,6 +200,13 @@ func TestCountNullRunGeometric(t *testing.T) {
 					zeros++
 				}
 				sum += run
+			}
+			wantDraws := 2 * draws
+			if c.rejection {
+				wantDraws = draws + int(sum)
+			}
+			if src.draws != wantDraws {
+				t.Fatalf("%d draws for %d null runs totalling %.0f, want %d (rejection branch: %v)", src.draws, draws, sum, wantDraws, c.rejection)
 			}
 			mean, wantMean := sum/draws, (1-p)/p
 			sdMean := math.Sqrt(1-p) / p / math.Sqrt(draws)
@@ -487,6 +513,48 @@ func TestCountRunnerInterruptInNullRun(t *testing.T) {
 	}
 	if res.NonNull != 0 || res.Converged {
 		t.Fatalf("want a stop inside the first null run: %v", res)
+	}
+}
+
+// TestCountSnapshotAtPolls: at every interrupt poll of a journaled
+// count run, a live scrape of the observer reads exactly the runner's
+// step count. Polls fall on multiples of 2¹⁴, inside bulk null runs
+// too, and the observer publishes whenever its count reaches one.
+func TestCountSnapshotAtPolls(t *testing.T) {
+	const n, budget = 1_000_000, 2_000_000
+	for _, c := range []struct {
+		name string
+		pr   core.Protocol
+	}{{"selfstab", naming.NewSelfStab(64)}, {"asym", naming.NewAsymmetric(64)}} {
+		t.Run(c.name, func(t *testing.T) {
+			cc, err := CountStart(c.pr, n, "zero")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewCountRunner(c.pr, cc, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Obs = obs.NewObserver(n, core.HasLeader(c.pr), obs.ObserverOptions{Sink: obs.Discard, ProgressEvery: 100_000, NoPairs: true})
+			polls := 0
+			r.Interrupt = func() bool {
+				polls++
+				if got := r.Obs.Snapshot().Steps; got != uint64(r.Steps()) {
+					t.Fatalf("poll %d: snapshot reads step %d, runner is at %d", polls, got, r.Steps())
+				}
+				return false
+			}
+			res, err := r.Run(budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (budget + interruptMask) / (interruptMask + 1); res.Steps != budget || polls != want {
+				t.Fatalf("ran %d steps with %d polls, want %d with %d", res.Steps, polls, budget, want)
+			}
+			if snap := r.Obs.Snapshot(); snap.Steps != budget || snap.NonNull != uint64(res.NonNull) {
+				t.Fatalf("snapshot after Finish %d/%d, want %d/%d", snap.Steps, snap.NonNull, budget, res.NonNull)
+			}
+		})
 	}
 }
 

@@ -1,12 +1,14 @@
 package sim_test
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/experiments"
+	"popnaming/internal/obs"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
@@ -87,27 +89,58 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 
 // TestCompiledRunMatchesInterpretedRun checks that full executions —
 // including the fused scheduler/table/census loop and its convergence
-// cutoff — return identical Results from identical seeds.
+// cutoff — return identical Results from identical seeds, bare and
+// observed. An attached observer keeps the compiled runner on the fused
+// loop, and its journal — progress records at an odd period, rule
+// counts, quiet streaks, pair coverage and fairness gap — must equal
+// the interpreted runner's, modulo wall-clock fields.
 func TestCompiledRunMatchesInterpretedRun(t *testing.T) {
 	const seed, budget = 2718, 400000
 	for _, key := range experiments.RegistryKeys() {
-		key := key
 		t.Run(key, func(t *testing.T) {
 			pr, n := diffCase(t, key)
 			withLeader := core.HasLeader(pr)
-
-			comp := sim.NewRunner(pr, sched.NewRandom(n, withLeader, seed), diffStart(pr, n, seed))
-			interp := sim.NewRunner(pr, sched.NewRandom(n, withLeader, seed), diffStart(pr, n, seed))
-			interp.Interpret = true
-
-			got := comp.Run(budget)
-			want := interp.Run(budget)
-			if got.Converged != want.Converged || got.Steps != want.Steps || got.NonNull != want.NonNull {
-				t.Fatalf("results diverged:\n  compiled    %v\n  interpreted %v", got, want)
+			run := func(interpret, observed bool) (sim.Result, []byte) {
+				r := sim.NewRunner(pr, sched.NewRandom(n, withLeader, seed), diffStart(pr, n, seed))
+				r.Interpret = interpret
+				var buf bytes.Buffer
+				if observed {
+					r.Obs = obs.NewObserver(n, withLeader, obs.ObserverOptions{Sink: obs.NewJournalSink(&buf), ProgressEvery: 97})
+				}
+				return r.Run(budget), obs.Canonical(buf.Bytes())
 			}
-			if !sameConfig(got.Final, want.Final) {
-				t.Fatalf("final configurations diverged:\n  compiled    %v\n  interpreted %v", got.Final, want.Final)
+			for _, observed := range []bool{false, true} {
+				got, gotJournal := run(false, observed)
+				want, wantJournal := run(true, observed)
+				if got.Converged != want.Converged || got.Steps != want.Steps || got.NonNull != want.NonNull {
+					t.Fatalf("observed=%v: results diverged:\n  compiled    %v\n  interpreted %v", observed, got, want)
+				}
+				if !sameConfig(got.Final, want.Final) {
+					t.Fatalf("observed=%v: final configurations diverged:\n  compiled    %v\n  interpreted %v", observed, got.Final, want.Final)
+				}
+				if line, a, b := firstDiff(gotJournal, wantJournal); line > 0 {
+					t.Fatalf("journals diverge at line %d:\n  compiled    %s\n  interpreted %s", line, a, b)
+				}
 			}
 		})
 	}
+}
+
+// firstDiff returns the first line (1-based) at which two journals
+// differ, with both versions of it, or 0 when they are equal.
+func firstDiff(a, b []byte) (int, []byte, []byte) {
+	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := range max(len(la), len(lb)) {
+		var x, y []byte
+		if i < len(la) {
+			x = la[i]
+		}
+		if i < len(lb) {
+			y = lb[i]
+		}
+		if !bytes.Equal(x, y) {
+			return i + 1, x, y
+		}
+	}
+	return 0, nil, nil
 }

@@ -89,9 +89,10 @@ type Runner struct {
 
 	// Obs, when non-nil, receives every interaction together with the
 	// before/after states (per-rule accounting), periodic progress
-	// snapshots, and the final summary at the end of Run. When nil the
-	// runner takes a fast path that adds one branch and no allocations
-	// per step (see BenchmarkRunnerObsOverhead).
+	// snapshots, and the final summary at the end of Run. Run's fused
+	// loop feeds an attached observer inline; a nil Obs costs it one
+	// branch and no allocations per interaction (see
+	// BenchmarkRunnerObsOverhead).
 	Obs *obs.Observer
 
 	// Interpret forces the interface-dispatch path, disabling the
@@ -344,8 +345,9 @@ func (r *Runner) result(converged bool) Result {
 // run is Run without finishing the observer (Supervise calls it once
 // per slice). An injector's due step events fire before the
 // interaction that crosses them, and its conv events at a successful
-// silence check (see settled); without an injector an eligible runner
-// takes the fused loop.
+// silence check (see settled); without an injector or an OnStep hook,
+// a compiled runner under the random scheduler takes the fused loop,
+// observed or not.
 func (r *Runner) run(maxSteps int) Result {
 	r.ensureEngine()
 	inj := r.Inject
@@ -355,7 +357,7 @@ func (r *Runner) run(maxSteps int) Result {
 	if r.silent() && r.settled() {
 		return r.result(true)
 	}
-	if inj == nil && r.tab != nil && r.rnd != nil && r.Obs == nil && r.OnStep == nil {
+	if inj == nil && r.tab != nil && r.rnd != nil && r.OnStep == nil {
 		return r.runCompiled(maxSteps)
 	}
 	threshold := r.quietThreshold()
@@ -375,14 +377,16 @@ func (r *Runner) run(maxSteps int) Result {
 
 // runCompiled is the fused hot loop. It must preserve the exact control
 // flow of the generic path — same silence-check points, same counter
-// semantics — so that compiled and interpreted runs of one seed yield
-// identical Results (the differential tests assert this).
+// semantics, the observer fed at the same point as applyCompiled feeds
+// it — so that compiled and interpreted runs of one seed yield
+// identical Results and journals (the differential tests assert this).
 func (r *Runner) runCompiled(maxSteps int) Result {
 	var (
 		threshold = r.quietThreshold()
 		tab       = r.tab
 		cs        = r.census
 		rnd       = r.rnd
+		o         = r.Obs
 		m         = r.Cfg.Mobile
 		steps     = r.steps
 		nonNull   = r.nonNull
@@ -400,12 +404,19 @@ func (r *Runner) runCompiled(maxSteps int) Result {
 				m[pair.A], m[pair.B] = x2, y2
 				cs.Apply(x, y, x2, y2)
 			}
+			if o != nil {
+				o.ObserveMobile(pair, x, y, x2, y2, changed)
+			}
 		} else {
 			j := pair.MobilePeer()
-			x := r.Cfg.Mobile[j]
+			x := m[j]
 			changed = core.ApplyLeader(r.lp, r.Cfg, j)
-			if x2 := r.Cfg.Mobile[j]; x2 != x {
+			x2 := m[j]
+			if x2 != x {
 				cs.ApplyOne(x, x2)
+			}
+			if o != nil {
+				o.ObserveLeader(pair, x, x2, changed)
 			}
 		}
 		steps++
