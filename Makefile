@@ -93,9 +93,10 @@ fuzzbuild:
 	$(GO) test -run='^Fuzz' -count=1 ./...
 
 # paper regenerates docs/paper_output.txt, the convergence-cost tables
-# of E12, E12b and E15: every grid under examples/grids/paper/ runs
-# through ppanalyze, whose stdout (summary table, then growth table) is
-# deterministic for a seeded grid. Journals and plots go to .paper_out/.
+# of E12, E12b and E15 and the fault-epoch tables of E13 and E22: every
+# grid under examples/grids/paper/ runs through ppanalyze, whose stdout
+# (summary table, then growth and epoch tables) is deterministic for a
+# seeded grid. Journals and plots go to .paper_out/.
 PAPER_GRIDS = $(sort $(wildcard examples/grids/paper/*.json))
 PAPER_OUT = docs/paper_output.txt
 paper:

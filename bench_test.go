@@ -222,8 +222,8 @@ func BenchmarkE11FairnessSeparation(b *testing.B) {
 }
 
 // benchPaperGrid runs one checked-in paper grid end to end through the
-// campaign pipeline per iteration, and fails on any failed cell or
-// unconverged trial.
+// campaign pipeline per iteration, and fails on any failed cell,
+// unconverged trial or failed fault epoch.
 func benchPaperGrid(b *testing.B, name string) {
 	f, err := os.Open(filepath.Join("examples", "grids", "paper", name+".json"))
 	if err != nil {
@@ -247,6 +247,11 @@ func benchPaperGrid(b *testing.B, name string) {
 			if cs.Converged != cs.Trials {
 				b.Fatalf("cell %s: %d/%d trials converged", cs.Cell.ID(), cs.Converged, cs.Trials)
 			}
+			for _, e := range cs.Epochs {
+				if e.Failures > 0 {
+					b.Fatalf("cell %s epoch %d: %d failures", cs.Cell.ID(), e.Epoch, e.Failures)
+				}
+			}
 		}
 	}
 }
@@ -255,19 +260,10 @@ func benchPaperGrid(b *testing.B, name string) {
 // protocols (examples/grids/paper/e12-poly.json) per iteration.
 func BenchmarkE12Sweep(b *testing.B) { benchPaperGrid(b, "e12-poly") }
 
-// BenchmarkE13Recovery: corruption/re-convergence for Protocol 2.
-func BenchmarkE13Recovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Recovery("selfstab", naming.NewSelfStab(8), experiments.RecoveryOptions{
-			N: 8, Trials: 3, Budget: 20_000_000, CorruptLeader: true, Seed: int64(i),
-		})
-		for _, pt := range res.Points {
-			if pt.Failures > 0 {
-				b.Fatalf("recovery failure at k=%d", pt.Corrupted)
-			}
-		}
-	}
-}
+// BenchmarkE13Recovery: corruption/re-convergence for Protocol 2,
+// leader and k of N agents corrupted at convergence
+// (examples/grids/paper/e13-selfstab.json).
+func BenchmarkE13Recovery(b *testing.B) { benchPaperGrid(b, "e13-selfstab") }
 
 // BenchmarkE14UStarAblation: exhaustive U*-vs-naive counting check.
 func BenchmarkE14UStarAblation(b *testing.B) {
@@ -491,23 +487,7 @@ func BenchmarkE21OracleSchedules(b *testing.B) {
 	}
 }
 
-// BenchmarkE22Stabilize: one multi-epoch fault-injection campaign
-// (Protocol 2, N = 8, three convergence-triggered 2-corruptions, three
-// supervised trials) per iteration, reporting total interactions/op
-// across all epochs.
-func BenchmarkE22Stabilize(b *testing.B) {
-	pr := naming.NewSelfStab(8)
-	var totalSteps int64
-	for i := 0; i < b.N; i++ {
-		res := experiments.Stabilize("selfstab", pr, experiments.StabilizeOptions{
-			N: 8, Epochs: 3, Trials: 3, Workers: 1, Seed: int64(i),
-		})
-		if !res.OK {
-			b.Fatalf("stabilization failed: %+v", res)
-		}
-		for _, e := range res.Epochs {
-			totalSteps += int64(e.MedianSteps) * int64(e.Trials)
-		}
-	}
-	b.ReportMetric(float64(totalSteps)/float64(b.N), "interactions/op")
-}
+// BenchmarkE22Stabilize: the multi-epoch fault-injection campaign of
+// the four arbitrary-init protocols at N = 6, three conv-triggered
+// 2-corruptions per trial (examples/grids/paper/e22.json).
+func BenchmarkE22Stabilize(b *testing.B) { benchPaperGrid(b, "e22") }

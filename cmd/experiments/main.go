@@ -3,7 +3,6 @@
 // outcomes):
 //
 //	experiments table1         Table 1 feasibility/state-space matrix (E1)
-//	experiments recovery       corruption / re-convergence (E13)
 //	experiments ablation       U* vs naive sequence (E14)
 //	experiments separation     weak vs global fairness on Protocol 3 (E11)
 //	experiments resetablation  Protocol 2 without its reset line (E16)
@@ -12,45 +11,37 @@
 //	experiments trajectory     convergence trajectories (E19)
 //	experiments distribution   exact convergence-time distributions (E20)
 //	experiments oracle         constructive proof schedules (E21)
-//	experiments stabilize      multi-epoch fault injection / re-convergence (E22)
 //	experiments countscale     count-engine throughput at N = 10^3…10^8 (E24)
 //	experiments all            everything above
 //
 // Every experiment is an entry of experiments.Suite(), which runs,
 // renders and names its result; this command loops over it. The
-// convergence-cost sweeps E12, E12b and E15 are campaign grids under
-// examples/grids/paper/, run by `make paper` through ppanalyze; E23,
-// the count-vs-agent differential, is the sim package's
-// TestCountMatchesAgentDistribution.
+// convergence-cost sweeps E12, E12b and E15 and the fault-recovery
+// campaigns E13 and E22 are campaign grids under examples/grids/paper/,
+// run by `make paper` through ppanalyze; E23, the count-vs-agent
+// differential, is the sim package's TestCountMatchesAgentDistribution.
 //
-// Table 1 (E1) is sized by -p (simulation bound, which also bounds the
-// stabilize experiment), -mcp (exhaustive model-check bound), -budget
-// (per-run interaction budget) and -workers (goroutines for its
-// exhaustive searches and graph builds; cells are identical at any
-// count). `experiments table1` exits 1 when a cell disagrees with the
-// paper.
+// Table 1 (E1) is sized by -p (simulation bound), -mcp (exhaustive
+// model-check bound), -budget (per-run interaction budget) and
+// -workers (goroutines for its exhaustive searches and graph builds;
+// cells are identical at any count). `experiments table1` exits 1
+// when a cell disagrees with the paper.
 //
 // With -json the selected experiments are emitted as one JSON document
 // on stdout instead of rendered tables (including a "timings" section
 // with per-experiment wall-clock times and tags).
 //
-// The stabilize experiment runs under supervision (see
-// docs/robustness.md): -faults overrides its default per-epoch
-// corruption plan, -deadline bounds each protocol's batch wall clock,
-// and -retries grants stalled trials fresh derived-seed attempts.
-//
 // Observability (see docs/observability.md): -journal records one
 // "experiment" line per experiment run, plus one per Table 1 cell
-// (keyed table1/<leader>/<rules>) and the stabilize experiment's
-// trial and "fault" lines; -metrics prints the timing table,
+// (keyed table1/<leader>/<rules>); -metrics prints the timing table,
 // -progress-every 1 announces each experiment on stderr as it
 // completes, and -pprof captures CPU/heap profiles. The seed actually
 // used is always reported, including when -seed 0 auto-derives one.
 //
-// SIGINT interrupts the suite cleanly: in-flight supervised work is
-// aborted and journaled as such, remaining experiments are journaled
-// as skipped, the journal is flushed, and the process exits 130. A
-// second SIGINT kills the process immediately.
+// SIGINT interrupts the suite cleanly: the running experiment
+// finishes, remaining experiments are journaled as skipped, the
+// journal is flushed, and the process exits 130. A second SIGINT
+// kills the process immediately.
 package main
 
 import (
@@ -65,7 +56,6 @@ import (
 	"time"
 
 	"popnaming/internal/experiments"
-	"popnaming/internal/fault"
 	"popnaming/internal/obs"
 	"popnaming/internal/report"
 )
@@ -173,7 +163,7 @@ func writeJSON(w io.Writer, seed int64, results []result, timings []obs.Experime
 func main() {
 	var (
 		seedFlag = flag.Int64("seed", 1, "random seed (0: auto-derive from the clock; the seed used is reported)")
-		p        = flag.Int("p", 6, "population bound for table1 simulation checks and the stabilize experiment")
+		p        = flag.Int("p", 6, "population bound for table1 simulation checks")
 		mcp      = flag.Int("mcp", 3, "population bound for exhaustive model checks")
 		budget   = flag.Int("budget", 20_000_000, "per-run interaction budget for table1")
 		workers  = flag.Int("workers", 1, "worker goroutines for table1's exhaustive searches and model checks (1 = sequential)")
@@ -182,9 +172,6 @@ func main() {
 		metrics  = flag.Bool("metrics", false, "print the per-experiment timing table")
 		progress = flag.Int("progress-every", 0, "announce every k-th completed experiment on stderr (0: off)")
 		pprofPfx = flag.String("pprof", "", "write CPU/heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
-		faults   = flag.String("faults", "", "fault plan for the stabilize experiment, e.g. '@conv:corrupt=2,@conv:crash=1' (default: 3 epochs of @conv:corrupt=2)")
-		deadline = flag.Duration("deadline", 0, "wall-clock deadline per stabilize batch (0: none)")
-		retries  = flag.Int("retries", 0, "stall-retry allowance per stabilize trial")
 		list     = flag.Bool("list", false, "list the experiment suite (tag, selector, description) and exit")
 	)
 	flag.Parse()
@@ -198,18 +185,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := experiments.SuiteOptions{
-		P: *p, ModelCheckP: *mcp, Budget: *budget, Workers: *workers,
-		Deadline: *deadline, Retries: *retries,
-	}
-	if *faults != "" {
-		pl, perr := fault.Parse(*faults)
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "experiments: -faults:", perr)
-			os.Exit(2)
-		}
-		opts.Plan = pl
-	}
+	opts := experiments.SuiteOptions{P: *p, ModelCheckP: *mcp, Budget: *budget, Workers: *workers}
 
 	which := "all"
 	if flag.NArg() > 0 {
@@ -241,11 +217,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	// First SIGINT sets the flag: supervised work aborts at its next
-	// check, remaining experiments are skipped, and the journal is
-	// flushed before exiting 130. Stopping signal delivery after the
-	// first one restores the default disposition, so a second SIGINT
-	// kills the process the ordinary way.
+	// First SIGINT sets the flag: remaining experiments are skipped,
+	// and the journal is flushed before exiting 130. Stopping signal
+	// delivery after the first one restores the default disposition,
+	// so a second SIGINT kills the process the ordinary way.
 	var interrupted atomic.Bool
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt)
@@ -255,12 +230,11 @@ func main() {
 		signal.Stop(sigc)
 		fmt.Fprintln(os.Stderr, "experiments: interrupt — finishing up, flushing journal (^C again to kill)")
 	}()
-	opts.Interrupt = interrupted.Load
 
 	sr := &suiteRunner{sink: sink, progress: *progress, ok: true, interrupted: interrupted.Load}
 	if sink != nil {
 		// A nil *JournalSink in the obs.Sink interface would be a
-		// non-nil sink and attach an observer to every stabilize trial.
+		// non-nil sink, so set it only here.
 		opts.Sink = sink
 		hdr := obs.NewHeader("experiments")
 		hdr.P = *p

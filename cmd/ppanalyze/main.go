@@ -4,9 +4,11 @@
 // — in-process by default, or against a running ppserved node with
 // -server — and reduces the per-cell journals into convergence
 // summaries: summary.{csv,txt,tex}, growth.{csv,txt,tex} when a block
-// of cells spans three or more N (grid.GrowthTable), plus per-cell
-// convergence-CDF plots under plots/ (ASCII and SVG). The summary and
-// growth tables also go to stdout. See docs/pipeline.md.
+// of cells spans three or more N (grid.GrowthTable), epochs.{csv,txt,tex}
+// when some cell's fault plan has a conv group (grid.EpochTable), plus
+// per-cell convergence-CDF plots under plots/ (ASCII and SVG). The
+// summary, growth and epoch tables also go to stdout. See
+// docs/pipeline.md.
 //
 //	ppanalyze -grid examples/grids/quickstart.json -out out/
 //	ppanalyze -grid sweep.json -out out/ -server http://node:8080
@@ -32,6 +34,7 @@ import (
 	"os/signal"
 
 	"popnaming/internal/grid"
+	"popnaming/internal/report"
 )
 
 func main() {
@@ -98,9 +101,11 @@ func run() int {
 		return 2
 	}
 	grid.SummaryTable(sp, res.Stats).Render(os.Stdout)
-	if g := grid.GrowthTable(sp, res.Stats); g != nil {
-		fmt.Println()
-		g.Render(os.Stdout)
+	for _, tab := range []*report.Table{grid.GrowthTable(sp, res.Stats), grid.EpochTable(sp, res.Stats)} {
+		if tab != nil {
+			fmt.Println()
+			tab.Render(os.Stdout)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "ppanalyze: %d cells: %d ran, %d resumed, %d failed; artifacts in %s\n",
 		len(res.Cells), res.Ran, res.Skipped, len(res.Failed), *out)

@@ -8,8 +8,8 @@
 //	ppserved -addr :8080 -workers 4 -queue 64
 //	ppserved -addr 127.0.0.1:0 -journal service.jsonl -grace 30s
 //
-// Endpoints: POST /v1/jobs submits a job (kinds sim, batch, campaign,
-// table1); GET /v1/jobs lists jobs; GET /v1/jobs/{id} shows one;
+// Endpoints: POST /v1/jobs submits a job (kinds sim, batch, table1);
+// GET /v1/jobs lists jobs; GET /v1/jobs/{id} shows one;
 // GET /v1/jobs/{id}/results streams the result records; POST
 // /v1/jobs/{id}/cancel cancels; GET /metrics renders the service and
 // simulation metric tables (?format=prometheus for text exposition

@@ -3,9 +3,10 @@
 // Protocol 2 (Proposition 16) tolerates arbitrary corruption of EVERY
 // component — all mobile agents and the base station — and re-converges
 // to a valid naming under plain weak fairness, using only one state more
-// than the absolute minimum (P+1). This demo converges a population,
-// repeatedly smashes random subsets of its memory (base station
-// included), and shows recovery each time.
+// than the absolute minimum (P+1). This demo converges a population from
+// an arbitrary start, then smashes a third of its agents and the base
+// station at each of three detected convergences (the fault plan
+// "@conv:leader+corrupt=3", three times), and recovers every time.
 //
 //	go run ./examples/selfstabilization
 package main
@@ -15,6 +16,7 @@ import (
 	"log"
 	"math/rand"
 
+	"popnaming/internal/fault"
 	"popnaming/internal/naming"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
@@ -26,27 +28,27 @@ func main() {
 		n = 10 // actual population
 	)
 	proto := naming.NewSelfStab(p)
-	r := rand.New(rand.NewSource(7))
 
 	// Nothing is initialized: agents AND base station start arbitrary.
-	cfg := sim.ArbitraryConfig(proto, n, r)
+	cfg := sim.ArbitraryConfig(proto, n, rand.New(rand.NewSource(7)))
 	fmt.Println("cold start:", cfg)
 
-	run := func(phase string) {
-		res := sim.NewRunner(proto, sched.NewRoundRobin(n, true), cfg).Run(50_000_000)
-		if !res.Converged || !cfg.ValidNaming() {
-			log.Fatalf("%s: failed to converge: %s", phase, res)
-		}
-		fmt.Printf("%s: converged in %d interactions -> %s\n", phase, res.Steps, cfg)
+	plan, err := fault.Parse("@conv:leader+corrupt=3,@conv:leader+corrupt=3,@conv:leader+corrupt=3")
+	if err != nil {
+		log.Fatal(err)
 	}
-	run("initial convergence")
-
-	for fault := 1; fault <= 3; fault++ {
-		// A transient fault scrambles a third of the agents and the
-		// base station's counters.
-		sim.Corrupt(proto, cfg, r, n/3, true)
-		fmt.Printf("fault %d injected: %s\n", fault, cfg)
-		run(fmt.Sprintf("recovery %d", fault))
+	inj, err := fault.NewInjector(plan, proto, 7)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Println("all faults recovered; names are stable and unique")
+	run := sim.NewRunner(proto, sched.NewRoundRobin(n, true), cfg)
+	run.Inject = inj
+	res := run.Run(50_000_000)
+	if !res.Converged || !cfg.ValidNaming() {
+		log.Fatalf("failed to recover: %s", res)
+	}
+	for _, f := range inj.Fired() {
+		fmt.Printf("converged at interaction %d, injected %s\n", f.Step, f.Event)
+	}
+	fmt.Printf("recovered from all %d faults in %d interactions -> %s\n", plan.Conv(), res.Steps, cfg)
 }

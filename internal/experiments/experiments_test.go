@@ -35,20 +35,6 @@ func TestTable1AllCellsAgree(t *testing.T) {
 	t.Logf("\n%s", out)
 }
 
-func TestRecoverySmall(t *testing.T) {
-	res := Recovery("selfstab", protoSelfStab(6), RecoveryOptions{
-		N: 6, Trials: 3, Budget: 10_000_000, CorruptLeader: true, Seed: 3,
-	})
-	if len(res.Points) != 6 {
-		t.Fatalf("got %d points, want 6", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.Failures > 0 {
-			t.Errorf("k=%d: %d recovery failures", p.Corrupted, p.Failures)
-		}
-	}
-}
-
 func TestUStarAblation(t *testing.T) {
 	res := UStarAblation(3)
 	if !res.UStarOK {

@@ -8,8 +8,6 @@ import (
 
 func protoAsym(p int) core.Protocol { return naming.NewAsymmetric(p) }
 
-func protoSelfStab(p int) core.ArbitraryInitProtocol { return naming.NewSelfStab(p) }
-
 func schedRandom(n int, leader bool, seed int64) sched.Scheduler {
 	return sched.NewRandom(n, leader, seed)
 }

@@ -48,14 +48,3 @@ func TestLookupUnknown(t *testing.T) {
 		t.Errorf("error %q should list known keys", err)
 	}
 }
-
-func TestRenderRecovery(t *testing.T) {
-	res := Recovery("selfstab", protoSelfStab(4), RecoveryOptions{
-		N: 4, Trials: 2, Budget: 5_000_000, Seed: 8,
-	})
-	var b strings.Builder
-	RenderRecovery(&b, []RecoveryResult{res})
-	if !strings.Contains(b.String(), "selfstab") {
-		t.Error("rendering incomplete")
-	}
-}

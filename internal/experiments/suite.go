@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"io"
-	"time"
 
-	"popnaming/internal/fault"
 	"popnaming/internal/obs"
 )
 
@@ -33,19 +31,10 @@ type SuiteEntry struct {
 type SuiteOptions struct {
 	Seed int64
 	// P, ModelCheckP, Budget and Workers size Table 1 (see
-	// Table1Options); P also bounds the stabilize experiment.
+	// Table1Options).
 	P, ModelCheckP, Budget, Workers int
-	// Plan, Deadline and Retries supervise the stabilize experiment
-	// (see StabilizeOptions).
-	Plan     *fault.Plan
-	Deadline time.Duration
-	Retries  int
-	// Sink, when non-nil, receives Table 1's per-cell records and the
-	// stabilize experiment's trial and fault records.
+	// Sink, when non-nil, receives Table 1's per-cell records.
 	Sink obs.Sink
-	// Interrupt, when non-nil, aborts the stabilize experiment's
-	// remaining work once it returns true (the SIGINT path).
-	Interrupt func() bool
 }
 
 // suiteEntry builds an entry from a typed run and render pair.
@@ -61,8 +50,6 @@ func suiteEntry[T any](key, tag, desc, json string, run func(SuiteOptions) (T, b
 func Suite() []SuiteEntry {
 	return []SuiteEntry{
 		suiteEntry("table1", "E1", "Table 1 feasibility/state-space matrix", "table1", suiteTable1, RenderTable1),
-		suiteEntry("recovery", "E13", "corruption / re-convergence", "recovery",
-			func(o SuiteOptions) ([]RecoveryResult, bool) { return StandardRecovery(o.Seed), true }, RenderRecovery),
 		suiteEntry("ablation", "E14", "U* vs naive sequence", "ustarAblation",
 			func(SuiteOptions) (AblationResult, bool) { return UStarAblation(3), true }, RenderAblation),
 		suiteEntry("separation", "E11", "weak vs global fairness on Protocol 3", "fairnessSeparation",
@@ -79,7 +66,6 @@ func Suite() []SuiteEntry {
 			func(o SuiteOptions) ([]DistPoint, bool) { return Distributions(2000, o.Seed), true }, RenderDistributions),
 		suiteEntry("oracle", "E21", "constructive proof schedules", "oracleSchedules",
 			func(o SuiteOptions) ([]OraclePoint, bool) { return OracleSchedules(o.Seed), true }, RenderOracle),
-		suiteEntry("stabilize", "E22", "multi-epoch fault injection / re-convergence", "stabilize", suiteStabilize, RenderStabilize),
 		suiteEntry("countscale", "E24", "count-engine throughput at N = 10^3...10^8", "countScale",
 			func(o SuiteOptions) (CountScaleResult, bool) {
 				cs := CountScale(CountScaleOptions{Seed: o.Seed})
@@ -104,25 +90,6 @@ func suiteTable1(o SuiteOptions) ([]Cell, bool) {
 		ok = ok && c.OK
 	}
 	return cells, ok
-}
-
-// suiteStabilize runs the stabilization experiment for every
-// arbitrary-init protocol at bound P; it passes when it ran to the end
-// and every protocol's trials recovered.
-func suiteStabilize(o SuiteOptions) ([]StabilizeResult, bool) {
-	res := StabilizeAll(o.P, StabilizeOptions{
-		Seed: o.Seed, Plan: o.Plan, Deadline: o.Deadline, Retries: o.Retries,
-		Sink: o.Sink, Interrupt: o.Interrupt,
-	})
-	if o.Interrupt != nil && o.Interrupt() {
-		return res, false
-	}
-	for _, r := range res {
-		if !r.OK {
-			return res, false
-		}
-	}
-	return res, len(res) > 0
 }
 
 // SuiteKeys returns the experiment selectors in suite run order.

@@ -26,9 +26,9 @@ func TestSuiteKeysUniqueAndTagged(t *testing.T) {
 }
 
 func TestSuiteLookup(t *testing.T) {
-	e, ok := SuiteLookup("recovery")
-	if !ok || e.Tag != "E13" {
-		t.Fatalf("SuiteLookup(recovery) = %+v, %v", e, ok)
+	e, ok := SuiteLookup("separation")
+	if !ok || e.Tag != "E11" {
+		t.Fatalf("SuiteLookup(separation) = %+v, %v", e, ok)
 	}
 	if _, ok := SuiteLookup("nonsense"); ok {
 		t.Fatal("SuiteLookup(nonsense) should fail")

@@ -11,9 +11,10 @@
 // The paper (a brief announcement) has one table — Table 1, the
 // synthesis of feasibility and exact state-space optimality across model
 // parameters — plus constructive proofs. Table1 reproduces every cell
-// with executable evidence; the recovery/ablation/oracle experiments
-// cover the extensions recorded in EXPERIMENTS.md. The convergence-cost
-// sweeps (E12, E12b, E15) are campaign grids under examples/grids/paper/.
+// with executable evidence; the ablation/oracle experiments cover the
+// extensions recorded in EXPERIMENTS.md. The convergence-cost sweeps
+// (E12, E12b, E15) and the fault-recovery campaigns (E13, E22) are
+// campaign grids under examples/grids/paper/.
 package experiments
 
 import (

@@ -34,16 +34,12 @@ type Injector struct {
 	Sink obs.Sink
 	// Trial tags emitted fault records with a batch trial index.
 	Trial int
-	// OnEvent, when non-nil, is called for every fired event before the
-	// fault is applied, so it observes the pre-fault configuration (the
-	// stabilization experiment uses it to check ValidNaming at each
-	// detected convergence).
-	OnEvent func(ev Event, step int64, cfg *core.Config)
 
 	plan *Plan
 	pr   core.Protocol
 	ap   core.ArbitraryInitProtocol   // nil unless needed
 	alp  core.ArbitraryLeaderProtocol // nil unless needed
+	lp   core.LeaderProtocol          // nil unless needed
 	seed int64
 	rng  *rand.Rand // seeded from seed on the first draw; see rand
 
@@ -59,9 +55,10 @@ type Injector struct {
 
 // NewInjector builds an injector for one run of protocol pr. It
 // validates the plan against the protocol's capabilities up front:
-// corrupt events need an ArbitraryInitProtocol (RandomMobile) and
-// leader events an ArbitraryLeaderProtocol (RandomLeader), so a
-// misdirected plan fails before any stepping instead of mid-run.
+// corrupt events need an ArbitraryInitProtocol (RandomMobile), leader
+// events an ArbitraryLeaderProtocol (RandomLeader) and reboot events a
+// LeaderProtocol (InitLeader), so a misdirected plan fails before any
+// stepping instead of mid-run.
 func NewInjector(plan *Plan, pr core.Protocol, seed int64) (*Injector, error) {
 	inj := &Injector{plan: plan, pr: pr, seed: int64(obs.Mix64(uint64(seed)) ^ obs.Mix64(uint64(plan.Seed)*0x9e3779b97f4a7c15))}
 	if up, ok := pr.(core.UniformInitProtocol); ok {
@@ -81,13 +78,16 @@ func NewInjector(plan *Plan, pr core.Protocol, seed int64) (*Injector, error) {
 				return nil, fmt.Errorf("fault: protocol %q does not support leader corruption (no RandomLeader)", pr.Name())
 			}
 			inj.alp = alp
+		case Reboot:
+			lp, ok := pr.(core.LeaderProtocol)
+			if !ok {
+				return nil, fmt.Errorf("fault: protocol %q has no leader to reboot (no InitLeader)", pr.Name())
+			}
+			inj.lp = lp
 		}
 	}
 	return inj, nil
 }
-
-// Empty reports whether the plan schedules no events at all.
-func (inj *Injector) Empty() bool { return inj.plan.Empty() }
 
 // Exhausted reports whether every plan event has fired.
 func (inj *Injector) Exhausted() bool { return inj.next >= len(inj.plan.Events) }
@@ -116,27 +116,40 @@ func (inj *Injector) FireDue(step int64, cfg *core.Config) (mutated bool) {
 		if ev.Step == ConvStep || ev.Step > step {
 			return mutated
 		}
-		if inj.apply(ev, step, cfg, "step") {
+		if inj.apply(ev, step, cfg, "step", nil) {
 			mutated = true
 		}
 	}
 	return mutated
 }
 
-// FireConv fires the next event if it is convergence-triggered. The
-// runner calls it when it detects a silent configuration; at most one
-// conv event fires per detected convergence, so a plan with E conv
-// events spans E fault epochs. It reports whether an event fired and
-// whether it mutated the configuration.
+// FireConv fires the next group if it is convergence-triggered: the
+// conv event at the cursor and every event joined to it, in plan
+// order. The runner calls it when it detects a silent configuration;
+// one group fires per detected convergence, so a plan with E conv
+// groups spans E fault epochs. Each member journals its own record,
+// and every record carries whether cfg — the configuration the epoch
+// converged to, read before the group applies — is a valid naming. It
+// reports whether a group fired and whether it mutated the
+// configuration.
 func (inj *Injector) FireConv(step int64, cfg *core.Config) (fired, mutated bool) {
-	if inj.next >= len(inj.plan.Events) {
+	events := inj.plan.Events
+	if inj.next >= len(events) || events[inj.next].Step != ConvStep {
 		return false, false
 	}
-	ev := inj.plan.Events[inj.next]
-	if ev.Step != ConvStep {
-		return false, false
+	var valid *bool
+	if inj.Sink != nil {
+		v := cfg.ValidNaming()
+		valid = &v
 	}
-	return true, inj.apply(ev, step, cfg, "conv")
+	for {
+		if inj.apply(events[inj.next], step, cfg, "conv", valid) {
+			mutated = true
+		}
+		if inj.next >= len(events) || !events[inj.next].Join {
+			return true, mutated
+		}
+	}
 }
 
 // rand returns the injector's RNG, seeding it on first use. Seeding a
@@ -151,12 +164,10 @@ func (inj *Injector) rand() *rand.Rand {
 }
 
 // apply executes one event, advances the plan cursor, logs and journals
-// the firing, and reports whether the configuration was mutated.
-func (inj *Injector) apply(ev Event, step int64, cfg *core.Config, trigger string) (mutated bool) {
+// the firing (with valid as the record's validNaming), and reports
+// whether the configuration was mutated.
+func (inj *Injector) apply(ev Event, step int64, cfg *core.Config, trigger string, valid *bool) (mutated bool) {
 	inj.next++
-	if inj.OnEvent != nil {
-		inj.OnEvent(ev, step, cfg)
-	}
 	switch ev.Kind {
 	case Corrupt:
 		for _, i := range inj.victims(ev.Arg, cfg.N(), nil) {
@@ -165,6 +176,9 @@ func (inj *Injector) apply(ev Event, step int64, cfg *core.Config, trigger strin
 		mutated = true
 	case Leader:
 		cfg.Leader = inj.alp.RandomLeader(inj.rand())
+		mutated = true
+	case Reboot:
+		cfg.Leader = inj.lp.InitLeader()
 		mutated = true
 	case Crash:
 		if inj.crashed == nil {
@@ -189,7 +203,9 @@ func (inj *Injector) apply(ev Event, step int64, cfg *core.Config, trigger strin
 	}
 	inj.fired = append(inj.fired, Fired{Event: ev, Step: step})
 	if inj.Sink != nil {
-		_ = inj.Sink.Emit(obs.NewFaultRec(inj.Trial, step, ev.Kind.String(), ev.Arg, trigger))
+		rec := obs.NewFaultRec(inj.Trial, step, ev.Kind.String(), ev.Arg, trigger)
+		rec.ValidNaming = valid
+		_ = inj.Sink.Emit(rec)
 	}
 	return mutated
 }

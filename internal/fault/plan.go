@@ -1,10 +1,10 @@
 // Package fault provides composable, deterministic fault-injection
 // plans for the self-stabilization experiments: a Plan is a seeded
 // schedule of Events (transient state corruption, leader corruption,
-// agent crash, churn, interaction omission) fired at fixed step counts
-// or whenever the runner detects convergence, and an Injector executes
-// the plan against a live configuration while journaling every fired
-// event.
+// leader reboot, agent crash, churn, interaction omission) fired at
+// fixed step counts or whenever the runner detects convergence, and an
+// Injector executes the plan against a live configuration while
+// journaling every fired event.
 //
 // The paper's self-stabilizing protocols (Propositions 12, 13, 16) are
 // sold on exactly one operational property: bounded recovery from
@@ -15,15 +15,19 @@
 // (sim.Runner consults the injector between interactions and rebuilds
 // its incremental census after every mutating event).
 //
-// Plans have a text syntax for the CLIs:
+// Plans have a text syntax, shared by namesim -faults, job specs and
+// grid fault axes:
 //
-//	@5000:corrupt=3,@conv:crash=1,@conv:leader=1,@12000:omit=500
+//	@5000:corrupt=3,@conv:crash=1,@conv:reboot+corrupt=2,@12000:omit=500
 //
 // Each event is "@trigger:kind=arg"; the trigger is either an absolute
 // interaction count or "conv" (fire at the next detected convergence);
-// the kinds are corrupt, leader, crash, churn and omit. An optional
-// leading "seed=N" token folds extra entropy into the injector's RNG.
-// Parse and Plan.String round-trip (FuzzPlanParse pins this).
+// the kinds are corrupt, leader, reboot, crash, churn and omit. "+"
+// joins kinds under one trigger into a group that fires in order at
+// once — "@conv:reboot+corrupt=2" reboots the leader and corrupts two
+// agents at one convergence, one fault epoch. An optional leading
+// "seed=N" token folds extra entropy into the injector's RNG. Parse and
+// Plan.String round-trip (FuzzPlanParse pins this).
 package fault
 
 import (
@@ -56,9 +60,14 @@ const (
 	// scheduler draws and count as (null) steps but no transition is
 	// applied — a burst of message loss.
 	Omit
+	// Reboot resets the leader to its initialized state (InitLeader):
+	// a protected node restarting factory-fresh, which puts a protocol
+	// whose leader must be initialized back inside its regime after a
+	// fault (Arg is ignored and canonicalized to 1).
+	Reboot
 )
 
-var kindNames = [...]string{"corrupt", "leader", "crash", "churn", "omit"}
+var kindNames = [...]string{"corrupt", "leader", "crash", "churn", "omit", "reboot"}
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -96,6 +105,10 @@ type Event struct {
 	// interactions to omit. Always >= 1; corrupt/crash/churn clamp to
 	// the population size when fired.
 	Arg int
+	// Join marks an event joined to its predecessor by "+": it shares
+	// the predecessor's trigger and fires right after it, so a conv
+	// group fires whole at one detected convergence.
+	Join bool
 }
 
 // String renders the event in plan syntax, e.g. "@5000:corrupt=3".
@@ -118,7 +131,7 @@ type Plan struct {
 // Empty reports whether the plan schedules no events.
 func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
 
-// Conv returns the number of convergence-triggered events — the number
+// Conv returns the number of convergence-triggered groups — the number
 // of fault epochs the plan injects.
 func (p *Plan) Conv() int {
 	if p == nil {
@@ -126,7 +139,7 @@ func (p *Plan) Conv() int {
 	}
 	n := 0
 	for _, e := range p.Events {
-		if e.Step == ConvStep {
+		if e.Step == ConvStep && !e.Join {
 			n++
 		}
 	}
@@ -135,7 +148,8 @@ func (p *Plan) Conv() int {
 
 // String renders the plan in its canonical text form: the seed token
 // first (only when non-zero), then the events in schedule order,
-// comma-separated. Parse(p.String()) reproduces p exactly.
+// comma-separated, a joined event as "+kind=arg" after its group.
+// Parse(p.String()) reproduces p exactly.
 func (p *Plan) String() string {
 	if p == nil {
 		return ""
@@ -144,7 +158,11 @@ func (p *Plan) String() string {
 	if p.Seed != 0 {
 		fmt.Fprintf(&b, "seed=%d", p.Seed)
 	}
-	for _, e := range p.Events {
+	for i, e := range p.Events {
+		if e.Join && i > 0 {
+			fmt.Fprintf(&b, "+%s=%d", e.Kind, e.Arg)
+			continue
+		}
 		if b.Len() > 0 {
 			b.WriteByte(',')
 		}
@@ -205,9 +223,10 @@ func splitPlan(s string) []planToken {
 
 // Parse parses the fault-plan text syntax. Events are separated by
 // commas, semicolons or whitespace; each is "@trigger:kind" with an
-// optional "=arg" (default 1); "seed=N" may appear once. The empty
-// string parses to an empty plan. Errors are always of type
-// *ParseError, locating the rejected token.
+// optional "=arg" (default 1), and further "+kind[=arg]" parts join
+// the group; "seed=N" may appear once. The empty string parses to an
+// empty plan. Errors are always of type *ParseError, locating the
+// rejected token.
 func Parse(s string) (*Plan, error) {
 	p := &Plan{}
 	seenSeed := false
@@ -224,52 +243,58 @@ func Parse(s string) (*Plan, error) {
 			seenSeed = true
 			continue
 		}
-		ev, perr := parseEvent(tok)
-		if perr != nil {
+		if perr := p.parseGroup(tok); perr != nil {
 			return nil, perr
 		}
-		p.Events = append(p.Events, ev)
 	}
 	return p, nil
 }
 
-func parseEvent(tok planToken) (Event, *ParseError) {
+// parseGroup appends the events of one "@trigger:kind[=arg]" token,
+// with its "+"-joined kinds, to p.
+func (p *Plan) parseGroup(tok planToken) *ParseError {
 	body, ok := strings.CutPrefix(tok.text, "@")
 	if !ok {
-		return Event{}, &ParseError{Kind: "event", Offset: tok.off, Token: tok.text, Reason: "does not start with '@'"}
+		return &ParseError{Kind: "event", Offset: tok.off, Token: tok.text, Reason: "does not start with '@'"}
 	}
 	trigger, rest, ok := strings.Cut(body, ":")
 	if !ok {
-		return Event{}, &ParseError{Kind: "event", Offset: tok.off, Token: tok.text, Reason: "lacks a ':kind' part"}
+		return &ParseError{Kind: "event", Offset: tok.off, Token: tok.text, Reason: "lacks a ':kind' part"}
 	}
-	ev := Event{Arg: 1}
-	if trigger == "conv" {
-		ev.Step = ConvStep
-	} else {
-		step, err := strconv.ParseInt(trigger, 10, 64)
+	step := ConvStep
+	if trigger != "conv" {
+		var err error
+		step, err = strconv.ParseInt(trigger, 10, 64)
 		if err != nil || step < 0 || step > maxStep {
-			return Event{}, &ParseError{Kind: "trigger", Offset: tok.off, Token: tok.text, Reason: `want a step count in [0,2^50] or "conv"`}
+			return &ParseError{Kind: "trigger", Offset: tok.off, Token: tok.text, Reason: `want a step count in [0,2^50] or "conv"`}
 		}
-		ev.Step = step
 	}
-	kindStr, argStr, hasArg := strings.Cut(rest, "=")
-	kind, ok := parseKind(kindStr)
-	if !ok {
-		return Event{}, &ParseError{Kind: "kind", Offset: tok.off, Token: tok.text,
-			Reason: fmt.Sprintf("unknown kind %q (want corrupt|leader|crash|churn|omit)", kindStr)}
-	}
-	ev.Kind = kind
-	if hasArg {
-		arg, err := strconv.Atoi(argStr)
-		if err != nil || arg < 1 || arg > 1<<30 {
-			return Event{}, &ParseError{Kind: "arg", Offset: tok.off, Token: tok.text, Reason: "want an integer in [1,2^30]"}
+	for join := false; ; join = true {
+		part, more, joined := strings.Cut(rest, "+")
+		ev := Event{Step: step, Arg: 1, Join: join}
+		kindStr, argStr, hasArg := strings.Cut(part, "=")
+		kind, ok := parseKind(kindStr)
+		if !ok {
+			return &ParseError{Kind: "kind", Offset: tok.off, Token: tok.text,
+				Reason: fmt.Sprintf("unknown kind %q (want corrupt|leader|reboot|crash|churn|omit)", kindStr)}
 		}
-		ev.Arg = arg
+		ev.Kind = kind
+		if hasArg {
+			arg, err := strconv.Atoi(argStr)
+			if err != nil || arg < 1 || arg > 1<<30 {
+				return &ParseError{Kind: "arg", Offset: tok.off, Token: tok.text, Reason: "want an integer in [1,2^30]"}
+			}
+			ev.Arg = arg
+		}
+		if kind == Leader || kind == Reboot {
+			// The leader is a single agent; canonicalize so String
+			// round-trips regardless of the written argument.
+			ev.Arg = 1
+		}
+		p.Events = append(p.Events, ev)
+		if !joined {
+			return nil
+		}
+		rest = more
 	}
-	if kind == Leader {
-		// The leader is a single agent; canonicalize so String
-		// round-trips regardless of the written argument.
-		ev.Arg = 1
-	}
-	return ev, nil
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -28,6 +29,21 @@ func TestParseBasic(t *testing.T) {
 	if p.Seed != 0 {
 		t.Errorf("seed = %d, want 0", p.Seed)
 	}
+
+	// "+" joins kinds under one trigger; a joined event repeats it.
+	p, err = Parse("@conv:reboot+corrupt=2,@7:crash+omit=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = []Event{
+		{Step: ConvStep, Kind: Reboot, Arg: 1},
+		{Step: ConvStep, Kind: Corrupt, Arg: 2, Join: true},
+		{Step: 7, Kind: Crash, Arg: 1},
+		{Step: 7, Kind: Omit, Arg: 3, Join: true},
+	}
+	if fmt.Sprint(p.Events) != fmt.Sprint(want) {
+		t.Errorf("joined groups: got %v, want %v", p.Events, want)
+	}
 }
 
 func TestParseSeparatorsAndSeed(t *testing.T) {
@@ -52,16 +68,20 @@ func TestParseEmpty(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
-		"corrupt=3",             // missing @trigger:
-		"@5000corrupt",          // missing colon
-		"@x:corrupt",            // bad trigger
-		"@-3:corrupt",           // negative step
-		"@conv:melt",            // unknown kind
-		"@conv:corrupt=0",       // arg below 1
-		"@conv:corrupt=-2",      // negative arg
-		"@conv:corrupt=many",    // non-integer arg
-		"seed=1,seed=2,@0:omit", // duplicate seed
-		"seed=zzz",              // bad seed
+		"corrupt=3",              // missing @trigger:
+		"@5000corrupt",           // missing colon
+		"@x:corrupt",             // bad trigger
+		"@-3:corrupt",            // negative step
+		"@conv:melt",             // unknown kind
+		"@conv:corrupt=0",        // arg below 1
+		"@conv:corrupt=-2",       // negative arg
+		"@conv:corrupt=many",     // non-integer arg
+		"@conv:corrupt+",         // empty joined kind
+		"@conv:+corrupt",         // empty leading kind
+		"@conv:reboot+melt",      // unknown joined kind
+		"@conv:reboot+corrupt=0", // joined arg below 1
+		"seed=1,seed=2,@0:omit",  // duplicate seed
+		"seed=zzz",               // bad seed
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
@@ -131,6 +151,14 @@ func TestPlanConv(t *testing.T) {
 	if p.Conv() != 2 {
 		t.Fatalf("Conv() = %d, want 2", p.Conv())
 	}
+	// A joined group is one epoch, however many records it writes.
+	p, err = Parse("@conv:reboot+corrupt=2,@conv:leader+corrupt=3+churn=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Conv() != 2 || len(p.Events) != 5 {
+		t.Fatalf("Conv() = %d over %d events, want 2 over 5", p.Conv(), len(p.Events))
+	}
 	var nilPlan *Plan
 	if nilPlan.Conv() != 0 || !nilPlan.Empty() || nilPlan.String() != "" {
 		t.Fatal("nil plan accessors")
@@ -142,6 +170,8 @@ func TestPlanStringRoundTrip(t *testing.T) {
 		"@5000:corrupt=3",
 		"@conv:crash=1",
 		"seed=9,@0:churn=4,@conv:leader=1,@1125899906842624:omit=1073741824",
+		"@conv:reboot=1+corrupt=2,@conv:reboot=1+corrupt=2",
+		"@conv:leader=1+corrupt=3,@5:crash=1+omit=3",
 	} {
 		p, err := Parse(s)
 		if err != nil {
@@ -164,6 +194,8 @@ func FuzzPlanParse(f *testing.F) {
 	f.Add("seed=-1;@1:crash=3")
 	f.Add("")
 	f.Add("@1125899906842624:omit=1073741824")
+	f.Add("@conv:reboot+corrupt=2,@conv:reboot+corrupt=2")
+	f.Add("@conv:leader+corrupt=3;@9:crash+omit=2+churn")
 	f.Fuzz(func(t *testing.T, s string) {
 		p, err := Parse(s)
 		if err != nil {

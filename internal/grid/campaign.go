@@ -16,7 +16,8 @@ import (
 // Campaign executes a grid spec into an output directory:
 // out/journals/<cell>.jsonl per cell, then the reduced artifacts
 // out/summary.{csv,txt,tex}, out/growth.{csv,txt,tex} when GrowthTable
-// has a row, and out/plots/<cell>.{txt,svg}.
+// has a row, out/epochs.{csv,txt,tex} when some cell's plan has a conv
+// group, and out/plots/<cell>.{txt,svg}.
 type Campaign struct {
 	Spec   *Spec
 	Runner CellRunner
@@ -201,8 +202,9 @@ func (cp *Campaign) completeStats(c Cell, path string) (CellStats, bool) {
 	return cs, cs.Trials == cp.Spec.Trials
 }
 
-// writeArtifacts renders the reduced campaign: summary table, and the
-// growth table when it has a row, in text, CSV and LaTeX, plus one
+// writeArtifacts renders the reduced campaign: summary table, the
+// growth table when it has a row and the epoch table when it has one,
+// in text, CSV and LaTeX, plus one
 // convergence-CDF plot per cell in ASCII and SVG. All emitters are
 // wall-clock free, so re-rendering the same journals is byte-stable.
 func (cp *Campaign) writeArtifacts(stats []CellStats) error {
@@ -214,6 +216,11 @@ func (cp *Campaign) writeArtifacts(stats []CellStats) error {
 	}
 	if g := GrowthTable(cp.Spec, stats); g != nil {
 		if err := writeTable(filepath.Join(cp.Out, "growth"), g); err != nil {
+			return err
+		}
+	}
+	if e := EpochTable(cp.Spec, stats); e != nil {
+		if err := writeTable(filepath.Join(cp.Out, "epochs"), e); err != nil {
 			return err
 		}
 	}

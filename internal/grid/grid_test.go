@@ -259,11 +259,11 @@ func TestLocalRunnerDeterministic(t *testing.T) {
 		name, spec, sha256 string
 	}{
 		{"agent-zero", `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"trials":2,"budget":100000,"seed":9}`,
-			"6e0c74995dab82ef7e0a8d40231bfd4eca09411624198b7bbe6c1d4808dac01f"},
+			"ad3925e8dac0cc46aa6646a40d484cb78be2ba72c702e933add9f063a9eac0bd"},
 		{"agent-arbitrary-corrupt", `{"protocols":["asym"],"populations":[{"p":6,"n":4}],"inits":["arbitrary"],"faults":["@100:corrupt=2"],"trials":2,"budget":100000,"seed":9}`,
-			"a39bcd6e1c0fa2b9877b522f2bfc0658bf5916060c372afd3ca895118a047945"},
+			"4e3d1f003f2783d634d09dd215f0632b6cc44daff9dad8c9d995eac5ca2ce641"},
 		{"count-1e4", `{"protocols":["asym"],"engines":["count"],"populations":[{"p":6,"n":10000}],"trials":2,"budget":100000,"progressEvery":40000,"seed":9}`,
-			"fcec664cf683e8a0535fbe6f42f34acaf9953ea23806338b1d247f600ea23cce"},
+			"92c10fd65e112955f9e22b9c93fc5870b23d829d9bfdd409f8ff9c6631d5056e"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sp := parse(t, c.spec)

@@ -3,8 +3,10 @@ package grid
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
+	"popnaming/internal/fault"
 	"popnaming/internal/obs"
 	"popnaming/internal/report"
 	"popnaming/internal/stats"
@@ -45,12 +47,57 @@ type CellStats struct {
 	// Torn marks a journal that lost its tail — a torn last line or no
 	// batch summary — so the cell reduces from its intact records.
 	Torn bool
+
+	// Epochs is the cell's per-epoch recovery table, one entry per
+	// conv group of its fault plan plus the initial convergence; nil
+	// for a plan without conv groups.
+	Epochs []EpochStat
+}
+
+// EpochStat is one fault epoch of a cell: epoch 0 is the initial
+// convergence, epoch e >= 1 the re-convergence after the e-th conv
+// group. An epoch runs from the previous boundary (a conv group's
+// step) to the next; the last ends at the trial's final step count,
+// quiet tail included.
+type EpochStat struct {
+	Epoch int
+	// Trials counts the trials that measured the epoch; Failures the
+	// trials that never reached it, did not re-converge, or converged
+	// to an invalid naming.
+	Trials   int
+	Failures int
+	// MedianSteps (the upper median) and MaxSteps summarize the
+	// epoch's cost in interactions over the measuring trials.
+	MedianSteps int64
+	MaxSteps    int64
+	// Steps holds the measuring trials' costs, sorted (the KS samples).
+	Steps []float64
+	// KS compares the epoch against the same epoch of the block's
+	// baseline cell; nil for baseline cells, when the baseline plan
+	// has no such epoch, and when either sample is empty.
+	KS *KSResult
+}
+
+// boundary is one epoch end inside a trial: the step of a conv group
+// and whether the configuration it converged to was a valid naming.
+type boundary struct {
+	step  int64
+	valid bool
 }
 
 // KSResult is a two-sample KS comparison against the baseline cell.
 type KSResult struct {
 	Same        bool
 	D, Critical float64
+}
+
+// columns renders the comparison as the tables' ks_same and ks_d
+// cells, both empty when there is none.
+func (k *KSResult) columns() (same, d string) {
+	if k == nil {
+		return "", ""
+	}
+	return fmt.Sprintf("%t", k.Same), fmt.Sprintf("%.6g", k.D)
 }
 
 // JournalOpener yields a reader for one cell's journal. Reduce uses it
@@ -80,9 +127,10 @@ func Reduce(sp *Spec, cells []Cell, open JournalOpener) ([]CellStats, error) {
 	return out, nil
 }
 
-// wireKS compares every fault cell in out against its block's no-fault
-// baseline, when the baseline is in out too. KSDistance needs
-// non-empty samples; an all-aborted cell simply carries no comparison.
+// wireKS compares every fault cell in out against its block's
+// baseline (the block's first fault plan), when the baseline is in out
+// too: its converged steps, and each fault epoch against the
+// baseline's same epoch.
 func wireKS(out []CellStats) {
 	byIndex := make(map[int]*CellStats, len(out))
 	for i := range out {
@@ -94,20 +142,45 @@ func wireKS(out []CellStats) {
 			continue
 		}
 		base, ok := byIndex[cs.Cell.BaselineIndex()]
-		if !ok || len(base.ConvergedSteps) == 0 || len(cs.ConvergedSteps) == 0 {
+		if !ok {
 			continue
 		}
-		same, d, crit := stats.KSSame(base.ConvergedSteps, cs.ConvergedSteps, KSAlpha)
-		cs.KS = &KSResult{Same: same, D: d, Critical: crit}
+		cs.KS = ksAgainst(base.ConvergedSteps, cs.ConvergedSteps)
+		for e := range cs.Epochs {
+			if e < len(base.Epochs) {
+				cs.Epochs[e].KS = ksAgainst(base.Epochs[e].Steps, cs.Epochs[e].Steps)
+			}
+		}
 	}
+}
+
+// ksAgainst runs the two-sample KS test of sample against base. It
+// returns nil when either sample is empty (KSDistance needs both), so
+// an all-aborted cell simply carries no comparison.
+func ksAgainst(base, sample []float64) *KSResult {
+	if len(base) == 0 || len(sample) == 0 {
+		return nil
+	}
+	same, d, crit := stats.KSSame(base, sample, KSAlpha)
+	return &KSResult{Same: same, D: d, Critical: crit}
 }
 
 // reduceCell folds one journal. Supervised trials may emit one summary
 // record per attempt; the last record per trial wins, mirroring the
-// batch result semantics.
+// batch result semantics. A cell whose plan has conv groups also folds
+// its conv fault records into per-trial epoch boundaries: one per
+// distinct step, since a joined group writes one record per member at
+// one step, and a trial's retry record drops the boundaries its failed
+// attempt left (injector records carry no attempt number).
 func reduceCell(c Cell, r io.Reader) (CellStats, error) {
 	cs := CellStats{Cell: c}
 	perTrial := make(map[int]*obs.Summary)
+	plan, _ := fault.Parse(c.Fault) // a bad plan already failed the cell's admission
+	epochs := plan.Conv()
+	var bounds map[int][]boundary
+	if epochs > 0 {
+		bounds = make(map[int][]boundary)
+	}
 	sawBatch := false
 	torn, err := obs.ReadJournal(r, func(rec obs.Rec) error {
 		switch rec.Type {
@@ -125,10 +198,16 @@ func reduceCell(c Cell, r io.Reader) (CellStats, error) {
 			cs.Aborted = rec.Batch.Aborted
 			cs.Retried = rec.Batch.Retried
 		case "fault":
-			switch rec.Fault.Kind {
-			case "retry", "abort":
+			f := rec.Fault
+			switch f.Kind {
+			case "retry":
+				delete(bounds, f.Trial)
+			case "abort":
 			default:
 				cs.FaultsInjected++
+				if b := bounds[f.Trial]; bounds != nil && f.Trigger == "conv" && (len(b) == 0 || b[len(b)-1].step != f.Step) {
+					bounds[f.Trial] = append(b, boundary{step: f.Step, valid: !knownInvalid(f.ValidNaming)})
+				}
 			}
 		}
 		return nil
@@ -159,7 +238,53 @@ func reduceCell(c Cell, r io.Reader) (CellStats, error) {
 		}
 	}
 	cs.Steps = stats.Summarize(cs.ConvergedSteps)
+	if epochs > 0 {
+		cs.Epochs = epochStats(epochs, cs.Trials, perTrial, bounds)
+	}
 	return cs, nil
+}
+
+// knownInvalid reports whether a journaled validNaming says the
+// configuration was not a valid naming. A journal written before the
+// field existed carries none: unknown, which does not fail an epoch.
+func knownInvalid(v *bool) bool { return v != nil && !*v }
+
+// epochStats measures epochs+1 epochs per trial from its boundaries
+// and final summary. Epoch e ends at the trial's e-th boundary, the
+// last epoch at its Steps once it converged with every group fired;
+// an epoch counts unless it ended in an invalid naming. Every one of
+// the cell's trials that did not measure an epoch is a failure of it.
+func epochStats(epochs, trials int, perTrial map[int]*obs.Summary, bounds map[int][]boundary) []EpochStat {
+	steps := make([][]float64, epochs+1)
+	for t, s := range perTrial {
+		b := bounds[t]
+		prev := int64(0)
+		for e := 0; e <= epochs; e++ {
+			var end int64
+			var valid bool
+			switch {
+			case e < len(b):
+				end, valid = b[e].step, b[e].valid
+			case e == epochs && s.Converged && len(b) == epochs:
+				end, valid = int64(s.Steps), !knownInvalid(s.ValidNaming)
+			default:
+				continue // the trial never reached this epoch
+			}
+			if valid {
+				steps[e] = append(steps[e], float64(end-prev))
+			}
+			prev = end
+		}
+	}
+	out := make([]EpochStat, epochs+1)
+	for e, st := range steps {
+		slices.Sort(st)
+		out[e] = EpochStat{Epoch: e, Trials: len(st), Failures: trials - len(st), Steps: st}
+		if len(st) > 0 {
+			out[e].MedianSteps, out[e].MaxSteps = int64(st[len(st)/2]), int64(st[len(st)-1])
+		}
+	}
+	return out
 }
 
 // SummaryTable renders the campaign as one row per cell, in cell
@@ -175,11 +300,7 @@ func SummaryTable(sp *Spec, results []CellStats) *report.Table {
 	)
 	for _, cs := range results {
 		c := cs.Cell
-		ksSame, ksD := "", ""
-		if cs.KS != nil {
-			ksSame = fmt.Sprintf("%t", cs.KS.Same)
-			ksD = fmt.Sprintf("%.6g", cs.KS.D)
-		}
+		ksSame, ksD := cs.KS.columns()
 		tab.AddRow(
 			c.ID(), c.Protocol, c.Engine,
 			fmt.Sprintf("%d", c.Pop.P), fmt.Sprintf("%d", c.Pop.N),
@@ -240,6 +361,35 @@ func GrowthTable(sp *Spec, results []CellStats) *report.Table {
 		tab.AddRow(k.Protocol, k.Engine, k.Sched, k.Init, k.Fault,
 			fmt.Sprintf("%d", len(xs[k])), law,
 			fmt.Sprintf("%.6g", fit.A), fmt.Sprintf("%.6g", fit.B), fmt.Sprintf("%.4f", fit.R2))
+	}
+	return tab
+}
+
+// EpochTable lists every conv-plan cell's fault epochs, one row per
+// cell and epoch, in cell order: trials that measured the epoch,
+// failures, and the median and max steps it took, beside the cell's
+// aborted and retried trial counts, and the epoch's KS comparison
+// against the same epoch of its block's baseline cell. It returns
+// nil, allocating nothing, when no cell's plan has a conv group.
+func EpochTable(sp *Spec, results []CellStats) *report.Table {
+	var tab *report.Table
+	for _, cs := range results {
+		if len(cs.Epochs) == 0 {
+			continue
+		}
+		if tab == nil {
+			tab = report.NewTable(fmt.Sprintf("campaign %s: steps per fault epoch (epoch 0 = initial convergence)", sp.Name),
+				"protocol", "p", "n", "sched", "faults", "epoch", "trials", "failures",
+				"steps_median", "steps_max", "aborted", "retried", "ks_same", "ks_d")
+		}
+		c := cs.Cell
+		for _, e := range cs.Epochs {
+			ksSame, ksD := e.KS.columns()
+			tab.AddRow(c.Protocol, fmt.Sprintf("%d", c.Pop.P), fmt.Sprintf("%d", c.Pop.N), c.Sched, c.Fault,
+				fmt.Sprintf("%d", e.Epoch), fmt.Sprintf("%d", e.Trials), fmt.Sprintf("%d", e.Failures),
+				fmt.Sprintf("%d", e.MedianSteps), fmt.Sprintf("%d", e.MaxSteps),
+				fmt.Sprintf("%d", cs.Aborted), fmt.Sprintf("%d", cs.Retried), ksSame, ksD)
+		}
 	}
 	return tab
 }

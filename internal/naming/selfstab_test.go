@@ -2,10 +2,13 @@ package naming
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/explore"
+	"popnaming/internal/fault"
+	"popnaming/internal/obs"
 	"popnaming/internal/sched"
 	"popnaming/internal/seq"
 	"popnaming/internal/sim"
@@ -172,23 +175,45 @@ func allSelfStabStarts(pr *SelfStab, n int) []*core.Config {
 }
 
 // TestSelfStabRecoversFromCorruption: converge, corrupt, re-converge —
-// the operational meaning of self-stabilization.
+// the operational meaning of self-stabilization. Five times, at each
+// detected convergence, the leader and three agents are corrupted; the
+// configuration every epoch converged to, read by the injector before
+// it corrupts, must be a valid naming, and so must the final one.
 func TestSelfStabRecoversFromCorruption(t *testing.T) {
 	const p = 6
 	pr := NewSelfStab(p)
-	r := rand.New(rand.NewSource(33))
-	cfg := sim.ArbitraryConfig(pr, p, r)
-	res := sim.NewRunner(pr, sched.NewRoundRobin(p, true), cfg).Run(5_000_000)
-	if !res.Converged {
-		t.Fatal(res)
+	cfg := sim.ArbitraryConfig(pr, p, rand.New(rand.NewSource(33)))
+	plan, err := fault.Parse(strings.Repeat("@conv:leader+corrupt=3,", 5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for round := 0; round < 5; round++ {
-		sim.Corrupt(pr, cfg, r, 3, true)
-		res = sim.NewRunner(pr, sched.NewRoundRobin(p, true), cfg).Run(5_000_000)
-		if !res.Converged || !cfg.ValidNaming() {
-			t.Fatalf("round %d: failed to recover: %s", round, res)
+	inj, err := fault.NewInjector(plan, pr, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs faultRecs
+	inj.Sink = &recs
+	run := sim.NewRunner(pr, sched.NewRoundRobin(p, true), cfg)
+	run.Inject = inj
+	if res := run.Run(25_000_000); !res.Converged || !cfg.ValidNaming() || !inj.Exhausted() {
+		t.Fatalf("failed to recover from %d of 5 faults: %s", len(inj.Fired())/2, res)
+	}
+	if len(recs) != 10 {
+		t.Fatalf("journaled %d fault records, want 10 (5 groups of 2)", len(recs))
+	}
+	for i, r := range recs {
+		if r.ValidNaming == nil || !*r.ValidNaming {
+			t.Errorf("record %d: epoch %d not recorded as a valid naming", i, i/2)
 		}
 	}
+}
+
+// faultRecs is an obs.Sink collecting an injector's fault records.
+type faultRecs []obs.FaultRec
+
+func (f *faultRecs) Emit(rec any) error {
+	*f = append(*f, rec.(obs.FaultRec))
+	return nil
 }
 
 func TestResetBSTLeaderState(t *testing.T) {

@@ -222,6 +222,12 @@ type Summary struct {
 	// the run. Zero for every other scheduler.
 	Forced int64 `json:"forced,omitempty"`
 
+	// ValidNaming reports whether the final configuration is a valid
+	// naming (pairwise-distinct mobile states); the engine sets it when
+	// it finishes the run. Nil (absent) in journals written before the
+	// field existed: unknown, not invalid.
+	ValidNaming *bool `json:"validNaming,omitempty"`
+
 	ElapsedNS int64 `json:"elapsedNs"`
 }
 
@@ -290,11 +296,11 @@ type CensusRec struct {
 }
 
 // FaultRec journals one fault-layer event: an injected fault fired by a
-// fault.Injector (Kind corrupt/leader/crash/churn/omit, Trigger "step"
-// or "conv"), a supervisor retry (Kind "retry", Trigger "stall"), or a
-// supervisor abort (Kind "abort", Trigger "stall"/"deadline"/
-// "interrupt"). Step is the interaction count at which the event fired;
-// Attempt numbers supervisor attempts from zero.
+// fault.Injector (Kind corrupt/leader/reboot/crash/churn/omit, Trigger
+// "step" or "conv"), a supervisor retry (Kind "retry", Trigger
+// "stall"), or a supervisor abort (Kind "abort", Trigger
+// "stall"/"deadline"/"canceled"). Step is the interaction count at
+// which the event fired; Attempt numbers supervisor attempts from zero.
 type FaultRec struct {
 	V    int    `json:"v"`
 	Type string `json:"type"`
@@ -305,6 +311,10 @@ type FaultRec struct {
 	Arg     int    `json:"arg,omitempty"`
 	Trigger string `json:"trigger"`
 	Attempt int    `json:"attempt,omitempty"`
+	// ValidNaming, on a conv-triggered injection, reports whether the
+	// configuration the epoch converged to was a valid naming (read
+	// before the group fired); absent on every other record.
+	ValidNaming *bool `json:"validNaming,omitempty"`
 }
 
 // NewFaultRec returns a fault-event record.

@@ -80,7 +80,8 @@ type Observer struct {
 
 	quietHist Histogram
 
-	forced int64
+	forced      int64
+	validNaming *bool
 
 	pairTrack bool
 	lastSeen  []int64
@@ -199,6 +200,11 @@ func (o *Observer) publish() {
 // are auditable like scheduler runs. Call it before Finish; sim.Runner
 // does so for any scheduler with a Forced method.
 func (o *Observer) SetForced(n int64) { o.forced = n }
+
+// SetValidNaming records whether the run's final configuration is a
+// valid naming, for the summary record. Call it before Finish; both
+// engines do.
+func (o *Observer) SetValidNaming(v bool) { o.validNaming = &v }
 
 // CompileRules switches mobile per-rule accounting to a dense counter
 // array keyed by tab's flat table index, removing the map operation
@@ -484,6 +490,7 @@ func (o *Observer) summary(converged bool) Summary {
 		FairnessGap:  o.FairnessGap(),
 		Rules:        o.RuleCounts(),
 		Forced:       o.forced,
+		ValidNaming:  o.validNaming,
 		ElapsedNS:    time.Since(o.start).Nanoseconds(),
 	}
 }

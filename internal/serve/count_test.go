@@ -30,7 +30,7 @@ func TestCountAdmissionRejections(t *testing.T) {
 		mutate  func(*Spec)
 		feature string // expected Error.Feature; "" means kind "validation"
 	}{
-		{"campaign", func(sp *Spec) { sp.Kind = KindCampaign }, "kind:campaign"},
+		{"campaign", func(sp *Spec) { sp.Kind = "campaign" }, ""},
 		{"table1", func(sp *Spec) { sp.Kind = KindTable1; sp.Protocol = ""; sp.P = 0; sp.N = 0 }, "kind:table1"},
 		{"faults", func(sp *Spec) { sp.Faults = "@conv:corrupt=2" }, "faults"},
 		{"deadline", func(sp *Spec) { sp.DeadlineMS = 1000 }, "supervision"},

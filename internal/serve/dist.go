@@ -23,8 +23,7 @@ import (
 // single-node span tree (spans interleave with workload records in
 // ways a merge cannot reproduce byte-identically), shard jobs
 // (Spec.Shard set) are the peer side of the protocol and always
-// execute locally, and sim/campaign/table1 jobs have no trial range
-// to split.
+// execute locally, and sim/table1 jobs have no trial range to split.
 func (s *Server) distEligible(j *Job) bool {
 	sp := j.v.spec
 	return len(s.peers) > 0 && sp.Kind == KindBatch && sp.Shard == nil && !sp.Trace

@@ -22,10 +22,10 @@ const (
 	// namesim's supervised path, scheduler seed attemptSeed+1 (see
 	// Server.runSim).
 	KindSim = "sim"
-	// KindBatch is a multi-trial batch (sim.RunBatch).
+	// KindBatch is a multi-trial batch (sim.RunBatch). A fault
+	// campaign is a batch with "init": "arbitrary" and a plan of conv
+	// groups; ppanalyze folds its journal into fault epochs.
 	KindBatch = "batch"
-	// KindCampaign is a fault-injection campaign (experiments.Stabilize).
-	KindCampaign = "campaign"
 	// KindTable1 is the Table 1 reproduction (experiments.Table1).
 	KindTable1 = "table1"
 )
@@ -54,7 +54,6 @@ const (
 	maxBudget     = int(1) << 40
 	maxJobWorkers = 64
 	maxRetries    = 100
-	maxEpochs     = 1000
 	maxDeadlineMS = int64(24) * 60 * 60 * 1000
 )
 
@@ -64,10 +63,10 @@ const (
 // the job view and every journal header, so any accepted job is
 // replayable byte-for-byte.
 type Spec struct {
-	// Kind selects the job type: sim | batch | campaign | table1.
+	// Kind selects the job type: sim | batch | table1.
 	Kind string `json:"kind"`
 
-	// Protocol is a registry key (sim, batch, campaign; see
+	// Protocol is a registry key (sim, batch; see
 	// experiments.RegistryKeys). P is the population bound (default 8;
 	// table1 default 6) and N the population size (default P).
 	Protocol string `json:"protocol,omitempty"`
@@ -85,7 +84,7 @@ type Spec struct {
 	// "count" runs the count-based (Gillespie) engine, whose per-step
 	// cost is independent of N — N may then exceed P, up to the
 	// pair-weight overflow bound. The count engine has no agent
-	// identities, so identity-dependent features (campaign/table1 kinds,
+	// identities, so identity-dependent features (the table1 kind,
 	// fault plans, supervision, non-random schedulers, arbitrary init)
 	// are rejected at admission with a structured 400 naming the
 	// feature (see sim.CountUnsupported).
@@ -96,30 +95,26 @@ type Spec struct {
 	// Budget is the per-trial interaction budget (default 50M; table1
 	// 20M per cell run).
 	Budget int `json:"budget,omitempty"`
-	// Trials (batch/campaign, default 10) and Workers (default 1)
+	// Trials (batch, default 10) and Workers (default 1)
 	// size the run. A sim job is exactly one trial.
 	Trials  int `json:"trials,omitempty"`
 	Workers int `json:"workers,omitempty"`
 
-	// Faults is a fault-plan string (sim, batch, campaign; see
+	// Faults is a fault-plan string (sim, batch; see
 	// internal/fault). A malformed plan is rejected with the parser's
 	// structured location in the error body.
 	Faults string `json:"faults,omitempty"`
 
 	// DeadlineMS bounds the job's wall clock (0: none), RetriesN the
 	// stall retries, Stall the quiet-streak stall threshold (0: no
-	// stall detection for sim/batch; campaign default), ProgressEvery
-	// the progress-record period in interactions (0: final only).
+	// stall detection), ProgressEvery the progress-record period in
+	// interactions (0: final only).
 	DeadlineMS    int64 `json:"deadlineMs,omitempty"`
 	Retries       int   `json:"retries,omitempty"`
 	Stall         int   `json:"stall,omitempty"`
 	ProgressEvery int   `json:"progressEvery,omitempty"`
 
-	// Epochs and CorruptK shape a campaign's default plan (ignored
-	// when Faults is set); ModelCheckP bounds table1's exhaustive
-	// checks (default 3).
-	Epochs      int `json:"epochs,omitempty"`
-	CorruptK    int `json:"corruptK,omitempty"`
+	// ModelCheckP bounds table1's exhaustive checks (default 3).
 	ModelCheckP int `json:"modelCheckP,omitempty"`
 
 	// Shard restricts a batch job to the contiguous global trial range
@@ -133,7 +128,7 @@ type Spec struct {
 
 	// Trace opts the job into span tracing: the result stream gains v1
 	// "span" records covering admission-to-terminal, queue wait, and —
-	// for sim/batch/campaign jobs — every trial, attempt and
+	// for sim/batch jobs — every trial, attempt and
 	// supervision slice, with fault injections as span events. The
 	// trace ID derives from the resolved seed, so a same-seed
 	// resubmission reproduces the span tree byte-for-byte modulo
@@ -198,11 +193,13 @@ func prepare(spec Spec) (*validated, *Error) {
 	v := &validated{spec: spec}
 	sp := &v.spec
 	switch sp.Kind {
-	case KindSim, KindBatch, KindCampaign, KindTable1:
+	case KindSim, KindBatch, KindTable1:
 	case "":
-		return nil, badRequest("missing job kind (sim | batch | campaign | table1)")
+		return nil, badRequest("missing job kind (sim | batch | table1)")
+	case "campaign":
+		return nil, badRequest(`job kind "campaign" is gone: submit kind "batch" with "init": "arbitrary" and a conv fault plan, e.g. "faults": "@conv:corrupt=2,@conv:corrupt=2,@conv:corrupt=2"`)
 	default:
-		return nil, badRequest("unknown job kind %q (sim | batch | campaign | table1)", sp.Kind)
+		return nil, badRequest("unknown job kind %q (sim | batch | table1)", sp.Kind)
 	}
 	switch sp.Engine {
 	case "", "agent", "count":
@@ -213,9 +210,9 @@ func prepare(spec Spec) (*validated, *Error) {
 	// run is rejected here, at admission, with the offending feature
 	// named in the error body.
 	if sp.Engine == "count" {
-		if sp.Kind == KindCampaign || sp.Kind == KindTable1 {
+		if sp.Kind == KindTable1 {
 			return nil, countBadRequest("kind:"+sp.Kind,
-				"%s jobs need the agent engine (fault campaigns and Table 1 cells drive identity-dependent machinery); the count engine supports kinds sim | batch", sp.Kind)
+				"%s jobs need the agent engine (Table 1 cells drive identity-dependent machinery); the count engine supports kinds sim | batch", sp.Kind)
 		}
 		if feature, reason := sim.CountUnsupported(sp.Faults != "", supervisionFor(v, nil), sp.Sched, sp.Init); feature != "" {
 			return nil, countBadRequest(feature, "count-engine jobs cannot take %s: %s", feature, reason)
@@ -258,8 +255,8 @@ func prepare(spec Spec) (*validated, *Error) {
 				return nil, badRequest("table1 jobs take no %q field", f.name)
 			}
 		}
-		if sp.Trials != 0 || sp.N != 0 || sp.Epochs != 0 || sp.CorruptK != 0 {
-			return nil, badRequest("table1 jobs take no trials/n/epochs/corruptK fields")
+		if sp.Trials != 0 || sp.N != 0 {
+			return nil, badRequest("table1 jobs take no trials/n fields")
 		}
 		if sp.P == 0 {
 			sp.P = 6
@@ -279,7 +276,7 @@ func prepare(spec Spec) (*validated, *Error) {
 		return nil, badRequest("modelCheckP applies to table1 jobs only")
 	}
 
-	// Protocol-backed kinds: sim, batch, campaign.
+	// Protocol-backed kinds: sim, batch.
 	if sp.Protocol == "" {
 		return nil, badRequest("missing protocol (known: %v)", experiments.RegistryKeys())
 	}
@@ -350,33 +347,6 @@ func prepare(spec Spec) (*validated, *Error) {
 		if err := validateRun(v); err != nil {
 			return nil, err
 		}
-	case KindCampaign:
-		if sp.Sched != "" || sp.Init != "" {
-			return nil, badRequest("campaign jobs fix arbitrary init and the random scheduler; sched/init must be empty")
-		}
-		if _, ok := v.proto.(core.ArbitraryInitProtocol); !ok {
-			return nil, badRequest("protocol %q does not support arbitrary initialization (campaign jobs need it)", sp.Protocol)
-		}
-		// Probe the random scheduler the trials run on, so a population
-		// with no pair is a 400 here rather than a worker panic.
-		if _, err := sim.AgentScheduler(v.proto, sp.N, "random", sp.Seed); err != nil {
-			return nil, badRequest("%v", err)
-		}
-		if sp.Trials == 0 {
-			sp.Trials = 10
-		}
-		if sp.Trials < 1 || sp.Trials > maxTrials {
-			return nil, badRequest("trials %d outside [1,%d]", sp.Trials, maxTrials)
-		}
-		if sp.Epochs < 0 || sp.Epochs > maxEpochs {
-			return nil, badRequest("epochs %d outside [0,%d]", sp.Epochs, maxEpochs)
-		}
-		if sp.CorruptK < 0 || sp.CorruptK > sp.N {
-			return nil, badRequest("corruptK %d outside [0,n=%d]", sp.CorruptK, sp.N)
-		}
-	}
-	if sp.Kind != KindCampaign && (sp.Epochs != 0 || sp.CorruptK != 0) {
-		return nil, badRequest("epochs/corruptK apply to campaign jobs only")
 	}
 	if sp.Shard != nil {
 		if sp.Kind != KindBatch {
@@ -480,8 +450,8 @@ type JobSummary struct {
 	ValidNaming bool   `json:"validNaming,omitempty"`
 	Steps       int64  `json:"steps,omitempty"`
 	NonNull     int64  `json:"nonNull,omitempty"`
-	// Trials/TrialsConverged/Aborted/Retried aggregate batch and
-	// campaign jobs; Cells counts table1 cells completed.
+	// Trials/TrialsConverged/Aborted/Retried aggregate batch jobs;
+	// Cells counts table1 cells completed.
 	Trials          int  `json:"trials,omitempty"`
 	TrialsConverged int  `json:"trialsConverged,omitempty"`
 	Aborted         int  `json:"aborted,omitempty"`
@@ -702,14 +672,6 @@ func (j *Job) rec() JobRec {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.recLocked()
-}
-
-// CampaignRec is the result record of a campaign job: the full
-// experiments.StabilizeResult under the v1 record envelope.
-type CampaignRec struct {
-	V      int                         `json:"v"`
-	Type   string                      `json:"type"` // "campaign"
-	Result experiments.StabilizeResult `json:"result"`
 }
 
 // Table1Rec is the result record of a table1 job. Cell.WallNS fields

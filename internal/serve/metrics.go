@@ -57,7 +57,7 @@ type kindMetric struct {
 
 // jobKinds lists the job kinds in documentation order; the strings
 // double as metrics label values.
-var jobKinds = []string{KindSim, KindBatch, KindCampaign, KindTable1}
+var jobKinds = []string{KindSim, KindBatch, KindTable1}
 
 // jobStates lists the job lifecycle states in the order of the
 // ppserved_jobs series.

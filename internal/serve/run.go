@@ -103,8 +103,6 @@ func (s *Server) execute(j *Job) error {
 			return s.runDistBatch(j)
 		}
 		return s.runBatch(j)
-	case KindCampaign:
-		return s.runCampaign(j)
 	case KindTable1:
 		return s.runTable1(j)
 	default:
@@ -280,41 +278,6 @@ func (s *Server) runBatch(j *Job) error {
 		OK:              sum.Converged == sum.Trials,
 	})
 	s.met.addTrials(sum.Trials, sum.Converged, sum.TotalSteps, sum.TotalNonNull)
-	return nil
-}
-
-// runCampaign executes a fault-injection campaign via
-// experiments.Stabilize; cancellation is bridged into the campaign's
-// cooperative Interrupt hook.
-func (s *Server) runCampaign(j *Job) error {
-	sp := j.v.spec
-	ap := j.v.proto.(core.ArbitraryInitProtocol) // checked at admission
-	res := experiments.Stabilize(sp.Protocol, ap, experiments.StabilizeOptions{
-		N:          sp.N,
-		Epochs:     sp.Epochs,
-		CorruptK:   sp.CorruptK,
-		Plan:       j.v.plan,
-		Trials:     sp.Trials,
-		Budget:     sp.Budget,
-		Deadline:   time.Duration(sp.DeadlineMS) * time.Millisecond,
-		Retries:    sp.Retries,
-		StallQuiet: sp.Stall,
-		Workers:    sp.Workers,
-		Seed:       sp.Seed,
-		Sink:       j.buf,
-		Trace:      j.traceCtx(),
-		Interrupt:  func() bool { return j.ctx.Err() != nil },
-	})
-	if err := j.buf.Emit(CampaignRec{V: obs.Version, Type: "campaign", Result: res}); err != nil {
-		return err
-	}
-	j.setSummary(&JobSummary{
-		Trials:  res.Trials,
-		Aborted: res.Aborted,
-		Retried: res.Retried,
-		OK:      res.OK,
-	})
-	s.met.trialsRun.Add(uint64(res.Trials))
 	return nil
 }
 

@@ -3,8 +3,8 @@
 // repository's simulation engine and experiment harness.
 //
 // Clients POST JSON job specs to /v1/jobs — one supervised run
-// ("sim"), a multi-trial batch ("batch"), a fault-injection campaign
-// ("campaign") or the Table 1 reproduction ("table1") — and the
+// ("sim"), a multi-trial batch ("batch", fault campaigns included) or
+// the Table 1 reproduction ("table1") — and the
 // service validates them against the protocol registry and the fault
 // parser before admission, queues them FIFO into a bounded queue, and
 // executes them on a fixed worker pool. Results stream back as NDJSON
@@ -262,7 +262,8 @@ func New(cfg Config) (*Server, error) {
 // restore replays the job store into the server's maps: terminal
 // snapshots become finished jobs served straight from the store (done
 // uncached ones re-seed the result cache), non-terminal snapshots get
-// their partial result logs reset and are returned for re-queueing.
+// their partial result logs reset and are returned for re-queueing —
+// unless their spec now fails admission, which finalizes them failed.
 // Runs single-threaded at construction, before any worker or handler
 // exists.
 func (s *Server) restore() ([]*Job, error) {
@@ -282,20 +283,24 @@ func (s *Server) restore() ([]*Job, error) {
 			// unreachable; skip the record rather than refuse to boot.
 			continue
 		}
+		var v *validated
+		if !store.Terminal(snap.State) {
+			var verr *Error
+			if v, verr = prepare(spec); verr != nil {
+				// The spec passed admission before the crash but fails
+				// it now (an admission rule or registry changed across
+				// the restart): journal the job failed instead of
+				// re-running, and serve it as the finished job a later
+				// boot replays.
+				snap.State, snap.Error = store.StateFailed, "restore: "+verr.Message
+				_ = s.store.Finalize(snap.ID, store.Final{State: snap.State, Error: snap.Error})
+			}
+		}
 		if store.Terminal(snap.State) {
 			j := s.restoreTerminal(snap, spec)
 			s.jobs[j.ID] = j
 			s.order = append(s.order, j)
 			s.met.restored.Inc()
-			continue
-		}
-		v, verr := prepare(spec)
-		if verr != nil {
-			// The spec passed admission before the crash but fails it
-			// now (an admission rule or registry changed across the
-			// restart): journal the job failed instead of re-running.
-			_ = s.store.Finalize(snap.ID, store.Final{
-				State: store.StateFailed, Error: "restore: " + verr.Message})
 			continue
 		}
 		if err := s.store.ResetResults(snap.ID); err != nil {

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"popnaming/internal/obs"
+	"popnaming/internal/serve/store"
 	"popnaming/internal/sim"
 )
 
@@ -398,11 +399,11 @@ func TestStructuredBadRequest(t *testing.T) {
 // TestPairlessPopulationRejected: a spec whose population has no pair
 // to schedule, or an odd one under the matching scheduler, is a
 // structured 400 at admission — over HTTP and through Submit — rather
-// than a panic in Prepare or, for a campaign, in a worker.
+// than a panic in Prepare or, for a fault campaign, in a worker.
 func TestPairlessPopulationRejected(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8})
 	for _, sp := range []Spec{
-		{Kind: KindCampaign, Protocol: "asym", P: 8, N: 1},
+		{Kind: KindBatch, Protocol: "asym", P: 8, N: 1, Init: "arbitrary", Faults: "@conv:corrupt=2"},
 		{Kind: KindSim, Protocol: "asym", P: 8, N: 3, Sched: "matching"},
 		{Kind: KindBatch, Protocol: "symglobal", P: 8, N: 5, Sched: "matching"},
 		{Kind: KindSim, Protocol: "asym", P: 8, N: 1},
@@ -435,8 +436,13 @@ func TestPrepareDefaults(t *testing.T) {
 	if _, err := prepare(Spec{Kind: KindTable1, Protocol: "asym"}); err == nil {
 		t.Fatal("table1 with protocol accepted")
 	}
-	if _, err := prepare(Spec{Kind: KindCampaign, Protocol: "initleader"}); err == nil {
-		t.Fatal("campaign on a protocol without arbitrary init accepted")
+	if _, err := prepare(Spec{Kind: "campaign", Protocol: "asym"}); err == nil ||
+		!strings.Contains(err.Message, `"batch"`) || !strings.Contains(err.Message, `"arbitrary"`) {
+		t.Fatalf("campaign kind: %v, want a 400 naming batch + arbitrary init + a conv plan", err)
+	}
+	if _, err := prepare(Spec{Kind: KindBatch, Protocol: "asym", Init: "arbitrary", Faults: "@conv:reboot+corrupt=2"}); err == nil ||
+		!strings.Contains(err.Message, "reboot") {
+		t.Fatalf("leader reboot on a leaderless protocol: %v, want a 400", err)
 	}
 	if _, err := prepare(Spec{Kind: KindBatch, Protocol: "initleader", Init: "arbitrary"}); err == nil {
 		t.Fatal("arbitrary init on a protocol without RandomMobile accepted")
@@ -473,30 +479,80 @@ func TestTable1RejectionNamesFirstField(t *testing.T) {
 	}
 }
 
-// TestCampaignJob runs a small campaign end to end and checks the
-// campaign record closes the stream.
+// TestCampaignJob: the campaign kind is gone, but a store written
+// before it went still boots. A done campaign job's result stream is
+// served byte for byte; a queued one fails with a restore reason
+// instead of running, and its view shows that reason; and
+// resubmitting the done job's body is a 400, not a cache hit.
 func TestCampaignJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueCap: 4})
-	status, view, _, _ := postJob(t, ts, Spec{
-		Kind: KindCampaign, Protocol: "asym", P: 4, N: 4,
-		Seed: 11, Trials: 2, Epochs: 1, CorruptK: 1, Workers: 2,
-	})
-	if status != http.StatusAccepted {
-		t.Fatalf("submit status %d", status)
+	body := []byte(`{"kind":"campaign","protocol":"asym","p":4,"n":4,"seed":11,"budget":50000000,"trials":2,"workers":2,"epochs":1,"corruptK":1}`)
+	lines := [][]byte{
+		[]byte(`{"v":1,"type":"header","tool":"ppserved","protocol":"asymmetric-p12","p":4,"n":4,"seed":11}` + "\n"),
+		[]byte(`{"v":1,"type":"campaign","result":{"Protocol":"asym","N":4,"Trials":2,"OK":true}}` + "\n"),
+		[]byte(`{"v":1,"type":"job","id":"j000001","kind":"campaign","state":"done","seed":11}` + "\n"),
 	}
-	lines := streamLines(t, ts, view.ID)
-	final := waitState(t, ts, view.ID, StateDone, 60*time.Second)
-	if final.Summary == nil || !final.Summary.OK || final.Summary.Trials != 2 {
-		t.Fatalf("campaign summary %+v", final.Summary)
-	}
-	sawCampaign := false
-	for _, line := range lines {
-		if recType(t, line) == "campaign" {
-			sawCampaign = true
+	m := store.NewMemory()
+	for _, id := range []string{"j000001", "j000002"} {
+		if err := m.Admit(id, body, false); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !sawCampaign {
-		t.Fatal("stream has no campaign record")
+	if err := m.AppendResults("j000001", lines); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Finalize("j000001", store.Final{State: store.StateDone, Summary: []byte(`{"trials":2,"ok":true}`), ResultLines: len(lines)}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workers: 1, QueueCap: 4, Store: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+
+	got := streamLines(t, ts, "j000001")
+	if len(got) != len(lines) {
+		t.Fatalf("restored stream has %d records, want %d", len(got), len(lines))
+	}
+	for i := range lines {
+		if !bytes.Equal(append(got[i], '\n'), lines[i]) {
+			t.Fatalf("restored record %d:\n%s\nwant:\n%s", i, got[i], lines[i])
+		}
+	}
+	if v := getView(t, ts, "j000001"); v.State != StateDone || v.Kind != "campaign" {
+		t.Fatalf("restored view %+v", v)
+	}
+	snaps, err := m.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 2 || snaps[1].State != store.StateFailed || !strings.HasPrefix(snaps[1].Error, "restore: ") {
+		t.Fatalf("queued campaign job after boot: %+v, want failed with a restore reason", snaps[1:])
+	}
+	if v := getView(t, ts, "j000002"); v.State != StateFailed || v.Error != snaps[1].Error || v.Kind != "campaign" {
+		t.Fatalf("queued campaign job's view %+v, want failed with %q", v, snaps[1].Error)
+	}
+
+	for _, b := range []string{string(body), `{"kind":"campaign","protocol":"asym","p":4,"n":4,"seed":11,"trials":2}`} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("resubmitted %s: status %d, want 400", b, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics status %d", resp.StatusCode)
 	}
 }
 

@@ -38,8 +38,8 @@ type BatchResult struct {
 	// for trials aborted before they started.
 	Result Result
 	// Status, Attempts and Reason carry the supervision outcome (see
-	// SupervisedResult). A trial whose batch deadline or interrupt hit
-	// before it started is TrialAborted with a zero Result.
+	// SupervisedResult). A trial whose batch was canceled or past its
+	// deadline before it started is TrialAborted with a zero Result.
 	Status   TrialStatus
 	Attempts int
 	Reason   string
@@ -118,7 +118,7 @@ func (s *BatchSummary) Record() obs.BatchSummaryRec {
 // protocol (see internal/dist).
 //
 // mk(trial, 0) decides the engine. An agent trial runs under sup (step
-// budget, stall retry, interrupt) with the deadline interpreted
+// budget, stall retry) with the deadline interpreted
 // batch-wide: one instant, computed at entry, bounds every trial. mk is
 // called once per attempt (fresh configuration, scheduler and injector
 // each time; derive per-attempt seeds with DeriveSeed), and injectors
@@ -129,12 +129,11 @@ func (s *BatchSummary) Record() obs.BatchSummaryRec {
 // unsliced CountRunner.Run(sup.StepBudget); the count engine supports
 // no other supervision (see CountUnsupported).
 //
-// Trials claimed after ctx is canceled, the interrupt fires or the
-// deadline passes are tagged TrialAborted without running. A cancel
-// also stops in-flight trials — agent trials at their next slice
-// boundary, count trials at their next interrupt poll — tagged
-// TrialAborted/"canceled" with partial results. A nil ctx is
-// context.Background().
+// Trials claimed after ctx is canceled or the deadline passes are
+// tagged TrialAborted without running. A cancel also stops in-flight
+// trials — agent trials at their next slice boundary, count trials at
+// their next interrupt poll — tagged TrialAborted/"canceled" with
+// partial results. A nil ctx is context.Background().
 func RunBatch(ctx context.Context, pr core.Protocol, lo, hi, workers int, sup Supervision, bo BatchObs, mk func(trial, attempt int) Trial) BatchSummary {
 	if ctx == nil {
 		ctx = context.Background()
@@ -181,16 +180,12 @@ func RunBatch(ctx context.Context, pr core.Protocol, lo, hi, workers int, sup Su
 					return
 				}
 				i := lo + off
-				// Graceful degradation: past the batch deadline (or
-				// after an interrupt) the remaining trials are tagged
-				// instead of run, so the batch returns promptly with
-				// partial results.
+				// Graceful degradation: once canceled or past the batch
+				// deadline, the remaining trials are tagged instead of
+				// run, so the batch returns promptly with partial
+				// results.
 				if ctx.Err() != nil {
 					out[off] = BatchResult{Trial: i, Status: TrialAborted, Reason: "canceled"}
-					continue
-				}
-				if sup.Interrupt != nil && sup.Interrupt() {
-					out[off] = BatchResult{Trial: i, Status: TrialAborted, Reason: "interrupt"}
 					continue
 				}
 				if !deadlineAt.IsZero() && !time.Now().Before(deadlineAt) {

@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"popnaming/internal/core"
+	"popnaming/internal/fault"
 	"popnaming/internal/naming"
 )
 
-// BenchmarkCorrupt measures the adversarial-corruption primitive used by
-// the recovery experiments. The partial Fisher–Yates over a pooled index
-// slice replaced r.Perm(n)[:k], which allocated and shuffled all n
-// positions to pick k of them.
+// BenchmarkCorrupt measures one k-corruption by the fault injector: a
+// partial Fisher–Yates over its scratch index slice picks the k
+// victims, where the first recovery experiments permuted (and
+// allocated) all n positions to keep k. The plan holds one step event
+// per iteration; the bytes per op are the fired log's amortized growth.
 func BenchmarkCorrupt(b *testing.B) {
 	const n, k = 1024, 32
 	pr := naming.NewSelfStab(n)
@@ -20,9 +22,17 @@ func BenchmarkCorrupt(b *testing.B) {
 	for i := range cfg.Mobile {
 		cfg.Mobile[i] = pr.RandomMobile(r)
 	}
+	plan := &fault.Plan{Events: make([]fault.Event, b.N)}
+	for i := range plan.Events {
+		plan.Events[i] = fault.Event{Step: int64(i), Kind: fault.Corrupt, Arg: k}
+	}
+	inj, err := fault.NewInjector(plan, pr, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Corrupt(pr, cfg, r, k, false)
+		inj.FireDue(int64(i), cfg)
 	}
 }

@@ -447,6 +447,7 @@ func (r *CountRunner) Run(maxSteps int) (CountResult, error) {
 	}
 	res := r.run(maxSteps)
 	if r.Obs != nil {
+		r.Obs.SetValidNaming(r.Cfg.ValidNaming())
 		r.Obs.Finish(res.Converged)
 	}
 	return res, nil

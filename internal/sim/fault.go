@@ -4,7 +4,7 @@ import "popnaming/internal/core"
 
 // Resync rebuilds the compiled engine's incremental census from the
 // current configuration. Call it after mutating Cfg from outside the
-// runner (fault injection, manual Corrupt between Run calls): the
+// runner (fault injection, a manual edit between Run calls): the
 // census only stays truthful while every change flows through the
 // runner, and a stale census makes Silent lie. It also clears the quiet
 // streak, since null interactions observed before the mutation say
@@ -28,10 +28,10 @@ func (r *Runner) Resync() {
 // settled reports, after a successful silence check, whether the
 // silence ends the run: it does unless fault events are pending. A
 // silent population still interacts (nullly), so a pending
-// step-triggered event is idled toward, and a pending conv event fires
-// right here. The quiet streak restarts after every fired event, so
-// the next epoch gets a full quiet window before its first silence
-// check.
+// step-triggered event is idled toward, and a pending conv group fires
+// right here, whole. The quiet streak restarts after every fired
+// group, so the next epoch gets a full quiet window before its first
+// silence check.
 func (r *Runner) settled() bool {
 	inj := r.Inject
 	if inj == nil || inj.Exhausted() {

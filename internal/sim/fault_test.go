@@ -9,6 +9,7 @@ import (
 	"popnaming/internal/core"
 	"popnaming/internal/fault"
 	"popnaming/internal/naming"
+	"popnaming/internal/obs"
 	"popnaming/internal/sched"
 )
 
@@ -200,6 +201,49 @@ func TestFaultConvEpochs(t *testing.T) {
 	}
 }
 
+// TestFaultConvGroup: a conv group fires whole at one detected
+// convergence — every member journals its own record at one step,
+// each carrying the validity of the configuration the epoch converged
+// to — and the next epoch gets a full quiet window before its first
+// silence check. The reboot restores globalp's initialized leader, so
+// every epoch re-converges to a valid naming.
+func TestFaultConvGroup(t *testing.T) {
+	const n = 5
+	pr := naming.NewGlobalP(6)
+	cfg := ArbitraryConfig(pr, n, rand.New(rand.NewSource(3)))
+	run := NewRunner(pr, sched.NewRandom(n, true, 4), cfg)
+	inj := mustInjector(t, mustPlan(t, "@conv:reboot+corrupt=2,@conv:reboot+corrupt=2"), pr, 3)
+	sink := &recSink{}
+	inj.Sink = sink
+	run.Inject = inj
+
+	res := run.Run(50_000_000)
+	if !res.Converged || !cfg.ValidNaming() {
+		t.Fatalf("run failed: %s", res)
+	}
+	var recs []obs.FaultRec
+	for _, r := range sink.recs {
+		recs = append(recs, r.(obs.FaultRec))
+	}
+	if len(recs) != 4 {
+		t.Fatalf("journaled %d fault records, want 4: %+v", len(recs), recs)
+	}
+	for i, r := range recs {
+		if want := []string{"reboot", "corrupt"}[i%2]; r.Kind != want || r.Trigger != "conv" {
+			t.Errorf("record %d: %s/%s, want %s/conv", i, r.Kind, r.Trigger, want)
+		}
+		if r.ValidNaming == nil || !*r.ValidNaming {
+			t.Errorf("record %d: validNaming %v, want true", i, r.ValidNaming)
+		}
+	}
+	if recs[0].Step != recs[1].Step || recs[2].Step != recs[3].Step {
+		t.Errorf("a group fired over several steps: %+v", recs)
+	}
+	if gap := recs[2].Step - recs[1].Step; gap < int64(QuietWindow(n)) {
+		t.Errorf("next group fired %d steps after the first, inside one quiet window (%d)", gap, QuietWindow(n))
+	}
+}
+
 // TestInjectorCapabilityValidation: plans demanding capabilities the
 // protocol lacks are rejected at construction, not mid-run.
 func TestInjectorCapabilityValidation(t *testing.T) {
@@ -210,6 +254,9 @@ func TestInjectorCapabilityValidation(t *testing.T) {
 	}
 	if _, err := fault.NewInjector(mustPlan(t, "@conv:leader=1"), pr, 1); err == nil {
 		t.Error("leader plan accepted without RandomLeader")
+	}
+	if _, err := fault.NewInjector(mustPlan(t, "@conv:reboot+corrupt=1"), naming.NewAsymmetric(4), 1); err == nil {
+		t.Error("reboot plan accepted for a leaderless protocol")
 	}
 	// Crash/churn/omit need no capabilities.
 	if _, err := fault.NewInjector(mustPlan(t, "@0:crash=1,@1:churn=1,@2:omit=1"), pr, 1); err != nil {
@@ -279,20 +326,6 @@ func TestSuperviseDeadline(t *testing.T) {
 	})
 	if sr.Status != TrialAborted || sr.Reason != "deadline" {
 		t.Fatalf("status %s reason %q, want aborted/deadline", sr.Status, sr.Reason)
-	}
-}
-
-// TestSuperviseInterrupt: a cooperative interrupt aborts with the
-// partial result.
-func TestSuperviseInterrupt(t *testing.T) {
-	const n = 4
-	pr := naming.NewAsymmetric(n)
-	sup := Supervision{Interrupt: func() bool { return true }}
-	sr := Supervise(context.Background(), sup, func(attempt int) *Runner {
-		return NewRunner(pr, sched.NewRoundRobin(n, false), zeroStart(n))
-	})
-	if sr.Status != TrialAborted || sr.Reason != "interrupt" {
-		t.Fatalf("status %s reason %q, want aborted/interrupt", sr.Status, sr.Reason)
 	}
 }
 

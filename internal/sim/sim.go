@@ -2,8 +2,8 @@
 // scheduler and a starting configuration, runs interactions until the
 // configuration is silent (terminal) or a step budget is exhausted, and
 // reports convergence statistics. It also provides configuration
-// construction helpers (uniform, arbitrary, adversarial) and transient
-// fault injection for the self-stabilization experiments.
+// construction helpers (uniform, arbitrary, adversarial) and runs
+// fault.Injector plans for the self-stabilization experiments.
 //
 // The runner executes through a compiled engine whenever it can (see
 // core.Compile): mobile-mobile transitions become two array loads, a
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"popnaming/internal/core"
 	"popnaming/internal/fault"
@@ -72,8 +71,8 @@ type Runner struct {
 	// Proto, Sched and Cfg define the execution. Cfg is mutated in
 	// place as interactions are applied. Once stepping has begun the
 	// configuration must only be mutated through the runner (the
-	// compiled engine mirrors it in a state census); corrupt-and-rerun
-	// experiments build a fresh runner per phase.
+	// compiled engine mirrors it in a state census): inject faults
+	// through Inject, or call Resync after an outside mutation.
 	Proto core.Protocol
 	Sched sched.Scheduler
 	Cfg   *core.Config
@@ -326,8 +325,9 @@ func (r *Runner) Run(maxSteps int) Result {
 	return res
 }
 
-// finish closes the attached observer. A scheduler that counts forced
-// steps (adversary.Scheduler) has its count recorded in the summary.
+// finish closes the attached observer. The summary records whether the
+// final configuration is a valid naming, and a scheduler that counts
+// forced steps (adversary.Scheduler) has its count recorded too.
 func (r *Runner) finish(converged bool) {
 	if r.Obs == nil {
 		return
@@ -335,6 +335,7 @@ func (r *Runner) finish(converged bool) {
 	if f, ok := r.Sched.(interface{ Forced() int }); ok {
 		r.Obs.SetForced(int64(f.Forced()))
 	}
+	r.Obs.SetValidNaming(r.Cfg.ValidNaming())
 	r.Obs.Finish(converged)
 }
 
@@ -470,48 +471,4 @@ func ArbitraryConfig(p core.ArbitraryInitProtocol, n int, r *rand.Rand) *core.Co
 		c.Leader = lp.InitLeader()
 	}
 	return c
-}
-
-// corruptScratch pools the index slices of Corrupt so repeated fault
-// injections (the recovery sweeps) do not reallocate them.
-var corruptScratch = sync.Pool{New: func() any { return new([]int) }}
-
-// Corrupt injects a transient fault: it overwrites the states of k
-// distinct randomly chosen mobile agents with arbitrary states, and —
-// when corruptLeader is set and the protocol tolerates it — replaces the
-// leader state with an arbitrary one. It panics if k exceeds the
-// population size or if corruptLeader is requested for a protocol
-// without RandomLeader support.
-//
-// The k victims are chosen by a partial Fisher–Yates shuffle over a
-// pooled index slice: k swaps and k draws, where the previous
-// implementation permuted (and allocated) all n indices to keep k.
-func Corrupt(p core.ArbitraryInitProtocol, c *core.Config, r *rand.Rand, k int, corruptLeader bool) {
-	n := c.N()
-	if k > n {
-		panic(fmt.Sprintf("sim: cannot corrupt %d of %d agents", k, n))
-	}
-	idxp := corruptScratch.Get().(*[]int)
-	idx := *idxp
-	if cap(idx) < n {
-		idx = make([]int, n)
-	}
-	idx = idx[:n]
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 0; i < k; i++ {
-		j := i + r.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-		c.Mobile[idx[i]] = p.RandomMobile(r)
-	}
-	*idxp = idx
-	corruptScratch.Put(idxp)
-	if corruptLeader {
-		alp, ok := core.Protocol(p).(core.ArbitraryLeaderProtocol)
-		if !ok {
-			panic(fmt.Sprintf("sim: protocol %q does not support leader corruption", p.Name()))
-		}
-		c.Leader = alp.RandomLeader(r)
-	}
 }

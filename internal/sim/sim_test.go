@@ -6,6 +6,7 @@ import (
 
 	"popnaming/internal/core"
 	"popnaming/internal/counting"
+	"popnaming/internal/fault"
 	"popnaming/internal/naming"
 	"popnaming/internal/sched"
 	"popnaming/internal/trace"
@@ -169,12 +170,16 @@ func TestArbitraryConfigCoversStateSpace(t *testing.T) {
 	}
 }
 
+// TestCorrupt: a conv group "leader+corrupt=2" rewrites the leader and
+// at most two agents of a configuration.
 func TestCorrupt(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
 	pr := naming.NewSelfStab(5)
 	cfg := UniformConfig(pr, 5)
 	orig := cfg.Clone()
-	Corrupt(pr, cfg, r, 2, true)
+	inj := mustInjector(t, mustPlan(t, "@conv:leader+corrupt=2"), pr, 3)
+	if fired, mutated := inj.FireConv(0, cfg); !fired || !mutated || !inj.Exhausted() {
+		t.Fatalf("group fired %v, mutated %v, exhausted %v", fired, mutated, inj.Exhausted())
+	}
 	changedAgents := 0
 	for i := range cfg.Mobile {
 		if cfg.Mobile[i] != orig.Mobile[i] {
@@ -186,30 +191,19 @@ func TestCorrupt(t *testing.T) {
 	}
 }
 
+// TestCorruptGuards: corruption clamps to the population instead of
+// failing, and leader corruption of a protocol whose leader must stay
+// initialized is rejected when the injector is built.
 func TestCorruptGuards(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
 	pr := naming.NewSelfStab(3)
 	cfg := UniformConfig(pr, 3)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic corrupting more agents than exist")
-			}
-		}()
-		Corrupt(pr, cfg, r, 4, false)
-	}()
-
-	// GlobalP has no RandomLeader: leader corruption must panic.
-	gp := naming.NewGlobalP(3)
-	gcfg := UniformConfig(gp, 3)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic corrupting unsupported leader")
-			}
-		}()
-		Corrupt(gp, gcfg, r, 1, true)
-	}()
+	inj := mustInjector(t, mustPlan(t, "@0:corrupt=4"), pr, 4)
+	if !inj.FireDue(0, cfg) || len(inj.Fired()) != 1 {
+		t.Fatal("oversized corruption did not fire")
+	}
+	if _, err := fault.NewInjector(mustPlan(t, "@0:leader"), naming.NewGlobalP(3), 4); err == nil {
+		t.Error("leader corruption accepted for globalp")
+	}
 }
 
 func TestQuietThresholdOverride(t *testing.T) {

@@ -14,7 +14,7 @@ const DefaultStepBudget = 50_000_000
 
 // DefaultSlice is the supervision granularity when a Supervision leaves
 // Slice zero: the runner executes this many interactions between
-// deadline/interrupt/stall checks.
+// cancel/deadline/stall checks.
 const DefaultSlice = 1 << 15
 
 // TrialStatus classifies how a supervised trial ended.
@@ -27,9 +27,9 @@ const (
 	// TrialRetried: an attempt completed normally after at least one
 	// stall-triggered retry.
 	TrialRetried
-	// TrialAborted: the trial was cut short — wall-clock deadline,
-	// interrupt, or a stall with no retries left — and its Result is
-	// partial.
+	// TrialAborted: the trial was cut short — canceled, past its
+	// wall-clock deadline, or stalled with no retries left — and its
+	// Result is partial.
 	TrialAborted
 )
 
@@ -43,8 +43,9 @@ func (s TrialStatus) String() string {
 }
 
 // Supervision bounds one trial (or every trial of a batch): a step
-// budget, an optional wall-clock deadline, quiet-streak stall detection
-// with bounded retry, and a cooperative interrupt. The zero value
+// budget, an optional wall-clock deadline, and quiet-streak stall
+// detection with bounded retry (cancellation comes through the
+// context Supervise takes). The zero value
 // supervises with defaults only (DefaultStepBudget, DefaultSlice, no
 // deadline, no stall detection, no retries).
 type Supervision struct {
@@ -70,9 +71,6 @@ type Supervision struct {
 	// boundary, so the same seed with a different Slice may converge at
 	// a different step count.
 	Slice int
-	// Interrupt, when non-nil, is polled between slices; returning true
-	// aborts the trial with its partial result (the SIGINT path).
-	Interrupt func() bool
 	// Sink, when non-nil, receives a v1 "fault" record for every retry
 	// and abort (kinds "retry"/"abort").
 	Sink obs.Sink
@@ -109,8 +107,8 @@ type SupervisedResult struct {
 	Status TrialStatus
 	// Attempts counts runner attempts, so 1 + the retries consumed.
 	Attempts int
-	// Reason is empty for normal completion and "stall", "deadline",
-	// "interrupt" or "canceled" for aborts.
+	// Reason is empty for normal completion and "stall", "deadline" or
+	// "canceled" for aborts.
 	Reason string
 	// WallNS is the trial's wall-clock time, retries included.
 	WallNS int64
@@ -174,8 +172,6 @@ func superviseUntil(ctx context.Context, sup Supervision, deadlineAt time.Time, 
 		for {
 			if ctx.Err() != nil {
 				reason = "canceled"
-			} else if sup.Interrupt != nil && sup.Interrupt() {
-				reason = "interrupt"
 			} else if !deadlineAt.IsZero() && !time.Now().Before(deadlineAt) {
 				reason = "deadline"
 			}
