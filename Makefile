@@ -24,9 +24,9 @@ SERVE_BENCH = BenchmarkServeLoad
 TRACE_BENCH = BenchmarkSpanEmit|BenchmarkSpanEmitJournal|BenchmarkSupervisedNilTrace|BenchmarkSupervisedTraced
 
 # Count-engine benchmarks gating the large-N scaling claims: per-step
-# cost flat in N against the agent engine's baseline, plus the Fenwick
-# sampler's per-step cost across |Q| (see DESIGN.md "Count-based
-# engine" and EXPERIMENTS.md).
+# cost flat in N against the agent engine's baseline, plus the
+# block-sum sampler's per-step cost across |Q| up to the 1024-state cap
+# (see DESIGN.md "Count-based engine" and EXPERIMENTS.md).
 COUNT_BENCH = BenchmarkCountEngineScale|BenchmarkAgentEngineScale|BenchmarkCountSampler
 
 # Durability benchmarks gating the job-store claims: WAL append vs the

@@ -8,6 +8,7 @@ import (
 	"popnaming/internal/naming"
 	"popnaming/internal/oracle"
 	"popnaming/internal/report"
+	"popnaming/internal/rng"
 	"popnaming/internal/sim"
 )
 
@@ -35,7 +36,7 @@ type OraclePoint struct {
 // fairness: convergence hinges on rare-but-reachable sequences.
 func OracleSchedules(seed int64) []OraclePoint {
 	var out []OraclePoint
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(rng.New(seed))
 	exact := map[string]map[int]float64{}
 	for _, e := range ExactTimes() {
 		if exact[e.Protocol] == nil {

@@ -9,6 +9,7 @@ import (
 	"popnaming/internal/explore"
 	"popnaming/internal/fairness"
 	"popnaming/internal/naming"
+	"popnaming/internal/rng"
 	"popnaming/internal/sched"
 	"popnaming/internal/sim"
 )
@@ -65,7 +66,7 @@ func FairnessSeparation(p int, seed int64) SeparationResult {
 		}
 	}
 
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(rng.New(seed))
 	cfg := sim.ArbitraryConfig(pr, p, r)
 	run := sim.NewRunner(pr, sched.NewRandom(p, true, seed), cfg).Run(100_000_000)
 	res.RandomRunConverged = run.Converged && cfg.ValidNaming()

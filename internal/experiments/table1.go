@@ -29,6 +29,7 @@ import (
 	"popnaming/internal/naming"
 	"popnaming/internal/obs"
 	"popnaming/internal/report"
+	"popnaming/internal/rng"
 	"popnaming/internal/sched"
 	"popnaming/internal/search"
 	"popnaming/internal/sim"
@@ -284,7 +285,7 @@ func cellInitLeaderSymGlobal(o Table1Options) Cell {
 	// Simulation at a small full population (see DESIGN.md: the N = P
 	// walk needs global fairness; random scheduling realizes it w.p. 1
 	// but with steep expected time, so the instance stays small).
-	r := rand.New(rand.NewSource(o.Seed + 17))
+	r := rand.New(rng.New(o.Seed + 17))
 	pr4 := naming.NewGlobalP(4)
 	cfg := sim.ArbitraryConfig(pr4, 4, r)
 	res := sim.NewRunner(pr4, sched.NewRandom(4, true, o.Seed+18), cfg).Run(o.Budget)
@@ -309,7 +310,7 @@ func convergeMany(pr core.Protocol, o Table1Options, sizeFilter func(int) bool, 
 	if !arbitrary {
 		return false, 0
 	}
-	r := rand.New(rand.NewSource(o.Seed + int64(len(pr.Name()))))
+	r := rand.New(rng.New(o.Seed + int64(len(pr.Name()))))
 	runs, ok := 0, true
 	for n := 1; n <= o.P; n++ {
 		if sizeFilter != nil && !sizeFilter(n) {

@@ -8,6 +8,7 @@ import (
 	"popnaming/internal/adversary"
 	"popnaming/internal/naming"
 	"popnaming/internal/report"
+	"popnaming/internal/rng"
 	"popnaming/internal/sim"
 )
 
@@ -46,7 +47,7 @@ func Thm11Scaling(maxP int, budget int, seed int64) []Thm11Point {
 		pt := Thm11Point{P: p, Budget: budget}
 
 		gp := naming.NewGlobalP(p)
-		r := rand.New(rand.NewSource(seed + int64(p)))
+		r := rand.New(rng.New(seed + int64(p)))
 		cfg := sim.ArbitraryConfig(gp, p, r)
 		adv := adversary.NewScheduler(gp, cfg, adversary.NewGreedyNaming(gp))
 		res := sim.NewRunner(gp, adv, cfg).Run(budget)

@@ -6,6 +6,7 @@ import (
 
 	"popnaming/internal/core"
 	"popnaming/internal/obs"
+	"popnaming/internal/rng"
 )
 
 // Fired records one executed event with the interaction count at which
@@ -152,13 +153,13 @@ func (inj *Injector) FireConv(step int64, cfg *core.Config) (fired, mutated bool
 	}
 }
 
-// rand returns the injector's RNG, seeding it on first use. Seeding a
-// math/rand source takes some 1,800 generator steps, and an injector
-// that never draws — admission's capability check, or a run that ends
-// before its first drawing event — need not pay for it.
+// rand returns the injector's RNG, seeding it on first use. Seeding
+// fills a 607-word generator register, and an injector that never
+// draws — admission's capability check, or a run that ends before its
+// first drawing event — need not pay for it.
 func (inj *Injector) rand() *rand.Rand {
 	if inj.rng == nil {
-		inj.rng = rand.New(rand.NewSource(inj.seed))
+		inj.rng = rand.New(rng.New(inj.seed))
 	}
 	return inj.rng
 }

@@ -18,9 +18,9 @@ package sched
 
 import (
 	"fmt"
-	"math/rand"
 
 	"popnaming/internal/core"
+	"popnaming/internal/rng"
 )
 
 // Scheduler yields an infinite sequence of interaction pairs for a fixed
@@ -46,14 +46,15 @@ const randBatch = 128
 // steady-state cost of Next is a buffer load. The sequence is a
 // deterministic function of the seed, as before.
 //
-// The source is seeded on the first refill, not at construction:
-// seeding takes some 1,800 generator steps, and admission builds
+// The source is rng.Source, math/rand's seeded stream drawn without an
+// interface call. It is seeded on the first refill, not at
+// construction: seeding fills a 607-word register, and admission builds
 // schedulers only to check that they can be built.
 type Random struct {
 	n          int
 	withLeader bool
 	seed       int64
-	src        rand.Source64 // held directly: refill skips the *rand.Rand wrapper
+	src        *rng.Source
 	lo         int
 	buf        [randBatch]core.Pair
 	pos        int
@@ -94,7 +95,7 @@ func (s *Random) Next() core.Pair {
 // fairness statistic can resolve).
 func (s *Random) refill() {
 	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
+		s.src = rng.New(s.seed)
 	}
 	span := uint64(s.n - s.lo)
 	for i := range s.buf {

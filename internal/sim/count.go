@@ -8,6 +8,7 @@ import (
 
 	"popnaming/internal/core"
 	"popnaming/internal/obs"
+	"popnaming/internal/rng"
 	"popnaming/internal/sched"
 )
 
@@ -26,8 +27,8 @@ import (
 //
 //   - R[x] = Σ_{y : (x,y) non-null} c[y] − [(x,x) non-null] is the number
 //     of non-null responders of one initiator in state x, and
-//     w[x] = c[x]·R[x] the non-null pairs it initiates, kept in a Fenwick
-//     tree over the states;
+//     w[x] = c[x]·R[x] the non-null pairs it initiates, summed by blocks
+//     of consecutive states;
 //   - leaderC counts the agents whose leader interaction is non-null;
 //     with roles collapsed, each gives the leader two ordered pairs;
 //   - W = Σ w + 2·leaderC.
@@ -40,19 +41,29 @@ import (
 // The configuration is silent exactly when W = 0. A count change at
 // state s moves R only for the initiators in column s of the non-null
 // table (move).
+//
+// The weights w are summed over blocks of 2^k consecutive states,
+// k = ⌈log₂ √|Q|⌉ (8 blocks of 8 states at |Q| = 64, 32 of 32 at the
+// 1024-state cap): a move reweighs every initiator in a column, so
+// writes outnumber searches, and reweigh updates a row, its block and W
+// in O(1). pair finds the initiator of an index u by scanning blocks,
+// then the rows of one block, in O(√|Q|). Whatever the search, it must
+// return the first state whose cumulative weight exceeds u: every
+// pinned stream depends on that map from indices to states.
 
-// countRNG supplies unbiased bounded uniforms from a Source64. The
-// agent scheduler tolerates multiply-shift bias (a fairness statistic
-// cannot resolve span/2³²), but the count engine's draws partition exact
-// integer weights, so it uses Lemire's debiased method: one multiply per
-// draw, a second only in the rare sliver where the low word forces the
-// bias check.
+// countRNG supplies unbiased bounded uniforms from math/rand's
+// generator (rng.Source: the same stream, drawn without an interface
+// call). The agent scheduler tolerates multiply-shift bias (a fairness
+// statistic cannot resolve span/2³²), but the count engine's draws
+// partition exact integer weights, so it uses Lemire's debiased method:
+// one multiply per draw, a second only in the rare sliver where the low
+// word forces the bias check.
 type countRNG struct {
-	src rand.Source64
+	src *rng.Source
 }
 
 func newCountRNG(seed int64) countRNG {
-	return countRNG{src: rand.NewSource(seed).(rand.Source64)}
+	return countRNG{src: rng.New(seed)}
 }
 
 // uint64n returns an unbiased uniform draw from [0, n). n must be > 0.
@@ -75,7 +86,7 @@ func (r *countRNG) unit() float64 {
 // countRow is one initiator state's share of the non-null weight.
 type countRow struct {
 	resp int64  // R[x]; −1 only while x is unoccupied
-	w    uint64 // c[x]·R[x], as last written into the Fenwick tree
+	w    uint64 // c[x]·R[x], as last added into its block
 	// leader reports that the leader's interaction with state x is
 	// non-null; it is kept current for occupied states only.
 	leader bool
@@ -154,8 +165,8 @@ type CountRunner struct {
 	pairs uint64
 
 	rows    []countRow
-	fen     []uint64 // 1-indexed Fenwick tree over rows[x].w
-	highbit int      // largest power of two ≤ len(rows)
+	blocks  []uint64 // blocks[b] = Σ rows[x].w over x>>shift = b
+	shift   uint     // log₂ of the states per block
 	mobileW uint64   // Σ rows[x].w
 	leaderC uint64   // agents whose leader interaction is non-null
 
@@ -225,12 +236,10 @@ func (r *CountRunner) ensure() error {
 		return err
 	}
 	r.adj = r.tab.NonNull()
-	r.rows = make([]countRow, len(r.Cfg.Counts))
-	r.fen = make([]uint64, len(r.rows)+1)
-	r.highbit = 1
-	for r.highbit*2 <= len(r.rows) {
-		r.highbit *= 2
-	}
+	q := len(r.Cfg.Counts)
+	r.rows = make([]countRow, q)
+	r.shift = uint(bits.Len(uint(q-1))+1) / 2 // ⌈log₂ √q⌉
+	r.blocks = make([]uint64, (q-1)>>r.shift+1)
 	for x := range r.rows {
 		r.rows[x].resp = r.recountResp(core.State(x))
 		r.reweigh(core.State(x))
@@ -269,22 +278,20 @@ func (r *CountRunner) quietThreshold() int {
 	return QuietWindow(r.n)
 }
 
-// reweigh writes w[x] = c[x]·R[x] into the Fenwick tree.
+// reweigh writes w[x] = c[x]·R[x] into its row, its block and W.
 func (r *CountRunner) reweigh(x core.State) {
 	row := &r.rows[x]
 	var w uint64
 	if c := r.Cfg.Counts[x]; c > 0 {
 		w = uint64(c) * uint64(row.resp)
 	}
-	d := w - row.w // modular: the tree's sums stay exact
+	d := w - row.w // modular: the sums stay exact
 	if d == 0 {
 		return
 	}
 	row.w = w
 	r.mobileW += d
-	for j := int(x) + 1; j < len(r.fen); j += j & -j {
-		r.fen[j] += d
-	}
+	r.blocks[int(x)>>r.shift] += d
 }
 
 // move adds d (±1) agents to state s and updates every weight that
@@ -357,22 +364,27 @@ func (r *CountRunner) nullRun(w uint64) (run float64, u uint64) {
 // pair maps an index u in [0, W) to its non-null interaction. The
 // first 2·leaderC indices are the leader meeting agent ⌊u/2⌋ of the
 // leader-non-null states (leader is true and x is that agent's state);
-// the rest select an initiator state x through the Fenwick tree and a
-// responder state y among its R[x] non-null partners with a fresh draw.
+// the rest select the initiator state x, the first whose cumulative
+// weight exceeds the remaining index (found block by block, then row by
+// row), and a responder state y among its R[x] non-null partners with a
+// fresh draw.
 func (r *CountRunner) pair(u uint64) (x, y core.State, leader bool) {
 	lw := 2 * r.leaderC
 	if u < lw {
 		return r.leaderPeer(u / 2), 0, true
 	}
 	u -= lw
-	pos := 0
-	for k := r.highbit; k > 0; k >>= 1 {
-		if next := pos + k; next < len(r.fen) && r.fen[next] <= u {
-			u -= r.fen[next]
-			pos = next
-		}
+	b := 0
+	for u >= r.blocks[b] {
+		u -= r.blocks[b]
+		b++
 	}
-	x = core.State(pos)
+	i := b << r.shift
+	for u >= r.rows[i].w {
+		u -= r.rows[i].w
+		i++
+	}
+	x = core.State(i)
 	v := r.rng.uint64n(uint64(r.rows[x].resp))
 	for _, y = range r.adj.Row(x) {
 		c := uint64(r.Cfg.Counts[y])
@@ -556,7 +568,7 @@ func AgentStart(p core.Protocol, n int, initKey string, seed int64) (*core.Confi
 		if !ok {
 			return nil, fmt.Errorf("protocol %q does not support arbitrary initialization", p.Name())
 		}
-		return ArbitraryConfig(ap, n, rand.New(rand.NewSource(seed))), nil
+		return ArbitraryConfig(ap, n, rand.New(rng.New(seed))), nil
 	}
 	return nil, fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
 }

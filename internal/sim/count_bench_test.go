@@ -90,8 +90,9 @@ func BenchmarkAgentEngineScale(b *testing.B) {
 
 // BenchmarkCountSampler measures per-interaction cost across
 // state-space sizes up to the compiled-table cap at fixed N = 10⁶: the
-// Fenwick descent and updates are O(log |Q|), and the non-null share of
-// a balanced churn configuration is about 1/|Q|.
+// initiator search scans O(√|Q|) block and row sums, each reweigh is
+// O(1), and the non-null share of a balanced churn configuration is
+// about 1/|Q|.
 func BenchmarkCountSampler(b *testing.B) {
 	for _, q := range []int{8, 64, 1024} {
 		b.Run(fmt.Sprintf("Q=%d", q), func(b *testing.B) {

@@ -13,8 +13,9 @@ import (
 // arbitrary leader state) and an arbitrary interleaving of draws, applied
 // interactions, hand-made count moves and leader changes, checking:
 //
-//   - weights: the Fenwick tree's total plus 2·leaderC equals W
-//     recounted from the counts, the table and the leader;
+//   - weights: each block holds the sum of its rows, the blocks sum to
+//     mobileW, and that plus 2·leaderC equals W recounted from the
+//     counts, the table and the leader;
 //   - draws: every drawn interaction is non-null and schedulable — its
 //     states are occupied, and a sole agent never meets itself;
 //   - silence: W = 0 exactly when the census silence test holds;
@@ -78,8 +79,8 @@ func FuzzCountSampler(f *testing.F) {
 		check := func(step int) {
 			t.Helper()
 			w := recountWeight(r)
-			if got := fenwickTotal(r) + 2*r.leaderC; got != w || r.weight() != w {
-				t.Fatalf("step %d: tree total + 2·leaderC = %d, W = %d, recounted %d", step, got, r.weight(), w)
+			if got := blockTotal(t, r) + 2*r.leaderC; got != w || r.weight() != w {
+				t.Fatalf("step %d: block total + 2·leaderC = %d, W = %d, recounted %d", step, got, r.weight(), w)
 			}
 			census, err := core.NewCensusCounts(r.tab, append([]int(nil), counts...))
 			if err != nil {

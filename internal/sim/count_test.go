@@ -3,13 +3,13 @@ package sim
 import (
 	"context"
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
 	"popnaming/internal/core"
 	"popnaming/internal/naming"
 	"popnaming/internal/obs"
+	"popnaming/internal/rng"
 )
 
 // mergeProto is a 3-state converging protocol for count-engine tests:
@@ -100,11 +100,23 @@ func recountWeight(r *CountRunner) uint64 {
 	return w
 }
 
-// fenwickTotal is the Fenwick tree's full prefix sum.
-func fenwickTotal(r *CountRunner) uint64 {
+// blockTotal checks that each block holds the sum of its rows'
+// weights and that the blocks sum to mobileW, and returns that sum.
+func blockTotal(t testing.TB, r *CountRunner) uint64 {
+	t.Helper()
+	sums := make([]uint64, len(r.blocks))
+	for x, row := range r.rows {
+		sums[x>>r.shift] += row.w
+	}
 	var total uint64
-	for j := len(r.fen) - 1; j > 0; j -= j & -j {
-		total += r.fen[j]
+	for b, sum := range sums {
+		if r.blocks[b] != sum {
+			t.Fatalf("block %d holds %d, its rows sum to %d", b, r.blocks[b], sum)
+		}
+		total += sum
+	}
+	if total != r.mobileW {
+		t.Fatalf("blocks sum to %d, mobileW = %d", total, r.mobileW)
 	}
 	return total
 }
@@ -114,13 +126,13 @@ func fenwickTotal(r *CountRunner) uint64 {
 // conditional law of the next non-null interaction — and never a null
 // or unschedulable one. Checked before and after count moves.
 func TestCountSamplerProportional(t *testing.T) {
-	t.Run("fenwick", func(t *testing.T) {
+	t.Run("blocks", func(t *testing.T) {
 		r := readyCountRunner(t, denseProto(4), []int{5, 0, 3, 2}, nil, 42)
 		u := newCountRNG(43)
 		check := func(name string, draws int) {
 			t.Helper()
 			w := r.weight()
-			if got := recountWeight(r); w != got {
+			if got := recountWeight(r); w != got || blockTotal(t, r) != got {
 				t.Fatalf("%s: W = %d, recounted %d", name, w, got)
 			}
 			freq := map[[2]core.State]int{}
@@ -150,15 +162,17 @@ func TestCountSamplerProportional(t *testing.T) {
 	})
 }
 
-// countingSource counts the 64-bit draws taken from the source it wraps.
-type countingSource struct {
-	rand.Source64
-	draws int
-}
-
-func (s *countingSource) Uint64() uint64 {
-	s.draws++
-	return s.Source64.Uint64()
+// drawsSince returns how many words src has drawn since it was in
+// state from, by stepping a copy of from until it equals src; -1 when
+// limit steps do not get there.
+func drawsSince(from rng.Source, src *rng.Source, limit int) int {
+	for n := 0; n <= limit; n++ {
+		if from == *src {
+			return n
+		}
+		from.Uint64()
+	}
+	return -1
 }
 
 // TestCountNullRunGeometric: the null-run length is geometric with
@@ -182,8 +196,7 @@ func TestCountNullRunGeometric(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r := readyCountRunner(t, mergeProto(), c.counts, nil, 7)
-			src := &countingSource{Source64: r.rng.src}
-			r.rng.src = src
+			start := *r.rng.src
 			w := r.weight()
 			p := float64(w) / float64(r.pairs)
 			var sum float64
@@ -205,8 +218,8 @@ func TestCountNullRunGeometric(t *testing.T) {
 			if c.rejection {
 				wantDraws = draws + int(sum)
 			}
-			if src.draws != wantDraws {
-				t.Fatalf("%d draws for %d null runs totalling %.0f, want %d (rejection branch: %v)", src.draws, draws, sum, wantDraws, c.rejection)
+			if got := drawsSince(start, r.rng.src, 2*wantDraws); got != wantDraws {
+				t.Fatalf("%d draws (-1: over %d) for %d null runs totalling %.0f, want %d (rejection branch: %v)", got, 2*wantDraws, draws, sum, wantDraws, c.rejection)
 			}
 			mean, wantMean := sum/draws, (1-p)/p
 			sdMean := math.Sqrt(1-p) / p / math.Sqrt(draws)
@@ -225,7 +238,7 @@ func TestCountNullRunGeometric(t *testing.T) {
 
 func TestCountRunnerConverges(t *testing.T) {
 	pr := mergeProto()
-	t.Run("fenwick", func(t *testing.T) {
+	t.Run("blocks", func(t *testing.T) {
 		cc := core.NewCountConfig(3)
 		cc.Counts[0], cc.Counts[1] = 50, 50
 		r, err := NewCountRunner(pr, cc, 123)
@@ -286,8 +299,8 @@ func TestCountRunnerConservesN(t *testing.T) {
 		if cc.N() != 1000 {
 			t.Fatalf("step %d: population drifted to %d", budget, cc.N())
 		}
-		if w := recountWeight(r); r.weight() != w || fenwickTotal(r) != w {
-			t.Fatalf("step %d: W = %d, tree %d, recounted %d", budget, r.weight(), fenwickTotal(r), w)
+		if w := recountWeight(r); r.weight() != w || blockTotal(t, r) != w {
+			t.Fatalf("step %d: W = %d, blocks %d, recounted %d", budget, r.weight(), blockTotal(t, r), w)
 		}
 	}
 	if r.NonNull() == 0 {
