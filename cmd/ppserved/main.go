@@ -17,6 +17,10 @@
 // readiness (503 while draining or queue-saturated). -debug-addr
 // mounts net/http/pprof on a separate listener for profiling.
 //
+// Result cache: an identical seeded resubmission is answered, without
+// re-simulation, from the stored result log of the spec's first run.
+// The cache is an index over -store, with no budget of its own.
+//
 // Shutdown: on SIGTERM or SIGINT the server stops admitting jobs
 // (503), finishes the queued and running ones within -grace, then
 // escalates to cooperative cancellation — partial results are
@@ -45,15 +49,14 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		workers    = flag.Int("workers", 0, "job worker pool size (0: GOMAXPROCS)")
-		queue      = flag.Int("queue", 64, "job queue capacity (beyond it submissions get 429)")
-		journal    = flag.String("journal", "", "write the service journal (JSONL job records) to this file")
-		grace      = flag.Duration("grace", 30*time.Second, "drain grace period before in-flight jobs are canceled")
-		debugAddr  = flag.String("debug-addr", "", "optional net/http/pprof listen address (e.g. 127.0.0.1:6060); off when empty")
-		storeKind  = flag.String("store", "memory", "job store: memory (jobs die with the process) or wal (durable; requires -store-dir)")
-		storeDir   = flag.String("store-dir", "", "WAL store directory (created if absent; required with -store wal)")
-		cacheBytes = flag.Int64("cache-bytes", 64<<20, "result-cache byte budget; identical resubmissions are served from it (0 disables)")
+		addr      = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
+		workers   = flag.Int("workers", 0, "job worker pool size (0: GOMAXPROCS)")
+		queue     = flag.Int("queue", 64, "job queue capacity (beyond it submissions get 429)")
+		journal   = flag.String("journal", "", "write the service journal (JSONL job records) to this file")
+		grace     = flag.Duration("grace", 30*time.Second, "drain grace period before in-flight jobs are canceled")
+		debugAddr = flag.String("debug-addr", "", "optional net/http/pprof listen address (e.g. 127.0.0.1:6060); off when empty")
+		storeKind = flag.String("store", "memory", "job store: memory (jobs die with the process) or wal (durable; requires -store-dir)")
+		storeDir  = flag.String("store-dir", "", "WAL store directory (created if absent; required with -store wal)")
 
 		peers        = flag.String("peers", "", "comma-separated base URLs of peer ppserved nodes; untraced batch jobs shard across them (empty: standalone)")
 		leaseTrials  = flag.Int("lease-trials", 0, "trials per lease when sharding batch jobs across peers (0: 64)")
@@ -62,7 +65,7 @@ func main() {
 	)
 	flag.Parse()
 	opts := distOptions{peers: *peers, leaseTrials: *leaseTrials, leaseTimeout: *leaseTimeout, retries: *distRetries}
-	if err := run(*addr, *workers, *queue, *journal, *grace, *debugAddr, *storeKind, *storeDir, *cacheBytes, opts); err != nil {
+	if err := run(*addr, *workers, *queue, *journal, *grace, *debugAddr, *storeKind, *storeDir, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "ppserved:", err)
 		os.Exit(1)
 	}
@@ -76,7 +79,7 @@ type distOptions struct {
 	retries      int
 }
 
-func run(addr string, workers, queue int, journal string, grace time.Duration, debugAddr, storeKind, storeDir string, cacheBytes int64, opts distOptions) error {
+func run(addr string, workers, queue int, journal string, grace time.Duration, debugAddr, storeKind, storeDir string, opts distOptions) error {
 	cfg := serve.Config{Workers: workers, QueueCap: queue,
 		LeaseTrials: opts.leaseTrials, LeaseTimeout: opts.leaseTimeout, DistRetries: opts.retries}
 	if opts.peers != "" {
@@ -103,11 +106,6 @@ func run(addr string, workers, queue int, journal string, grace time.Duration, d
 		cfg.Store = wal
 	default:
 		return fmt.Errorf("unknown -store %q (memory | wal)", storeKind)
-	}
-	if cacheBytes <= 0 {
-		cfg.CacheBytes = -1 // user asked for no cache; 0 means default
-	} else {
-		cfg.CacheBytes = cacheBytes
 	}
 	var closeJournal func() error
 	if journal != "" {

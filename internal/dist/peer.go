@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -121,9 +120,9 @@ func (p *Peer) probe(ctx context.Context) bool {
 // failure — the coordinator re-issues the lease elsewhere. Peers
 // deduplicate re-submissions of the same shard through their
 // content-addressed result cache, so a re-issued lease that lands on a
-// node that already ran it is served from memory. One long-lived Peer
-// (with its health window) serves many jobs, each supplying its own
-// bodies.
+// node that already ran it is answered from that run's stored stream,
+// not re-simulated. One long-lived Peer (with its health window) serves
+// many jobs, each supplying its own bodies.
 func (p *Peer) RunBody(ctx context.Context, r Range, body []byte) ([][]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.Base+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
@@ -171,29 +170,31 @@ func (p *Peer) RunBody(ctx context.Context, r Range, body []byte) ([][]byte, err
 	return lines, nil
 }
 
+// readBufs recycles the buffers result streams are read into. Each
+// stream is copied out at its exact size, so reading one leaves no
+// growth garbage behind.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // readShardStream reads a ppserved result stream and returns its body.
 // The envelope is positional — the server writes the header record
 // first and the terminal job record last — so only those two lines are
-// decoded; the lines between them are returned as read. A stream that
-// is empty, cut mid-line (a half-written shard), missing its header or
-// ending in anything but a job record in state done fails here rather
-// than merging short.
+// decoded; the lines between them are returned as read, sliced out of
+// one exact-size copy of the body. A stream that is empty, cut mid-line
+// (a half-written shard), missing its header or ending in anything but
+// a job record in state done fails here rather than merging short.
 func readShardStream(body io.Reader) ([][]byte, error) {
-	var lines [][]byte
-	br := bufio.NewReaderSize(body, 1<<16)
-	for {
-		line, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			if len(line) > 0 {
-				return nil, fmt.Errorf("truncated NDJSON tail (%d bytes)", len(line))
-			}
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, line)
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer readBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(body); err != nil {
+		return nil, err
 	}
+	data := bytes.Clone(buf.Bytes())
+	lines := bytes.SplitAfter(data, []byte{'\n'})
+	if tail := lines[len(lines)-1]; len(tail) > 0 {
+		return nil, fmt.Errorf("truncated NDJSON tail (%d bytes)", len(tail))
+	}
+	lines = lines[:len(lines)-1]
 	if len(lines) < 2 {
 		return nil, fmt.Errorf("result stream has %d lines, want a header and a terminal record", len(lines))
 	}

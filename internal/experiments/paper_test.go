@@ -317,7 +317,11 @@ func TestStabilizeAllRegistry(t *testing.T) {
 		}
 	}
 	for _, key := range experiments.RegistryKeys() {
-		if _, ok := experiments.Registry()[key].New(6).(core.ArbitraryInitProtocol); ok && !covered[key] {
+		spec, err := experiments.Lookup(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := spec.New(6).(core.ArbitraryInitProtocol); ok && !covered[key] {
 			t.Errorf("arbitrary-init protocol %s is in neither E22 grid", key)
 		}
 	}

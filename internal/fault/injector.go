@@ -42,7 +42,8 @@ type Injector struct {
 	alp  core.ArbitraryLeaderProtocol // nil unless needed
 	lp   core.LeaderProtocol          // nil unless needed
 	seed int64
-	rng  *rand.Rand // seeded from seed on the first draw; see rand
+	src  *rng.Source // seeded from seed on the first draw; see rand
+	rng  *rand.Rand  // draws from src
 
 	next      int // index of the next unfired plan event
 	initState core.State
@@ -159,9 +160,19 @@ func (inj *Injector) FireConv(step int64, cfg *core.Config) (fired, mutated bool
 // first drawing event — need not pay for it.
 func (inj *Injector) rand() *rand.Rand {
 	if inj.rng == nil {
-		inj.rng = rand.New(rng.New(inj.seed))
+		inj.src = rng.Get(inj.seed)
+		inj.rng = rand.New(inj.src)
 	}
 	return inj.rng
+}
+
+// Release hands the generator back for reuse (see rng.Get) once the
+// run is over. The injector must not be used afterwards.
+func (inj *Injector) Release() {
+	if inj.src != nil {
+		rng.Put(inj.src)
+		inj.src, inj.rng = nil, nil
+	}
 }
 
 // apply executes one event, advances the plan cursor, logs and journals

@@ -52,7 +52,8 @@ func (LocalRunner) RunCell(ctx context.Context, sp *Spec, c Cell, w io.Writer) e
 // one batch job per cell, with the peer health gating the lease
 // sharding uses: a /readyz probe before work, quarantine on repeated
 // failure, bounded retries with backoff. Identical resubmissions hit
-// the node's content-addressed result cache, so re-running an
+// the node's content-addressed result cache, which answers them from
+// the stored stream of the spec's first run, so re-running an
 // unchanged grid costs the server no simulation work.
 type ServerRunner struct {
 	// Peer is the target node (Base URL required).

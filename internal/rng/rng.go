@@ -17,7 +17,10 @@
 // rand.NewSource at fixed and fuzzed seeds.
 package rng
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 const (
 	length = 607        // register words
@@ -91,6 +94,22 @@ func New(seed int64) *Source {
 	s.Seed(seed)
 	return s
 }
+
+// released holds the generators owners gave back with Put.
+var released = sync.Pool{New: func() any { return new(Source) }}
+
+// Get returns a Source seeded with seed, as New does, but reuses the
+// state of one an earlier owner released with Put: a short trial's
+// generator state is most of what the trial allocates.
+func Get(seed int64) *Source {
+	s := released.Get().(*Source)
+	s.Seed(seed)
+	return s
+}
+
+// Put releases s for reuse by Get. The caller must not draw from s
+// afterwards.
+func Put(s *Source) { released.Put(s) }
 
 // Seed resets the generator to the state rand.NewSource(seed) starts
 // in. Seeds equal modulo 2³¹−1 give the same stream.

@@ -67,6 +67,22 @@ func TestSeedResets(t *testing.T) {
 	}
 }
 
+// TestGetReseedsReleased: Get answers with New's stream even when it
+// hands back a source an owner released mid-stream.
+func TestGetReseedsReleased(t *testing.T) {
+	s := New(5)
+	for i := 0; i < 1000; i++ {
+		s.Uint64()
+	}
+	Put(s)
+	got, ref := Get(-42), New(-42)
+	for i := 0; i < 2*length; i++ {
+		if w, g := ref.Uint64(), got.Uint64(); w != g {
+			t.Fatalf("draw %d = %d, want %d", i, g, w)
+		}
+	}
+}
+
 // FuzzSourceMatchesMathRand: any int64 seed draws rand.NewSource's
 // stream for 1,000 words.
 func FuzzSourceMatchesMathRand(f *testing.F) {

@@ -95,7 +95,7 @@ func (s *Random) Next() core.Pair {
 // fairness statistic can resolve).
 func (s *Random) refill() {
 	if s.src == nil {
-		s.src = rng.New(s.seed)
+		s.src = rng.Get(s.seed)
 	}
 	span := uint64(s.n - s.lo)
 	for i := range s.buf {
@@ -108,6 +108,15 @@ func (s *Random) refill() {
 		s.buf[i] = core.Pair{A: a, B: b}
 	}
 	s.pos = 0
+}
+
+// Release hands the generator back for reuse (see rng.Get) once the
+// run it scheduled is over. The scheduler must not be used afterwards.
+func (s *Random) Release() {
+	if s.src != nil {
+		rng.Put(s.src)
+		s.src = nil
+	}
 }
 
 // RoundRobin cycles deterministically through every ordered pair of

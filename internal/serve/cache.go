@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"sync"
 )
 
 // cacheKey derives the content address of a job from its canonical
@@ -20,118 +18,50 @@ func cacheKey(canonical []byte) string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
-// cacheEntry is one memoized job outcome: the full result stream minus
-// its terminal job record (each hit appends its own, carrying the new
-// job's ID and cached marker) plus the summary for the job view.
-type cacheEntry struct {
-	key     string
-	lines   [][]byte
-	summary *JobSummary
-	bytes   int64
-}
-
-// resultCache memoizes finished job results by canonical-spec hash,
-// bounded by a byte budget with LRU eviction. Seed auto-derivation
-// keeps unseeded submissions out of it (every resolved seed is fresh),
-// so a hit always means the client resubmitted a fully pinned spec.
-// A nil cache is valid and permanently disabled.
-type resultCache struct {
-	mu    sync.Mutex
-	max   int64
-	bytes int64
-	ll    *list.List // front = most recent; values are *cacheEntry
-	byKey map[string]*list.Element
-}
-
-// newResultCache builds a cache with the given byte budget; budgets
-// <= 0 return a disabled cache.
-func newResultCache(max int64) *resultCache {
-	if max <= 0 {
-		return nil
-	}
-	return &resultCache{max: max, ll: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-// enabled reports whether the cache can ever hold an entry.
-func (c *resultCache) enabled() bool { return c != nil && c.max > 0 }
-
-// get returns the entry for key, refreshing its recency.
-func (c *resultCache) get(key string) (*cacheEntry, bool) {
-	if !c.enabled() {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry), true
-}
-
-// put inserts a finished job's stream under key, evicting LRU entries
-// until the budget holds, and returns how many entries were evicted.
-// Entries above a quarter of the budget are not cached at all (one
-// huge campaign must not wipe the whole cache). Duplicate keys keep
-// the existing entry: determinism makes the content identical.
-func (c *resultCache) put(key string, lines [][]byte, summary *JobSummary) (evicted int) {
-	if !c.enabled() {
-		return 0
-	}
-	var n int64
-	for _, line := range lines {
-		n += int64(len(line))
-	}
-	n += int64(len(key)) + 64 // bookkeeping overhead, approximate
-	if n > c.max/4 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
-		return 0
-	}
-	ent := &cacheEntry{key: key, lines: lines, summary: summary, bytes: n}
-	c.byKey[key] = c.ll.PushFront(ent)
-	c.bytes += n
-	for c.bytes > c.max {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		old := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.byKey, old.key)
-		c.bytes -= old.bytes
-		evicted++
-	}
-	return evicted
-}
-
-// cacheCapacity reports the cache's byte budget (0 when disabled);
-// max is immutable after construction, so no lock is needed.
-func (s *Server) cacheCapacity() int64 {
-	if !s.cache.enabled() {
-		return 0
-	}
-	return s.cache.max
-}
-
-// stats reports the entry count and resident bytes.
-func (c *resultCache) stats() (entries int, bytes int64) {
-	if !c.enabled() {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len(), c.bytes
-}
-
 // canonicalSpec marshals a validated spec into its canonical bytes —
 // the exact form hashed for the cache key and persisted in the store's
 // admission record, so a restart re-derives the same key.
 func canonicalSpec(v *validated) (json.RawMessage, error) {
 	return json.Marshal(v.spec)
+}
+
+// rememberLocked makes j the result source for its key unless an
+// earlier done job already is one. Callers hold s.mu, or run before
+// any worker or handler exists.
+func (s *Server) rememberLocked(j *Job) {
+	if _, ok := s.sources[j.key]; !ok {
+		s.sources[j.key] = j
+	}
+}
+
+// cachedRun returns the stream of key's source job, minus its terminal
+// job record (a hit appends its own), and the source's summary. The
+// stream is the source's stored result log, read through its buffer.
+// ok is false when no done job has the key, when the source is still
+// finishing (a concurrent identical submission), or when its log
+// cannot be read; the last also drops the source, so the re-run that
+// follows takes its place.
+func (s *Server) cachedRun(key string) (lines [][]byte, summary *JobSummary, ok bool) {
+	s.mu.Lock()
+	src := s.sources[key]
+	s.mu.Unlock()
+	if src == nil {
+		return nil, nil, false
+	}
+	src.mu.Lock()
+	sealed, summary := src.finalized, src.summary
+	src.mu.Unlock()
+	if !sealed {
+		return nil, nil, false
+	}
+	lines, err := src.buf.all()
+	if err != nil || len(lines) == 0 {
+		s.mu.Lock()
+		if s.sources[key] == src {
+			delete(s.sources, key)
+		}
+		s.mu.Unlock()
+		return nil, nil, false
+	}
+	return lines[:len(lines)-1], summary, true
 }

@@ -12,13 +12,13 @@ import (
 )
 
 // benchPeers starts n real ppserved peers and returns their URLs.
-// Caches are disabled everywhere so every lease is a real simulation,
-// not a memoized replay.
+// benchDistRun's distinct seeds keep every lease a real simulation,
+// never a cache hit.
 func benchPeers(b *testing.B, n int) []string {
 	b.Helper()
 	urls := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		ps, err := New(Config{Workers: 1, QueueCap: 64, CacheBytes: -1})
+		ps, err := New(Config{Workers: 1, QueueCap: 64})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func benchDistRun(b *testing.B, ts *httptest.Server, seed int64) time.Duration {
 
 func benchDist(b *testing.B, peers []string) {
 	s, err := New(Config{
-		Workers: 2, QueueCap: 8, CacheBytes: -1,
+		Workers: 2, QueueCap: 8,
 		Peers: peers, LeaseTrials: 4, DistRetries: 2,
 		LeaseTimeout: 30 * time.Second,
 	})

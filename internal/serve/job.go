@@ -532,9 +532,9 @@ type JobView struct {
 	Shard *ShardRange `json:"shard,omitempty"`
 	// Trace is the job's trace ID when span tracing was requested.
 	Trace string `json:"trace,omitempty"`
-	// Cached marks a job whose results were served from the result
-	// cache without re-simulation; IdempotencyKey is the canonical-spec
-	// hash that addressed (or populated) the cache.
+	// Cached marks a job whose results were copied from the stored
+	// stream of an earlier run of the same spec, without re-simulation;
+	// IdempotencyKey is the canonical-spec hash, the result-cache key.
 	Cached         bool   `json:"cached,omitempty"`
 	IdempotencyKey string `json:"idempotencyKey,omitempty"`
 	// Records is the number of NDJSON result records buffered so far.

@@ -29,7 +29,7 @@ type metrics struct {
 	active                                           int64
 
 	// Store and cache, distributed leases and simulation totals.
-	restored, requeued, cacheHits, cacheMisses, cacheEvictions     obs.Counter
+	restored, requeued, cacheHits, cacheMisses                     obs.Counter
 	bufSpills, bufSpilledBytes, lateEmits, storeWriteErrors        obs.Counter
 	leasesIssued, leasesReissued, leasesCompleted, leasesDuplicate obs.Counter
 	leasesRestored, leaseFailures                                  obs.Counter
@@ -110,18 +110,13 @@ func newMetrics(s *Server) *metrics {
 		obs.PromLabel{Name: "kind", Value: s.store.Kind()})
 	r.Counter("ppserved_jobs_restored_total", "Terminal jobs restored from the store at boot.", &m.restored)
 	r.Counter("ppserved_jobs_requeued_total", "Interrupted jobs re-queued from the store at boot.", &m.requeued)
-	r.Gauge("ppserved_cache_entries", "Result-cache entries resident.", func() float64 {
-		entries, _ := s.cache.stats()
-		return float64(entries)
+	r.Gauge("ppserved_cache_entries", "Result-cache entries: canonical-spec keys with a done job whose stored stream answers resubmissions.", func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return float64(len(s.sources))
 	})
-	r.Gauge("ppserved_cache_bytes", "Result-cache resident bytes.", func() float64 {
-		_, bytes := s.cache.stats()
-		return float64(bytes)
-	})
-	r.Gauge("ppserved_cache_capacity_bytes", "Result-cache byte budget (0 when disabled).", func() float64 { return float64(s.cacheCapacity()) })
 	r.Counter("ppserved_cache_hits_total", "Submissions served from the result cache without re-simulation.", &m.cacheHits)
 	r.Counter("ppserved_cache_misses_total", "Submissions that missed the result cache.", &m.cacheMisses)
-	r.Counter("ppserved_cache_evictions_total", "Result-cache entries evicted by the byte budget.", &m.cacheEvictions)
 	r.Counter("ppserved_buffer_spills_total", "Live result-buffer spills to the job store.", &m.bufSpills)
 	r.Counter("ppserved_buffer_spilled_bytes_total", "Bytes spilled from live result buffers to the job store.", &m.bufSpilledBytes)
 	r.Counter("ppserved_late_emits_total", "Records emitted into a result buffer after job finalization (worker bugs).", &m.lateEmits)

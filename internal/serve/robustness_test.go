@@ -97,7 +97,7 @@ func TestStoreWriteFailureFailsJob(t *testing.T) {
 	fs := &failingStore{Memory: store.NewMemory()}
 	// BufferBytes 1 forces a spill on every emitted record.
 	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4,
-		Store: fs, BufferBytes: 1, CacheBytes: -1})
+		Store: fs, BufferBytes: 1})
 	spec := Spec{Kind: KindBatch, Protocol: "asym", P: 4, N: 4,
 		Seed: 7, Trials: 3, Workers: 1, Budget: 200_000}
 	code, v, e, _ := postJob(t, ts, spec)

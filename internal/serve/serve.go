@@ -68,11 +68,6 @@ type Config struct {
 	// byte-identical modulo wall-clock fields. The caller owns the
 	// store's lifetime and closes it after Drain.
 	Store JobStore
-	// CacheBytes bounds the content-addressed result cache: finished
-	// seeded jobs are memoized by canonical-spec hash and identical
-	// resubmissions are answered from memory, without re-simulation
-	// (0: 64 MiB; negative: cache disabled).
-	CacheBytes int64
 	// BufferBytes caps one job's in-RAM result buffer: past it the
 	// buffered NDJSON lines spill to the Store and stream reads fetch
 	// them back on demand (0: 8 MiB; negative: no cap — every line
@@ -104,7 +99,6 @@ type Config struct {
 
 // Sizing defaults for Config's zero values.
 const (
-	defaultCacheBytes         = 64 << 20
 	defaultBufferBytes        = 8 << 20
 	defaultLeaseTrials        = 64
 	defaultLeaseTimeout       = 2 * time.Minute
@@ -121,7 +115,6 @@ type Server struct {
 	met   *metrics
 	sink  obs.Sink
 	store JobStore
-	cache *resultCache
 	// bufMax is the resolved per-job live-buffer cap (<= 0: uncapped).
 	bufMax int64
 	// peers are the long-lived shard executors for Config.Peers, one
@@ -134,9 +127,13 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []*Job // submission order, for list and metrics
+	mu    sync.Mutex
+	jobs  map[string]*Job
+	order []*Job // submission order, for list and metrics
+	// sources is the result cache: for each canonical-spec key, the
+	// first done job that ran (not itself a hit). Its stored stream
+	// answers every identical resubmission (see cachedRun).
+	sources  map[string]*Job
 	nextID   int
 	queue    chan *Job
 	draining bool
@@ -199,22 +196,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		cfg.Store = store.NewMemory()
 	}
-	cacheBytes := cfg.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = defaultCacheBytes
-	}
 	bufMax := cfg.BufferBytes
 	if bufMax == 0 {
 		bufMax = defaultBufferBytes
 	}
 	s := &Server{
-		cfg:    cfg,
-		mux:    http.NewServeMux(),
-		sink:   cfg.Sink,
-		store:  cfg.Store,
-		cache:  newResultCache(cacheBytes),
-		bufMax: bufMax,
-		jobs:   make(map[string]*Job),
+		cfg:     cfg,
+		mux:     http.NewServeMux(),
+		sink:    cfg.Sink,
+		store:   cfg.Store,
+		bufMax:  bufMax,
+		jobs:    make(map[string]*Job),
+		sources: make(map[string]*Job),
 	}
 	for _, base := range cfg.Peers {
 		base = strings.TrimRight(strings.TrimSpace(base), "/")
@@ -261,9 +254,10 @@ func New(cfg Config) (*Server, error) {
 
 // restore replays the job store into the server's maps: terminal
 // snapshots become finished jobs served straight from the store (done
-// uncached ones re-seed the result cache), non-terminal snapshots get
-// their partial result logs reset and are returned for re-queueing —
-// unless their spec now fails admission, which finalizes them failed.
+// uncached ones become result-cache sources, their logs unread),
+// non-terminal snapshots get their partial result logs reset and are
+// returned for re-queueing — unless their spec now fails admission,
+// which finalizes them failed.
 // Runs single-threaded at construction, before any worker or handler
 // exists.
 func (s *Server) restore() ([]*Job, error) {
@@ -300,6 +294,9 @@ func (s *Server) restore() ([]*Job, error) {
 			j := s.restoreTerminal(snap, spec)
 			s.jobs[j.ID] = j
 			s.order = append(s.order, j)
+			if snap.State == store.StateDone && !snap.Cached && snap.ResultLines > 0 {
+				s.rememberLocked(j)
+			}
 			s.met.restored.Inc()
 			continue
 		}
@@ -345,19 +342,6 @@ func (s *Server) restoreTerminal(snap store.Snapshot, spec Spec) *Job {
 	j.buf = s.newJobBuffer(snap.ID)
 	j.buf.restore(snap.ResultLines)
 	cancel()
-	// Re-seed the cache from jobs that actually simulated, so identical
-	// resubmissions stay hits across restarts. The stored stream's last
-	// line is the terminal job record; cache entries exclude it.
-	if snap.State == store.StateDone && !snap.Cached && s.cache.enabled() && snap.ResultLines > 0 {
-		if lines, err := s.store.ReadResults(snap.ID, 0, snap.ResultLines); err == nil {
-			var sum *JobSummary
-			if j.summary != nil {
-				c := *j.summary
-				sum = &c
-			}
-			s.met.cacheEvictions.Add(uint64(s.cache.put(j.key, lines[:len(lines)-1], sum)))
-		}
-	}
 	return j
 }
 
@@ -432,7 +416,8 @@ func (s *Server) Submit(spec Spec) (*Job, *Error) { return s.submit(spec, "") }
 // hash (the key the server would compute), turning it into an
 // end-to-end check that the client resubmitted the spec it thinks it
 // did. A cache hit returns a job that is terminal before this function
-// returns, its stream replayed from the memoized run.
+// returns, its stream copied from the stored stream of the key's
+// source job.
 func (s *Server) submit(spec Spec, clientKey string) (*Job, *Error) {
 	v, verr := prepare(spec)
 	if verr != nil {
@@ -448,6 +433,9 @@ func (s *Server) submit(spec Spec, clientKey string) (*Job, *Error) {
 		return nil, &Error{Status: http.StatusBadRequest, Kind: "idempotency-mismatch",
 			Message: fmt.Sprintf("Idempotency-Key %q does not match the canonical spec hash %s", clientKey, key)}
 	}
+	// The source's log is read before s.mu is taken: admission never
+	// waits on another job's store read.
+	lines, summary, hit := s.cachedRun(key)
 
 	s.mu.Lock()
 	if s.draining {
@@ -455,38 +443,26 @@ func (s *Server) submit(spec Spec, clientKey string) (*Job, *Error) {
 		return nil, &Error{Status: http.StatusServiceUnavailable, Kind: "draining",
 			Message: "server is draining; no new jobs accepted"}
 	}
-	if ent, ok := s.cache.get(key); ok {
-		s.nextID++
-		id := fmt.Sprintf("j%06d", s.nextID)
-		j := s.newJob(id, v, false)
-		j.key = key
-		s.jobs[id] = j
-		s.order = append(s.order, j)
-		s.met.submitted.Inc()
-		s.met.cacheHits.Inc()
-		s.mu.Unlock()
-		s.completeFromCache(j, ent, canonical)
-		return j, nil
-	}
-	if s.cache.enabled() {
+	if !hit {
 		s.met.cacheMisses.Inc()
-	}
-	// Capacity is checked explicitly under s.mu (every producer holds
-	// it, workers only consume), so the admission record can be written
-	// before the send — which then cannot block — and a worker can
-	// never pick up a job whose admission the store has not yet seen.
-	if len(s.queue) >= s.cfg.QueueCap {
-		depth := len(s.queue)
-		s.met.rejected.Inc()
-		s.mu.Unlock()
-		return nil, &Error{Status: http.StatusTooManyRequests, Kind: "queue-full",
-			Message:       fmt.Sprintf("job queue full (%d queued)", depth),
-			RetryAfterSec: s.retryAfterSec(depth),
+		// Capacity is checked explicitly under s.mu (every producer
+		// holds it, workers only consume), so the admission record can
+		// be written before the send — which then cannot block — and a
+		// worker can never pick up a job whose admission the store has
+		// not yet seen.
+		if len(s.queue) >= s.cfg.QueueCap {
+			depth := len(s.queue)
+			s.met.rejected.Inc()
+			s.mu.Unlock()
+			return nil, &Error{Status: http.StatusTooManyRequests, Kind: "queue-full",
+				Message:       fmt.Sprintf("job queue full (%d queued)", depth),
+				RetryAfterSec: s.retryAfterSec(depth),
+			}
 		}
 	}
 	s.nextID++
 	id := fmt.Sprintf("j%06d", s.nextID)
-	j := s.newJob(id, v, true)
+	j := s.newJob(id, v, !hit)
 	j.key = key
 	if err := s.store.Admit(id, canonical, v.seedDerived); err != nil {
 		j.cancel()
@@ -497,27 +473,32 @@ func (s *Server) submit(spec Spec, clientKey string) (*Job, *Error) {
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, j)
-	s.queue <- j
 	s.met.submitted.Inc()
+	if hit {
+		s.met.cacheHits.Inc()
+		s.mu.Unlock()
+		s.completeFromCache(j, lines, summary)
+		return j, nil
+	}
+	s.queue <- j
 	s.mu.Unlock()
 	_ = s.sink.Emit(j.rec())
 	return j, nil
 }
 
 // completeFromCache finishes a cache-hit job without running it: the
-// memoized stream replays into the buffer, the job jumps straight to
-// done with the memoized summary and the cached marker, and the
+// source's stream replays into the buffer, the job jumps straight to
+// done with the source's summary and the cached marker, and the
 // standard finalize path appends the terminal record, persists the
 // outcome and journals it. The store sees only admit + terminal for
 // such jobs — there was no queued or running phase to record.
-func (s *Server) completeFromCache(j *Job, ent *cacheEntry, canonical []byte) {
-	_ = s.store.Admit(j.ID, canonical, j.v.seedDerived)
-	j.buf.appendRaw(ent.lines)
+func (s *Server) completeFromCache(j *Job, lines [][]byte, summary *JobSummary) {
+	j.buf.appendRaw(lines)
 	j.mu.Lock()
 	j.state = StateDone
 	j.cached = true
-	if ent.summary != nil {
-		sum := *ent.summary
+	if summary != nil {
+		sum := *summary
 		j.summary = &sum
 	}
 	j.mu.Unlock()
@@ -571,19 +552,27 @@ func (s *Server) runJob(j *Job) {
 			j.state = StateDone
 		}
 	}
+	done := j.state == StateDone
 	j.mu.Unlock()
+	if done && j.key != "" {
+		// Entered before finalize closes the stream, so a client that
+		// read it to EOF and resubmits finds the source (cachedRun
+		// skips it until finalize has sealed it).
+		s.mu.Lock()
+		s.rememberLocked(j)
+		s.mu.Unlock()
+	}
 	s.finalize(j)
 }
 
 // finalize seals a terminal job exactly once: stamps the wall clock,
 // appends the terminal job record to the result stream and the
-// service journal, memoizes a done run into the result cache,
-// finalizes the buffer (everything spills to the store, EOF for
-// streamers), persists the terminal state, releases the job context
-// and bumps the outcome counters. Everything up to the store write
-// happens under j.mu, so the store's record order matches the job's
-// actual transition order even against a racing cancel (lock order:
-// j.mu, then buffer/cache/store locks; never the server's mu).
+// service journal, finalizes the buffer (everything spills to the
+// store, EOF for streamers), persists the terminal state, releases the
+// job context and bumps the outcome counters. Everything up to the
+// store write happens under j.mu, so the store's record order matches
+// the job's actual transition order even against a racing cancel (lock
+// order: j.mu, then buffer/store locks; never the server's mu).
 func (s *Server) finalize(j *Job) {
 	j.mu.Lock()
 	if j.finalized || !j.state.terminal() {
@@ -618,20 +607,6 @@ func (s *Server) finalize(j *Job) {
 		j.rootSpan.End()
 	}
 	_ = j.buf.Emit(rec)
-	if state == StateDone && !j.cached && j.key != "" && s.cache.enabled() {
-		// Memoize the run: the full stream minus the terminal record
-		// just appended (a future hit appends its own).
-		if lines, err := j.buf.all(); err == nil && len(lines) > 0 {
-			var sum *JobSummary
-			if j.summary != nil {
-				c := *j.summary
-				sum = &c
-			}
-			if n := s.cache.put(j.key, lines[:len(lines)-1], sum); n > 0 {
-				s.met.cacheEvictions.Add(uint64(n))
-			}
-		}
-	}
 	total := j.buf.len()
 	_ = j.buf.finalize() // a failed final spill already counted via the spill hook
 	if err := s.store.Finalize(j.ID, store.Final{

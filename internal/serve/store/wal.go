@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -198,11 +197,7 @@ func (w *WAL) PutShard(id string, lease int, lines [][]byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	var buf bytes.Buffer
-	for _, line := range lines {
-		buf.Write(line)
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(bytes.Join(lines, nil)); err != nil {
 		f.Close()
 		return fmt.Errorf("store: shard write: %w", err)
 	}
@@ -227,15 +222,7 @@ func (w *WAL) ReadShard(id string, lease, n int) ([][]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var lines [][]byte
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn final line: drop it
-		}
-		lines = append(lines, data[off:off+nl+1])
-		off += nl + 1
-	}
+	lines := splitLines(data)
 	if len(lines) < n {
 		return nil, fmt.Errorf("store: shard %s/%d: want %d lines, have %d", id, lease, n, len(lines))
 	}
@@ -259,11 +246,7 @@ func (w *WAL) AppendResults(id string, lines [][]byte) error {
 		}
 		w.open[id] = rf
 	}
-	var buf bytes.Buffer
-	for _, line := range lines {
-		buf.Write(line)
-	}
-	if _, err := rf.Write(buf.Bytes()); err != nil {
+	if _, err := rf.Write(bytes.Join(lines, nil)); err != nil {
 		return fmt.Errorf("store: results append: %w", err)
 	}
 	return nil
@@ -297,32 +280,29 @@ func (w *WAL) ReadResults(id string, from, to int) ([][]byte, error) {
 	if from == to {
 		return nil, nil
 	}
-	f, err := os.Open(w.resultPath(id))
+	data, err := os.ReadFile(w.resultPath(id))
 	if os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: results %s: no log (want lines [%d,%d))", id, from, to)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
-	var lines [][]byte
-	r := bufio.NewReaderSize(f, 1<<16)
-	for i := 0; to < 0 || i < to; i++ {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			break // a partial final line (no newline) is torn: drop it
-		}
-		if err != nil {
-			return nil, fmt.Errorf("store: results read: %w", err)
-		}
-		if i >= from {
-			lines = append(lines, line)
-		}
+	lines := splitLines(data)
+	if to < 0 {
+		to = len(lines)
 	}
-	if to >= 0 && len(lines) < to-from {
-		return nil, fmt.Errorf("store: results %s: want lines [%d,%d), have %d", id, from, to, from+len(lines))
+	if from < 0 || from > to || to > len(lines) {
+		return nil, fmt.Errorf("store: results %s: want lines [%d,%d), have %d", id, from, to, len(lines))
 	}
-	return lines, nil
+	return lines[from:to], nil
+}
+
+// splitLines slices a log read in one piece into its newline-terminated
+// lines, each a view into data that keeps its newline; a final line
+// without one (torn by a crash) is dropped.
+func splitLines(data []byte) [][]byte {
+	lines := bytes.SplitAfter(data, []byte{'\n'})
+	return lines[:len(lines)-1]
 }
 
 // Replay returns the jobs folded from the log at open time, in

@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -302,39 +304,181 @@ func TestRestartRestoresCompletedJobs(t *testing.T) {
 	}
 }
 
-// TestRestartCountsCacheEvictions pins that re-seeding the result cache
-// at boot counts its evictions like a live finalize does: each restored
-// done job either holds a cache entry or was evicted by a later one.
-func TestRestartCountsCacheEvictions(t *testing.T) {
-	m := store.NewMemory()
-	// A budget of four quickSpec streams, so six jobs evict two.
-	cfg := Config{Workers: 1, QueueCap: 8, Store: m, CacheBytes: 4000}
-	s1, err := New(cfg)
+// probeStore wraps store.Memory for the result-cache tests: it counts
+// ReadResults calls per job and fails the ones a test switches off.
+type probeStore struct {
+	*store.Memory
+	mu        sync.Mutex
+	reads     map[string]int
+	failRead  string // ReadResults of this job ID fails
+	failAdmit bool   // every Admit fails
+}
+
+func newProbeStore() *probeStore {
+	return &probeStore{Memory: store.NewMemory(), reads: map[string]int{}}
+}
+
+func (p *probeStore) ReadResults(id string, from, to int) ([][]byte, error) {
+	p.mu.Lock()
+	p.reads[id]++
+	fail := id == p.failRead
+	p.mu.Unlock()
+	if fail {
+		return nil, errors.New("result log unreadable")
+	}
+	return p.Memory.ReadResults(id, from, to)
+}
+
+func (p *probeStore) Admit(id string, spec json.RawMessage, seedDerived bool) error {
+	p.mu.Lock()
+	fail := p.failAdmit
+	p.mu.Unlock()
+	if fail {
+		return errors.New("admission log gone")
+	}
+	return p.Memory.Admit(id, spec, seedDerived)
+}
+
+// readCounts returns a copy of the per-job ReadResults counts.
+func (p *probeStore) readCounts() map[string]int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return maps.Clone(p.reads)
+}
+
+// TestRestartReadsNoResultLog pins that the result cache is an index
+// over the store, not a copy of it: booting over k done jobs reads no
+// result log yet indexes all k, and the first identical resubmission
+// reads its source's log exactly once.
+func TestRestartReadsNoResultLog(t *testing.T) {
+	ps := newProbeStore()
+	s1, err := New(Config{Workers: 1, QueueCap: 8, Store: ps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts1 := httptest.NewServer(s1.Handler())
-	const jobs = 6
-	for seed := int64(1); seed <= jobs; seed++ {
-		status, v, _, _ := postJob(t, ts1, quickSpec(seed))
-		if status != http.StatusAccepted {
-			t.Fatalf("submit status %d", status)
+	const k = 3
+	for seed := int64(1); seed <= k; seed++ {
+		j, jerr := s1.Submit(quickSpec(seed))
+		if jerr != nil {
+			t.Fatal(jerr)
 		}
-		waitState(t, ts1, v.ID, StateDone, 30*time.Second)
+		<-j.ctx.Done() // finalize releases the job context
 	}
-	ts1.Close()
 	s1.Close()
+	before := ps.readCounts()
 
-	s2, err := New(cfg)
+	s2, err := New(Config{Workers: 1, QueueCap: 8, Store: ps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	entries, _ := s2.cache.stats()
-	evictions := s2.met.cacheEvictions.Value()
-	if evictions == 0 || uint64(entries)+evictions != jobs {
-		t.Fatalf("after restart: %d cache entries + %d evictions, want %d restored done jobs with evictions > 0",
-			entries, evictions, jobs)
+	if after := ps.readCounts(); !maps.Equal(after, before) {
+		t.Fatalf("boot read result logs: counts %v -> %v", before, after)
+	}
+	s2.mu.Lock()
+	entries := len(s2.sources)
+	s2.mu.Unlock()
+	if entries != k {
+		t.Fatalf("%d result-cache entries after boot, want %d", entries, k)
+	}
+
+	j, jerr := s2.Submit(quickSpec(2))
+	if jerr != nil {
+		t.Fatal(jerr)
+	}
+	if v := j.view(); !v.Cached || v.State != StateDone {
+		t.Fatalf("resubmission after boot: state=%q cached=%v, want done/true", v.State, v.Cached)
+	}
+	after := ps.readCounts()
+	for id, n := range after {
+		want := before[id]
+		if id == "j000002" {
+			want++
+		}
+		if n != want {
+			t.Errorf("%s: %d result-log reads, want %d", id, n, want)
+		}
+	}
+}
+
+// TestCacheHitUnreadableSourceRuns pins the fallback when the source's
+// stored stream cannot be read: the resubmission counts as a miss and
+// runs, reproducing the source's stream apart from wall-clock fields
+// and job records, and the re-run replaces the source.
+func TestCacheHitUnreadableSourceRuns(t *testing.T) {
+	ps := newProbeStore()
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, Store: ps})
+	status, v1, _, _ := postJob(t, ts, quickSpec(3))
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status %d", status)
+	}
+	waitState(t, ts, v1.ID, StateDone, 30*time.Second)
+	want := canonRecords(t, streamLines(t, ts, v1.ID), "job")
+
+	ps.mu.Lock()
+	ps.failRead = v1.ID
+	ps.mu.Unlock()
+	misses0, hits0 := s.met.cacheMisses.Value(), s.met.cacheHits.Value()
+	status, v2, _, _ := postJob(t, ts, quickSpec(3))
+	if status != http.StatusAccepted {
+		t.Fatalf("resubmit status %d", status)
+	}
+	if v2.Cached {
+		t.Fatal("resubmission served from an unreadable source")
+	}
+	waitState(t, ts, v2.ID, StateDone, 30*time.Second)
+	if got := s.met.cacheMisses.Value(); got != misses0+1 {
+		t.Fatalf("cache_misses %d -> %d, want +1", misses0, got)
+	}
+	if got := s.met.cacheHits.Value(); got != hits0 {
+		t.Fatalf("cache_hits %d -> %d, want unchanged", hits0, got)
+	}
+	got := canonRecords(t, streamLines(t, ts, v2.ID), "job")
+	if len(got) != len(want) {
+		t.Fatalf("re-run stream %d canonical records, source %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("record %d differs:\nre-run: %s\nsource: %s", i, got[i], want[i])
+		}
+	}
+
+	// The re-run is the key's source now: a third submission is a hit.
+	status, v3, _, _ := postJob(t, ts, quickSpec(3))
+	if status != http.StatusAccepted || !v3.Cached {
+		t.Fatalf("third submission: status %d cached=%v, want 202 and a hit", status, v3.Cached)
+	}
+}
+
+// TestCacheHitAdmitFailure pins that a hit's admission record is
+// written like a miss's: when the store refuses it, the submission is a
+// 500 of kind store and no job is registered (an unrecorded ID would
+// vanish at the next restart, orphaning its result log).
+func TestCacheHitAdmitFailure(t *testing.T) {
+	ps := newProbeStore()
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, Store: ps})
+	status, v1, _, _ := postJob(t, ts, quickSpec(4))
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status %d", status)
+	}
+	waitState(t, ts, v1.ID, StateDone, 30*time.Second)
+	streamLines(t, ts, v1.ID)
+
+	ps.mu.Lock()
+	ps.failAdmit = true
+	ps.mu.Unlock()
+	status, _, jerr, _ := postJob(t, ts, quickSpec(4))
+	if status != http.StatusInternalServerError || jerr == nil || jerr.Kind != "store" {
+		t.Fatalf("hit with a failing admit: status %d body %+v, want 500 kind store", status, jerr)
+	}
+	if got := s.met.cacheHits.Value(); got != 0 {
+		t.Fatalf("cache_hits = %d, want 0", got)
+	}
+	s.mu.Lock()
+	jobs := len(s.order)
+	s.mu.Unlock()
+	if jobs != 1 {
+		t.Fatalf("server lists %d jobs, want only the source", jobs)
 	}
 }
 
@@ -366,7 +510,7 @@ func TestRestartRequeuesInterruptedJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := New(Config{Workers: 2, QueueCap: 4, Store: m, CacheBytes: -1})
+	s, err := New(Config{Workers: 2, QueueCap: 4, Store: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +526,7 @@ func TestRestartRequeuesInterruptedJobs(t *testing.T) {
 	waitState(t, ts, "j000002", StateDone, 30*time.Second)
 
 	// The reference: the same spec on a fresh server.
-	_, tsRef := newTestServer(t, Config{Workers: 1, QueueCap: 4, CacheBytes: -1})
+	_, tsRef := newTestServer(t, Config{Workers: 1, QueueCap: 4})
 	status, ref, _, _ := postJob(t, tsRef, quickSpec(2))
 	if status != http.StatusAccepted {
 		t.Fatalf("reference submit status %d", status)

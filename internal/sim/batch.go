@@ -21,14 +21,26 @@ type Trial struct {
 	Cfg   *core.Config
 	Sched sched.Scheduler
 	// Inject, when non-nil, is installed as the trial runner's fault
-	// injector. Injectors are single-use: batches call mk once per
-	// attempt and expect a fresh one each time.
+	// injector. Injectors and schedulers are single-use: batches call
+	// mk once per attempt, expect fresh ones each time, and release
+	// their generators when the attempt is over.
 	Inject *fault.Injector
 	// Count, when non-nil, runs the trial on the count engine from
 	// these per-state counts, with Seed as the engine seed (see
 	// CountRunner.Seed).
 	Count *core.CountConfig
 	Seed  int64
+}
+
+// release hands the attempt's generators back for reuse (see rng.Get)
+// once the attempt is over.
+func (t Trial) release() {
+	if r, ok := t.Sched.(*sched.Random); ok {
+		r.Release()
+	}
+	if t.Inject != nil {
+		t.Inject.Release()
+	}
 }
 
 // BatchResult pairs a trial index with its outcome.
@@ -214,6 +226,7 @@ func RunBatch(ctx context.Context, pr core.Protocol, lo, hi, workers int, sup Su
 				} else {
 					sr := superviseUntil(ctx, tsup, deadlineAt, func(attempt int) *Runner {
 						if attempt > 0 {
+							t.release()
 							t = mk(i, attempt)
 						}
 						run := NewRunner(pr, t.Sched, t.Cfg)
@@ -236,6 +249,7 @@ func RunBatch(ctx context.Context, pr core.Protocol, lo, hi, workers int, sup Su
 						}
 						return run
 					})
+					t.release()
 					br = BatchResult{Trial: i, Result: sr.Result, Status: sr.Status, Attempts: sr.Attempts, Reason: sr.Reason}
 				}
 				if tspan != nil {

@@ -568,7 +568,10 @@ func AgentStart(p core.Protocol, n int, initKey string, seed int64) (*core.Confi
 		if !ok {
 			return nil, fmt.Errorf("protocol %q does not support arbitrary initialization", p.Name())
 		}
-		return ArbitraryConfig(ap, n, rand.New(rng.New(seed))), nil
+		src := rng.Get(seed)
+		cfg := ArbitraryConfig(ap, n, rand.New(src))
+		rng.Put(src)
+		return cfg, nil
 	}
 	return nil, fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
 }
