@@ -1,9 +1,11 @@
 package grid
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -107,4 +109,54 @@ func BenchmarkGridServerCached(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(cells)*b.N)/b.Elapsed().Seconds(), "cells/sec")
+}
+
+// smallGrid is the bench module's small-cell grid (local-small,
+// server-cold and server-cached) at its default seed: 24 exact-size
+// cells, half of them with a step fault, half from arbitrary starts.
+const smallGrid = `{"protocols":["asym","selfstab","symglobal"],"populations":[{"p":6,"n":4},{"p":6,"n":6}],"inits":["zero","arbitrary"],"faults":["","@100:corrupt=2"],"trials":4,"budget":300000,"seed":1}`
+
+// BenchmarkReduceCell is the journal-decode rung: it reduces the small
+// grid's 24 journals from memory, with the reducer's obs.ScanJournal
+// ("scan") and with the obs.ReadJournal reducer it replaced
+// ("reference"), and reports ns/cell and allocs/cell.
+func BenchmarkReduceCell(b *testing.B) {
+	sp, err := Parse(strings.NewReader(smallGrid))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := sp.Cells()
+	journals := make([][]byte, len(cells))
+	for i, c := range cells {
+		var buf bytes.Buffer
+		if err := (LocalRunner{}).RunCell(context.Background(), sp, c, &buf); err != nil {
+			b.Fatal(err)
+		}
+		journals[i] = buf.Bytes()
+	}
+	for _, r := range []struct {
+		name   string
+		reduce func(Cell, []byte) (CellStats, error)
+	}{
+		{"reference", func(c Cell, journal []byte) (CellStats, error) { return refReduceCell(c, bytes.NewReader(journal)) }},
+		{"scan", reduceCell},
+	} {
+		b.Run(r.name, func(b *testing.B) {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k, c := range cells {
+					if _, err := r.reduce(c, journals[k]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			n := float64(b.N * len(cells))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/cell")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/cell")
+		})
+	}
 }

@@ -180,7 +180,7 @@ func (cp *Campaign) runOne(ctx context.Context, c Cell, journal *bytes.Buffer) c
 	}); err != nil {
 		return cellOutcome{err: err}
 	}
-	cs, err := reduceCell(c, bytes.NewReader(journal.Bytes()))
+	cs, err := reduceCell(c, journal.Bytes())
 	return cellOutcome{stats: cs, ran: true, reduceErr: err}
 }
 
@@ -190,12 +190,11 @@ func (cp *Campaign) runOne(ctx context.Context, c Cell, journal *bytes.Buffer) c
 // derived seed (a spec edit that reshuffles seeds invalidates stale
 // journals), and the batch summary covering every trial.
 func (cp *Campaign) completeStats(c Cell, path string) (CellStats, bool) {
-	f, err := os.Open(path)
+	journal, err := os.ReadFile(path)
 	if err != nil {
 		return CellStats{}, false
 	}
-	defer f.Close()
-	cs, err := reduceCell(c, f)
+	cs, err := reduceCell(c, journal)
 	if err != nil || cs.Torn {
 		return cs, false
 	}
@@ -256,6 +255,10 @@ func writeTable(base string, tab *report.Table) error {
 	return writeFileWith(base+".tex", tab.RenderLaTeX)
 }
 
+// writers recycles writeFileWith's buffers: a campaign writes about
+// three files per cell.
+var writers = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
+
 // writeFileWith renders into path atomically (temp + rename), through
 // a buffer so renderers that write line by line cost one write call per
 // buffer, not per line.
@@ -265,11 +268,14 @@ func writeFileWith(path string, render func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(f)
+	bw := writers.Get().(*bufio.Writer)
+	bw.Reset(f)
 	rerr := render(bw)
 	if rerr == nil {
 		rerr = bw.Flush()
 	}
+	bw.Reset(nil) // the pool keeps the buffer, not the file
+	writers.Put(bw)
 	cerr := f.Close()
 	if rerr == nil {
 		rerr = cerr

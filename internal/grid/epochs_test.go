@@ -12,9 +12,9 @@ import (
 	"popnaming/internal/serve"
 )
 
-// foldJob runs a batch job in-process and reduces its journal as a cell
-// carrying the job's fault plan.
-func foldJob(t *testing.T, spec serve.Spec) CellStats {
+// jobJournal runs a batch job in-process into a journal headed as a
+// grid cell's.
+func jobJournal(t testing.TB, spec serve.Spec) []byte {
 	t.Helper()
 	p, err := serve.Prepare(spec)
 	if err != nil {
@@ -27,8 +27,15 @@ func foldJob(t *testing.T, spec serve.Spec) CellStats {
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// foldJob runs a batch job in-process and reduces its journal as a cell
+// carrying the job's fault plan.
+func foldJob(t *testing.T, spec serve.Spec) CellStats {
+	t.Helper()
 	c := Cell{Protocol: spec.Protocol, Pop: Pop{P: spec.P, N: spec.N}, Init: spec.Init, Fault: spec.Faults, Seed: spec.Seed}
-	cs, err := reduceCell(c, &buf)
+	cs, err := reduceCell(c, jobJournal(t, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +134,7 @@ func TestEpochTable(t *testing.T) {
 	}
 	const plan = "@conv:reboot+corrupt=1,@conv:reboot+corrupt=1"
 	sp := parse(t, `{"protocols":["counting"],"populations":[{"p":6,"n":5}],"faults":["`+plan+`"],"seed":1}`)
-	cs, err := reduceCell(sp.Cells()[0], &journal)
+	cs, err := reduceCell(sp.Cells()[0], journal.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,12 +116,14 @@ func Reduce(sp *Spec, cells []Cell, open JournalOpener) ([]CellStats, error) {
 		if err != nil {
 			return nil, fmt.Errorf("grid: open journal for cell %s: %w", c.ID(), err)
 		}
-		cs, err := reduceCell(c, r)
+		journal, err := io.ReadAll(r)
 		r.Close()
+		if err == nil {
+			out[i], err = reduceCell(c, journal)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("grid: reduce cell %s: %w", c.ID(), err)
 		}
-		out[i] = cs
 	}
 	wireKS(out)
 	return out, nil
@@ -165,16 +167,33 @@ func ksAgainst(base, sample []float64) *KSResult {
 	return &KSResult{Same: same, D: d, Critical: crit}
 }
 
-// reduceCell folds one journal. Supervised trials may emit one summary
-// record per attempt; the last record per trial wins, mirroring the
-// batch result semantics. A cell whose plan has conv groups also folds
-// its conv fault records into per-trial epoch boundaries: one per
-// distinct step, since a joined group writes one record per member at
-// one step, and a trial's retry record drops the boundaries its failed
-// attempt left (injector records carry no attempt number).
-func reduceCell(c Cell, r io.Reader) (CellStats, error) {
+// reduceCell folds one journal's bytes, decoded by obs.ScanJournal.
+func reduceCell(c Cell, journal []byte) (CellStats, error) {
+	return foldJournal(c, func(fn func(*obs.ScanRec) error) (bool, error) {
+		return obs.ScanJournal(journal, fn)
+	})
+}
+
+// trialEnd is what a trial's last summary record says: how its last
+// attempt ended.
+type trialEnd struct {
+	converged bool
+	steps     uint64
+	valid     obs.Naming
+}
+
+// foldJournal folds the records scan delivers into the cell's stats;
+// scan reports whether the journal was torn. Supervised trials may
+// emit one summary record per attempt; the last record per trial wins,
+// mirroring the batch result semantics. A cell whose plan has conv
+// groups also folds its conv fault records into per-trial epoch
+// boundaries: one per distinct step, since a joined group writes one
+// record per member at one step, and a trial's retry record drops the
+// boundaries its failed attempt left (injector records carry no
+// attempt number).
+func foldJournal(c Cell, scan func(func(*obs.ScanRec) error) (bool, error)) (CellStats, error) {
 	cs := CellStats{Cell: c}
-	perTrial := make(map[int]*obs.Summary)
+	perTrial := make(map[int]trialEnd)
 	plan, _ := fault.Parse(c.Fault) // a bad plan already failed the cell's admission
 	epochs := plan.Conv()
 	var bounds map[int][]boundary
@@ -182,15 +201,15 @@ func reduceCell(c Cell, r io.Reader) (CellStats, error) {
 		bounds = make(map[int][]boundary)
 	}
 	sawBatch := false
-	torn, err := obs.ReadJournal(r, func(rec obs.Rec) error {
+	torn, err := scan(func(rec *obs.ScanRec) error {
 		switch rec.Type {
 		case "header":
 			if rec.Header.Seed != c.Seed {
 				return fmt.Errorf("journal seed %d does not match cell seed %d", rec.Header.Seed, c.Seed)
 			}
 		case "summary":
-			s := *rec.Summary
-			perTrial[s.Trial] = &s
+			s := &rec.Summary
+			perTrial[s.Trial] = trialEnd{converged: s.Converged, steps: s.Steps, valid: s.ValidNaming}
 		case "batch_summary":
 			sawBatch = true
 			cs.Trials = rec.Batch.Trials
@@ -198,7 +217,7 @@ func reduceCell(c Cell, r io.Reader) (CellStats, error) {
 			cs.Aborted = rec.Batch.Aborted
 			cs.Retried = rec.Batch.Retried
 		case "fault":
-			f := rec.Fault
+			f := &rec.Fault
 			switch f.Kind {
 			case "retry":
 				delete(bounds, f.Trial)
@@ -206,7 +225,7 @@ func reduceCell(c Cell, r io.Reader) (CellStats, error) {
 			default:
 				cs.FaultsInjected++
 				if b := bounds[f.Trial]; bounds != nil && f.Trigger == "conv" && (len(b) == 0 || b[len(b)-1].step != f.Step) {
-					bounds[f.Trial] = append(b, boundary{step: f.Step, valid: !knownInvalid(f.ValidNaming)})
+					bounds[f.Trial] = append(b, boundary{step: f.Step, valid: f.ValidNaming != obs.NamingInvalid})
 				}
 			}
 		}
@@ -222,7 +241,7 @@ func reduceCell(c Cell, r io.Reader) (CellStats, error) {
 		cs.Torn = true
 		cs.Trials = len(perTrial)
 		for _, s := range perTrial {
-			if s.Converged {
+			if s.converged {
 				cs.Converged++
 			}
 		}
@@ -233,8 +252,8 @@ func reduceCell(c Cell, r io.Reader) (CellStats, error) {
 	}
 	sort.Ints(trials)
 	for _, t := range trials {
-		if s := perTrial[t]; s.Converged {
-			cs.ConvergedSteps = append(cs.ConvergedSteps, float64(s.Steps))
+		if s := perTrial[t]; s.converged {
+			cs.ConvergedSteps = append(cs.ConvergedSteps, float64(s.steps))
 		}
 	}
 	cs.Steps = stats.Summarize(cs.ConvergedSteps)
@@ -244,17 +263,12 @@ func reduceCell(c Cell, r io.Reader) (CellStats, error) {
 	return cs, nil
 }
 
-// knownInvalid reports whether a journaled validNaming says the
-// configuration was not a valid naming. A journal written before the
-// field existed carries none: unknown, which does not fail an epoch.
-func knownInvalid(v *bool) bool { return v != nil && !*v }
-
 // epochStats measures epochs+1 epochs per trial from its boundaries
 // and final summary. Epoch e ends at the trial's e-th boundary, the
 // last epoch at its Steps once it converged with every group fired;
 // an epoch counts unless it ended in an invalid naming. Every one of
 // the cell's trials that did not measure an epoch is a failure of it.
-func epochStats(epochs, trials int, perTrial map[int]*obs.Summary, bounds map[int][]boundary) []EpochStat {
+func epochStats(epochs, trials int, perTrial map[int]trialEnd, bounds map[int][]boundary) []EpochStat {
 	steps := make([][]float64, epochs+1)
 	for t, s := range perTrial {
 		b := bounds[t]
@@ -265,8 +279,8 @@ func epochStats(epochs, trials int, perTrial map[int]*obs.Summary, bounds map[in
 			switch {
 			case e < len(b):
 				end, valid = b[e].step, b[e].valid
-			case e == epochs && s.Converged && len(b) == epochs:
-				end, valid = int64(s.Steps), !knownInvalid(s.ValidNaming)
+			case e == epochs && s.converged && len(b) == epochs:
+				end, valid = int64(s.steps), s.valid != obs.NamingInvalid
 			default:
 				continue // the trial never reached this epoch
 			}

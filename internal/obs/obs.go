@@ -38,9 +38,9 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 	"sync/atomic"
 
 	"popnaming/internal/core"
@@ -193,11 +193,27 @@ type RuleKey struct {
 	X2, Y2 core.State
 }
 
+// String renders the rule as "(x,y)->(x',y')", or "(L,x)->(L,x')" for
+// a leader rule. Observer.RuleCounts calls it for every rule a trial
+// fired, so it builds the text in one stack buffer.
 func (k RuleKey) String() string {
+	var buf [32]byte
+	b := append(buf[:0], '(')
 	if k.Leader {
-		return fmt.Sprintf("(L,%d)->(L,%d)", k.X, k.X2)
+		b = append(b, "L,"...)
+		b = strconv.AppendInt(b, int64(k.X), 10)
+		b = append(b, ")->(L,"...)
+		b = strconv.AppendInt(b, int64(k.X2), 10)
+	} else {
+		b = strconv.AppendInt(b, int64(k.X), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(k.Y), 10)
+		b = append(b, ")->("...)
+		b = strconv.AppendInt(b, int64(k.X2), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(k.Y2), 10)
 	}
-	return fmt.Sprintf("(%d,%d)->(%d,%d)", k.X, k.Y, k.X2, k.Y2)
+	return string(append(b, ')'))
 }
 
 // RuleCount pairs a rendered rule with its fire count, for summary

@@ -360,11 +360,11 @@ func prepare(spec Spec) (*validated, *Error) {
 }
 
 // validateRun checks the sim/batch sched/init keys — the init key by
-// capability, the scheduler by probing its builder once — so the
-// worker's per-attempt setup cannot fail. For count-engine
-// jobs (whose sched and init prepare already held to
-// sim.CountUnsupported) the probe is a throwaway CountRunner, which
-// also enforces the compiled-table state cap and the pair-weight
+// capability, the scheduler by sim.CheckAgentScheduler, the check
+// sim.AgentScheduler runs — so the worker's per-attempt setup cannot
+// fail. For count-engine jobs (whose sched and init prepare already
+// held to sim.CountUnsupported) the probe is a throwaway CountRunner,
+// which also enforces the compiled-table state cap and the pair-weight
 // overflow bound on N.
 func validateRun(v *validated) *Error {
 	sp := &v.spec
@@ -387,7 +387,7 @@ func validateRun(v *validated) *Error {
 	if err := checkInit(v.proto, sp.Init); err != nil {
 		return badRequest("%v", err)
 	}
-	if _, err := sim.AgentScheduler(v.proto, sp.N, sp.Sched, sp.Seed); err != nil {
+	if err := sim.CheckAgentScheduler(v.proto, sp.N, sp.Sched); err != nil {
 		return badRequest("%v", err)
 	}
 	return nil

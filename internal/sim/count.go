@@ -578,30 +578,44 @@ func AgentStart(p core.Protocol, n int, initKey string, seed int64) (*core.Confi
 
 // AgentScheduler builds the agent-engine scheduler for a scheduler key,
 // the counterpart of AgentStart: "random" draws pairs from seed,
-// "roundrobin" and "matching" are deterministic, and matching is
-// leaderless only and needs an even n. Other keys, and a population
-// with no pair to schedule (n < 1, or n < 2 without a leader), are an
-// error, reported before any constructor could panic on them.
+// "roundrobin" and "matching" are deterministic. A request
+// CheckAgentScheduler rejects is an error, reported before any
+// constructor could panic on it.
 func AgentScheduler(p core.Protocol, n int, key string, seed int64) (sched.Scheduler, error) {
-	withLeader := core.HasLeader(p)
-	if n < 1 || (n < 2 && !withLeader) {
-		return nil, fmt.Errorf("population n=%d (leader=%v) has no pair to schedule", n, withLeader)
+	if err := CheckAgentScheduler(p, n, key); err != nil {
+		return nil, err
 	}
 	switch key {
 	case "random":
-		return sched.NewRandom(n, withLeader, seed), nil
+		return sched.NewRandom(n, core.HasLeader(p), seed), nil
 	case "roundrobin":
-		return sched.NewRoundRobin(n, withLeader), nil
+		return sched.NewRoundRobin(n, core.HasLeader(p)), nil
+	}
+	return sched.NewMatching(n), nil
+}
+
+// CheckAgentScheduler reports why AgentScheduler would fail, without
+// building a scheduler: a population with no pair to schedule (n < 1,
+// or n < 2 without a leader), a matching scheduler with a leader or an
+// odd n, or a key other than random, roundrobin and matching.
+func CheckAgentScheduler(p core.Protocol, n int, key string) error {
+	withLeader := core.HasLeader(p)
+	if n < 1 || (n < 2 && !withLeader) {
+		return fmt.Errorf("population n=%d (leader=%v) has no pair to schedule", n, withLeader)
+	}
+	switch key {
+	case "random", "roundrobin":
+		return nil
 	case "matching":
 		if withLeader {
-			return nil, fmt.Errorf("matching scheduler is leaderless only")
+			return fmt.Errorf("matching scheduler is leaderless only")
 		}
 		if n%2 != 0 {
-			return nil, fmt.Errorf("matching scheduler needs an even population, got n=%d", n)
+			return fmt.Errorf("matching scheduler needs an even population, got n=%d", n)
 		}
-		return sched.NewMatching(n), nil
+		return nil
 	}
-	return nil, fmt.Errorf("unknown scheduler %q (random | roundrobin | matching)", key)
+	return fmt.Errorf("unknown scheduler %q (random | roundrobin | matching)", key)
 }
 
 // CountStart builds the count-space start for an initialization key:
