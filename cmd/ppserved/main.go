@@ -19,7 +19,10 @@
 //
 // Result cache: an identical seeded resubmission is answered, without
 // re-simulation, from the stored result log of the spec's first run.
-// The cache is an index over -store, with no budget of its own.
+// The cache is an index over -store, with no budget of its own. A hit
+// whose request sends Accept: application/x-ndjson gets its result
+// stream in the POST response (200), saving the GET round trip; every
+// other submission answers 202 with the job view.
 //
 // Shutdown: on SIGTERM or SIGINT the server stops admitting jobs
 // (503), finishes the queued and running ones within -grace, then

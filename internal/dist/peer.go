@@ -15,7 +15,9 @@ import (
 // Peer executes leases on a remote ppserved node over the v1 job API:
 // POST /v1/jobs with the original spec plus shard:{lo,hi}, then GET
 // /v1/jobs/{id}/results following the NDJSON stream to the terminal
-// job record. Peers own their health state: QuarantineAfter
+// job record. A lease the node has already run is a cache hit, and the
+// POST answers it with that stream, so a hit costs one request and a
+// miss two. Peers own their health state: QuarantineAfter
 // consecutive failures quarantine the peer, and a passing /readyz
 // probe readmits it (the probe doubles as the saturation signal — a
 // peer answering 503 saturated takes no leases until it drains).
@@ -121,19 +123,33 @@ func (p *Peer) probe(ctx context.Context) bool {
 // deduplicate re-submissions of the same shard through their
 // content-addressed result cache, so a re-issued lease that lands on a
 // node that already ran it is answered from that run's stored stream,
-// not re-simulated. One long-lived Peer (with its health window) serves
-// many jobs, each supplying its own bodies.
+// not re-simulated. The submit asks for NDJSON: a hit answers 200 with
+// its finished stream in the same response, and only a miss (202, the
+// job view) takes the second request. One long-lived Peer (with its
+// health window) serves many jobs, each supplying its own bodies.
 func (p *Peer) RunBody(ctx context.Context, r Range, body []byte) ([][]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.Base+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", "application/x-ndjson, application/json")
 	resp, err := p.client().Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("dist: submit %s: %w", r, err)
 	}
-	if resp.StatusCode != http.StatusAccepted {
+	switch resp.StatusCode {
+	case http.StatusOK:
+		// A cache hit, terminal at admission: a bad stream fails the
+		// attempt, and there is no running job to cancel.
+		lines, err := readShardStream(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, fmt.Errorf("dist: submit %s: cached stream: %w", r, err)
+		}
+		return lines, nil
+	case http.StatusAccepted:
+	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
 		return nil, fmt.Errorf("dist: submit %s: %s: %s", r, resp.Status, strings.TrimSpace(string(msg)))

@@ -76,13 +76,33 @@ func TestReadShardStream(t *testing.T) {
 	}
 }
 
-// fakePeer serves one job over the v1 routes the peer client uses,
-// answering the results request with stream and counting cancels.
-func fakePeer(t *testing.T, stream []byte) (*Peer, *atomic.Int32) {
+// fakeNodes are the two answers a ppserved node gives the peer
+// client's submit: a hit streams the finished job in the POST's 200
+// response, a miss answers 202 with the job view and serves the stream
+// on GET /results.
+var fakeNodes = []struct {
+	name     string
+	hit      bool
+	requests int32 // the requests one RunBody makes
+}{
+	{name: "hit", hit: true, requests: 1},
+	{name: "miss", requests: 2},
+}
+
+// fakePeer serves one job over the v1 routes the peer client uses:
+// with hit, the POST answers with stream; otherwise the results request
+// does. It counts the requests and, separately, the cancels.
+func fakePeer(t *testing.T, stream []byte, hit bool) (p *Peer, requests, cancels *atomic.Int32) {
 	t.Helper()
-	var cancels atomic.Int32
+	requests, cancels = new(atomic.Int32), new(atomic.Int32)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Location", "/v1/jobs/j9")
+		if hit && strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.Write(stream)
+			return
+		}
 		w.WriteHeader(http.StatusAccepted)
 		w.Write([]byte(`{"id":"j9"}`))
 	})
@@ -92,52 +112,84 @@ func fakePeer(t *testing.T, stream []byte) (*Peer, *atomic.Int32) {
 	mux.HandleFunc("POST /v1/jobs/j9/cancel", func(w http.ResponseWriter, r *http.Request) {
 		cancels.Add(1)
 	})
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(ts.Close)
-	return &Peer{Base: ts.URL}, &cancels
+	return &Peer{Base: ts.URL}, requests, cancels
 }
 
 // TestRunBodyStripsEnvelope pins the peer client's contract on a real
 // result stream: RunBody returns the lines between the header and the
 // terminal record byte for byte, and those lines normalize as a shard
-// of the lease.
+// of the lease — in one request when the node answers the submit with
+// the stream (a cache hit), in two when it answers 202 (a miss).
 func TestRunBodyStripsEnvelope(t *testing.T) {
 	stream := readPeerStream(t)
-	p, cancels := fakePeer(t, stream)
-	body, err := p.RunBody(context.Background(), peerStreamRange, []byte(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
 	lines := bytes.SplitAfter(stream, []byte("\n"))
 	want := lines[1 : len(lines)-2] // SplitAfter leaves an empty tail
-	if len(body) != len(want) {
-		t.Fatalf("got %d body lines, want %d", len(body), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(body[i], want[i]) {
-			t.Fatalf("body line %d = %q, want %q", i, body[i], want[i])
-		}
-	}
-	if _, _, err := normalizeShard(body, peerStreamRange); err != nil {
-		t.Fatal(err)
-	}
-	if n := cancels.Load(); n != 0 {
-		t.Fatalf("completed job canceled %d times", n)
+	for _, node := range fakeNodes {
+		t.Run(node.name, func(t *testing.T) {
+			p, requests, cancels := fakePeer(t, stream, node.hit)
+			body, err := p.RunBody(context.Background(), peerStreamRange, []byte(`{}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(body) != len(want) {
+				t.Fatalf("got %d body lines, want %d", len(body), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(body[i], want[i]) {
+					t.Fatalf("body line %d = %q, want %q", i, body[i], want[i])
+				}
+			}
+			if _, _, err := normalizeShard(body, peerStreamRange); err != nil {
+				t.Fatal(err)
+			}
+			if n := requests.Load(); n != node.requests {
+				t.Fatalf("RunBody made %d requests, want %d", n, node.requests)
+			}
+			if n := cancels.Load(); n != 0 {
+				t.Fatalf("completed job canceled %d times", n)
+			}
+		})
 	}
 }
 
 // TestRunBodyCancelsOnBadStream pins the failure path: a stream that
-// breaks the envelope contract fails the attempt and cancels the
-// abandoned job on the peer.
+// breaks the envelope contract fails the attempt on either answer to
+// the submit, and the abandoned job of a miss is canceled on the peer.
+// A hit's job is terminal at admission, so there is nothing to cancel.
 func TestRunBodyCancelsOnBadStream(t *testing.T) {
 	stream := readPeerStream(t)
-	headerless := stream[bytes.IndexByte(stream, '\n')+1:]
-	p, cancels := fakePeer(t, headerless)
-	if _, err := p.RunBody(context.Background(), peerStreamRange, []byte(`{}`)); err == nil {
-		t.Fatal("headerless stream accepted")
-	}
-	if n := cancels.Load(); n != 1 {
-		t.Fatalf("abandoned job canceled %d times, want 1", n)
+	lastNL := bytes.LastIndexByte(stream[:len(stream)-1], '\n')
+	for _, bad := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"headerless", stream[bytes.IndexByte(stream, '\n')+1:]},
+		{"truncated", stream[:len(stream)/2]},
+		{"not done", append(bytes.Clone(stream[:lastNL+1]), `{"v":1,"type":"job","id":"j9","state":"failed","error":"boom"}`+"\n"...)},
+	} {
+		for _, node := range fakeNodes {
+			t.Run(bad.name+"/"+node.name, func(t *testing.T) {
+				p, requests, cancels := fakePeer(t, bad.stream, node.hit)
+				if _, err := p.RunBody(context.Background(), peerStreamRange, []byte(`{}`)); err == nil {
+					t.Fatalf("%s stream accepted", bad.name)
+				}
+				want := int32(1)
+				if node.hit {
+					want = 0
+				}
+				if n := cancels.Load(); n != want {
+					t.Fatalf("abandoned job canceled %d times, want %d", n, want)
+				}
+				if n := requests.Load() - cancels.Load(); n != node.requests {
+					t.Fatalf("RunBody made %d requests, want %d", n, node.requests)
+				}
+			})
+		}
 	}
 }
 

@@ -44,9 +44,13 @@ func (v Verdict) String() string {
 // execution: the predicate holds throughout and the mobile-state vector
 // is frozen across the component (the naming problem requires the mobile
 // names, not the leader's internals, to eventually stop changing). On
-// canonical (multiset-quotient) graphs a multi-member component cannot
-// distinguish frozen names from name swaps, so only singleton silent
-// components are accepted there.
+// canonical (multiset-quotient) graphs a component cannot distinguish
+// frozen names from name swaps: a rule that only swaps two agents'
+// names maps a census to itself, so even a singleton may be a live
+// limit. Only a silent representative certifies frozen names there; it
+// also rules out multi-member components, whose members all have a
+// census-changing move. (On an identity graph a terminal singleton is
+// silent.)
 func (g *Graph) classify(s *SCC, accept Predicate) (ok bool, reason string, witness *core.Config) {
 	first := g.Nodes[s.Members[0]]
 	for _, id := range s.Members {
@@ -58,8 +62,8 @@ func (g *Graph) classify(s *SCC, accept Predicate) (ok bool, reason string, witn
 			return false, fmt.Sprintf("limit component has %d configurations with differing mobile states", len(s.Members)), c
 		}
 	}
-	if g.canonical && len(s.Members) > 1 {
-		return false, fmt.Sprintf("limit component has %d configurations (canonical graph cannot certify frozen names)", len(s.Members)), first
+	if g.canonical && !core.Silent(g.Proto, first) {
+		return false, fmt.Sprintf("limit component of %d censuses is not silent (canonical graph cannot certify frozen names)", len(s.Members)), first
 	}
 	return true, "", nil
 }

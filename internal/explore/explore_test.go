@@ -285,13 +285,13 @@ func TestAsymmetricLassoUsesOrientations(t *testing.T) {
 	}
 }
 
-// TestCanonicalGlobalAgreesWithIdentity: for a symmetric protocol the
-// canonical (multiset-quotient) graph reaches the same CheckGlobal
-// verdict as the identity-preserving graph, at a fraction of the size.
+// TestCanonicalGlobalAgreesWithIdentity: the canonical
+// (multiset-quotient) graph reaches the same CheckGlobal verdict as the
+// identity-preserving graph, at a fraction of the size. The swap table
+// only exchanges two agents' names: on the quotient its one census
+// loops to itself, a terminal singleton that is not silent, and must
+// fail as the identity graph's two-configuration cycle does.
 func TestCanonicalGlobalAgreesWithIdentity(t *testing.T) {
-	pr := core.NewRuleTable("bw", 4, 2).
-		AddSymmetric(0, 0, 1, 1).
-		AddSymmetric(0, 1, 1, 0)
 	allBlackP := func(c *core.Config) bool {
 		for _, s := range c.Mobile {
 			if s != 1 {
@@ -300,21 +300,36 @@ func TestCanonicalGlobalAgreesWithIdentity(t *testing.T) {
 		}
 		return true
 	}
-	starts := []*core.Config{core.NewConfigStates(1, 0, 0, 0)}
-	idGraph, err := Build(pr, starts, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	canGraph, err := Build(pr, starts, Options{Canonical: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canGraph.Size() >= idGraph.Size() {
-		t.Fatalf("quotient did not shrink the graph: %d vs %d", canGraph.Size(), idGraph.Size())
-	}
-	vi := idGraph.CheckGlobal(allBlackP)
-	vc := canGraph.CheckGlobal(allBlackP)
-	if vi.OK != vc.OK {
-		t.Fatalf("verdicts disagree: identity %v, canonical %v", vi.OK, vc.OK)
+	for _, tc := range []struct {
+		name   string
+		pr     core.Protocol
+		start  *core.Config
+		accept Predicate
+		ok     bool
+	}{
+		{"black-white", core.NewRuleTable("bw", 4, 2).
+			AddSymmetric(0, 0, 1, 1).
+			AddSymmetric(0, 1, 1, 0), core.NewConfigStates(1, 0, 0, 0), allBlackP, false},
+		{"swap", core.NewRuleTable("swap", 2, 2).Add(0, 1, 1, 0), core.NewConfigStates(0, 1), Naming, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			starts := []*core.Config{tc.start}
+			idGraph, err := Build(tc.pr, starts, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			canGraph, err := Build(tc.pr, starts, Options{Canonical: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if canGraph.Size() >= idGraph.Size() {
+				t.Fatalf("quotient did not shrink the graph: %d vs %d", canGraph.Size(), idGraph.Size())
+			}
+			vi := idGraph.CheckGlobal(tc.accept)
+			vc := canGraph.CheckGlobal(tc.accept)
+			if vi.OK != tc.ok || vc.OK != tc.ok {
+				t.Fatalf("verdicts: identity %v, canonical %v, want OK=%v", vi, vc, tc.ok)
+			}
+		})
 	}
 }

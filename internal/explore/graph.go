@@ -58,9 +58,12 @@ type Options struct {
 	// space exceeds MaxNodes, exactly as in a sequential build.
 	MaxNodes int
 	// Canonical quotients configurations by agent permutation
-	// (multiset semantics). Sound for global-fairness analysis of the
-	// permutation-invariant predicates used here; weak-fairness analysis
-	// requires identity-preserving graphs and rejects this option.
+	// (multiset semantics). The quotient hides moves that only permute
+	// names, so CheckGlobal on it accepts a terminal census only if it
+	// is a single silent configuration; with that check it agrees with
+	// the identity graph for the permutation-invariant predicates used
+	// here. Weak-fairness analysis requires identity-preserving graphs
+	// and rejects this option.
 	Canonical bool
 	// Workers > 1 expands BFS frontiers with a pool of goroutines and
 	// hash-sharded intern maps. The resulting graph is identical to a

@@ -54,7 +54,8 @@ func (LocalRunner) RunCell(ctx context.Context, sp *Spec, c Cell, w io.Writer) e
 // failure, bounded retries with backoff. Identical resubmissions hit
 // the node's content-addressed result cache, which answers them from
 // the stored stream of the spec's first run, so re-running an
-// unchanged grid costs the server no simulation work.
+// unchanged grid costs the server no simulation work, and each cached
+// cell one request (the stream comes back in the submit's response).
 type ServerRunner struct {
 	// Peer is the target node (Base URL required).
 	Peer *dist.Peer

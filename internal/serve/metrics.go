@@ -48,7 +48,8 @@ type routeMetric struct {
 // kindMetric splits one job kind's latency into its phases: time in
 // the queue (admission -> execution start, microseconds), execution
 // wall clock (milliseconds) and result-stream connection time
-// (milliseconds, one observation per /results request).
+// (milliseconds, one observation per stream written: each /results
+// request, and each cache hit answered in its POST response).
 type kindMetric struct {
 	queueWaitUS obs.Histogram
 	execMS      obs.Histogram

@@ -409,28 +409,31 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 // body goes through exactly this path). On rejection the *Error
 // carries the HTTP status and, for fault-plan errors, the offending
 // token's location.
-func (s *Server) Submit(spec Spec) (*Job, *Error) { return s.submit(spec, "") }
+func (s *Server) Submit(spec Spec) (*Job, *Error) {
+	j, _, err := s.submit(spec, "")
+	return j, err
+}
 
 // submit is the admission path. clientKey, when non-empty, is the
 // caller's Idempotency-Key header: it must equal the canonical spec
 // hash (the key the server would compute), turning it into an
 // end-to-end check that the client resubmitted the spec it thinks it
-// did. A cache hit returns a job that is terminal before this function
-// returns, its stream copied from the stored stream of the key's
-// source job.
-func (s *Server) submit(spec Spec, clientKey string) (*Job, *Error) {
+// did. The bool reports a cache hit: a job that is terminal before
+// this function returns, its stream copied from the stored stream of
+// the key's source job.
+func (s *Server) submit(spec Spec, clientKey string) (*Job, bool, *Error) {
 	v, verr := prepare(spec)
 	if verr != nil {
-		return nil, verr
+		return nil, false, verr
 	}
 	canonical, err := canonicalSpec(v)
 	if err != nil {
-		return nil, &Error{Status: http.StatusInternalServerError, Kind: "internal",
+		return nil, false, &Error{Status: http.StatusInternalServerError, Kind: "internal",
 			Message: fmt.Sprintf("canonicalize spec: %v", err)}
 	}
 	key := cacheKey(canonical)
 	if clientKey != "" && clientKey != key {
-		return nil, &Error{Status: http.StatusBadRequest, Kind: "idempotency-mismatch",
+		return nil, false, &Error{Status: http.StatusBadRequest, Kind: "idempotency-mismatch",
 			Message: fmt.Sprintf("Idempotency-Key %q does not match the canonical spec hash %s", clientKey, key)}
 	}
 	// The source's log is read before s.mu is taken: admission never
@@ -440,7 +443,7 @@ func (s *Server) submit(spec Spec, clientKey string) (*Job, *Error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, &Error{Status: http.StatusServiceUnavailable, Kind: "draining",
+		return nil, false, &Error{Status: http.StatusServiceUnavailable, Kind: "draining",
 			Message: "server is draining; no new jobs accepted"}
 	}
 	if !hit {
@@ -454,7 +457,7 @@ func (s *Server) submit(spec Spec, clientKey string) (*Job, *Error) {
 			depth := len(s.queue)
 			s.met.rejected.Inc()
 			s.mu.Unlock()
-			return nil, &Error{Status: http.StatusTooManyRequests, Kind: "queue-full",
+			return nil, false, &Error{Status: http.StatusTooManyRequests, Kind: "queue-full",
 				Message:       fmt.Sprintf("job queue full (%d queued)", depth),
 				RetryAfterSec: s.retryAfterSec(depth),
 			}
@@ -468,7 +471,7 @@ func (s *Server) submit(spec Spec, clientKey string) (*Job, *Error) {
 		j.cancel()
 		s.nextID-- // the ID was never exposed
 		s.mu.Unlock()
-		return nil, &Error{Status: http.StatusInternalServerError, Kind: "store",
+		return nil, false, &Error{Status: http.StatusInternalServerError, Kind: "store",
 			Message: fmt.Sprintf("job store admit: %v", err)}
 	}
 	s.jobs[id] = j
@@ -478,12 +481,12 @@ func (s *Server) submit(spec Spec, clientKey string) (*Job, *Error) {
 		s.met.cacheHits.Inc()
 		s.mu.Unlock()
 		s.completeFromCache(j, lines, summary)
-		return j, nil
+		return j, true, nil
 	}
 	s.queue <- j
 	s.mu.Unlock()
 	_ = s.sink.Emit(j.rec())
-	return j, nil
+	return j, false, nil
 }
 
 // completeFromCache finishes a cache-hit job without running it: the
@@ -701,14 +704,38 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("bad job body: %v", err))
 		return
 	}
-	j, jerr := s.submit(spec, r.Header.Get("Idempotency-Key"))
+	j, hit, jerr := s.submit(spec, r.Header.Get("Idempotency-Key"))
 	if jerr != nil {
 		writeError(w, jerr)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	w.Header().Set("Idempotency-Key", j.key)
+	if hit && acceptsNDJSON(r) {
+		// A hit is terminal at admission, so its whole stream is known:
+		// answering with it spares the client the GET /results round
+		// trip. A miss still answers 202 at once and never blocks on the
+		// run.
+		s.stream(w, r, j, true)
+		return
+	}
 	writeJSON(w, http.StatusAccepted, j.view())
+}
+
+// acceptsNDJSON reports whether r's Accept header lists the NDJSON
+// media type (parameters ignored).
+func acceptsNDJSON(r *http.Request) bool {
+	for _, v := range r.Header.Values("Accept") {
+		for v != "" {
+			var mt string
+			mt, v, _ = strings.Cut(v, ",")
+			mt, _, _ = strings.Cut(mt, ";")
+			if strings.EqualFold(strings.TrimSpace(mt), ndjsonType) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -742,6 +769,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.view())
 }
 
+// ndjsonType is the media type of a result stream.
+const ndjsonType = "application/x-ndjson"
+
 // handleResults streams the job's result records as NDJSON. By
 // default the stream follows the job: records are flushed as the run
 // produces them and the connection closes when the job reaches a
@@ -754,12 +784,19 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			Message: fmt.Sprintf("no job %q", r.PathValue("id"))})
 		return
 	}
-	follow := r.URL.Query().Get("follow") != "false"
+	s.stream(w, r, j, r.URL.Query().Get("follow") != "false")
+}
+
+// stream answers r with j's result records: 200, NDJSON, one
+// connection-time observation in the job kind's stream histogram. It
+// is the one writer of a result stream, for GET /results and for a
+// cache hit's POST answer alike.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, j *Job, follow bool) {
 	if km := s.met.kinds[j.v.spec.Kind]; km != nil {
 		t0 := time.Now()
 		defer func() { km.streamMS.Observe(time.Since(t0).Milliseconds()) }()
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", ndjsonType)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 

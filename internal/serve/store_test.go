@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"maps"
 	"net/http"
 	"net/http/httptest"
@@ -210,22 +211,7 @@ func TestCacheHitServesWithoutRerun(t *testing.T) {
 
 	// The hit's stream is the original prefix verbatim (header included)
 	// plus its own terminal record carrying the new ID and the marker.
-	lines2 := streamLines(t, ts, v2.ID)
-	if len(lines2) != len(lines1) {
-		t.Fatalf("hit stream has %d records, original %d", len(lines2), len(lines1))
-	}
-	for i := 0; i < len(lines1)-1; i++ {
-		if !bytes.Equal(lines1[i], lines2[i]) {
-			t.Fatalf("record %d differs:\noriginal: %s\nhit:      %s", i, lines1[i], lines2[i])
-		}
-	}
-	var term JobRec
-	if err := json.Unmarshal(lines2[len(lines2)-1], &term); err != nil {
-		t.Fatal(err)
-	}
-	if term.ID != v2.ID || !term.Cached || term.State != string(StateDone) {
-		t.Fatalf("hit terminal record %+v, want id=%s cached done", term, v2.ID)
-	}
+	checkHitStream(t, streamLines(t, ts, v2.ID), lines1, v2.ID)
 
 	// A client key that does not match the canonical hash is a 400; the
 	// matching key is accepted and hits again.
@@ -237,6 +223,133 @@ func TestCacheHitServesWithoutRerun(t *testing.T) {
 	if status != http.StatusAccepted || !v3.Cached {
 		t.Fatalf("matching key: status %d cached=%v", status, v3.Cached)
 	}
+
+	// A hit that asks for NDJSON is answered with its stream: 200, the
+	// same headers, and the bytes GET /results serves for the job the
+	// Location names.
+	resp, body, err := postNDJSON(ts, spec, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/x-ndjson" {
+		t.Fatalf("NDJSON hit: status %d, content-type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	if got := resp.Header.Get("Idempotency-Key"); got != key {
+		t.Fatalf("NDJSON hit Idempotency-Key %q, want %q", got, key)
+	}
+	get, err := http.Get(ts.URL + resp.Header.Get("Location") + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := io.ReadAll(get.Body)
+	get.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, stored) {
+		t.Fatalf("NDJSON hit body differs from its /results stream:\npost: %s\nget:  %s", body, stored)
+	}
+	checkHitStream(t, records(body), lines1, strings.TrimPrefix(resp.Header.Get("Location"), "/v1/jobs/"))
+
+	// The header changes nothing else: a mismatched key is still the
+	// JSON 400, and a miss still answers 202 with its view.
+	resp, body, err = postNDJSON(ts, spec, "sha256:wrong")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Content-Type") != "application/json" ||
+		!bytes.Contains(body, []byte(`"idempotency-mismatch"`)) {
+		t.Fatalf("NDJSON mismatched key: status %d, %s", resp.StatusCode, body)
+	}
+	miss := spec
+	miss.Seed++
+	resp, body, err = postNDJSON(ts, miss, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vm JobView
+	if resp.StatusCode != http.StatusAccepted || json.Unmarshal(body, &vm) != nil || vm.ID == "" || vm.Cached {
+		t.Fatalf("NDJSON miss: status %d, %s", resp.StatusCode, body)
+	}
+
+	// Concurrent hits each get the source's prefix plus their own
+	// terminal record; the rounds give the race detector interleavings.
+	for round := 0; round < 25; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, body, err := postNDJSON(ts, spec, "")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("concurrent hit: status %d, %s", resp.StatusCode, body)
+					return
+				}
+				checkHitStream(t, records(body), lines1, strings.TrimPrefix(resp.Header.Get("Location"), "/v1/jobs/"))
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+}
+
+// postNDJSON submits spec asking for an NDJSON answer, with an
+// Idempotency-Key when key is set, and returns the response and its
+// whole body. It reports failures as errors, so goroutines may call it.
+func postNDJSON(ts *httptest.Server, spec Spec, key string) (*http.Response, []byte, error) {
+	body, err := json.Marshal(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", "application/x-ndjson")
+	if key != "" {
+		req.Header.Set("Idempotency-Key", key)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	return resp, b, err
+}
+
+// checkHitStream checks a cache hit's records (as streamLines reads
+// them): the source's records but the last, verbatim, then a done
+// terminal record of job id with the cached marker. It reports with
+// t.Error, so goroutines may call it.
+func checkHitStream(t *testing.T, lines, src [][]byte, id string) {
+	t.Helper()
+	if len(lines) != len(src) {
+		t.Errorf("hit %s stream has %d records, source %d", id, len(lines), len(src))
+		return
+	}
+	for i := 0; i < len(src)-1; i++ {
+		if !bytes.Equal(lines[i], src[i]) {
+			t.Errorf("hit %s record %d differs:\nsource: %s\nhit:    %s", id, i, src[i], lines[i])
+			return
+		}
+	}
+	var term JobRec
+	if err := json.Unmarshal(lines[len(lines)-1], &term); err != nil || term.ID != id || !term.Cached || term.State != string(StateDone) {
+		t.Errorf("hit %s terminal record %s (err %v), want it cached and done", id, lines[len(lines)-1], err)
+	}
+}
+
+// records splits an NDJSON body into its records, without newlines.
+func records(body []byte) [][]byte {
+	return bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
 }
 
 // TestRestartRestoresCompletedJobs pins terminal-job recovery: a second
