@@ -111,22 +111,13 @@ paper:
 # docs/paper_output.txt (make paper) and docs/experiments_output.txt
 # (experiments -seed 1 all) under .paper_out/ and compares each with the
 # checked-in file, leaving docs/ untouched. Both regenerate byte for
-# byte apart from E24's wall-clock fields: MASK_E24 blanks its wall and
-# steps/sec columns (trimming the cells, since those two columns set
-# their own widths) and its flatness ratio, on both sides.
-MASK_E24 = awk '/^E[0-9]+ /{e24 = $$1 == "E24"} \
-	e24 && /^\|/{n = split($$0, f, "|"); s = ""; \
-		for (i = 2; i < n; i++) {v = f[i]; gsub(/^ +| +$$/, "", v); s = s "|" (i == 5 || i == 6 ? "*" : v)} \
-		$$0 = s "|"} \
-	e24 && /^throughput flatness/{sub(/: .*/, ": *")} {print}'
+# byte.
 outputs:
 	@$(MAKE) --no-print-directory paper PAPER_OUT=.paper_out/paper_output.txt
 	@diff -u docs/paper_output.txt .paper_out/paper_output.txt || \
 		{ echo "docs/paper_output.txt is stale: run make paper"; exit 1; }
 	$(GO) run ./cmd/experiments -seed 1 all > .paper_out/experiments_output.txt
-	@$(MASK_E24) docs/experiments_output.txt > .paper_out/experiments_want.txt
-	@$(MASK_E24) .paper_out/experiments_output.txt > .paper_out/experiments_got.txt
-	@diff -u .paper_out/experiments_want.txt .paper_out/experiments_got.txt || \
+	@diff -u docs/experiments_output.txt .paper_out/experiments_output.txt || \
 		{ echo "docs/experiments_output.txt is stale: regenerate it with go run ./cmd/experiments -seed 1 all"; exit 1; }
 	@echo "checked-in outputs are current"
 

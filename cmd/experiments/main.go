@@ -11,7 +11,6 @@
 //	experiments trajectory     convergence trajectories (E19)
 //	experiments distribution   exact convergence-time distributions (E20)
 //	experiments oracle         constructive proof schedules (E21)
-//	experiments countscale     count-engine throughput at N = 10^3…10^8 (E24)
 //	experiments all            everything above
 //
 // Every experiment is an entry of experiments.Suite(), which runs,
@@ -19,7 +18,9 @@
 // convergence-cost sweeps E12, E12b and E15 and the fault-recovery
 // campaigns E13 and E22 are campaign grids under examples/grids/paper/,
 // run by `make paper` through ppanalyze; E23, the count-vs-agent
-// differential, is the sim package's TestCountMatchesAgentDistribution.
+// differential, is the sim package's TestCountMatchesAgentDistribution,
+// and E24, count-engine throughput at N = 10^4…10^8, is its
+// BenchmarkCountEngineScale (make bench-count).
 //
 // Table 1 (E1) is sized by -p (simulation bound), -mcp (exhaustive
 // model-check bound), -budget (per-run interaction budget) and

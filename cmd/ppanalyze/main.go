@@ -68,10 +68,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "ppanalyze:", err)
 		return 2
 	}
-	if err := sp.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "ppanalyze:", err)
-		return 2
-	}
 	if sp.SeedDerived {
 		fmt.Fprintf(os.Stderr, "ppanalyze: seed auto-derived: %d (replay with \"seed\": %d)\n", sp.Seed, sp.Seed)
 	}

@@ -17,7 +17,7 @@ import (
 // /v1/jobs/{id}/results following the NDJSON stream to the terminal
 // job record. A lease the node has already run is a cache hit, and the
 // POST answers it with that stream, so a hit costs one request and a
-// miss two. Peers own their health state: QuarantineAfter
+// miss two. Peers own their health state: quarantineAfter
 // consecutive failures quarantine the peer, and a passing /readyz
 // probe readmits it (the probe doubles as the saturation signal — a
 // peer answering 503 saturated takes no leases until it drains).
@@ -27,14 +27,15 @@ type Peer struct {
 	// Client is the HTTP client; nil uses a default with sane
 	// timeouts (per-attempt deadlines come from the request context).
 	Client *http.Client
-	// QuarantineAfter is the consecutive-failure threshold; <= 0
-	// means 3.
-	QuarantineAfter int
 
 	mu          sync.Mutex
 	fails       int
 	quarantined bool
 }
+
+// quarantineAfter is the consecutive-failure threshold at which a peer
+// is quarantined.
+const quarantineAfter = 3
 
 // Name labels the peer in lease records.
 func (p *Peer) Name() string { return p.Base }
@@ -46,15 +47,8 @@ func (p *Peer) client() *http.Client {
 	return http.DefaultClient
 }
 
-func (p *Peer) threshold() int {
-	if p.QuarantineAfter <= 0 {
-		return 3
-	}
-	return p.QuarantineAfter
-}
-
 // Observe records an attempt outcome: a success resets the failure
-// window, QuarantineAfter consecutive failures quarantine the peer.
+// window, quarantineAfter consecutive failures quarantine the peer.
 func (p *Peer) Observe(ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -64,7 +58,7 @@ func (p *Peer) Observe(ok bool) {
 		return
 	}
 	p.fails++
-	if p.fails >= p.threshold() {
+	if p.fails >= quarantineAfter {
 		p.quarantined = true
 	}
 }

@@ -66,11 +66,6 @@ func Suite() []SuiteEntry {
 			func(o SuiteOptions) ([]DistPoint, bool) { return Distributions(2000, o.Seed), true }, RenderDistributions),
 		suiteEntry("oracle", "E21", "constructive proof schedules", "oracleSchedules",
 			func(o SuiteOptions) ([]OraclePoint, bool) { return OracleSchedules(o.Seed), true }, RenderOracle),
-		suiteEntry("countscale", "E24", "count-engine throughput at N = 10^3...10^8", "countScale",
-			func(o SuiteOptions) (CountScaleResult, bool) {
-				cs := CountScale(CountScaleOptions{Seed: o.Seed})
-				return cs, len(cs.Points) > 0
-			}, RenderCountScale),
 	}
 }
 

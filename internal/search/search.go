@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"popnaming/internal/core"
 	"popnaming/internal/explore"
@@ -88,13 +87,6 @@ type Options struct {
 	// (DefaultMaxNodes when zero). Candidates that overflow it are
 	// counted in Result.Inconclusive.
 	MaxNodes int
-	// StopOnSurvivor cancels the remaining candidates as soon as any
-	// worker finds a survivor — the early exit for refutation-style
-	// searches, where a single survivor already falsifies the claim
-	// being checked. A cancelled Result reports only the candidates
-	// actually evaluated (Protocols < the full space) and is not
-	// deterministic across worker counts.
-	StopOnSurvivor bool
 }
 
 // Survivor records a candidate that passed every convergence check —
@@ -253,17 +245,16 @@ func SymmetricNaming(q int, sizes []int, fairness Fairness, init Init) Result {
 	return SymmetricNamingOpts(q, sizes, fairness, init, Options{})
 }
 
-// SymmetricNamingOpts is SymmetricNaming with explicit worker, node
-// budget, and cancellation options. The candidate space is split into
+// SymmetricNamingOpts is SymmetricNaming with explicit worker and node
+// budget options. The candidate space is split into
 // Options.Workers contiguous shards; each worker reuses one RuleTable
 // across its shard and shares the precomputed start sets (Build never
 // mutates or aliases them). Shard results are concatenated in shard
 // order, which is enumeration order, so the Result — survivor set,
-// Protocols, Inconclusive — is byte-identical at any worker count
-// (unless StopOnSurvivor cancels the search early).
+// Protocols, Inconclusive — is byte-identical at any worker count.
 func SymmetricNamingOpts(q int, sizes []int, fairness Fairness, init Init, opts Options) Result {
-	res := Result{Q: q, Sizes: sizes, Fairness: fairness, Init: init}
 	space := newSymSpace(q)
+	res := Result{Q: q, Sizes: sizes, Fairness: fairness, Init: init, Protocols: space.total}
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
@@ -298,23 +289,17 @@ func SymmetricNamingOpts(q int, sizes []int, fairness Fairness, init Init, opts 
 	}
 
 	type shardOut struct {
-		processed    int
 		survivors    []Survivor
 		inconclusive []Candidate
 	}
 	outs := make([]shardOut, workers)
-	var cancelled atomic.Bool
 
 	runShard := func(w, lo, hi int) {
 		out := &outs[w]
-		out.processed = EnumerateSymmetricRange(q, lo, hi, func(idx int, t *core.RuleTable) bool {
-			if cancelled.Load() {
-				return false
-			}
-			found := false
+		EnumerateSymmetricRange(q, lo, hi, func(idx int, t *core.RuleTable) bool {
 			switch init {
 			case BestUniform:
-				sawInconclusive := false
+				found, sawInconclusive := false, false
 				for s0 := 0; s0 < q; s0++ {
 					switch checkAll(t, uniform[s0], fairness, maxNodes) {
 					case candidateSolved:
@@ -331,14 +316,9 @@ func SymmetricNamingOpts(q int, sizes []int, fairness Fairness, init Init, opts 
 				switch checkAll(t, arbitrary, fairness, maxNodes) {
 				case candidateSolved:
 					out.survivors = append(out.survivors, Survivor{Rules: t.Rules()})
-					found = true
 				case candidateInconclusive:
 					out.inconclusive = append(out.inconclusive, Candidate{Index: idx, Rules: t.Rules()})
 				}
-			}
-			if found && opts.StopOnSurvivor {
-				cancelled.Store(true)
-				return false
 			}
 			return true
 		})
@@ -361,7 +341,6 @@ func SymmetricNamingOpts(q int, sizes []int, fairness Fairness, init Init, opts 
 	}
 
 	for _, out := range outs {
-		res.Protocols += out.processed
 		res.Survivors = append(res.Survivors, out.survivors...)
 		res.Inconclusive = append(res.Inconclusive, out.inconclusive...)
 	}

@@ -242,19 +242,3 @@ func TestEnumerateRangeConcatenation(t *testing.T) {
 		}
 	}
 }
-
-// TestStopOnSurvivor: early cancellation must deliver a survivor
-// without evaluating the whole space (at worker counts where shards
-// remain after the hit).
-func TestStopOnSurvivor(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		r := SymmetricNamingOpts(2, []int{1}, Weak, Arbitrary,
-			Options{Workers: w, StopOnSurvivor: true})
-		if len(r.Survivors) == 0 {
-			t.Fatalf("workers=%d: StopOnSurvivor found no survivor in a space where all 16 survive", w)
-		}
-		if r.Protocols >= 16 {
-			t.Errorf("workers=%d: evaluated all %d candidates, expected early exit", w, r.Protocols)
-		}
-	}
-}

@@ -99,11 +99,12 @@ func (s *Server) leaseTimeout(r dist.Range) time.Duration {
 }
 
 // journalLease is the coordinator's Journal hook: counters, a v1
-// lease record into the service journal, and persistence. Completed
-// shards write their log before the lease record, so a crash between
-// the two re-issues the lease rather than restoring a missing shard;
-// a store write failure downgrades to the metrics counter — the job
-// still completes from RAM, durability is just lost for this lease.
+// lease record into the service journal, and persistence of completed
+// leases, the only ones restoredShards reads. A completed shard writes
+// its log before the lease record, so a crash between the two
+// re-issues the lease rather than restoring a missing shard; a store
+// write failure downgrades to the metrics counter — the job still
+// completes from RAM, durability is just lost for this lease.
 func (s *Server) journalLease(j *Job, ev dist.Event) {
 	switch ev.State {
 	case dist.StateIssued:
@@ -121,23 +122,16 @@ func (s *Server) journalLease(j *Job, ev dist.Event) {
 		s.met.leasesRestored.Inc()
 	}
 	_ = s.sink.Emit(obs.NewLeaseRec(j.ID, ev.Lease, ev.Range.Lo, ev.Range.Hi, ev.Epoch, ev.State, ev.Peer, ev.Reason))
-	snap := store.LeaseSnap{Idx: ev.Lease, Lo: ev.Range.Lo, Hi: ev.Range.Hi,
-		Epoch: ev.Epoch, State: store.LeaseIssued, Peer: ev.Peer}
-	switch ev.State {
-	case dist.StateIssued, dist.StateReissued:
-		if err := s.store.PutLease(j.ID, snap); err != nil {
-			s.met.storeWriteErrors.Inc()
-		}
-	case dist.StateCompleted:
-		if err := s.store.PutShard(j.ID, ev.Lease, ev.Shard); err != nil {
-			s.met.storeWriteErrors.Inc()
-			return
-		}
-		snap.State = store.LeaseCompleted
-		snap.Lines = ev.Lines
-		if err := s.store.PutLease(j.ID, snap); err != nil {
-			s.met.storeWriteErrors.Inc()
-		}
+	if ev.State != dist.StateCompleted {
+		return
+	}
+	if err := s.store.PutShard(j.ID, ev.Lease, ev.Shard); err != nil {
+		s.met.storeWriteErrors.Inc()
+		return
+	}
+	if err := s.store.PutLease(j.ID, store.LeaseSnap{Idx: ev.Lease, Lo: ev.Range.Lo, Hi: ev.Range.Hi,
+		Epoch: ev.Epoch, State: store.LeaseCompleted, Peer: ev.Peer, Lines: ev.Lines}); err != nil {
+		s.met.storeWriteErrors.Inc()
 	}
 }
 

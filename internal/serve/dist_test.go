@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -163,17 +164,48 @@ func TestDistChaosDeterminism(t *testing.T) {
 			t.Run(fmt.Sprintf("lease%d/%s", leaseTrials, sched.name), func(t *testing.T) {
 				p1 := newChaosProxy(t, peer1.URL, sched.script)
 				p2 := newChaosProxy(t, peer2.URL, sched.script)
-				s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8,
+				ls := &leaseStore{Memory: store.NewMemory()}
+				s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8, Store: ls,
 					Peers: []string{p1.URL, p2.URL}, LeaseTrials: leaseTrials,
 					DistRetries: 2, LeaseTimeout: 30 * time.Second})
 				got := runCanonical(t, ts, spec)
 				assertSameStream(t, got, want)
-				if s.met.leasesCompleted.Value() == 0 {
+				completed := s.met.leasesCompleted.Value()
+				if completed == 0 {
 					t.Fatal("no leases completed through the coordinator")
+				}
+				// Only completed leases reach the store, however many
+				// attempts the schedule failed and re-issued.
+				ls.mu.Lock()
+				states := ls.states
+				ls.mu.Unlock()
+				if uint64(len(states)) != completed {
+					t.Errorf("%d lease records stored, want one per completed lease (%d)", len(states), completed)
+				}
+				for _, st := range states {
+					if st != store.LeaseCompleted {
+						t.Errorf("stored lease state %q, want only %q: %v", st, store.LeaseCompleted, states)
+						break
+					}
 				}
 			})
 		}
 	}
+}
+
+// leaseStore wraps store.Memory and records the state of every lease
+// the server persists.
+type leaseStore struct {
+	*store.Memory
+	mu     sync.Mutex
+	states []string
+}
+
+func (l *leaseStore) PutLease(id string, snap store.LeaseSnap) error {
+	l.mu.Lock()
+	l.states = append(l.states, snap.State)
+	l.mu.Unlock()
+	return l.Memory.PutLease(id, snap)
 }
 
 // TestDistKillPeerMidJob kills one of two peers mid-campaign: the job

@@ -599,14 +599,12 @@ func (j *Job) fail(msg string) {
 
 // begin moves a queued job to running. It returns false when the job is
 // no longer runnable (canceled while queued, or its context is already
-// dead), leaving the state terminal. The in-memory transition and the
-// store's state record are both written under j.mu — as is the
-// terminal write in finalize — so a cancel racing worker pickup
-// serializes: whichever takes the lock first wins, and the store's
-// record order matches the order the job actually transitioned in
-// (the queued→canceled vs queued→running TOCTOU cannot journal a
-// canceled job as running).
-func (j *Job) begin(st JobStore) bool {
+// dead), leaving the state terminal. The transition happens under j.mu,
+// as does finalize's terminal write, so a cancel racing worker pickup
+// serializes: whichever takes the lock first wins. The store gets no
+// record here: recovery re-queues queued and running jobs alike, so
+// admission and the terminal record are all it reads.
+func (j *Job) begin() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
@@ -622,7 +620,6 @@ func (j *Job) begin(st JobStore) bool {
 	if !j.admitted.IsZero() {
 		j.queueWaitNS = j.started.Sub(j.admitted).Nanoseconds()
 	}
-	_ = st.SetState(j.ID, storeState(StateRunning))
 	return true
 }
 

@@ -24,7 +24,9 @@ type JobStore interface {
 	// Admit records a job admission with its canonical (validated,
 	// seed-resolved) spec.
 	Admit(id string, spec json.RawMessage, seedDerived bool) error
-	// SetState records a non-terminal lifecycle transition.
+	// SetState records a non-terminal state. The server writes one
+	// only when a restart re-queues a job (queued); recovery treats
+	// queued and running alike, so a job's start is not recorded.
 	SetState(id string, state string) error
 	// Finalize records the terminal transition and outcome.
 	Finalize(id string, fin store.Final) error
@@ -35,8 +37,9 @@ type JobStore interface {
 	// ReadResults returns result lines [from, to); to < 0 reads to the
 	// end of the log.
 	ReadResults(id string, from, to int) ([][]byte, error)
-	// PutLease records a lease transition of a distributed batch job
-	// (latest record per lease index wins on fold, completed sticky).
+	// PutLease records a completed lease of a distributed batch job,
+	// the one lease state recovery reads (latest record per lease
+	// index wins on fold, completed sticky).
 	PutLease(id string, l store.LeaseSnap) error
 	// PutShard replaces a completed lease's shard log. The server
 	// writes the shard before the completed lease record, so a

@@ -94,7 +94,7 @@ func newMetrics(s *Server) *metrics {
 	r.Gauge("ppserved_workers_active", "Workers currently executing a job.", func() float64 { return float64(atomic.LoadInt64(&m.active)) })
 	r.Gauge("ppserved_queue_depth", "Jobs waiting in the admission queue.", func() float64 { return float64(len(s.queue)) })
 	r.Gauge("ppserved_queue_capacity", "Admission queue capacity.", func() float64 { return float64(s.cfg.QueueCap) })
-	r.Gauge("ppserved_queue_high_watermark", "Queue depth at which /readyz turns unready.", func() float64 { return float64(s.cfg.HighWater) })
+	r.Gauge("ppserved_queue_high_watermark", "Queue depth at which /readyz turns unready.", func() float64 { return float64(s.highWater()) })
 	r.Gauge("ppserved_draining", "1 while the server is draining, else 0.", readyIs("draining"))
 	r.Gauge("ppserved_ready", "1 while /readyz answers 200, else 0.", readyIs("ready"))
 	r.Counter("ppserved_jobs_submitted_total", "Jobs admitted to the queue.", &m.submitted)

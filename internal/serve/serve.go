@@ -49,13 +49,10 @@ type Config struct {
 	// Workers is the job worker pool size (0: GOMAXPROCS).
 	Workers int
 	// QueueCap bounds the job queue; a submission beyond it is
-	// rejected with 429 (0: 64).
+	// rejected with 429 (0: 64). GET /readyz answers 503 once the
+	// queue holds 80% of it (at least 1 job), so load balancers stop
+	// routing before submissions start drawing 429s.
 	QueueCap int
-	// HighWater is the queue-depth readiness threshold: GET /readyz
-	// answers 503 once the queue holds this many jobs, so load
-	// balancers stop routing before submissions start drawing 429s
-	// (0: 80% of QueueCap, at least 1).
-	HighWater int
 	// Sink, when non-nil, receives the service journal: one JobRec per
 	// lifecycle transition of every job. It must be safe for
 	// concurrent use (obs.JournalSink is).
@@ -166,15 +163,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
-	}
-	if cfg.HighWater <= 0 {
-		cfg.HighWater = cfg.QueueCap * 8 / 10
-		if cfg.HighWater < 1 {
-			cfg.HighWater = 1
-		}
-	}
-	if cfg.HighWater > cfg.QueueCap {
-		cfg.HighWater = cfg.QueueCap
 	}
 	if cfg.Sink == nil {
 		cfg.Sink = obs.Discard
@@ -493,8 +481,7 @@ func (s *Server) submit(spec Spec, clientKey string) (*Job, bool, *Error) {
 // source's stream replays into the buffer, the job jumps straight to
 // done with the source's summary and the cached marker, and the
 // standard finalize path appends the terminal record, persists the
-// outcome and journals it. The store sees only admit + terminal for
-// such jobs — there was no queued or running phase to record.
+// outcome and journals it.
 func (s *Server) completeFromCache(j *Job, lines [][]byte, summary *JobSummary) {
 	j.buf.appendRaw(lines)
 	j.mu.Lock()
@@ -520,7 +507,7 @@ func (s *Server) Job(id string) (*Job, bool) {
 // with the terminal record appended to the result stream and the
 // service journal and the buffer closed so streaming clients get EOF.
 func (s *Server) runJob(j *Job) {
-	if !j.begin(s.store) {
+	if !j.begin() {
 		s.finalize(j)
 		return
 	}
@@ -891,12 +878,16 @@ func (s *Server) Ready() (bool, string) {
 	switch {
 	case s.draining:
 		return false, "draining"
-	case len(s.queue) >= s.cfg.HighWater:
+	case len(s.queue) >= s.highWater():
 		return false, "saturated"
 	default:
 		return true, "ready"
 	}
 }
+
+// highWater is the queue depth at which the server turns unready: 80%
+// of QueueCap, at least 1.
+func (s *Server) highWater() int { return max(s.cfg.QueueCap*8/10, 1) }
 
 // handleReady is the readiness probe: 503 while draining or while the
 // queue sits at or above the high-watermark, so load balancers stop
@@ -913,7 +904,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, map[string]any{
 		"status":     reason,
 		"queueDepth": depth,
-		"highWater":  s.cfg.HighWater,
+		"highWater":  s.highWater(),
 	})
 }
 

@@ -667,11 +667,11 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestReadyz pins the readiness probe: ready while idle, 503
-// "saturated" once the queue reaches the high-watermark, 503
-// "draining" after drain starts — distinct from /healthz, which stays
-// 200 throughout.
+// "saturated" once the queue reaches the high-watermark (one job at
+// QueueCap 2), 503 "draining" after drain starts — distinct from
+// /healthz, which stays 200 throughout.
 func TestReadyz(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4, HighWater: 1})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 2})
 	if code, status := probe(t, ts.URL+"/readyz"); code != http.StatusOK || status != "ready" {
 		t.Fatalf("idle readyz: %d %q", code, status)
 	}

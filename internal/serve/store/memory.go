@@ -44,8 +44,7 @@ func (m *Memory) Admit(id string, spec json.RawMessage, seedDerived bool) error 
 	return m.record(Rec{T: RecAdmit, ID: id, Spec: append(json.RawMessage(nil), spec...), SeedDerived: seedDerived})
 }
 
-// SetState records a non-terminal transition (queued on re-queue,
-// running on pickup).
+// SetState records a non-terminal transition (queued on re-queue).
 func (m *Memory) SetState(id, state string) error {
 	return m.record(Rec{T: RecState, ID: id, State: state})
 }

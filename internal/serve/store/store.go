@@ -8,11 +8,12 @@
 // interface and the deployment picks the durability.
 //
 // The WAL record stream is the source of truth for job lifecycle:
-// one CRC-framed JSON record per admission ("admit") and per state
-// transition ("state"), folded at open into per-job snapshots in
-// admission order. Terminal states are sticky under Fold, so a
-// late-arriving "running" record (a crash-window reordering) can never
-// resurrect a finished job. Result logs live outside the WAL in
+// one CRC-framed JSON record per admission ("admit") and per recorded
+// state ("state": the terminal outcome, and "queued" when a restart
+// re-queues a job), folded at open into per-job snapshots in admission
+// order. Terminal states are sticky under Fold, so a late-arriving
+// state record (a crash-window reordering) can never resurrect a
+// finished job. Result logs live outside the WAL in
 // results/<id>.ndjson, referenced by the terminal record's line count.
 package store
 
@@ -36,8 +37,8 @@ const (
 	// count).
 	RecState = "state"
 	// RecLease records a lease transition of a distributed batch job
-	// (see internal/dist): the coordinator persists issued/completed
-	// lease state so a crash-restart re-issues only incomplete leases.
+	// (see internal/dist): the coordinator persists completed leases
+	// so a crash-restart re-issues only incomplete ones.
 	RecLease = "lease"
 )
 
@@ -182,8 +183,9 @@ func DecodeRec(line []byte) (Rec, error) {
 // Fold replays a record sequence into per-job snapshots in admission
 // order. Unknown job IDs and duplicate admissions are ignored, and
 // terminal states are sticky: once a job is done/failed/canceled, later
-// state records (e.g. a "running" written concurrently with a racing
-// cancel in the crash window) cannot change it.
+// state records cannot change it. Logs written by earlier versions
+// hold "running" state and "issued" lease records; they fold like any
+// other non-terminal record.
 func Fold(recs []Rec) []Snapshot {
 	idx := make(map[string]int)
 	lidx := make(map[string]map[int]int) // job -> lease idx -> position in Leases

@@ -418,11 +418,13 @@ func TestRestartRestoresCompletedJobs(t *testing.T) {
 }
 
 // probeStore wraps store.Memory for the result-cache tests: it counts
-// ReadResults calls per job and fails the ones a test switches off.
+// ReadResults calls per job and SetState calls, and fails the ones a
+// test switches off.
 type probeStore struct {
 	*store.Memory
 	mu        sync.Mutex
 	reads     map[string]int
+	setStates int
 	failRead  string // ReadResults of this job ID fails
 	failAdmit bool   // every Admit fails
 }
@@ -440,6 +442,13 @@ func (p *probeStore) ReadResults(id string, from, to int) ([][]byte, error) {
 		return nil, errors.New("result log unreadable")
 	}
 	return p.Memory.ReadResults(id, from, to)
+}
+
+func (p *probeStore) SetState(id, state string) error {
+	p.mu.Lock()
+	p.setStates++
+	p.mu.Unlock()
+	return p.Memory.SetState(id, state)
 }
 
 func (p *probeStore) Admit(id string, spec json.RawMessage, seedDerived bool) error {
@@ -462,7 +471,9 @@ func (p *probeStore) readCounts() map[string]int {
 // TestRestartReadsNoResultLog pins that the result cache is an index
 // over the store, not a copy of it: booting over k done jobs reads no
 // result log yet indexes all k, and the first identical resubmission
-// reads its source's log exactly once.
+// reads its source's log exactly once. A finished miss writes no
+// SetState record: the store holds its admission and terminal records
+// only.
 func TestRestartReadsNoResultLog(t *testing.T) {
 	ps := newProbeStore()
 	s1, err := New(Config{Workers: 1, QueueCap: 8, Store: ps})
@@ -478,6 +489,12 @@ func TestRestartReadsNoResultLog(t *testing.T) {
 		<-j.ctx.Done() // finalize releases the job context
 	}
 	s1.Close()
+	ps.mu.Lock()
+	setStates := ps.setStates
+	ps.mu.Unlock()
+	if setStates != 0 {
+		t.Fatalf("%d finished misses made %d SetState calls, want 0", k, setStates)
+	}
 	before := ps.readCounts()
 
 	s2, err := New(Config{Workers: 1, QueueCap: 8, Store: ps})
