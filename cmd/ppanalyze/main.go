@@ -19,7 +19,9 @@
 // values, so re-running the grid — locally, against a server, or
 // resumed — rewrites identical artifacts. -resume skips cells whose
 // journals under out/journals/ are already complete; -workers bounds
-// concurrently running cells.
+// the cells that run at once, and processors beyond -workers
+// (GOMAXPROCS) finish cells: they write each journal and reduce it
+// while the workers run the next cells.
 //
 // The process exits 0 when every cell ran (or resumed) cleanly, 1 on
 // cell failures (the summary still covers the successful cells) and 2

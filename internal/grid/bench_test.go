@@ -5,6 +5,8 @@ import (
 	"context"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -115,6 +117,46 @@ func BenchmarkGridServerCached(b *testing.B) {
 // server-cold and server-cached) at its default seed: 24 exact-size
 // cells, half of them with a step fault, half from arbitrary starts.
 const smallGrid = `{"protocols":["asym","selfstab","symglobal"],"populations":[{"p":6,"n":4},{"p":6,"n":6}],"inits":["zero","arbitrary"],"faults":["","@100:corrupt=2"],"trials":4,"budget":300000,"seed":1}`
+
+// BenchmarkCampaignExecute is the whole-campaign rung: the small grid
+// through Campaign.Execute with LocalRunner and one cell worker, so the
+// journal files, the reduction and the artifact files are timed with
+// the cells. Each iteration runs at a fresh master seed; its output is
+// read for allocations and removed outside the timer. It reports
+// cells/s and allocs/cell. Run it with TMPDIR on a tmpfs, at -cpu 1,2:
+// at -cpu 1 no processor is spare to finish cells.
+func BenchmarkCampaignExecute(b *testing.B) {
+	sp, err := Parse(strings.NewReader(smallGrid))
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := filepath.Join(b.TempDir(), "campaign")
+	cells := len(sp.Cells())
+	var mallocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp.Seed = int64(1000 + i)
+		var m0, m1 runtime.MemStats
+		b.StopTimer()
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		cp := &Campaign{Spec: sp, Runner: LocalRunner{}, Out: out, Workers: 1}
+		if _, err := cp.Execute(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		mallocs += m1.Mallocs - m0.Mallocs
+		if err := os.RemoveAll(out); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	n := float64(b.N * cells)
+	b.ReportMetric(n/b.Elapsed().Seconds(), "cells/s")
+	b.ReportMetric(float64(mallocs)/n, "allocs/cell")
+}
 
 // BenchmarkReduceCell is the journal-decode rung: it reduces the small
 // grid's 24 journals from memory, with the reducer's obs.ScanJournal

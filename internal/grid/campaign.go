@@ -8,7 +8,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"popnaming/internal/report"
 )
@@ -25,7 +27,8 @@ type Campaign struct {
 	Out string
 	// Workers bounds concurrently running cells (default 1 — cells
 	// are internally sequential for determinism, so campaign-level
-	// fan-out is the parallelism knob).
+	// fan-out is the parallelism knob). Processors beyond Workers
+	// finish cells (see Execute).
 	Workers int
 	// Resume skips cells whose journal is already complete (intact
 	// tail, matching seed, full batch summary) instead of re-running
@@ -69,8 +72,14 @@ func (cp *Campaign) logf(format string, args ...any) {
 // campaign-level failures (bad spec, unwritable directory, a journal
 // that does not reduce).
 //
-// Each cell is reduced as it finishes, from the journal bytes it just
-// wrote, so every worker holds one journal in memory at a time.
+// A worker runs a cell into a journal buffer; finishing the cell
+// (writing the journal to its path and reducing the same bytes) goes to
+// an idle finisher when there is one, and the worker runs its next
+// cell. There is one finisher per spare processor (GOMAXPROCS beyond
+// Workers), so there are none at Workers ≥ GOMAXPROCS and the worker
+// finishes every cell itself: a finisher that shared a processor with
+// the workers would slow the cells it waits for. A journal is in
+// memory only while its cell runs or finishes.
 func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 	if err := cp.Spec.Validate(); err != nil {
 		return nil, err
@@ -81,50 +90,78 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 	cells := cp.Spec.Cells()
 	res := &Result{Cells: cells}
 	outs := make([]cellOutcome, len(cells))
-	workers := cp.Workers
-	if workers < 1 {
-		workers = 1
+	workers := max(cp.Workers, 1)
+	spare := max(min(runtime.GOMAXPROCS(0)-workers, len(cells)), 0)
+	workers = min(workers, len(cells))
+	var mu sync.Mutex
+	record := func(i int, out cellOutcome) {
+		mu.Lock()
+		defer mu.Unlock()
+		outs[i] = out
+		c := cells[i]
+		switch {
+		case out.err != nil:
+			cp.logf("cell %s: FAILED: %v", c.ID(), out.err)
+		case out.ran:
+			res.Ran++
+			cp.logf("cell %s: done", c.ID())
+		default:
+			res.Skipped++
+			cp.logf("cell %s: resumed (journal complete)", c.ID())
+		}
 	}
-	if workers > len(cells) {
-		workers = len(cells)
+
+	// free holds the journal buffers not in use. Every buffer is held by
+	// a worker, a finisher or free, and one is made only when free is
+	// empty, so free has room for all of them and putting one back
+	// never blocks.
+	free := make(chan *bytes.Buffer, workers+spare)
+	type ranCell struct {
+		i       int
+		journal *bytes.Buffer
 	}
-	var (
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-		next int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	handoff := make(chan ranCell) // unbuffered: a send succeeds only when a finisher is idle
+	var finishers sync.WaitGroup
+	for range spare {
+		finishers.Add(1)
 		go func() {
-			defer wg.Done()
-			var journal bytes.Buffer // reused from cell to cell
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(cells) {
-					return
-				}
-				c := cells[i]
-				out := cp.runOne(ctx, c, &journal)
-				mu.Lock()
-				outs[i] = out
-				switch {
-				case out.err != nil:
-					cp.logf("cell %s: FAILED: %v", c.ID(), out.err)
-				case out.ran:
-					res.Ran++
-					cp.logf("cell %s: done", c.ID())
-				default:
-					res.Skipped++
-					cp.logf("cell %s: resumed (journal complete)", c.ID())
-				}
-				mu.Unlock()
+			defer finishers.Done()
+			for rc := range handoff {
+				record(rc.i, cp.finishCell(cells[rc.i], rc.journal.Bytes()))
+				free <- rc.journal
 			}
 		}()
 	}
-	wg.Wait()
+	fanOut(len(cells), workers, func(i int) {
+		c := cells[i]
+		if cp.Resume {
+			if cs, ok := cp.completeStats(c, cp.JournalPath(c)); ok {
+				record(i, cellOutcome{stats: cs})
+				return
+			}
+		}
+		var journal *bytes.Buffer
+		select {
+		case journal = <-free:
+			journal.Reset()
+		default:
+			journal = new(bytes.Buffer)
+		}
+		if err := cp.Runner.RunCell(ctx, cp.Spec, c, journal); err != nil {
+			free <- journal
+			record(i, cellOutcome{err: err})
+			return
+		}
+		select {
+		case handoff <- ranCell{i, journal}:
+		default:
+			record(i, cp.finishCell(c, journal.Bytes()))
+			free <- journal
+		}
+	})
+	close(handoff)
+	finishers.Wait()
+
 	stats := make([]CellStats, 0, len(cells))
 	var reduceErr error
 	for i, out := range outs {
@@ -150,6 +187,25 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
+// fanOut calls fn(i) for every i in [0, n) from min(workers, n)
+// goroutines and returns when all calls have.
+func fanOut(n, workers int, fn func(i int)) {
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // cellOutcome is one cell's result inside Execute.
 type cellOutcome struct {
 	stats     CellStats
@@ -158,29 +214,19 @@ type cellOutcome struct {
 	reduceErr error // the journal did not reduce; the campaign fails
 }
 
-// runOne executes one cell into journal and then into its journal
-// path, atomically: the bytes go to a temp file renamed into place only
-// after the runner finishes cleanly, so a crashed or failed cell never
-// leaves a plausible-looking journal behind (at worst a *.tmp). The
-// cell is reduced from the same bytes, not read back from the file.
-func (cp *Campaign) runOne(ctx context.Context, c Cell, journal *bytes.Buffer) cellOutcome {
-	path := cp.JournalPath(c)
-	if cp.Resume {
-		if cs, ok := cp.completeStats(c, path); ok {
-			return cellOutcome{stats: cs}
-		}
-	}
-	journal.Reset()
-	if err := cp.Runner.RunCell(ctx, cp.Spec, c, journal); err != nil {
-		return cellOutcome{err: err}
-	}
-	if err := writeFileWith(path, func(w io.Writer) error {
-		_, err := w.Write(journal.Bytes())
+// finishCell writes a cell's journal, the bytes its runner just
+// produced, to its journal path atomically: they go to a temp file
+// renamed into place, so a failed cell never leaves a
+// plausible-looking journal behind (at worst a *.tmp). The cell is
+// reduced from the same bytes, not read back from the file.
+func (cp *Campaign) finishCell(c Cell, journal []byte) cellOutcome {
+	if err := writeFileWith(cp.JournalPath(c), func(w io.Writer) error {
+		_, err := w.Write(journal)
 		return err
 	}); err != nil {
 		return cellOutcome{err: err}
 	}
-	cs, err := reduceCell(c, journal.Bytes())
+	cs, err := reduceCell(c, journal)
 	return cellOutcome{stats: cs, ran: true, reduceErr: err}
 }
 
@@ -206,6 +252,9 @@ func (cp *Campaign) completeStats(c Cell, path string) (CellStats, bool) {
 // in text, CSV and LaTeX, plus one
 // convergence-CDF plot per cell in ASCII and SVG. All emitters are
 // wall-clock free, so re-rendering the same journals is byte-stable.
+// The plots are written from one goroutine per processor; the first
+// plot error in cell order is returned, and other cells' plots may
+// already be written.
 func (cp *Campaign) writeArtifacts(stats []CellStats) error {
 	if err := os.MkdirAll(filepath.Join(cp.Out, "plots"), 0o755); err != nil {
 		return err
@@ -223,22 +272,32 @@ func (cp *Campaign) writeArtifacts(stats []CellStats) error {
 			return err
 		}
 	}
-	for _, cs := range stats {
-		cdf := ConvergenceCDF(cs)
-		id := cs.Cell.ID()
-		if err := writeFileWith(filepath.Join(cp.Out, "plots", id+".txt"), func(w io.Writer) error {
-			cdf.RenderASCII(w, 72, 20)
-			return nil
-		}); err != nil {
-			return err
-		}
-		if err := writeFileWith(filepath.Join(cp.Out, "plots", id+".svg"), func(w io.Writer) error {
-			return cdf.RenderSVG(w, 640, 400)
-		}); err != nil {
+	errs := make([]error, len(stats))
+	fanOut(len(stats), runtime.GOMAXPROCS(0), func(i int) {
+		errs[i] = cp.writePlots(stats[i])
+	})
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writePlots renders one cell's convergence CDF to plots/<cell>.txt
+// and plots/<cell>.svg.
+func (cp *Campaign) writePlots(cs CellStats) error {
+	cdf := ConvergenceCDF(cs)
+	base := filepath.Join(cp.Out, "plots", cs.Cell.ID())
+	if err := writeFileWith(base+".txt", func(w io.Writer) error {
+		cdf.RenderASCII(w, 72, 20)
+		return nil
+	}); err != nil {
+		return err
+	}
+	return writeFileWith(base+".svg", func(w io.Writer) error {
+		return cdf.RenderSVG(w, 640, 400)
+	})
 }
 
 // writeTable renders tab to base.txt, base.csv and base.tex.

@@ -1,13 +1,17 @@
 package grid
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -252,30 +256,185 @@ func (r badSeedRunner) RunCell(ctx context.Context, sp *Spec, c Cell, w io.Write
 	return obs.NewJournalSink(w).Emit(hdr)
 }
 
+// withProcs runs f at GOMAXPROCS procs (procs < 1 leaves it as it is)
+// and restores the setting.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
 // TestExecuteReduceError pins the campaign-level failure: the first
 // journal in cell order that does not reduce fails Execute, whichever
-// cell finished first, and no artifact is written.
+// cell finished first and whether a worker or a finisher reduced it,
+// and no artifact is written.
 func TestExecuteReduceError(t *testing.T) {
-	dir := t.TempDir()
+	for _, tc := range []struct {
+		name           string
+		workers, procs int
+	}{
+		{"workers", 2, 0},
+		{"handoff", 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sp := parse(t, e2eSpec)
+			cells := sp.Cells()
+			cp := &Campaign{Spec: sp, Runner: badSeedRunner{bad: map[int]bool{2: true, 5: true}}, Out: dir, Workers: tc.workers}
+			var res *Result
+			var err error
+			withProcs(tc.procs, func() { res, err = cp.Execute(context.Background()) })
+			if err == nil {
+				t.Fatal("Execute succeeded over a journal that does not reduce")
+			}
+			if want := "reduce cell " + cells[2].ID() + ":"; !strings.Contains(err.Error(), want) {
+				t.Errorf("err = %v, want it to name %s", err, want)
+			}
+			if res == nil || res.Ran != len(cells) || res.Stats != nil {
+				t.Errorf("result = %+v, want every cell ran and no stats", res)
+			}
+			if _, err := os.Stat(cp.JournalPath(cells[5])); err != nil {
+				t.Errorf("journal of a cell that does not reduce: %v", err)
+			}
+			for _, f := range []string{"summary.csv", "summary.txt", "summary.tex", "plots"} {
+				if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
+					t.Errorf("artifact %s written after a reduce error (stat: %v)", f, err)
+				}
+			}
+		})
+	}
+}
+
+// procsSpec runs e2eSpec's protocols and populations from arbitrary
+// starts, with and without a conv plan, so a campaign writes every
+// artifact, the epoch table included.
+const procsSpec = `{
+	"name":"procs",
+	"protocols":["asym","selfstab"],
+	"populations":[{"p":6,"n":4},{"p":6,"n":6}],
+	"inits":["arbitrary"],
+	"faults":["","@conv:corrupt=2"],
+	"trials":4,"budget":300000,"seed":7}`
+
+// TestExecuteAcrossProcessors: the same grid at every mix of cell
+// workers and processors (no finisher, one finisher, more workers than
+// processors) writes the same journals and artifacts and reports the
+// same counts as one worker on one processor.
+func TestExecuteAcrossProcessors(t *testing.T) {
+	sp := parse(t, procsSpec)
+	run := func(workers, procs int) (*Campaign, *Result) {
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("w%d-p%d", workers, procs))
+		cp := &Campaign{Spec: sp, Runner: LocalRunner{}, Out: dir, Workers: workers}
+		var res *Result
+		var err error
+		withProcs(procs, func() { res, err = cp.Execute(context.Background()) })
+		if err != nil {
+			t.Fatalf("workers %d, GOMAXPROCS %d: %v", workers, procs, err)
+		}
+		return cp, res
+	}
+	base, want := run(1, 1)
+	if want.Ran != len(want.Cells) || len(want.Failed) != 0 {
+		t.Fatalf("ran %d of %d cells, %d failed", want.Ran, len(want.Cells), len(want.Failed))
+	}
+	if _, err := os.Stat(filepath.Join(base.Out, "epochs.csv")); err != nil {
+		t.Fatalf("no epoch table: %v", err)
+	}
+	for _, wp := range [][2]int{{1, 2}, {2, 2}, {3, 2}} {
+		cp, res := run(wp[0], wp[1])
+		if res.Ran != want.Ran || res.Skipped != want.Skipped || len(res.Failed) != len(want.Failed) {
+			t.Errorf("workers %d, GOMAXPROCS %d: ran %d, skipped %d, failed %d; want %d, %d, %d",
+				wp[0], wp[1], res.Ran, res.Skipped, len(res.Failed), want.Ran, want.Skipped, len(want.Failed))
+		}
+		assertArtifactsEqual(t, base.Out, cp.Out)
+		for _, c := range res.Cells {
+			a, err := os.ReadFile(base.JournalPath(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(cp.JournalPath(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(obs.Canonical(a), obs.Canonical(b)) {
+				t.Errorf("workers %d, GOMAXPROCS %d: journal of %s differs", wp[0], wp[1], c.ID())
+			}
+		}
+	}
+}
+
+// TestExecuteJournalRenameError: a directory squatting on a cell's
+// journal path fails that cell's rename, and only that cell fails,
+// whether its worker or a finisher wrote its journal; every other cell
+// runs, reduces and gets its artifacts. Which cells a finisher takes
+// depends on timing, so several cells are squatted.
+func TestExecuteJournalRenameError(t *testing.T) {
 	sp := parse(t, e2eSpec)
 	cells := sp.Cells()
-	cp := &Campaign{Spec: sp, Runner: badSeedRunner{bad: map[int]bool{2: true, 5: true}}, Out: dir, Workers: 2}
-	res, err := cp.Execute(context.Background())
-	if err == nil {
-		t.Fatal("Execute succeeded over a journal that does not reduce")
+	squat := map[int]bool{0: true, 1: true, 3: true, 4: true, 6: true}
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			cp := &Campaign{Spec: sp, Runner: LocalRunner{}, Out: t.TempDir(), Workers: 1}
+			for i := range squat {
+				if err := os.MkdirAll(cp.JournalPath(cells[i]), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var res *Result
+			var err error
+			withProcs(procs, func() { res, err = cp.Execute(context.Background()) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range res.Failed {
+				var le *os.LinkError
+				if !squat[f.Cell.Index] || !errors.As(f.Err, &le) || le.Op != "rename" || le.New != cp.JournalPath(f.Cell) {
+					t.Errorf("cell %s failed with %v; want only squatted cells, each with its rename error", f.Cell.ID(), f.Err)
+				}
+			}
+			if len(res.Failed) != len(squat) {
+				t.Errorf("%d cells failed, want the %d squatted", len(res.Failed), len(squat))
+			}
+			if want := len(cells) - len(squat); res.Ran != want || len(res.Stats) != want {
+				t.Errorf("ran %d cells and reduced %d, want %d", res.Ran, len(res.Stats), want)
+			}
+			for _, cs := range res.Stats {
+				if squat[cs.Cell.Index] {
+					t.Errorf("squatted cell %s reduced", cs.Cell.ID())
+				}
+			}
+			summary, err := os.ReadFile(filepath.Join(cp.Out, "summary.csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cells {
+				row := strings.Contains(string(summary), "\n"+c.ID()+",")
+				_, txtErr := os.Stat(filepath.Join(cp.Out, "plots", c.ID()+".txt"))
+				_, svgErr := os.Stat(filepath.Join(cp.Out, "plots", c.ID()+".svg"))
+				if want := !squat[c.Index]; row != want || (txtErr == nil) != want || (svgErr == nil) != want {
+					t.Errorf("cell %s: summary row %v, plots %v and %v; want artifacts %v", c.ID(), row, txtErr, svgErr, want)
+				}
+			}
+		})
 	}
-	if want := "reduce cell " + cells[2].ID() + ":"; !strings.Contains(err.Error(), want) {
-		t.Errorf("err = %v, want it to name %s", err, want)
-	}
-	if res == nil || res.Ran != len(cells) || res.Stats != nil {
-		t.Errorf("result = %+v, want every cell ran and no stats", res)
-	}
-	if _, err := os.Stat(cp.JournalPath(cells[5])); err != nil {
-		t.Errorf("journal of a cell that does not reduce: %v", err)
-	}
-	for _, f := range []string{"summary.csv", "summary.txt", "summary.tex", "plots"} {
-		if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
-			t.Errorf("artifact %s written after a reduce error (stat: %v)", f, err)
+}
+
+// TestExecutePlotError: plots are written in parallel, and the error
+// Execute returns is that of the first cell in cell order whose plot
+// could not be written, whichever failed first.
+func TestExecutePlotError(t *testing.T) {
+	sp := parse(t, e2eSpec)
+	cells := sp.Cells()
+	cp := &Campaign{Spec: sp, Runner: LocalRunner{}, Out: t.TempDir(), Workers: 1}
+	first := filepath.Join(cp.Out, "plots", cells[2].ID()+".svg")
+	for _, p := range []string{filepath.Join(cp.Out, "plots", cells[6].ID()+".txt"), first} {
+		if err := os.MkdirAll(p, 0o755); err != nil {
+			t.Fatal(err)
 		}
+	}
+	var err error
+	withProcs(2, func() { _, err = cp.Execute(context.Background()) })
+	var le *os.LinkError
+	if !errors.As(err, &le) || le.Op != "rename" || le.New != first {
+		t.Errorf("err = %v, want the rename error of %s", err, first)
 	}
 }

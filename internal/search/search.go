@@ -198,19 +198,18 @@ func (s *symSpace) fill(t *core.RuleTable, counter []int) {
 
 // EnumerateSymmetric calls fn with every deterministic symmetric
 // leaderless protocol over q states (fn must not retain the table). It
-// returns the number of protocols enumerated. fn may return false to
-// stop early.
-func EnumerateSymmetric(q int, fn func(*core.RuleTable) bool) int {
+// returns the number of protocols enumerated.
+func EnumerateSymmetric(q int, fn func(*core.RuleTable)) int {
 	return EnumerateSymmetricRange(q, 0, newSymSpace(q).total,
-		func(_ int, t *core.RuleTable) bool { return fn(t) })
+		func(_ int, t *core.RuleTable) { fn(t) })
 }
 
 // EnumerateSymmetricRange calls fn with the candidates lo..hi-1 of the
 // enumeration order, in order, passing each candidate's index. One
 // RuleTable is reused across all calls (fn must not retain it). It
-// returns the number of candidates enumerated; fn may return false to
-// stop early. Out-of-range bounds are clamped to [0, total].
-func EnumerateSymmetricRange(q, lo, hi int, fn func(idx int, t *core.RuleTable) bool) int {
+// returns the number of candidates enumerated. Out-of-range bounds are
+// clamped to [0, total].
+func EnumerateSymmetricRange(q, lo, hi int, fn func(idx int, t *core.RuleTable)) int {
 	s := newSymSpace(q)
 	if lo < 0 {
 		lo = 0
@@ -224,17 +223,13 @@ func EnumerateSymmetricRange(q, lo, hi int, fn func(idx int, t *core.RuleTable) 
 	counter := make([]int, len(s.radix))
 	s.decode(lo, counter)
 	t := core.NewRuleTable("search", q, q)
-	count := 0
 	for idx := lo; idx < hi; idx++ {
 		t.SetName("search-" + strconv.Itoa(idx))
 		s.fill(t, counter)
-		count++
-		if !fn(idx, t) {
-			return count
-		}
+		fn(idx, t)
 		s.increment(counter)
 	}
-	return count
+	return hi - lo
 }
 
 // SymmetricNaming searches all symmetric leaderless q-state protocols
@@ -296,7 +291,7 @@ func SymmetricNamingOpts(q int, sizes []int, fairness Fairness, init Init, opts 
 
 	runShard := func(w, lo, hi int) {
 		out := &outs[w]
-		EnumerateSymmetricRange(q, lo, hi, func(idx int, t *core.RuleTable) bool {
+		EnumerateSymmetricRange(q, lo, hi, func(idx int, t *core.RuleTable) {
 			switch init {
 			case BestUniform:
 				found, sawInconclusive := false, false
@@ -320,7 +315,6 @@ func SymmetricNamingOpts(q int, sizes []int, fairness Fairness, init Init, opts 
 					out.inconclusive = append(out.inconclusive, Candidate{Index: idx, Rules: t.Rules()})
 				}
 			}
-			return true
 		})
 	}
 

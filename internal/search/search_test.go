@@ -12,27 +12,16 @@ func TestEnumerateCounts(t *testing.T) {
 	// q^q * (q^2)^C(q,2): q=2 -> 4*4 = 16; q=3 -> 27*729 = 19683.
 	cases := []struct{ q, want int }{{2, 16}, {3, 19683}}
 	for _, c := range cases {
-		got := EnumerateSymmetric(c.q, func(*core.RuleTable) bool { return true })
+		got := EnumerateSymmetric(c.q, func(*core.RuleTable) {})
 		if got != c.want {
 			t.Errorf("q=%d: enumerated %d protocols, want %d", c.q, got, c.want)
 		}
 	}
 }
 
-func TestEnumerateEarlyStop(t *testing.T) {
-	count := 0
-	got := EnumerateSymmetric(3, func(*core.RuleTable) bool {
-		count++
-		return count < 5
-	})
-	if got != 5 {
-		t.Errorf("early stop enumerated %d, want 5", got)
-	}
-}
-
 func TestEnumeratedProtocolsAreValid(t *testing.T) {
 	checked := 0
-	EnumerateSymmetric(2, func(tab *core.RuleTable) bool {
+	EnumerateSymmetric(2, func(tab *core.RuleTable) {
 		if err := core.CheckProtocol(tab); err != nil {
 			t.Errorf("enumerated protocol invalid: %v", err)
 		}
@@ -40,7 +29,6 @@ func TestEnumeratedProtocolsAreValid(t *testing.T) {
 			t.Errorf("enumerated protocol not symmetric: %s", tab)
 		}
 		checked++
-		return true
 	})
 	if checked != 16 {
 		t.Fatalf("checked %d, want 16", checked)
@@ -49,7 +37,7 @@ func TestEnumeratedProtocolsAreValid(t *testing.T) {
 
 func TestEnumerationIsExhaustiveAndDistinct(t *testing.T) {
 	seen := make(map[string]bool)
-	EnumerateSymmetric(2, func(tab *core.RuleTable) bool {
+	EnumerateSymmetric(2, func(tab *core.RuleTable) {
 		key := ""
 		for x := core.State(0); x < 2; x++ {
 			for y := core.State(0); y < 2; y++ {
@@ -61,7 +49,6 @@ func TestEnumerationIsExhaustiveAndDistinct(t *testing.T) {
 			t.Errorf("duplicate protocol %q", key)
 		}
 		seen[key] = true
-		return true
 	})
 	if len(seen) != 16 {
 		t.Fatalf("saw %d distinct protocols, want 16", len(seen))
@@ -209,9 +196,8 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 func TestEnumerateRangeConcatenation(t *testing.T) {
 	const q = 2
 	var full []string
-	EnumerateSymmetric(q, func(tab *core.RuleTable) bool {
+	EnumerateSymmetric(q, func(tab *core.RuleTable) {
 		full = append(full, tab.String())
-		return true
 	})
 	for _, shards := range []int{2, 3, 5, 8} {
 		var got []string
@@ -220,10 +206,9 @@ func TestEnumerateRangeConcatenation(t *testing.T) {
 		for w := 0; w < shards; w++ {
 			lo := w * len(full) / shards
 			hi := (w + 1) * len(full) / shards
-			total += EnumerateSymmetricRange(q, lo, hi, func(idx int, tab *core.RuleTable) bool {
+			total += EnumerateSymmetricRange(q, lo, hi, func(idx int, tab *core.RuleTable) {
 				got = append(got, tab.String())
 				gotIdx = append(gotIdx, idx)
-				return true
 			})
 		}
 		if total != len(full) {
