@@ -31,8 +31,9 @@ COUNT_BENCH = BenchmarkCountEngineScale|BenchmarkAgentEngineScale|BenchmarkCount
 
 # Durability benchmarks gating the job-store claims: WAL append vs the
 # fsync-bearing finalize, boot-time replay scaling with log size, and
-# cold admission vs cache-hit submission latency (see docs/service.md
-# "Durability and the result cache" and EXPERIMENTS.md).
+# cold admission vs a cache hit, which admits no job and reads its
+# source's stored stream once (see docs/service.md "Durability and the
+# result cache" and EXPERIMENTS.md).
 STORE_BENCH = BenchmarkWALAppend|BenchmarkWALFinalize|BenchmarkWALReplay|BenchmarkAdmitColdMemory|BenchmarkAdmitColdWAL|BenchmarkAdmitCacheHit
 
 # Sharded-execution benchmarks gating the scale-out claims: 1-node vs

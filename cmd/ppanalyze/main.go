@@ -50,13 +50,17 @@ func run() int {
 		server   = flag.String("server", "", "ppserved base URL; empty runs cells in-process")
 		workers  = flag.Int("workers", 1, "cells to run concurrently")
 		resume   = flag.Bool("resume", false, "skip cells whose journals are already complete")
-		retries  = flag.Int("retries", 2, "resubmission attempts per cell in server mode")
+		retries  = flag.Int("retries", 2, "resubmission attempts per cell in server mode (0: none)")
 		quiet    = flag.Bool("q", false, "suppress per-cell progress on stderr")
 	)
 	flag.Parse()
 	if *gridPath == "" || *out == "" {
 		fmt.Fprintln(os.Stderr, "usage: ppanalyze -grid spec.json -out dir/ [-server URL] [-workers N] [-resume]")
 		flag.PrintDefaults()
+		return 2
+	}
+	if err := checkFlags(*workers, *retries); err != nil {
+		fmt.Fprintln(os.Stderr, "ppanalyze:", err)
 		return 2
 	}
 	f, err := os.Open(*gridPath)
@@ -114,4 +118,17 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// checkFlags rejects, at flag-parse time, the values a campaign cannot
+// take: at least one cell runs at a time, and a cell is resubmitted a
+// non-negative number of times.
+func checkFlags(workers, retries int) error {
+	if workers < 1 {
+		return fmt.Errorf("-workers %d: at least one cell must run at a time", workers)
+	}
+	if retries < 0 {
+		return fmt.Errorf("-retries %d: the resubmission count cannot be negative", retries)
+	}
+	return nil
 }

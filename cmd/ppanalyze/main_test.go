@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"popnaming/internal/grid"
@@ -47,6 +48,30 @@ func TestQuickstartGrid(t *testing.T) {
 		filepath.Join("journals", cells[7].ID()+".jsonl")} {
 		if _, err := os.Stat(filepath.Join(out, p)); err != nil {
 			t.Errorf("missing output: %v", err)
+		}
+	}
+}
+
+func TestCheckFlags(t *testing.T) {
+	for _, c := range []struct {
+		workers, retries int
+		want             string // "" accepts; else the flag the error names
+	}{
+		{1, 2, ""},
+		{4, 0, ""},
+		{0, 2, "-workers 0"},
+		{-1, 2, "-workers -1"},
+		{1, -1, "-retries -1"},
+	} {
+		err := checkFlags(c.workers, c.retries)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("checkFlags(workers=%d, retries=%d) = %v, want accepted", c.workers, c.retries, err)
+			}
+			continue
+		}
+		if err == nil || !strings.HasPrefix(err.Error(), c.want+":") {
+			t.Errorf("checkFlags(workers=%d, retries=%d) = %v, want an error naming %s", c.workers, c.retries, err, c.want)
 		}
 	}
 }

@@ -18,11 +18,12 @@
 // mounts net/http/pprof on a separate listener for profiling.
 //
 // Result cache: an identical seeded resubmission is answered, without
-// re-simulation, from the stored result log of the spec's first run.
-// The cache is an index over -store, with no budget of its own. A hit
-// whose request sends Accept: application/x-ndjson gets its result
-// stream in the POST response (200), saving the GET round trip; every
-// other submission answers 202 with the job view.
+// re-simulation, by the job that ran the spec: Location and the view
+// name it, and no new job is admitted or stored. The cache is an index
+// over -store, with no budget of its own. A hit whose request sends
+// Accept: application/x-ndjson gets that job's stored result stream in
+// the POST response (200), saving the GET round trip; every other
+// submission answers 202 with the job view.
 //
 // Shutdown: on SIGTERM or SIGINT the server stops admitting jobs
 // (503), finishes the queued and running ones within -grace, then

@@ -134,8 +134,9 @@ func (p *Peer) RunBody(ctx context.Context, r Range, body []byte) ([][]byte, err
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
-		// A cache hit, terminal at admission: a bad stream fails the
-		// attempt, and there is no running job to cancel.
+		// A cache hit, answered by the done job that ran the lease: a
+		// bad stream fails the attempt, and there is no running job to
+		// cancel.
 		lines, err := readShardStream(resp.Body)
 		resp.Body.Close()
 		if err != nil {

@@ -160,7 +160,8 @@ func TestRunBodyStripsEnvelope(t *testing.T) {
 // TestRunBodyCancelsOnBadStream pins the failure path: a stream that
 // breaks the envelope contract fails the attempt on either answer to
 // the submit, and the abandoned job of a miss is canceled on the peer.
-// A hit's job is terminal at admission, so there is nothing to cancel.
+// A hit is answered by a job that is already done, so there is
+// nothing to cancel.
 func TestRunBodyCancelsOnBadStream(t *testing.T) {
 	stream := readPeerStream(t)
 	lastNL := bytes.LastIndexByte(stream[:len(stream)-1], '\n')

@@ -320,7 +320,7 @@ var writers = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
 
 // writeFileWith renders into path atomically (temp + rename), through
 // a buffer so renderers that write line by line cost one write call per
-// buffer, not per line.
+// buffer, not per line. A failure at any step removes the temp file.
 func writeFileWith(path string, render func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -339,9 +339,11 @@ func writeFileWith(path string, render func(io.Writer) error) error {
 	if rerr == nil {
 		rerr = cerr
 	}
+	if rerr == nil {
+		rerr = os.Rename(tmp, path)
+	}
 	if rerr != nil {
 		os.Remove(tmp)
-		return rerr
 	}
-	return os.Rename(tmp, path)
+	return rerr
 }

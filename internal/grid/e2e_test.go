@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -211,6 +212,36 @@ func TestCampaignE2E(t *testing.T) {
 	assertArtifactsEqual(t, serverDir, serverDir2)
 }
 
+// TestServerRunnerRetries: Retries counts resubmissions after the
+// first attempt, so a runner with Retries 0 posts a failing cell once,
+// and one built by NewServerRunner posts it three times (two retries).
+func TestServerRunnerRetries(t *testing.T) {
+	sp := parse(t, `{"protocols":["asym"],"populations":[{"p":4,"n":4}],"trials":1,"seed":3}`)
+	c := sp.Cells()[0]
+	for _, tc := range []struct{ retries, posts int }{{0, 1}, {2, 3}} {
+		var mu sync.Mutex
+		posts := 0
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost {
+				mu.Lock()
+				posts++
+				mu.Unlock()
+			}
+			http.Error(w, "boom", http.StatusInternalServerError)
+		}))
+		sr := NewServerRunner(ts.URL)
+		sr.Retries, sr.Backoff = tc.retries, time.Millisecond
+		err := sr.RunCell(context.Background(), sp, c, io.Discard)
+		ts.Close()
+		if err == nil {
+			t.Fatalf("Retries %d: a peer answering 500 ran the cell", tc.retries)
+		}
+		if posts != tc.posts {
+			t.Errorf("Retries %d: %d POSTs, want %d", tc.retries, posts, tc.posts)
+		}
+	}
+}
+
 // TestResumeRerunsJournalWithoutBatchSummary: a journal cut at a line
 // boundary just before its batch summary is intact line by line but not
 // complete, so -resume re-runs the cell instead of keeping the counts
@@ -364,9 +395,10 @@ func TestExecuteAcrossProcessors(t *testing.T) {
 
 // TestExecuteJournalRenameError: a directory squatting on a cell's
 // journal path fails that cell's rename, and only that cell fails,
-// whether its worker or a finisher wrote its journal; every other cell
-// runs, reduces and gets its artifacts. Which cells a finisher takes
-// depends on timing, so several cells are squatted.
+// whether its worker or a finisher wrote its journal, and leaves no
+// temp file behind; every other cell runs, reduces and gets its
+// artifacts. Which cells a finisher takes depends on timing, so several
+// cells are squatted.
 func TestExecuteJournalRenameError(t *testing.T) {
 	sp := parse(t, e2eSpec)
 	cells := sp.Cells()
@@ -401,6 +433,10 @@ func TestExecuteJournalRenameError(t *testing.T) {
 				if squat[cs.Cell.Index] {
 					t.Errorf("squatted cell %s reduced", cs.Cell.ID())
 				}
+			}
+			tmps, err := filepath.Glob(filepath.Join(cp.Out, "journals", "*.tmp"))
+			if err != nil || len(tmps) > 0 {
+				t.Errorf("failed renames left temp files %v (glob err %v)", tmps, err)
 			}
 			summary, err := os.ReadFile(filepath.Join(cp.Out, "summary.csv"))
 			if err != nil {

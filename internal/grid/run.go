@@ -60,30 +60,17 @@ type ServerRunner struct {
 	// Peer is the target node (Base URL required).
 	Peer *dist.Peer
 	// Retries bounds resubmission attempts per cell after the first
-	// (default 2).
+	// (0: none).
 	Retries int
-	// Backoff is the base retry delay, doubled per attempt (default
-	// 100ms). Tests shrink it.
+	// Backoff is the base retry delay, doubled per attempt. Tests
+	// shrink it.
 	Backoff time.Duration
 }
 
-// NewServerRunner returns a runner for the node at base URL.
+// NewServerRunner returns a runner for the node at base URL with the
+// default retry policy: 2 resubmissions, 100ms base backoff.
 func NewServerRunner(base string) *ServerRunner {
-	return &ServerRunner{Peer: &dist.Peer{Base: base}}
-}
-
-func (sr *ServerRunner) retries() int {
-	if sr.Retries > 0 {
-		return sr.Retries
-	}
-	return 2
-}
-
-func (sr *ServerRunner) backoff() time.Duration {
-	if sr.Backoff > 0 {
-		return sr.Backoff
-	}
-	return 100 * time.Millisecond
+	return &ServerRunner{Peer: &dist.Peer{Base: base}, Retries: 2, Backoff: 100 * time.Millisecond}
 }
 
 func (sr *ServerRunner) RunCell(ctx context.Context, sp *Spec, c Cell, w io.Writer) error {
@@ -100,12 +87,12 @@ func (sr *ServerRunner) RunCell(ctx context.Context, sp *Spec, c Cell, w io.Writ
 	r := dist.Range{Lo: 0, Hi: p.Spec().Trials}
 	var lines [][]byte
 	var lastErr error
-	for attempt := 0; attempt <= sr.retries(); attempt++ {
+	for attempt := 0; attempt <= sr.Retries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(sr.backoff() << (attempt - 1)):
+			case <-time.After(sr.Backoff << (attempt - 1)):
 			}
 		}
 		if !sr.Peer.Ready(ctx) {

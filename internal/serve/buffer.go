@@ -107,8 +107,8 @@ func (b *buffer) storeFailure() error {
 	return b.storeErr
 }
 
-// appendRaw appends pre-marshaled, newline-terminated lines (a cache
-// hit replaying a prior job's stream). Lines must never be mutated
+// appendRaw appends pre-marshaled, newline-terminated lines (a
+// distributed batch's delivered shard). Lines must never be mutated
 // afterwards.
 func (b *buffer) appendRaw(lines [][]byte) {
 	b.mu.Lock()

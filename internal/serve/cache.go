@@ -34,25 +34,23 @@ func (s *Server) rememberLocked(j *Job) {
 	}
 }
 
-// cachedRun returns the stream of key's source job, minus its terminal
-// job record (a hit appends its own), and the source's summary. The
-// stream is the source's stored result log, read through its buffer.
-// ok is false when no done job has the key, when the source is still
-// finishing (a concurrent identical submission), or when its log
-// cannot be read; the last also drops the source, so the re-run that
-// follows takes its place.
-func (s *Server) cachedRun(key string) (lines [][]byte, summary *JobSummary, ok bool) {
+// cachedRun returns key's source job and its whole stored stream,
+// read once through the source's buffer. src is nil when no done job
+// has the key, when the source is still finishing (a concurrent
+// identical submission), or when its log cannot be read; the last also
+// drops the source, so the re-run that follows takes its place.
+func (s *Server) cachedRun(key string) (src *Job, lines [][]byte) {
 	s.mu.Lock()
-	src := s.sources[key]
+	src = s.sources[key]
 	s.mu.Unlock()
 	if src == nil {
-		return nil, nil, false
+		return nil, nil
 	}
 	src.mu.Lock()
-	sealed, summary := src.finalized, src.summary
+	sealed := src.finalized
 	src.mu.Unlock()
 	if !sealed {
-		return nil, nil, false
+		return nil, nil
 	}
 	lines, err := src.buf.all()
 	if err != nil || len(lines) == 0 {
@@ -61,7 +59,7 @@ func (s *Server) cachedRun(key string) (lines [][]byte, summary *JobSummary, ok 
 			delete(s.sources, key)
 		}
 		s.mu.Unlock()
-		return nil, nil, false
+		return nil, nil
 	}
-	return lines[:len(lines)-1], summary, true
+	return src, lines
 }

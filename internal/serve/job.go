@@ -502,8 +502,6 @@ type Job struct {
 	summary     *JobSummary
 	live        *obs.Observer
 	finalized   bool
-	// cached marks a job served from the result cache without a run.
-	cached bool
 }
 
 // traceCtx returns the root span's context — the parent for every
@@ -532,10 +530,7 @@ type JobView struct {
 	Shard *ShardRange `json:"shard,omitempty"`
 	// Trace is the job's trace ID when span tracing was requested.
 	Trace string `json:"trace,omitempty"`
-	// Cached marks a job whose results were copied from the stored
-	// stream of an earlier run of the same spec, without re-simulation;
 	// IdempotencyKey is the canonical-spec hash, the result-cache key.
-	Cached         bool   `json:"cached,omitempty"`
 	IdempotencyKey string `json:"idempotencyKey,omitempty"`
 	// Records is the number of NDJSON result records buffered so far.
 	Records int `json:"records"`
@@ -558,8 +553,7 @@ func (j *Job) view() JobView {
 		Protocol: sp.Protocol, P: sp.P, N: sp.N, Sched: sp.Sched, Init: sp.Init,
 		Engine: sp.Engine,
 		Faults: sp.Faults, Budget: sp.Budget, Trials: sp.Trials, Workers: sp.Workers,
-		Seed: sp.Seed, SeedDerived: j.v.seedDerived, Shard: sp.Shard,
-		Cached: j.cached, IdempotencyKey: j.key,
+		Seed: sp.Seed, SeedDerived: j.v.seedDerived, Shard: sp.Shard, IdempotencyKey: j.key,
 		Records: j.buf.len(), Error: j.errMsg, WallNS: j.wallNS, Summary: j.summary,
 	}
 	if j.traceID != 0 {
@@ -634,7 +628,9 @@ func (j *Job) queueWait() int64 {
 // the terminal transition is also the last record of the job's result
 // stream. WallNS and QueueWaitNS are wall-clock fields (excluded from
 // the determinism contract, like elapsedNs/wallNs everywhere else in
-// the journal).
+// the journal). Cached is set only on the service-journal record of a
+// cache hit: the source job's terminal record, without wall-clock
+// fields, journaled once per hit.
 type JobRec struct {
 	V           int    `json:"v"`
 	Type        string `json:"type"` // "job"
@@ -656,7 +652,7 @@ func (j *Job) recLocked() JobRec {
 		V: obs.Version, Type: "job", ID: j.ID,
 		Kind: j.v.spec.Kind, State: string(j.state),
 		Protocol: j.v.spec.Protocol, Seed: j.v.spec.Seed,
-		Cached: j.cached, Error: j.errMsg, WallNS: j.wallNS, QueueWaitNS: j.queueWaitNS,
+		Error: j.errMsg, WallNS: j.wallNS, QueueWaitNS: j.queueWaitNS,
 	}
 	if j.traceID != 0 {
 		rec.Trace = j.traceID.String()

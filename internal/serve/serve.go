@@ -128,8 +128,8 @@ type Server struct {
 	jobs  map[string]*Job
 	order []*Job // submission order, for list and metrics
 	// sources is the result cache: for each canonical-spec key, the
-	// first done job that ran (not itself a hit). Its stored stream
-	// answers every identical resubmission (see cachedRun).
+	// first done job. It answers every identical resubmission itself,
+	// from its stored stream (see cachedRun); a hit is not a job.
 	sources  map[string]*Job
 	nextID   int
 	queue    chan *Job
@@ -241,11 +241,11 @@ func New(cfg Config) (*Server, error) {
 }
 
 // restore replays the job store into the server's maps: terminal
-// snapshots become finished jobs served straight from the store (done
-// uncached ones become result-cache sources, their logs unread),
-// non-terminal snapshots get their partial result logs reset and are
-// returned for re-queueing — unless their spec now fails admission,
-// which finalizes them failed.
+// snapshots become finished jobs served straight from the store (the
+// first done job per key becomes its result-cache source, its log
+// unread), non-terminal snapshots get their partial result logs reset
+// and are returned for re-queueing — unless their spec now fails
+// admission, which finalizes them failed.
 // Runs single-threaded at construction, before any worker or handler
 // exists.
 func (s *Server) restore() ([]*Job, error) {
@@ -282,7 +282,7 @@ func (s *Server) restore() ([]*Job, error) {
 			j := s.restoreTerminal(snap, spec)
 			s.jobs[j.ID] = j
 			s.order = append(s.order, j)
-			if snap.State == store.StateDone && !snap.Cached && snap.ResultLines > 0 {
+			if snap.State == store.StateDone && snap.ResultLines > 0 {
 				s.rememberLocked(j)
 			}
 			s.met.restored.Inc()
@@ -292,7 +292,7 @@ func (s *Server) restore() ([]*Job, error) {
 			return nil, fmt.Errorf("job store reset %s: %w", snap.ID, err)
 		}
 		_ = s.store.SetState(snap.ID, store.StateQueued)
-		j := s.newJob(snap.ID, v, true)
+		j := s.newJob(snap.ID, v)
 		// Completed lease shards survive the reset (they live beside the
 		// result log); the dist coordinator restores them instead of
 		// re-executing.
@@ -315,7 +315,7 @@ func (s *Server) restoreTerminal(snap store.Snapshot, spec Spec) *Job {
 	j := &Job{
 		ID: snap.ID, v: v, ctx: ctx, cancel: cancel,
 		state: JobState(snap.State), errMsg: snap.Error,
-		wallNS: snap.WallNS, cached: snap.Cached, finalized: true,
+		wallNS: snap.WallNS, finalized: true,
 		key: cacheKey(snap.Spec),
 	}
 	if spec.Trace {
@@ -334,10 +334,7 @@ func (s *Server) restoreTerminal(snap store.Snapshot, spec Spec) *Job {
 }
 
 // newJob builds an admitted job wired to the store-backed buffer.
-// spans controls whether a traced spec gets live job/queue spans —
-// cache hits skip them, because the cached stream already carries the
-// original run's structurally identical span records.
-func (s *Server) newJob(id string, v *validated, spans bool) *Job {
+func (s *Server) newJob(id string, v *validated) *Job {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &Job{ID: id, v: v, buf: s.newJobBuffer(id), ctx: ctx, cancel: cancel,
 		state: StateQueued, admitted: time.Now()}
@@ -348,11 +345,9 @@ func (s *Server) newJob(id string, v *validated, spans bool) *Job {
 		// buffer through a counting wrapper so /metrics sees the span
 		// volume.
 		j.traceID = obs.NewTraceID(v.spec.Seed)
-		if spans {
-			root := obs.SpanContext{Trace: j.traceID, Sink: &spanSink{buf: j.buf, emitted: &s.met.spans}}
-			j.rootSpan = root.Start("job", 0)
-			j.queueSpan = j.rootSpan.Context().Start("queue", 0)
-		}
+		root := obs.SpanContext{Trace: j.traceID, Sink: &spanSink{buf: j.buf, emitted: &s.met.spans}}
+		j.rootSpan = root.Start("job", 0)
+		j.queueSpan = j.rootSpan.Context().Start("queue", 0)
 	}
 	return j
 }
@@ -394,9 +389,10 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 }
 
 // Submit validates and admits a job programmatically (the HTTP POST
-// body goes through exactly this path). On rejection the *Error
-// carries the HTTP status and, for fault-plan errors, the offending
-// token's location.
+// body goes through exactly this path). A cache hit returns the key's
+// source job, already done, and admits nothing. On rejection the
+// *Error carries the HTTP status and, for fault-plan errors, the
+// offending token's location.
 func (s *Server) Submit(spec Spec) (*Job, *Error) {
 	j, _, err := s.submit(spec, "")
 	return j, err
@@ -406,93 +402,75 @@ func (s *Server) Submit(spec Spec) (*Job, *Error) {
 // caller's Idempotency-Key header: it must equal the canonical spec
 // hash (the key the server would compute), turning it into an
 // end-to-end check that the client resubmitted the spec it thinks it
-// did. The bool reports a cache hit: a job that is terminal before
-// this function returns, its stream copied from the stored stream of
-// the key's source job.
-func (s *Server) submit(spec Spec, clientKey string) (*Job, bool, *Error) {
+// did. A cache hit is a lookup, not a job: submit returns the key's
+// source job and its whole stored stream (non-nil only on a hit),
+// writes nothing to the store, and journals one record, the source's
+// terminal record marked cached and stripped of wall-clock fields.
+func (s *Server) submit(spec Spec, clientKey string) (*Job, [][]byte, *Error) {
 	v, verr := prepare(spec)
 	if verr != nil {
-		return nil, false, verr
+		return nil, nil, verr
 	}
 	canonical, err := canonicalSpec(v)
 	if err != nil {
-		return nil, false, &Error{Status: http.StatusInternalServerError, Kind: "internal",
+		return nil, nil, &Error{Status: http.StatusInternalServerError, Kind: "internal",
 			Message: fmt.Sprintf("canonicalize spec: %v", err)}
 	}
 	key := cacheKey(canonical)
 	if clientKey != "" && clientKey != key {
-		return nil, false, &Error{Status: http.StatusBadRequest, Kind: "idempotency-mismatch",
+		return nil, nil, &Error{Status: http.StatusBadRequest, Kind: "idempotency-mismatch",
 			Message: fmt.Sprintf("Idempotency-Key %q does not match the canonical spec hash %s", clientKey, key)}
 	}
 	// The source's log is read before s.mu is taken: admission never
 	// waits on another job's store read.
-	lines, summary, hit := s.cachedRun(key)
+	src, lines := s.cachedRun(key)
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, false, &Error{Status: http.StatusServiceUnavailable, Kind: "draining",
+		return nil, nil, &Error{Status: http.StatusServiceUnavailable, Kind: "draining",
 			Message: "server is draining; no new jobs accepted"}
 	}
-	if !hit {
-		s.met.cacheMisses.Inc()
-		// Capacity is checked explicitly under s.mu (every producer
-		// holds it, workers only consume), so the admission record can
-		// be written before the send — which then cannot block — and a
-		// worker can never pick up a job whose admission the store has
-		// not yet seen.
-		if len(s.queue) >= s.cfg.QueueCap {
-			depth := len(s.queue)
-			s.met.rejected.Inc()
-			s.mu.Unlock()
-			return nil, false, &Error{Status: http.StatusTooManyRequests, Kind: "queue-full",
-				Message:       fmt.Sprintf("job queue full (%d queued)", depth),
-				RetryAfterSec: s.retryAfterSec(depth),
-			}
+	if src != nil {
+		s.mu.Unlock()
+		s.met.cacheHits.Inc()
+		rec := src.rec()
+		rec.Cached, rec.WallNS, rec.QueueWaitNS = true, 0, 0
+		_ = s.sink.Emit(rec)
+		return src, lines, nil
+	}
+	s.met.cacheMisses.Inc()
+	// Capacity is checked explicitly under s.mu (every producer holds
+	// it, workers only consume), so the admission record can be written
+	// before the send — which then cannot block — and a worker can
+	// never pick up a job whose admission the store has not yet seen.
+	if len(s.queue) >= s.cfg.QueueCap {
+		depth := len(s.queue)
+		s.met.rejected.Inc()
+		s.mu.Unlock()
+		return nil, nil, &Error{Status: http.StatusTooManyRequests, Kind: "queue-full",
+			Message:       fmt.Sprintf("job queue full (%d queued)", depth),
+			RetryAfterSec: s.retryAfterSec(depth),
 		}
 	}
 	s.nextID++
 	id := fmt.Sprintf("j%06d", s.nextID)
-	j := s.newJob(id, v, !hit)
+	j := s.newJob(id, v)
 	j.key = key
 	if err := s.store.Admit(id, canonical, v.seedDerived); err != nil {
 		j.cancel()
 		s.nextID-- // the ID was never exposed
 		s.mu.Unlock()
-		return nil, false, &Error{Status: http.StatusInternalServerError, Kind: "store",
+		return nil, nil, &Error{Status: http.StatusInternalServerError, Kind: "store",
 			Message: fmt.Sprintf("job store admit: %v", err)}
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, j)
 	s.met.submitted.Inc()
-	if hit {
-		s.met.cacheHits.Inc()
-		s.mu.Unlock()
-		s.completeFromCache(j, lines, summary)
-		return j, true, nil
-	}
 	s.queue <- j
 	s.mu.Unlock()
 	_ = s.sink.Emit(j.rec())
-	return j, false, nil
-}
-
-// completeFromCache finishes a cache-hit job without running it: the
-// source's stream replays into the buffer, the job jumps straight to
-// done with the source's summary and the cached marker, and the
-// standard finalize path appends the terminal record, persists the
-// outcome and journals it.
-func (s *Server) completeFromCache(j *Job, lines [][]byte, summary *JobSummary) {
-	j.buf.appendRaw(lines)
-	j.mu.Lock()
-	j.state = StateDone
-	j.cached = true
-	if summary != nil {
-		sum := *summary
-		j.summary = &sum
-	}
-	j.mu.Unlock()
-	s.finalize(j)
+	return j, nil, nil
 }
 
 // Job looks up a job by ID.
@@ -573,8 +551,7 @@ func (s *Server) finalize(j *Job) {
 	if !j.started.IsZero() {
 		j.wallNS = time.Since(j.started).Nanoseconds()
 	} else if !j.admitted.IsZero() {
-		// Canceled while queued (or served from cache): the whole
-		// residence was queue wait.
+		// Canceled while queued: the whole residence was queue wait.
 		j.queueWaitNS = time.Since(j.admitted).Nanoseconds()
 	}
 	rec := j.recLocked()
@@ -601,7 +578,7 @@ func (s *Server) finalize(j *Job) {
 	_ = j.buf.finalize() // a failed final spill already counted via the spill hook
 	if err := s.store.Finalize(j.ID, store.Final{
 		State: storeState(state), Error: rec.Error, Summary: summary,
-		Cached: j.cached, WallNS: wall, ResultLines: total,
+		WallNS: wall, ResultLines: total,
 	}); err != nil {
 		s.met.storeWriteErrors.Inc()
 	}
@@ -698,12 +675,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	w.Header().Set("Idempotency-Key", j.key)
-	if hit && acceptsNDJSON(r) {
-		// A hit is terminal at admission, so its whole stream is known:
+	if hit != nil && acceptsNDJSON(r) {
+		// A hit's source is done and its whole stream already read, so
 		// answering with it spares the client the GET /results round
 		// trip. A miss still answers 202 at once and never blocks on the
 		// run.
-		s.stream(w, r, j, true)
+		s.stream(w, r, j, true, hit)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, j.view())
@@ -771,14 +748,16 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			Message: fmt.Sprintf("no job %q", r.PathValue("id"))})
 		return
 	}
-	s.stream(w, r, j, r.URL.Query().Get("follow") != "false")
+	s.stream(w, r, j, r.URL.Query().Get("follow") != "false", nil)
 }
 
 // stream answers r with j's result records: 200, NDJSON, one
 // connection-time observation in the job kind's stream histogram. It
 // is the one writer of a result stream, for GET /results and for a
-// cache hit's POST answer alike.
-func (s *Server) stream(w http.ResponseWriter, r *http.Request, j *Job, follow bool) {
+// cache hit's POST answer alike. head holds records already read from
+// the front of j's stream (a hit's whole stored stream): they are
+// written first, and the buffer is read only past them.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, j *Job, follow bool, head [][]byte) {
 	if km := s.met.kinds[j.v.spec.Kind]; km != nil {
 		t0 := time.Now()
 		defer func() { km.streamMS.Observe(time.Since(t0).Milliseconds()) }()
@@ -810,6 +789,30 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, j *Job, follow b
 	// true, so wait returns whatever is buffered right now.
 	stopWaiting := func() bool { return !follow || r.Context().Err() != nil }
 	sent := 0
+	write := func(lines [][]byte) bool {
+		if len(lines) == 0 {
+			return true
+		}
+		if deadline > 0 {
+			_ = rc.SetWriteDeadline(time.Now().Add(deadline))
+		}
+		for _, line := range lines {
+			if _, err := w.Write(line); err != nil {
+				if errors.Is(err, os.ErrDeadlineExceeded) {
+					s.met.streamWriteTimeouts.Inc()
+				}
+				return false
+			}
+		}
+		sent += len(lines)
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return true
+	}
+	if !write(head) {
+		return
+	}
 	for {
 		lines, closed, err := j.buf.wait(sent, stopWaiting)
 		if err != nil {
@@ -818,22 +821,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, j *Job, follow b
 			// do is stop cleanly.
 			return
 		}
-		if deadline > 0 && len(lines) > 0 {
-			_ = rc.SetWriteDeadline(time.Now().Add(deadline))
-		}
-		for _, line := range lines {
-			if _, err := w.Write(line); err != nil {
-				if errors.Is(err, os.ErrDeadlineExceeded) {
-					s.met.streamWriteTimeouts.Inc()
-				}
-				return
-			}
-		}
-		sent += len(lines)
-		if flusher != nil && len(lines) > 0 {
-			flusher.Flush()
-		}
-		if closed || stopWaiting() {
+		if !write(lines) || closed || stopWaiting() {
 			return
 		}
 	}

@@ -2,6 +2,8 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"testing"
 )
 
@@ -11,12 +13,20 @@ import (
 // again with the same fields (so replay-after-rewrite is stable).
 func FuzzRecDecode(f *testing.F) {
 	// Seed corpus: well-formed records of each kind, then each framing
-	// failure mode (short, unframed, bad hex, bad CRC, bad JSON, torn).
+	// failure mode (short, unframed, bad hex, bad CRC, bad JSON, torn),
+	// then a terminal record as logs written before cache hits stopped
+	// being jobs hold it: its "cached" field is no longer in Rec, and
+	// the record must still decode.
 	admit, _ := EncodeRec(Rec{V: Version, Seq: 1, T: RecAdmit, ID: "j000001",
 		Spec: json.RawMessage(`{"kind":"sim","seed":7}`), SeedDerived: true})
 	running, _ := EncodeRec(Rec{V: Version, Seq: 2, T: RecState, ID: "j000001", State: StateRunning})
 	done, _ := EncodeRec(Rec{V: Version, Seq: 3, T: RecState, ID: "j000001", State: StateDone,
-		Summary: json.RawMessage(`{"ok":true}`), Cached: true, WallNS: 12345, ResultLines: 9})
+		Summary: json.RawMessage(`{"ok":true}`), WallNS: 12345, ResultLines: 9})
+	legacyBody := `{"v":1,"seq":4,"t":"state","id":"j000002","state":"done","summary":{"ok":true},"cached":true,"wallNs":0,"resultLines":9}`
+	legacy := []byte(fmt.Sprintf("%08x %s", crc32.ChecksumIEEE([]byte(legacyBody)), legacyBody))
+	if rec, err := DecodeRec(legacy); err != nil || rec.State != StateDone || rec.ResultLines != 9 {
+		f.Fatalf("pre-change cached terminal record: %+v, %v", rec, err)
+	}
 	for _, seed := range [][]byte{
 		admit[:len(admit)-1],
 		running[:len(running)-1],
@@ -28,6 +38,7 @@ func FuzzRecDecode(f *testing.F) {
 		[]byte("deadbeef {\"v\":1}"),
 		[]byte("00000000 not json"),
 		admit[:len(admit)/2],
+		legacy,
 	} {
 		f.Add(seed)
 	}
@@ -46,8 +57,7 @@ func FuzzRecDecode(f *testing.F) {
 		}
 		if rec2.Seq != rec.Seq || rec2.T != rec.T || rec2.ID != rec.ID ||
 			rec2.State != rec.State || rec2.Error != rec.Error ||
-			rec2.Cached != rec.Cached || rec2.WallNS != rec.WallNS ||
-			rec2.ResultLines != rec.ResultLines {
+			rec2.WallNS != rec.WallNS || rec2.ResultLines != rec.ResultLines {
 			t.Fatalf("round-trip changed fields: %+v != %+v", rec2, rec)
 		}
 	})

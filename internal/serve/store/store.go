@@ -33,8 +33,9 @@ const (
 	// RecAdmit records a job admission: ID, canonical spec, seed origin.
 	RecAdmit = "admit"
 	// RecState records a lifecycle transition; terminal transitions
-	// carry the outcome (error, summary, cached flag, result line
-	// count).
+	// carry the outcome (error, summary, result line count). Terminal
+	// records written before cache hits stopped being jobs may also
+	// carry "cached": true, which decodes as an ignored field.
 	RecState = "state"
 	// RecLease records a lease transition of a distributed batch job
 	// (see internal/dist): the coordinator persists completed leases
@@ -80,7 +81,6 @@ type Rec struct {
 	State       string          `json:"state,omitempty"`
 	Error       string          `json:"error,omitempty"`
 	Summary     json.RawMessage `json:"summary,omitempty"`
-	Cached      bool            `json:"cached,omitempty"`
 	WallNS      int64           `json:"wallNs,omitempty"`
 	ResultLines int             `json:"resultLines,omitempty"`
 
@@ -108,7 +108,6 @@ type Final struct {
 	State       string
 	Error       string
 	Summary     json.RawMessage
-	Cached      bool
 	WallNS      int64
 	ResultLines int
 }
@@ -117,8 +116,7 @@ type Final struct {
 func (fin Final) rec(id string) Rec {
 	return Rec{
 		T: RecState, ID: id, State: fin.State, Error: fin.Error,
-		Summary: fin.Summary, Cached: fin.Cached,
-		WallNS: fin.WallNS, ResultLines: fin.ResultLines,
+		Summary: fin.Summary, WallNS: fin.WallNS, ResultLines: fin.ResultLines,
 	}
 }
 
@@ -132,7 +130,6 @@ type Snapshot struct {
 	State       string
 	Error       string
 	Summary     json.RawMessage
-	Cached      bool
 	WallNS      int64
 	ResultLines int
 	// Leases holds the folded lease states of a distributed batch job
@@ -210,7 +207,6 @@ func Fold(recs []Rec) []Snapshot {
 			if Terminal(r.State) {
 				s.Error = r.Error
 				s.Summary = r.Summary
-				s.Cached = r.Cached
 				s.WallNS = r.WallNS
 				s.ResultLines = r.ResultLines
 			}

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"maps"
 	"net/http"
@@ -12,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -164,10 +167,11 @@ func TestBufferSpill(t *testing.T) {
 }
 
 // TestCacheHitServesWithoutRerun pins the content-addressed cache: an
-// identical seeded resubmission answers terminal-done from memory with
-// the cached marker, the original stream verbatim (new terminal record
-// aside), flat simulation counters, and an Idempotency-Key header that
-// round-trips — with mismatches rejected.
+// identical seeded resubmission is answered by the job that ran — its
+// ID in the view and Location, its summary, flat simulation counters —
+// with an Idempotency-Key header that round-trips (mismatches
+// rejected), and a hit that asks for NDJSON gets that job's stored
+// stream.
 func TestCacheHitServesWithoutRerun(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8})
 	spec := Spec{
@@ -183,21 +187,21 @@ func TestCacheHitServesWithoutRerun(t *testing.T) {
 		t.Fatalf("Idempotency-Key header %q, want sha256:<hex>", key)
 	}
 	waitState(t, ts, v1.ID, StateDone, 30*time.Second)
-	lines1 := streamLines(t, ts, v1.ID)
+	stored := resultsBody(t, ts, v1.ID)
 	steps0 := s.met.trialSteps.Value()
 
 	status, v2, _, hdr2 := postJob(t, ts, spec)
 	if status != http.StatusAccepted {
 		t.Fatalf("resubmit status %d", status)
 	}
-	if v2.ID == v1.ID {
-		t.Fatalf("resubmission reused job ID %s", v1.ID)
-	}
-	if v2.State != StateDone || !v2.Cached {
-		t.Fatalf("resubmission view state=%q cached=%v, want done/true", v2.State, v2.Cached)
+	if v2.ID != v1.ID || v2.State != StateDone {
+		t.Fatalf("resubmission answered by %s in state %q, want the source %s, done", v2.ID, v2.State, v1.ID)
 	}
 	if v2.Summary == nil || !v2.Summary.OK {
-		t.Fatalf("cached summary %+v", v2.Summary)
+		t.Fatalf("hit summary %+v", v2.Summary)
+	}
+	if got := hdr2.Get("Location"); got != "/v1/jobs/"+v1.ID {
+		t.Fatalf("hit Location %q, want the source's", got)
 	}
 	if got := hdr2.Get("Idempotency-Key"); got != key {
 		t.Fatalf("hit Idempotency-Key %q, want %q", got, key)
@@ -209,10 +213,6 @@ func TestCacheHitServesWithoutRerun(t *testing.T) {
 		t.Fatalf("cache_hits = %d, want 1", got)
 	}
 
-	// The hit's stream is the original prefix verbatim (header included)
-	// plus its own terminal record carrying the new ID and the marker.
-	checkHitStream(t, streamLines(t, ts, v2.ID), lines1, v2.ID)
-
 	// A client key that does not match the canonical hash is a 400; the
 	// matching key is accepted and hits again.
 	status, _, jerr, _ := postJobKey(t, ts, spec, "sha256:wrong")
@@ -220,13 +220,12 @@ func TestCacheHitServesWithoutRerun(t *testing.T) {
 		t.Fatalf("mismatched key: status %d body %+v", status, jerr)
 	}
 	status, v3, _, _ := postJobKey(t, ts, spec, key)
-	if status != http.StatusAccepted || !v3.Cached {
-		t.Fatalf("matching key: status %d cached=%v", status, v3.Cached)
+	if status != http.StatusAccepted || v3.ID != v1.ID {
+		t.Fatalf("matching key: status %d, answered by %s", status, v3.ID)
 	}
 
-	// A hit that asks for NDJSON is answered with its stream: 200, the
-	// same headers, and the bytes GET /results serves for the job the
-	// Location names.
+	// A hit that asks for NDJSON is answered with the source's stream:
+	// 200, the same headers, and the bytes GET /results serves for it.
 	resp, body, err := postNDJSON(ts, spec, key)
 	if err != nil {
 		t.Fatal(err)
@@ -237,22 +236,15 @@ func TestCacheHitServesWithoutRerun(t *testing.T) {
 	if got := resp.Header.Get("Idempotency-Key"); got != key {
 		t.Fatalf("NDJSON hit Idempotency-Key %q, want %q", got, key)
 	}
-	get, err := http.Get(ts.URL + resp.Header.Get("Location") + "/results")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored, err := io.ReadAll(get.Body)
-	get.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	if got := resp.Header.Get("Location"); got != "/v1/jobs/"+v1.ID {
+		t.Fatalf("NDJSON hit Location %q, want the source's", got)
 	}
 	if !bytes.Equal(body, stored) {
-		t.Fatalf("NDJSON hit body differs from its /results stream:\npost: %s\nget:  %s", body, stored)
+		t.Fatalf("NDJSON hit body differs from the source's /results stream:\npost: %s\nget:  %s", body, stored)
 	}
-	checkHitStream(t, records(body), lines1, strings.TrimPrefix(resp.Header.Get("Location"), "/v1/jobs/"))
 
 	// The header changes nothing else: a mismatched key is still the
-	// JSON 400, and a miss still answers 202 with its view.
+	// JSON 400, and a miss still answers 202 with a new job's view.
 	resp, body, err = postNDJSON(ts, spec, "sha256:wrong")
 	if err != nil {
 		t.Fatal(err)
@@ -268,33 +260,84 @@ func TestCacheHitServesWithoutRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var vm JobView
-	if resp.StatusCode != http.StatusAccepted || json.Unmarshal(body, &vm) != nil || vm.ID == "" || vm.Cached {
+	if resp.StatusCode != http.StatusAccepted || json.Unmarshal(body, &vm) != nil || vm.ID == "" || vm.ID == v1.ID {
 		t.Fatalf("NDJSON miss: status %d, %s", resp.StatusCode, body)
 	}
+}
 
-	// Concurrent hits each get the source's prefix plus their own
-	// terminal record; the rounds give the race detector interleavings.
-	for round := 0; round < 25; round++ {
+// TestCacheHitIsALookup pins what a hit costs: k NDJSON hits on one
+// key, sent in concurrent rounds, write nothing to the store (no
+// Admit, AppendResults or Finalize), read the source's log once each
+// and no other, list no new job, and journal one cached record each,
+// naming the source; every body is the source's GET /results stream
+// byte for byte.
+func TestCacheHitIsALookup(t *testing.T) {
+	ps := newProbeStore()
+	sink := &jobRecSink{}
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, Store: ps, Sink: sink})
+	status, v, _, _ := postJob(t, ts, quickSpec(6))
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status %d", status)
+	}
+	src, _ := s.Job(v.ID)
+	<-src.ctx.Done() // finalize releases the job context
+	stored := resultsBody(t, ts, src.ID)
+	jobs0 := len(listJobs(t, ts))
+	calls0, reads0, recs0 := ps.callCounts(), ps.readCounts(), len(sink.all())
+
+	const rounds, perRound = 25, 8
+	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
+		for g := 0; g < perRound; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				resp, body, err := postNDJSON(ts, spec, "")
+				resp, body, err := postNDJSON(ts, quickSpec(6), "")
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("concurrent hit: status %d, %s", resp.StatusCode, body)
+				if resp.StatusCode != http.StatusOK || resp.Header.Get("Location") != "/v1/jobs/"+src.ID {
+					t.Errorf("hit: status %d, Location %q; want 200 and the source %s", resp.StatusCode, resp.Header.Get("Location"), src.ID)
 					return
 				}
-				checkHitStream(t, records(body), lines1, strings.TrimPrefix(resp.Header.Get("Location"), "/v1/jobs/"))
+				if !bytes.Equal(body, stored) {
+					t.Errorf("hit body differs from the source's /results stream:\nhit:    %s\nsource: %s", body, stored)
+				}
 			}()
 		}
 		wg.Wait()
 		if t.Failed() {
 			t.FailNow()
+		}
+	}
+
+	const k = rounds * perRound
+	calls := ps.callCounts()
+	for _, op := range []string{"Admit", "AppendResults", "Finalize"} {
+		if n := calls[op] - calls0[op]; n != 0 {
+			t.Errorf("%d hits made %d %s calls, want 0", k, n, op)
+		}
+	}
+	for id, n := range ps.readCounts() {
+		want := reads0[id]
+		if id == src.ID {
+			want += k
+		}
+		if n != want {
+			t.Errorf("%s: %d result-log reads after %d hits, want %d", id, n, k, want)
+		}
+	}
+	if n := len(listJobs(t, ts)); n != jobs0 {
+		t.Errorf("GET /v1/jobs lists %d jobs after the hits, want %d", n, jobs0)
+	}
+	recs := sink.all()[recs0:]
+	if len(recs) != k {
+		t.Fatalf("%d hits journaled %d records, want one each", k, len(recs))
+	}
+	for _, rec := range recs {
+		if !rec.Cached || rec.ID != src.ID || rec.State != string(StateDone) || rec.WallNS != 0 || rec.QueueWaitNS != 0 {
+			t.Fatalf("hit journaled %+v; want the source's done record, cached, without wall-clock fields", rec)
 		}
 	}
 }
@@ -325,37 +368,64 @@ func postNDJSON(ts *httptest.Server, spec Spec, key string) (*http.Response, []b
 	return resp, b, err
 }
 
-// checkHitStream checks a cache hit's records (as streamLines reads
-// them): the source's records but the last, verbatim, then a done
-// terminal record of job id with the cached marker. It reports with
-// t.Error, so goroutines may call it.
-func checkHitStream(t *testing.T, lines, src [][]byte, id string) {
+// resultsBody reads GET /v1/jobs/{id}/results whole.
+func resultsBody(t *testing.T, ts *httptest.Server, id string) []byte {
 	t.Helper()
-	if len(lines) != len(src) {
-		t.Errorf("hit %s stream has %d records, source %d", id, len(lines), len(src))
-		return
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/results")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < len(src)-1; i++ {
-		if !bytes.Equal(lines[i], src[i]) {
-			t.Errorf("hit %s record %d differs:\nsource: %s\nhit:    %s", id, i, src[i], lines[i])
-			return
-		}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("results of %s: status %d, err %v", id, resp.StatusCode, err)
 	}
-	var term JobRec
-	if err := json.Unmarshal(lines[len(lines)-1], &term); err != nil || term.ID != id || !term.Cached || term.State != string(StateDone) {
-		t.Errorf("hit %s terminal record %s (err %v), want it cached and done", id, lines[len(lines)-1], err)
-	}
+	return body
 }
 
-// records splits an NDJSON body into its records, without newlines.
-func records(body []byte) [][]byte {
-	return bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+// listJobs reads GET /v1/jobs.
+func listJobs(t *testing.T, ts *httptest.Server) []JobView {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Jobs []JobView `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	return list.Jobs
+}
+
+// jobRecSink is a service-journal sink that keeps every JobRec.
+type jobRecSink struct {
+	mu   sync.Mutex
+	recs []JobRec
+}
+
+func (k *jobRecSink) Emit(v any) error {
+	if rec, ok := v.(JobRec); ok {
+		k.mu.Lock()
+		k.recs = append(k.recs, rec)
+		k.mu.Unlock()
+	}
+	return nil
+}
+
+func (k *jobRecSink) all() []JobRec {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return slices.Clone(k.recs)
 }
 
 // TestRestartRestoresCompletedJobs pins terminal-job recovery: a second
 // server over the same store serves the finished job's view, summary
-// and byte-identical stream, re-seeds the result cache from it, and
-// continues the ID sequence past it.
+// and byte-identical stream, re-seeds the result cache from it (a
+// resubmission is answered by the restored job), and continues the ID
+// sequence past it.
 func TestRestartRestoresCompletedJobs(t *testing.T) {
 	m := store.NewMemory()
 	s1, err := New(Config{Workers: 1, QueueCap: 4, Store: m})
@@ -404,37 +474,131 @@ func TestRestartRestoresCompletedJobs(t *testing.T) {
 		}
 	}
 	// The cache was re-seeded from the store: an identical resubmission
-	// is a hit, and its ID continues past the restored one.
+	// is answered by the restored job.
 	status, v2, _, _ := postJob(t, ts2, quickSpec(2))
+	if status != http.StatusAccepted || v2.ID != v1.ID || v2.State != StateDone {
+		t.Fatalf("post-restart resubmission: status %d, answered by %s in state %q; want the restored %s, done",
+			status, v2.ID, v2.State, v1.ID)
+	}
+	// A miss is a new job, its ID past the restored one.
+	status, v3, _, _ := postJob(t, ts2, quickSpec(3))
 	if status != http.StatusAccepted {
-		t.Fatalf("resubmit status %d", status)
+		t.Fatalf("miss status %d", status)
 	}
-	if !v2.Cached || v2.State != StateDone {
-		t.Fatalf("post-restart resubmission state=%q cached=%v, want done/true", v2.State, v2.Cached)
+	if v3.ID <= v1.ID {
+		t.Fatalf("ID sequence did not continue: %s after %s", v3.ID, v1.ID)
 	}
-	if v2.ID <= v1.ID {
-		t.Fatalf("ID sequence did not continue: %s after %s", v2.ID, v1.ID)
+}
+
+// TestRestoreEarlierSourceAnswers boots a WAL holding two done jobs
+// with one key, as a log written while cache hits were jobs of their
+// own holds a source and a hit: the later job's log is a copy of the
+// source's and its terminal record carries "cached": true. Both restore
+// as done jobs, and a resubmission is answered by the earlier one.
+func TestRestoreEarlierSourceAnswers(t *testing.T) {
+	dir := t.TempDir()
+	w, err := store.OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := New(Config{Workers: 1, QueueCap: 4, Store: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, jerr := s1.Submit(quickSpec(2))
+	if jerr != nil {
+		t.Fatal(jerr)
+	}
+	<-src.ctx.Done()
+	s1.Close()
+	lines, err := w.ReadResults(src.ID, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := canonicalSpec(src.v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	summary, err := json.Marshal(src.view().Summary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hitID = "j000002"
+	if err := w.Admit(hitID, canonical, false); err != nil {
+		t.Fatal(err)
+	}
+	hitLog := append(slices.Clone(lines[:len(lines)-1]),
+		[]byte(`{"v":1,"type":"job","id":"`+hitID+`","kind":"sim","state":"done","protocol":"asym","seed":2,"cached":true}`+"\n"))
+	if err := w.AppendResults(hitID, hitLog); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The hit's terminal WAL record, framed by hand: Rec has no cached
+	// field any more.
+	body := fmt.Sprintf(`{"v":1,"seq":4,"t":"state","id":"%s","state":"done","summary":%s,"cached":true,"resultLines":%d}`,
+		hitID, summary, len(hitLog))
+	f, err := os.OpenFile(filepath.Join(dir, "wal.jsonl"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Fprintf(f, "%08x %s\n", crc32.ChecksumIEEE([]byte(body)), body); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, err := store.OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	s2, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4, Store: w2})
+	if got := s2.met.restored.Value(); got != 2 {
+		t.Fatalf("jobs_restored = %d, want 2", got)
+	}
+	if v := getView(t, ts, hitID); v.State != StateDone || v.Records != len(hitLog) {
+		t.Fatalf("restored hit job: state %q, %d records; want done, %d", v.State, v.Records, len(hitLog))
+	}
+	resp, got, err := postNDJSON(ts, quickSpec(2), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Location") != "/v1/jobs/"+src.ID {
+		t.Fatalf("resubmission: status %d, Location %q; want 200 and the earlier job %s",
+			resp.StatusCode, resp.Header.Get("Location"), src.ID)
+	}
+	if want := resultsBody(t, ts, src.ID); !bytes.Equal(got, want) {
+		t.Fatalf("resubmission body differs from %s's stream:\ngot:  %s\nwant: %s", src.ID, got, want)
 	}
 }
 
 // probeStore wraps store.Memory for the result-cache tests: it counts
-// ReadResults calls per job and SetState calls, and fails the ones a
-// test switches off.
+// calls per operation and ReadResults calls per job, and fails the
+// result-log reads of the job a test names.
 type probeStore struct {
 	*store.Memory
-	mu        sync.Mutex
-	reads     map[string]int
-	setStates int
-	failRead  string // ReadResults of this job ID fails
-	failAdmit bool   // every Admit fails
+	mu       sync.Mutex
+	calls    map[string]int
+	reads    map[string]int
+	failRead string // ReadResults of this job ID fails
 }
 
 func newProbeStore() *probeStore {
-	return &probeStore{Memory: store.NewMemory(), reads: map[string]int{}}
+	return &probeStore{Memory: store.NewMemory(), calls: map[string]int{}, reads: map[string]int{}}
+}
+
+func (p *probeStore) count(op string) {
+	p.mu.Lock()
+	p.calls[op]++
+	p.mu.Unlock()
 }
 
 func (p *probeStore) ReadResults(id string, from, to int) ([][]byte, error) {
 	p.mu.Lock()
+	p.calls["ReadResults"]++
 	p.reads[id]++
 	fail := id == p.failRead
 	p.mu.Unlock()
@@ -444,21 +608,31 @@ func (p *probeStore) ReadResults(id string, from, to int) ([][]byte, error) {
 	return p.Memory.ReadResults(id, from, to)
 }
 
+func (p *probeStore) Admit(id string, spec json.RawMessage, seedDerived bool) error {
+	p.count("Admit")
+	return p.Memory.Admit(id, spec, seedDerived)
+}
+
 func (p *probeStore) SetState(id, state string) error {
-	p.mu.Lock()
-	p.setStates++
-	p.mu.Unlock()
+	p.count("SetState")
 	return p.Memory.SetState(id, state)
 }
 
-func (p *probeStore) Admit(id string, spec json.RawMessage, seedDerived bool) error {
+func (p *probeStore) AppendResults(id string, lines [][]byte) error {
+	p.count("AppendResults")
+	return p.Memory.AppendResults(id, lines)
+}
+
+func (p *probeStore) Finalize(id string, fin store.Final) error {
+	p.count("Finalize")
+	return p.Memory.Finalize(id, fin)
+}
+
+// callCounts returns a copy of the per-operation call counts.
+func (p *probeStore) callCounts() map[string]int {
 	p.mu.Lock()
-	fail := p.failAdmit
-	p.mu.Unlock()
-	if fail {
-		return errors.New("admission log gone")
-	}
-	return p.Memory.Admit(id, spec, seedDerived)
+	defer p.mu.Unlock()
+	return maps.Clone(p.calls)
 }
 
 // readCounts returns a copy of the per-job ReadResults counts.
@@ -471,9 +645,9 @@ func (p *probeStore) readCounts() map[string]int {
 // TestRestartReadsNoResultLog pins that the result cache is an index
 // over the store, not a copy of it: booting over k done jobs reads no
 // result log yet indexes all k, and the first identical resubmission
-// reads its source's log exactly once. A finished miss writes no
-// SetState record: the store holds its admission and terminal records
-// only.
+// is answered by its source, whose log it reads exactly once. A
+// finished miss writes no SetState record: the store holds its
+// admission and terminal records only.
 func TestRestartReadsNoResultLog(t *testing.T) {
 	ps := newProbeStore()
 	s1, err := New(Config{Workers: 1, QueueCap: 8, Store: ps})
@@ -489,11 +663,8 @@ func TestRestartReadsNoResultLog(t *testing.T) {
 		<-j.ctx.Done() // finalize releases the job context
 	}
 	s1.Close()
-	ps.mu.Lock()
-	setStates := ps.setStates
-	ps.mu.Unlock()
-	if setStates != 0 {
-		t.Fatalf("%d finished misses made %d SetState calls, want 0", k, setStates)
+	if n := ps.callCounts()["SetState"]; n != 0 {
+		t.Fatalf("%d finished misses made %d SetState calls, want 0", k, n)
 	}
 	before := ps.readCounts()
 
@@ -516,8 +687,8 @@ func TestRestartReadsNoResultLog(t *testing.T) {
 	if jerr != nil {
 		t.Fatal(jerr)
 	}
-	if v := j.view(); !v.Cached || v.State != StateDone {
-		t.Fatalf("resubmission after boot: state=%q cached=%v, want done/true", v.State, v.Cached)
+	if v := j.view(); v.ID != "j000002" || v.State != StateDone {
+		t.Fatalf("resubmission after boot answered by %s in state %q, want j000002, done", v.ID, v.State)
 	}
 	after := ps.readCounts()
 	for id, n := range after {
@@ -533,8 +704,9 @@ func TestRestartReadsNoResultLog(t *testing.T) {
 
 // TestCacheHitUnreadableSourceRuns pins the fallback when the source's
 // stored stream cannot be read: the resubmission counts as a miss and
-// runs, reproducing the source's stream apart from wall-clock fields
-// and job records, and the re-run replaces the source.
+// runs as a new job, reproducing the source's stream apart from
+// wall-clock fields and job records, and the re-run replaces the
+// source.
 func TestCacheHitUnreadableSourceRuns(t *testing.T) {
 	ps := newProbeStore()
 	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, Store: ps})
@@ -553,8 +725,8 @@ func TestCacheHitUnreadableSourceRuns(t *testing.T) {
 	if status != http.StatusAccepted {
 		t.Fatalf("resubmit status %d", status)
 	}
-	if v2.Cached {
-		t.Fatal("resubmission served from an unreadable source")
+	if v2.ID == v1.ID {
+		t.Fatal("resubmission answered by an unreadable source")
 	}
 	waitState(t, ts, v2.ID, StateDone, 30*time.Second)
 	if got := s.met.cacheMisses.Value(); got != misses0+1 {
@@ -573,42 +745,11 @@ func TestCacheHitUnreadableSourceRuns(t *testing.T) {
 		}
 	}
 
-	// The re-run is the key's source now: a third submission is a hit.
+	// The re-run is the key's source now: a third submission is a hit
+	// answered by it.
 	status, v3, _, _ := postJob(t, ts, quickSpec(3))
-	if status != http.StatusAccepted || !v3.Cached {
-		t.Fatalf("third submission: status %d cached=%v, want 202 and a hit", status, v3.Cached)
-	}
-}
-
-// TestCacheHitAdmitFailure pins that a hit's admission record is
-// written like a miss's: when the store refuses it, the submission is a
-// 500 of kind store and no job is registered (an unrecorded ID would
-// vanish at the next restart, orphaning its result log).
-func TestCacheHitAdmitFailure(t *testing.T) {
-	ps := newProbeStore()
-	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, Store: ps})
-	status, v1, _, _ := postJob(t, ts, quickSpec(4))
-	if status != http.StatusAccepted {
-		t.Fatalf("submit status %d", status)
-	}
-	waitState(t, ts, v1.ID, StateDone, 30*time.Second)
-	streamLines(t, ts, v1.ID)
-
-	ps.mu.Lock()
-	ps.failAdmit = true
-	ps.mu.Unlock()
-	status, _, jerr, _ := postJob(t, ts, quickSpec(4))
-	if status != http.StatusInternalServerError || jerr == nil || jerr.Kind != "store" {
-		t.Fatalf("hit with a failing admit: status %d body %+v, want 500 kind store", status, jerr)
-	}
-	if got := s.met.cacheHits.Value(); got != 0 {
-		t.Fatalf("cache_hits = %d, want 0", got)
-	}
-	s.mu.Lock()
-	jobs := len(s.order)
-	s.mu.Unlock()
-	if jobs != 1 {
-		t.Fatalf("server lists %d jobs, want only the source", jobs)
+	if status != http.StatusAccepted || v3.ID != v2.ID {
+		t.Fatalf("third submission: status %d, answered by %s; want 202 and the re-run %s", status, v3.ID, v2.ID)
 	}
 }
 
@@ -753,8 +894,8 @@ func TestCancelRacePickup(t *testing.T) {
 // is SIGKILLed mid-batch and restarted against the same -store-dir. The
 // finished job must come back byte-identical, the interrupted jobs must
 // re-queue and re-run deterministically, and a resubmission of the
-// finished spec must be served from the re-seeded cache with the
-// simulation counters flat.
+// finished spec must be answered by the restored job from the re-seeded
+// cache with the simulation counters flat.
 func TestKillRestartRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -941,11 +1082,12 @@ func TestKillRestartRecovery(t *testing.T) {
 	await(base2, jb.ID, StateCanceled, 30*time.Second)
 
 	// The cache was repopulated from the WAL: resubmitting the finished
-	// spec is a hit, served without a single new interaction.
+	// spec is a hit, answered by the restored job without a single new
+	// interaction.
 	steps0 := promValue(base2, "ppserved_interactions_total")
 	hit := post(base2, quick1)
-	if hit.State != StateDone || !hit.Cached {
-		t.Fatalf("post-restart resubmission state=%q cached=%v, want done/true", hit.State, hit.Cached)
+	if hit.ID != j1.ID || hit.State != StateDone {
+		t.Fatalf("post-restart resubmission answered by %s in state %q, want the restored %s, done", hit.ID, hit.State, j1.ID)
 	}
 	if steps := promValue(base2, "ppserved_interactions_total"); steps != steps0 {
 		t.Fatalf("cache hit re-simulated after restart: interactions %s -> %s", steps0, steps)
@@ -999,8 +1141,8 @@ func BenchmarkAdmitColdWAL(b *testing.B) {
 }
 
 // BenchmarkAdmitCacheHit measures the memoized path: the same seeded
-// spec, primed once, then answered from the result cache — terminal
-// before Submit returns.
+// spec, primed once, then answered by that job from the result cache:
+// one read of its stored stream, no store write.
 func BenchmarkAdmitCacheHit(b *testing.B) {
 	s, err := New(Config{Workers: 2, QueueCap: 8})
 	if err != nil {
@@ -1014,12 +1156,12 @@ func BenchmarkAdmitCacheHit(b *testing.B) {
 	<-j.ctx.Done()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j, jerr := s.Submit(quickSpec(7))
+		hit, jerr := s.Submit(quickSpec(7))
 		if jerr != nil {
 			b.Fatal(jerr)
 		}
-		if v := j.view(); !v.Cached || v.State != StateDone {
-			b.Fatalf("iteration %d not served from cache: %+v", i, v)
+		if hit != j {
+			b.Fatalf("iteration %d answered by %s, not the source %s", i, hit.ID, j.ID)
 		}
 	}
 }

@@ -40,13 +40,11 @@ func spanRecs(t *testing.T, lines [][]byte) []obs.SpanRec {
 	return spans
 }
 
-// TestTracedJobDeterminism pins the tentpole's service-level contract:
-// the same seeded job submitted twice yields byte-identical span trees
-// — IDs included — modulo the wall-clock fields. Only the "job"
-// lifecycle records (which carry the per-submission job ID) differ.
-// Batches on either engine get one trial span per trial.
+// TestTracedJobDeterminism pins the tracing contract at the service:
+// the same seeded job run twice yields byte-identical span trees — IDs
+// included — modulo the wall-clock fields and the "job" lifecycle
+// records. Batches on either engine get one trial span per trial.
 func TestTracedJobDeterminism(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8})
 	for _, c := range []struct {
 		name string
 		spec Spec
@@ -60,13 +58,19 @@ func TestTracedJobDeterminism(t *testing.T) {
 			Seed: 7, Trials: 3, Workers: 1, Budget: 20_000, Trace: true,
 		}},
 	} {
-		t.Run(c.name, func(t *testing.T) { checkTracedDeterminism(t, ts, c.spec) })
+		t.Run(c.name, func(t *testing.T) { checkTracedDeterminism(t, c.spec) })
 	}
 }
 
-func checkTracedDeterminism(t *testing.T, ts *httptest.Server, spec Spec) {
-	viewA, linesA := runTraced(t, ts, spec)
-	viewB, linesB := runTraced(t, ts, spec)
+func checkTracedDeterminism(t *testing.T, spec Spec) {
+	// Each run gets a fresh server: on one server the second submission
+	// would be a cache hit, answered by the first run itself.
+	run := func(spec Spec) (JobView, [][]byte) {
+		_, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8})
+		return runTraced(t, ts, spec)
+	}
+	viewA, linesA := run(spec)
+	viewB, linesB := run(spec)
 
 	wantTrace := obs.NewTraceID(7).String()
 	if viewA.Trace != wantTrace || viewB.Trace != wantTrace {
@@ -160,7 +164,7 @@ func checkTracedDeterminism(t *testing.T, ts *httptest.Server, spec Spec) {
 	// strictly opt-in (TestJobDeterminism depends on it).
 	untraced := spec
 	untraced.Trace = false
-	viewC, linesC := runTraced(t, ts, untraced)
+	viewC, linesC := run(untraced)
 	if viewC.Trace != "" {
 		t.Fatalf("untraced view trace %q", viewC.Trace)
 	}
