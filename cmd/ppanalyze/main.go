@@ -20,8 +20,9 @@
 // resumed — rewrites identical artifacts. -resume skips cells whose
 // journals under out/journals/ are already complete; -workers bounds
 // the cells that run at once, and processors beyond -workers
-// (GOMAXPROCS) finish cells: they write each journal and reduce it
-// while the workers run the next cells.
+// (GOMAXPROCS) finish cells, writing each journal and reducing it
+// while the workers run the next cells, and otherwise run trials of
+// the running cells (local path only).
 //
 // The process exits 0 when every cell ran (or resumed) cleanly, 1 on
 // cell failures (the summary still covers the successful cells) and 2

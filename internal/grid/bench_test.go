@@ -118,6 +118,11 @@ func BenchmarkGridServerCached(b *testing.B) {
 // cells, half of them with a step fault, half from arbitrary starts.
 const smallGrid = `{"protocols":["asym","selfstab","symglobal"],"populations":[{"p":6,"n":4},{"p":6,"n":6}],"inits":["zero","arbitrary"],"faults":["","@100:corrupt=2"],"trials":4,"budget":300000,"seed":1}`
 
+// countGrid is the bench module's sim-heavy count grid: two count cells
+// at N = 10⁶ > P, where no trial converges and each runs its whole
+// budget.
+const countGrid = `{"protocols":["asym","selfstab"],"engines":["count"],"populations":[{"p":64,"n":1000000}],"trials":2,"budget":2000000}`
+
 // BenchmarkCampaignExecute is the whole-campaign rung: the small grid
 // through Campaign.Execute with LocalRunner and one cell worker, so the
 // journal files, the reduction and the artifact files are timed with
@@ -126,7 +131,21 @@ const smallGrid = `{"protocols":["asym","selfstab","symglobal"],"populations":[{
 // cells/s and allocs/cell. Run it with TMPDIR on a tmpfs, at -cpu 1,2:
 // at -cpu 1 no processor is spare to finish cells.
 func BenchmarkCampaignExecute(b *testing.B) {
-	sp, err := Parse(strings.NewReader(smallGrid))
+	benchCampaign(b, smallGrid)
+}
+
+// BenchmarkCampaignCount is BenchmarkCampaignExecute over the count
+// grid, where a cell is two long trials: at -cpu 2 the spare processor
+// runs one of them, at -cpu 1 the cell's one worker runs both.
+func BenchmarkCampaignCount(b *testing.B) {
+	benchCampaign(b, countGrid)
+}
+
+// benchCampaign times grid through Campaign.Execute with LocalRunner and
+// one cell worker, a fresh master seed per iteration, and reports
+// cells/s and allocs/cell.
+func benchCampaign(b *testing.B, grid string) {
+	sp, err := Parse(strings.NewReader(grid))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"popnaming/internal/report"
+	"popnaming/internal/sim"
 )
 
 // Campaign executes a grid spec into an output directory:
@@ -25,10 +26,9 @@ type Campaign struct {
 	Runner CellRunner
 	// Out is the campaign directory; created if absent.
 	Out string
-	// Workers bounds concurrently running cells (default 1 — cells
-	// are internally sequential for determinism, so campaign-level
-	// fan-out is the parallelism knob). Processors beyond Workers
-	// finish cells (see Execute).
+	// Workers bounds concurrently running cells (default 1). Processors
+	// beyond the cell workers finish cells and join running cells'
+	// batches (see Execute).
 	Workers int
 	// Resume skips cells whose journal is already complete (intact
 	// tail, matching seed, full batch summary) instead of re-running
@@ -74,12 +74,15 @@ func (cp *Campaign) logf(format string, args ...any) {
 //
 // A worker runs a cell into a journal buffer; finishing the cell
 // (writing the journal to its path and reducing the same bytes) goes to
-// an idle finisher when there is one, and the worker runs its next
-// cell. There is one finisher per spare processor (GOMAXPROCS beyond
-// Workers), so there are none at Workers ≥ GOMAXPROCS and the worker
-// finishes every cell itself: a finisher that shared a processor with
-// the workers would slow the cells it waits for. A journal is in
-// memory only while its cell runs or finishes.
+// an idle helper when there is one, and the worker runs its next cell.
+// A helper that is not finishing a cell joins a running cell's batch as
+// one more trial worker when the batch offers a place (sim.WithIdle).
+// There is one helper per spare processor (GOMAXPROCS beyond the
+// min(Workers, cells) cell workers), so there are none when the cell
+// workers fill every processor and each worker finishes its own cells
+// and runs its batches alone: a helper that shared a processor with the
+// workers would slow the cells it waits for. A journal is in memory
+// only while its cell runs or finishes.
 func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 	if err := cp.Spec.Validate(); err != nil {
 		return nil, err
@@ -90,9 +93,8 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 	cells := cp.Spec.Cells()
 	res := &Result{Cells: cells}
 	outs := make([]cellOutcome, len(cells))
-	workers := max(cp.Workers, 1)
-	spare := max(min(runtime.GOMAXPROCS(0)-workers, len(cells)), 0)
-	workers = min(workers, len(cells))
+	workers := min(max(cp.Workers, 1), len(cells))
+	spare := max(runtime.GOMAXPROCS(0)-workers, 0)
 	var mu sync.Mutex
 	record := func(i int, out cellOutcome) {
 		mu.Lock()
@@ -112,7 +114,7 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 	}
 
 	// free holds the journal buffers not in use. Every buffer is held by
-	// a worker, a finisher or free, and one is made only when free is
+	// a worker, a helper or free, and one is made only when free is
 	// empty, so free has room for all of them and putting one back
 	// never blocks.
 	free := make(chan *bytes.Buffer, workers+spare)
@@ -120,17 +122,31 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 		i       int
 		journal *bytes.Buffer
 	}
-	handoff := make(chan ranCell) // unbuffered: a send succeeds only when a finisher is idle
-	var finishers sync.WaitGroup
+	// Both channels are unbuffered: a send succeeds only when a helper
+	// is idle.
+	handoff := make(chan ranCell)
+	idle := make(chan func())
+	var helpers sync.WaitGroup
 	for range spare {
-		finishers.Add(1)
+		helpers.Add(1)
 		go func() {
-			defer finishers.Done()
-			for rc := range handoff {
-				record(rc.i, cp.finishCell(cells[rc.i], rc.journal.Bytes()))
-				free <- rc.journal
+			defer helpers.Done()
+			for {
+				select {
+				case rc, ok := <-handoff:
+					if !ok {
+						return
+					}
+					record(rc.i, cp.finishCell(cells[rc.i], rc.journal.Bytes()))
+					free <- rc.journal
+				case work := <-idle:
+					work()
+				}
 			}
 		}()
+	}
+	if spare > 0 {
+		ctx = sim.WithIdle(ctx, idle)
 	}
 	fanOut(len(cells), workers, func(i int) {
 		c := cells[i]
@@ -159,8 +175,10 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 			free <- journal
 		}
 	})
+	// Every batch has returned, and with it every helper that joined
+	// one, so the helpers are all waiting.
 	close(handoff)
-	finishers.Wait()
+	helpers.Wait()
 
 	stats := make([]CellStats, 0, len(cells))
 	var reduceErr error

@@ -346,50 +346,72 @@ const procsSpec = `{
 	"faults":["","@conv:corrupt=2"],
 	"trials":4,"budget":300000,"seed":7}`
 
+// procsCountSpec runs procsSpec's protocols on the count engine at
+// N > P, where no trial converges and each runs its whole budget, with
+// census records and three trials per cell for helpers to join.
+const procsCountSpec = `{
+	"name":"procs-count",
+	"protocols":["asym","selfstab"],
+	"engines":["count"],
+	"populations":[{"p":8,"n":1000},{"p":8,"n":5000}],
+	"trials":3,"budget":200000,"progressEvery":50000,"seed":7}`
+
 // TestExecuteAcrossProcessors: the same grid at every mix of cell
-// workers and processors (no finisher, one finisher, more workers than
-// processors) writes the same journals and artifacts and reports the
-// same counts as one worker on one processor.
+// workers and processors (no helper, one helper finishing cells and
+// joining batches, more workers than processors) writes the same
+// journals and artifacts and reports the same counts as one worker on
+// one processor, on either engine.
 func TestExecuteAcrossProcessors(t *testing.T) {
-	sp := parse(t, procsSpec)
-	run := func(workers, procs int) (*Campaign, *Result) {
-		dir := filepath.Join(t.TempDir(), fmt.Sprintf("w%d-p%d", workers, procs))
-		cp := &Campaign{Spec: sp, Runner: LocalRunner{}, Out: dir, Workers: workers}
-		var res *Result
-		var err error
-		withProcs(procs, func() { res, err = cp.Execute(context.Background()) })
-		if err != nil {
-			t.Fatalf("workers %d, GOMAXPROCS %d: %v", workers, procs, err)
-		}
-		return cp, res
-	}
-	base, want := run(1, 1)
-	if want.Ran != len(want.Cells) || len(want.Failed) != 0 {
-		t.Fatalf("ran %d of %d cells, %d failed", want.Ran, len(want.Cells), len(want.Failed))
-	}
-	if _, err := os.Stat(filepath.Join(base.Out, "epochs.csv")); err != nil {
-		t.Fatalf("no epoch table: %v", err)
-	}
-	for _, wp := range [][2]int{{1, 2}, {2, 2}, {3, 2}} {
-		cp, res := run(wp[0], wp[1])
-		if res.Ran != want.Ran || res.Skipped != want.Skipped || len(res.Failed) != len(want.Failed) {
-			t.Errorf("workers %d, GOMAXPROCS %d: ran %d, skipped %d, failed %d; want %d, %d, %d",
-				wp[0], wp[1], res.Ran, res.Skipped, len(res.Failed), want.Ran, want.Skipped, len(want.Failed))
-		}
-		assertArtifactsEqual(t, base.Out, cp.Out)
-		for _, c := range res.Cells {
-			a, err := os.ReadFile(base.JournalPath(c))
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		spec   string
+		epochs bool // the grid writes an epoch table
+	}{
+		{"agent", procsSpec, true},
+		{"count", procsCountSpec, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := parse(t, tc.spec)
+			run := func(workers, procs int) (*Campaign, *Result) {
+				dir := filepath.Join(t.TempDir(), fmt.Sprintf("w%d-p%d", workers, procs))
+				cp := &Campaign{Spec: sp, Runner: LocalRunner{}, Out: dir, Workers: workers}
+				var res *Result
+				var err error
+				withProcs(procs, func() { res, err = cp.Execute(context.Background()) })
+				if err != nil {
+					t.Fatalf("workers %d, GOMAXPROCS %d: %v", workers, procs, err)
+				}
+				return cp, res
 			}
-			b, err := os.ReadFile(cp.JournalPath(c))
-			if err != nil {
-				t.Fatal(err)
+			base, want := run(1, 1)
+			if want.Ran != len(want.Cells) || len(want.Failed) != 0 {
+				t.Fatalf("ran %d of %d cells, %d failed", want.Ran, len(want.Cells), len(want.Failed))
 			}
-			if !bytes.Equal(obs.Canonical(a), obs.Canonical(b)) {
-				t.Errorf("workers %d, GOMAXPROCS %d: journal of %s differs", wp[0], wp[1], c.ID())
+			if _, err := os.Stat(filepath.Join(base.Out, "epochs.csv")); tc.epochs && err != nil {
+				t.Fatalf("no epoch table: %v", err)
 			}
-		}
+			for _, wp := range [][2]int{{1, 2}, {2, 2}, {3, 2}} {
+				cp, res := run(wp[0], wp[1])
+				if res.Ran != want.Ran || res.Skipped != want.Skipped || len(res.Failed) != len(want.Failed) {
+					t.Errorf("workers %d, GOMAXPROCS %d: ran %d, skipped %d, failed %d; want %d, %d, %d",
+						wp[0], wp[1], res.Ran, res.Skipped, len(res.Failed), want.Ran, want.Skipped, len(want.Failed))
+				}
+				assertArtifactsEqual(t, base.Out, cp.Out)
+				for _, c := range res.Cells {
+					a, err := os.ReadFile(base.JournalPath(c))
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := os.ReadFile(cp.JournalPath(c))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(obs.Canonical(a), obs.Canonical(b)) {
+						t.Errorf("workers %d, GOMAXPROCS %d: journal of %s differs", wp[0], wp[1], c.ID())
+					}
+				}
+			}
+		})
 	}
 }
 

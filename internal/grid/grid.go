@@ -50,8 +50,8 @@ type Spec struct {
 
 	// Shared cell knobs, mirroring the v1 job schema. Trials defaults
 	// to 10; Budget 0 selects the service default; Workers is the
-	// per-cell trial parallelism and defaults to 1, the deterministic
-	// choice (record order across trials follows worker scheduling).
+	// per-cell trial parallelism and defaults to 1 (journals are in
+	// trial order at any worker count).
 	Trials        int   `json:"trials,omitempty"`
 	Budget        int   `json:"budget,omitempty"`
 	Workers       int   `json:"workers,omitempty"`

@@ -63,10 +63,10 @@ type BatchResult struct {
 // BatchObs configures observability for a batch run.
 type BatchObs struct {
 	// Sink, when non-nil, receives trial-tagged progress and summary
-	// records from every trial plus the merged batch-summary record.
-	// It is shared across workers and must be safe for concurrent use
-	// (obs.JournalSink is); record order across trials follows worker
-	// scheduling and is not deterministic.
+	// records from every trial plus the merged batch-summary record,
+	// in trial order at any worker count: all of trial k's records
+	// before any of trial k+1's (see RunBatch). Emit is called from the
+	// goroutines that run the trials, one call at a time.
 	Sink obs.Sink
 	// ProgressEvery is the per-trial progress snapshot period in
 	// interactions (0: only final snapshots).
@@ -94,8 +94,10 @@ type BatchSummary struct {
 	// over the converged trials.
 	StepsToConverge obs.Histogram
 	// Workers, WallNS and Utilization describe the worker pool:
-	// utilization is the summed busy time of all workers divided by
-	// workers x wall clock (1.0 = no idle time).
+	// Workers is the batch's own worker count, min(workers, trials),
+	// and utilization is the summed busy time of the goroutines that
+	// ran trials, idle helpers included, divided by their number x wall
+	// clock (1.0 = no idle time).
 	Workers     int
 	WallNS      int64
 	Utilization float64
@@ -141,6 +143,17 @@ func (s *BatchSummary) Record() obs.BatchSummaryRec {
 // unsliced CountRunner.Run(sup.StepBudget); the count engine supports
 // no other supervision (see CountUnsupported).
 //
+// Records are journaled in trial order, whatever the worker count and
+// goroutine scheduling: a trial that starts once every earlier trial is
+// journaled emits straight to the sinks (bo.Sink, sup.Sink and
+// sup.Trace's), and any other trial holds its observer, census,
+// injector, supervisor and span records in memory until every earlier
+// trial's are out. The batch-summary record comes last.
+//
+// When ctx carries an idle channel (see WithIdle), every claim that
+// leaves trials unclaimed also offers one more worker's place on it,
+// without waiting, so goroutines idle elsewhere join the batch.
+//
 // Trials claimed after ctx is canceled or the deadline passes are
 // tagged TrialAborted without running. A cancel also stops in-flight
 // trials — agent trials at their next slice boundary, count trials at
@@ -173,98 +186,123 @@ func RunBatch(ctx context.Context, pr core.Protocol, lo, hi, workers int, sup Su
 	if sup.Deadline > 0 {
 		deadlineAt = time.Now().Add(sup.Deadline)
 	}
+	idle, _ := ctx.Value(idleKey{}).(chan func())
 	out := make([]BatchResult, trials)
-	busy := make([]int64, workers)
-	start := time.Now()
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				off := next
-				next++
-				mu.Unlock()
-				if off >= trials {
-					return
-				}
-				i := lo + off
-				// Graceful degradation: once canceled or past the batch
-				// deadline, the remaining trials are tagged instead of
-				// run, so the batch returns promptly with partial
-				// results.
-				if ctx.Err() != nil {
-					out[off] = BatchResult{Trial: i, Status: TrialAborted, Reason: "canceled"}
-					continue
-				}
-				if !deadlineAt.IsZero() && !time.Now().Before(deadlineAt) {
-					out[off] = BatchResult{Trial: i, Status: TrialAborted, Reason: "deadline"}
-					continue
-				}
-				t0 := time.Now()
-				tsup := sup
-				tsup.Trial = i
-				if bo.Sink != nil {
-					tsup.Sink = bo.Sink
-				}
-				// One span per trial, parenting the attempt/slice spans
-				// superviseUntil emits. The ID derives from (trace,
-				// parent, "trial", i), not from emission order, so span
-				// trees are identical however workers interleave.
-				var tspan *obs.Span
-				if sup.Trace.Enabled() {
-					tspan = sup.Trace.Start("trial", i)
-					tspan.Trial = i
-					tsup.Trace = tspan.Context()
-				}
-				var br BatchResult
-				if t := mk(i, 0); t.Count != nil {
-					br = runCountEngine(ctx, pr, tab, i, t, tsup.stepBudget(), bo)
-				} else {
-					sr := superviseUntil(ctx, tsup, deadlineAt, func(attempt int) *Runner {
-						if attempt > 0 {
-							t.release()
-							t = mk(i, attempt)
-						}
-						run := NewRunner(pr, t.Sched, t.Cfg)
-						if t.Inject != nil {
-							t.Inject.Trial = i
-							if bo.Sink != nil {
-								t.Inject.Sink = bo.Sink
-							}
-							run.Inject = t.Inject
-						}
-						if bo.Sink != nil {
-							run.Obs = obs.NewObserver(t.Cfg.N(), withLeader, obs.ObserverOptions{
-								Sink:          bo.Sink,
-								ProgressEvery: bo.ProgressEvery,
-								Trial:         i,
-							})
-						}
-						if tab != nil {
-							run.UseCompiled(tab)
-						}
-						return run
-					})
-					t.release()
-					br = BatchResult{Trial: i, Result: sr.Result, Status: sr.Status, Attempts: sr.Attempts, Reason: sr.Reason}
-				}
-				if tspan != nil {
-					tspan.Attr("attempts", int64(br.Attempts)).Attr("steps", int64(br.Result.Steps)).Attr("nonNull", int64(br.Result.NonNull))
-					if br.Result.Converged {
-						tspan.Attr("converged", 1)
-					}
-					tspan.End()
-				}
-				out[off] = br
-				busy[w] += time.Since(t0).Nanoseconds()
+	st := &batchState{logs: make([]trialLog, trials)}
+	var work func()
+	work = func() {
+		defer st.wg.Done()
+		var busy int64
+		var ranTrial bool
+		for {
+			off, stream := st.claim()
+			if off >= trials {
+				break
 			}
-		}(w)
+			// Lend one more worker's place to a goroutine waiting on
+			// idle, if there is one.
+			if idle != nil && off+1 < trials {
+				st.wg.Add(1)
+				select {
+				case idle <- work:
+				default:
+					st.wg.Done()
+				}
+			}
+			i := lo + off
+			// Graceful degradation: once canceled or past the batch
+			// deadline, the remaining trials are tagged instead of
+			// run, so the batch returns promptly with partial
+			// results.
+			if ctx.Err() != nil {
+				out[off] = BatchResult{Trial: i, Status: TrialAborted, Reason: "canceled"}
+				st.finish(off)
+				continue
+			}
+			if !deadlineAt.IsZero() && !time.Now().Before(deadlineAt) {
+				out[off] = BatchResult{Trial: i, Status: TrialAborted, Reason: "deadline"}
+				st.finish(off)
+				continue
+			}
+			t0 := time.Now()
+			tbo, tsup := bo, sup
+			tsup.Trial = i
+			if bo.Sink != nil {
+				tsup.Sink = bo.Sink
+			}
+			if !stream {
+				log := &st.logs[off]
+				tbo.Sink = log.sink(tbo.Sink)
+				tsup.Sink = log.sink(tsup.Sink)
+				tsup.Trace.Sink = log.sink(tsup.Trace.Sink)
+			}
+			// One span per trial, parenting the attempt/slice spans
+			// superviseUntil emits. The ID derives from (trace,
+			// parent, "trial", i), not from emission order, so span
+			// trees are identical however workers interleave.
+			var tspan *obs.Span
+			if tsup.Trace.Enabled() {
+				tspan = tsup.Trace.Start("trial", i)
+				tspan.Trial = i
+				tsup.Trace = tspan.Context()
+			}
+			var br BatchResult
+			if t := mk(i, 0); t.Count != nil {
+				br = runCountEngine(ctx, pr, tab, i, t, tsup.stepBudget(), tbo)
+			} else {
+				sr := superviseUntil(ctx, tsup, deadlineAt, func(attempt int) *Runner {
+					if attempt > 0 {
+						t.release()
+						t = mk(i, attempt)
+					}
+					run := NewRunner(pr, t.Sched, t.Cfg)
+					if t.Inject != nil {
+						t.Inject.Trial = i
+						if tbo.Sink != nil {
+							t.Inject.Sink = tbo.Sink
+						}
+						run.Inject = t.Inject
+					}
+					if tbo.Sink != nil {
+						run.Obs = obs.NewObserver(t.Cfg.N(), withLeader, obs.ObserverOptions{
+							Sink:          tbo.Sink,
+							ProgressEvery: bo.ProgressEvery,
+							Trial:         i,
+						})
+					}
+					if tab != nil {
+						run.UseCompiled(tab)
+					}
+					return run
+				})
+				t.release()
+				br = BatchResult{Trial: i, Result: sr.Result, Status: sr.Status, Attempts: sr.Attempts, Reason: sr.Reason}
+			}
+			if tspan != nil {
+				tspan.Attr("attempts", int64(br.Attempts)).Attr("steps", int64(br.Result.Steps)).Attr("nonNull", int64(br.Result.NonNull))
+				if br.Result.Converged {
+					tspan.Attr("converged", 1)
+				}
+				tspan.End()
+			}
+			out[off] = br
+			busy += time.Since(t0).Nanoseconds()
+			ranTrial = true
+			st.finish(off)
+		}
+		if ranTrial {
+			st.mu.Lock()
+			st.busyNS += busy
+			st.ran++
+			st.mu.Unlock()
+		}
 	}
-	wg.Wait()
+	start := time.Now()
+	st.wg.Add(workers)
+	for range workers {
+		go work()
+	}
+	st.wg.Wait()
 
 	sum := BatchSummary{
 		Results: out,
@@ -286,17 +324,116 @@ func RunBatch(ctx context.Context, pr core.Protocol, lo, hi, workers int, sup Su
 			sum.Retried++
 		}
 	}
-	var totalBusy int64
-	for _, b := range busy {
-		totalBusy += b
-	}
-	if sum.WallNS > 0 && workers > 0 {
-		sum.Utilization = float64(totalBusy) / (float64(sum.WallNS) * float64(workers))
+	if sum.WallNS > 0 && st.ran > 0 {
+		sum.Utilization = float64(st.busyNS) / (float64(sum.WallNS) * float64(st.ran))
 	}
 	if bo.Sink != nil {
 		_ = bo.Sink.Emit(sum.Record())
 	}
 	return sum
+}
+
+// idleKey is the context key of the channel WithIdle attaches.
+type idleKey struct{}
+
+// WithIdle returns a copy of ctx under which RunBatch lends places in
+// its batches to idle goroutines. A goroutine that waits on idle and
+// receives a function runs trials of that batch when it calls it, as
+// one more worker, until no trial is left unclaimed; the function then
+// returns. RunBatch offers with a non-blocking send, so a batch never
+// waits for a helper and runs on its own workers when none is idle.
+func WithIdle(ctx context.Context, idle chan func()) context.Context {
+	return context.WithValue(ctx, idleKey{}, idle)
+}
+
+// batchState is what a batch's goroutines share: the trial claims, the
+// journal's progress through the trials, and the busy-time totals.
+type batchState struct {
+	wg       sync.WaitGroup // the batch's workers and the helpers that joined
+	mu       sync.Mutex
+	next     int        // the first unclaimed offset
+	emitted  int        // the trials [0, emitted) are journaled
+	emitting bool       // a goroutine is emitting finished trials
+	logs     []trialLog // by offset
+	busyNS   int64      // summed trial time
+	ran      int        // goroutines that ran a trial
+}
+
+// claim takes the next trial offset (≥ len(logs) when none is left) and
+// reports whether that trial streams: every earlier trial is journaled.
+func (st *batchState) claim() (off int, stream bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	off = st.next
+	st.next++
+	return off, off == st.emitted
+}
+
+// finish marks the trial at offset off finished and journals every
+// finished trial from the first one not yet journaled on, emitting
+// their held records in trial order. One goroutine emits at a time,
+// outside the lock, and trials that finish meanwhile are left to it.
+// emitted advances only once a trial's records are out, so no trial
+// claimed while they go out streams.
+func (st *batchState) finish(off int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.logs[off].done = true
+	if st.emitting {
+		return
+	}
+	st.emitting = true
+	for st.emitted < len(st.logs) && st.logs[st.emitted].done {
+		log := &st.logs[st.emitted]
+		st.mu.Unlock()
+		log.emit()
+		st.mu.Lock()
+		st.emitted++
+	}
+	st.emitting = false
+}
+
+// trialLog is one trial's place in the journal order: whether it has
+// finished and, for a trial that started before every earlier trial was
+// journaled, its records in emission order, each with the sink it was
+// emitted to. Only the trial's goroutine appends to recs.
+type trialLog struct {
+	done bool
+	recs []heldRec
+}
+
+type heldRec struct {
+	to  obs.Sink
+	rec any
+}
+
+// sink returns the trial's stand-in for to, which appends to the log
+// (nil for a nil sink).
+func (l *trialLog) sink(to obs.Sink) obs.Sink {
+	if to == nil {
+		return nil
+	}
+	return &heldSink{log: l, to: to}
+}
+
+// emit sends the held records on to their sinks, in order, and drops
+// them.
+func (l *trialLog) emit() {
+	for _, h := range l.recs {
+		_ = h.to.Emit(h.rec)
+	}
+	l.recs = nil
+}
+
+// heldSink is a held trial's stand-in for one sink.
+type heldSink struct {
+	log *trialLog
+	to  obs.Sink
+}
+
+func (s *heldSink) Emit(rec any) error {
+	s.log.recs = append(s.log.recs, heldRec{s.to, rec})
+	return nil
 }
 
 // runCountEngine runs trial i on the count engine: one unsliced Run over

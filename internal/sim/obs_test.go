@@ -82,8 +82,8 @@ func TestJournalDeterministic(t *testing.T) {
 }
 
 // TestRunBatchObservedJournal runs a concurrent batch into one shared
-// sink (the race detector covers the concurrent Emit path) and checks
-// the per-trial summaries and the merged batch summary.
+// sink (the race detector covers Emit from the workers' goroutines) and
+// checks the per-trial summaries and the merged batch summary.
 func TestRunBatchObservedJournal(t *testing.T) {
 	const n, trials = 6, 8
 	pr := naming.NewSelfStab(n)
