@@ -47,7 +47,7 @@ DIST_BENCH = BenchmarkDistSharded|BenchmarkDistDegraded
 # an all-cache-hit second pass (see docs/pipeline.md).
 GRID_BENCH = BenchmarkGridLocal|BenchmarkGridServer|BenchmarkGridServerCached
 
-.PHONY: check vet build test test-bench race fmt fuzzbuild paper outputs bench bench-engine bench-search bench-fault bench-serve bench-trace bench-count bench-store bench-dist bench-grid serve
+.PHONY: check vet build test test-bench race fmt fuzzbuild paper outputs loc bench bench-engine bench-search bench-fault bench-serve bench-trace bench-count bench-store bench-dist bench-grid serve
 
 # check is the single entry point: everything CI (or a reviewer) needs.
 check: vet build race fmt fuzzbuild test-bench outputs
@@ -121,6 +121,17 @@ outputs:
 	@diff -u docs/experiments_output.txt .paper_out/experiments_output.txt || \
 		{ echo "docs/experiments_output.txt is stale: regenerate it with go run ./cmd/experiments -seed 1 all"; exit 1; }
 	@echo "checked-in outputs are current"
+
+# loc prints the Go line counts the docs quote: non-test and test code
+# outside bench/, then bench/'s non-test and test code. Lines are
+# counted raw, as wc -l does; what builds and runs leave behind
+# (.bench_build/, .paper_out/) is left out.
+GO_SOURCES = find . -name '*.go' -not -path './.bench_build/*' -not -path './.paper_out/*'
+loc:
+	@echo "non-test Go outside bench/: $$($(GO_SOURCES) -not -path './bench/*' -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test Go outside bench/:     $$($(GO_SOURCES) -not -path './bench/*' -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "non-test Go in bench/:      $$($(GO_SOURCES) -path './bench/*' -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test Go in bench/:          $$($(GO_SOURCES) -path './bench/*' -name '*_test.go' -exec cat {} + | wc -l)"
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

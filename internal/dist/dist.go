@@ -517,7 +517,7 @@ func (c *Coordinator) backoffDelay(idx, epoch int) time.Duration {
 	return d + time.Duration(jitter%uint64(d/2+1))
 }
 
-// ---- shard normalization and merging ----
+// ---- shard checking and merging ----
 
 // lineMeta is the per-line peek the merge needs: the record type and
 // its trial tag. Trial is a pointer so an absent tag (a trial-0 fault
@@ -527,36 +527,35 @@ type lineMeta struct {
 	Trial *int   `json:"trial"`
 }
 
-// normalizeShard validates and normalizes one shard's lines (a
-// result-stream body, envelope already stripped): the shard's single
-// batch_summary is checked against the lease range, and the workload
-// lines are grouped by global trial index in ascending order (stable
-// within a trial). It returns those lines followed by the
-// batch_summary line as received — the one form in which a shard is
-// persisted, restored and (minus the summary line) delivered — plus
-// the decoded summary. The workload lines are exactly what a workers=1
-// run of the same range would emit, whatever worker count the shard
-// actually ran with, and a normalized shard normalizes to itself.
+// normalizeShard checks that one shard's lines (a result-stream body,
+// envelope already stripped) are in normal form — the one form in which
+// a shard is persisted, restored and (minus the summary line)
+// delivered: workload lines whose trial tags are nondecreasing and
+// inside the lease range (an absent tag counts as trial 0), then
+// exactly one batch_summary, on the last line, covering the lease.
+// sim.RunBatch journals a range in that form at any worker count, so
+// peer shards, local runs and restored shards all pass; a shard that
+// does not is refused (and its lease re-issued), never re-sorted. It
+// returns the lines as received and the decoded summary.
 func normalizeShard(raw [][]byte, r Range) ([][]byte, obs.BatchSummaryRec, error) {
-	n := r.Hi - r.Lo
-	byTrial := make([][][]byte, n)
 	var sum obs.BatchSummaryRec
-	var sumLine []byte
-	total := 0
-	for _, line := range raw {
+	prev := r.Lo
+	for i, line := range raw {
 		var m lineMeta
 		if err := json.Unmarshal(line, &m); err != nil {
 			return nil, sum, fmt.Errorf("dist: bad shard line: %w", err)
 		}
 		if m.Type == "batch_summary" {
-			if sumLine != nil {
-				return nil, sum, fmt.Errorf("dist: shard %s carries more than one batch_summary record", r)
+			if i != len(raw)-1 {
+				return nil, sum, fmt.Errorf("dist: shard %s carries a batch_summary record before its last line", r)
 			}
 			if err := json.Unmarshal(line, &sum); err != nil {
 				return nil, sum, fmt.Errorf("dist: bad shard summary: %w", err)
 			}
-			sumLine = line
-			continue
+			if sum.Trials != r.Hi-r.Lo {
+				return nil, sum, fmt.Errorf("dist: shard %s summary covers %d trials, want %d", r, sum.Trials, r.Hi-r.Lo)
+			}
+			return raw, sum, nil
 		}
 		t := 0
 		if m.Trial != nil {
@@ -565,20 +564,12 @@ func normalizeShard(raw [][]byte, r Range) ([][]byte, obs.BatchSummaryRec, error
 		if t < r.Lo || t >= r.Hi {
 			return nil, sum, fmt.Errorf("dist: shard %s carries trial %d", r, t)
 		}
-		byTrial[t-r.Lo] = append(byTrial[t-r.Lo], line)
-		total++
+		if t < prev {
+			return nil, sum, fmt.Errorf("dist: shard %s carries trial %d after trial %d", r, t, prev)
+		}
+		prev = t
 	}
-	if sumLine == nil {
-		return nil, sum, fmt.Errorf("dist: shard %s carries no batch_summary record", r)
-	}
-	if sum.Trials != n {
-		return nil, sum, fmt.Errorf("dist: shard %s summary covers %d trials, want %d", r, sum.Trials, n)
-	}
-	shard := make([][]byte, 0, total+1)
-	for _, tl := range byTrial {
-		shard = append(shard, tl...)
-	}
-	return append(shard, sumLine), sum, nil
+	return nil, sum, fmt.Errorf("dist: shard %s carries no batch_summary record", r)
 }
 
 // MergeSummaries rebuilds the logical batch summary from per-shard

@@ -152,6 +152,18 @@ func TestNormalizeShard(t *testing.T) {
 	if _, _, err := normalizeShard(twice, r); err == nil {
 		t.Fatal("shard with two summaries accepted")
 	}
+	// A shard out of trial order is rejected, not re-sorted.
+	whole = mkShard(t, r)
+	swapped := [][]byte{whole[1], whole[0], whole[2], whole[3]}
+	if _, _, err := normalizeShard(swapped, r); err == nil {
+		t.Fatal("shard out of trial order accepted")
+	}
+	// A shard whose summary is not its last line is rejected.
+	whole = mkShard(t, r)
+	early := [][]byte{whole[0], whole[1], whole[3], whole[2]}
+	if _, _, err := normalizeShard(early, r); err == nil {
+		t.Fatal("shard with its summary before a trial accepted")
+	}
 }
 
 func TestMergeSummaries(t *testing.T) {

@@ -65,32 +65,33 @@ func (cp *Campaign) logf(format string, args ...any) {
 	}
 }
 
-// Execute runs every cell (respecting Resume), reduces the journals
-// and writes the artifacts. Cell failures don't stop the campaign:
-// remaining cells run, the failures come back in Result.Failed, and
-// reduction covers the successful cells only — err is reserved for
-// campaign-level failures (bad spec, unwritable directory, a journal
-// that does not reduce).
+// Execute expands the grid once, runs every cell (respecting Resume),
+// reduces the journals and writes the artifacts. A grid with a cell
+// that admission refused fails with Validate's error before any
+// directory is made. Cell failures don't stop the campaign: remaining
+// cells run, the failures come back in Result.Failed, and reduction
+// covers the successful cells only — err is reserved for campaign-level
+// failures (bad spec, unwritable directory, a journal that does not
+// reduce).
 //
-// A worker runs a cell into a journal buffer; finishing the cell
-// (writing the journal to its path and reducing the same bytes) goes to
-// an idle helper when there is one, and the worker runs its next cell.
-// A helper that is not finishing a cell joins a running cell's batch as
-// one more trial worker when the batch offers a place (sim.WithIdle).
-// There is one helper per spare processor (GOMAXPROCS beyond the
-// min(Workers, cells) cell workers), so there are none when the cell
-// workers fill every processor and each worker finishes its own cells
-// and runs its batches alone: a helper that shared a processor with the
-// workers would slow the cells it waits for. A journal is in memory
-// only while its cell runs or finishes.
+// A worker runs a cell into a journal buffer and offers finishing it
+// (writing the journal to its path and reducing the same bytes) to an
+// idle helper, or finishes it itself, and runs its next cell. Running
+// batches offer helpers places as trial workers on the same channel
+// (sim.WithIdle). There is one helper per spare processor (GOMAXPROCS
+// beyond the min(Workers, cells) cell workers), so there are none when
+// the cell workers fill every processor and each worker finishes its
+// own cells and runs its batches alone: a helper that shared a
+// processor with the workers would slow the cells it waits for. A
+// journal is in memory only while its cell runs or finishes.
 func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
-	if err := cp.Spec.Validate(); err != nil {
+	cells := cp.Spec.Cells()
+	if err := refused(cells); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(filepath.Join(cp.Out, "journals"), 0o755); err != nil {
 		return nil, err
 	}
-	cells := cp.Spec.Cells()
 	res := &Result{Cells: cells}
 	outs := make([]cellOutcome, len(cells))
 	workers := min(max(cp.Workers, 1), len(cells))
@@ -118,30 +119,15 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 	// empty, so free has room for all of them and putting one back
 	// never blocks.
 	free := make(chan *bytes.Buffer, workers+spare)
-	type ranCell struct {
-		i       int
-		journal *bytes.Buffer
-	}
-	// Both channels are unbuffered: a send succeeds only when a helper
-	// is idle.
-	handoff := make(chan ranCell)
+	// idle is unbuffered: a send succeeds only when a helper is idle.
 	idle := make(chan func())
 	var helpers sync.WaitGroup
 	for range spare {
 		helpers.Add(1)
 		go func() {
 			defer helpers.Done()
-			for {
-				select {
-				case rc, ok := <-handoff:
-					if !ok {
-						return
-					}
-					record(rc.i, cp.finishCell(cells[rc.i], rc.journal.Bytes()))
-					free <- rc.journal
-				case work := <-idle:
-					work()
-				}
+			for work := range idle {
+				work()
 			}
 		}()
 	}
@@ -168,16 +154,19 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 			record(i, cellOutcome{err: err})
 			return
 		}
-		select {
-		case handoff <- ranCell{i, journal}:
-		default:
+		finish := func() {
 			record(i, cp.finishCell(c, journal.Bytes()))
 			free <- journal
 		}
+		select {
+		case idle <- finish:
+		default:
+			finish()
+		}
 	})
-	// Every batch has returned, and with it every helper that joined
-	// one, so the helpers are all waiting.
-	close(handoff)
+	// Every batch has returned, so nothing offers work any more; the
+	// helpers end once they have run what they were handed.
+	close(idle)
 	helpers.Wait()
 
 	stats := make([]CellStats, 0, len(cells))

@@ -215,10 +215,20 @@ func TestCampaignE2E(t *testing.T) {
 // TestServerRunnerRetries: Retries counts resubmissions after the
 // first attempt, so a runner with Retries 0 posts a failing cell once,
 // and one built by NewServerRunner posts it three times (two retries).
+// A hand-built cell, which Spec.Cells did not admit, fails with no
+// POST at all, as it fails LocalRunner without running.
 func TestServerRunnerRetries(t *testing.T) {
 	sp := parse(t, `{"protocols":["asym"],"populations":[{"p":4,"n":4}],"trials":1,"seed":3}`)
-	c := sp.Cells()[0]
-	for _, tc := range []struct{ retries, posts int }{{0, 1}, {2, 3}} {
+	admitted := sp.Cells()[0]
+	hand := Cell{Protocol: "asym", Engine: "agent", Pop: Pop{P: 4, N: 4}, Sched: "random", Init: "zero", Seed: admitted.Seed}
+	var buf bytes.Buffer
+	if err := (LocalRunner{}).RunCell(context.Background(), sp, hand, &buf); err == nil || buf.Len() != 0 {
+		t.Errorf("LocalRunner ran a hand-built cell: err %v, %d journal bytes", err, buf.Len())
+	}
+	for _, tc := range []struct {
+		c              Cell
+		retries, posts int
+	}{{admitted, 0, 1}, {admitted, 2, 3}, {hand, 2, 0}} {
 		var mu sync.Mutex
 		posts := 0
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -231,13 +241,13 @@ func TestServerRunnerRetries(t *testing.T) {
 		}))
 		sr := NewServerRunner(ts.URL)
 		sr.Retries, sr.Backoff = tc.retries, time.Millisecond
-		err := sr.RunCell(context.Background(), sp, c, io.Discard)
+		err := sr.RunCell(context.Background(), sp, tc.c, io.Discard)
 		ts.Close()
 		if err == nil {
 			t.Fatalf("Retries %d: a peer answering 500 ran the cell", tc.retries)
 		}
 		if posts != tc.posts {
-			t.Errorf("Retries %d: %d POSTs, want %d", tc.retries, posts, tc.posts)
+			t.Errorf("Retries %d, cell admitted %t: %d POSTs, want %d", tc.retries, tc.c.job != nil, posts, tc.posts)
 		}
 	}
 }

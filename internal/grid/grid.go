@@ -6,10 +6,10 @@
 //
 // Reproducibility contract: a spec with a non-zero seed is
 // byte-reproducible — cell seeds derive from (grid seed, cell index)
-// with the batch seed recipe's splitmix derivation, cells run their
-// trials on one worker, and every artifact emitter is wall-clock free —
-// so two executions of the same grid, local or remote, produce
-// identical CSV/LaTeX/plot artifacts.
+// with the batch seed recipe's splitmix derivation, a cell's journal is
+// in trial order at any worker count, and every artifact emitter is
+// wall-clock free — so two executions of the same grid, local or
+// remote, produce identical CSV/LaTeX/plot artifacts.
 package grid
 
 import (
@@ -87,8 +87,8 @@ func Parse(r io.Reader) (*Spec, error) {
 
 // normalize fills defaults, resolves the seed and validates the axes'
 // shape. Per-cell semantic validation (protocol names, fault grammar,
-// engine capability) is Validate's, which delegates to the service
-// admission path so grid and server reject identically.
+// engine capability) is the service admission path's, which Cells runs
+// each cell through, so grid and server reject identically.
 func (sp *Spec) normalize() error {
 	if sp.Name == "" {
 		sp.Name = "campaign"
@@ -168,12 +168,18 @@ type Cell struct {
 	// the job schema treats 0 as "derive from the clock", which would
 	// break replay.
 	Seed int64
+	// job is the cell's admitted batch job, or err why admission
+	// refused it. Cells sets one; no runner runs a cell without a job.
+	job *serve.Prepared
+	err error
 }
 
 // Cells expands the grid in fixed axis order (protocols, engines,
-// populations, scheds, inits, faults — faults innermost) and derives
-// each cell's seed. The expansion is a pure function of the spec, so
-// equal specs yield equal cell lists.
+// populations, scheds, inits, faults — faults innermost), derives each
+// cell's seed and admits each cell's batch job once, through the
+// service's own admission (serve.Prepare). The expansion is a pure
+// function of the spec, so equal specs yield cells with equal axes,
+// seeds and admitted specs.
 func (sp *Spec) Cells() []Cell {
 	var cells []Cell
 	idx := 0
@@ -187,7 +193,7 @@ func (sp *Spec) Cells() []Cell {
 							if seed == 0 {
 								seed = 1
 							}
-							cells = append(cells, Cell{
+							c := Cell{
 								Index:    idx,
 								Protocol: proto,
 								Engine:   eng,
@@ -197,7 +203,9 @@ func (sp *Spec) Cells() []Cell {
 								Fault:    f,
 								FaultIdx: fi,
 								Seed:     seed,
-							})
+							}
+							c.job, c.err = serve.Prepare(sp.jobSpec(c))
+							cells = append(cells, c)
 							idx++
 						}
 					}
@@ -221,10 +229,20 @@ func (c Cell) ID() string {
 // for fault-free cells).
 func (c Cell) BaselineIndex() int { return c.Index - c.FaultIdx }
 
-// JobSpec renders the cell as a v1 batch job spec — the same body a
-// ppserved submission carries, and the input to the local admission
-// path, so both execution paths validate and run identically.
-func (sp *Spec) JobSpec(c Cell) serve.Spec {
+// admitted returns the cell's admitted job, or why it has none.
+func (c Cell) admitted() (*serve.Prepared, error) {
+	switch {
+	case c.job != nil:
+		return c.job, nil
+	case c.err != nil:
+		return nil, fmt.Errorf("cell %s: %w", c.ID(), c.err)
+	default:
+		return nil, fmt.Errorf("cell %s: not admitted (cells come from Spec.Cells)", c.ID())
+	}
+}
+
+// jobSpec renders the cell as the v1 batch job spec Cells admits.
+func (sp *Spec) jobSpec(c Cell) serve.Spec {
 	engine := c.Engine
 	if engine == "agent" {
 		engine = "" // the schema's default; keeps cache keys canonical
@@ -249,15 +267,17 @@ func (sp *Spec) JobSpec(c Cell) serve.Spec {
 	}
 }
 
-// Validate runs every cell through the service admission path without
-// executing anything, so a bad cell (unknown protocol, fault grammar
-// error, count-incompatible combo) fails the whole grid up front — in
-// server mode too, before any job is submitted.
-func (sp *Spec) Validate() error {
+// Validate reports the cells admission refused (unknown protocol, fault
+// grammar error, count-incompatible combo), so a bad cell fails the
+// whole grid up front — in server mode too, before any job is submitted.
+func (sp *Spec) Validate() error { return refused(sp.Cells()) }
+
+// refused is Validate's error over cells, nil when none was refused.
+func refused(cells []Cell) error {
 	var errs []string
-	for _, c := range sp.Cells() {
-		if _, err := serve.Prepare(sp.JobSpec(c)); err != nil {
-			errs = append(errs, fmt.Sprintf("cell %s: %v", c.ID(), err))
+	for _, c := range cells {
+		if c.err != nil {
+			errs = append(errs, fmt.Sprintf("cell %s: %v", c.ID(), c.err))
 		}
 	}
 	if len(errs) > 0 {

@@ -14,6 +14,7 @@ import (
 
 	"popnaming/internal/obs"
 	"popnaming/internal/report"
+	"popnaming/internal/serve"
 	"popnaming/internal/stats"
 )
 
@@ -88,10 +89,12 @@ func TestParseDerivesSeedOnce(t *testing.T) {
 		t.Fatalf("seed not derived: %d", sp.Seed)
 	}
 	// The resolved seed is baked into the spec: expansion is now
-	// deterministic even though the seed came from the clock.
+	// deterministic even though the seed came from the clock. Each
+	// expansion admits its cells anew, so the jobs are compared by their
+	// admitted specs.
 	a, b := sp.Cells(), sp.Cells()
 	for i := range a {
-		if a[i] != b[i] {
+		if a[i].ID() != b[i].ID() || a[i].Seed != b[i].Seed || a[i].job.Spec() != b[i].job.Spec() {
 			t.Fatalf("expansion unstable at %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
@@ -134,6 +137,22 @@ func TestCellsExpansion(t *testing.T) {
 		}
 		seen[c.Seed] = i
 	}
+
+	// Admission is idempotent: a cell's admitted spec, which
+	// ServerRunner posts, admits to itself, so the node derives the
+	// cache key of the cell's job.
+	for _, c := range parse(t, smallGrid).Cells() {
+		if c.job == nil {
+			t.Fatalf("cell %s not admitted: %v", c.ID(), c.err)
+		}
+		again, err := serve.Prepare(c.job.Spec())
+		if err != nil {
+			t.Fatalf("cell %s: admitted spec refused: %v", c.ID(), err)
+		}
+		if again.Spec() != c.job.Spec() {
+			t.Errorf("cell %s: admitted spec %+v re-admits to %+v", c.ID(), c.job.Spec(), again.Spec())
+		}
+	}
 }
 
 func TestCellID(t *testing.T) {
@@ -157,8 +176,29 @@ func TestValidateRejectsBadCells(t *testing.T) {
 		`{"protocols":["asym"],"populations":[{"p":6,"n":3}],"scheds":["matching"],"seed":1}`, // odd n under matching
 	} {
 		sp := parse(t, src)
-		if err := sp.Validate(); err == nil {
+		err := sp.Validate()
+		if err == nil {
 			t.Errorf("Validate accepted %s", src)
+			continue
+		}
+		// The refused cells carry their refusal and no job.
+		for _, c := range sp.Cells() {
+			if (c.err == nil) == (c.job == nil) {
+				t.Errorf("%s: cell %s has job %v and refusal %v, want exactly one", src, c.ID(), c.job, c.err)
+			}
+			if c.err != nil && !strings.Contains(err.Error(), c.err.Error()) {
+				t.Errorf("%s: Validate's error %q does not name cell %s's refusal %q", src, err, c.ID(), c.err)
+			}
+		}
+		// Execute refuses the grid with the same error before it
+		// creates a directory.
+		dir := filepath.Join(t.TempDir(), "out")
+		cp := &Campaign{Spec: sp, Runner: LocalRunner{}, Out: dir}
+		if _, xerr := cp.Execute(context.Background()); xerr == nil || xerr.Error() != err.Error() {
+			t.Errorf("%s: Execute error %v, want Validate's %v", src, xerr, err)
+		}
+		if _, serr := os.Stat(filepath.Join(dir, "journals")); !os.IsNotExist(serr) {
+			t.Errorf("%s: Execute of a refused grid made its journals directory (stat: %v)", src, serr)
 		}
 	}
 	if err := parse(t, minimalSpec).Validate(); err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"popnaming/internal/dist"
 	"popnaming/internal/obs"
-	"popnaming/internal/serve"
 )
 
 // Tool names the pipeline in journal headers. Both execution paths
@@ -24,16 +23,16 @@ type CellRunner interface {
 	RunCell(ctx context.Context, sp *Spec, c Cell, w io.Writer) error
 }
 
-// LocalRunner executes cells in-process through the service admission
-// and execution recipe (serve.Prepare, Prepared.Run), which is what
-// guarantees the local path and a ppserved node produce the same
-// records for the same cell.
+// LocalRunner executes each cell's admitted job in-process through the
+// service execution recipe (Prepared.Run), which is what guarantees the
+// local path and a ppserved node produce the same records for the same
+// cell. A cell that Spec.Cells did not admit fails.
 type LocalRunner struct{}
 
-func (LocalRunner) RunCell(ctx context.Context, sp *Spec, c Cell, w io.Writer) error {
-	p, err := serve.Prepare(sp.JobSpec(c))
+func (LocalRunner) RunCell(ctx context.Context, _ *Spec, c Cell, w io.Writer) error {
+	p, err := c.admitted()
 	if err != nil {
-		return fmt.Errorf("cell %s: %w", c.ID(), err)
+		return err
 	}
 	sink := obs.NewJournalSink(w)
 	if err := sink.Emit(p.Header(Tool)); err != nil {
@@ -49,13 +48,15 @@ func (LocalRunner) RunCell(ctx context.Context, sp *Spec, c Cell, w io.Writer) e
 }
 
 // ServerRunner executes cells on a ppserved node over the v1 job API,
-// one batch job per cell, with the peer health gating the lease
-// sharding uses: a /readyz probe before work, quarantine on repeated
-// failure, bounded retries with backoff. Identical resubmissions hit
-// the node's content-addressed result cache, which answers them from
-// the stored stream of the spec's first run, so re-running an
-// unchanged grid costs the server no simulation work, and each cached
-// cell one request (the stream comes back in the submit's response).
+// posting each cell's admitted spec as one batch job (a cell that
+// Spec.Cells did not admit fails before any request), with the peer
+// health gating the lease sharding uses: a /readyz probe before work,
+// quarantine on repeated failure, bounded retries with backoff.
+// Identical resubmissions hit the node's content-addressed result
+// cache, which answers them from the stored stream of the spec's first
+// run, so re-running an unchanged grid costs the server no simulation
+// work, and each cached cell one request (the stream comes back in the
+// submit's response).
 type ServerRunner struct {
 	// Peer is the target node (Base URL required).
 	Peer *dist.Peer
@@ -73,14 +74,14 @@ func NewServerRunner(base string) *ServerRunner {
 	return &ServerRunner{Peer: &dist.Peer{Base: base}, Retries: 2, Backoff: 100 * time.Millisecond}
 }
 
-func (sr *ServerRunner) RunCell(ctx context.Context, sp *Spec, c Cell, w io.Writer) error {
-	// The header is rendered locally from the same validated spec the
-	// server would build, so both paths stamp identical headers.
-	p, err := serve.Prepare(sp.JobSpec(c))
+func (sr *ServerRunner) RunCell(ctx context.Context, _ *Spec, c Cell, w io.Writer) error {
+	// The node admits the posted spec to itself, so its cache key and
+	// header are the cell's; the header is rendered locally.
+	p, err := c.admitted()
 	if err != nil {
-		return fmt.Errorf("cell %s: %w", c.ID(), err)
+		return err
 	}
-	body, err := json.Marshal(sp.JobSpec(c))
+	body, err := json.Marshal(p.Spec())
 	if err != nil {
 		return err
 	}

@@ -18,11 +18,11 @@ func cacheKey(canonical []byte) string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
-// canonicalSpec marshals a validated spec into its canonical bytes —
+// canonicalSpec marshals a prepared spec into its canonical bytes —
 // the exact form hashed for the cache key and persisted in the store's
 // admission record, so a restart re-derives the same key.
-func canonicalSpec(v *validated) (json.RawMessage, error) {
-	return json.Marshal(v.spec)
+func canonicalSpec(p *Prepared) (json.RawMessage, error) {
+	return json.Marshal(p.spec)
 }
 
 // rememberLocked makes j the result source for its key unless an

@@ -175,11 +175,15 @@ func countBadRequest(feature, format string, args ...any) *Error {
 		Feature: feature, Message: fmt.Sprintf(format, args...)}
 }
 
-// validated is a Spec that passed admission: defaults filled, seed
+// Prepared is a job spec that passed admission: defaults filled, seed
 // resolved, protocol instantiated, fault plan parsed and
-// capability-checked. Everything a worker needs to run the job without
-// a fallible step.
-type validated struct {
+// capability-checked. It holds everything a worker needs to run the
+// job without a fallible step. In-process embedders get one from
+// Prepare: the campaign pipeline (internal/grid) admits each grid cell
+// into one and runs it through the service's header and batch recipe,
+// so a local cell run is record-for-record identical to the same cell
+// submitted to a ppserved node.
+type Prepared struct {
 	spec        Spec
 	seedDerived bool
 	proto       core.Protocol // nil for table1
@@ -189,8 +193,8 @@ type validated struct {
 // prepare validates a submitted Spec against the protocol registry and
 // the fault parser, filling defaults and resolving the seed. All
 // rejection happens here, before the job is admitted to the queue.
-func prepare(spec Spec) (*validated, *Error) {
-	v := &validated{spec: spec}
+func prepare(spec Spec) (*Prepared, *Error) {
+	v := &Prepared{spec: spec}
 	sp := &v.spec
 	switch sp.Kind {
 	case KindSim, KindBatch, KindTable1:
@@ -366,7 +370,7 @@ func prepare(spec Spec) (*validated, *Error) {
 // held to sim.CountUnsupported) the probe is a throwaway CountRunner,
 // which also enforces the compiled-table state cap and the pair-weight
 // overflow bound on N.
-func validateRun(v *validated) *Error {
+func validateRun(v *Prepared) *Error {
 	sp := &v.spec
 	if sp.Sched == "" {
 		sp.Sched = "random"
@@ -401,42 +405,27 @@ func defaultBudget(kind string) int {
 	return 50_000_000
 }
 
-// Prepared is a job spec that passed the service's admission
-// validation: defaults filled, seed resolved, protocol instantiated,
-// fault plan parsed and capability-checked. It exposes the service's
-// stream header and batch execution recipe to in-process embedders:
-// the campaign pipeline (internal/grid) runs grid cells through it so
-// a local cell run is record-for-record identical to the same cell
-// submitted to a ppserved node.
-type Prepared struct {
-	v *validated
-}
-
 // Prepare validates spec exactly as POST /v1/jobs admission does and
 // returns the prepared job. The error, when non-nil, is the *Error the
 // service would have answered with.
 func Prepare(spec Spec) (*Prepared, error) {
-	v, e := prepare(spec)
+	p, e := prepare(spec)
 	if e != nil {
 		return nil, e
 	}
-	return &Prepared{v: v}, nil
+	return p, nil
 }
 
 // Spec returns the normalized spec: defaults filled and seed resolved,
 // the canonical form the service hashes for its result cache. Posting
 // it to a ppserved node re-validates to the identical spec.
-func (p *Prepared) Spec() Spec { return p.v.spec }
-
-// Header returns the v1 stream header the service would emit for this
-// job, under the given tool name.
-func (p *Prepared) Header(tool string) obs.Header { return headerFor(p.v, tool) }
+func (p *Prepared) Spec() Spec { return p.spec }
 
 // Run executes a prepared batch in-process, every trial journaled
 // into sink (tracing disabled), through the range runner the service
 // workers use, and returns the batch summary.
 func (p *Prepared) Run(ctx context.Context, sink obs.Sink) sim.BatchSummary {
-	return p.v.runRange(ctx, 0, p.v.spec.Trials, sink, obs.SpanContext{})
+	return p.runRange(ctx, 0, p.spec.Trials, sink, obs.SpanContext{})
 }
 
 // JobSummary condenses a finished job's outcome for the job view (the
@@ -467,7 +456,7 @@ type JobSummary struct {
 type Job struct {
 	ID string
 
-	v      *validated
+	v      *Prepared
 	buf    *buffer
 	ctx    context.Context
 	cancel context.CancelFunc

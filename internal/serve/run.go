@@ -29,11 +29,11 @@ func checkInit(proto core.Protocol, initKey string) error {
 	}
 }
 
-// headerFor builds a validated spec's stream header under the given
-// tool name. It is the first record of every result stream; its seed
-// is the resolved one, so the stream is self-describing for replay.
-func headerFor(v *validated, tool string) obs.Header {
-	sp := v.spec
+// Header returns the job's v1 stream header under the given tool
+// name. It is the first record of every result stream; its seed is the
+// resolved one, so the stream is self-describing for replay.
+func (p *Prepared) Header(tool string) obs.Header {
+	sp := p.spec
 	hdr := obs.NewHeader(tool)
 	hdr.N = sp.N
 	hdr.Scheduler = sp.Sched
@@ -42,12 +42,12 @@ func headerFor(v *validated, tool string) obs.Header {
 	hdr.Trials = sp.Trials
 	hdr.Workers = sp.Workers
 	hdr.Seed = sp.Seed
-	hdr.SeedDerived = v.seedDerived
-	if v.proto != nil {
-		hdr.Protocol = v.proto.Name()
-		hdr.P = v.proto.P()
-		hdr.States = v.proto.States()
-		hdr.Leader = core.HasLeader(v.proto)
+	hdr.SeedDerived = p.seedDerived
+	if p.proto != nil {
+		hdr.Protocol = p.proto.Name()
+		hdr.P = p.proto.P()
+		hdr.States = p.proto.States()
+		hdr.Leader = core.HasLeader(p.proto)
 	} else {
 		hdr.P = sp.P
 	}
@@ -59,17 +59,17 @@ func headerFor(v *validated, tool string) obs.Header {
 
 // header builds the job's stream header.
 func (j *Job) header() obs.Header {
-	hdr := headerFor(j.v, "ppserved")
+	hdr := j.v.Header("ppserved")
 	if j.traceID != 0 {
 		hdr.Trace = j.traceID.String()
 	}
 	return hdr
 }
 
-// supervisionFor translates a validated spec's bounds into a
+// supervisionFor translates a prepared spec's bounds into a
 // sim.Supervision wired to sink (tracing disabled).
-func supervisionFor(v *validated, sink obs.Sink) sim.Supervision {
-	sp := v.spec
+func supervisionFor(p *Prepared, sink obs.Sink) sim.Supervision {
+	sp := p.spec
 	return sim.Supervision{
 		StepBudget: sp.Budget,
 		Deadline:   time.Duration(sp.DeadlineMS) * time.Millisecond,
@@ -221,9 +221,9 @@ func (s *Server) runCountSim(j *Job) error {
 // trial (one attempt) seeds its engine with trialSeed+1, the
 // scheduler-seed role. The trial index is the global one, so the same
 // maker serves full batches and shard ranges.
-func batchTrialMaker(v *validated) func(trial, attempt int) sim.Trial {
-	sp := v.spec
-	pr := v.proto
+func batchTrialMaker(p *Prepared) func(trial, attempt int) sim.Trial {
+	sp := p.spec
+	pr := p.proto
 	return func(trial, attempt int) sim.Trial {
 		seed := sim.DeriveSeed(sp.Seed, trial, attempt)
 		if sp.Engine == "count" {
@@ -233,8 +233,8 @@ func batchTrialMaker(v *validated) func(trial, attempt int) sim.Trial {
 		cfg, _ := sim.AgentStart(pr, sp.N, sp.Init, seed)
 		sc, _ := sim.AgentScheduler(pr, sp.N, sp.Sched, seed+1)
 		t := sim.Trial{Cfg: cfg, Sched: sc}
-		if !v.plan.Empty() {
-			inj, _ := fault.NewInjector(v.plan, pr, seed)
+		if !p.plan.Empty() {
+			inj, _ := fault.NewInjector(p.plan, pr, seed)
 			t.Inject = inj
 		}
 		return t
@@ -248,11 +248,11 @@ func batchTrialMaker(v *validated) func(trial, attempt int) sim.Trial {
 // whole batches, shard windows, the coordinator's local leases and
 // in-process grid cells (Prepared.Run) all run through it, so a seeded
 // batch emits the same records on every path.
-func (v *validated) runRange(ctx context.Context, lo, hi int, sink obs.Sink, trace obs.SpanContext) sim.BatchSummary {
-	sup := supervisionFor(v, sink)
+func (p *Prepared) runRange(ctx context.Context, lo, hi int, sink obs.Sink, trace obs.SpanContext) sim.BatchSummary {
+	sup := supervisionFor(p, sink)
 	sup.Trace = trace
-	bo := sim.BatchObs{Sink: sink, ProgressEvery: v.spec.ProgressEvery}
-	return sim.RunBatch(ctx, v.proto, lo, hi, v.spec.Workers, sup, bo, batchTrialMaker(v))
+	bo := sim.BatchObs{Sink: sink, ProgressEvery: p.spec.ProgressEvery}
+	return sim.RunBatch(ctx, p.proto, lo, hi, p.spec.Workers, sup, bo, batchTrialMaker(p))
 }
 
 // runBatch executes a batch on either engine through runRange: the

@@ -265,7 +265,7 @@ func (s *Server) restore() ([]*Job, error) {
 			// unreachable; skip the record rather than refuse to boot.
 			continue
 		}
-		var v *validated
+		var v *Prepared
 		if !store.Terminal(snap.State) {
 			var verr *Error
 			if v, verr = prepare(spec); verr != nil {
@@ -310,7 +310,7 @@ func (s *Server) restore() ([]*Job, error) {
 // rules may have tightened since it ran); results are served from the
 // store through the buffer's fetch path.
 func (s *Server) restoreTerminal(snap store.Snapshot, spec Spec) *Job {
-	v := &validated{spec: spec, seedDerived: snap.SeedDerived}
+	v := &Prepared{spec: spec, seedDerived: snap.SeedDerived}
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &Job{
 		ID: snap.ID, v: v, ctx: ctx, cancel: cancel,
@@ -334,7 +334,7 @@ func (s *Server) restoreTerminal(snap store.Snapshot, spec Spec) *Job {
 }
 
 // newJob builds an admitted job wired to the store-backed buffer.
-func (s *Server) newJob(id string, v *validated) *Job {
+func (s *Server) newJob(id string, v *Prepared) *Job {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &Job{ID: id, v: v, buf: s.newJobBuffer(id), ctx: ctx, cancel: cancel,
 		state: StateQueued, admitted: time.Now()}
