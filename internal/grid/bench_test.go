@@ -221,3 +221,35 @@ func BenchmarkReduceCell(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWriteArtifacts is the artifact rung: the small grid's 24
+// reduced cells through writeArtifacts, which renders and writes the
+// summary table (text, CSV and LaTeX) and each cell's ASCII and SVG
+// convergence plot, files included, into a directory under TMPDIR. Run
+// it with TMPDIR on a tmpfs. It reports ns/op and allocs/op per pass.
+func BenchmarkWriteArtifacts(b *testing.B) {
+	sp, err := Parse(strings.NewReader(smallGrid))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := sp.Cells()
+	stats := make([]CellStats, len(cells))
+	for i, c := range cells {
+		var journal bytes.Buffer
+		if err := (LocalRunner{}).RunCell(context.Background(), sp, c, &journal); err != nil {
+			b.Fatal(err)
+		}
+		if stats[i], err = reduceCell(c, journal.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	wireKS(stats)
+	cp := &Campaign{Spec: sp, Out: b.TempDir()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cp.writeArtifacts(stats); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -59,12 +59,6 @@ func (cp *Campaign) JournalPath(c Cell) string {
 	return filepath.Join(cp.Out, "journals", c.ID()+".jsonl")
 }
 
-func (cp *Campaign) logf(format string, args ...any) {
-	if cp.Log != nil {
-		fmt.Fprintf(cp.Log, format+"\n", args...)
-	}
-}
-
 // Execute expands the grid once, runs every cell (respecting Resume),
 // reduces the journals and writes the artifacts. A grid with a cell
 // that admission refused fails with Validate's error before any
@@ -101,16 +95,19 @@ func (cp *Campaign) Execute(ctx context.Context) (*Result, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		outs[i] = out
-		c := cells[i]
+		var status string
 		switch {
 		case out.err != nil:
-			cp.logf("cell %s: FAILED: %v", c.ID(), out.err)
+			status = "FAILED: " + out.err.Error()
 		case out.ran:
 			res.Ran++
-			cp.logf("cell %s: done", c.ID())
+			status = "done"
 		default:
 			res.Skipped++
-			cp.logf("cell %s: resumed (journal complete)", c.ID())
+			status = "resumed (journal complete)"
+		}
+		if cp.Log != nil {
+			fmt.Fprintf(cp.Log, "cell %s: %s\n", cells[i].ID(), status)
 		}
 	}
 

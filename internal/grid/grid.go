@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"popnaming/internal/obs"
@@ -172,6 +173,9 @@ type Cell struct {
 	// refused it. Cells sets one; no runner runs a cell without a job.
 	job *serve.Prepared
 	err error
+	// id is the cell's ID as Cells formats it once; empty in a cell
+	// built by hand, whose ID is formatted on each call.
+	id string
 }
 
 // Cells expands the grid in fixed axis order (protocols, engines,
@@ -204,6 +208,7 @@ func (sp *Spec) Cells() []Cell {
 								FaultIdx: fi,
 								Seed:     seed,
 							}
+							c.id = c.slug()
 							c.job, c.err = serve.Prepare(sp.jobSpec(c))
 							cells = append(cells, c)
 							idx++
@@ -221,8 +226,21 @@ func (sp *Spec) Cells() []Cell {
 // itself appears by axis position (f0, f1, ...) — plan strings contain
 // characters hostile to filenames.
 func (c Cell) ID() string {
-	return fmt.Sprintf("%s-%s-p%dn%d-%s-%s-f%d",
-		c.Protocol, c.Engine, c.Pop.P, c.Pop.N, c.Sched, c.Init, c.FaultIdx)
+	if c.id != "" {
+		return c.id
+	}
+	return c.slug()
+}
+
+// slug formats the cell's ID.
+func (c Cell) slug() string {
+	b := make([]byte, 0, 64)
+	b = append(append(append(b, c.Protocol...), '-'), c.Engine...)
+	b = strconv.AppendInt(append(b, "-p"...), int64(c.Pop.P), 10)
+	b = strconv.AppendInt(append(b, 'n'), int64(c.Pop.N), 10)
+	b = append(append(append(b, '-'), c.Sched...), '-')
+	b = append(append(b, c.Init...), "-f"...)
+	return string(strconv.AppendInt(b, int64(c.FaultIdx), 10))
 }
 
 // BaselineIndex is the index of the cell's no-fault baseline (itself,

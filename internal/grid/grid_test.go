@@ -163,6 +163,11 @@ func TestCellID(t *testing.T) {
 		if c.ID() != want[i] {
 			t.Errorf("ID = %q, want %q", c.ID(), want[i])
 		}
+		// A cell built by hand formats the same ID.
+		byHand := Cell{Protocol: c.Protocol, Engine: c.Engine, Pop: c.Pop, Sched: c.Sched, Init: c.Init, FaultIdx: c.FaultIdx}
+		if byHand.ID() != want[i] {
+			t.Errorf("hand-built ID = %q, want %q", byHand.ID(), want[i])
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strconv"
 
 	"popnaming/internal/fault"
 	"popnaming/internal/obs"
@@ -97,7 +98,7 @@ func (k *KSResult) columns() (same, d string) {
 	if k == nil {
 		return "", ""
 	}
-	return fmt.Sprintf("%t", k.Same), fmt.Sprintf("%.6g", k.D)
+	return strconv.FormatBool(k.Same), formatG(k.D, 6)
 }
 
 // JournalOpener yields a reader for one cell's journal. Reduce uses it
@@ -307,7 +308,7 @@ func epochStats(epochs, trials int, perTrial map[int]trialEnd, bounds map[int][]
 // execution paths.
 func SummaryTable(sp *Spec, results []CellStats) *report.Table {
 	tab := report.NewTable(
-		fmt.Sprintf("campaign %s (seed %d, %d trials/cell)", sp.Name, sp.Seed, sp.Trials),
+		"campaign "+sp.Name+" (seed "+strconv.FormatInt(sp.Seed, 10)+", "+strconv.Itoa(sp.Trials)+" trials/cell)",
 		"cell", "protocol", "engine", "p", "n", "sched", "init", "faults",
 		"trials", "conv", "aborted", "injected",
 		"steps_mean", "steps_median", "steps_p90", "ks_same", "ks_d",
@@ -317,12 +318,12 @@ func SummaryTable(sp *Spec, results []CellStats) *report.Table {
 		ksSame, ksD := cs.KS.columns()
 		tab.AddRow(
 			c.ID(), c.Protocol, c.Engine,
-			fmt.Sprintf("%d", c.Pop.P), fmt.Sprintf("%d", c.Pop.N),
+			strconv.Itoa(c.Pop.P), strconv.Itoa(c.Pop.N),
 			c.Sched, c.Init, c.Fault,
-			fmt.Sprintf("%d", cs.Trials), fmt.Sprintf("%d", cs.Converged),
-			fmt.Sprintf("%d", cs.Aborted), fmt.Sprintf("%d", cs.FaultsInjected),
-			fmt.Sprintf("%.6g", cs.Steps.Mean), fmt.Sprintf("%.6g", cs.Steps.Median),
-			fmt.Sprintf("%.6g", cs.Steps.P90), ksSame, ksD,
+			strconv.Itoa(cs.Trials), strconv.Itoa(cs.Converged),
+			strconv.Itoa(cs.Aborted), strconv.Itoa(cs.FaultsInjected),
+			formatG(cs.Steps.Mean, 6), formatG(cs.Steps.Median, 6),
+			formatG(cs.Steps.P90, 6), ksSame, ksD,
 		)
 	}
 	return tab
@@ -364,17 +365,17 @@ func GrowthTable(sp *Spec, results []CellStats) *report.Table {
 			continue
 		}
 		fit := stats.BetterFit(xs[k], ys[k])
-		law := fmt.Sprintf("N^%.3g", fit.B)
+		law := "N^" + formatG(fit.B, 3)
 		if fit.Model == stats.ModelExp2 {
-			law = fmt.Sprintf("2^(%.3gN)", fit.B)
+			law = "2^(" + formatG(fit.B, 3) + "N)"
 		}
 		if tab == nil {
-			tab = report.NewTable(fmt.Sprintf("campaign %s: median steps vs N", sp.Name),
+			tab = report.NewTable("campaign "+sp.Name+": median steps vs N",
 				"protocol", "engine", "sched", "init", "faults", "points", "law", "a", "b", "r2")
 		}
 		tab.AddRow(k.Protocol, k.Engine, k.Sched, k.Init, k.Fault,
-			fmt.Sprintf("%d", len(xs[k])), law,
-			fmt.Sprintf("%.6g", fit.A), fmt.Sprintf("%.6g", fit.B), fmt.Sprintf("%.4f", fit.R2))
+			strconv.Itoa(len(xs[k])), law,
+			formatG(fit.A, 6), formatG(fit.B, 6), strconv.FormatFloat(fit.R2, 'f', 4, 64))
 	}
 	return tab
 }
@@ -392,17 +393,17 @@ func EpochTable(sp *Spec, results []CellStats) *report.Table {
 			continue
 		}
 		if tab == nil {
-			tab = report.NewTable(fmt.Sprintf("campaign %s: steps per fault epoch (epoch 0 = initial convergence)", sp.Name),
+			tab = report.NewTable("campaign "+sp.Name+": steps per fault epoch (epoch 0 = initial convergence)",
 				"protocol", "p", "n", "sched", "faults", "epoch", "trials", "failures",
 				"steps_median", "steps_max", "aborted", "retried", "ks_same", "ks_d")
 		}
 		c := cs.Cell
 		for _, e := range cs.Epochs {
 			ksSame, ksD := e.KS.columns()
-			tab.AddRow(c.Protocol, fmt.Sprintf("%d", c.Pop.P), fmt.Sprintf("%d", c.Pop.N), c.Sched, c.Fault,
-				fmt.Sprintf("%d", e.Epoch), fmt.Sprintf("%d", e.Trials), fmt.Sprintf("%d", e.Failures),
-				fmt.Sprintf("%d", e.MedianSteps), fmt.Sprintf("%d", e.MaxSteps),
-				fmt.Sprintf("%d", cs.Aborted), fmt.Sprintf("%d", cs.Retried), ksSame, ksD)
+			tab.AddRow(c.Protocol, strconv.Itoa(c.Pop.P), strconv.Itoa(c.Pop.N), c.Sched, c.Fault,
+				strconv.Itoa(e.Epoch), strconv.Itoa(e.Trials), strconv.Itoa(e.Failures),
+				strconv.FormatInt(e.MedianSteps, 10), strconv.FormatInt(e.MaxSteps, 10),
+				strconv.Itoa(cs.Aborted), strconv.Itoa(cs.Retried), ksSame, ksD)
 		}
 	}
 	return tab
@@ -418,14 +419,23 @@ func ConvergenceCDF(cs CellStats) *report.Series {
 		XLabel: "steps",
 		YLabel: "fraction of trials converged",
 	}
-	steps := append([]float64(nil), cs.ConvergedSteps...)
-	sort.Float64s(steps)
+	if len(cs.ConvergedSteps) == 0 {
+		return s
+	}
+	s.X = slices.Clone(cs.ConvergedSteps)
+	slices.Sort(s.X)
 	total := cs.Trials
 	if total == 0 {
 		total = 1
 	}
-	for i, x := range steps {
-		s.Add(x, float64(i+1)/float64(total))
+	s.Y = make([]float64, len(s.X))
+	for i := range s.Y {
+		s.Y[i] = float64(i+1) / float64(total)
 	}
 	return s
+}
+
+// formatG formats v as %.<prec>g does.
+func formatG(v float64, prec int) string {
+	return strconv.FormatFloat(v, 'g', prec, 64)
 }

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -238,4 +240,26 @@ func FuzzReduceJournal(f *testing.F) {
 			t.Errorf("reduce error %q", got.err)
 		}
 	})
+}
+
+// TestTableNumbersMatchFmt: the tables format numbers with strconv as
+// the fmt verbs they replaced did: %.6g, %.3g, %.4f and %t.
+func TestTableNumbersMatchFmt(t *testing.T) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -2.5, 2.0 / 3, 123456789, 1e21, 1e-7, 5e-324, 1<<53 + 1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []struct{ got, want string }{
+			{formatG(v, 6), fmt.Sprintf("%.6g", v)},
+			{formatG(v, 3), fmt.Sprintf("%.3g", v)},
+			{strconv.FormatFloat(v, 'f', 4, 64), fmt.Sprintf("%.4f", v)},
+		} {
+			if c.got != c.want {
+				t.Errorf("%v formats as %q, fmt writes %q", v, c.got, c.want)
+			}
+		}
+		for _, same := range []bool{false, true} {
+			gotSame, gotD := (&KSResult{Same: same, D: v}).columns()
+			if wantSame, wantD := fmt.Sprintf("%t", same), fmt.Sprintf("%.6g", v); gotSame != wantSame || gotD != wantD {
+				t.Errorf("KS columns (%q, %q), fmt writes (%q, %q)", gotSame, gotD, wantSame, wantD)
+			}
+		}
+	}
 }

@@ -113,7 +113,11 @@ func (sr *ServerRunner) RunCell(ctx context.Context, _ *Spec, c Cell, w io.Write
 	// (the server's header and terminal job record), so the journal
 	// is the grid's header plus the workload records: exactly the
 	// local journal's shape.
-	if err := obs.NewJournalSink(w).Emit(p.Header(Tool)); err != nil {
+	header, err := obs.MarshalRecord(p.Header(Tool))
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(header); err != nil {
 		return err
 	}
 	for _, line := range lines {

@@ -27,18 +27,26 @@ type discard struct{}
 
 func (discard) Emit(any) error { return nil }
 
-// JournalSink writes one JSON object per line to an underlying writer.
-// It is safe for concurrent use; the first marshal or write error is
+// JournalSink writes one JSON object per line to an underlying writer,
+// each record and its newline in one Write. Progress and summary
+// records, which every trial writes, are encoded by the append encoders
+// (MarshalRecord's bytes), the other records by encoding/json. It is
+// safe for concurrent use; the first marshal or write error is
 // retained and returned by every subsequent Emit and by Err.
 type JournalSink struct {
 	mu  sync.Mutex
-	enc *json.Encoder // writes each record and its newline in one Write
+	w   io.Writer
+	buf bytes.Buffer  // the record being written
+	enc *json.Encoder // encodes into buf the records without an append encoder
 	err error
 }
 
 // NewJournalSink returns a JSONL sink over w.
 func NewJournalSink(w io.Writer) *JournalSink {
-	return &JournalSink{enc: json.NewEncoder(w)}
+	s := &JournalSink{w: w}
+	s.buf.Grow(2 << 10) // a small cell's summary record fits
+	s.enc = json.NewEncoder(&s.buf)
+	return s
 }
 
 // Emit implements Sink. A nil *JournalSink drops the record: callers
@@ -55,7 +63,18 @@ func (s *JournalSink) Emit(rec any) error {
 	if s.err != nil {
 		return s.err
 	}
-	if err := s.enc.Encode(rec); err != nil {
+	s.buf.Reset()
+	line, ok, err := appendRecord(s.buf.AvailableBuffer(), rec)
+	switch {
+	case !ok:
+		err = s.enc.Encode(rec)
+	case err == nil:
+		s.buf.Write(line)
+	}
+	if err == nil {
+		_, err = s.w.Write(s.buf.Bytes())
+	}
+	if err != nil {
 		s.err = err
 		return err
 	}

@@ -72,8 +72,9 @@ func TestExploreRecMarshal(t *testing.T) {
 }
 
 // TestJournalSinkConcurrent exercises the mutex path under the race
-// detector: many goroutines share one sink, and every line must still
-// be a complete JSON object.
+// detector: many goroutines share one sink, writing records that go
+// through encoding/json and records the append encoders write into the
+// same buffer, and every line must still be a complete JSON object.
 func TestJournalSinkConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewJournalSink(&buf)
@@ -82,8 +83,13 @@ func TestJournalSinkConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if err := s.Emit(NewStageRec("stage", "", int64(g*100+i))); err != nil {
+			for i := 0; i < 60; i++ {
+				recs := []any{
+					NewStageRec("stage", "", int64(g*100+i)),
+					Progress{V: Version, Type: "progress", Trial: g, Step: uint64(i)},
+					Summary{V: Version, Type: "summary", Trial: g, Steps: uint64(i), Rules: []RuleCount{{Rule: "(0,1)->(1,0)", Count: uint64(i)}}},
+				}
+				if err := s.Emit(recs[i%3]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -95,14 +101,19 @@ func TestJournalSinkConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	if len(lines) != 400 {
-		t.Fatalf("got %d lines, want 400", len(lines))
+	if len(lines) != 480 {
+		t.Fatalf("got %d lines, want 480", len(lines))
 	}
+	types := map[string]int{}
 	for _, l := range lines {
-		var rec StageRec
+		var rec struct{ Type string }
 		if err := json.Unmarshal(l, &rec); err != nil {
 			t.Fatalf("corrupt line %q: %v", l, err)
 		}
+		types[rec.Type]++
+	}
+	if types["stage"] != 160 || types["progress"] != 160 || types["summary"] != 160 {
+		t.Fatalf("record types %v, want 160 of each", types)
 	}
 }
 

@@ -38,6 +38,7 @@
 package obs
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"strconv"
@@ -162,18 +163,26 @@ type HistBucket struct {
 	Count uint64 `json:"count"`
 }
 
-// Buckets returns the non-empty buckets in ascending value order.
+// Buckets returns the non-empty buckets in ascending value order, in a
+// slice allocated at its final size.
 func (h *Histogram) Buckets() []HistBucket {
-	var out []HistBucket
+	var counts [len(h.buckets)]uint64
+	n := 0
 	for k := range h.buckets {
-		c := atomic.LoadUint64(&h.buckets[k])
+		if counts[k] = atomic.LoadUint64(&h.buckets[k]); counts[k] != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]HistBucket, 0, n)
+	for k, c := range counts {
 		if c == 0 {
 			continue
 		}
 		b := HistBucket{Count: c}
-		if k == 0 {
-			b.Lo, b.Hi = 0, 0
-		} else {
+		if k > 0 {
 			b.Lo = 1 << (k - 1)
 			b.Hi = 1<<k - 1
 		}
@@ -194,11 +203,15 @@ type RuleKey struct {
 }
 
 // String renders the rule as "(x,y)->(x',y')", or "(L,x)->(L,x')" for
-// a leader rule. Observer.RuleCounts calls it for every rule a trial
-// fired, so it builds the text in one stack buffer.
+// a leader rule.
 func (k RuleKey) String() string {
 	var buf [32]byte
-	b := append(buf[:0], '(')
+	return string(k.appendText(buf[:0]))
+}
+
+// appendText appends the rule's String form to b.
+func (k RuleKey) appendText(b []byte) []byte {
+	b = append(b, '(')
 	if k.Leader {
 		b = append(b, "L,"...)
 		b = strconv.AppendInt(b, int64(k.X), 10)
@@ -213,7 +226,26 @@ func (k RuleKey) String() string {
 		b = append(b, ',')
 		b = strconv.AppendInt(b, int64(k.Y2), 10)
 	}
-	return string(append(b, ')'))
+	return append(b, ')')
+}
+
+// compare orders keys by Leader (mobile rules first), then X, Y, X2
+// and Y2: the order of a compiled table's flat index for mobile rules.
+func (k RuleKey) compare(l RuleKey) int {
+	switch {
+	case k.Leader != l.Leader:
+		if l.Leader {
+			return -1
+		}
+		return 1
+	case k.X != l.X:
+		return cmp.Compare(k.X, l.X)
+	case k.Y != l.Y:
+		return cmp.Compare(k.Y, l.Y)
+	case k.X2 != l.X2:
+		return cmp.Compare(k.X2, l.X2)
+	}
+	return cmp.Compare(k.Y2, l.Y2)
 }
 
 // RuleCount pairs a rendered rule with its fire count, for summary

@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -315,16 +317,17 @@ func (o *Observer) observeStep(changed bool) {
 func (o *Observer) boundary() {
 	if o.steps == o.nextProgress {
 		o.nextProgress += o.progressEvery
-		o.emitProgress()
+		o.emitProgress(o.FairnessGap())
 	}
 	o.publish()
 	o.next = min(o.nextProgress, o.steps&^(publishEvery-1)+publishEvery)
 }
 
-// emitProgress emits a progress snapshot, followed by a census record
-// when a count-engine occupancy vector is attached.
-func (o *Observer) emitProgress() {
-	_ = o.sink.Emit(o.snapshot())
+// emitProgress emits a progress snapshot with the given fairness gap,
+// followed by a census record when a count-engine occupancy vector is
+// attached.
+func (o *Observer) emitProgress(gap int64) {
+	_ = o.sink.Emit(o.snapshot(gap))
 	if o.censusCounts != nil {
 		counts := make([]int, len(o.censusCounts))
 		copy(counts, o.censusCounts)
@@ -381,7 +384,7 @@ func (o *Observer) PairCoverage() (seen, total int) {
 	return o.pairsSeen, o.pairsTotal()
 }
 
-func (o *Observer) snapshot() Progress {
+func (o *Observer) snapshot(gap int64) Progress {
 	return Progress{
 		V:           Version,
 		Type:        "progress",
@@ -391,59 +394,85 @@ func (o *Observer) snapshot() Progress {
 		Quiet:       o.quiet,
 		PairsSeen:   o.pairsSeen,
 		PairsTotal:  o.pairsTotal(),
-		FairnessGap: o.FairnessGap(),
+		FairnessGap: gap,
 		ElapsedNS:   time.Since(o.start).Nanoseconds(),
 	}
 }
 
 // distinctRules returns the number of distinct non-null rules fired,
-// across both the map and dense representations. A rule counted in
-// both — fired before CompileRules switched to the dense array and
-// again after — is one distinct rule, so dense entries that also
-// appear in the map are skipped.
-func (o *Observer) distinctRules() int {
+// across both the map and dense representations.
+func (o *Observer) distinctRules() int { return len(o.ruleFires()) }
+
+// ruleFire is one rule with its fire count; textLen is the length of
+// its text once RuleCounts has rendered it.
+type ruleFire struct {
+	key     RuleKey
+	count   uint64
+	textLen int
+}
+
+// ruleFires returns every non-null rule fired, once, with its count
+// merged over the map and dense representations: a run can touch both
+// (leader rules stay in the map, and so do mobile rules fired before
+// CompileRules switched to the dense array). The dense rules come
+// first, in table order, which is key order, so a map rule finds its
+// dense twin by binary search.
+func (o *Observer) ruleFires() []ruleFire {
 	n := len(o.rules)
+	for _, c := range o.rulesDense {
+		if c != 0 {
+			n++
+		}
+	}
+	fires := make([]ruleFire, 0, n)
 	for idx, c := range o.rulesDense {
 		if c == 0 {
 			continue
 		}
 		q := o.ruleTab.States()
-		x, y := core.State(idx/q), core.State(idx%q)
 		x2, y2 := o.ruleTab.At(idx)
-		if _, dup := o.rules[RuleKey{X: x, Y: y, X2: x2, Y2: y2}]; !dup {
-			n++
+		fires = append(fires, ruleFire{key: RuleKey{X: core.State(idx / q), Y: core.State(idx % q), X2: x2, Y2: y2}, count: c})
+	}
+	dense := len(fires)
+	for k, c := range o.rules {
+		if i, ok := slices.BinarySearchFunc(fires[:dense], k, func(f ruleFire, k RuleKey) int { return f.key.compare(k) }); ok {
+			fires[i].count += c
+		} else {
+			fires = append(fires, ruleFire{key: k, count: c})
 		}
 	}
-	return n
+	return fires
 }
 
 // RuleCounts returns the non-null rule firings, most frequent first
 // with ties broken by rule text (deterministic for fixed seeds). Counts
-// from the map and dense representations are merged per rule (a run can
-// touch both, e.g. leader rules stay in the map).
+// from the map and dense representations are merged per rule. The
+// texts of all the rules share one string, so the list costs three
+// allocations however many rules it has.
 func (o *Observer) RuleCounts() []RuleCount {
-	merged := make(map[string]uint64, o.distinctRules())
-	for k, c := range o.rules {
-		merged[k.String()] += c
+	fires := o.ruleFires()
+	var scratch [32]byte
+	size := 0
+	for i := range fires {
+		fires[i].textLen = len(fires[i].key.appendText(scratch[:0]))
+		size += fires[i].textLen
 	}
-	for idx, c := range o.rulesDense {
-		if c == 0 {
-			continue
+	var text strings.Builder
+	text.Grow(size)
+	for _, f := range fires {
+		text.Write(f.key.appendText(scratch[:0]))
+	}
+	all := text.String()
+	out := make([]RuleCount, len(fires))
+	for i, f := range fires {
+		out[i] = RuleCount{Rule: all[:f.textLen], Count: f.count}
+		all = all[f.textLen:]
+	}
+	slices.SortFunc(out, func(a, b RuleCount) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		q := o.ruleTab.States()
-		x, y := core.State(idx/q), core.State(idx%q)
-		x2, y2 := o.ruleTab.At(idx)
-		merged[RuleKey{X: x, Y: y, X2: x2, Y2: y2}.String()] += c
-	}
-	out := make([]RuleCount, 0, len(merged))
-	for rule, c := range merged {
-		out = append(out, RuleCount{Rule: rule, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Rule < out[j].Rule
+		return strings.Compare(a.Rule, b.Rule)
 	})
 	return out
 }
@@ -458,19 +487,23 @@ func (o *Observer) Finish(converged bool) {
 		return
 	}
 	o.finished = true
+	// The final snapshot and the summary are taken at one step, so
+	// they share one scan of the pair table.
+	var gap int64
 	if o.sink != nil {
-		o.emitProgress()
+		gap = o.FairnessGap()
+		o.emitProgress(gap)
 	}
 	if o.quiet > 0 {
 		o.quietHist.add(o.quiet)
 	}
 	o.publish()
 	if o.sink != nil {
-		_ = o.sink.Emit(o.summary(converged))
+		_ = o.sink.Emit(o.summary(converged, gap))
 	}
 }
 
-func (o *Observer) summary(converged bool) Summary {
+func (o *Observer) summary(converged bool, gap int64) Summary {
 	par := 0.0
 	if o.n > 0 {
 		par = float64(o.steps) / float64(o.n)
@@ -487,7 +520,7 @@ func (o *Observer) summary(converged bool) Summary {
 		QuietStreaks: o.quietHist.Buckets(),
 		PairsSeen:    o.pairsSeen,
 		PairsTotal:   o.pairsTotal(),
-		FairnessGap:  o.FairnessGap(),
+		FairnessGap:  gap,
 		Rules:        o.RuleCounts(),
 		Forced:       o.forced,
 		ValidNaming:  o.validNaming,

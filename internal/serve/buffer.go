@@ -1,9 +1,10 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"sync"
+
+	"popnaming/internal/obs"
 )
 
 // ErrLateEmit is returned by buffer.Emit after finalize: the job was
@@ -67,17 +68,17 @@ func (b *buffer) restore(total int) {
 	b.mu.Unlock()
 }
 
-// Emit implements obs.Sink: one marshaled record per line. Emits after
+// Emit implements obs.Sink: one record per line, encoded as a
+// JournalSink encodes it (obs.MarshalRecord). Emits after
 // finalize return ErrLateEmit. When the in-RAM tail exceeds maxBytes
 // the whole tail is spilled to the store; a spill failure (e.g. disk
 // full) keeps the lines in RAM — degraded but lossless — and surfaces
 // the error.
 func (b *buffer) Emit(rec any) error {
-	line, err := json.Marshal(rec)
+	line, err := obs.MarshalRecord(rec)
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
