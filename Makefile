@@ -50,7 +50,9 @@ GRID_BENCH = BenchmarkGridLocal|BenchmarkGridServer|BenchmarkGridServerCached
 .PHONY: check vet build test test-bench race fmt fuzzbuild paper outputs loc bench bench-engine bench-search bench-fault bench-serve bench-trace bench-count bench-store bench-dist bench-grid serve
 
 # check is the single entry point: everything CI (or a reviewer) needs.
-check: vet build race fmt fuzzbuild test-bench outputs
+# Its steps run cheapest first, so a formatting slip fails in seconds
+# and race (minutes) runs last.
+check: fmt vet build fuzzbuild test-bench outputs race
 
 # vet covers the benchmark module too: bench/ has its own go.mod, so
 # ./... does not reach it.

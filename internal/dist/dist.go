@@ -19,10 +19,11 @@
 //     jitter from the job seed, at most Retries times to peers before
 //     it is pinned to the local executor (a coordinator with zero live
 //     peers still completes every job);
-//   - lease transitions are journaled via the Journal callback so the
-//     serving layer can persist them: a coordinator crash-restart
-//     hands completed shards back via Restored and only incomplete
-//     leases re-execute.
+//   - lease transitions are journaled via the Journal callback, and a
+//     completed one carries its shard, which the serving layer keeps
+//     (ppserved stores it as a done shard job in its result cache): a
+//     restarted coordinator hands kept shards back via Restored and
+//     only the other leases execute.
 //
 // The package is serve-agnostic: executors are callbacks and the peer
 // client (see Peer) speaks plain HTTP against the public job API.
@@ -71,7 +72,7 @@ func Plan(trials, leaseTrials int) []Range {
 // (reissued when the epoch is past zero), failed marks an attempt
 // ending in error, completed marks the accepted result, duplicate
 // marks a late second result discarded by epoch, and restored marks a
-// shard handed back from the store after a coordinator restart.
+// lease delivered from Restored without executing.
 const (
 	StateIssued    = "issued"
 	StateReissued  = "reissued"
@@ -84,7 +85,7 @@ const (
 // Event is one lease transition, handed to Coordinator.Journal. On
 // completed events Shard carries the normalized shard — the
 // trial-ordered workload lines plus the shard's own batch_summary line
-// — for persistence, and Lines its length.
+// — for persistence, and Sum that summary decoded.
 type Event struct {
 	Lease  int
 	Range  Range
@@ -92,8 +93,8 @@ type Event struct {
 	State  string
 	Peer   string
 	Reason string
-	Lines  int
 	Shard  [][]byte
+	Sum    obs.BatchSummaryRec
 }
 
 // Executor runs one lease and returns the NDJSON lines of its journal
@@ -146,9 +147,9 @@ type Coordinator struct {
 	// normalized shard minus its batch_summary line, plus the parsed
 	// summary for aggregation. Called under the coordinator lock.
 	Deliver func(lease int, r Range, lines [][]byte, sum obs.BatchSummaryRec)
-	// Restored maps lease index to the shard persisted by a previous
-	// incarnation (as handed to Journal in Event.Shard); those leases
-	// deliver without executing.
+	// Restored maps lease index to a shard already at hand, in the form
+	// Journal receives in Event.Shard (ppserved looks each lease up in
+	// its result cache); those leases deliver without executing.
 	Restored map[int][][]byte
 
 	mu     sync.Mutex
@@ -210,7 +211,7 @@ func (c *Coordinator) Run(ctx context.Context, plan []Range) error {
 		if raw, ok := c.Restored[l.idx]; ok {
 			if shard, sum, err := normalizeShard(raw, l.rng); err == nil {
 				l.shard, l.sum, l.done = shard, sum, true
-				c.event(l, StateRestored, "store", "")
+				c.eventEpoch(l, l.epoch, StateRestored, "store", "")
 				continue
 			}
 		}
@@ -416,7 +417,7 @@ func (c *Coordinator) accept(l *lease, epoch int, peer string, shard [][]byte, s
 	l.shard, l.sum = shard, sum
 	if c.Journal != nil {
 		c.Journal(Event{Lease: l.idx, Range: l.rng, Epoch: epoch, State: StateCompleted,
-			Peer: peer, Lines: len(shard), Shard: shard})
+			Peer: peer, Shard: shard, Sum: sum})
 	}
 	c.advanceLocked()
 	if c.left == 0 {
@@ -486,11 +487,6 @@ func (c *Coordinator) advanceLocked() {
 		c.next++
 		c.left--
 	}
-}
-
-// event journals a transition at the lease's pre-bump epoch.
-func (c *Coordinator) event(l *lease, state, peer, reason string) {
-	c.eventEpoch(l, l.epoch, state, peer, reason)
 }
 
 func (c *Coordinator) eventEpoch(l *lease, epoch int, state, peer, reason string) {

@@ -77,7 +77,7 @@ func Parse(r io.Reader) (*Spec, error) {
 	if err := dec.Decode(&sp); err != nil {
 		return nil, fmt.Errorf("grid: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("grid: trailing data after spec object")
 	}
 	if err := sp.normalize(); err != nil {

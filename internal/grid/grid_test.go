@@ -66,6 +66,21 @@ func TestParseStrict(t *testing.T) {
 	}
 }
 
+// TestParseRejectsTrailingBracket: a stray closing bracket after the
+// spec object is trailing data like any other, while trailing
+// whitespace is not.
+func TestParseRejectsTrailingBracket(t *testing.T) {
+	const src = `{"protocols":["asym"],"populations":[{"p":6,"n":4}]}`
+	for _, tail := range []string{"]", "}"} {
+		if _, err := Parse(strings.NewReader(src + tail)); err == nil || !strings.HasPrefix(err.Error(), "grid: ") {
+			t.Errorf("Parse(%s) = %v, want a grid: error", src+tail, err)
+		}
+	}
+	if _, err := Parse(strings.NewReader(src + "\n")); err != nil {
+		t.Errorf("trailing newline rejected: %v", err)
+	}
+}
+
 // TestDuplicateAxisNamesFirstAxis: a spec with duplicates in several
 // axes is rejected naming the first of them in declaration order, on
 // every parse.

@@ -32,14 +32,12 @@ type buffer struct {
 	lines    [][]byte // in-RAM tail; logical index of lines[0] is start
 	start    int      // lines below this logical index are in the store
 	memBytes int64
-	maxBytes int64 // live-RAM cap; <= 0 means no cap (never spill early)
+	maxBytes int64 // live-RAM cap
 	closed   bool
 
 	// Store wiring, set at construction and immutable: spill appends
 	// lines to the job's durable result log, fetch reads logical lines
-	// [from, to) back, late observes emits after finalization. Any may
-	// be nil (spill nil: the buffer keeps everything in RAM, the
-	// pre-store behavior).
+	// [from, to) back, late observes emits after finalization.
 	spill func(lines [][]byte) error
 	fetch func(from, to int) ([][]byte, error)
 	late  func()
@@ -82,15 +80,13 @@ func (b *buffer) Emit(rec any) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		if b.late != nil {
-			b.late()
-		}
+		b.late()
 		return ErrLateEmit
 	}
 	b.lines = append(b.lines, line)
 	b.memBytes += int64(len(line))
 	var spillErr error
-	if b.spill != nil && b.maxBytes > 0 && b.memBytes > b.maxBytes {
+	if b.memBytes > b.maxBytes {
 		spillErr = b.spillLocked()
 		if spillErr != nil && b.storeErr == nil {
 			b.storeErr = spillErr
@@ -135,13 +131,13 @@ func (b *buffer) spillLocked() error {
 
 // finalize marks the stream complete, spills any in-RAM tail to the
 // store and wakes every waiting reader. After finalize the buffer
-// holds no line data (when spill is wired); len and wait still serve
-// the full logical log through fetch.
+// holds no line data; len and wait still serve the full logical log
+// through fetch.
 func (b *buffer) finalize() error {
 	b.mu.Lock()
 	b.closed = true
 	var err error
-	if b.spill != nil && len(b.lines) > 0 {
+	if len(b.lines) > 0 {
 		err = b.spillLocked()
 		if err != nil && b.storeErr == nil {
 			b.storeErr = err
@@ -184,9 +180,6 @@ func (b *buffer) wait(i int, canceled func() bool) ([][]byte, bool, error) {
 	spilled := b.start
 	ram := append([][]byte(nil), b.lines...)
 	b.mu.Unlock()
-	if b.fetch == nil {
-		return nil, closed, errors.New("serve: buffer lines spilled with no fetch wired")
-	}
 	fetched, err := b.fetch(i, spilled)
 	if err != nil {
 		return nil, closed, err

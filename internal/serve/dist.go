@@ -14,9 +14,9 @@ import (
 // This file is the serving half of distributed batch execution: it
 // decides which jobs shard (distEligible), drives the internal/dist
 // coordinator for them (runDistBatch), supplies the coordinator's
-// local executor (a range run into a private buffer) and its
-// persistence hooks (lease records and shard logs into the job
-// store), and rebuilds restored shards after a coordinator restart.
+// local executor (a range run into a line sink), keeps every completed
+// lease as a done shard job (keepShard) and hands kept shards back to
+// the coordinator from the result cache (restoredShards).
 
 // distEligible reports whether a job runs through the dist
 // coordinator. Only untraced batch jobs shard: traced jobs keep their
@@ -29,15 +29,18 @@ func (s *Server) distEligible(j *Job) bool {
 	return len(s.peers) > 0 && sp.Kind == KindBatch && sp.Shard == nil && !sp.Trace
 }
 
-// shardSpec renders the submission body for one lease: the job's
-// validated spec with the shard range set and tracing stripped. The
-// seed is the resolved one, so the peer derives exactly the trial
-// seeds this node would.
-func (j *Job) shardSpec(r dist.Range) ([]byte, error) {
+// shardSpec returns the spec of one lease's shard job and its JSON:
+// the job's validated spec with the shard range set and tracing
+// stripped. The seed is the resolved one, so the peer derives exactly
+// the trial seeds this node would. The JSON is the body a peer is sent
+// and, since admission leaves a validated spec as it is, the canonical
+// spec whose hash is the shard job's cache key on any node.
+func (j *Job) shardSpec(r dist.Range) (Spec, []byte) {
 	sp := j.v.spec // copy
 	sp.Shard = &ShardRange{Lo: r.Lo, Hi: r.Hi}
 	sp.Trace = false
-	return json.Marshal(sp)
+	canonical, _ := json.Marshal(sp) // a Spec always marshals
+	return sp, canonical
 }
 
 // jobPeer adapts a server-lifetime dist.Peer (persistent health and
@@ -52,25 +55,35 @@ func (jp *jobPeer) Name() string                   { return jp.p.Name() }
 func (jp *jobPeer) Ready(ctx context.Context) bool { return jp.p.Ready(ctx) }
 func (jp *jobPeer) Observe(ok bool)                { jp.p.Observe(ok) }
 func (jp *jobPeer) Run(ctx context.Context, r dist.Range) ([][]byte, error) {
-	body, err := jp.j.shardSpec(r)
-	if err != nil {
-		return nil, fmt.Errorf("dist: shard body: %w", err)
-	}
+	_, body := jp.j.shardSpec(r)
 	return jp.p.RunBody(ctx, r, body)
 }
 
 // runShardLocal executes one lease in-process: the same range runner
-// the peer side uses, into a private unspilled buffer instead of the
-// job buffer. A canceled run is an error — its summary covers fewer
-// trials than the lease and must never be accepted as a completed
-// shard.
+// the peer side uses, into a line sink instead of the job buffer. A
+// canceled run is an error — its summary covers fewer trials than the
+// lease and must never be accepted as a completed shard.
 func (s *Server) runShardLocal(j *Job, ctx context.Context, r dist.Range) ([][]byte, error) {
-	buf := newBuffer(0, nil, nil, nil)
-	j.v.runRange(ctx, r.Lo, r.Hi, buf, obs.SpanContext{})
+	var out lineSink
+	j.v.runRange(ctx, r.Lo, r.Hi, &out, obs.SpanContext{})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return buf.all()
+	return out, nil
+}
+
+// lineSink collects records as NDJSON lines, each encoded as a
+// JournalSink encodes it (obs.MarshalRecord). sim.RunBatch emits one
+// record at a time, so it needs no lock.
+type lineSink [][]byte
+
+func (ls *lineSink) Emit(rec any) error {
+	line, err := obs.MarshalRecord(rec)
+	if err != nil {
+		return err
+	}
+	*ls = append(*ls, line)
+	return nil
 }
 
 // leaseTimeout bounds one peer attempt. With enough execution history
@@ -99,12 +112,10 @@ func (s *Server) leaseTimeout(r dist.Range) time.Duration {
 }
 
 // journalLease is the coordinator's Journal hook: counters, a v1
-// lease record into the service journal, and persistence of completed
-// leases, the only ones restoredShards reads. A completed shard writes
-// its log before the lease record, so a crash between the two
-// re-issues the lease rather than restoring a missing shard; a store
-// write failure downgrades to the metrics counter — the job still
-// completes from RAM, durability is just lost for this lease.
+// lease record into the service journal, and each completed lease
+// kept as a shard job. A store write failure downgrades to the
+// metrics counter: the job still completes from RAM, and the lease is
+// just not kept.
 func (s *Server) journalLease(j *Job, ev dist.Event) {
 	switch ev.State {
 	case dist.StateIssued:
@@ -122,43 +133,90 @@ func (s *Server) journalLease(j *Job, ev dist.Event) {
 		s.met.leasesRestored.Inc()
 	}
 	_ = s.sink.Emit(obs.NewLeaseRec(j.ID, ev.Lease, ev.Range.Lo, ev.Range.Hi, ev.Epoch, ev.State, ev.Peer, ev.Reason))
-	if ev.State != dist.StateCompleted {
-		return
-	}
-	if err := s.store.PutShard(j.ID, ev.Lease, ev.Shard); err != nil {
-		s.met.storeWriteErrors.Inc()
-		return
-	}
-	if err := s.store.PutLease(j.ID, store.LeaseSnap{Idx: ev.Lease, Lo: ev.Range.Lo, Hi: ev.Range.Hi,
-		Epoch: ev.Epoch, State: store.LeaseCompleted, Peer: ev.Peer, Lines: ev.Lines}); err != nil {
-		s.met.storeWriteErrors.Inc()
+	if ev.State == dist.StateCompleted {
+		if err := s.keepShard(j, ev); err != nil {
+			s.met.storeWriteErrors.Inc()
+		}
 	}
 }
 
-// restoredShards rebuilds the coordinator's Restored map from the
-// lease snapshots a previous incarnation journaled. A snapshot only
-// counts when its range matches the current plan (a changed
-// -lease-trials re-plans the batch; stale ranges re-execute) and its
-// shard log reads back whole.
-func (s *Server) restoredShards(j *Job, plan []dist.Range) map[int][][]byte {
-	if len(j.restoredLeases) == 0 {
+// keepShard stores a completed lease as the done shard job a peer runs
+// for it, unless the shard's key already has a source: admitted under
+// the shard spec's canonical bytes (the key a peer computes), with the
+// result log that peer's job writes (its header, seedDerived false as
+// the shard's seed is explicit, then the shard's lines ending in their
+// batch_summary, then a done job record), finalized, and entered as
+// boot enters a restored done job. So the lease comes back from the
+// result cache (restoredShards), and a POST of the shard spec is a
+// hit. The ID and admission are taken under s.mu as submit takes them;
+// Finalize and its fsyncs run outside it. A crash before Finalize
+// leaves an admitted shard job, which the next boot re-queues.
+func (s *Server) keepShard(j *Job, ev dist.Event) error {
+	spec, canonical := j.shardSpec(ev.Range)
+	s.mu.Lock()
+	if s.sources[cacheKey(canonical)] != nil {
+		s.mu.Unlock()
 		return nil
 	}
+	s.nextID++
+	id := fmt.Sprintf("j%06d", s.nextID)
+	err := s.store.Admit(id, canonical, false)
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	// A JobSummary, a header and a job record hold no floats, so they
+	// always marshal.
+	summary, _ := json.Marshal(batchSummary(ev.Sum))
+	kept := s.restoreTerminal(store.Snapshot{ID: id, Spec: canonical, State: store.StateDone,
+		Summary: summary, ResultLines: len(ev.Shard) + 2}, spec)
+	hdr := j.v.Header("ppserved")
+	hdr.SeedDerived = false
+	var lines lineSink
+	_ = lines.Emit(hdr)
+	lines = append(lines, ev.Shard...)
+	_ = lines.Emit(kept.rec())
+	if err := s.store.AppendResults(id, lines); err != nil {
+		return err
+	}
+	if err := s.store.Finalize(id, store.Final{State: store.StateDone, Summary: summary, ResultLines: len(lines)}); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.jobs[id] = kept
+	s.order = append(s.order, kept)
+	s.rememberLocked(kept)
+	s.mu.Unlock()
+	return nil
+}
+
+// restoredShards looks every planned lease up in the result cache. A
+// lease whose shard spec has a source (a shard this node kept, before
+// a restart or for an earlier run of the same batch, or ran for a
+// peer) is handed to the coordinator as the source's stream without
+// its header and terminal record, and delivers without executing.
+func (s *Server) restoredShards(j *Job, plan []dist.Range) map[int][][]byte {
 	restored := make(map[int][][]byte)
-	for _, l := range j.restoredLeases {
-		if l.State != store.LeaseCompleted || l.Idx < 0 || l.Idx >= len(plan) {
-			continue
+	for i, r := range plan {
+		_, canonical := j.shardSpec(r)
+		if _, lines := s.cachedRun(cacheKey(canonical)); len(lines) > 2 {
+			restored[i] = lines[1 : len(lines)-1]
 		}
-		if plan[l.Idx].Lo != l.Lo || plan[l.Idx].Hi != l.Hi {
-			continue
-		}
-		lines, err := s.store.ReadShard(j.ID, l.Idx, l.Lines)
-		if err != nil {
-			continue
-		}
-		restored[l.Idx] = lines
 	}
 	return restored
+}
+
+// batchSummary condenses a batch_summary record into a job summary.
+func batchSummary(sum obs.BatchSummaryRec) *JobSummary {
+	return &JobSummary{
+		Trials:          sum.Trials,
+		TrialsConverged: sum.Converged,
+		Aborted:         sum.Aborted,
+		Retried:         sum.Retried,
+		Steps:           sum.TotalSteps,
+		NonNull:         sum.TotalNonNull,
+		OK:              sum.Converged == sum.Trials,
+	}
 }
 
 // runDistBatch executes an untraced batch job through the dist
@@ -203,15 +261,7 @@ func (s *Server) runDistBatch(j *Job) error {
 	if err := j.buf.Emit(merged); err != nil {
 		return err
 	}
-	j.setSummary(&JobSummary{
-		Trials:          merged.Trials,
-		TrialsConverged: merged.Converged,
-		Aborted:         merged.Aborted,
-		Retried:         merged.Retried,
-		Steps:           merged.TotalSteps,
-		NonNull:         merged.TotalNonNull,
-		OK:              merged.Converged == merged.Trials,
-	})
+	j.setSummary(batchSummary(merged))
 	s.met.addTrials(merged.Trials, merged.Converged, merged.TotalSteps, merged.TotalNonNull)
 	return nil
 }

@@ -1,11 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -164,8 +171,8 @@ func TestDistChaosDeterminism(t *testing.T) {
 			t.Run(fmt.Sprintf("lease%d/%s", leaseTrials, sched.name), func(t *testing.T) {
 				p1 := newChaosProxy(t, peer1.URL, sched.script)
 				p2 := newChaosProxy(t, peer2.URL, sched.script)
-				ls := &leaseStore{Memory: store.NewMemory()}
-				s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8, Store: ls,
+				mem := store.NewMemory()
+				s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8, Store: mem,
 					Peers: []string{p1.URL, p2.URL}, LeaseTrials: leaseTrials,
 					DistRetries: 2, LeaseTimeout: 30 * time.Second})
 				got := runCanonical(t, ts, spec)
@@ -174,38 +181,35 @@ func TestDistChaosDeterminism(t *testing.T) {
 				if completed == 0 {
 					t.Fatal("no leases completed through the coordinator")
 				}
-				// Only completed leases reach the store, however many
-				// attempts the schedule failed and re-issued.
-				ls.mu.Lock()
-				states := ls.states
-				ls.mu.Unlock()
-				if uint64(len(states)) != completed {
-					t.Errorf("%d lease records stored, want one per completed lease (%d)", len(states), completed)
-				}
-				for _, st := range states {
-					if st != store.LeaseCompleted {
-						t.Errorf("stored lease state %q, want only %q: %v", st, store.LeaseCompleted, states)
-						break
-					}
+				// The store keeps one shard job per completed lease,
+				// however many attempts the schedule failed and re-issued.
+				if kept := keptShards(t, mem); uint64(len(kept)) != completed {
+					t.Errorf("%d shard jobs kept, want one per completed lease (%d)", len(kept), completed)
 				}
 			})
 		}
 	}
 }
 
-// leaseStore wraps store.Memory and records the state of every lease
-// the server persists.
-type leaseStore struct {
-	*store.Memory
-	mu     sync.Mutex
-	states []string
-}
-
-func (l *leaseStore) PutLease(id string, snap store.LeaseSnap) error {
-	l.mu.Lock()
-	l.states = append(l.states, snap.State)
-	l.mu.Unlock()
-	return l.Memory.PutLease(id, snap)
+// keptShards returns the done shard jobs a store holds: on a
+// coordinator, its completed leases.
+func keptShards(t *testing.T, js JobStore) []store.Snapshot {
+	t.Helper()
+	snaps, err := js.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []store.Snapshot
+	for _, snap := range snaps {
+		var sp Spec
+		if err := json.Unmarshal(snap.Spec, &sp); err != nil {
+			t.Fatal(err)
+		}
+		if sp.Shard != nil && snap.State == store.StateDone {
+			kept = append(kept, snap)
+		}
+	}
+	return kept
 }
 
 // TestDistKillPeerMidJob kills one of two peers mid-campaign: the job
@@ -280,18 +284,17 @@ func TestDistZeroLivePeers(t *testing.T) {
 }
 
 // TestDistRestoreSkipsCompletedLeases pins crash-restart recovery: a
-// lease whose shard a previous incarnation persisted is restored from
-// the store, not re-executed, and the job still assembles the
-// canonical stream.
+// lease whose shard a previous incarnation kept as a done shard job is
+// restored from the result cache, not re-executed, and the job still
+// assembles the canonical stream.
 func TestDistRestoreSkipsCompletedLeases(t *testing.T) {
 	spec := distSpec()
 	spec.Trials = 9 // three leases of three trials
 	_, refTS := newTestServer(t, Config{Workers: 2, QueueCap: 8})
 	want := runCanonical(t, refTS, spec)
 
-	// Produce lease 0's shard the way a peer would: run the shard job
-	// on a standalone server and keep its stream minus the header and
-	// terminal job record, as the peer client returns it.
+	// Produce lease 0's shard job the way a peer would: run it on a
+	// standalone server and keep its whole stream.
 	shardSpec := spec
 	shardSpec.Shard = &ShardRange{Lo: 0, Hi: 3}
 	_, shardTS := newTestServer(t, Config{Workers: 2, QueueCap: 8})
@@ -300,29 +303,37 @@ func TestDistRestoreSkipsCompletedLeases(t *testing.T) {
 		t.Fatalf("shard submit: status %d, error %+v", code, e)
 	}
 	waitState(t, shardTS, sv.ID, StateDone, 30*time.Second)
-	var shard [][]byte
-	lines := streamLines(t, shardTS, sv.ID)
-	for _, line := range lines[1 : len(lines)-1] {
-		shard = append(shard, append(line, '\n'))
+	var stream [][]byte
+	for _, line := range streamLines(t, shardTS, sv.ID) {
+		stream = append(stream, append(line, '\n'))
 	}
 
 	// Build the store state a crashed coordinator leaves behind: the
-	// job admitted but not terminal, lease 0 completed with its shard.
+	// job admitted but not terminal, lease 0 kept as a done shard job
+	// under its canonical spec.
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, err := Prepare(shardSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardJSON, err := canonicalSpec(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mem := store.NewMemory()
-	const id = "j000001"
-	if err := mem.Admit(id, specJSON, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.PutShard(id, 0, shard); err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.PutLease(id, store.LeaseSnap{Idx: 0, Lo: 0, Hi: 3, Epoch: 1,
-		State: store.LeaseCompleted, Peer: "peer", Lines: len(shard)}); err != nil {
-		t.Fatal(err)
+	const id, shardID = "j000001", "j000002"
+	for _, err := range []error{
+		mem.Admit(id, specJSON, false),
+		mem.Admit(shardID, shardJSON, false),
+		mem.AppendResults(shardID, stream),
+		mem.Finalize(shardID, store.Final{State: store.StateDone, ResultLines: len(stream)}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	_, peerTS := newTestServer(t, Config{Workers: 2, QueueCap: 8})
@@ -334,6 +345,213 @@ func TestDistRestoreSkipsCompletedLeases(t *testing.T) {
 	if restored := s.met.leasesRestored.Value(); restored != 1 {
 		t.Fatalf("%d leases restored, want 1", restored)
 	}
+}
+
+// TestDistWALRestartRestoresKeptShards stops a coordinator on a WAL
+// store once a lease has completed and reopens the same directory with
+// the same peers behind request-counting proxies. The resubmitted
+// batch gets every kept shard back from the result cache: the restored
+// count equals the shard jobs kept before the stop, no peer is asked
+// for a restored lease's range, and the stream is still canonical.
+// The store's results directory holds job result logs only.
+func TestDistWALRestartRestoresKeptShards(t *testing.T) {
+	spec := distSpec()
+	spec.Trials = 48
+	_, refTS := newTestServer(t, Config{Workers: 2, QueueCap: 8})
+	want := runCanonical(t, refTS, spec)
+
+	_, peer1 := newTestServer(t, Config{Workers: 2, QueueCap: 32})
+	_, peer2 := newTestServer(t, Config{Workers: 2, QueueCap: 32})
+	cfg := func(js JobStore, peers ...string) Config {
+		return Config{Workers: 2, QueueCap: 8, Store: js, Peers: peers, LeaseTrials: 2, DistRetries: 3}
+	}
+	dir := t.TempDir()
+	w1, err := store.OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := New(cfg(w1, peer1.URL, peer2.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	code, v, e, _ := postJob(t, ts1, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d, error %+v", code, e)
+	}
+	for s1.met.leasesCompleted.Value() == 0 {
+		time.Sleep(200 * time.Microsecond)
+	}
+	ts1.Close()
+	s1.Close()
+	if err := w1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, err := store.OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w2.Close() })
+	kept := make(map[ShardRange]bool)
+	for _, snap := range keptShards(t, w2) {
+		var sp Spec
+		if err := json.Unmarshal(snap.Spec, &sp); err != nil {
+			t.Fatal(err)
+		}
+		kept[*sp.Shard] = true
+	}
+	if len(kept) == 0 {
+		t.Fatal("no shard job kept before the stop")
+	}
+	if len(kept) == spec.Trials/2 {
+		t.Fatalf("batch %s finished before the stop; nothing is left to restore", v.ID)
+	}
+	t.Logf("%d of %d leases kept before the stop", len(kept), spec.Trials/2)
+	var mu sync.Mutex
+	var asked []ShardRange
+	record := func(body []byte) {
+		var sp Spec
+		if err := json.Unmarshal(body, &sp); err != nil || sp.Shard == nil {
+			t.Errorf("peer POST %q is not a shard spec (%v)", body, err)
+			return
+		}
+		mu.Lock()
+		asked = append(asked, *sp.Shard)
+		mu.Unlock()
+	}
+	s2, ts2 := newTestServer(t, cfg(w2, newPostRecorder(t, peer1.URL, record).URL, newPostRecorder(t, peer2.URL, record).URL))
+	assertSameStream(t, runCanonical(t, ts2, spec), want)
+	if restored := s2.met.leasesRestored.Value(); restored != uint64(len(kept)) {
+		t.Errorf("%d leases restored, want the %d shard jobs kept before the stop", restored, len(kept))
+	}
+	mu.Lock()
+	for _, r := range asked {
+		if kept[r] {
+			t.Errorf("a peer was asked for restored lease %+v", r)
+		}
+	}
+	mu.Unlock()
+
+	entries, err := os.ReadDir(filepath.Join(dir, "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !regexp.MustCompile(`^j[0-9]{6}\.ndjson$`).MatchString(e.Name()) {
+			t.Errorf("results directory holds %s, not a job result log", e.Name())
+		}
+	}
+}
+
+// newPostRecorder fronts a peer with a proxy that hands every POST
+// /v1/jobs body to record before forwarding it.
+func newPostRecorder(t *testing.T, backend string, record func(body []byte)) *httptest.Server {
+	t.Helper()
+	u, err := url.Parse(backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := httputil.NewSingleHostReverseProxy(u)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			record(body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		rp.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestDistKeptShardIsCached pins what a completed lease leaves on the
+// coordinator: a done shard job, listed by GET /v1/jobs, whose header
+// and body lines equal under obs.Canonical those of the shard job a
+// peer runs for the same spec, with the same key and summary, and
+// which answers that spec's POST as a cache hit. Keeping it finalizes
+// the job outside the server's lock.
+func TestDistKeptShardIsCached(t *testing.T) {
+	spec := distSpec()
+	spec.Trials = 6
+	_, peerTS := newTestServer(t, Config{Workers: 2, QueueCap: 8})
+	probe := &lockProbeStore{Memory: store.NewMemory()}
+	s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8, Store: probe,
+		Peers: []string{peerTS.URL}, LeaseTrials: 3})
+	probe.srv.Store(s)
+	runCanonical(t, ts, spec)
+	if n, held := probe.finalized.Load(), probe.held.Load(); n != 3 || held != 0 {
+		t.Errorf("%d finalizations, %d with the server's lock held; want 3 (the batch and two kept shards), none held", n, held)
+	}
+
+	var kept []JobView
+	for _, v := range listJobs(t, ts) {
+		if v.Shard != nil {
+			kept = append(kept, v)
+		}
+	}
+	if len(kept) != 2 {
+		t.Fatalf("%d shard jobs kept, want one per lease (2)", len(kept))
+	}
+	for _, v := range kept {
+		if v.State != StateDone {
+			t.Fatalf("kept shard job %s is %s, want done", v.ID, v.State)
+		}
+		shardSpec := spec
+		shardSpec.Shard = v.Shard
+		code, pv, e, _ := postJob(t, peerTS, shardSpec)
+		if code != http.StatusAccepted {
+			t.Fatalf("peer submit: status %d, error %+v", code, e)
+		}
+		pv = waitState(t, peerTS, pv.ID, StateDone, 30*time.Second)
+		if pv.IdempotencyKey != v.IdempotencyKey || !reflect.DeepEqual(pv.Summary, v.Summary) {
+			t.Errorf("kept shard %s: key %s, summary %+v; the peer's job: key %s, summary %+v",
+				v.ID, v.IdempotencyKey, v.Summary, pv.IdempotencyKey, pv.Summary)
+		}
+		assertSameStream(t, canonRecords(t, streamLines(t, ts, v.ID), "job"),
+			canonRecords(t, streamLines(t, peerTS, pv.ID), "job"))
+
+		resp, body, err := postNDJSON(ts, shardSpec, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Location") != "/v1/jobs/"+v.ID {
+			t.Fatalf("shard spec POST: status %d, Location %q; want 200 from %s",
+				resp.StatusCode, resp.Header.Get("Location"), v.ID)
+		}
+		if !bytes.Equal(body, resultsBody(t, ts, v.ID)) {
+			t.Errorf("shard spec POST answered with a stream other than kept job %s's", v.ID)
+		}
+	}
+	if hits := s.met.cacheHits.Value(); hits != 2 {
+		t.Errorf("%d cache hits, want 2", hits)
+	}
+}
+
+// lockProbeStore counts Finalize calls and those that run while the
+// server's lock is held: such a call cannot take srv.mu for 20ms.
+type lockProbeStore struct {
+	*store.Memory
+	srv             atomic.Pointer[Server]
+	finalized, held atomic.Int64
+}
+
+func (p *lockProbeStore) Finalize(id string, fin store.Final) error {
+	if s := p.srv.Load(); s != nil {
+		p.finalized.Add(1)
+		for stop := time.Now().Add(20 * time.Millisecond); !s.mu.TryLock(); time.Sleep(10 * time.Microsecond) {
+			if time.Now().After(stop) {
+				p.held.Add(1)
+				return p.Memory.Finalize(id, fin)
+			}
+		}
+		s.mu.Unlock()
+	}
+	return p.Memory.Finalize(id, fin)
 }
 
 // TestDistShardJobsStayLocal pins the no-recursion rule: a job that

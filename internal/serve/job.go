@@ -12,7 +12,6 @@ import (
 	"popnaming/internal/experiments"
 	"popnaming/internal/fault"
 	"popnaming/internal/obs"
-	"popnaming/internal/serve/store"
 	"popnaming/internal/sim"
 )
 
@@ -475,12 +474,6 @@ type Job struct {
 	// key is the job's content address (canonical-spec hash), set once
 	// at admission; it doubles as the Idempotency-Key header value.
 	key string
-
-	// restoredLeases carries the lease snapshots a previous incarnation
-	// journaled for this job (set once at restore, nil otherwise): the
-	// dist coordinator re-issues only the incomplete ones, restoring
-	// completed shards from the store.
-	restoredLeases []store.LeaseSnap
 
 	mu          sync.Mutex
 	state       JobState

@@ -7,9 +7,12 @@ import (
 )
 
 // JobStore is the pluggable durability layer behind the server: job
-// admissions, lifecycle transitions and finalized NDJSON result logs.
-// store.Memory keeps the pre-durability in-process behavior;
-// store.WAL survives restarts (see Config.Store and the -store flag).
+// admissions, lifecycle transitions and finalized NDJSON result logs,
+// and nothing else. A distributed batch's completed lease is stored as
+// a done shard job of its own, so a restarted coordinator finds it in
+// the result cache (see Server.keepShard). store.Memory keeps the
+// pre-durability in-process behavior; store.WAL survives restarts (see
+// Config.Store and the -store flag).
 //
 // Call ordering contract (the server upholds it, implementations may
 // rely on it): Admit happens-before any SetState/AppendResults for the
@@ -37,18 +40,6 @@ type JobStore interface {
 	// ReadResults returns result lines [from, to); to < 0 reads to the
 	// end of the log.
 	ReadResults(id string, from, to int) ([][]byte, error)
-	// PutLease records a completed lease of a distributed batch job,
-	// the one lease state recovery reads (latest record per lease
-	// index wins on fold, completed sticky).
-	PutLease(id string, l store.LeaseSnap) error
-	// PutShard replaces a completed lease's shard log. The server
-	// writes the shard before the completed lease record, so a
-	// replayed completed lease implies a readable shard.
-	PutShard(id string, lease int, lines [][]byte) error
-	// ReadShard returns exactly n lines of a lease's shard log; fewer
-	// intact lines than requested is an error (a torn shard), which
-	// recovery answers by re-issuing the lease.
-	ReadShard(id string, lease, n int) ([][]byte, error)
 	// Replay returns every stored job in admission order. The server
 	// calls it exactly once, at construction; a WAL store answers with
 	// its open-time fold.
@@ -61,8 +52,3 @@ var (
 	_ JobStore = (*store.Memory)(nil)
 	_ JobStore = (*store.WAL)(nil)
 )
-
-// storeState maps a serve job state to its stored representation. The
-// two enums are aligned by construction; the indirection keeps the
-// store package serve-agnostic.
-func storeState(st JobState) string { return string(st) }

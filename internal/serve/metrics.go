@@ -121,7 +121,7 @@ func newMetrics(s *Server) *metrics {
 	r.Counter("ppserved_buffer_spills_total", "Live result-buffer spills to the job store.", &m.bufSpills)
 	r.Counter("ppserved_buffer_spilled_bytes_total", "Bytes spilled from live result buffers to the job store.", &m.bufSpilledBytes)
 	r.Counter("ppserved_late_emits_total", "Records emitted into a result buffer after job finalization (worker bugs).", &m.lateEmits)
-	r.Counter("ppserved_store_write_errors_total", "Failed writes to the job store (spills, finalization, lease records).", &m.storeWriteErrors)
+	r.Counter("ppserved_store_write_errors_total", "Failed writes to the job store (spills, finalization, kept shards).", &m.storeWriteErrors)
 
 	r.Section("distributed leases")
 	r.Gauge("ppserved_dist_peers", "Configured peer ppserved nodes for sharded execution.", func() float64 { return float64(len(s.peers)) })
@@ -129,7 +129,7 @@ func newMetrics(s *Server) *metrics {
 	r.Counter("ppserved_dist_leases_reissued_total", "Lease re-issues after a failed attempt.", &m.leasesReissued)
 	r.Counter("ppserved_dist_leases_completed_total", "Leases whose shard was accepted and merged.", &m.leasesCompleted)
 	r.Counter("ppserved_dist_leases_duplicate_total", "Late duplicate shards discarded by lease epoch.", &m.leasesDuplicate)
-	r.Counter("ppserved_dist_leases_restored_total", "Completed shards restored from the store across a restart.", &m.leasesRestored)
+	r.Counter("ppserved_dist_leases_restored_total", "Leases delivered from the result cache (shards kept earlier) without executing.", &m.leasesRestored)
 	r.Counter("ppserved_dist_lease_failures_total", "Lease attempts ended by timeout, error status or connection loss.", &m.leaseFailures)
 
 	r.Section("jobs by state")

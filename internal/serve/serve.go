@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -67,8 +68,7 @@ type Config struct {
 	Store JobStore
 	// BufferBytes caps one job's in-RAM result buffer: past it the
 	// buffered NDJSON lines spill to the Store and stream reads fetch
-	// them back on demand (0: 8 MiB; negative: no cap — every line
-	// stays resident until finalization, and finalized jobs still spill).
+	// them back on demand (<= 0: 8 MiB).
 	BufferBytes int64
 	// Peers lists base URLs of peer ppserved nodes (e.g.
 	// "http://10.0.0.2:8080"). When non-empty, untraced batch jobs are
@@ -90,7 +90,7 @@ type Config struct {
 	// StreamWriteTimeout bounds each write on a results stream: a
 	// client that stops reading for this long is disconnected instead
 	// of pinning a handler goroutine and its buffers forever
-	// (0: 60s; negative: no deadline).
+	// (<= 0: 60s).
 	StreamWriteTimeout time.Duration
 }
 
@@ -112,8 +112,6 @@ type Server struct {
 	met   *metrics
 	sink  obs.Sink
 	store JobStore
-	// bufMax is the resolved per-job live-buffer cap (<= 0: uncapped).
-	bufMax int64
 	// peers are the long-lived shard executors for Config.Peers, one
 	// per base URL; they persist health state (failure windows,
 	// quarantine) across jobs. Empty when the server runs standalone.
@@ -178,22 +176,20 @@ func New(cfg Config) (*Server, error) {
 	} else if cfg.DistRetries < 0 {
 		cfg.DistRetries = 0
 	}
-	if cfg.StreamWriteTimeout == 0 {
+	if cfg.StreamWriteTimeout <= 0 {
 		cfg.StreamWriteTimeout = defaultStreamWriteTimeout
+	}
+	if cfg.BufferBytes <= 0 {
+		cfg.BufferBytes = defaultBufferBytes
 	}
 	if cfg.Store == nil {
 		cfg.Store = store.NewMemory()
-	}
-	bufMax := cfg.BufferBytes
-	if bufMax == 0 {
-		bufMax = defaultBufferBytes
 	}
 	s := &Server{
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		sink:    cfg.Sink,
 		store:   cfg.Store,
-		bufMax:  bufMax,
 		jobs:    make(map[string]*Job),
 		sources: make(map[string]*Job),
 	}
@@ -293,10 +289,6 @@ func (s *Server) restore() ([]*Job, error) {
 		}
 		_ = s.store.SetState(snap.ID, store.StateQueued)
 		j := s.newJob(snap.ID, v)
-		// Completed lease shards survive the reset (they live beside the
-		// result log); the dist coordinator restores them instead of
-		// re-executing.
-		j.restoredLeases = snap.Leases
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j)
 		s.met.requeued.Inc()
@@ -305,7 +297,8 @@ func (s *Server) restore() ([]*Job, error) {
 	return requeue, nil
 }
 
-// restoreTerminal rebuilds a finished job from its snapshot. The spec
+// restoreTerminal rebuilds a finished job from its snapshot: a done,
+// failed or canceled job at boot, or a kept shard (keepShard). The spec
 // skips re-validation (the job never executes again, and admission
 // rules may have tightened since it ran); results are served from the
 // store through the buffer's fetch path.
@@ -357,7 +350,7 @@ func (s *Server) newJob(id string, v *Prepared) *Job {
 // reads of spilled lines fetch back from it, and emits after
 // finalization land in the late_emits counter.
 func (s *Server) newJobBuffer(id string) *buffer {
-	return newBuffer(s.bufMax,
+	return newBuffer(s.cfg.BufferBytes,
 		func(lines [][]byte) error {
 			var n int64
 			for _, line := range lines {
@@ -577,7 +570,7 @@ func (s *Server) finalize(j *Job) {
 	total := j.buf.len()
 	_ = j.buf.finalize() // a failed final spill already counted via the spill hook
 	if err := s.store.Finalize(j.ID, store.Final{
-		State: storeState(state), Error: rec.Error, Summary: summary,
+		State: string(state), Error: rec.Error, Summary: summary,
 		WallNS: wall, ResultLines: total,
 	}); err != nil {
 		s.met.storeWriteErrors.Inc()
@@ -660,11 +653,24 @@ func (s *Server) Close() {
 // maxBodyBytes bounds a job submission body.
 const maxBodyBytes = 1 << 20
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads a submission body: one spec object, with no
+// unknown fields and nothing after it.
+func decodeSpec(r io.Reader) (Spec, error) {
 	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return spec, errors.New("trailing data after the spec object")
+	}
+	return spec, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		writeError(w, badRequest("bad job body: %v", err))
 		return
 	}
@@ -773,12 +779,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, j *Job, follow b
 	// Recorders and writers without deadline support just decline the
 	// controller calls — the guard degrades to the old behavior.
 	rc := http.NewResponseController(w)
-	deadline := s.cfg.StreamWriteTimeout
-	defer func() {
-		if deadline > 0 {
-			_ = rc.SetWriteDeadline(time.Time{}) // clean slate for keep-alive reuse
-		}
-	}()
+	defer func() { _ = rc.SetWriteDeadline(time.Time{}) }() // clean slate for keep-alive reuse
 
 	// Wake the condition wait when the client goes away, so a
 	// disconnected follower releases its goroutine promptly.
@@ -793,9 +794,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, j *Job, follow b
 		if len(lines) == 0 {
 			return true
 		}
-		if deadline > 0 {
-			_ = rc.SetWriteDeadline(time.Now().Add(deadline))
-		}
+		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
 		for _, line := range lines {
 			if _, err := w.Write(line); err != nil {
 				if errors.Is(err, os.ErrDeadlineExceeded) {

@@ -180,16 +180,16 @@ func TestJobDeterminism(t *testing.T) {
 	}
 
 	// The direct equivalent: same protocol instance, same trial-seed
-	// recipe, same supervision, journaling into a local buffer.
+	// recipe, same supervision, journaling into a line sink.
 	spec2, verr := prepare(spec)
 	if verr != nil {
 		t.Fatal(verr)
 	}
 	pr := spec2.proto
-	buf := newBuffer(0, nil, nil, nil)
-	sup := sim.Supervision{StepBudget: spec.Budget, Sink: buf}
+	var direct lineSink
+	sup := sim.Supervision{StepBudget: spec.Budget, Sink: &direct}
 	sim.RunBatch(context.Background(), pr, 0, spec.Trials, 1, sup,
-		sim.BatchObs{Sink: buf}, func(trial, attempt int) sim.Trial {
+		sim.BatchObs{Sink: &direct}, func(trial, attempt int) sim.Trial {
 			seed := sim.DeriveSeed(spec.Seed, trial, attempt)
 			cfg, err := sim.AgentStart(pr, spec.N, "zero", seed)
 			if err != nil {
@@ -201,10 +201,6 @@ func TestJobDeterminism(t *testing.T) {
 			}
 			return sim.Trial{Cfg: cfg, Sched: sc}
 		})
-	direct, err := buf.all()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	got := canonRecords(t, lines, "header", "job")
 	want := canonRecords(t, direct)
@@ -393,6 +389,40 @@ func TestStructuredBadRequest(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown-field status %d", resp.StatusCode)
+	}
+}
+
+// TestSubmitRejectsTrailingData pins that a submission body is one
+// spec object and nothing more: a second object, a stray token or a
+// stray closing bracket after it is a structured 400, and nothing is
+// admitted. Trailing whitespace is not data.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	const spec = `{"kind":"batch","protocol":"asym","p":4,"seed":7,"trials":2,"budget":200000}`
+	for _, body := range []string{spec + " " + spec, spec + "x", spec + "]", spec + "}"} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error *Error `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || e.Error == nil || e.Error.Kind != "validation" {
+			t.Errorf("body %s: status %d, error %+v (%v); want a validation 400", body, resp.StatusCode, e.Error, err)
+		}
+	}
+	if jobs := listJobs(t, ts); len(jobs) != 0 || s.met.submitted.Value() != 0 {
+		t.Fatalf("trailing-data bodies admitted %d jobs", len(jobs))
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec+"\n\t "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("body with trailing whitespace: status %d, want 202", resp.StatusCode)
 	}
 }
 

@@ -2,16 +2,16 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"reflect"
 	"testing"
 )
 
-// FuzzJobSpec holds the job spec boundary to its contract. A body
-// decoded as POST /v1/jobs decodes it either is rejected by Prepare
-// with a structured 400 or prepares to a spec, and none panics.
+// FuzzJobSpec holds the job spec boundary to its contract. A body that
+// decodes as POST /v1/jobs decodes it (decodeSpec) either is rejected
+// by Prepare with a structured 400 or prepares to a spec, and none
+// panics.
 // Admission is a function of the body: two Prepare calls agree, and the
 // normalized Spec prepares again to itself (the result cache keys on
 // it). Seed 0 is mapped to 1 first, so the clock cannot make two calls
@@ -32,10 +32,8 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"kind":"sim","protocol":"asym","p":8,"n":3,"sched":"matching"}`))
 	f.Add([]byte(`{"kind":"batch","protocol":"asym","p":8,"n":1,"sched":"roundrobin"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var spec Spec
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if dec.Decode(&spec) != nil {
+		spec, err := decodeSpec(bytes.NewReader(body))
+		if err != nil {
 			return
 		}
 		if spec.Seed == 0 {

@@ -16,7 +16,9 @@ func FuzzRecDecode(f *testing.F) {
 	// failure mode (short, unframed, bad hex, bad CRC, bad JSON, torn),
 	// then a terminal record as logs written before cache hits stopped
 	// being jobs hold it: its "cached" field is no longer in Rec, and
-	// the record must still decode.
+	// the record must still decode. Last, a lease record as logs
+	// written before completed leases became shard jobs hold it, which
+	// must decode too (Fold then ignores it).
 	admit, _ := EncodeRec(Rec{V: Version, Seq: 1, T: RecAdmit, ID: "j000001",
 		Spec: json.RawMessage(`{"kind":"sim","seed":7}`), SeedDerived: true})
 	running, _ := EncodeRec(Rec{V: Version, Seq: 2, T: RecState, ID: "j000001", State: StateRunning})
@@ -26,6 +28,9 @@ func FuzzRecDecode(f *testing.F) {
 	legacy := []byte(fmt.Sprintf("%08x %s", crc32.ChecksumIEEE([]byte(legacyBody)), legacyBody))
 	if rec, err := DecodeRec(legacy); err != nil || rec.State != StateDone || rec.ResultLines != 9 {
 		f.Fatalf("pre-change cached terminal record: %+v, %v", rec, err)
+	}
+	if rec, err := DecodeRec(legacyLease()); err != nil || rec.T != "lease" || rec.ID != "j000001" {
+		f.Fatalf("pre-change lease record: %+v, %v", rec, err)
 	}
 	for _, seed := range [][]byte{
 		admit[:len(admit)-1],
@@ -39,6 +44,7 @@ func FuzzRecDecode(f *testing.F) {
 		[]byte("00000000 not json"),
 		admit[:len(admit)/2],
 		legacy,
+		legacyLease(),
 	} {
 		f.Add(seed)
 	}
@@ -61,4 +67,11 @@ func FuzzRecDecode(f *testing.F) {
 			t.Fatalf("round-trip changed fields: %+v != %+v", rec2, rec)
 		}
 	})
+}
+
+// legacyLease is a completed-lease record of job j000001 as logs
+// written before completed leases became shard jobs hold it.
+func legacyLease() []byte {
+	body := `{"v":1,"seq":2,"t":"lease","id":"j000001","lease":{"idx":0,"lo":0,"hi":4,"epoch":1,"state":"completed","peer":"http://p1","lines":5}}`
+	return []byte(fmt.Sprintf("%08x %s", crc32.ChecksumIEEE([]byte(body)), body))
 }

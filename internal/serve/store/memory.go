@@ -11,22 +11,18 @@ import (
 // so the serving layer stays implementation-blind. Lifecycle
 // transitions are kept as the same Rec sequence the WAL writes, and
 // Replay folds them with Fold, so both stores answer by one set of
-// rules; result and shard logs live in maps. It also doubles as the
+// rules; result logs live in a map. It also doubles as the
 // restart-recovery test double: hand the same *Memory to a second
 // server and Replay returns everything the first one stored.
 type Memory struct {
 	mu      sync.Mutex
 	recs    []Rec
 	results map[string][][]byte
-	shards  map[string]map[int][][]byte
 }
 
 // NewMemory builds an empty in-memory store.
 func NewMemory() *Memory {
-	return &Memory{
-		results: make(map[string][][]byte),
-		shards:  make(map[string]map[int][][]byte),
-	}
+	return &Memory{results: make(map[string][][]byte)}
 }
 
 // Kind identifies the implementation for metrics and startup lines.
@@ -53,35 +49,6 @@ func (m *Memory) SetState(id, state string) error {
 func (m *Memory) Finalize(id string, fin Final) error {
 	fin.Summary = append(json.RawMessage(nil), fin.Summary...)
 	return m.record(fin.rec(id))
-}
-
-// PutLease records a lease transition.
-func (m *Memory) PutLease(id string, l LeaseSnap) error {
-	return m.record(Rec{T: RecLease, ID: id, Lease: &l})
-}
-
-// PutShard replaces the lease's shard log.
-func (m *Memory) PutShard(id string, lease int, lines [][]byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sm := m.shards[id]
-	if sm == nil {
-		sm = make(map[int][][]byte)
-		m.shards[id] = sm
-	}
-	sm[lease] = append([][]byte(nil), lines...)
-	return nil
-}
-
-// ReadShard returns exactly n lines of the lease's shard log.
-func (m *Memory) ReadShard(id string, lease, n int) ([][]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	lines := m.shards[id][lease]
-	if len(lines) < n {
-		return nil, fmt.Errorf("store: shard %s/%d: want %d lines, have %d", id, lease, n, len(lines))
-	}
-	return lines[:n], nil
 }
 
 // AppendResults appends finalized or spilled NDJSON lines (each with

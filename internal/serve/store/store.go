@@ -15,20 +15,24 @@
 // state record (a crash-window reordering) can never resurrect a
 // finished job. Result logs live outside the WAL in
 // results/<id>.ndjson, referenced by the terminal record's line count.
+// The store persists jobs and nothing else: a distributed batch's
+// completed lease is kept by the serving layer as a done shard job of
+// its own.
 package store
 
 import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"strconv"
 )
 
 // Version is the WAL record schema version.
 const Version = 1
 
-// Record kinds.
+// Record kinds. Logs written before completed leases became shard
+// jobs also hold "lease" records; Fold ignores them, so such a log
+// opens and its leases run again once.
 const (
 	// RecAdmit records a job admission: ID, canonical spec, seed origin.
 	RecAdmit = "admit"
@@ -37,18 +41,6 @@ const (
 	// records written before cache hits stopped being jobs may also
 	// carry "cached": true, which decodes as an ignored field.
 	RecState = "state"
-	// RecLease records a lease transition of a distributed batch job
-	// (see internal/dist): the coordinator persists completed leases
-	// so a crash-restart re-issues only incomplete ones.
-	RecLease = "lease"
-)
-
-// Lease states as stored. Only LeaseCompleted matters for recovery
-// (anything else is incomplete and gets re-issued); completed is
-// sticky under Fold, mirroring at-most-once result acceptance.
-const (
-	LeaseIssued    = "issued"
-	LeaseCompleted = "completed"
 )
 
 // Job lifecycle states as stored. They mirror serve.JobState but the
@@ -83,22 +75,6 @@ type Rec struct {
 	Summary     json.RawMessage `json:"summary,omitempty"`
 	WallNS      int64           `json:"wallNs,omitempty"`
 	ResultLines int             `json:"resultLines,omitempty"`
-
-	Lease *LeaseSnap `json:"lease,omitempty"`
-}
-
-// LeaseSnap is one lease's durable state: the contiguous trial range
-// [Lo, Hi) it covers, its issue epoch, and — when completed — the line
-// count of its shard log (results/<id>.shard<idx>.ndjson under the
-// WAL), which recovery uses to tell a complete shard from a torn one.
-type LeaseSnap struct {
-	Idx   int    `json:"idx"`
-	Lo    int    `json:"lo"`
-	Hi    int    `json:"hi"`
-	Epoch int    `json:"epoch"`
-	State string `json:"state"`
-	Peer  string `json:"peer,omitempty"`
-	Lines int    `json:"lines,omitempty"`
 }
 
 // Final describes a job's terminal transition as handed to
@@ -132,10 +108,6 @@ type Snapshot struct {
 	Summary     json.RawMessage
 	WallNS      int64
 	ResultLines int
-	// Leases holds the folded lease states of a distributed batch job
-	// in lease-index order (latest record per index wins, completed
-	// sticky). Empty for jobs that never ran distributed.
-	Leases []LeaseSnap
 }
 
 // EncodeRec frames a record as one WAL line: an 8-hex-digit CRC32
@@ -178,14 +150,13 @@ func DecodeRec(line []byte) (Rec, error) {
 }
 
 // Fold replays a record sequence into per-job snapshots in admission
-// order. Unknown job IDs and duplicate admissions are ignored, and
-// terminal states are sticky: once a job is done/failed/canceled, later
-// state records cannot change it. Logs written by earlier versions
-// hold "running" state and "issued" lease records; they fold like any
-// other non-terminal record.
+// order. Unknown job IDs, duplicate admissions and records of other
+// kinds are ignored, and terminal states are sticky: once a job is
+// done/failed/canceled, later state records cannot change it. Logs
+// written by earlier versions hold "running" state records, which fold
+// like any other non-terminal record.
 func Fold(recs []Rec) []Snapshot {
 	idx := make(map[string]int)
-	lidx := make(map[string]map[int]int) // job -> lease idx -> position in Leases
 	var snaps []Snapshot
 	for _, r := range recs {
 		switch r.T {
@@ -210,33 +181,7 @@ func Fold(recs []Rec) []Snapshot {
 				s.WallNS = r.WallNS
 				s.ResultLines = r.ResultLines
 			}
-		case RecLease:
-			i, ok := idx[r.ID]
-			if !ok || r.Lease == nil {
-				continue
-			}
-			s := &snaps[i]
-			lm := lidx[r.ID]
-			if lm == nil {
-				lm = make(map[int]int)
-				lidx[r.ID] = lm
-			}
-			p, ok := lm[r.Lease.Idx]
-			if !ok {
-				lm[r.Lease.Idx] = len(s.Leases)
-				s.Leases = append(s.Leases, *r.Lease)
-				continue
-			}
-			if s.Leases[p].State == LeaseCompleted {
-				continue // completed is sticky: at-most-once acceptance
-			}
-			s.Leases[p] = *r.Lease
 		}
-	}
-	for i := range snaps {
-		sort.Slice(snaps[i].Leases, func(a, b int) bool {
-			return snaps[i].Leases[a].Idx < snaps[i].Leases[b].Idx
-		})
 	}
 	return snaps
 }

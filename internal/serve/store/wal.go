@@ -172,63 +172,6 @@ func (w *WAL) Finalize(id string, fin Final) error {
 	return nil
 }
 
-// PutLease records a lease transition of a distributed batch job. The
-// record is written with plain write(2) like other WAL appends: a
-// power loss can cost the tail, which recovery answers by re-issuing
-// any lease not folded as completed.
-func (w *WAL) PutLease(id string, l LeaseSnap) error {
-	if err := validID(id); err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appendLocked(Rec{T: RecLease, ID: id, Lease: &l})
-}
-
-// PutShard replaces the lease's shard log with the given NDJSON lines
-// (each with its trailing newline) and fsyncs it, so a subsequent
-// completed lease record implies a readable shard. The write truncates:
-// a re-issued lease after a crash overwrites any stale partial shard.
-func (w *WAL) PutShard(id string, lease int, lines [][]byte) error {
-	if err := validID(id); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(w.shardPath(id, lease), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := f.Write(bytes.Join(lines, nil)); err != nil {
-		f.Close()
-		return fmt.Errorf("store: shard write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: shard sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: shard close: %w", err)
-	}
-	return nil
-}
-
-// ReadShard returns exactly n lines of the lease's shard log. Fewer
-// intact lines than recorded in the completed lease record mean the
-// shard is torn — callers treat that as incomplete and re-issue.
-func (w *WAL) ReadShard(id string, lease, n int) ([][]byte, error) {
-	if err := validID(id); err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(w.shardPath(id, lease))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	lines := splitLines(data)
-	if len(lines) < n {
-		return nil, fmt.Errorf("store: shard %s/%d: want %d lines, have %d", id, lease, n, len(lines))
-	}
-	return lines[:n], nil
-}
-
 // AppendResults appends NDJSON lines (each with its trailing newline)
 // to the job's result log, opening it lazily on first use.
 func (w *WAL) AppendResults(id string, lines [][]byte) error {
@@ -331,10 +274,6 @@ func (w *WAL) Close() error {
 
 func (w *WAL) resultPath(id string) string {
 	return filepath.Join(w.dir, resultsDir, id+".ndjson")
-}
-
-func (w *WAL) shardPath(id string, lease int) string {
-	return filepath.Join(w.dir, resultsDir, fmt.Sprintf("%s.shard%d.ndjson", id, lease))
 }
 
 // validID rejects IDs that could escape the results directory. Server

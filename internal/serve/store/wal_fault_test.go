@@ -2,8 +2,6 @@ package store
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -38,7 +36,6 @@ func TestWALAppendError(t *testing.T) {
 	for name, call := range map[string]func() error{
 		"admit":    func() error { return w.Admit("j1", []byte(`{}`), false) },
 		"setstate": func() error { return w.SetState("j1", StateRunning) },
-		"lease":    func() error { return w.PutLease("j1", LeaseSnap{Idx: 0, Lo: 0, Hi: 4, State: LeaseIssued}) },
 		"finalize": func() error { return w.Finalize("j1", Final{State: StateDone}) },
 	} {
 		err := call()
@@ -73,126 +70,5 @@ func TestWALSyncError(t *testing.T) {
 	err := w.Finalize("j1", Final{State: StateDone})
 	if err == nil || !strings.Contains(err.Error(), "no space left") {
 		t.Fatalf("failing fsync surfaced as %v", err)
-	}
-}
-
-// TestWALShardRoundTrip covers the shard log: write, read back exactly,
-// overwrite on re-issue, and torn-tail detection.
-func TestWALShardRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-
-	shard := lines(`{"type":"trial","trial":0}`, `{"type":"trial","trial":1}`, `{"type":"batch_summary","trials":2}`)
-	if err := w.PutShard("j1", 0, shard); err != nil {
-		t.Fatal(err)
-	}
-	got, err := w.ReadShard("j1", 0, len(shard))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(shard) {
-		t.Fatalf("read %d lines, want %d", len(got), len(shard))
-	}
-	for i := range shard {
-		if string(got[i]) != string(shard[i]) {
-			t.Fatalf("line %d: %q != %q", i, got[i], shard[i])
-		}
-	}
-
-	// Re-issuing the lease overwrites, never appends.
-	repl := lines(`{"type":"trial","trial":0,"attempt":1}`, `{"type":"batch_summary","trials":2}`)
-	if err := w.PutShard("j1", 0, repl); err != nil {
-		t.Fatal(err)
-	}
-	got, err = w.ReadShard("j1", 0, len(repl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(repl) || string(got[0]) != string(repl[0]) {
-		t.Fatalf("overwritten shard reads back %d lines, first %q", len(got), got[0])
-	}
-	if _, err := w.ReadShard("j1", 0, len(repl)+1); err == nil {
-		t.Fatal("reading more lines than stored did not error")
-	}
-
-	// A crash mid-write leaves a torn final line; the recorded line
-	// count must then fail the read, so recovery re-issues the lease.
-	path := filepath.Join(dir, resultsDir, "j1.shard0.ndjson")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.ReadShard("j1", 0, len(repl)); err == nil {
-		t.Fatal("torn shard read back as complete")
-	}
-	torn, err := w.ReadShard("j1", 0, len(repl)-1)
-	if err != nil {
-		t.Fatalf("intact prefix unreadable: %v", err)
-	}
-	if len(torn) != len(repl)-1 {
-		t.Fatalf("intact prefix has %d lines, want %d", len(torn), len(repl)-1)
-	}
-
-	// Unsafe IDs are rejected before touching the filesystem.
-	if err := w.PutShard("../evil", 0, shard); err == nil {
-		t.Fatal("path-escaping shard id accepted")
-	}
-	if _, err := w.ReadShard("..", 0, 1); err == nil {
-		t.Fatal("path-escaping shard read accepted")
-	}
-}
-
-// TestWALLeaseFoldAcrossReopen pins that lease records written before a
-// crash fold into the replayed snapshot: completed leases stick, the
-// latest record per index wins.
-func TestWALLeaseFoldAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Admit("j1", []byte(`{"kind":"batch"}`), false); err != nil {
-		t.Fatal(err)
-	}
-	puts := []LeaseSnap{
-		{Idx: 0, Lo: 0, Hi: 4, Epoch: 0, State: LeaseIssued, Peer: "p1"},
-		{Idx: 1, Lo: 4, Hi: 8, Epoch: 0, State: LeaseIssued, Peer: "local"},
-		{Idx: 0, Lo: 0, Hi: 4, Epoch: 0, State: LeaseCompleted, Peer: "p1", Lines: 5},
-		{Idx: 0, Lo: 0, Hi: 4, Epoch: 1, State: LeaseIssued, Peer: "p2"}, // late duplicate attempt: completed stays sticky
-	}
-	for _, l := range puts {
-		if err := w.PutLease("j1", l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	w2, err := OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	snaps, err := w2.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 1 || len(snaps[0].Leases) != 2 {
-		t.Fatalf("replayed %d jobs, leases %v", len(snaps), snaps)
-	}
-	l0, l1 := snaps[0].Leases[0], snaps[0].Leases[1]
-	if l0.Idx != 0 || l0.State != LeaseCompleted || l0.Lines != 5 {
-		t.Fatalf("lease 0 folded to %+v, want completed with 5 lines", l0)
-	}
-	if l1.Idx != 1 || l1.State != LeaseIssued {
-		t.Fatalf("lease 1 folded to %+v, want issued", l1)
 	}
 }

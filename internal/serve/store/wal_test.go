@@ -230,7 +230,6 @@ func TestStoreParity(t *testing.T) {
 		Admit(string, json.RawMessage, bool) error
 		SetState(string, string) error
 		Finalize(string, Final) error
-		PutLease(string, LeaseSnap) error
 		AppendResults(string, [][]byte) error
 		ResetResults(string) error
 		ReadResults(string, int, int) ([][]byte, error)
@@ -244,13 +243,6 @@ func TestStoreParity(t *testing.T) {
 		}
 		must(s.Admit("j000001", json.RawMessage(`{"kind":"sim","seed":1}`), false))
 		must(s.SetState("j000001", StateRunning))
-		// Leases: the latest record per index wins, and completed is
-		// sticky (issued -> completed -> issued stays completed).
-		must(s.PutLease("j000001", LeaseSnap{Idx: 1, Lo: 5, Hi: 10, State: LeaseIssued, Peer: "a"}))
-		must(s.PutLease("j000001", LeaseSnap{Idx: 0, Lo: 0, Hi: 5, State: LeaseIssued, Peer: "a"}))
-		must(s.PutLease("j000001", LeaseSnap{Idx: 1, Lo: 5, Hi: 10, State: LeaseCompleted, Peer: "a", Lines: 5}))
-		must(s.PutLease("j000001", LeaseSnap{Idx: 1, Lo: 5, Hi: 10, Epoch: 1, State: LeaseIssued, Peer: "b"}))
-		must(s.PutLease("j000001", LeaseSnap{Idx: 0, Lo: 0, Hi: 5, Epoch: 1, State: LeaseIssued, Peer: "b"}))
 		must(s.AppendResults("j000001", lines(`{"partial":1}`)))
 		must(s.ResetResults("j000001"))
 		must(s.AppendResults("j000001", lines(`{"a":1}`, `{"b":2}`)))
@@ -278,13 +270,6 @@ func TestStoreParity(t *testing.T) {
 	_, walRes := run(w)
 	if len(memSnaps) != 2 || memSnaps[0].State != StateDone || memSnaps[1].State != StateQueued {
 		t.Fatalf("memory snapshots: %+v", memSnaps)
-	}
-	wantLeases := []LeaseSnap{
-		{Idx: 0, Lo: 0, Hi: 5, Epoch: 1, State: LeaseIssued, Peer: "b"},
-		{Idx: 1, Lo: 5, Hi: 10, State: LeaseCompleted, Peer: "a", Lines: 5},
-	}
-	if !reflect.DeepEqual(memSnaps[0].Leases, wantLeases) {
-		t.Fatalf("memory leases: %+v, want %+v", memSnaps[0].Leases, wantLeases)
 	}
 	if len(memRes) != len(walRes) {
 		t.Fatalf("result lines: memory %d, wal %d", len(memRes), len(walRes))
@@ -315,8 +300,7 @@ func TestStoreParity(t *testing.T) {
 		m, ww := memSnaps[i], reSnaps[i]
 		if m.ID != ww.ID || m.State != ww.State || m.Error != ww.Error ||
 			m.SeedDerived != ww.SeedDerived || m.ResultLines != ww.ResultLines ||
-			!bytes.Equal(m.Spec, ww.Spec) || !bytes.Equal(m.Summary, ww.Summary) ||
-			!reflect.DeepEqual(m.Leases, ww.Leases) {
+			!bytes.Equal(m.Spec, ww.Spec) || !bytes.Equal(m.Summary, ww.Summary) {
 			t.Fatalf("snapshot %d differs:\nmemory: %+v\nwal:    %+v", i, m, ww)
 		}
 	}
@@ -340,6 +324,38 @@ func TestFoldTerminalSticky(t *testing.T) {
 	}
 	if snaps[0].State != StateCanceled || snaps[0].Error != "canceled while queued" {
 		t.Fatalf("terminal state not sticky: %+v", snaps[0])
+	}
+}
+
+// TestFoldIgnoresLeaseRecords pins that a log written before completed
+// leases became shard jobs still opens whole: its lease record decodes
+// (the log is not cut there as torn) and folds to nothing, so the job
+// replays as if the record were not there and its leases run again.
+func TestFoldIgnoresLeaseRecords(t *testing.T) {
+	admit := Rec{V: Version, Seq: 1, T: RecAdmit, ID: "j000001", Spec: json.RawMessage(`{"kind":"batch"}`)}
+	line, err := EncodeRec(admit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	data := append(append(line, legacyLease()...), '\n')
+	if err := os.WriteFile(filepath.Join(dir, walFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	got, err := w.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Fold([]Rec{admit}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("old log replays to %+v, want %+v", got, want)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, walFile)); err != nil || fi.Size() != int64(len(data)) {
+		t.Fatalf("old log cut at its lease record: %v, %v", fi, err)
 	}
 }
 

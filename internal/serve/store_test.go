@@ -68,7 +68,11 @@ func postJobKey(t *testing.T, ts *httptest.Server, spec Spec, key string) (int, 
 // server wires that into the late_emits counter.
 func TestLateEmitSentinel(t *testing.T) {
 	late := 0
-	b := newBuffer(0, nil, nil, func() { late++ })
+	m := store.NewMemory()
+	b := newBuffer(0,
+		func(lines [][]byte) error { return m.AppendResults("x", lines) },
+		func(from, to int) ([][]byte, error) { return m.ReadResults("x", from, to) },
+		func() { late++ })
 	if err := b.Emit(map[string]int{"a": 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +115,7 @@ func TestBufferSpill(t *testing.T) {
 	b := newBuffer(64,
 		func(lines [][]byte) error { return m.AppendResults("x", lines) },
 		func(from, to int) ([][]byte, error) { return m.ReadResults("x", from, to) },
-		nil)
+		func() {})
 	const total = 20
 	for i := 0; i < total; i++ {
 		if err := b.Emit(map[string]int{"i": i}); err != nil {
