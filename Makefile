@@ -6,7 +6,7 @@ ENGINE_BENCH = BenchmarkStepThroughput|BenchmarkSilenceCheck|BenchmarkRunConverg
 
 # Parallel search / exploration benchmarks gating the worker-pool
 # claims (see DESIGN.md "Parallel model checking" and EXPERIMENTS.md).
-SEARCH_BENCH = BenchmarkSymmetricNaming|BenchmarkBuildLarge|BenchmarkGraphNodeID
+SEARCH_BENCH = BenchmarkSymmetricNaming|BenchmarkBuildLarge|BenchmarkBuildDeep|BenchmarkGraphNodeID
 
 # Fault-layer benchmarks gating the robustness claims: the nil-injector
 # fast path must stay allocation-free and within the engine baseline

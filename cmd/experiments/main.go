@@ -25,7 +25,7 @@
 // Table 1 (E1) is sized by -p (simulation bound), -mcp (exhaustive
 // model-check bound), -budget (per-run interaction budget) and
 // -workers (goroutines for its exhaustive searches and graph builds;
-// cells are identical at any count). `experiments table1` exits 1
+// cells, and the graphs they check, are equal at any count). `experiments table1` exits 1
 // when a cell disagrees with the paper.
 //
 // With -json the selected experiments are emitted as one JSON document
@@ -167,7 +167,7 @@ func main() {
 		p        = flag.Int("p", 6, "population bound for table1 simulation checks")
 		mcp      = flag.Int("mcp", 3, "population bound for exhaustive model checks")
 		budget   = flag.Int("budget", 20_000_000, "per-run interaction budget for table1")
-		workers  = flag.Int("workers", 1, "worker goroutines for table1's exhaustive searches and model checks (1 = sequential)")
+		workers  = flag.Int("workers", 1, "worker goroutines for table1's exhaustive searches and graph builds (throughput only: cells and graphs are equal at any count)")
 		asJSON   = flag.Bool("json", false, "emit structured JSON instead of tables")
 		journal  = flag.String("journal", "", "write a JSONL run journal to this file (see docs/observability.md)")
 		metrics  = flag.Bool("metrics", false, "print the per-experiment timing table")

@@ -37,17 +37,6 @@ func NewCountConfig(q int) *CountConfig {
 	return &CountConfig{Counts: make([]int, q)}
 }
 
-// UniformCountConfig returns the count-space analogue of a uniform
-// agent configuration: n agents all in state s.
-func UniformCountConfig(q, n int, s State) (*CountConfig, error) {
-	if s < 0 || int(s) >= q {
-		return nil, fmt.Errorf("core: count config: state %d outside [0,%d)", s, q)
-	}
-	cc := NewCountConfig(q)
-	cc.Counts[s] = n
-	return cc, nil
-}
-
 // CountsOf folds an agent-array configuration into its occupancy
 // vector (forgetting identities), rejecting states outside [0, q). The
 // leader state is aliased, not cloned.

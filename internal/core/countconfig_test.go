@@ -120,10 +120,8 @@ func TestCountConfigValidNaming(t *testing.T) {
 }
 
 func TestCountConfigCloneAndValidate(t *testing.T) {
-	cc, err := UniformCountConfig(3, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc := NewCountConfig(3)
+	cc.Counts[1] = 10
 	cl := cc.Clone()
 	cl.Counts[1] = 0
 	if cc.Counts[1] != 10 {
@@ -135,9 +133,6 @@ func TestCountConfigCloneAndValidate(t *testing.T) {
 	cc.Counts[2] = -1
 	if err := cc.Validate(); err == nil {
 		t.Error("negative count: Validate should fail")
-	}
-	if _, err := UniformCountConfig(3, 10, 5); err == nil {
-		t.Error("UniformCountConfig with out-of-range state: want error")
 	}
 }
 

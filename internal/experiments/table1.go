@@ -74,8 +74,9 @@ type Table1Options struct {
 	// Seed drives all randomized schedules.
 	Seed int64
 	// Workers parallelizes the exhaustive searches and model-check
-	// graph builds (default 1 = sequential). Cell results are
-	// identical at any worker count.
+	// graph builds (default 1). It changes throughput only: the
+	// graphs, node ids included, and the cell results are equal at any
+	// worker count.
 	Workers int
 	// OnCell, when non-nil, receives each completed cell in table
 	// order with WallNS filled — the progress hook the journaling

@@ -10,12 +10,24 @@ import (
 )
 
 // BenchmarkBuildLarge measures reachability-graph construction on the
-// symmetric global-fairness naming protocol at several worker counts —
-// the direct measure of the parallel frontier expansion. Speedup at
+// symmetric global-fairness naming protocol at several worker counts.
+// Its graph is its own 3,125 starts, one BFS level wide. Speedup at
 // workers > 1 requires a multi-core host (see EXPERIMENTS.md).
 func BenchmarkBuildLarge(b *testing.B) {
 	proto := naming.NewSymGlobal(4)
-	starts := explore.AllConfigs(proto.States(), 5, nil)
+	benchBuild(b, proto, explore.AllConfigs(proto.States(), 5, nil))
+}
+
+// BenchmarkBuildDeep is the per-level rung: globalp at P = N = 5 from
+// the zero start, 8,711 nodes over 38 BFS levels, most of them smaller
+// than one expansion chunk.
+func BenchmarkBuildDeep(b *testing.B) {
+	proto := naming.NewGlobalP(5)
+	benchBuild(b, proto, []*core.Config{core.NewConfig(5, 0).WithLeader(proto.InitLeader())})
+}
+
+// benchBuild builds proto's graph from starts at workers 1, 2 and 8.
+func benchBuild(b *testing.B, proto core.Protocol, starts []*core.Config) {
 	for _, w := range []int{1, 2, 8} {
 		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
 			b.ReportAllocs()

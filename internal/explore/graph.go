@@ -22,14 +22,15 @@
 //     non-converging schedule that can be replayed by the simulator.
 //
 // The graph is exponential in the population size; Options.MaxNodes
-// guards against blow-up, and Options.Workers spreads frontier
-// expansion over a pool of goroutines with hash-sharded interning (see
-// parallel.go) for large instances.
+// guards against blow-up. Options.Workers spreads frontier expansion
+// over goroutines, and the graph is equal at any worker count: Build
+// numbers nodes in breadth-first discovery order.
 package explore
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"popnaming/internal/core"
@@ -52,10 +53,9 @@ type Edge struct {
 
 // Options configures graph construction.
 type Options struct {
-	// MaxNodes caps the explored state space (default 1 << 20). The
-	// budget is global: with Workers > 1 it is shared across all
-	// expansion workers, so ErrTooLarge fires iff the reachable state
-	// space exceeds MaxNodes, exactly as in a sequential build.
+	// MaxNodes caps the explored state space (default 1 << 20):
+	// ErrTooLarge fires iff the reachable state space exceeds it, at
+	// any worker count.
 	MaxNodes int
 	// Canonical quotients configurations by agent permutation
 	// (multiset semantics). The quotient hides moves that only permute
@@ -65,17 +65,18 @@ type Options struct {
 	// here. Weak-fairness analysis requires identity-preserving graphs
 	// and rejects this option.
 	Canonical bool
-	// Workers > 1 expands BFS frontiers with a pool of goroutines and
-	// hash-sharded intern maps. The resulting graph is identical to a
-	// sequential build modulo node-id relabeling (same configuration
-	// set, same per-node edge structure); 0 or 1 builds sequentially.
+	// Workers > 1 computes each frontier chunk's successors and their
+	// keys on that many goroutines; the calling goroutine interns them
+	// in frontier, label and orientation order. So node ids, Start,
+	// Succ and Stats (except WallNS and Workers) are equal at any worker
+	// count, and exact analyses of the graph match bit for bit.
 	Workers int
 }
 
-// BuildStats describes how a Build call explored the graph: BFS shape,
-// dedup effectiveness, and the load balance of the sharded intern maps.
+// BuildStats describes how a Build call explored the graph: BFS shape
+// and dedup effectiveness.
 type BuildStats struct {
-	// Workers is the number of expansion workers actually used.
+	// Workers is the number of expansion workers the build could use.
 	Workers int
 	// Depth is the number of BFS frontier generations (starts = 1).
 	Depth int
@@ -83,9 +84,6 @@ type BuildStats struct {
 	// InternMisses counts lookups that created one (== final Size()).
 	InternHits   uint64
 	InternMisses uint64
-	// ShardNodes is the final node count per intern shard (a single
-	// entry for sequential builds) — the spread measures shard balance.
-	ShardNodes []int
 	// WallNS is the wall-clock duration of the build.
 	WallNS int64
 }
@@ -108,19 +106,6 @@ func (s BuildStats) NodesPerSec() float64 {
 	return float64(s.InternMisses) / (float64(s.WallNS) / 1e9)
 }
 
-// ShardBalance returns the smallest and largest per-shard node counts.
-func (s BuildStats) ShardBalance() (min, max int) {
-	for i, n := range s.ShardNodes {
-		if i == 0 || n < min {
-			min = n
-		}
-		if n > max {
-			max = n
-		}
-	}
-	return min, max
-}
-
 // Graph is the reachability graph of a protocol instance.
 type Graph struct {
 	Proto core.Protocol
@@ -128,9 +113,11 @@ type Graph struct {
 	// Labels is the unordered pair alphabet: every {i, j} over mobile
 	// agents plus {leader, i} when the protocol has a leader.
 	Labels []core.Pair
-	// Nodes holds one representative configuration per node id.
+	// Nodes holds one representative configuration per node id, in
+	// breadth-first discovery order.
 	Nodes []*core.Config
-	// Succ[v] lists v's outgoing edges (up to two per label).
+	// Succ[v] lists v's outgoing edges: one per label for symmetric
+	// protocols, two (both orientations) for asymmetric ones.
 	Succ [][]Edge
 	// Start lists the node ids of the starting configurations.
 	Start []int
@@ -138,30 +125,28 @@ type Graph struct {
 	Stats BuildStats
 
 	canonical bool
-	keyOf     map[string]int // sequential builds
-	shards    []internShard  // parallel builds
-	scratch   []byte         // reused key buffer for the dedup hot loop
+	keyOf     map[string]int
+	scratch   []byte // NodeID's reused key buffer
 }
 
-// keyBytes encodes c's dedup key into the reused scratch buffer; map
-// lookups on string(g.scratch) stay allocation-free, so interning an
-// already-seen configuration costs zero allocations.
-func (g *Graph) keyBytes(c *core.Config) []byte {
-	if g.canonical {
-		g.scratch = c.AppendMultisetKey(g.scratch[:0])
-	} else {
-		g.scratch = c.AppendKey(g.scratch[:0])
+// appendKey appends c's dedup key to buf: its multiset key on a
+// canonical graph, its identity key otherwise. Map lookups on
+// string(key) stay allocation-free, so finding an already-seen
+// configuration costs no allocation.
+func appendKey(buf []byte, c *core.Config, canonical bool) []byte {
+	if canonical {
+		return c.AppendMultisetKey(buf)
 	}
-	return g.scratch
+	return c.AppendKey(buf)
 }
 
 // unorderedLabels enumerates the pair alphabet.
 func unorderedLabels(n int, withLeader bool) []core.Pair {
-	var out []core.Pair
 	lo := 0
 	if withLeader {
 		lo = -1
 	}
+	out := make([]core.Pair, 0, (n-lo)*(n-lo-1)/2)
 	for a := lo; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			out = append(out, core.Pair{A: a, B: b})
@@ -192,14 +177,13 @@ func Build(proto core.Protocol, starts []*core.Config, opts Options) (*Graph, er
 		N:         n,
 		Labels:    unorderedLabels(n, core.HasLeader(proto)),
 		canonical: opts.Canonical,
+		keyOf:     make(map[string]int),
 	}
+	g.Stats.Workers = max(opts.Workers, 1)
 	begin := time.Now()
-	var err error
-	if opts.Workers > 1 {
-		err = g.buildParallel(proto, starts, opts)
-	} else {
-		err = g.buildSequential(proto, starts, opts)
-	}
+	b := builders.Get().(*builder)
+	err := b.build(g, starts, opts.MaxNodes)
+	builders.Put(b)
 	if err != nil {
 		return nil, err
 	}
@@ -207,94 +191,190 @@ func Build(proto core.Protocol, starts []*core.Config, opts Options) (*Graph, er
 	return g, nil
 }
 
-// buildSequential is the single-goroutine BFS over one intern map.
-func (g *Graph) buildSequential(proto core.Protocol, starts []*core.Config, opts Options) error {
-	g.keyOf = make(map[string]int)
-	g.Stats.Workers = 1
+// chunkNodes is how many frontier nodes one expansion round takes, so
+// a successor interned by an earlier chunk is resolved by a worker. A
+// chunk splits into up to runsPerWorker runs per worker, which the
+// workers take as they come free.
+const chunkNodes, runsPerWorker = 512, 4
 
-	intern := func(c *core.Config) (int, error) {
-		k := g.keyBytes(c)
-		if id, ok := g.keyOf[string(k)]; ok {
-			g.Stats.InternHits++
-			return id, nil
+// builder is Build's scratch, pooled so that the many small builds of
+// an exhaustive search allocate their graphs and nothing else.
+type builder struct {
+	g     *Graph
+	moves []Edge // a node's edges but their To, in label and orientation order
+	runs  []run
+	key   []byte // a start's key
+	work  chan *run
+	wg    sync.WaitGroup // the chunk's runs
+	quit  sync.WaitGroup // the build's workers
+}
+
+// run is a contiguous run of a chunk's nodes, with the buffers the
+// worker that keys it writes.
+type run struct {
+	lo      int
+	edges   []Edge      // the run's nodes' edges, len(moves) per node
+	next    core.Config // the successor being keyed
+	keys    []byte      // the pending successors' keys, back to back
+	pending []pending
+}
+
+// pending is a successor the intern map did not hold when its chunk
+// began: the calling goroutine interns it.
+type pending struct {
+	edge, end int          // its index in run.edges; its key ends at keys[end]
+	cfg       *core.Config // the successor itself, the new node if it is one
+}
+
+var builders = sync.Pool{New: func() any { return new(builder) }}
+
+// build interns the starts, then expands the graph level by level.
+// Nodes are numbered in discovery order, so each BFS level is the id
+// range discovered while expanding the level before it. Every start
+// and every edge is one intern lookup, and every miss a node.
+func (b *builder) build(g *Graph, starts []*core.Config, maxNodes int) error {
+	b.g, b.moves = g, b.moves[:0]
+	defer b.reset()
+	for li, label := range g.Labels {
+		b.moves = append(b.moves, Edge{Label: li, Ordered: label})
+		if !g.Proto.Symmetric() {
+			b.moves = append(b.moves, Edge{Label: li, Ordered: core.Pair{A: label.B, B: label.A}})
 		}
-		if len(g.Nodes) >= opts.MaxNodes {
-			return 0, ErrTooLarge
+	}
+	if g.Stats.Workers > 1 {
+		b.work = make(chan *run)
+		b.quit.Add(g.Stats.Workers)
+		for range g.Stats.Workers {
+			go func(work <-chan *run) { // keys the runs sent until the build ends
+				defer b.quit.Done()
+				for r := range work {
+					b.keyRun(r)
+					b.wg.Done()
+				}
+			}(b.work)
 		}
-		id := len(g.Nodes)
-		g.keyOf[string(k)] = id
-		g.Stats.InternMisses++
-		g.Nodes = append(g.Nodes, c.Clone())
-		g.Succ = append(g.Succ, nil)
-		return id, nil
+	}
+	for len(b.runs) < runsPerWorker*g.Stats.Workers {
+		b.runs = append(b.runs, run{})
 	}
 
-	var frontier []int
 	for _, c := range starts {
-		before := len(g.Nodes)
-		id, err := intern(c)
+		b.key = appendKey(b.key[:0], c, g.canonical)
+		id, err := g.intern(b.key, c, maxNodes)
 		if err != nil {
 			return err
 		}
+		if g.Nodes[id] == c {
+			g.Nodes[id] = c.Clone() // the graph never aliases a start
+		}
 		g.Start = append(g.Start, id)
-		if len(g.Nodes) > before {
-			frontier = append(frontier, id)
-		}
 	}
-
-	// The queue pops by advancing a head index and compacts once the
-	// popped prefix dominates the backing array, so retained frontier
-	// memory stays O(live frontier); the previous frontier[1:] pattern
-	// pinned every popped id until the next append-triggered realloc.
-	// The half-full compaction threshold makes the copies amortized
-	// O(1) per pop.
-	head := 0
-	levelEnd := len(frontier)
-	if len(frontier) > 0 {
-		g.Stats.Depth = 1
-	}
-	for head < len(frontier) {
-		if head >= levelEnd {
-			g.Stats.Depth++
-			levelEnd = len(frontier)
-		}
-		if head > 1024 && head*2 >= len(frontier) {
-			n := copy(frontier, frontier[head:])
-			frontier = frontier[:n]
-			levelEnd -= head
-			head = 0
-		}
-		v := frontier[head]
-		head++
-		src := g.Nodes[v]
-		for li, label := range g.Labels {
-			for _, ordered := range orientations(label, proto.Symmetric()) {
-				next := src.Clone()
-				core.ApplyPair(proto, next, ordered)
-				before := len(g.Nodes)
-				to, err := intern(next)
-				if err != nil {
-					return err
-				}
-				if len(g.Nodes) > before {
-					frontier = append(frontier, to)
-				}
-				g.Succ[v] = append(g.Succ[v], Edge{To: to, Label: li, Ordered: ordered})
+	for lo, hi := 0, len(g.Nodes); lo < hi; lo, hi = hi, len(g.Nodes) {
+		g.Stats.Depth++
+		for c := lo; c < hi; c += chunkNodes {
+			if err := b.expand(c, min(c+chunkNodes, hi), maxNodes); err != nil {
+				return err
 			}
 		}
 	}
-	g.Stats.ShardNodes = []int{len(g.Nodes)}
+	g.Stats.InternMisses = uint64(len(g.Nodes))
+	g.Stats.InternHits = uint64(len(starts)+len(g.Nodes)*len(b.moves)) - g.Stats.InternMisses
 	return nil
 }
 
-// orientations returns the ordered pairs to apply for an unordered
-// label: one for symmetric protocols, both for asymmetric ones (the
-// scheduler also chooses the initiator role).
-func orientations(label core.Pair, symmetric bool) []core.Pair {
-	if symmetric {
-		return []core.Pair{label}
+// reset ends the build's workers, waits for them to exit, and drops
+// the build's references before the builder goes back to the pool.
+func (b *builder) reset() {
+	if b.work != nil {
+		close(b.work)
+		b.quit.Wait()
+		b.work = nil
 	}
-	return []core.Pair{label, {A: label.B, B: label.A}}
+	for w := range b.runs {
+		r := &b.runs[w]
+		clear(r.pending[:cap(r.pending)])
+		r.edges, r.next.Leader = nil, nil
+	}
+	b.g = nil
+}
+
+// intern returns the id of the node keyed key, adding c as a new node
+// when there is none.
+func (g *Graph) intern(key []byte, c *core.Config, maxNodes int) (int, error) {
+	if id, ok := g.keyOf[string(key)]; ok {
+		return id, nil
+	}
+	if len(g.Nodes) >= maxNodes {
+		return 0, ErrTooLarge
+	}
+	g.keyOf[string(key)] = len(g.Nodes)
+	g.Nodes = append(g.Nodes, c)
+	return len(g.Nodes) - 1, nil
+}
+
+// expand expands the chunk of nodes [lo, hi): its runs are keyed in
+// parallel, then their pending successors are interned in run order,
+// which is frontier, label and orientation order.
+func (b *builder) expand(lo, hi, maxNodes int) error {
+	g, deg := b.g, len(b.moves)
+	edges := make([]Edge, (hi-lo)*deg)
+	for i := range hi - lo {
+		g.Succ = append(g.Succ, edges[i*deg:(i+1)*deg:(i+1)*deg])
+	}
+	runs := b.runs[:1]
+	if b.work != nil {
+		runs = b.runs[:min(runsPerWorker*g.Stats.Workers, hi-lo)]
+	}
+	for w := range runs {
+		a, z := w*(hi-lo)/len(runs), (w+1)*(hi-lo)/len(runs)
+		runs[w].lo, runs[w].edges = lo+a, edges[a*deg:z*deg]
+	}
+	if b.work == nil {
+		b.keyRun(&runs[0])
+	} else {
+		b.wg.Add(len(runs))
+		for w := range runs {
+			b.work <- &runs[w]
+		}
+		b.wg.Wait()
+	}
+	for w := range runs {
+		r, start := &runs[w], 0
+		for _, p := range r.pending {
+			id, err := g.intern(r.keys[start:p.end], p.cfg, maxNodes)
+			if err != nil {
+				return err
+			}
+			r.edges[p.edge].To, start = id, p.end
+		}
+	}
+	return nil
+}
+
+// keyRun writes the edges of r's nodes, reading the intern map but not
+// writing it: a successor already in the map gets its id now, any
+// other is cloned and left pending.
+func (b *builder) keyRun(r *run) {
+	g := b.g
+	// Locals, not r's fields, in the loop: runs sit side by side, and
+	// workers writing neighbouring fields would share cache lines.
+	next, keys, pend := r.next, r.keys[:0], r.pending[:0]
+	for i := range r.edges {
+		src, e := g.Nodes[r.lo+i/len(b.moves)], b.moves[i%len(b.moves)]
+		next.Mobile = append(next.Mobile[:0], src.Mobile...)
+		next.Leader = src.Leader
+		core.ApplyPair(g.Proto, &next, e.Ordered)
+		start := len(keys)
+		keys = appendKey(keys, &next, g.canonical)
+		id, ok := g.keyOf[string(keys[start:])]
+		if ok {
+			keys = keys[:start]
+		} else {
+			pend = append(pend, pending{edge: i, end: len(keys), cfg: next.Clone()})
+		}
+		r.edges[i] = Edge{To: id, Label: e.Label, Ordered: e.Ordered}
+	}
+	r.next, r.keys, r.pending = next, keys, pend
 }
 
 // AllConfigs enumerates every configuration of n mobile agents over
@@ -343,18 +423,11 @@ func (g *Graph) EdgeCount() int {
 
 // NodeID returns the node id of a configuration, or -1 if unexplored.
 // It encodes the lookup key into the graph's reused scratch buffer, so
-// repeated queries allocate nothing; like the build itself, it must not
-// be called concurrently.
+// repeated queries allocate nothing; it must not be called
+// concurrently.
 func (g *Graph) NodeID(c *core.Config) int {
-	k := g.keyBytes(c)
-	if g.shards != nil {
-		sh := &g.shards[shardIndex(k, len(g.shards))]
-		if id, ok := sh.m[string(k)]; ok {
-			return id
-		}
-		return -1
-	}
-	if id, ok := g.keyOf[string(k)]; ok {
+	g.scratch = appendKey(g.scratch[:0], c, g.canonical)
+	if id, ok := g.keyOf[string(g.scratch)]; ok {
 		return id
 	}
 	return -1

@@ -1,62 +1,63 @@
-package explore
+package explore_test
 
 import (
 	"errors"
-	"sort"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"popnaming/internal/core"
+	"popnaming/internal/explore"
 )
 
-// relabel maps every sequential node id to the parallel graph's id for
-// the same configuration, failing the test on any mismatch.
-func relabel(t *testing.T, seq, par *Graph) []int {
+// assertEqualGraphs checks that got is want: the same starts, node
+// configurations in id order, edges element for element, and build
+// statistics (all but WallNS and Workers).
+func assertEqualGraphs(t *testing.T, name string, want, got *explore.Graph) {
 	t.Helper()
-	if par.Size() != seq.Size() {
-		t.Fatalf("node counts differ: sequential %d, parallel %d", seq.Size(), par.Size())
+	if got.Size() != want.Size() {
+		t.Fatalf("%s: %d nodes, want %d", name, got.Size(), want.Size())
 	}
-	m := make([]int, seq.Size())
-	for v, c := range seq.Nodes {
-		id := par.NodeID(c)
-		if id < 0 {
-			t.Fatalf("sequential node %d (%s) missing from parallel graph", v, c)
+	if !slices.Equal(got.Start, want.Start) {
+		t.Fatalf("%s: Start = %v, want %v", name, got.Start, want.Start)
+	}
+	for v, c := range want.Nodes {
+		if !got.Nodes[v].Equal(c) {
+			t.Fatalf("%s: node %d is %s, want %s", name, v, got.Nodes[v], c)
 		}
-		m[v] = id
+		if !slices.Equal(got.Succ[v], want.Succ[v]) {
+			t.Fatalf("%s: node %d edges %+v, want %+v", name, v, got.Succ[v], want.Succ[v])
+		}
 	}
-	return m
+	gs, ws := got.Stats, want.Stats
+	if gs.Depth != ws.Depth || gs.InternHits != ws.InternHits || gs.InternMisses != ws.InternMisses {
+		t.Fatalf("%s: depth %d, hits %d, misses %d; want %d, %d, %d", name,
+			gs.Depth, gs.InternHits, gs.InternMisses, ws.Depth, ws.InternHits, ws.InternMisses)
+	}
 }
 
-// assertIsomorphic checks that par is seq modulo node-id relabeling:
-// same configuration set, and for every node the same label-ordered
-// edge structure mapped through the relabeling.
-func assertIsomorphic(t *testing.T, seq, par *Graph) {
+// assertEqualAcrossWorkers builds the graph at workers 1, 2, 4 and 8
+// and requires every build to equal the first, which it returns.
+func assertEqualAcrossWorkers(t *testing.T, name string, proto core.Protocol, starts []*core.Config, opts explore.Options) *explore.Graph {
 	t.Helper()
-	m := relabel(t, seq, par)
-	if got, want := par.EdgeCount(), seq.EdgeCount(); got != want {
-		t.Fatalf("edge counts differ: sequential %d, parallel %d", want, got)
-	}
-	if len(seq.Start) != len(par.Start) {
-		t.Fatalf("start counts differ: %d vs %d", len(seq.Start), len(par.Start))
-	}
-	for i, v := range seq.Start {
-		if m[v] != par.Start[i] {
-			t.Fatalf("start %d maps to %d, parallel has %d", i, m[v], par.Start[i])
+	var first *explore.Graph
+	for _, w := range []int{1, 2, 4, 8} {
+		opts.Workers = w
+		g, err := explore.Build(proto, starts, opts)
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", name, w, err)
 		}
-	}
-	for v, edges := range seq.Succ {
-		pv := m[v]
-		pedges := par.Succ[pv]
-		if len(edges) != len(pedges) {
-			t.Fatalf("node %d: %d edges sequential, %d parallel", v, len(edges), len(pedges))
+		if g.Stats.Workers != w {
+			t.Errorf("%s: Stats.Workers = %d, want %d", name, g.Stats.Workers, w)
 		}
-		for i, e := range edges {
-			pe := pedges[i]
-			if pe.Label != e.Label || pe.Ordered != e.Ordered || pe.To != m[e.To] {
-				t.Fatalf("node %d edge %d: sequential %+v (to key %s), parallel %+v",
-					v, i, e, seq.Nodes[e.To], pe)
-			}
+		if first == nil {
+			first = g
+			continue
 		}
+		assertEqualGraphs(t, fmt.Sprintf("%s workers=%d", name, w), first, g)
 	}
+	return first
 }
 
 func diffProtocols() []*core.RuleTable {
@@ -78,25 +79,7 @@ func diffProtocols() []*core.RuleTable {
 
 func TestParallelBuildMatchesSequential(t *testing.T) {
 	for _, pr := range diffProtocols() {
-		starts := AllConfigs(pr.States(), 4, nil)
-		seq, err := Build(pr, starts, Options{})
-		if err != nil {
-			t.Fatalf("%s: sequential: %v", pr.Name(), err)
-		}
-		for _, w := range []int{2, 4, 8} {
-			par, err := Build(pr, starts, Options{Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", pr.Name(), w, err)
-			}
-			assertIsomorphic(t, seq, par)
-			if par.Stats.Workers != w {
-				t.Errorf("%s: Stats.Workers = %d, want %d", pr.Name(), par.Stats.Workers, w)
-			}
-			if par.Stats.Depth != seq.Stats.Depth {
-				t.Errorf("%s workers=%d: depth %d, sequential %d",
-					pr.Name(), w, par.Stats.Depth, seq.Stats.Depth)
-			}
-		}
+		assertEqualAcrossWorkers(t, pr.Name(), pr, explore.AllConfigs(pr.States(), 4, nil), explore.Options{})
 	}
 }
 
@@ -105,18 +88,9 @@ func TestParallelBuildCanonicalMatchesSequential(t *testing.T) {
 		AddSymmetric(0, 0, 1, 1).
 		AddSymmetric(0, 1, 1, 0)
 	starts := []*core.Config{core.NewConfigStates(1, 0, 0, 0, 0)}
-	seq, err := Build(pr, starts, Options{Canonical: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Build(pr, starts, Options{Canonical: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIsomorphic(t, seq, par)
-	vs, vp := seq.CheckGlobal(Naming), par.CheckGlobal(Naming)
-	if vs.OK != vp.OK {
-		t.Fatalf("verdicts disagree: sequential %v, parallel %v", vs.OK, vp.OK)
+	g := assertEqualAcrossWorkers(t, "bw", pr, starts, explore.Options{Canonical: true})
+	if v := g.CheckGlobal(explore.Naming); v.OK {
+		t.Fatalf("canonical bw passed the naming check: %s", v)
 	}
 }
 
@@ -127,19 +101,19 @@ func TestParallelBuildNodeLimit(t *testing.T) {
 		Add(1, 0, 1, 1).Add(2, 1, 2, 2).Add(3, 2, 3, 3)
 	starts := []*core.Config{core.NewConfigStates(0, 0, 0)}
 	for _, w := range []int{2, 8} {
-		_, err := Build(pr, starts, Options{MaxNodes: 2, Workers: w})
-		if !errors.Is(err, ErrTooLarge) {
+		_, err := explore.Build(pr, starts, explore.Options{MaxNodes: 2, Workers: w})
+		if !errors.Is(err, explore.ErrTooLarge) {
 			t.Fatalf("workers=%d: err = %v, want ErrTooLarge", w, err)
 		}
 	}
 	// The budget is a property of the reachable set, not the schedule:
 	// a limit just large enough must succeed at every worker count.
-	seq, err := Build(pr, starts, Options{})
+	seq, err := explore.Build(pr, starts, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 8} {
-		g, err := Build(pr, starts, Options{MaxNodes: seq.Size(), Workers: w})
+		g, err := explore.Build(pr, starts, explore.Options{MaxNodes: seq.Size(), Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d at exact budget: %v", w, err)
 		}
@@ -149,11 +123,40 @@ func TestParallelBuildNodeLimit(t *testing.T) {
 	}
 }
 
+// TestConcurrentBuilds: builds running at once, each with workers of
+// its own, share only the builder pool; every graph must still equal
+// a lone build's.
+func TestConcurrentBuilds(t *testing.T) {
+	pr := diffProtocols()[1]
+	starts := explore.AllConfigs(pr.States(), 4, nil)
+	want, err := explore.Build(pr, starts, explore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := make([]*explore.Graph, 8)
+	errs := make([]error, len(graphs))
+	var wg sync.WaitGroup
+	for i := range graphs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			graphs[i], errs[i] = explore.Build(pr, starts, explore.Options{Workers: 1 + i%3})
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range graphs {
+		if errs[i] != nil {
+			t.Fatalf("build %d: %v", i, errs[i])
+		}
+		assertEqualGraphs(t, fmt.Sprintf("build %d", i), want, g)
+	}
+}
+
 func TestBuildStatsSequential(t *testing.T) {
 	pr := core.NewRuleTable("bw", 3, 2).
 		AddSymmetric(0, 0, 1, 1).
 		AddSymmetric(0, 1, 1, 0)
-	g, err := Build(pr, []*core.Config{core.NewConfigStates(1, 0, 0)}, Options{})
+	g, err := explore.Build(pr, []*core.Config{core.NewConfigStates(1, 0, 0)}, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +174,6 @@ func TestBuildStatsSequential(t *testing.T) {
 	if s.Depth < 1 {
 		t.Errorf("Depth = %d, want >= 1", s.Depth)
 	}
-	if len(s.ShardNodes) != 1 || s.ShardNodes[0] != g.Size() {
-		t.Errorf("ShardNodes = %v, want [%d]", s.ShardNodes, g.Size())
-	}
 	if s.HitRate() <= 0 || s.HitRate() >= 1 {
 		t.Errorf("HitRate = %v, want in (0,1)", s.HitRate())
 	}
@@ -182,46 +182,17 @@ func TestBuildStatsSequential(t *testing.T) {
 	}
 }
 
-func TestBuildStatsParallelShards(t *testing.T) {
-	pr := core.NewRuleTable("bw", 4, 2).
-		AddSymmetric(0, 0, 1, 1).
-		AddSymmetric(0, 1, 1, 0)
-	g, err := Build(pr, AllConfigs(2, 4, nil), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := g.Stats
-	total := 0
-	for _, n := range s.ShardNodes {
-		total += n
-	}
-	if total != g.Size() {
-		t.Errorf("shard node counts sum to %d, want %d", total, g.Size())
-	}
-	if int(s.InternMisses) != g.Size() {
-		t.Errorf("InternMisses = %d, want %d", s.InternMisses, g.Size())
-	}
-	if int(s.InternHits+s.InternMisses) != g.EdgeCount()+len(g.Start) {
-		t.Errorf("lookups = %d, want edges+starts = %d",
-			s.InternHits+s.InternMisses, g.EdgeCount()+len(g.Start))
-	}
-	min, max := s.ShardBalance()
-	if min > max {
-		t.Errorf("ShardBalance min %d > max %d", min, max)
-	}
-}
-
 // TestNodeIDZeroAlloc pins the scratch-buffer lookup path: NodeID must
-// not allocate, on sequential and parallel graphs alike (search loops
-// may call it once per candidate).
+// not allocate, whatever the build's worker count (search loops may
+// call it once per candidate).
 func TestNodeIDZeroAlloc(t *testing.T) {
 	pr := core.NewRuleTable("bw", 3, 2).
 		AddSymmetric(0, 0, 1, 1).
 		AddSymmetric(0, 1, 1, 0)
-	starts := AllConfigs(2, 3, nil)
+	starts := explore.AllConfigs(2, 3, nil)
 	probe := core.NewConfigStates(1, 1, 0)
 	for _, w := range []int{1, 4} {
-		g, err := Build(pr, starts, Options{Workers: w})
+		g, err := explore.Build(pr, starts, explore.Options{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,9 +207,10 @@ func TestNodeIDZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFrontierCompaction drives a deep sequential BFS through the
-// compaction path (head > 1024) and cross-checks against a parallel
-// build — a guard on the popped-head bookkeeping.
+// TestFrontierCompaction builds a graph whose first level, its 7,776
+// starts, spans many expansion chunks, so workers resolve successors
+// interned by earlier chunks of the same level; the graph must still
+// be equal at every worker count.
 func TestFrontierCompaction(t *testing.T) {
 	pr := core.NewRuleTable("chain6", 6, 6)
 	for s := 0; s < 5; s++ {
@@ -246,47 +218,9 @@ func TestFrontierCompaction(t *testing.T) {
 		pr.Add(core.State(s), core.State(s+1), core.State(s+1), core.State(s+1))
 		pr.Add(core.State(s+1), core.State(s), core.State(s+1), core.State(s+1))
 	}
-	starts := AllConfigs(6, 5, nil)
-	seq, err := Build(pr, starts, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Size() <= 1024 {
-		t.Fatalf("graph too small (%d nodes) to exercise compaction", seq.Size())
-	}
-	par, err := Build(pr, starts, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIsomorphic(t, seq, par)
-}
-
-func sortedKeys(g *Graph) []string {
-	keys := make([]string, 0, g.Size())
-	for _, c := range g.Nodes {
-		keys = append(keys, c.Key())
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func TestParallelKeySetMatches(t *testing.T) {
-	pr := core.NewRuleTable("bw", 4, 2).
-		AddSymmetric(0, 0, 1, 1).
-		AddSymmetric(0, 1, 1, 0)
-	starts := AllConfigs(2, 4, nil)
-	seq, _ := Build(pr, starts, Options{})
-	par, err := Build(pr, starts, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ks, kp := sortedKeys(seq), sortedKeys(par)
-	if len(ks) != len(kp) {
-		t.Fatalf("key set sizes differ: %d vs %d", len(ks), len(kp))
-	}
-	for i := range ks {
-		if ks[i] != kp[i] {
-			t.Fatalf("key sets differ at %d: %q vs %q", i, ks[i], kp[i])
-		}
+	starts := explore.AllConfigs(6, 5, nil)
+	g := assertEqualAcrossWorkers(t, "chain6", pr, starts, explore.Options{})
+	if g.Size() < 4*explore.ChunkNodes {
+		t.Fatalf("graph too small (%d nodes) to span several chunks", g.Size())
 	}
 }

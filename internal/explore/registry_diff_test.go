@@ -2,7 +2,6 @@ package explore_test
 
 import (
 	"slices"
-	"sort"
 	"testing"
 
 	"popnaming/internal/core"
@@ -12,10 +11,10 @@ import (
 )
 
 // TestRegistryParallelBuildDifferential builds the reachability graph
-// of every registered protocol sequentially and with a worker pool and
-// requires the results to be isomorphic: same node count, same edge
-// count, and the same configuration key set. This is the end-to-end
-// guarantee behind letting search and the CLIs pick any -workers value.
+// of every registered protocol at several worker counts and requires
+// the builds to be equal: same node ids, edges and build statistics.
+// This is the end-to-end guarantee behind letting search and the CLIs
+// pick any -workers value.
 func TestRegistryParallelBuildDifferential(t *testing.T) {
 	const p, n = 3, 3
 	keys := experiments.RegistryKeys()
@@ -32,40 +31,20 @@ func TestRegistryParallelBuildDifferential(t *testing.T) {
 		if lp, ok := proto.(core.LeaderProtocol); ok {
 			leader = lp.InitLeader()
 		}
-		starts := explore.AllConfigs(proto.States(), n, leader)
-		seq, err := explore.Build(proto, starts, explore.Options{})
-		if err != nil {
-			t.Fatalf("%s: sequential build: %v", key, err)
-		}
-		for _, w := range []int{2, 8} {
-			par, err := explore.Build(proto, starts, explore.Options{Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", key, w, err)
-			}
-			if par.Size() != seq.Size() {
-				t.Errorf("%s workers=%d: %d nodes, sequential %d", key, w, par.Size(), seq.Size())
-			}
-			if par.EdgeCount() != seq.EdgeCount() {
-				t.Errorf("%s workers=%d: %d edges, sequential %d", key, w, par.EdgeCount(), seq.EdgeCount())
-			}
-			ks, kp := nodeKeys(seq), nodeKeys(par)
-			for i := range ks {
-				if ks[i] != kp[i] {
-					t.Errorf("%s workers=%d: key sets differ at %d: %q vs %q", key, w, i, ks[i], kp[i])
-					break
-				}
-			}
-		}
+		assertEqualAcrossWorkers(t, key, proto, explore.AllConfigs(proto.States(), n, leader), explore.Options{})
 	}
 }
 
-func nodeKeys(g *explore.Graph) []string {
-	out := make([]string, 0, g.Size())
-	for _, c := range g.Nodes {
-		out = append(out, c.Key())
+// TestZeroStartBuildEqualAcrossWorkers: globalp at P = N = 4 from the
+// zero start is a deep graph (735 nodes over 20 levels), so most levels
+// hold successors that no earlier chunk interned.
+func TestZeroStartBuildEqualAcrossWorkers(t *testing.T) {
+	pr := naming.NewGlobalP(4)
+	start := core.NewConfig(4, 0).WithLeader(pr.InitLeader())
+	g := assertEqualAcrossWorkers(t, "globalp", pr, []*core.Config{start}, explore.Options{})
+	if g.Size() != 735 || g.Stats.Depth != 20 {
+		t.Fatalf("globalp P=N=4: %d nodes over %d levels, want 735 over 20", g.Size(), g.Stats.Depth)
 	}
-	sort.Strings(out)
-	return out
 }
 
 // TestAllConfigsLeaderMinor pins the start-set order with several

@@ -212,3 +212,33 @@ func TestDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic expectations: %v vs %v", a, b)
 	}
 }
+
+// TestExactTimesEqualAcrossWorkers: a graph is equal at any worker
+// count, so its exact expected times are too, node by node and bit for
+// bit. globalp at P = N = 4 from the zero start has 735 nodes over 20
+// BFS levels.
+func TestExactTimesEqualAcrossWorkers(t *testing.T) {
+	pr := naming.NewGlobalP(4)
+	start := []*core.Config{core.NewConfig(4, 0).WithLeader(pr.InitLeader())}
+	solve := func(workers int) (*explore.Graph, *Chain) {
+		g, err := explore.Build(pr, start, explore.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, err := New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, chain
+	}
+	g, one := solve(1)
+	_, four := solve(4)
+	if g.Size() != 735 {
+		t.Fatalf("%d nodes, want 735", g.Size())
+	}
+	for v := range g.Nodes {
+		if a, b := one.ExpectedStepsByID(v), four.ExpectedStepsByID(v); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("node %d (%s): E = %v at workers 1, %v at workers 4", v, g.Nodes[v], a, b)
+		}
+	}
+}

@@ -384,8 +384,8 @@ type ExploreRec struct {
 	InternHits    uint64  `json:"internHits"`
 	InternMisses  uint64  `json:"internMisses"`
 	InternHitRate float64 `json:"internHitRate"`
-	// ShardMin / ShardMax bound the per-shard node counts — a balance
-	// measure for the hash-sharded intern maps (equal when sequential).
+	// ShardMin and ShardMax both equal Nodes: a graph has one intern
+	// map. They stay so that explore records keep their keys.
 	ShardMin int `json:"shardMin"`
 	ShardMax int `json:"shardMax"`
 

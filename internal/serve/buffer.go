@@ -83,18 +83,10 @@ func (b *buffer) Emit(rec any) error {
 		b.late()
 		return ErrLateEmit
 	}
-	b.lines = append(b.lines, line)
-	b.memBytes += int64(len(line))
-	var spillErr error
-	if b.memBytes > b.maxBytes {
-		spillErr = b.spillLocked()
-		if spillErr != nil && b.storeErr == nil {
-			b.storeErr = spillErr
-		}
-	}
+	err = b.appendLocked(line)
 	b.mu.Unlock()
 	b.cond.Broadcast()
-	return spillErr
+	return err
 }
 
 // storeFailure returns the first spill error, if any.
@@ -105,22 +97,36 @@ func (b *buffer) storeFailure() error {
 }
 
 // appendRaw appends pre-marshaled, newline-terminated lines (a
-// distributed batch's delivered shard). Lines must never be mutated
-// afterwards.
+// distributed batch's delivered shard), spilling as Emit does. Lines
+// must never be mutated afterwards.
 func (b *buffer) appendRaw(lines [][]byte) {
 	b.mu.Lock()
 	for _, line := range lines {
-		b.lines = append(b.lines, line)
-		b.memBytes += int64(len(line))
+		_ = b.appendLocked(line) // kept in storeErr
 	}
 	b.mu.Unlock()
 	b.cond.Broadcast()
 }
 
-// spillLocked moves the whole in-RAM tail to the store; callers hold
-// b.mu.
+// appendLocked appends one line and, when the in-RAM tail then exceeds
+// maxBytes, spills the whole tail. Callers hold b.mu.
+func (b *buffer) appendLocked(line []byte) error {
+	b.lines = append(b.lines, line)
+	b.memBytes += int64(len(line))
+	if b.memBytes <= b.maxBytes {
+		return nil
+	}
+	return b.spillLocked()
+}
+
+// spillLocked moves the whole in-RAM tail to the store, or keeps it in
+// RAM and returns the error, the first of which it keeps in storeErr;
+// callers hold b.mu.
 func (b *buffer) spillLocked() error {
 	if err := b.spill(b.lines); err != nil {
+		if b.storeErr == nil {
+			b.storeErr = err
+		}
 		return err
 	}
 	b.start += len(b.lines)
@@ -139,9 +145,6 @@ func (b *buffer) finalize() error {
 	var err error
 	if len(b.lines) > 0 {
 		err = b.spillLocked()
-		if err != nil && b.storeErr == nil {
-			b.storeErr = err
-		}
 	}
 	b.mu.Unlock()
 	b.cond.Broadcast()

@@ -532,6 +532,26 @@ func TestDistKeptShardIsCached(t *testing.T) {
 	}
 }
 
+// TestDistMergedStreamSpills: a coordinator's merged batch stream obeys
+// the buffer cap as a standalone node's does. At BufferBytes 1 every
+// line spills, so the spill count rises at least once per delivered
+// lease, and the finalized stream is still the standalone node's.
+func TestDistMergedStreamSpills(t *testing.T) {
+	spec := distSpec()
+	spec.Trials, spec.ProgressEvery = 20, 2000
+	_, refTS := newTestServer(t, Config{Workers: 2, QueueCap: 8, BufferBytes: 1})
+	want := runCanonical(t, refTS, spec)
+
+	_, peerTS := newTestServer(t, Config{Workers: 2, QueueCap: 8})
+	s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8, BufferBytes: 1,
+		Peers: []string{peerTS.URL}, LeaseTrials: 2})
+	assertSameStream(t, runCanonical(t, ts, spec), want)
+	leases, spills := s.met.leasesCompleted.Value(), s.met.bufSpills.Value()
+	if leases != 10 || spills < leases {
+		t.Fatalf("%d spills over %d delivered leases; want 10 leases and a spill or more each", spills, leases)
+	}
+}
+
 // lockProbeStore counts Finalize calls and those that run while the
 // server's lock is held: such a call cannot take srv.mu for 20ms.
 type lockProbeStore struct {
