@@ -30,11 +30,12 @@ TRACE_BENCH = BenchmarkSpanEmit|BenchmarkSpanEmitJournal|BenchmarkSupervisedNilT
 COUNT_BENCH = BenchmarkCountEngineScale|BenchmarkAgentEngineScale|BenchmarkCountSampler
 
 # Durability benchmarks gating the job-store claims: WAL append vs the
-# fsync-bearing finalize, boot-time replay scaling with log size, and
-# cold admission vs a cache hit, which admits no job and reads its
-# source's stored stream once (see docs/service.md "Durability and the
-# result cache" and EXPERIMENTS.md).
-STORE_BENCH = BenchmarkWALAppend|BenchmarkWALFinalize|BenchmarkWALReplay|BenchmarkAdmitColdMemory|BenchmarkAdmitColdWAL|BenchmarkAdmitCacheHit
+# fsync-bearing finalize, boot-time replay scaling with log size, cold
+# admission vs a cache hit, which admits no job and reads its source's
+# stored stream once, and a finished job's result stream and view,
+# both read back from the store (see docs/service.md "Durability and
+# the result cache" and EXPERIMENTS.md).
+STORE_BENCH = BenchmarkWALAppend|BenchmarkWALFinalize|BenchmarkWALReplay|BenchmarkAdmitColdMemory|BenchmarkAdmitColdWAL|BenchmarkAdmitCacheHit|BenchmarkFinishedJobRead
 
 # Sharded-execution benchmarks gating the scale-out claims: 1-node vs
 # 2/4-peer wall clock for the same batch, plus degraded-mode throughput
@@ -181,9 +182,9 @@ bench-count:
 	$(GO) test -json -run='^$$' -bench='$(COUNT_BENCH)' -benchmem -count=3 ./internal/sim > BENCH_PR7.json
 	@echo "wrote BENCH_PR7.json ($$(wc -l < BENCH_PR7.json) events)"
 
-# bench-store runs the durability benchmarks (WAL append/finalize/replay
-# plus cold-vs-cached admission) and writes the go-test JSON stream to
-# BENCH_PR8.json.
+# bench-store runs the durability benchmarks (WAL append/finalize/replay,
+# cold-vs-cached admission and finished-job reads) and writes the
+# go-test JSON stream to BENCH_PR8.json.
 bench-store:
 	$(GO) test -json -run='^$$' -bench='$(STORE_BENCH)' -benchmem -count=3 ./internal/serve ./internal/serve/store > BENCH_PR8.json
 	@echo "wrote BENCH_PR8.json ($$(wc -l < BENCH_PR8.json) events)"

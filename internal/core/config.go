@@ -106,6 +106,11 @@ func (c *Config) MultisetKey() string {
 // protocol states live in [0, |Q|) with |Q| ≈ P+1, far below it.
 const maxCountingState = 1 << 16
 
+// stackCountingStates is the counting-sort domain AppendMultisetKey
+// counts on the stack, the compiled-table state cap: below it a key
+// allocates nothing but buf's growth.
+const stackCountingStates = 1024
+
 // AppendMultisetKey appends MultisetKey's encoding to buf and returns
 // the extended slice. States lie in [0, |Q|), so the sort.Slice of the
 // original implementation is replaced by a counting sort: one pass to
@@ -136,7 +141,13 @@ func (c *Config) AppendMultisetKey(buf []byte) []byte {
 		}
 		return c.appendLeaderKey(buf)
 	}
-	counts := make([]int32, int(max)+1)
+	var stack [stackCountingStates]int32
+	var counts []int32
+	if int(max) < stackCountingStates {
+		counts = stack[:int(max)+1]
+	} else {
+		counts = make([]int32, int(max)+1)
+	}
 	for _, s := range c.Mobile {
 		counts[s]++
 	}
@@ -156,7 +167,7 @@ func (c *Config) AppendMultisetKey(buf []byte) []byte {
 func (c *Config) appendLeaderKey(buf []byte) []byte {
 	if c.Leader != nil {
 		buf = append(buf, '|')
-		buf = append(buf, c.Leader.Key()...)
+		buf = c.Leader.AppendKey(buf)
 	}
 	return buf
 }

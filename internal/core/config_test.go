@@ -16,8 +16,8 @@ func (l testLeader) Equal(o LeaderState) bool {
 	ol, ok := o.(testLeader)
 	return ok && ol == l
 }
-func (l testLeader) Key() string    { return "v=" + string(rune('0'+l.v)) }
-func (l testLeader) String() string { return l.Key() }
+func (l testLeader) AppendKey(buf []byte) []byte { return append(buf, "v="+string(rune('0'+l.v))...) }
+func (l testLeader) String() string              { return string(l.AppendKey(nil)) }
 
 func TestNewConfig(t *testing.T) {
 	c := NewConfig(4, 7)

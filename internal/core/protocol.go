@@ -39,10 +39,10 @@ type LeaderState interface {
 	// Equal reports semantic equality with another leader state of the
 	// same dynamic type. Equal(nil) must return false.
 	Equal(LeaderState) bool
-	// Key returns a canonical encoding used to deduplicate
-	// configurations during model checking. Two states are Equal iff
-	// their Keys match.
-	Key() string
+	// AppendKey appends a canonical encoding, used to deduplicate
+	// configurations during model checking, to buf and returns the
+	// extended slice. Two states are Equal iff their encodings match.
+	AppendKey(buf []byte) []byte
 
 	fmt.Stringer
 }

@@ -230,10 +230,10 @@ type badLeader struct{ *RuleTable }
 
 type blState struct{}
 
-func (blState) Clone() LeaderState       { return blState{} }
-func (blState) Equal(o LeaderState) bool { _, ok := o.(blState); return ok }
-func (blState) Key() string              { return "bl" }
-func (blState) String() string           { return "bl" }
+func (blState) Clone() LeaderState        { return blState{} }
+func (blState) Equal(o LeaderState) bool  { _, ok := o.(blState); return ok }
+func (blState) AppendKey(b []byte) []byte { return append(b, "bl"...) }
+func (blState) String() string            { return "bl" }
 
 func (badLeader) InitLeader() LeaderState { return blState{} }
 func (badLeader) LeaderInteract(l LeaderState, x State) (LeaderState, State) {

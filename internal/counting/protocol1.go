@@ -16,6 +16,7 @@ package counting
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"popnaming/internal/core"
 	"popnaming/internal/seq"
@@ -37,8 +38,11 @@ func (b BST) Equal(o core.LeaderState) bool {
 	return ok && ob == b
 }
 
-// Key implements core.LeaderState.
-func (b BST) Key() string { return fmt.Sprintf("n=%d;k=%d", b.N, b.K) }
+// AppendKey implements core.LeaderState: "n=<N>;k=<K>".
+func (b BST) AppendKey(buf []byte) []byte {
+	buf = strconv.AppendInt(append(buf, "n="...), int64(b.N), 10)
+	return strconv.AppendInt(append(buf, ";k="...), int64(b.K), 10)
+}
 
 func (b BST) String() string { return fmt.Sprintf("BST{n:%d k:%d}", b.N, b.K) }
 

@@ -267,7 +267,10 @@ func TestLeaderStateSemantics(t *testing.T) {
 	if a.Equal(nil) {
 		t.Error("Equal(nil) returned true")
 	}
-	if a.Key() == (BST{N: 2, K: 1}).Key() {
+	if got := string(a.AppendKey([]byte("x|"))); got != "x|n=1;k=2" {
+		t.Errorf("AppendKey = %q, want x|n=1;k=2", got)
+	}
+	if string(a.AppendKey(nil)) == string((BST{N: 2, K: 1}).AppendKey(nil)) {
 		t.Error("Key collision across distinct states")
 	}
 }

@@ -184,25 +184,28 @@ func TestBuildStatsSequential(t *testing.T) {
 
 // TestNodeIDZeroAlloc pins the scratch-buffer lookup path: NodeID must
 // not allocate, whatever the build's worker count (search loops may
-// call it once per candidate).
+// call it once per candidate), on identity and canonical graphs alike
+// (a canonical key counts states on the stack).
 func TestNodeIDZeroAlloc(t *testing.T) {
 	pr := core.NewRuleTable("bw", 3, 2).
 		AddSymmetric(0, 0, 1, 1).
 		AddSymmetric(0, 1, 1, 0)
 	starts := explore.AllConfigs(2, 3, nil)
 	probe := core.NewConfigStates(1, 1, 0)
-	for _, w := range []int{1, 4} {
-		g, err := explore.Build(pr, starts, explore.Options{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.NodeID(probe) // warm the scratch buffer
-		if allocs := testing.AllocsPerRun(100, func() {
-			if g.NodeID(probe) < 0 {
-				t.Fatal("probe configuration should be reachable")
+	for _, canonical := range []bool{false, true} {
+		for _, w := range []int{1, 4} {
+			g, err := explore.Build(pr, starts, explore.Options{Workers: w, Canonical: canonical})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}); allocs != 0 {
-			t.Errorf("workers=%d: NodeID allocates %v times per call, want 0", w, allocs)
+			g.NodeID(probe) // warm the scratch buffer
+			if allocs := testing.AllocsPerRun(100, func() {
+				if g.NodeID(probe) < 0 {
+					t.Fatal("probe configuration should be reachable")
+				}
+			}); allocs != 0 {
+				t.Errorf("canonical=%v workers=%d: NodeID allocates %v times per call, want 0", canonical, w, allocs)
+			}
 		}
 	}
 }

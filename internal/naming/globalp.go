@@ -3,6 +3,7 @@ package naming
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"popnaming/internal/core"
 	"popnaming/internal/counting"
@@ -43,8 +44,12 @@ func (b PtrBST) Equal(o core.LeaderState) bool {
 	return ok && ob == b
 }
 
-// Key implements core.LeaderState.
-func (b PtrBST) Key() string { return fmt.Sprintf("n=%d;k=%d;ptr=%d", b.N, b.K, b.NamePtr) }
+// AppendKey implements core.LeaderState: "n=<N>;k=<K>;ptr=<NamePtr>".
+func (b PtrBST) AppendKey(buf []byte) []byte {
+	buf = strconv.AppendInt(append(buf, "n="...), int64(b.N), 10)
+	buf = strconv.AppendInt(append(buf, ";k="...), int64(b.K), 10)
+	return strconv.AppendInt(append(buf, ";ptr="...), int64(b.NamePtr), 10)
+}
 
 func (b PtrBST) String() string {
 	return fmt.Sprintf("BST{n:%d k:%d ptr:%d}", b.N, b.K, b.NamePtr)

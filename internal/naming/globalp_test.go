@@ -214,7 +214,10 @@ func TestPtrBSTLeaderState(t *testing.T) {
 	if !a.Equal(a.Clone()) || a.Equal(PtrBST{N: 1, K: 2, NamePtr: 0}) || a.Equal(nil) {
 		t.Error("bad equality semantics")
 	}
-	if a.Key() == (PtrBST{N: 3, K: 2, NamePtr: 1}).Key() {
+	if got := string(a.AppendKey([]byte("x|"))); got != "x|n=1;k=2;ptr=3" {
+		t.Errorf("AppendKey = %q, want x|n=1;k=2;ptr=3", got)
+	}
+	if string(a.AppendKey(nil)) == string((PtrBST{N: 3, K: 2, NamePtr: 1}).AppendKey(nil)) {
 		t.Error("key collision")
 	}
 }

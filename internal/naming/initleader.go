@@ -2,6 +2,7 @@ package naming
 
 import (
 	"fmt"
+	"strconv"
 
 	"popnaming/internal/core"
 )
@@ -37,8 +38,10 @@ func (c Counter) Equal(o core.LeaderState) bool {
 	return ok && oc == c
 }
 
-// Key implements core.LeaderState.
-func (c Counter) Key() string { return fmt.Sprintf("c=%d", c.C) }
+// AppendKey implements core.LeaderState: "c=<C>".
+func (c Counter) AppendKey(buf []byte) []byte {
+	return strconv.AppendInt(append(buf, "c="...), int64(c.C), 10)
+}
 
 func (c Counter) String() string { return fmt.Sprintf("Counter{%d}", c.C) }
 

@@ -134,7 +134,10 @@ func TestCounterLeaderState(t *testing.T) {
 	if c.Equal(Counter{C: 3}) || c.Equal(nil) {
 		t.Error("bad equality")
 	}
-	if c.Key() == (Counter{C: 3}).Key() {
+	if got := string(c.AppendKey([]byte("x|"))); got != "x|c=2" {
+		t.Errorf("AppendKey = %q, want x|c=2", got)
+	}
+	if string(c.AppendKey(nil)) == string((Counter{C: 3}).AppendKey(nil)) {
 		t.Error("key collision")
 	}
 }

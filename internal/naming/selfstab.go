@@ -3,6 +3,7 @@ package naming
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"popnaming/internal/core"
 	"popnaming/internal/counting"
@@ -41,8 +42,11 @@ func (b ResetBST) Equal(o core.LeaderState) bool {
 	return ok && ob == b
 }
 
-// Key implements core.LeaderState.
-func (b ResetBST) Key() string { return fmt.Sprintf("n=%d;k=%d", b.N, b.K) }
+// AppendKey implements core.LeaderState: "n=<N>;k=<K>".
+func (b ResetBST) AppendKey(buf []byte) []byte {
+	buf = strconv.AppendInt(append(buf, "n="...), int64(b.N), 10)
+	return strconv.AppendInt(append(buf, ";k="...), int64(b.K), 10)
+}
 
 func (b ResetBST) String() string { return fmt.Sprintf("BST{n:%d k:%d}", b.N, b.K) }
 

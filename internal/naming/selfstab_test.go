@@ -221,7 +221,10 @@ func TestResetBSTLeaderState(t *testing.T) {
 	if !a.Equal(a.Clone()) || a.Equal(ResetBST{N: 1, K: 6}) || a.Equal(nil) {
 		t.Error("bad equality semantics")
 	}
-	if a.Key() == (ResetBST{N: 5, K: 1}).Key() {
+	if got := string(a.AppendKey([]byte("x|"))); got != "x|n=1;k=5" {
+		t.Errorf("AppendKey = %q, want x|n=1;k=5", got)
+	}
+	if string(a.AppendKey(nil)) == string((ResetBST{N: 5, K: 1}).AppendKey(nil)) {
 		t.Error("key collision")
 	}
 }

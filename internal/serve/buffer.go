@@ -23,9 +23,10 @@ var ErrLateEmit = errors.New("serve: emit after job finalization")
 // Lines live in RAM only up to maxBytes: past the cap the in-RAM tail
 // is spilled to the job store and readers fetch the spilled prefix
 // back on demand, so a long traced campaign no longer pins its whole
-// journal in memory. finalize spills everything, leaving terminal jobs
-// at near-zero resident cost. Logical line indexes are stable across
-// spills: [0, start) is in the store, [start, start+len(lines)) in RAM.
+// journal in memory. seal spills everything and ends the log; close,
+// once the job has left the server's live table, gives readers EOF.
+// Logical line indexes are stable across spills: [0, start) is in the
+// store, [start, start+len(lines)) in RAM.
 type buffer struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -33,7 +34,8 @@ type buffer struct {
 	start    int      // lines below this logical index are in the store
 	memBytes int64
 	maxBytes int64 // live-RAM cap
-	closed   bool
+	sealed   bool  // no more lines: emits are late
+	closed   bool  // readers get EOF
 
 	// Store wiring, set at construction and immutable: spill appends
 	// lines to the job's durable result log, fetch reads logical lines
@@ -56,19 +58,9 @@ func newBuffer(maxBytes int64, spill func([][]byte) error, fetch func(from, to i
 	return b
 }
 
-// restore marks the buffer as a finalized log of total lines that live
-// entirely in the store (a job recovered at boot): reads go through
-// fetch, writes are late emits.
-func (b *buffer) restore(total int) {
-	b.mu.Lock()
-	b.start = total
-	b.closed = true
-	b.mu.Unlock()
-}
-
 // Emit implements obs.Sink: one record per line, encoded as a
 // JournalSink encodes it (obs.MarshalRecord). Emits after
-// finalize return ErrLateEmit. When the in-RAM tail exceeds maxBytes
+// seal return ErrLateEmit. When the in-RAM tail exceeds maxBytes
 // the whole tail is spilled to the store; a spill failure (e.g. disk
 // full) keeps the lines in RAM — degraded but lossless — and surfaces
 // the error.
@@ -78,7 +70,7 @@ func (b *buffer) Emit(rec any) error {
 		return err
 	}
 	b.mu.Lock()
-	if b.closed {
+	if b.sealed {
 		b.mu.Unlock()
 		b.late()
 		return ErrLateEmit
@@ -135,20 +127,26 @@ func (b *buffer) spillLocked() error {
 	return nil
 }
 
-// finalize marks the stream complete, spills any in-RAM tail to the
-// store and wakes every waiting reader. After finalize the buffer
-// holds no line data; len and wait still serve the full logical log
-// through fetch.
-func (b *buffer) finalize() error {
+// seal ends the log: it spills any in-RAM tail to the store, and
+// later emits are late. After seal the buffer holds no line data; len
+// and wait still serve the full logical log through fetch. Readers
+// keep waiting at its end until close.
+func (b *buffer) seal() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.sealed = true
+	if len(b.lines) > 0 {
+		return b.spillLocked()
+	}
+	return nil
+}
+
+// close gives every reader EOF once it has read the whole log.
+func (b *buffer) close() {
 	b.mu.Lock()
 	b.closed = true
-	var err error
-	if len(b.lines) > 0 {
-		err = b.spillLocked()
-	}
 	b.mu.Unlock()
 	b.cond.Broadcast()
-	return err
 }
 
 // len returns the number of logical lines (in store + in RAM).
@@ -188,12 +186,6 @@ func (b *buffer) wait(i int, canceled func() bool) ([][]byte, bool, error) {
 		return nil, closed, err
 	}
 	return append(fetched, ram...), closed, nil
-}
-
-// all returns the complete logical log (store prefix + RAM tail).
-func (b *buffer) all() ([][]byte, error) {
-	lines, _, err := b.wait(0, func() bool { return true })
-	return lines, err
 }
 
 // wake nudges every waiting reader to re-check its cancellation.

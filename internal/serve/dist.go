@@ -2,8 +2,8 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
-	"fmt"
 	"time"
 
 	"popnaming/internal/dist"
@@ -145,21 +145,24 @@ func (s *Server) journalLease(j *Job, ev dist.Event) {
 // the shard spec's canonical bytes (the key a peer computes), with the
 // result log that peer's job writes (its header, seedDerived false as
 // the shard's seed is explicit, then the shard's lines ending in their
-// batch_summary, then a done job record), finalized, and entered as
-// boot enters a restored done job. So the lease comes back from the
-// result cache (restoredShards), and a POST of the shard spec is a
-// hit. The ID and admission are taken under s.mu as submit takes them;
-// Finalize and its fsyncs run outside it. A crash before Finalize
-// leaves an admitted shard job, which the next boot re-queues.
+// batch_summary, then a done job record), finalized, and entered into
+// the finished-job index and the result cache as boot enters a
+// restored done job. So the lease comes back from the result cache
+// (restoredShards), and a POST of the shard spec is a hit. The ID and
+// admission are taken under s.mu as submit takes them; Finalize and
+// its fsyncs run outside it. A crash before Finalize leaves an
+// admitted shard job, which the next boot re-queues.
 func (s *Server) keepShard(j *Job, ev dist.Event) error {
 	spec, canonical := j.shardSpec(ev.Range)
+	sum := sha256.Sum256(canonical)
 	s.mu.Lock()
-	if s.sources[cacheKey(canonical)] != nil {
+	if _, ok := s.sources[sum]; ok {
 		s.mu.Unlock()
 		return nil
 	}
 	s.nextID++
-	id := fmt.Sprintf("j%06d", s.nextID)
+	n := s.nextID
+	id := jobID(n)
 	err := s.store.Admit(id, canonical, false)
 	s.mu.Unlock()
 	if err != nil {
@@ -168,14 +171,12 @@ func (s *Server) keepShard(j *Job, ev dist.Event) error {
 	// A JobSummary, a header and a job record hold no floats, so they
 	// always marshal.
 	summary, _ := json.Marshal(batchSummary(ev.Sum))
-	kept := s.restoreTerminal(store.Snapshot{ID: id, Spec: canonical, State: store.StateDone,
-		Summary: summary, ResultLines: len(ev.Shard) + 2}, spec)
 	hdr := j.v.Header("ppserved")
 	hdr.SeedDerived = false
 	var lines lineSink
 	_ = lines.Emit(hdr)
 	lines = append(lines, ev.Shard...)
-	_ = lines.Emit(kept.rec())
+	_ = lines.Emit(jobRec(id, &spec, StateDone))
 	if err := s.store.AppendResults(id, lines); err != nil {
 		return err
 	}
@@ -183,10 +184,10 @@ func (s *Server) keepShard(j *Job, ev dist.Event) error {
 		return err
 	}
 	s.mu.Lock()
-	s.jobs[id] = kept
-	s.order = append(s.order, kept)
-	s.rememberLocked(kept)
+	s.finished.set(n, newFinishedJob(len(lines), StateDone, spec.Kind))
+	s.rememberLocked(sum, n)
 	s.mu.Unlock()
+	s.met.moveJob("", StateDone)
 	return nil
 }
 
@@ -199,7 +200,7 @@ func (s *Server) restoredShards(j *Job, plan []dist.Range) map[int][][]byte {
 	restored := make(map[int][][]byte)
 	for i, r := range plan {
 		_, canonical := j.shardSpec(r)
-		if _, lines := s.cachedRun(cacheKey(canonical)); len(lines) > 2 {
+		if _, lines := s.cachedRun(sha256.Sum256(canonical)); len(lines) > 2 {
 			restored[i] = lines[1 : len(lines)-1]
 		}
 	}

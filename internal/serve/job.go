@@ -2,9 +2,13 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -448,10 +452,13 @@ type JobSummary struct {
 	OK              bool `json:"ok"`
 }
 
-// Job is one admitted submission: its validated spec, result buffer,
-// cancellation scope and lifecycle state. State transitions happen
-// under mu; the buffer has its own lock (lock order: never take a
-// job's mu while holding the server's).
+// Job is one queued or running submission: its validated spec, result
+// buffer, cancellation scope and lifecycle state. State transitions
+// happen under mu; the buffer has its own lock (lock order: never take
+// a job's mu while holding the server's). Once the store has sealed the
+// job, it leaves the server's live table for the finished-job index
+// (Server.retire), and the Job, its buffer and its context become
+// garbage.
 type Job struct {
 	ID string
 
@@ -471,8 +478,10 @@ type Job struct {
 	queueSpan *obs.Span
 	admitted  time.Time
 
-	// key is the job's content address (canonical-spec hash), set once
-	// at admission; it doubles as the Idempotency-Key header value.
+	// sum is the job's content address (canonical-spec hash) and key
+	// its "sha256:<hex>" form, the Idempotency-Key header value; both
+	// are set once at admission.
+	sum [sha256.Size]byte
 	key string
 
 	mu          sync.Mutex
@@ -525,22 +534,38 @@ type JobView struct {
 	Live *obs.ObserverSnapshot `json:"live,omitempty"`
 }
 
+// specView is the part of a job's view its spec decides: a live job's
+// and a finished one's alike.
+func specView(id string, sp *Spec, seedDerived bool, key string) JobView {
+	view := JobView{
+		ID: id, Kind: sp.Kind,
+		Protocol: sp.Protocol, P: sp.P, N: sp.N, Sched: sp.Sched, Init: sp.Init,
+		Engine: sp.Engine,
+		Faults: sp.Faults, Budget: sp.Budget, Trials: sp.Trials, Workers: sp.Workers,
+		Seed: sp.Seed, SeedDerived: seedDerived, Shard: sp.Shard, IdempotencyKey: key,
+	}
+	if id := traceOf(sp); id != 0 {
+		view.Trace = id.String()
+	}
+	return view
+}
+
+// traceOf is the trace ID of a job of spec sp: derived from the
+// resolved seed when the spec opted into tracing, else 0.
+func traceOf(sp *Spec) obs.TraceID {
+	if !sp.Trace {
+		return 0
+	}
+	return obs.NewTraceID(sp.Seed)
+}
+
 // view snapshots the job for JSON rendering.
 func (j *Job) view() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	sp := j.v.spec
-	view := JobView{
-		ID: j.ID, Kind: sp.Kind, State: j.state,
-		Protocol: sp.Protocol, P: sp.P, N: sp.N, Sched: sp.Sched, Init: sp.Init,
-		Engine: sp.Engine,
-		Faults: sp.Faults, Budget: sp.Budget, Trials: sp.Trials, Workers: sp.Workers,
-		Seed: sp.Seed, SeedDerived: j.v.seedDerived, Shard: sp.Shard, IdempotencyKey: j.key,
-		Records: j.buf.len(), Error: j.errMsg, WallNS: j.wallNS, Summary: j.summary,
-	}
-	if j.traceID != 0 {
-		view.Trace = j.traceID.String()
-	}
+	view := specView(j.ID, &j.v.spec, j.v.seedDerived, j.key)
+	view.State, view.Records, view.Error = j.state, j.buf.len(), j.errMsg
+	view.WallNS, view.Summary = j.wallNS, j.summary
 	if j.state == StateRunning && j.live != nil {
 		snap := j.live.Snapshot()
 		view.Live = &snap
@@ -628,17 +653,25 @@ type JobRec struct {
 	QueueWaitNS int64  `json:"queueWaitNs,omitempty"`
 }
 
+// jobRec is the lifecycle record of job id of spec sp entering state,
+// without outcome or wall-clock fields: as it stands, the terminal
+// record of a kept shard job and the cached record of a hit.
+func jobRec(id string, sp *Spec, state JobState) JobRec {
+	rec := JobRec{
+		V: obs.Version, Type: "job", ID: id,
+		Kind: sp.Kind, State: string(state),
+		Protocol: sp.Protocol, Seed: sp.Seed,
+	}
+	if id := traceOf(sp); id != 0 {
+		rec.Trace = id.String()
+	}
+	return rec
+}
+
 // recLocked builds the job's lifecycle record; callers hold j.mu.
 func (j *Job) recLocked() JobRec {
-	rec := JobRec{
-		V: obs.Version, Type: "job", ID: j.ID,
-		Kind: j.v.spec.Kind, State: string(j.state),
-		Protocol: j.v.spec.Protocol, Seed: j.v.spec.Seed,
-		Error: j.errMsg, WallNS: j.wallNS, QueueWaitNS: j.queueWaitNS,
-	}
-	if j.traceID != 0 {
-		rec.Trace = j.traceID.String()
-	}
+	rec := jobRec(j.ID, &j.v.spec, j.state)
+	rec.Error, rec.WallNS, rec.QueueWaitNS = j.errMsg, j.wallNS, j.queueWaitNS
 	return rec
 }
 
@@ -647,6 +680,89 @@ func (j *Job) rec() JobRec {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.recLocked()
+}
+
+// finishedJob is a finished job's entry in the server's finished-job
+// index: what its result stream and, for a done job, a cache hit need
+// without reading a store record. The rest of its view is in the store
+// (Server.finishedView). Eight bytes: the result log's length takes 48
+// bits, more lines than a job can write.
+type finishedJob struct {
+	linesLo uint32
+	linesHi uint16
+	state   uint8 // index into jobStates
+	kind    uint8 // index into jobKinds plus one; 0: a kind no longer admitted
+}
+
+// finishedIndex is the finished-job index: an entry per job number,
+// in chunks allocated as numbers reach them, so dense IDs cost eight
+// bytes a job and a stray high ID one chunk. The zero entry, whose
+// state would read queued, marks a number with no finished job.
+type finishedIndex map[uint32]*[finishedChunk]finishedJob
+
+const finishedChunk = 1024
+
+func (x finishedIndex) get(n uint32) (finishedJob, bool) {
+	c := x[n/finishedChunk]
+	if c == nil {
+		return finishedJob{}, false
+	}
+	return c[n%finishedChunk], c[n%finishedChunk] != finishedJob{}
+}
+
+func (x finishedIndex) set(n uint32, f finishedJob) {
+	c := x[n/finishedChunk]
+	if c == nil {
+		c = new([finishedChunk]finishedJob)
+		x[n/finishedChunk] = c
+	}
+	c[n%finishedChunk] = f
+}
+
+func newFinishedJob(lines int, state JobState, kind string) finishedJob {
+	return finishedJob{
+		linesLo: uint32(lines), linesHi: uint16(lines >> 32),
+		state: uint8(slices.Index(jobStates[:], string(state))),
+		kind:  uint8(slices.Index(jobKinds, kind) + 1),
+	}
+}
+
+// lines is the length of the job's result log.
+func (f finishedJob) lines() int { return int(f.linesHi)<<32 | int(f.linesLo) }
+
+func (f finishedJob) jobState() JobState { return JobState(jobStates[f.state]) }
+
+// kindName is the job's kind, or "" for a kind no longer admitted.
+func (f finishedJob) kindName() string {
+	if f.kind == 0 {
+		return ""
+	}
+	return jobKinds[f.kind-1]
+}
+
+// jobID is the ID of the server's job number n: "j" and n in at least
+// six digits.
+func jobID(n uint32) string {
+	var b [16]byte
+	id := append(b[:0], 'j')
+	for pad := uint32(100000); pad > 1 && n < pad; pad /= 10 {
+		id = append(id, '0')
+	}
+	return string(strconv.AppendUint(id, uint64(n), 10))
+}
+
+// jobNumber parses an ID jobID wrote back into its number; ok is false
+// for any other string.
+func jobNumber(id string) (n uint32, ok bool) {
+	d := strings.TrimPrefix(id, "j")
+	if len(d) == len(id) || len(d) < 6 || len(d) > 6 && d[0] == '0' {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(d, 10, 32)
+	if err != nil || v == 0 {
+		return 0, false
+	}
+	return uint32(v), true
 }
 
 // Table1Rec is the result record of a table1 job. Cell.WallNS fields

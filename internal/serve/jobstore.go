@@ -10,7 +10,9 @@ import (
 // admissions, lifecycle transitions and finalized NDJSON result logs,
 // and nothing else. A distributed batch's completed lease is stored as
 // a done shard job of its own, so a restarted coordinator finds it in
-// the result cache (see Server.keepShard). store.Memory keeps the
+// the result cache (see Server.keepShard). Finished jobs live here and
+// not in the server's heap: the server keeps a compact index entry per
+// finished job and reads the rest back through Lookup and ReadResults. store.Memory keeps the
 // pre-durability in-process behavior; store.WAL survives restarts (see
 // Config.Store and the -store flag).
 //
@@ -42,8 +44,12 @@ type JobStore interface {
 	ReadResults(id string, from, to int) ([][]byte, error)
 	// Replay returns every stored job in admission order. The server
 	// calls it exactly once, at construction; a WAL store answers with
-	// its open-time fold.
+	// its open-time fold and then drops it.
 	Replay() ([]store.Snapshot, error)
+	// Lookup returns one job's snapshot, folded as Replay folds it,
+	// from one indexed read (an ID never admitted is an error). The
+	// server reads a finished job's view through it.
+	Lookup(id string) (store.Snapshot, error)
 	// Close flushes and releases the store.
 	Close() error
 }

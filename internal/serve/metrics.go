@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -35,6 +37,11 @@ type metrics struct {
 	leasesRestored, leaseFailures                                  obs.Counter
 	trialsRun, trialsConverged, trialSteps, trialNonNull           obs.Counter
 
+	// jobs counts the server's jobs by lifecycle state, in jobStates
+	// order: admission, boot and a kept shard add a job to a count, and
+	// each transition moves it to another (moveJob).
+	jobs [len(jobStates)]atomic.Int64
+
 	// HTTP requests by route pattern and job phases by job kind.
 	routes map[string]*routeMetric
 	kinds  map[string]*kindMetric
@@ -62,7 +69,7 @@ var jobKinds = []string{KindSim, KindBatch, KindTable1}
 
 // jobStates lists the job lifecycle states in the order of the
 // ppserved_jobs series.
-var jobStates = []string{string(StateQueued), string(StateRunning), string(StateDone), string(StateFailed), string(StateCanceled)}
+var jobStates = [...]string{string(StateQueued), string(StateRunning), string(StateDone), string(StateFailed), string(StateCanceled)}
 
 // newMetrics declares every service metric once (name, type, help text
 // and label) in the sections and order both /metrics formats render.
@@ -133,7 +140,13 @@ func newMetrics(s *Server) *metrics {
 	r.Counter("ppserved_dist_lease_failures_total", "Lease attempts ended by timeout, error status or connection loss.", &m.leaseFailures)
 
 	r.Section("jobs by state")
-	r.Gauges("ppserved_jobs", "Jobs currently known to the server, by lifecycle state.", "state", jobStates, s.jobsByState)
+	r.Gauges("ppserved_jobs", "Jobs currently known to the server, by lifecycle state.", "state", jobStates[:], func() []float64 {
+		counts := make([]float64, len(m.jobs))
+		for i := range m.jobs {
+			counts[i] = float64(m.jobs[i].Load())
+		}
+		return counts
+	})
 
 	r.Section("http requests")
 	for _, route := range routePatterns {
@@ -200,35 +213,38 @@ func (m *metrics) observe(route string, d time.Duration) {
 	rm.latUS.Observe(d.Microseconds())
 }
 
-// jobsByState counts the server's jobs by lifecycle state in one pass,
-// in the order of jobStates.
-func (s *Server) jobsByState() []float64 {
-	counts := make([]float64, len(jobStates))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range s.order {
-		j.mu.Lock()
-		counts[slices.Index(jobStates, string(j.state))]++
-		j.mu.Unlock()
+// moveJob moves one job from state from ("" for a job new to the
+// server) to state to in the ppserved_jobs counts.
+func (m *metrics) moveJob(from, to JobState) {
+	if from != "" {
+		m.jobs[slices.Index(jobStates[:], string(from))].Add(-1)
 	}
-	return counts
+	m.jobs[slices.Index(jobStates[:], string(to))].Add(1)
 }
 
 // renderLiveJobs writes the running jobs' live progress after the
 // metric tables: the one /metrics table that shows per-job state
-// rather than a metric, so it is rendered here, not registered.
+// rather than a metric, so it is rendered here, not registered. It
+// walks the live table only, in ID order.
 func (s *Server) renderLiveJobs(w io.Writer) {
-	var live []JobView
 	s.mu.Lock()
-	for _, j := range s.order {
+	jobs := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
+	}
+	s.mu.Unlock()
+	var live []JobView
+	for _, j := range jobs {
 		if v := j.view(); v.State == StateRunning {
 			live = append(live, v)
 		}
 	}
-	s.mu.Unlock()
 	if len(live) == 0 {
 		return
 	}
+	slices.SortFunc(live, func(a, b JobView) int {
+		return cmp.Or(cmp.Compare(len(a.ID), len(b.ID)), strings.Compare(a.ID, b.ID))
+	})
 	lt := report.NewTable("live jobs", "id", "kind", "protocol", "records", "steps", "nonNull", "quiet")
 	for _, v := range live {
 		if v.Live != nil {

@@ -136,29 +136,20 @@ func TestCountCancelRacePickup(t *testing.T) {
 	}
 	defer s.Close()
 	const rounds = 40
-	jobs := make([]*Job, 0, rounds)
+	ids := make([]string, 0, rounds)
 	for i := 0; i < rounds; i++ {
-		j, jerr := s.Submit(longRunningCountSpec())
+		v, jerr := s.Submit(longRunningCountSpec())
 		if jerr != nil {
 			t.Fatalf("submit %d: %v", i, jerr)
 		}
-		s.Cancel(j)
-		jobs = append(jobs, j)
+		if _, jerr := s.Cancel(v.ID); jerr != nil {
+			t.Fatal(jerr)
+		}
+		ids = append(ids, v.ID)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for _, j := range jobs {
-		for {
-			v := j.view()
-			if v.State.terminal() {
-				if v.State != StateCanceled {
-					t.Fatalf("%s: terminal state %q, want canceled", j.ID, v.State)
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s stuck in %q", j.ID, v.State)
-			}
-			time.Sleep(2 * time.Millisecond)
+	for _, id := range ids {
+		if v := waitJob(t, s, id, 60*time.Second); v.State != StateCanceled {
+			t.Fatalf("%s: terminal state %q, want canceled", id, v.State)
 		}
 	}
 	snaps, err := s.store.Replay()

@@ -28,6 +28,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,6 +36,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -122,14 +124,22 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	order []*Job // submission order, for list and metrics
-	// sources is the result cache: for each canonical-spec key, the
-	// first done job. It answers every identical resubmission itself,
-	// from its stored stream (see cachedRun); a hit is not a job.
-	sources  map[string]*Job
-	nextID   int
+	mu sync.Mutex
+	// jobs holds the queued and running jobs, by ID. A job the store
+	// has sealed leaves it for finished (retire); one the store could
+	// not seal stays, terminal, and answers from memory.
+	jobs map[string]*Job
+	// finished is the finished-job index, by job number (jobNumber):
+	// every done, failed and canceled job, run here, restored at boot
+	// or kept as a shard. An entry answers its job's result stream and
+	// a cache hit; the store answers the rest of its view (Lookup).
+	finished finishedIndex
+	// sources is the result cache: for each canonical-spec hash, the
+	// number of the first done job with it. It answers every identical
+	// resubmission itself, from that job's stored stream (cachedRun);
+	// a hit is not a job.
+	sources  map[[sha256.Size]byte]uint32
+	nextID   uint32
 	queue    chan *Job
 	draining bool
 
@@ -186,12 +196,13 @@ func New(cfg Config) (*Server, error) {
 		cfg.Store = store.NewMemory()
 	}
 	s := &Server{
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		sink:    cfg.Sink,
-		store:   cfg.Store,
-		jobs:    make(map[string]*Job),
-		sources: make(map[string]*Job),
+		cfg:      cfg,
+		mux:      http.NewServeMux(),
+		sink:     cfg.Sink,
+		store:    cfg.Store,
+		jobs:     make(map[string]*Job),
+		finished: make(finishedIndex),
+		sources:  make(map[[sha256.Size]byte]uint32),
 	}
 	for _, base := range cfg.Peers {
 		base = strings.TrimRight(strings.TrimSpace(base), "/")
@@ -237,11 +248,12 @@ func New(cfg Config) (*Server, error) {
 }
 
 // restore replays the job store into the server's maps: terminal
-// snapshots become finished jobs served straight from the store (the
-// first done job per key becomes its result-cache source, its log
-// unread), non-terminal snapshots get their partial result logs reset
-// and are returned for re-queueing — unless their spec now fails
-// admission, which finalizes them failed.
+// snapshots become finished-job index entries served straight from the
+// store (the first done job per key becomes its result-cache source,
+// its log unread), non-terminal snapshots get their partial result
+// logs reset and are returned for re-queueing — unless their spec now
+// fails admission, which finalizes them failed. Only IDs this server
+// writes (jobID) replay; any other is a corrupt store.
 // Runs single-threaded at construction, before any worker or handler
 // exists.
 func (s *Server) restore() ([]*Job, error) {
@@ -251,10 +263,11 @@ func (s *Server) restore() ([]*Job, error) {
 	}
 	var requeue []*Job
 	for _, snap := range snaps {
-		var n int
-		if _, err := fmt.Sscanf(snap.ID, "j%d", &n); err == nil && n > s.nextID {
-			s.nextID = n // new IDs continue past every restored one
+		n, ok := jobNumber(snap.ID)
+		if !ok {
+			return nil, fmt.Errorf("job store replay: %q is not a job ID", snap.ID)
 		}
+		s.nextID = max(s.nextID, n) // new IDs continue past every restored one
 		var spec Spec
 		if err := json.Unmarshal(snap.Spec, &spec); err != nil {
 			// CRC framing makes a corrupt spec body effectively
@@ -275,11 +288,10 @@ func (s *Server) restore() ([]*Job, error) {
 			}
 		}
 		if store.Terminal(snap.State) {
-			j := s.restoreTerminal(snap, spec)
-			s.jobs[j.ID] = j
-			s.order = append(s.order, j)
+			s.finished.set(n, newFinishedJob(snap.ResultLines, JobState(snap.State), spec.Kind))
+			s.met.moveJob("", JobState(snap.State))
 			if snap.State == store.StateDone && snap.ResultLines > 0 {
-				s.rememberLocked(j)
+				s.rememberLocked(sha256.Sum256(snap.Spec), n)
 			}
 			s.met.restored.Inc()
 			continue
@@ -289,41 +301,13 @@ func (s *Server) restore() ([]*Job, error) {
 		}
 		_ = s.store.SetState(snap.ID, store.StateQueued)
 		j := s.newJob(snap.ID, v)
+		j.sum, j.key = cacheKey(snap.Spec)
 		s.jobs[j.ID] = j
-		s.order = append(s.order, j)
+		s.met.moveJob("", StateQueued)
 		s.met.requeued.Inc()
 		requeue = append(requeue, j)
 	}
 	return requeue, nil
-}
-
-// restoreTerminal rebuilds a finished job from its snapshot: a done,
-// failed or canceled job at boot, or a kept shard (keepShard). The spec
-// skips re-validation (the job never executes again, and admission
-// rules may have tightened since it ran); results are served from the
-// store through the buffer's fetch path.
-func (s *Server) restoreTerminal(snap store.Snapshot, spec Spec) *Job {
-	v := &Prepared{spec: spec, seedDerived: snap.SeedDerived}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j := &Job{
-		ID: snap.ID, v: v, ctx: ctx, cancel: cancel,
-		state: JobState(snap.State), errMsg: snap.Error,
-		wallNS: snap.WallNS, finalized: true,
-		key: cacheKey(snap.Spec),
-	}
-	if spec.Trace {
-		j.traceID = obs.NewTraceID(spec.Seed)
-	}
-	if len(snap.Summary) > 0 {
-		var sum JobSummary
-		if err := json.Unmarshal(snap.Summary, &sum); err == nil {
-			j.summary = &sum
-		}
-	}
-	j.buf = s.newJobBuffer(snap.ID)
-	j.buf.restore(snap.ResultLines)
-	cancel()
-	return j
 }
 
 // newJob builds an admitted job wired to the store-backed buffer.
@@ -382,55 +366,72 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 }
 
 // Submit validates and admits a job programmatically (the HTTP POST
-// body goes through exactly this path). A cache hit returns the key's
-// source job, already done, and admits nothing. On rejection the
-// *Error carries the HTTP status and, for fault-plan errors, the
-// offending token's location.
-func (s *Server) Submit(spec Spec) (*Job, *Error) {
-	j, _, err := s.submit(spec, "")
-	return j, err
+// body goes through exactly this path) and returns the job's view. A
+// cache hit admits nothing and returns the key's source job, already
+// done. On rejection the *Error carries the HTTP status and, for
+// fault-plan errors, the offending token's location.
+func (s *Server) Submit(spec Spec) (JobView, *Error) {
+	a, err := s.submit(spec, "")
+	if err != nil {
+		return JobView{}, err
+	}
+	if a.job != nil {
+		return a.job.view(), nil
+	}
+	return s.Job(a.id)
+}
+
+// admission is submit's answer: the admitted job and its ID on a miss;
+// on a cache hit the source's ID, kind and whole stored stream. key is
+// the canonical-spec hash either way.
+type admission struct {
+	job   *Job
+	id    string
+	key   string
+	kind  string
+	lines [][]byte
 }
 
 // submit is the admission path. clientKey, when non-empty, is the
 // caller's Idempotency-Key header: it must equal the canonical spec
 // hash (the key the server would compute), turning it into an
 // end-to-end check that the client resubmitted the spec it thinks it
-// did. A cache hit is a lookup, not a job: submit returns the key's
-// source job and its whole stored stream (non-nil only on a hit),
-// writes nothing to the store, and journals one record, the source's
-// terminal record marked cached and stripped of wall-clock fields.
-func (s *Server) submit(spec Spec, clientKey string) (*Job, [][]byte, *Error) {
+// did. A cache hit is a lookup, not a job: it writes nothing to the
+// store and journals one record, the source's terminal record marked
+// cached and without wall-clock fields. Equal keys mean equal canonical
+// specs, so that record is built from the submitted spec.
+func (s *Server) submit(spec Spec, clientKey string) (admission, *Error) {
 	v, verr := prepare(spec)
 	if verr != nil {
-		return nil, nil, verr
+		return admission{}, verr
 	}
 	canonical, err := canonicalSpec(v)
 	if err != nil {
-		return nil, nil, &Error{Status: http.StatusInternalServerError, Kind: "internal",
+		return admission{}, &Error{Status: http.StatusInternalServerError, Kind: "internal",
 			Message: fmt.Sprintf("canonicalize spec: %v", err)}
 	}
-	key := cacheKey(canonical)
+	sum, key := cacheKey(canonical)
 	if clientKey != "" && clientKey != key {
-		return nil, nil, &Error{Status: http.StatusBadRequest, Kind: "idempotency-mismatch",
+		return admission{}, &Error{Status: http.StatusBadRequest, Kind: "idempotency-mismatch",
 			Message: fmt.Sprintf("Idempotency-Key %q does not match the canonical spec hash %s", clientKey, key)}
 	}
 	// The source's log is read before s.mu is taken: admission never
 	// waits on another job's store read.
-	src, lines := s.cachedRun(key)
+	src, lines := s.cachedRun(sum)
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, nil, &Error{Status: http.StatusServiceUnavailable, Kind: "draining",
+		return admission{}, &Error{Status: http.StatusServiceUnavailable, Kind: "draining",
 			Message: "server is draining; no new jobs accepted"}
 	}
-	if src != nil {
+	if src != "" {
 		s.mu.Unlock()
 		s.met.cacheHits.Inc()
-		rec := src.rec()
-		rec.Cached, rec.WallNS, rec.QueueWaitNS = true, 0, 0
+		rec := jobRec(src, &v.spec, StateDone)
+		rec.Cached = true
 		_ = s.sink.Emit(rec)
-		return src, lines, nil
+		return admission{id: src, key: key, kind: v.spec.Kind, lines: lines}, nil
 	}
 	s.met.cacheMisses.Inc()
 	// Capacity is checked explicitly under s.mu (every producer holds
@@ -441,37 +442,93 @@ func (s *Server) submit(spec Spec, clientKey string) (*Job, [][]byte, *Error) {
 		depth := len(s.queue)
 		s.met.rejected.Inc()
 		s.mu.Unlock()
-		return nil, nil, &Error{Status: http.StatusTooManyRequests, Kind: "queue-full",
+		return admission{}, &Error{Status: http.StatusTooManyRequests, Kind: "queue-full",
 			Message:       fmt.Sprintf("job queue full (%d queued)", depth),
 			RetryAfterSec: s.retryAfterSec(depth),
 		}
 	}
 	s.nextID++
-	id := fmt.Sprintf("j%06d", s.nextID)
-	j := s.newJob(id, v)
-	j.key = key
+	id := jobID(s.nextID)
 	if err := s.store.Admit(id, canonical, v.seedDerived); err != nil {
-		j.cancel()
 		s.nextID-- // the ID was never exposed
 		s.mu.Unlock()
-		return nil, nil, &Error{Status: http.StatusInternalServerError, Kind: "store",
+		return admission{}, &Error{Status: http.StatusInternalServerError, Kind: "store",
 			Message: fmt.Sprintf("job store admit: %v", err)}
 	}
+	j := s.newJob(id, v)
+	j.sum, j.key = sum, key
 	s.jobs[id] = j
-	s.order = append(s.order, j)
 	s.met.submitted.Inc()
+	s.met.moveJob("", StateQueued)
 	s.queue <- j
 	s.mu.Unlock()
 	_ = s.sink.Emit(j.rec())
-	return j, nil, nil
+	return admission{job: j, id: id, key: key}, nil
 }
 
-// Job looks up a job by ID.
-func (s *Server) Job(id string) (*Job, bool) {
+// lookup finds job id: a queued or running job, or a finished job's
+// index entry (ok). Both come from one critical section, so a job
+// moving from the live table to the index is found in one or the
+// other.
+func (s *Server) lookup(id string) (j *Job, fin finishedJob, ok bool) {
+	n, valid := jobNumber(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	if j = s.jobs[id]; j != nil {
+		return j, fin, true
+	}
+	if valid {
+		fin, ok = s.finished.get(n)
+	}
+	return nil, fin, ok
+}
+
+// notFound is the 404 for an unknown job ID.
+func notFound(id string) *Error {
+	return &Error{Status: http.StatusNotFound, Kind: "not-found", Message: fmt.Sprintf("no job %q", id)}
+}
+
+// storeError is the 500 for a finished job the store cannot read back.
+func storeError(err error) *Error {
+	return &Error{Status: http.StatusInternalServerError, Kind: "store", Message: err.Error()}
+}
+
+// Job returns the view of job id, queued, running or finished.
+func (s *Server) Job(id string) (JobView, *Error) {
+	j, fin, ok := s.lookup(id)
+	switch {
+	case j != nil:
+		return j.view(), nil
+	case ok:
+		return s.finishedView(id, fin)
+	default:
+		return JobView{}, notFound(id)
+	}
+}
+
+// finishedView rebuilds a finished job's view: its state and record
+// count from the index entry, the rest from the job's store records
+// (one Lookup).
+func (s *Server) finishedView(id string, fin finishedJob) (JobView, *Error) {
+	snap, err := s.store.Lookup(id)
+	if err != nil {
+		return JobView{}, storeError(err)
+	}
+	var sp Spec
+	if err := json.Unmarshal(snap.Spec, &sp); err != nil {
+		return JobView{}, storeError(fmt.Errorf("job %s: spec: %w", id, err))
+	}
+	_, key := cacheKey(snap.Spec)
+	view := specView(id, &sp, snap.SeedDerived, key)
+	view.State, view.Records = fin.jobState(), fin.lines()
+	view.Error, view.WallNS = snap.Error, snap.WallNS
+	if len(snap.Summary) > 0 {
+		var sum JobSummary
+		if err := json.Unmarshal(snap.Summary, &sum); err == nil {
+			view.Summary = &sum
+		}
+	}
+	return view, nil
 }
 
 // runJob is the worker-side lifecycle: queued -> running -> terminal,
@@ -482,6 +539,7 @@ func (s *Server) runJob(j *Job) {
 		s.finalize(j)
 		return
 	}
+	s.met.moveJob(StateQueued, StateRunning)
 	if km := s.met.kinds[j.v.spec.Kind]; km != nil {
 		km.queueWaitUS.Observe(j.queueWait() / int64(time.Microsecond))
 	}
@@ -513,27 +571,23 @@ func (s *Server) runJob(j *Job) {
 			j.state = StateDone
 		}
 	}
-	done := j.state == StateDone
 	j.mu.Unlock()
-	if done && j.key != "" {
-		// Entered before finalize closes the stream, so a client that
-		// read it to EOF and resubmits finds the source (cachedRun
-		// skips it until finalize has sealed it).
-		s.mu.Lock()
-		s.rememberLocked(j)
-		s.mu.Unlock()
-	}
 	s.finalize(j)
 }
 
 // finalize seals a terminal job exactly once: stamps the wall clock,
 // appends the terminal job record to the result stream and the
-// service journal, finalizes the buffer (everything spills to the
-// store, EOF for streamers), persists the terminal state, releases the
-// job context and bumps the outcome counters. Everything up to the
-// store write happens under j.mu, so the store's record order matches
-// the job's actual transition order even against a racing cancel (lock
-// order: j.mu, then buffer/store locks; never the server's mu).
+// service journal, seals the buffer (everything spills to the store),
+// persists the terminal state, retires the job to the finished-job
+// index, closes the buffer (EOF for streamers), releases the job
+// context and bumps the outcome counters. Everything up to the store
+// write happens under j.mu, so the store's record order matches the
+// job's actual transition order even against a racing cancel (lock
+// order: j.mu, then buffer/store locks; never the server's mu, which
+// retire takes after j.mu is released).
+//
+// The job is retired before its streams see EOF: a client that read
+// one to EOF and resubmits finds the job in the result cache.
 func (s *Server) finalize(j *Job) {
 	j.mu.Lock()
 	if j.finalized || !j.state.terminal() {
@@ -541,7 +595,9 @@ func (s *Server) finalize(j *Job) {
 		return
 	}
 	j.finalized = true
+	from := StateQueued
 	if !j.started.IsZero() {
+		from = StateRunning
 		j.wallNS = time.Since(j.started).Nanoseconds()
 	} else if !j.admitted.IsZero() {
 		// Canceled while queued: the whole residence was queue wait.
@@ -568,16 +624,22 @@ func (s *Server) finalize(j *Job) {
 	}
 	_ = j.buf.Emit(rec)
 	total := j.buf.len()
-	_ = j.buf.finalize() // a failed final spill already counted via the spill hook
+	sealed := j.buf.seal() == nil // a failed final spill already counted via the spill hook
 	if err := s.store.Finalize(j.ID, store.Final{
 		State: string(state), Error: rec.Error, Summary: summary,
 		WallNS: wall, ResultLines: total,
 	}); err != nil {
 		s.met.storeWriteErrors.Inc()
+		sealed = false
 	}
 	j.mu.Unlock()
+	if sealed {
+		s.retire(j, total, state)
+	}
+	j.buf.close()
 	_ = s.sink.Emit(rec)
 	j.cancel()
+	s.met.moveJob(from, state)
 	switch state {
 	case StateDone:
 		s.met.completed.Inc()
@@ -594,22 +656,40 @@ func (s *Server) finalize(j *Job) {
 	}
 }
 
-// Cancel requests cancellation of a job. Queued jobs become terminal
-// immediately; running jobs abort at their next supervision check
-// (within one Supervision.Slice of interactions) and keep their
-// partial result stream. Canceling a terminal job is a no-op.
-func (s *Server) Cancel(j *Job) {
-	j.mu.Lock()
-	wasQueued := j.state == StateQueued
-	if wasQueued {
-		j.state = StateCanceled
-		j.errMsg = "canceled while queued"
+// retire moves a job the store has sealed from the live table into the
+// finished-job index, and a done job into the result cache unless its
+// key already has a source.
+func (s *Server) retire(j *Job, lines int, state JobState) {
+	n, _ := jobNumber(j.ID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.jobs, j.ID)
+	s.finished.set(n, newFinishedJob(lines, state, j.v.spec.Kind))
+	if state == StateDone {
+		s.rememberLocked(j.sum, n)
 	}
-	j.mu.Unlock()
-	j.cancel()
-	if wasQueued {
-		s.finalize(j)
+}
+
+// Cancel requests cancellation of job id and returns its view. Queued
+// jobs become terminal immediately; running jobs abort at their next
+// supervision check (within one Supervision.Slice of interactions) and
+// keep their partial result stream. Canceling a finished job is a
+// no-op.
+func (s *Server) Cancel(id string) (JobView, *Error) {
+	if j, _, _ := s.lookup(id); j != nil {
+		j.mu.Lock()
+		wasQueued := j.state == StateQueued
+		if wasQueued {
+			j.state = StateCanceled
+			j.errMsg = "canceled while queued"
+		}
+		j.mu.Unlock()
+		j.cancel()
+		if wasQueued {
+			s.finalize(j)
+		}
 	}
+	return s.Job(id)
 }
 
 // Drain performs a graceful shutdown: admission stops (submissions
@@ -674,22 +754,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("bad job body: %v", err))
 		return
 	}
-	j, hit, jerr := s.submit(spec, r.Header.Get("Idempotency-Key"))
+	a, jerr := s.submit(spec, r.Header.Get("Idempotency-Key"))
 	if jerr != nil {
 		writeError(w, jerr)
 		return
 	}
-	w.Header().Set("Location", "/v1/jobs/"+j.ID)
-	w.Header().Set("Idempotency-Key", j.key)
-	if hit != nil && acceptsNDJSON(r) {
+	w.Header().Set("Location", "/v1/jobs/"+a.id)
+	w.Header().Set("Idempotency-Key", a.key)
+	switch {
+	case a.job != nil:
+		writeJSON(w, http.StatusAccepted, a.job.view())
+	case acceptsNDJSON(r):
 		// A hit's source is done and its whole stream already read, so
 		// answering with it spares the client the GET /results round
 		// trip. A miss still answers 202 at once and never blocks on the
 		// run.
-		s.stream(w, r, j, true, hit)
-		return
+		s.stream(w, r, a.kind, a.lines, nil, false)
+	default:
+		view, verr := s.Job(a.id)
+		if verr != nil {
+			writeError(w, verr)
+			return
+		}
+		writeJSON(w, http.StatusAccepted, view)
 	}
-	writeJSON(w, http.StatusAccepted, j.view())
 }
 
 // acceptsNDJSON reports whether r's Accept header lists the NDJSON
@@ -708,63 +796,89 @@ func acceptsNDJSON(r *http.Request) bool {
 	return false
 }
 
+// handleList answers every job in admission order, which is ID order:
+// live jobs from memory, finished ones from the store.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	views := make([]JobView, 0, len(s.order))
-	for _, j := range s.order {
-		views = append(views, j.view())
+	ns := make([]uint32, 0, len(s.jobs))
+	for id := range s.jobs {
+		n, _ := jobNumber(id)
+		ns = append(ns, n)
+	}
+	for c, chunk := range s.finished {
+		for i, fin := range chunk {
+			if fin != (finishedJob{}) {
+				ns = append(ns, c*finishedChunk+uint32(i))
+			}
+		}
 	}
 	s.mu.Unlock()
+	slices.Sort(ns)
+	views := make([]JobView, 0, len(ns))
+	for _, n := range ns {
+		view, err := s.Job(jobID(n))
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		views = append(views, view)
+	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, &Error{Status: http.StatusNotFound, Kind: "not-found",
-			Message: fmt.Sprintf("no job %q", r.PathValue("id"))})
+	view, err := s.Job(r.PathValue("id"))
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.view())
+	writeJSON(w, http.StatusOK, view)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, &Error{Status: http.StatusNotFound, Kind: "not-found",
-			Message: fmt.Sprintf("no job %q", r.PathValue("id"))})
+	view, err := s.Cancel(r.PathValue("id"))
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	s.Cancel(j)
-	writeJSON(w, http.StatusOK, j.view())
+	writeJSON(w, http.StatusOK, view)
 }
 
 // ndjsonType is the media type of a result stream.
 const ndjsonType = "application/x-ndjson"
 
 // handleResults streams the job's result records as NDJSON. By
-// default the stream follows the job: records are flushed as the run
-// produces them and the connection closes when the job reaches a
+// default the stream follows a live job: records are flushed as the
+// run produces them and the connection closes when the job reaches a
 // terminal state. With ?follow=false the handler returns the records
-// buffered so far and closes immediately.
+// buffered so far and closes immediately. A finished job's whole
+// stored log is read once and written.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, &Error{Status: http.StatusNotFound, Kind: "not-found",
-			Message: fmt.Sprintf("no job %q", r.PathValue("id"))})
-		return
+	id := r.PathValue("id")
+	j, fin, ok := s.lookup(id)
+	switch {
+	case j != nil:
+		s.stream(w, r, j.v.spec.Kind, nil, j, r.URL.Query().Get("follow") != "false")
+	case ok:
+		lines, err := s.store.ReadResults(id, 0, fin.lines())
+		if err != nil {
+			writeError(w, storeError(err))
+			return
+		}
+		s.stream(w, r, fin.kindName(), lines, nil, false)
+	default:
+		writeError(w, notFound(id))
 	}
-	s.stream(w, r, j, r.URL.Query().Get("follow") != "false", nil)
 }
 
-// stream answers r with j's result records: 200, NDJSON, one
+// stream answers r with a result stream: 200, NDJSON, one
 // connection-time observation in the job kind's stream histogram. It
 // is the one writer of a result stream, for GET /results and for a
-// cache hit's POST answer alike. head holds records already read from
-// the front of j's stream (a hit's whole stored stream): they are
-// written first, and the buffer is read only past them.
-func (s *Server) stream(w http.ResponseWriter, r *http.Request, j *Job, follow bool, head [][]byte) {
-	if km := s.met.kinds[j.v.spec.Kind]; km != nil {
+// cache hit's POST answer alike. lines holds records already read (a
+// finished job's whole stored log): they are written first. A live
+// job j's buffer is then read past them, until EOF when follow is set.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, kind string, lines [][]byte, j *Job, follow bool) {
+	if km := s.met.kinds[kind]; km != nil {
 		t0 := time.Now()
 		defer func() { km.streamMS.Observe(time.Since(t0).Milliseconds()) }()
 	}
@@ -781,14 +895,6 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, j *Job, follow b
 	rc := http.NewResponseController(w)
 	defer func() { _ = rc.SetWriteDeadline(time.Time{}) }() // clean slate for keep-alive reuse
 
-	// Wake the condition wait when the client goes away, so a
-	// disconnected follower releases its goroutine promptly.
-	stop := context.AfterFunc(r.Context(), j.buf.wake)
-	defer stop()
-
-	// A non-follow read never blocks: the stop condition is already
-	// true, so wait returns whatever is buffered right now.
-	stopWaiting := func() bool { return !follow || r.Context().Err() != nil }
 	sent := 0
 	write := func(lines [][]byte) bool {
 		if len(lines) == 0 {
@@ -809,9 +915,18 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, j *Job, follow b
 		}
 		return true
 	}
-	if !write(head) {
+	if !write(lines) || j == nil {
 		return
 	}
+
+	// Wake the condition wait when the client goes away, so a
+	// disconnected follower releases its goroutine promptly.
+	stop := context.AfterFunc(r.Context(), j.buf.wake)
+	defer stop()
+
+	// A non-follow read never blocks: the stop condition is already
+	// true, so wait returns whatever is buffered right now.
+	stopWaiting := func() bool { return !follow || r.Context().Err() != nil }
 	for {
 		lines, closed, err := j.buf.wait(sent, stopWaiting)
 		if err != nil {

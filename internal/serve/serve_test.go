@@ -99,6 +99,26 @@ func waitState(t *testing.T, ts *httptest.Server, id string, want JobState, dead
 	}
 }
 
+// waitJob polls s.Job until the job is terminal or the deadline
+// passes, and returns its terminal view.
+func waitJob(t *testing.T, s *Server, id string, deadline time.Duration) JobView {
+	t.Helper()
+	stop := time.Now().Add(deadline)
+	for {
+		v, err := s.Job(id)
+		if err != nil {
+			t.Fatalf("job %s: %v", id, err)
+		}
+		if v.State.terminal() {
+			return v
+		}
+		if time.Now().After(stop) {
+			t.Fatalf("job %s stuck in state %q", id, v.State)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // streamLines reads the job's full NDJSON result stream (following
 // until the job is terminal).
 func streamLines(t *testing.T, ts *httptest.Server, id string) [][]byte {
@@ -282,8 +302,9 @@ func TestCancelQueuedJob(t *testing.T) {
 	if v := getView(t, ts, queued.ID); v.State != StateQueued {
 		t.Fatalf("second job state %q, want queued", v.State)
 	}
-	j, _ := s.Job(queued.ID)
-	s.Cancel(j)
+	if _, err := s.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
 	final := waitState(t, ts, queued.ID, StateCanceled, 5*time.Second)
 	if final.Error != "canceled while queued" {
 		t.Fatalf("queued-cancel error %q", final.Error)
@@ -326,11 +347,13 @@ func TestQueueFullRejects(t *testing.T) {
 	// Freeing capacity re-admits. Canceling the queued job marks it
 	// terminal, but its queue slot is only reclaimed when the worker
 	// pops it — so the running job must be canceled too.
-	j, _ := s.Job(queued.ID)
-	s.Cancel(j)
+	if _, err := s.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
 	waitState(t, ts, queued.ID, StateCanceled, 10*time.Second)
-	j, _ = s.Job(running.ID)
-	s.Cancel(j)
+	if _, err := s.Cancel(running.ID); err != nil {
+		t.Fatal(err)
+	}
 	waitState(t, ts, running.ID, StateCanceled, 30*time.Second)
 	// The worker drains the queued (already canceled) job next;
 	// admission may still race that pop, so poll.

@@ -9,29 +9,39 @@ import (
 // Memory is the in-memory job store: the pre-durability behavior
 // (nothing survives the process), extracted behind the store interface
 // so the serving layer stays implementation-blind. Lifecycle
-// transitions are kept as the same Rec sequence the WAL writes, and
-// Replay folds them with Fold, so both stores answer by one set of
-// rules; result logs live in a map. It also doubles as the
-// restart-recovery test double: hand the same *Memory to a second
+// transitions are kept as the same Recs the WAL writes, grouped by
+// job, and Replay and Lookup fold them with Fold, so both stores answer
+// by one set of rules; result logs live in a map. It also doubles as
+// the restart-recovery test double: hand the same *Memory to a second
 // server and Replay returns everything the first one stored.
 type Memory struct {
 	mu      sync.Mutex
-	recs    []Rec
+	ids     []string         // admitted jobs, in admission order
+	recs    map[string][]Rec // each admitted job's records, in write order
 	results map[string][][]byte
 }
 
 // NewMemory builds an empty in-memory store.
 func NewMemory() *Memory {
-	return &Memory{results: make(map[string][][]byte)}
+	return &Memory{recs: make(map[string][]Rec), results: make(map[string][][]byte)}
 }
 
 // Kind identifies the implementation for metrics and startup lines.
 func (m *Memory) Kind() string { return "memory" }
 
+// record keeps r with its job's records. A state record of a job not
+// yet admitted is dropped, as Fold would ignore it.
 func (m *Memory) record(r Rec) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.recs = append(m.recs, r)
+	recs, admitted := m.recs[r.ID]
+	switch {
+	case r.T == RecAdmit && !admitted:
+		m.ids = append(m.ids, r.ID)
+	case !admitted:
+		return nil
+	}
+	m.recs[r.ID] = append(recs, r)
 	return nil
 }
 
@@ -89,7 +99,22 @@ func (m *Memory) ReadResults(id string, from, to int) ([][]byte, error) {
 func (m *Memory) Replay() ([]Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Fold(m.recs), nil
+	snaps := make([]Snapshot, 0, len(m.ids))
+	for _, id := range m.ids {
+		snaps = append(snaps, Fold(m.recs[id])...)
+	}
+	return snaps, nil
+}
+
+// Lookup folds job id's records into its snapshot.
+func (m *Memory) Lookup(id string) (Snapshot, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	snaps := Fold(m.recs[id])
+	if len(snaps) == 0 {
+		return Snapshot{}, fmt.Errorf("store: no job %q", id)
+	}
+	return snaps[0], nil
 }
 
 // Close is a no-op for the in-memory store.

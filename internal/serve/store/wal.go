@@ -30,12 +30,18 @@ const resultsDir = "results"
 // SIGKILL) lose nothing and a power loss can cost at most the tail
 // after the last finalized job. There is no compaction: the WAL grows
 // with job count (one admit plus a handful of state records per job).
+//
+// In memory the store keeps, per job, where its records lie in the log
+// (jobs), so Lookup is one indexed read. The fold of the log taken at
+// open (snaps) is held only until the first Replay hands it over.
 type WAL struct {
 	mu    sync.Mutex
 	dir   string
 	f     *os.File
 	seq   uint64
+	size  int64 // bytes in the log: the offset of the next record
 	snaps []Snapshot
+	jobs  map[string]walJob
 	open  map[string]*os.File // result-log appenders for live jobs
 
 	// out and sync are the append and fsync paths for the WAL file,
@@ -55,7 +61,7 @@ func OpenWAL(dir string) (*WAL, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	path := filepath.Join(dir, walFile)
-	recs, good, total, err := readWAL(path)
+	recs, offs, good, total, err := readWAL(path)
 	if err != nil {
 		return nil, err
 	}
@@ -64,54 +70,86 @@ func OpenWAL(dir string) (*WAL, error) {
 			return nil, fmt.Errorf("store: truncate torn wal: %w", err)
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	w := &WAL{dir: dir, f: f, snaps: Fold(recs), open: make(map[string]*os.File)}
+	w := &WAL{dir: dir, f: f, size: good, snaps: Fold(recs),
+		jobs: make(map[string]walJob), open: make(map[string]*os.File)}
 	w.out = f
 	w.sync = f.Sync
+	for i, r := range recs {
+		w.index(r, offs[i])
+	}
 	if n := len(recs); n > 0 {
 		w.seq = recs[n-1].Seq
 	}
 	return w, nil
 }
 
-// readWAL parses the log, returning the valid records, the byte offset
-// just past the last intact record, and the file size. Decoding stops
-// at the first bad or torn record; the tail after it is dropped (the
-// only corruption a crash can produce is at the end, and result logs
-// of any job re-queued because of it are reset anyway).
-func readWAL(path string) (recs []Rec, good, total int64, err error) {
+// walJob locates one job's records in the log by byte offset: its
+// admission and the state record Fold keeps. state is 0 while the job
+// has none (no state record can sit at offset 0, before its job's
+// admission), and negated once the record is terminal: terminal states
+// are sticky, so no later record replaces it.
+type walJob struct {
+	admit, state int64
+}
+
+// index enters record r, written at offset off, into the job index by
+// Fold's rules: the first admission of an ID, then each state record of
+// an admitted job until one is terminal. Callers hold w.mu, or run
+// before the WAL is shared.
+func (w *WAL) index(r Rec, off int64) {
+	j, ok := w.jobs[r.ID]
+	switch {
+	case r.T == RecAdmit && !ok:
+		w.jobs[r.ID] = walJob{admit: off}
+	case r.T == RecState && ok && j.state >= 0:
+		j.state = off
+		if Terminal(r.State) {
+			j.state = -off
+		}
+		w.jobs[r.ID] = j
+	}
+}
+
+// readWAL parses the log, returning the valid records and the offset
+// of each, the byte offset just past the last intact record, and the
+// file size. Decoding stops at the first bad or torn record; the tail
+// after it is dropped (the only corruption a crash can produce is at
+// the end, and result logs of any job re-queued because of it are
+// reset anyway).
+func readWAL(path string) (recs []Rec, offs []int64, good, total int64, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, 0, 0, nil
+		return nil, nil, 0, 0, nil
 	}
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("store: %w", err)
+		return nil, nil, 0, 0, fmt.Errorf("store: %w", err)
 	}
 	total = int64(len(data))
-	var off int64
-	for off < total {
-		nl := bytes.IndexByte(data[off:], '\n')
+	for good < total {
+		nl := bytes.IndexByte(data[good:], '\n')
 		if nl < 0 {
 			break // torn final record: no newline reached the disk
 		}
-		rec, derr := DecodeRec(data[off : off+int64(nl)])
+		rec, derr := DecodeRec(data[good : good+int64(nl)])
 		if derr != nil {
 			break // torn or corrupt: truncate here
 		}
 		recs = append(recs, rec)
-		off += int64(nl) + 1
-		good = off
+		offs = append(offs, good)
+		good += int64(nl) + 1
 	}
-	return recs, good, total, nil
+	return recs, offs, good, total, nil
 }
 
 // Kind identifies the implementation for metrics and startup lines.
 func (w *WAL) Kind() string { return "wal" }
 
-// appendLocked frames and writes one record; callers hold w.mu.
+// appendLocked frames and writes one record and indexes it; callers
+// hold w.mu.
 func (w *WAL) appendLocked(r Rec) error {
 	w.seq++
 	r.V = Version
@@ -120,13 +158,16 @@ func (w *WAL) appendLocked(r Rec) error {
 	if err != nil {
 		return err
 	}
+	off := w.size
 	n, err := w.out.Write(line)
+	w.size += int64(n)
 	if err != nil {
 		return fmt.Errorf("store: wal append: %w", err)
 	}
 	if n < len(line) {
 		return fmt.Errorf("store: wal append: short write (%d of %d bytes)", n, len(line))
 	}
+	w.index(r, off)
 	return nil
 }
 
@@ -248,12 +289,58 @@ func splitLines(data []byte) [][]byte {
 	return lines[:len(lines)-1]
 }
 
-// Replay returns the jobs folded from the log at open time, in
-// admission order.
+// Replay returns every job in the log, in admission order. The first
+// call hands over the fold taken at open, and the store keeps no copy;
+// a later call reads and folds the log again.
 func (w *WAL) Replay() ([]Snapshot, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return append([]Snapshot(nil), w.snaps...), nil
+	if snaps := w.snaps; snaps != nil {
+		w.snaps = nil
+		return snaps, nil
+	}
+	recs, _, _, _, err := readWAL(filepath.Join(w.dir, walFile))
+	return Fold(recs), err
+}
+
+// Lookup returns job id's snapshot, folded as Replay folds it, from the
+// two records the job index locates: one read each, no scan of the log.
+func (w *WAL) Lookup(id string) (Snapshot, error) {
+	w.mu.Lock()
+	j, ok := w.jobs[id]
+	w.mu.Unlock()
+	if !ok {
+		return Snapshot{}, fmt.Errorf("store: no job %q", id)
+	}
+	admit, err := w.readRec(j.admit)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	recs := []Rec{admit}
+	if j.state != 0 {
+		state, err := w.readRec(max(j.state, -j.state))
+		if err != nil {
+			return Snapshot{}, err
+		}
+		recs = append(recs, state)
+	}
+	return Fold(recs)[0], nil
+}
+
+// readRec decodes the record at byte offset off. The log only grows
+// at its end, so the read needs no lock.
+func (w *WAL) readRec(off int64) (Rec, error) {
+	buf := make([]byte, 1024)
+	for {
+		n, err := w.f.ReadAt(buf, off)
+		if nl := bytes.IndexByte(buf[:n], '\n'); nl >= 0 {
+			return DecodeRec(buf[:nl])
+		}
+		if err != nil {
+			return Rec{}, fmt.Errorf("store: wal record at %d: %w", off, err)
+		}
+		buf = make([]byte, 2*len(buf))
+	}
 }
 
 // Close fsyncs and closes the WAL and any open result logs.

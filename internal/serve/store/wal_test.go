@@ -88,6 +88,80 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLookup pins the indexed read against the fold, on both stores:
+// each job's Lookup equals its Replay snapshot, while the store is
+// written and after a WAL reopen; a state record after a terminal one
+// changes neither, as terminal states are sticky; and an ID never
+// admitted is an error. A WAL's second Replay folds the log again.
+func TestLookup(t *testing.T) {
+	write := func(t *testing.T, js interface {
+		Admit(string, json.RawMessage, bool) error
+		SetState(string, string) error
+		Finalize(string, Final) error
+	}) {
+		for _, err := range []error{
+			js.Admit("j000001", json.RawMessage(`{"kind":"sim","seed":7}`), true),
+			js.Admit("j000002", json.RawMessage(`{"kind":"batch","seed":9}`), false),
+			js.SetState("j000001", StateRunning),
+			js.Finalize("j000001", Final{State: StateDone, Summary: json.RawMessage(`{"ok":true}`), WallNS: 42, ResultLines: 3}),
+			js.SetState("j000001", StateQueued), // after the terminal record: ignored
+			js.SetState("j000002", StateQueued),
+			js.SetState("j000003", StateRunning), // never admitted: ignored
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(t *testing.T, js interface {
+		Replay() ([]Snapshot, error)
+		Lookup(string) (Snapshot, error)
+	}) {
+		t.Helper()
+		snaps, err := js.Replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snaps) != 2 || snaps[0].State != StateDone || snaps[0].WallNS != 42 || snaps[1].State != StateQueued {
+			t.Fatalf("replayed %+v", snaps)
+		}
+		for _, want := range snaps {
+			got, err := js.Lookup(want.ID)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("Lookup(%s) = %+v, %v; want %+v", want.ID, got, err, want)
+			}
+		}
+		if _, err := js.Lookup("j000003"); err == nil {
+			t.Fatal("Lookup of a job never admitted: nil error")
+		}
+	}
+
+	t.Run("memory", func(t *testing.T) {
+		m := NewMemory()
+		write(t, m)
+		check(t, m)
+	})
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		w, err := OpenWAL(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(t, w)
+		check(t, w)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		w2, err := OpenWAL(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w2.Close()
+		check(t, w2) // the open-time fold
+		check(t, w2) // the log folded again
+	})
+}
+
 // TestWALTornRecordTruncated pins crash recovery: garbage at the tail
 // of the log — a torn final record, with or without its newline — is
 // truncated on open, everything before it replays, and the store is

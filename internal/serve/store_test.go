@@ -63,9 +63,16 @@ func postJobKey(t *testing.T, ts *httptest.Server, spec Spec, key string) (int, 
 	return resp.StatusCode, JobView{}, e.Error, resp.Header
 }
 
-// TestLateEmitSentinel pins the post-finalization emit contract: the
-// buffer answers ErrLateEmit instead of silently appending, and the
-// server wires that into the late_emits counter.
+// bufAll reads a buffer's whole logical log (store prefix + RAM tail)
+// without waiting.
+func bufAll(b *buffer) ([][]byte, error) {
+	lines, _, err := b.wait(0, func() bool { return true })
+	return lines, err
+}
+
+// TestLateEmitSentinel pins the post-seal emit contract: the buffer
+// answers ErrLateEmit instead of silently appending, and the server
+// wires that into the late_emits counter.
 func TestLateEmitSentinel(t *testing.T) {
 	late := 0
 	m := store.NewMemory()
@@ -76,11 +83,11 @@ func TestLateEmitSentinel(t *testing.T) {
 	if err := b.Emit(map[string]int{"a": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.finalize(); err != nil {
+	if err := b.seal(); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Emit(map[string]int{"a": 2}); !errors.Is(err, ErrLateEmit) {
-		t.Fatalf("emit after finalize: err = %v, want ErrLateEmit", err)
+		t.Fatalf("emit after seal: err = %v, want ErrLateEmit", err)
 	}
 	if late != 1 {
 		t.Fatalf("late hook ran %d times, want 1", late)
@@ -96,7 +103,7 @@ func TestLateEmitSentinel(t *testing.T) {
 	}
 	defer s.Close()
 	sb := s.newJobBuffer("j000099")
-	if err := sb.finalize(); err != nil {
+	if err := sb.seal(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sb.Emit(map[string]int{"a": 3}); !errors.Is(err, ErrLateEmit) {
@@ -135,12 +142,12 @@ func TestBufferSpill(t *testing.T) {
 	if len(spilled) >= total {
 		t.Fatalf("everything spilled pre-finalize: %d of %d", len(spilled), total)
 	}
-	all, err := b.all()
+	all, err := bufAll(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != total {
-		t.Fatalf("all() = %d lines, want %d", len(all), total)
+		t.Fatalf("read %d lines, want %d", len(all), total)
 	}
 	for i, line := range all {
 		var rec struct {
@@ -150,8 +157,8 @@ func TestBufferSpill(t *testing.T) {
 			t.Fatalf("line %d = %q (err %v), want i=%d", i, line, err, i)
 		}
 	}
-	// finalize pushes the rest out of RAM; the logical log is unchanged.
-	if err := b.finalize(); err != nil {
+	// seal pushes the rest out of RAM; the logical log is unchanged.
+	if err := b.seal(); err != nil {
 		t.Fatal(err)
 	}
 	spilled, err = m.ReadResults("x", 0, -1)
@@ -159,14 +166,14 @@ func TestBufferSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(spilled) != total {
-		t.Fatalf("post-finalize store has %d lines, want %d", len(spilled), total)
+		t.Fatalf("post-seal store has %d lines, want %d", len(spilled), total)
 	}
-	all, err = b.all()
+	all, err = bufAll(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != total {
-		t.Fatalf("post-finalize all() = %d lines, want %d", len(all), total)
+		t.Fatalf("post-seal read %d lines, want %d", len(all), total)
 	}
 }
 
@@ -278,13 +285,12 @@ func TestCacheHitServesWithoutRerun(t *testing.T) {
 func TestCacheHitIsALookup(t *testing.T) {
 	ps := newProbeStore()
 	sink := &jobRecSink{}
-	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, Store: ps, Sink: sink})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, Store: ps, Sink: sink})
 	status, v, _, _ := postJob(t, ts, quickSpec(6))
 	if status != http.StatusAccepted {
 		t.Fatalf("submit status %d", status)
 	}
-	src, _ := s.Job(v.ID)
-	<-src.ctx.Done() // finalize releases the job context
+	src := waitState(t, ts, v.ID, StateDone, 30*time.Second)
 	stored := resultsBody(t, ts, src.ID)
 	jobs0 := len(listJobs(t, ts))
 	calls0, reads0, recs0 := ps.callCounts(), ps.readCounts(), len(sink.all())
@@ -509,21 +515,25 @@ func TestRestoreEarlierSourceAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, jerr := s1.Submit(quickSpec(2))
+	v, jerr := s1.Submit(quickSpec(2))
 	if jerr != nil {
 		t.Fatal(jerr)
 	}
-	<-src.ctx.Done()
+	src := waitJob(t, s1, v.ID, 30*time.Second)
 	s1.Close()
 	lines, err := w.ReadResults(src.ID, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	canonical, err := canonicalSpec(src.v)
+	p, err := Prepare(quickSpec(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary, err := json.Marshal(src.view().Summary)
+	canonical, err := canonicalSpec(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	summary, err := json.Marshal(src.Summary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,11 +670,11 @@ func TestRestartReadsNoResultLog(t *testing.T) {
 	}
 	const k = 3
 	for seed := int64(1); seed <= k; seed++ {
-		j, jerr := s1.Submit(quickSpec(seed))
+		v, jerr := s1.Submit(quickSpec(seed))
 		if jerr != nil {
 			t.Fatal(jerr)
 		}
-		<-j.ctx.Done() // finalize releases the job context
+		waitJob(t, s1, v.ID, 30*time.Second)
 	}
 	s1.Close()
 	if n := ps.callCounts()["SetState"]; n != 0 {
@@ -687,11 +697,11 @@ func TestRestartReadsNoResultLog(t *testing.T) {
 		t.Fatalf("%d result-cache entries after boot, want %d", entries, k)
 	}
 
-	j, jerr := s2.Submit(quickSpec(2))
+	v, jerr := s2.Submit(quickSpec(2))
 	if jerr != nil {
 		t.Fatal(jerr)
 	}
-	if v := j.view(); v.ID != "j000002" || v.State != StateDone {
+	if v.ID != "j000002" || v.State != StateDone {
 		t.Fatalf("resubmission after boot answered by %s in state %q, want j000002, done", v.ID, v.State)
 	}
 	after := ps.readCounts()
@@ -852,32 +862,24 @@ func TestCancelRacePickup(t *testing.T) {
 	}
 	defer s.Close()
 	const rounds = 40
-	jobs := make([]*Job, 0, rounds)
+	ids := make([]string, 0, rounds)
 	for i := 0; i < rounds; i++ {
-		j, jerr := s.Submit(longRunningSpec())
+		v, jerr := s.Submit(longRunningSpec())
 		if jerr != nil {
 			t.Fatalf("submit %d: %v", i, jerr)
 		}
-		s.Cancel(j)
-		jobs = append(jobs, j)
+		if _, jerr := s.Cancel(v.ID); jerr != nil {
+			t.Fatal(jerr)
+		}
+		ids = append(ids, v.ID)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for _, j := range jobs {
-		for {
-			v := j.view()
-			if v.State.terminal() {
-				if v.State != StateCanceled {
-					t.Fatalf("%s: terminal state %q, want canceled", j.ID, v.State)
-				}
-				if v.Error == "canceled while queued" && v.Records != 1 {
-					t.Fatalf("%s: queued-cancel stream has %d records, want 1", j.ID, v.Records)
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s stuck in %q", j.ID, v.State)
-			}
-			time.Sleep(2 * time.Millisecond)
+	for _, id := range ids {
+		v := waitJob(t, s, id, 60*time.Second)
+		if v.State != StateCanceled {
+			t.Fatalf("%s: terminal state %q, want canceled", id, v.State)
+		}
+		if v.Error == "canceled while queued" && v.Records != 1 {
+			t.Fatalf("%s: queued-cancel stream has %d records, want 1", id, v.Records)
 		}
 	}
 	snaps, err := s.store.Replay()
@@ -1123,11 +1125,11 @@ func benchAdmitCold(b *testing.B, cfg Config) {
 	defer s.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j, jerr := s.Submit(quickSpec(int64(i + 1)))
+		a, jerr := s.submit(quickSpec(int64(i+1)), "")
 		if jerr != nil {
 			b.Fatal(jerr)
 		}
-		<-j.ctx.Done() // finalize releases the job context
+		<-a.job.ctx.Done() // finalize releases the job context
 	}
 }
 
@@ -1153,19 +1155,19 @@ func BenchmarkAdmitCacheHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	j, jerr := s.Submit(quickSpec(7))
+	src, jerr := s.submit(quickSpec(7), "")
 	if jerr != nil {
 		b.Fatal(jerr)
 	}
-	<-j.ctx.Done()
+	<-src.job.ctx.Done() // finalize releases the job context
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hit, jerr := s.Submit(quickSpec(7))
+		hit, jerr := s.submit(quickSpec(7), "")
 		if jerr != nil {
 			b.Fatal(jerr)
 		}
-		if hit != j {
-			b.Fatalf("iteration %d answered by %s, not the source %s", i, hit.ID, j.ID)
+		if hit.job != nil || hit.id != src.id {
+			b.Fatalf("iteration %d answered by %s, not the source %s", i, hit.id, src.id)
 		}
 	}
 }

@@ -366,7 +366,7 @@ type fakeLeader struct{}
 
 func (fakeLeader) Clone() core.LeaderState       { return fakeLeader{} }
 func (fakeLeader) Equal(o core.LeaderState) bool { _, ok := o.(fakeLeader); return ok }
-func (fakeLeader) Key() string                   { return "fake" }
+func (fakeLeader) AppendKey(b []byte) []byte     { return append(b, "fake"...) }
 func (fakeLeader) String() string                { return "fake" }
 
 func TestCountRunnerInterrupt(t *testing.T) {

@@ -42,7 +42,7 @@ func sameConfig(a, b *core.Config) bool {
 	if (a.Leader == nil) != (b.Leader == nil) {
 		return false
 	}
-	return a.Leader == nil || a.Leader.Key() == b.Leader.Key()
+	return a.Leader == nil || string(a.Leader.AppendKey(nil)) == string(b.Leader.AppendKey(nil))
 }
 
 // TestCompiledMatchesInterpreted drives a compiled and an interpreted
