@@ -34,8 +34,9 @@ COUNT_BENCH = BenchmarkCountEngineScale|BenchmarkAgentEngineScale|BenchmarkCount
 # admission vs a cache hit, which admits no job and reads its source's
 # stored stream once, and a finished job's result stream and view,
 # both read back from the store (see docs/service.md "Durability and
-# the result cache" and EXPERIMENTS.md).
-STORE_BENCH = BenchmarkWALAppend|BenchmarkWALFinalize|BenchmarkWALReplay|BenchmarkAdmitColdMemory|BenchmarkAdmitColdWAL|BenchmarkAdmitCacheHit|BenchmarkFinishedJobRead
+# the result cache" and EXPERIMENTS.md). BenchmarkWALJobLifecycle is one
+# job's whole store lifecycle on a WAL in TMPDIR.
+STORE_BENCH = BenchmarkWALAppend|BenchmarkWALFinalize|BenchmarkWALJobLifecycle|BenchmarkWALReplay|BenchmarkAdmitColdMemory|BenchmarkAdmitColdWAL|BenchmarkAdmitCacheHit|BenchmarkFinishedJobRead
 
 # Sharded-execution benchmarks gating the scale-out claims: 1-node vs
 # 2/4-peer wall clock for the same batch, plus degraded-mode throughput
@@ -45,8 +46,10 @@ DIST_BENCH = BenchmarkDistSharded|BenchmarkDistDegraded
 
 # Campaign-pipeline benchmarks gating the ppanalyze throughput claims:
 # cells/sec through the in-process runner, over the v1 job API, and on
-# an all-cache-hit second pass (see docs/pipeline.md).
-GRID_BENCH = BenchmarkGridLocal|BenchmarkGridServer|BenchmarkGridServerCached
+# an all-cache-hit second pass, then whole campaigns (journal and
+# artifact files included, allocs and bytes per cell) and the artifact
+# rung (see docs/pipeline.md).
+GRID_BENCH = BenchmarkGridLocal|BenchmarkGridServer|BenchmarkGridServerCached|BenchmarkCampaignExecute|BenchmarkCampaignCount|BenchmarkWriteArtifacts
 
 .PHONY: check vet build test test-bench race fmt fuzzbuild paper outputs loc bench bench-engine bench-search bench-fault bench-serve bench-trace bench-count bench-store bench-dist bench-grid serve
 

@@ -68,11 +68,54 @@ func main() {
 		distRetries  = flag.Int("dist-retries", 0, "peer re-issues per lease before it is pinned to local execution (0: 3; negative: first failure falls back local)")
 	)
 	flag.Parse()
+	if err := checkFlags(*workers, *queue, *leaseTrials, *leaseTimeout, *grace, *storeKind, *storeDir); err != nil {
+		fmt.Fprintln(os.Stderr, "ppserved:", err)
+		os.Exit(2)
+	}
 	opts := distOptions{peers: *peers, leaseTrials: *leaseTrials, leaseTimeout: *leaseTimeout, retries: *distRetries}
 	if err := run(*addr, *workers, *queue, *journal, *grace, *debugAddr, *storeKind, *storeDir, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "ppserved:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects, at flag-parse time, the values the server cannot
+// take: a negative count or duration (zero selects each default), and
+// a store directory without the WAL store or the WAL store without
+// one.
+func checkFlags(workers, queue, leaseTrials int, leaseTimeout, grace time.Duration, storeKind, storeDir string) error {
+	for _, f := range []struct {
+		name string
+		v    int64
+		what string
+	}{
+		{"-workers", int64(workers), "the worker count"},
+		{"-queue", int64(queue), "the queue capacity"},
+		{"-lease-trials", int64(leaseTrials), "the trials per lease"},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d: %s cannot be negative (0 selects the default)", f.name, f.v, f.what)
+		}
+	}
+	if leaseTimeout < 0 {
+		return fmt.Errorf("-lease-timeout %v: the lease timeout cannot be negative (0 selects the default)", leaseTimeout)
+	}
+	if grace < 0 {
+		return fmt.Errorf("-grace %v: the drain grace period cannot be negative", grace)
+	}
+	switch storeKind {
+	case "memory":
+		if storeDir != "" {
+			return fmt.Errorf("-store-dir %s: only meaningful with -store wal", storeDir)
+		}
+	case "wal":
+		if storeDir == "" {
+			return fmt.Errorf("-store wal: requires -store-dir")
+		}
+	default:
+		return fmt.Errorf("-store %q: unknown store (memory | wal)", storeKind)
+	}
+	return nil
 }
 
 // distOptions groups the sharded-execution flags.
@@ -93,23 +136,13 @@ func run(addr string, workers, queue int, journal string, grace time.Duration, d
 			}
 		}
 	}
-	switch storeKind {
-	case "memory":
-		if storeDir != "" {
-			return fmt.Errorf("-store-dir is only meaningful with -store wal")
-		}
-	case "wal":
-		if storeDir == "" {
-			return fmt.Errorf("-store wal requires -store-dir")
-		}
+	if storeKind == "wal" {
 		wal, err := store.OpenWAL(storeDir)
 		if err != nil {
 			return err
 		}
 		defer wal.Close()
 		cfg.Store = wal
-	default:
-		return fmt.Errorf("unknown -store %q (memory | wal)", storeKind)
 	}
 	var closeJournal func() error
 	if journal != "" {
@@ -130,8 +163,7 @@ func run(addr string, workers, queue int, journal string, grace time.Duration, d
 		return err
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	fmt.Printf("ppserved: listening on %s (workers %d, queue %d, store %s)\n",
-		ln.Addr(), effectiveWorkers(workers), queue, storeKind)
+	fmt.Println(startupLine(ln.Addr(), workers, queue, storeKind))
 	if len(cfg.Peers) > 0 {
 		fmt.Printf("ppserved: sharding batch jobs across %d peer(s): %s\n",
 			len(cfg.Peers), strings.Join(cfg.Peers, ", "))
@@ -192,11 +224,15 @@ func run(addr string, workers, queue int, journal string, grace time.Duration, d
 	return nil
 }
 
-// effectiveWorkers mirrors serve.New's worker default for the startup
-// line.
-func effectiveWorkers(w int) int {
-	if w > 0 {
-		return w
+// startupLine is the line ppserved prints once it listens on addr: the
+// worker count and queue capacity in effect, with serve.New's defaults
+// for zero flags, and the store kind.
+func startupLine(addr net.Addr, workers, queue int, storeKind string) string {
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
+	if queue == 0 {
+		queue = serve.DefaultQueueCap
+	}
+	return fmt.Sprintf("ppserved: listening on %s (workers %d, queue %d, store %s)", addr, workers, queue, storeKind)
 }

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Census tracks, for one evolving configuration, the number of mobile
 // agents per state plus an activePairs counter: the number of ordered
@@ -25,16 +28,21 @@ type Census struct {
 // NewCensus builds the census of cfg's mobile states against a compiled
 // table. It rejects configurations holding states outside [0, |Q|).
 func NewCensus(tab *Compiled, cfg *Config) (*Census, error) {
-	cs := &Census{tab: tab, counts: make([]int, tab.States())}
-	q := tab.States()
-	for i, s := range cfg.Mobile {
-		if s < 0 || int(s) >= q {
-			return nil, fmt.Errorf("core: census: agent %d holds state %d outside [0,%d)", i, s, q)
-		}
-		cs.counts[s]++
+	cs := new(Census)
+	if err := cs.Reset(tab, cfg); err != nil {
+		return nil, err
 	}
-	cs.active = cs.recount()
 	return cs, nil
+}
+
+// Reset makes cs the census NewCensus(tab, cfg) returns, reusing its
+// occupancy vector, and reports the same error (leaving cs unusable
+// until the next Reset).
+func (cs *Census) Reset(tab *Compiled, cfg *Config) error {
+	q := tab.States()
+	cs.tab = tab
+	cs.counts = slices.Grow(cs.counts[:0], q)[:q]
+	return cs.Resync(cfg)
 }
 
 // NewCensusCounts builds a census directly over an occupancy vector,
@@ -86,12 +94,10 @@ func (cs *Census) Resync(cfg *Config) error {
 	q := cs.tab.States()
 	for i, s := range cfg.Mobile {
 		if s < 0 || int(s) >= q {
-			return fmt.Errorf("core: census resync: agent %d holds state %d outside [0,%d)", i, s, q)
+			return fmt.Errorf("core: census: agent %d holds state %d outside [0,%d)", i, s, q)
 		}
 	}
-	for i := range cs.counts {
-		cs.counts[i] = 0
-	}
+	clear(cs.counts)
 	for _, s := range cfg.Mobile {
 		cs.counts[s]++
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,11 +19,19 @@ type Config struct {
 // NewConfig returns a configuration of n mobile agents all in state s,
 // with no leader.
 func NewConfig(n int, s State) *Config {
-	m := make([]State, n)
-	for i := range m {
-		m[i] = s
+	c := new(Config)
+	c.Reset(n, s)
+	return c
+}
+
+// Reset makes c the configuration NewConfig(n, s) returns, reusing its
+// agent array when that holds n agents.
+func (c *Config) Reset(n int, s State) {
+	c.Mobile = slices.Grow(c.Mobile[:0], n)[:n]
+	for i := range c.Mobile {
+		c.Mobile[i] = s
 	}
-	return &Config{Mobile: m}
+	c.Leader = nil
 }
 
 // NewConfigStates returns a configuration with the given mobile states

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -34,7 +35,17 @@ type CountConfig struct {
 
 // NewCountConfig returns an empty occupancy vector over q states.
 func NewCountConfig(q int) *CountConfig {
-	return &CountConfig{Counts: make([]int, q)}
+	cc := new(CountConfig)
+	cc.Reset(q)
+	return cc
+}
+
+// Reset makes cc the configuration NewCountConfig(q) returns, reusing
+// its occupancy vector when that holds q states.
+func (cc *CountConfig) Reset(q int) {
+	cc.Counts = slices.Grow(cc.Counts[:0], q)[:q]
+	clear(cc.Counts)
+	cc.Leader = nil
 }
 
 // CountsOf folds an agent-array configuration into its occupancy

@@ -121,7 +121,13 @@ func (p *Peer) probe(ctx context.Context) bool {
 // its finished stream in the same response, and only a miss (202, the
 // job view) takes the second request. One long-lived Peer (with its
 // health window) serves many jobs, each supplying its own bodies.
-func (p *Peer) RunBody(ctx context.Context, r Range, body []byte) ([][]byte, error) {
+//
+// With buf nil the lines are sliced out of an exact-size copy of the
+// stream that the caller owns, as the coordinator, which keeps them
+// until it merges, needs. Otherwise the stream is read into buf and
+// the lines alias it until buf's next use: a caller that copies each
+// stream out before it runs the next reuses one buffer.
+func (p *Peer) RunBody(ctx context.Context, r Range, body []byte, buf *bytes.Buffer) ([][]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.Base+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -137,7 +143,7 @@ func (p *Peer) RunBody(ctx context.Context, r Range, body []byte) ([][]byte, err
 		// A cache hit, answered by the done job that ran the lease: a
 		// bad stream fails the attempt, and there is no running job to
 		// cancel.
-		lines, err := readShardStream(resp.Body)
+		lines, err := readShardStream(resp.Body, buf)
 		resp.Body.Close()
 		if err != nil {
 			return nil, fmt.Errorf("dist: submit %s: cached stream: %w", r, err)
@@ -171,7 +177,7 @@ func (p *Peer) RunBody(ctx context.Context, r Range, body []byte) ([][]byte, err
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("dist: results %s: %s: %s", r, resp.Status, strings.TrimSpace(string(msg)))
 	}
-	lines, err := readShardStream(resp.Body)
+	lines, err := readShardStream(resp.Body, buf)
 	if err != nil {
 		// Best effort: stop the abandoned shard job so the peer's
 		// workers drop it instead of finishing work nobody merges.
@@ -181,26 +187,34 @@ func (p *Peer) RunBody(ctx context.Context, r Range, body []byte) ([][]byte, err
 	return lines, nil
 }
 
-// readBufs recycles the buffers result streams are read into. Each
-// stream is copied out at its exact size, so reading one leaves no
-// growth garbage behind.
+// readBufs recycles the buffers owned result streams are read into.
+// Each such stream is copied out at its exact size, so reading one
+// leaves no growth garbage behind.
 var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readShardStream reads a ppserved result stream and returns its body.
-// The envelope is positional — the server writes the header record
-// first and the terminal job record last — so only those two lines are
-// decoded; the lines between them are returned as read, sliced out of
-// one exact-size copy of the body. A stream that is empty, cut mid-line
-// (a half-written shard), missing its header or ending in anything but
-// a job record in state done fails here rather than merging short.
-func readShardStream(body io.Reader) ([][]byte, error) {
-	buf := readBufs.Get().(*bytes.Buffer)
-	defer readBufs.Put(buf)
+// readShardStream reads a ppserved result stream into buf and returns
+// its body, aliasing buf; with buf nil, into a pooled buffer, returning
+// lines sliced out of one exact-size copy of the body. The envelope is
+// positional — the server writes the header record first and the
+// terminal job record last — so only those two lines are decoded; the
+// lines between them are returned as read. A stream that is empty, cut
+// mid-line (a half-written shard), missing its header or ending in
+// anything but a job record in state done fails here rather than
+// merging short.
+func readShardStream(body io.Reader, buf *bytes.Buffer) ([][]byte, error) {
+	owned := buf == nil
+	if owned {
+		buf = readBufs.Get().(*bytes.Buffer)
+		defer readBufs.Put(buf)
+	}
 	buf.Reset()
 	if _, err := buf.ReadFrom(body); err != nil {
 		return nil, err
 	}
-	data := bytes.Clone(buf.Bytes())
+	data := buf.Bytes()
+	if owned {
+		data = bytes.Clone(data)
+	}
 	lines := bytes.SplitAfter(data, []byte{'\n'})
 	if tail := lines[len(lines)-1]; len(tail) > 0 {
 		return nil, fmt.Errorf("truncated NDJSON tail (%d bytes)", len(tail))

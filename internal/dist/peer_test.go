@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -52,25 +53,32 @@ func TestReadShardStream(t *testing.T) {
 		{name: "failed", stream: header + rec + `{"v":1,"type":"job","state":"failed","error":"boom"}` + "\n", fail: true},
 		{name: "canceled", stream: header + rec + `{"v":1,"type":"job","state":"canceled"}` + "\n", fail: true},
 	}
+	// Each case reads into an owned copy, and into one buffer reused
+	// across the cases.
+	var reused bytes.Buffer
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, err := readShardStream(strings.NewReader(c.stream))
-			if c.fail {
-				if err == nil {
-					t.Fatalf("accepted %q as %q", c.stream, got)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(c.body) {
-				t.Fatalf("got %d lines %q, want %q", len(got), got, c.body)
-			}
-			for i := range got {
-				if string(got[i]) != c.body[i] {
-					t.Fatalf("line %d = %q, want %q", i, got[i], c.body[i])
-				}
+			for _, buf := range []*bytes.Buffer{nil, &reused} {
+				t.Run(fmt.Sprintf("reused=%v", buf != nil), func(t *testing.T) {
+					got, err := readShardStream(strings.NewReader(c.stream), buf)
+					if c.fail {
+						if err == nil {
+							t.Fatalf("accepted %q as %q", c.stream, got)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(c.body) {
+						t.Fatalf("got %d lines %q, want %q", len(got), got, c.body)
+					}
+					for i := range got {
+						if string(got[i]) != c.body[i] {
+							t.Fatalf("line %d = %q, want %q", i, got[i], c.body[i])
+						}
+					}
+				})
 			}
 		})
 	}
@@ -132,7 +140,7 @@ func TestRunBodyStripsEnvelope(t *testing.T) {
 	for _, node := range fakeNodes {
 		t.Run(node.name, func(t *testing.T) {
 			p, requests, cancels := fakePeer(t, stream, node.hit)
-			body, err := p.RunBody(context.Background(), peerStreamRange, []byte(`{}`))
+			body, err := p.RunBody(context.Background(), peerStreamRange, []byte(`{}`), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +184,7 @@ func TestRunBodyCancelsOnBadStream(t *testing.T) {
 		for _, node := range fakeNodes {
 			t.Run(bad.name+"/"+node.name, func(t *testing.T) {
 				p, requests, cancels := fakePeer(t, bad.stream, node.hit)
-				if _, err := p.RunBody(context.Background(), peerStreamRange, []byte(`{}`)); err == nil {
+				if _, err := p.RunBody(context.Background(), peerStreamRange, []byte(`{}`), nil); err == nil {
 					t.Fatalf("%s stream accepted", bad.name)
 				}
 				want := int32(1)
@@ -223,7 +231,7 @@ func FuzzPeerStream(f *testing.F) {
 	f.Add(join(0, 1, 2, 3, 4, 6))                // summary missing
 	f.Add(join(0, 1, 2, 3, 4, 5, 6, 1, 2, 5, 6)) // stream replayed past its end
 	f.Fuzz(func(t *testing.T, data []byte) {
-		body, err := readShardStream(bytes.NewReader(data))
+		body, err := readShardStream(bytes.NewReader(data), nil)
 		if err != nil {
 			return
 		}

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"popnaming/internal/core"
 	"popnaming/internal/obs"
@@ -25,9 +26,12 @@ type Fired struct {
 // the crash until after the first convergence even if step 9000 passes
 // first.
 //
-// An Injector is single-use (one per runner attempt) and not safe for
-// concurrent use. All of its randomness comes from its own RNG, seeded
-// by mixing the run seed with the plan seed, so one (plan, seed) pair
+// An Injector serves one runner attempt at a time and is not safe for
+// concurrent use; Reset turns it into a new one in place, keeping its
+// generator register and scratch slices, so a batch worker runs all its
+// trials on one injector (see sim.RunBatch). There is nothing to
+// release. All of its randomness comes from its own RNG, seeded by
+// mixing the run seed with the plan seed, so one (plan, seed) pair
 // fully determines every victim choice and every injected state.
 type Injector struct {
 	// Sink, when non-nil, receives a v1 "fault" journal record for
@@ -42,8 +46,10 @@ type Injector struct {
 	alp  core.ArbitraryLeaderProtocol // nil unless needed
 	lp   core.LeaderProtocol          // nil unless needed
 	seed int64
-	src  *rng.Source // seeded from seed on the first draw; see rand
-	rng  *rand.Rand  // draws from src
+	// rng draws from an rng.Source, allocated on the first draw and
+	// kept by Reset; seeded reports that it holds seed's stream.
+	rng    *rand.Rand
+	seeded bool
 
 	next      int // index of the next unfired plan event
 	initState core.State
@@ -62,7 +68,26 @@ type Injector struct {
 // LeaderProtocol (InitLeader), so a misdirected plan fails before any
 // stepping instead of mid-run.
 func NewInjector(plan *Plan, pr core.Protocol, seed int64) (*Injector, error) {
-	inj := &Injector{plan: plan, pr: pr, seed: int64(obs.Mix64(uint64(seed)) ^ obs.Mix64(uint64(plan.Seed)*0x9e3779b97f4a7c15))}
+	inj := new(Injector)
+	if err := inj.Reset(plan, pr, seed); err != nil {
+		return nil, err
+	}
+	return inj, nil
+}
+
+// Reset makes inj the injector NewInjector(plan, pr, seed) returns,
+// with no sink and trial 0, and reports the same validation error. The
+// log Fired returned before is overwritten by the new run's.
+func (inj *Injector) Reset(plan *Plan, pr core.Protocol, seed int64) error {
+	*inj = Injector{
+		plan:    plan,
+		pr:      pr,
+		seed:    int64(obs.Mix64(uint64(seed)) ^ obs.Mix64(uint64(plan.Seed)*0x9e3779b97f4a7c15)),
+		rng:     inj.rng,
+		fired:   inj.fired[:0],
+		crashed: inj.crashed[:0],
+		scratch: inj.scratch[:0],
+	}
 	if up, ok := pr.(core.UniformInitProtocol); ok {
 		inj.initState = up.InitMobile()
 	}
@@ -71,31 +96,31 @@ func NewInjector(plan *Plan, pr core.Protocol, seed int64) (*Injector, error) {
 		case Corrupt:
 			ap, ok := pr.(core.ArbitraryInitProtocol)
 			if !ok {
-				return nil, fmt.Errorf("fault: protocol %q does not support corruption (no RandomMobile)", pr.Name())
+				return fmt.Errorf("fault: protocol %q does not support corruption (no RandomMobile)", pr.Name())
 			}
 			inj.ap = ap
 		case Leader:
 			alp, ok := pr.(core.ArbitraryLeaderProtocol)
 			if !ok {
-				return nil, fmt.Errorf("fault: protocol %q does not support leader corruption (no RandomLeader)", pr.Name())
+				return fmt.Errorf("fault: protocol %q does not support leader corruption (no RandomLeader)", pr.Name())
 			}
 			inj.alp = alp
 		case Reboot:
 			lp, ok := pr.(core.LeaderProtocol)
 			if !ok {
-				return nil, fmt.Errorf("fault: protocol %q has no leader to reboot (no InitLeader)", pr.Name())
+				return fmt.Errorf("fault: protocol %q has no leader to reboot (no InitLeader)", pr.Name())
 			}
 			inj.lp = lp
 		}
 	}
-	return inj, nil
+	return nil
 }
 
 // Exhausted reports whether every plan event has fired.
 func (inj *Injector) Exhausted() bool { return inj.next >= len(inj.plan.Events) }
 
 // Fired returns the log of executed events in firing order (aliased,
-// not copied).
+// not copied, and overwritten by the next run after a Reset).
 func (inj *Injector) Fired() []Fired { return inj.fired }
 
 // NextStep returns the trigger step of the next unfired event when it
@@ -159,20 +184,14 @@ func (inj *Injector) FireConv(step int64, cfg *core.Config) (fired, mutated bool
 // draws — admission's capability check, or a run that ends before its
 // first drawing event — need not pay for it.
 func (inj *Injector) rand() *rand.Rand {
-	if inj.rng == nil {
-		inj.src = rng.Get(inj.seed)
-		inj.rng = rand.New(inj.src)
+	if !inj.seeded {
+		if inj.rng == nil {
+			inj.rng = rand.New(new(rng.Source))
+		}
+		inj.rng.Seed(inj.seed)
+		inj.seeded = true
 	}
 	return inj.rng
-}
-
-// Release hands the generator back for reuse (see rng.Get) once the
-// run is over. The injector must not be used afterwards.
-func (inj *Injector) Release() {
-	if inj.src != nil {
-		rng.Put(inj.src)
-		inj.src, inj.rng = nil, nil
-	}
 }
 
 // apply executes one event, advances the plan cursor, logs and journals
@@ -193,8 +212,9 @@ func (inj *Injector) apply(ev Event, step int64, cfg *core.Config, trigger strin
 		cfg.Leader = inj.lp.InitLeader()
 		mutated = true
 	case Crash:
-		if inj.crashed == nil {
-			inj.crashed = make([]bool, cfg.N())
+		if len(inj.crashed) == 0 {
+			inj.crashed = slices.Grow(inj.crashed, cfg.N())[:cfg.N()]
+			clear(inj.crashed)
 		}
 		// Crash only live agents; clamp to however many remain.
 		for _, i := range inj.victims(ev.Arg, cfg.N(), func(i int) bool { return !inj.crashed[i] }) {
@@ -204,7 +224,7 @@ func (inj *Injector) apply(ev Event, step int64, cfg *core.Config, trigger strin
 	case Churn:
 		for _, i := range inj.victims(ev.Arg, cfg.N(), nil) {
 			cfg.Mobile[i] = inj.initState
-			if inj.crashed != nil && inj.crashed[i] {
+			if len(inj.crashed) > 0 && inj.crashed[i] {
 				inj.crashed[i] = false
 				inj.ncrashed--
 			}

@@ -128,7 +128,7 @@ const countGrid = `{"protocols":["asym","selfstab"],"engines":["count"],"populat
 // journal files, the reduction and the artifact files are timed with
 // the cells. Each iteration runs at a fresh master seed; its output is
 // read for allocations and removed outside the timer. It reports
-// cells/s and allocs/cell. Run it with TMPDIR on a tmpfs, at -cpu 1,2:
+// cells/s, allocs/cell and B/cell (bytes allocated). Run it with TMPDIR on a tmpfs, at -cpu 1,2:
 // at -cpu 1 no processor is spare to finish cells.
 func BenchmarkCampaignExecute(b *testing.B) {
 	benchCampaign(b, smallGrid)
@@ -143,7 +143,7 @@ func BenchmarkCampaignCount(b *testing.B) {
 
 // benchCampaign times grid through Campaign.Execute with LocalRunner and
 // one cell worker, a fresh master seed per iteration, and reports
-// cells/s and allocs/cell.
+// cells/s, allocs/cell and B/cell.
 func benchCampaign(b *testing.B, grid string) {
 	sp, err := Parse(strings.NewReader(grid))
 	if err != nil {
@@ -151,7 +151,7 @@ func benchCampaign(b *testing.B, grid string) {
 	}
 	out := filepath.Join(b.TempDir(), "campaign")
 	cells := len(sp.Cells())
-	var mallocs uint64
+	var mallocs, allocated uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp.Seed = int64(1000 + i)
@@ -166,6 +166,7 @@ func benchCampaign(b *testing.B, grid string) {
 		b.StopTimer()
 		runtime.ReadMemStats(&m1)
 		mallocs += m1.Mallocs - m0.Mallocs
+		allocated += m1.TotalAlloc - m0.TotalAlloc
 		if err := os.RemoveAll(out); err != nil {
 			b.Fatal(err)
 		}
@@ -175,6 +176,7 @@ func benchCampaign(b *testing.B, grid string) {
 	n := float64(b.N * cells)
 	b.ReportMetric(n/b.Elapsed().Seconds(), "cells/s")
 	b.ReportMetric(float64(mallocs)/n, "allocs/cell")
+	b.ReportMetric(float64(allocated)/n, "B/cell")
 }
 
 // BenchmarkReduceCell is the journal-decode rung: it reduces the small

@@ -212,6 +212,42 @@ func TestCampaignE2E(t *testing.T) {
 	assertArtifactsEqual(t, serverDir, serverDir2)
 }
 
+// TestServerRunnerBackToBack: one runner reads every cell's stream
+// into a buffer it reuses, so running a second cell must leave the
+// first cell's journal intact. Both journals equal the local runner's
+// under obs.Canonical.
+func TestServerRunnerBackToBack(t *testing.T) {
+	sp, err := Parse(strings.NewReader(smallGrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := sp.Cells()
+	_, ts := startServer(t)
+	sr := NewServerRunner(ts.URL)
+	var journals [2]bytes.Buffer
+	var first []byte
+	for i := range journals {
+		if err := sr.RunCell(context.Background(), sp, cells[i], &journals[i]); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = bytes.Clone(journals[0].Bytes())
+		}
+	}
+	if !bytes.Equal(journals[0].Bytes(), first) {
+		t.Fatalf("the second cell changed the first cell's journal:\n--- before\n%s--- after\n%s", first, journals[0].Bytes())
+	}
+	for i := range journals {
+		var local bytes.Buffer
+		if err := (LocalRunner{}).RunCell(context.Background(), sp, cells[i], &local); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := obs.Canonical(journals[i].Bytes()), obs.Canonical(local.Bytes()); !bytes.Equal(got, want) {
+			t.Errorf("cell %s: server journal differs from local:\n--- server\n%s--- local\n%s", cells[i].ID(), got, want)
+		}
+	}
+}
+
 // TestServerRunnerRetries: Retries counts resubmissions after the
 // first attempt, so a runner with Retries 0 posts a failing cell once,
 // and one built by NewServerRunner posts it three times (two retries).

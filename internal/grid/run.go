@@ -1,10 +1,12 @@
 package grid
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"popnaming/internal/dist"
@@ -66,6 +68,11 @@ type ServerRunner struct {
 	// Backoff is the base retry delay, doubled per attempt. Tests
 	// shrink it.
 	Backoff time.Duration
+
+	// bufs holds the buffers result streams are read into, one per
+	// running cell, reused by the runner's later cells: a cell's lines
+	// are copied into its journal before its buffer is put back.
+	bufs sync.Pool
 }
 
 // NewServerRunner returns a runner for the node at base URL with the
@@ -86,6 +93,11 @@ func (sr *ServerRunner) RunCell(ctx context.Context, _ *Spec, c Cell, w io.Write
 		return err
 	}
 	r := dist.Range{Lo: 0, Hi: p.Spec().Trials}
+	buf, _ := sr.bufs.Get().(*bytes.Buffer)
+	if buf == nil {
+		buf = new(bytes.Buffer)
+	}
+	defer sr.bufs.Put(buf)
 	var lines [][]byte
 	var lastErr error
 	for attempt := 0; attempt <= sr.Retries; attempt++ {
@@ -100,7 +112,7 @@ func (sr *ServerRunner) RunCell(ctx context.Context, _ *Spec, c Cell, w io.Write
 			lastErr = fmt.Errorf("cell %s: peer %s not ready", c.ID(), sr.Peer.Name())
 			continue
 		}
-		lines, lastErr = sr.Peer.RunBody(ctx, r, body)
+		lines, lastErr = sr.Peer.RunBody(ctx, r, body, buf)
 		sr.Peer.Observe(lastErr == nil)
 		if lastErr == nil {
 			break

@@ -48,12 +48,14 @@ type ObserverOptions struct {
 // through its Obs field (the count engine through the identity-free
 // ObserveRule methods) and is single-writer: while the run is live only
 // the goroutine driving it may call its methods, and the mutating ones
-// write plain fields with no atomics. Batch runs give each trial its
-// own Observer sharing one concurrency-safe Sink. The one method safe
-// to call from another goroutine during a live run is Snapshot, which
-// reads a copy of the counters that the writer publishes under a mutex
-// every publishEvery interactions, at every progress emission and at
-// Finish.
+// write plain fields with no atomics. Reset starts a new execution on
+// the same Observer, keeping its rule map, pair table and dense rule
+// table for reuse: a batch worker owns one Observer and resets it for
+// each of its trials, all sharing one concurrency-safe Sink, and every
+// record it emits owns its memory. The one method safe to call from
+// another goroutine during a live run is Snapshot, which reads a copy
+// of the counters that the writer publishes under a mutex every
+// publishEvery interactions, at every progress emission and at Finish.
 type Observer struct {
 	sink          Sink
 	progressEvery uint64
@@ -76,7 +78,9 @@ type Observer struct {
 
 	// Dense per-rule accounting for the compiled engine: fire counts
 	// keyed by the transition-table index initiator*|Q|+responder, with
-	// the right-hand sides reconstructed from the table on read.
+	// the right-hand sides reconstructed from the table on read. The
+	// table is in use while rulesDense is non-empty; Reset empties it
+	// and keeps its array for the next CompileRules.
 	ruleTab    *core.Compiled
 	rulesDense []uint64
 
@@ -110,21 +114,37 @@ type published struct {
 // NewObserver returns an observer for a population of n mobile agents
 // (plus a leader when withLeader is set).
 func NewObserver(n int, withLeader bool, opts ObserverOptions) *Observer {
+	o := new(Observer)
+	o.Reset(n, withLeader, opts)
+	return o
+}
+
+// Reset makes o the observer NewObserver(n, withLeader, opts) returns,
+// reusing the memory of its rule map, pair table and dense rule table.
+// Like every method but Snapshot, it must not race with a scrape.
+func (o *Observer) Reset(n int, withLeader bool, opts ObserverOptions) {
 	lo := 0
 	if withLeader {
 		lo = -1
 	}
 	m := n - lo
-	o := &Observer{
-		sink:  opts.Sink,
-		trial: opts.Trial,
-		n:     n,
-		lo:    lo,
-		m:     m,
-		start: time.Now(),
-		rules: make(map[RuleKey]uint64),
+	rules := o.rules
+	if rules == nil {
+		rules = make(map[RuleKey]uint64)
 	}
-	o.nextProgress = math.MaxUint64
+	clear(rules)
+	*o = Observer{
+		sink:         opts.Sink,
+		trial:        opts.Trial,
+		n:            n,
+		lo:           lo,
+		m:            m,
+		start:        time.Now(),
+		rules:        rules,
+		nextProgress: math.MaxUint64,
+		rulesDense:   o.rulesDense[:0],
+		lastSeen:     o.lastSeen[:0],
+	}
 	if opts.ProgressEvery > 0 {
 		o.progressEvery = uint64(opts.ProgressEvery)
 		if o.sink != nil {
@@ -136,12 +156,11 @@ func NewObserver(n int, withLeader bool, opts ObserverOptions) *Observer {
 	// product from overflowing at count-engine populations.
 	if !opts.NoPairs && m <= 1<<11 && m*m <= maxTrackedPairs {
 		o.pairTrack = true
-		o.lastSeen = make([]int64, m*m)
+		o.lastSeen = slices.Grow(o.lastSeen, m*m)[:m*m]
 		for i := range o.lastSeen {
 			o.lastSeen[i] = -1
 		}
 	}
-	return o
 }
 
 // Steps returns the number of observed interactions.
@@ -211,13 +230,16 @@ func (o *Observer) SetValidNaming(v bool) { o.validNaming = &v }
 // CompileRules switches mobile per-rule accounting to a dense counter
 // array keyed by tab's flat table index, removing the map operation
 // from the hot loop. sim.Runner calls it when it installs a compiled
-// engine; RuleCounts merges both representations.
+// engine; RuleCounts merges both representations. The array of an
+// earlier run since Reset is reused when it is large enough.
 func (o *Observer) CompileRules(tab *core.Compiled) {
 	if o.ruleTab == tab {
 		return
 	}
+	q := tab.States()
 	o.ruleTab = tab
-	o.rulesDense = make([]uint64, tab.States()*tab.States())
+	o.rulesDense = slices.Grow(o.rulesDense[:0], q*q)[:q*q]
+	clear(o.rulesDense)
 }
 
 // ObserveMobile records a mobile-mobile interaction with its before and
@@ -253,7 +275,7 @@ func (o *Observer) trackPair(p core.Pair) {
 // requires CompileRules to have installed the dense rule table.
 func (o *Observer) ObserveRule(x, y, x2, y2 core.State, changed bool) {
 	if changed {
-		if o.rulesDense != nil {
+		if len(o.rulesDense) > 0 {
 			o.rulesDense[o.ruleTab.Idx(x, y)]++
 		} else {
 			o.rules[RuleKey{X: x, Y: y, X2: x2, Y2: y2}]++

@@ -7,6 +7,11 @@
 // sequence it uses by jump-ahead, each one multiplication by a power
 // from a table, instead of stepping a chain of 1,841 dependent steps.
 //
+// There is no pool of sources and no release: an owner that runs one
+// stream after another keeps its Source and calls Seed for the next.
+// A batch worker owns the sources of the trial state it reuses (see
+// sim.RunBatch) and re-seeds them with each trial's seeds.
+//
 // The generator is Mitchell and Reeds' additive lagged Fibonacci
 // sequence x[n] = x[n−607] + x[n−273] mod 2⁶⁴. Seeding fills its
 // 607-word register from the congruential sequence s[k+1] = 48271·s[k]
@@ -17,10 +22,7 @@
 // rand.NewSource at fixed and fuzzed seeds.
 package rng
 
-import (
-	"math/rand"
-	"sync"
-)
+import "math/rand"
 
 const (
 	length = 607        // register words
@@ -94,22 +96,6 @@ func New(seed int64) *Source {
 	s.Seed(seed)
 	return s
 }
-
-// released holds the generators owners gave back with Put.
-var released = sync.Pool{New: func() any { return new(Source) }}
-
-// Get returns a Source seeded with seed, as New does, but reuses the
-// state of one an earlier owner released with Put: a short trial's
-// generator state is most of what the trial allocates.
-func Get(seed int64) *Source {
-	s := released.Get().(*Source)
-	s.Seed(seed)
-	return s
-}
-
-// Put releases s for reuse by Get. The caller must not draw from s
-// afterwards.
-func Put(s *Source) { released.Put(s) }
 
 // Seed resets the generator to the state rand.NewSource(seed) starts
 // in. Seeds equal modulo 2³¹−1 give the same stream.

@@ -48,13 +48,17 @@ const randBatch = 128
 //
 // The source is rng.Source, math/rand's seeded stream drawn without an
 // interface call. It is seeded on the first refill, not at
-// construction: seeding fills a 607-word register, and admission builds
-// schedulers only to check that they can be built.
+// construction: seeding fills a 607-word register, and a scheduler
+// that never draws need not pay for it. Reset turns a Random into a
+// new one in place, keeping the register for the next seeding, so a
+// batch worker runs all its trials on one scheduler (see
+// sim.RunBatch); there is no pool and nothing to release.
 type Random struct {
 	n          int
 	withLeader bool
 	seed       int64
-	src        *rng.Source
+	src        *rng.Source // allocated on the first refill, kept by Reset
+	seeded     bool        // src holds seed's stream
 	lo         int
 	buf        [randBatch]core.Pair
 	pos        int
@@ -63,6 +67,14 @@ type Random struct {
 // NewRandom returns a uniform-random scheduler over n mobile agents,
 // seeded deterministically for reproducibility.
 func NewRandom(n int, withLeader bool, seed int64) *Random {
+	s := new(Random)
+	s.Reset(n, withLeader, seed)
+	return s
+}
+
+// Reset makes s the scheduler NewRandom(n, withLeader, seed) returns:
+// it draws that stream from its first Next on, whatever s drew before.
+func (s *Random) Reset(n int, withLeader bool, seed int64) {
 	if n < 1 || (n < 2 && !withLeader) {
 		panic(fmt.Sprintf("sched: population too small for interactions (n=%d, leader=%v)", n, withLeader))
 	}
@@ -70,9 +82,9 @@ func NewRandom(n int, withLeader bool, seed int64) *Random {
 	if withLeader {
 		lo = -1
 	}
-	s := &Random{n: n, withLeader: withLeader, seed: seed, lo: lo}
+	s.n, s.withLeader, s.seed, s.lo = n, withLeader, seed, lo
+	s.seeded = false
 	s.pos = len(s.buf) // force a refill on first Next
-	return s
 }
 
 // Name implements Scheduler.
@@ -94,8 +106,12 @@ func (s *Random) Next() core.Pair {
 // range reduction; the bias of at most span/2³² is far below anything a
 // fairness statistic can resolve).
 func (s *Random) refill() {
-	if s.src == nil {
-		s.src = rng.Get(s.seed)
+	if !s.seeded {
+		if s.src == nil {
+			s.src = new(rng.Source)
+		}
+		s.src.Seed(s.seed)
+		s.seeded = true
 	}
 	span := uint64(s.n - s.lo)
 	for i := range s.buf {
@@ -108,15 +124,6 @@ func (s *Random) refill() {
 		s.buf[i] = core.Pair{A: a, B: b}
 	}
 	s.pos = 0
-}
-
-// Release hands the generator back for reuse (see rng.Get) once the
-// run it scheduled is over. The scheduler must not be used afterwards.
-func (s *Random) Release() {
-	if s.src != nil {
-		rng.Put(s.src)
-		s.src = nil
-	}
 }
 
 // RoundRobin cycles deterministically through every ordered pair of

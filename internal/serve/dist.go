@@ -56,7 +56,7 @@ func (jp *jobPeer) Ready(ctx context.Context) bool { return jp.p.Ready(ctx) }
 func (jp *jobPeer) Observe(ok bool)                { jp.p.Observe(ok) }
 func (jp *jobPeer) Run(ctx context.Context, r dist.Range) ([][]byte, error) {
 	_, body := jp.j.shardSpec(r)
-	return jp.p.RunBody(ctx, r, body)
+	return jp.p.RunBody(ctx, r, body, nil)
 }
 
 // runShardLocal executes one lease in-process: the same range runner

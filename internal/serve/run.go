@@ -214,30 +214,22 @@ func (s *Server) runCountSim(j *Job) error {
 	return nil
 }
 
-// batchTrialMaker builds the per-trial constructor for batches with
-// the experiment harness's seed recipe: trialSeed =
-// DeriveSeed(jobSeed, trial, attempt). An agent trial seeds its
-// scheduler with trialSeed+1 and its injector with trialSeed; a count
-// trial (one attempt) seeds its engine with trialSeed+1, the
-// scheduler-seed role. The trial index is the global one, so the same
+// batchTrialMaker returns the per-trial recipe for batches with the
+// experiment harness's seed recipe: trialSeed = DeriveSeed(jobSeed,
+// trial, attempt). An agent trial seeds its start and its injector
+// with trialSeed and its scheduler with trialSeed+1; a count trial (one
+// attempt) seeds its engine with trialSeed+1, the scheduler-seed role.
+// The worker running a trial builds it in the trial state it reuses
+// (see sim.RunBatch). The trial index is the global one, so the same
 // maker serves full batches and shard ranges.
 func batchTrialMaker(p *Prepared) func(trial, attempt int) sim.Trial {
 	sp := p.spec
-	pr := p.proto
 	return func(trial, attempt int) sim.Trial {
 		seed := sim.DeriveSeed(sp.Seed, trial, attempt)
 		if sp.Engine == "count" {
-			cc, _ := sim.CountStart(pr, sp.N, sp.Init)
-			return sim.Trial{Count: cc, Seed: seed + 1}
+			return sim.CountTrial(sp.N, sp.Init, seed+1)
 		}
-		cfg, _ := sim.AgentStart(pr, sp.N, sp.Init, seed)
-		sc, _ := sim.AgentScheduler(pr, sp.N, sp.Sched, seed+1)
-		t := sim.Trial{Cfg: cfg, Sched: sc}
-		if !p.plan.Empty() {
-			inj, _ := fault.NewInjector(p.plan, pr, seed)
-			t.Inject = inj
-		}
-		return t
+		return sim.AgentTrial(sp.N, sp.Init, seed, sp.Sched, seed+1, p.plan)
 	}
 }
 

@@ -159,6 +159,10 @@ var routePatterns = []string{
 	"GET /readyz",
 }
 
+// DefaultQueueCap is the job queue capacity of a Config that leaves
+// QueueCap zero.
+const DefaultQueueCap = 64
+
 // New builds a Server, replays its job store and starts the worker
 // pool. Replay restores terminal jobs (views, summaries and result
 // logs all served from the store) and re-queues jobs that were queued
@@ -170,7 +174,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 64
+		cfg.QueueCap = DefaultQueueCap
 	}
 	if cfg.Sink == nil {
 		cfg.Sink = obs.Discard

@@ -45,6 +45,40 @@ func BenchmarkWALFinalize(b *testing.B) {
 	}
 }
 
+// BenchmarkWALJobLifecycle measures one job's whole store lifecycle
+// on a WAL in TMPDIR: Admit, two result spills, the fsync-bearing
+// Finalize and reading the finished log back with ReadResults.
+func BenchmarkWALJobLifecycle(b *testing.B) {
+	w, err := OpenWAL(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	spec := json.RawMessage(`{"kind":"batch","protocol":"asym","p":4,"n":4,"seed":7,"trials":4}`)
+	sum := json.RawMessage(`{"trials":4,"ok":true}`)
+	spill := lines(`{"v":1,"type":"header","tool":"ppserved","seed":7}`,
+		`{"v":1,"type":"summary","trial":0,"converged":true,"steps":84}`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := fmt.Sprintf("j%06d", i+1)
+		if err := w.Admit(id, spec, false); err != nil {
+			b.Fatal(err)
+		}
+		for range 2 {
+			if err := w.AppendResults(id, spill); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Finalize(id, Final{State: StateDone, Summary: sum, ResultLines: 4}); err != nil {
+			b.Fatal(err)
+		}
+		if got, err := w.ReadResults(id, 0, -1); err != nil || len(got) != 4 {
+			b.Fatalf("read back %d lines, %v", len(got), err)
+		}
+	}
+}
+
 // BenchmarkWALReplay measures boot-time recovery cost as the log
 // grows: open (read + decode + truncate check + fold) over a store
 // holding jobs complete lifecycles.

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -44,6 +45,13 @@ type WAL struct {
 	jobs  map[string]walJob
 	open  map[string]*os.File // result-log appenders for live jobs
 
+	// buf holds the record being framed or the spill being written,
+	// reused under mu: enc encodes rec into it, so appending a record
+	// or a spill allocates nothing.
+	buf bytes.Buffer
+	enc *json.Encoder
+	rec Rec
+
 	// out and sync are the append and fsync paths for the WAL file,
 	// defaulting to f. Tests swap them to inject short writes and
 	// fsync failures (see TestWALAppendError / TestWALSyncError); the
@@ -78,6 +86,7 @@ func OpenWAL(dir string) (*WAL, error) {
 		jobs: make(map[string]walJob), open: make(map[string]*os.File)}
 	w.out = f
 	w.sync = f.Sync
+	w.enc = json.NewEncoder(&w.buf)
 	for i, r := range recs {
 		w.index(r, offs[i])
 	}
@@ -154,7 +163,7 @@ func (w *WAL) appendLocked(r Rec) error {
 	w.seq++
 	r.V = Version
 	r.Seq = w.seq
-	line, err := EncodeRec(r)
+	line, err := w.frame(r)
 	if err != nil {
 		return err
 	}
@@ -169,6 +178,38 @@ func (w *WAL) appendLocked(r Rec) error {
 	}
 	w.index(r, off)
 	return nil
+}
+
+// frame returns r's line as EncodeRec frames it, built in w.buf and
+// valid until the next use of it; callers hold w.mu.
+func (w *WAL) frame(r Rec) ([]byte, error) {
+	w.reuse()
+	w.buf.WriteString("00000000 ")
+	w.rec = r
+	// Encode writes json.Marshal's bytes and a newline.
+	if err := w.enc.Encode(&w.rec); err != nil {
+		return nil, err
+	}
+	line := w.buf.Bytes()
+	sum := crc32.ChecksumIEEE(line[9 : len(line)-1])
+	for i := 7; i >= 0; i-- {
+		line[i] = "0123456789abcdef"[sum&0xf]
+		sum >>= 4
+	}
+	return line, nil
+}
+
+// maxKeptBuf caps the buffer the WAL keeps between appends: a larger
+// spill's buffer is dropped after it is written.
+const maxKeptBuf = 1 << 16
+
+// reuse empties w.buf, dropping its memory when a large spill left it
+// above maxKeptBuf; callers hold w.mu.
+func (w *WAL) reuse() {
+	if w.buf.Cap() > maxKeptBuf {
+		w.buf = bytes.Buffer{}
+	}
+	w.buf.Reset()
 }
 
 // Admit records a job admission.
@@ -230,7 +271,11 @@ func (w *WAL) AppendResults(id string, lines [][]byte) error {
 		}
 		w.open[id] = rf
 	}
-	if _, err := rf.Write(bytes.Join(lines, nil)); err != nil {
+	w.reuse()
+	for _, l := range lines {
+		w.buf.Write(l)
+	}
+	if _, err := rf.Write(w.buf.Bytes()); err != nil {
 		return fmt.Errorf("store: results append: %w", err)
 	}
 	return nil

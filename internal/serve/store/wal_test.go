@@ -459,3 +459,40 @@ func TestRecCodecRoundTrip(t *testing.T) {
 		t.Fatal("corrupted record decoded")
 	}
 }
+
+// TestWALFrameMatchesEncodeRec: the WAL's reused-buffer framing writes
+// EncodeRec's bytes for every record FuzzRecDecode's seeds decode to,
+// and for a record whose strings need escaping, one after another on
+// one WAL, so wal.jsonl stays byte-identical.
+func TestWALFrameMatchesEncodeRec(t *testing.T) {
+	w, err := OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	recs := []Rec{{V: Version, Seq: 9, T: RecState, ID: "j000003", State: StateFailed,
+		Error: "<a & b>   \xff\"\\\n", Summary: json.RawMessage(` { "x" : "<&>" } `)}}
+	for _, line := range recSeeds(t) {
+		if rec, err := DecodeRec(line); err == nil {
+			recs = append(recs, rec)
+		}
+	}
+	if len(recs) < 5 {
+		t.Fatalf("only %d records to frame", len(recs))
+	}
+	for _, rec := range recs {
+		want, err := EncodeRec(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.mu.Lock()
+		got, err := w.frame(rec)
+		w.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("framed\n%s\nEncodeRec\n%s", got, want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -13,41 +14,37 @@ import (
 )
 
 // Trial describes one independent execution of a batch, on either
-// engine. An agent trial sets Cfg and Sched, and Inject for fault
-// injection; a count trial sets Count and Seed instead. Batches share
-// one Protocol value across goroutines, which is safe because protocols
-// are immutable and their transition functions are pure.
+// engine, in one of two forms. A built trial carries objects mk made:
+// an agent trial sets Cfg and Sched, and Inject for fault injection; a
+// count trial sets Count and Seed instead. A trial from AgentTrial or
+// CountTrial carries a recipe instead, which the worker running it
+// builds in the trial state it reuses (see RunBatch) and fills in
+// those fields with. Batches share one Protocol value across
+// goroutines, which is safe because protocols are immutable and their
+// transition functions are pure.
 type Trial struct {
 	Cfg   *core.Config
 	Sched sched.Scheduler
 	// Inject, when non-nil, is installed as the trial runner's fault
-	// injector. Injectors and schedulers are single-use: batches call
-	// mk once per attempt, expect fresh ones each time, and release
-	// their generators when the attempt is over.
+	// injector, wired to the batch sink and the trial index. Batches
+	// call mk once per attempt and expect a fresh scheduler and
+	// injector each time.
 	Inject *fault.Injector
 	// Count, when non-nil, runs the trial on the count engine from
 	// these per-state counts, with Seed as the engine seed (see
 	// CountRunner.Seed).
 	Count *core.CountConfig
 	Seed  int64
-}
 
-// release hands the attempt's generators back for reuse (see rng.Get)
-// once the attempt is over.
-func (t Trial) release() {
-	if r, ok := t.Sched.(*sched.Random); ok {
-		r.Release()
-	}
-	if t.Inject != nil {
-		t.Inject.Release()
-	}
+	recipe recipe
 }
 
 // BatchResult pairs a trial index with its outcome.
 type BatchResult struct {
 	Trial int
-	// Result is the trial's outcome. Final is nil for count trials and
-	// for trials aborted before they started.
+	// Result is the trial's outcome. Final is nil for count trials, for
+	// trials aborted before they started and for recipe trials, whose
+	// configuration is their worker's and is reset by its next trial.
 	Result Result
 	// Status, Attempts and Reason carry the supervision outcome (see
 	// SupervisedResult). A trial whose batch was canceled or past its
@@ -55,8 +52,9 @@ type BatchResult struct {
 	Status   TrialStatus
 	Attempts int
 	Reason   string
-	// Err carries a count trial's construction failure (population
-	// out of bounds, table mismatch); such a trial did not run.
+	// Err carries a trial's construction failure (a recipe the
+	// protocol cannot build, a count population out of bounds, a table
+	// mismatch); such a trial did not run.
 	Err error
 }
 
@@ -143,6 +141,15 @@ func (s *BatchSummary) Record() obs.BatchSummaryRec {
 // unsliced CountRunner.Run(sup.StepBudget); the count engine supports
 // no other supervision (see CountUnsupported).
 //
+// Every goroutine that runs trials, idle helpers included, owns one
+// workspace while it does: the runner with its census, the observer,
+// and the configuration, scheduler, injector and generators a recipe
+// trial is built in, or the count engine's configuration, weights and
+// generator. Each trial and stall-retry attempt resets them in place
+// instead of building new ones, and the goroutine hands them back to a
+// pool shared by every batch when it leaves. Records never alias a
+// workspace: a held record owns its memory.
+//
 // Records are journaled in trial order, whatever the worker count and
 // goroutine scheduling: a trial that starts once every earlier trial is
 // journaled emits straight to the sinks (bo.Sink, sup.Sink and
@@ -160,157 +167,198 @@ func (s *BatchSummary) Record() obs.BatchSummaryRec {
 // their next interrupt poll — tagged TrialAborted/"canceled" with
 // partial results. A nil ctx is context.Background().
 func RunBatch(ctx context.Context, pr core.Protocol, lo, hi, workers int, sup Supervision, bo BatchObs, mk func(trial, attempt int) Trial) BatchSummary {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	trials := hi - lo
-	if trials < 0 {
-		trials = 0
-	}
+	b := newBatch(ctx, pr, lo, hi, sup, bo, mk)
+	trials := len(b.out)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > trials {
 		workers = trials
 	}
-	withLeader := core.HasLeader(pr)
-	// Compile once and share the (immutable) table across all workers
+	start := time.Now()
+	b.wg.Add(workers)
+	for range workers {
+		go b.join()
+	}
+	b.wg.Wait()
+	return b.summary(workers, time.Since(start).Nanoseconds())
+}
+
+// batch is what the goroutines running one RunBatch call share: its
+// inputs, the trial claims, the journal's progress through the trials
+// and the busy-time totals.
+type batch struct {
+	ctx context.Context
+	pr  core.Protocol
+	lo  int
+	sup Supervision
+	bo  BatchObs
+	mk  func(trial, attempt int) Trial
+	// tab is pr compiled once and shared (immutable) across all workers
 	// and both engines, instead of once per trial. A protocol that fails
 	// to compile runs every agent trial on the interface path, as a
 	// single run would, and fails every count trial.
-	var tab *core.Compiled
-	if pr.States() <= maxCompiledStates {
-		tab, _ = core.Compile(pr)
-	}
-	var deadlineAt time.Time
-	if sup.Deadline > 0 {
-		deadlineAt = time.Now().Add(sup.Deadline)
-	}
-	idle, _ := ctx.Value(idleKey{}).(chan func())
-	out := make([]BatchResult, trials)
-	st := &batchState{logs: make([]trialLog, trials)}
-	var work func()
-	work = func() {
-		defer st.wg.Done()
-		var busy int64
-		var ranTrial bool
-		for {
-			off, stream := st.claim()
-			if off >= trials {
-				break
-			}
-			// Lend one more worker's place to a goroutine waiting on
-			// idle, if there is one.
-			if idle != nil && off+1 < trials {
-				st.wg.Add(1)
-				select {
-				case idle <- work:
-				default:
-					st.wg.Done()
-				}
-			}
-			i := lo + off
-			// Graceful degradation: once canceled or past the batch
-			// deadline, the remaining trials are tagged instead of
-			// run, so the batch returns promptly with partial
-			// results.
-			if ctx.Err() != nil {
-				out[off] = BatchResult{Trial: i, Status: TrialAborted, Reason: "canceled"}
-				st.finish(off)
-				continue
-			}
-			if !deadlineAt.IsZero() && !time.Now().Before(deadlineAt) {
-				out[off] = BatchResult{Trial: i, Status: TrialAborted, Reason: "deadline"}
-				st.finish(off)
-				continue
-			}
-			t0 := time.Now()
-			tbo, tsup := bo, sup
-			tsup.Trial = i
-			if bo.Sink != nil {
-				tsup.Sink = bo.Sink
-			}
-			if !stream {
-				log := &st.logs[off]
-				tbo.Sink = log.sink(tbo.Sink)
-				tsup.Sink = log.sink(tsup.Sink)
-				tsup.Trace.Sink = log.sink(tsup.Trace.Sink)
-			}
-			// One span per trial, parenting the attempt/slice spans
-			// superviseUntil emits. The ID derives from (trace,
-			// parent, "trial", i), not from emission order, so span
-			// trees are identical however workers interleave.
-			var tspan *obs.Span
-			if tsup.Trace.Enabled() {
-				tspan = tsup.Trace.Start("trial", i)
-				tspan.Trial = i
-				tsup.Trace = tspan.Context()
-			}
-			var br BatchResult
-			if t := mk(i, 0); t.Count != nil {
-				br = runCountEngine(ctx, pr, tab, i, t, tsup.stepBudget(), tbo)
-			} else {
-				sr := superviseUntil(ctx, tsup, deadlineAt, func(attempt int) *Runner {
-					if attempt > 0 {
-						t.release()
-						t = mk(i, attempt)
-					}
-					run := NewRunner(pr, t.Sched, t.Cfg)
-					if t.Inject != nil {
-						t.Inject.Trial = i
-						if tbo.Sink != nil {
-							t.Inject.Sink = tbo.Sink
-						}
-						run.Inject = t.Inject
-					}
-					if tbo.Sink != nil {
-						run.Obs = obs.NewObserver(t.Cfg.N(), withLeader, obs.ObserverOptions{
-							Sink:          tbo.Sink,
-							ProgressEvery: bo.ProgressEvery,
-							Trial:         i,
-						})
-					}
-					if tab != nil {
-						run.UseCompiled(tab)
-					}
-					return run
-				})
-				t.release()
-				br = BatchResult{Trial: i, Result: sr.Result, Status: sr.Status, Attempts: sr.Attempts, Reason: sr.Reason}
-			}
-			if tspan != nil {
-				tspan.Attr("attempts", int64(br.Attempts)).Attr("steps", int64(br.Result.Steps)).Attr("nonNull", int64(br.Result.NonNull))
-				if br.Result.Converged {
-					tspan.Attr("converged", 1)
-				}
-				tspan.End()
-			}
-			out[off] = br
-			busy += time.Since(t0).Nanoseconds()
-			ranTrial = true
-			st.finish(off)
-		}
-		if ranTrial {
-			st.mu.Lock()
-			st.busyNS += busy
-			st.ran++
-			st.mu.Unlock()
-		}
-	}
-	start := time.Now()
-	st.wg.Add(workers)
-	for range workers {
-		go work()
-	}
-	st.wg.Wait()
+	tab        *core.Compiled
+	deadlineAt time.Time
+	idle       chan func()
+	// join runs trials on a workspace from the pool: each worker's
+	// body, and the function a helper receives on idle.
+	join func()
+	out  []BatchResult
 
-	sum := BatchSummary{
-		Results: out,
-		Trials:  trials,
-		Workers: workers,
-		WallNS:  time.Since(start).Nanoseconds(),
+	wg       sync.WaitGroup // the batch's workers and the helpers that joined
+	mu       sync.Mutex
+	next     int        // the first unclaimed offset
+	emitted  int        // the trials [0, emitted) are journaled
+	emitting bool       // a goroutine is emitting finished trials
+	logs     []trialLog // by offset
+	busyNS   int64      // summed trial time
+	ran      int        // goroutines that ran a trial
+}
+
+func newBatch(ctx context.Context, pr core.Protocol, lo, hi int, sup Supervision, bo BatchObs, mk func(trial, attempt int) Trial) *batch {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	for _, br := range out {
+	trials := max(hi-lo, 0)
+	b := &batch{
+		ctx: ctx, pr: pr, lo: lo, sup: sup, bo: bo, mk: mk,
+		out:  make([]BatchResult, trials),
+		logs: make([]trialLog, trials),
+	}
+	if pr.States() <= maxCompiledStates {
+		b.tab, _ = core.Compile(pr)
+	}
+	if sup.Deadline > 0 {
+		b.deadlineAt = time.Now().Add(sup.Deadline)
+	}
+	b.idle, _ = ctx.Value(idleKey{}).(chan func())
+	b.join = func() {
+		ws := workspaces.Get().(*workspace)
+		b.run(ws)
+		workspaces.Put(ws)
+		b.wg.Done()
+	}
+	return b
+}
+
+// run claims trials and runs them on ws until none is left unclaimed,
+// then adds its busy time to the batch's.
+func (b *batch) run(ws *workspace) {
+	trials := len(b.out)
+	var busy int64
+	var ranTrial bool
+	for {
+		off, stream := b.claim()
+		if off >= trials {
+			break
+		}
+		// Lend one more worker's place to a goroutine waiting on idle,
+		// if there is one.
+		if b.idle != nil && off+1 < trials {
+			b.wg.Add(1)
+			select {
+			case b.idle <- b.join:
+			default:
+				b.wg.Done()
+			}
+		}
+		i := b.lo + off
+		// Graceful degradation: once canceled or past the batch
+		// deadline, the remaining trials are tagged instead of run, so
+		// the batch returns promptly with partial results.
+		if b.ctx.Err() != nil {
+			b.out[off] = BatchResult{Trial: i, Status: TrialAborted, Reason: "canceled"}
+			b.finish(off)
+			continue
+		}
+		if !b.deadlineAt.IsZero() && !time.Now().Before(b.deadlineAt) {
+			b.out[off] = BatchResult{Trial: i, Status: TrialAborted, Reason: "deadline"}
+			b.finish(off)
+			continue
+		}
+		t0 := time.Now()
+		b.out[off] = b.trial(ws, off, stream)
+		busy += time.Since(t0).Nanoseconds()
+		ranTrial = true
+		b.finish(off)
+	}
+	if ranTrial {
+		b.mu.Lock()
+		b.busyNS += busy
+		b.ran++
+		b.mu.Unlock()
+	}
+}
+
+// trial runs the trial at offset off on ws, journaling straight to the
+// sinks when stream is set and into its log otherwise.
+func (b *batch) trial(ws *workspace, off int, stream bool) BatchResult {
+	i := b.lo + off
+	tbo, tsup := b.bo, b.sup
+	tsup.Trial = i
+	if b.bo.Sink != nil {
+		tsup.Sink = b.bo.Sink
+	}
+	if !stream {
+		log := &b.logs[off]
+		tbo.Sink = log.sink(tbo.Sink)
+		tsup.Sink = log.sink(tsup.Sink)
+		tsup.Trace.Sink = log.sink(tsup.Trace.Sink)
+	}
+	// One span per trial, parenting the attempt/slice spans
+	// superviseUntil emits. The ID derives from (trace, parent, "trial",
+	// i), not from emission order, so span trees are identical however
+	// workers interleave.
+	var tspan *obs.Span
+	if tsup.Trace.Enabled() {
+		tspan = tsup.Trace.Start("trial", i)
+		tspan.Trial = i
+		tsup.Trace = tspan.Context()
+	}
+	var br BatchResult
+	t := b.mk(i, 0)
+	if err := ws.fill(b.pr, &t); err != nil {
+		br = BatchResult{Trial: i, Err: err}
+	} else if t.Count != nil {
+		br = ws.runCount(b.ctx, b.pr, b.tab, i, t, tsup.stepBudget(), tbo)
+	} else {
+		sr := superviseUntil(b.ctx, tsup, b.deadlineAt, func(attempt int) *Runner {
+			if attempt > 0 {
+				t = b.mk(i, attempt)
+				if err := ws.fill(b.pr, &t); err != nil {
+					// Attempt 0's recipe built, and a maker's attempts
+					// differ in their seeds, which no check reads.
+					panic(fmt.Sprintf("sim: trial %d attempt %d: %v", i, attempt, err))
+				}
+			}
+			return ws.runner(b.pr, b.tab, i, t, tbo)
+		})
+		if t.Cfg == &ws.start.cfg {
+			sr.Final = nil // the next trial's start
+		}
+		br = BatchResult{Trial: i, Result: sr.Result, Status: sr.Status, Attempts: sr.Attempts, Reason: sr.Reason}
+	}
+	if tspan != nil {
+		tspan.Attr("attempts", int64(br.Attempts)).Attr("steps", int64(br.Result.Steps)).Attr("nonNull", int64(br.Result.NonNull))
+		if br.Result.Converged {
+			tspan.Attr("converged", 1)
+		}
+		tspan.End()
+	}
+	return br
+}
+
+// summary aggregates the batch's results, run by `workers` goroutines
+// in wallNS, and journals the batch-summary record.
+func (b *batch) summary(workers int, wallNS int64) BatchSummary {
+	sum := BatchSummary{
+		Results: b.out,
+		Trials:  len(b.out),
+		Workers: workers,
+		WallNS:  wallNS,
+	}
+	for _, br := range b.out {
 		sum.TotalSteps += int64(br.Result.Steps)
 		sum.TotalNonNull += int64(br.Result.NonNull)
 		if br.Result.Converged {
@@ -324,11 +372,11 @@ func RunBatch(ctx context.Context, pr core.Protocol, lo, hi, workers int, sup Su
 			sum.Retried++
 		}
 	}
-	if sum.WallNS > 0 && st.ran > 0 {
-		sum.Utilization = float64(st.busyNS) / (float64(sum.WallNS) * float64(st.ran))
+	if sum.WallNS > 0 && b.ran > 0 {
+		sum.Utilization = float64(b.busyNS) / (float64(sum.WallNS) * float64(b.ran))
 	}
-	if bo.Sink != nil {
-		_ = bo.Sink.Emit(sum.Record())
+	if b.bo.Sink != nil {
+		_ = b.bo.Sink.Emit(sum.Record())
 	}
 	return sum
 }
@@ -346,27 +394,14 @@ func WithIdle(ctx context.Context, idle chan func()) context.Context {
 	return context.WithValue(ctx, idleKey{}, idle)
 }
 
-// batchState is what a batch's goroutines share: the trial claims, the
-// journal's progress through the trials, and the busy-time totals.
-type batchState struct {
-	wg       sync.WaitGroup // the batch's workers and the helpers that joined
-	mu       sync.Mutex
-	next     int        // the first unclaimed offset
-	emitted  int        // the trials [0, emitted) are journaled
-	emitting bool       // a goroutine is emitting finished trials
-	logs     []trialLog // by offset
-	busyNS   int64      // summed trial time
-	ran      int        // goroutines that ran a trial
-}
-
 // claim takes the next trial offset (≥ len(logs) when none is left) and
 // reports whether that trial streams: every earlier trial is journaled.
-func (st *batchState) claim() (off int, stream bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	off = st.next
-	st.next++
-	return off, off == st.emitted
+func (b *batch) claim() (off int, stream bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	off = b.next
+	b.next++
+	return off, off == b.emitted
 }
 
 // finish marks the trial at offset off finished and journals every
@@ -375,22 +410,22 @@ func (st *batchState) claim() (off int, stream bool) {
 // outside the lock, and trials that finish meanwhile are left to it.
 // emitted advances only once a trial's records are out, so no trial
 // claimed while they go out streams.
-func (st *batchState) finish(off int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.logs[off].done = true
-	if st.emitting {
+func (b *batch) finish(off int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.logs[off].done = true
+	if b.emitting {
 		return
 	}
-	st.emitting = true
-	for st.emitted < len(st.logs) && st.logs[st.emitted].done {
-		log := &st.logs[st.emitted]
-		st.mu.Unlock()
+	b.emitting = true
+	for b.emitted < len(b.logs) && b.logs[b.emitted].done {
+		log := &b.logs[b.emitted]
+		b.mu.Unlock()
 		log.emit()
-		st.mu.Lock()
-		st.emitted++
+		b.mu.Lock()
+		b.emitted++
 	}
-	st.emitting = false
+	b.emitting = false
 }
 
 // trialLog is one trial's place in the journal order: whether it has
@@ -434,34 +469,4 @@ type heldSink struct {
 func (s *heldSink) Emit(rec any) error {
 	s.log.recs = append(s.log.recs, heldRec{s.to, rec})
 	return nil
-}
-
-// runCountEngine runs trial i on the count engine: one unsliced Run over
-// the whole budget that polls ctx, journaling through a trial-tagged
-// observer. A trial the cancel stops mid-run is TrialAborted/"canceled"
-// with its partial result.
-func runCountEngine(ctx context.Context, pr core.Protocol, tab *core.Compiled, i int, t Trial, budget int, bo BatchObs) BatchResult {
-	run, err := newCountRunner(pr, tab, t.Count, t.Seed)
-	if err != nil {
-		return BatchResult{Trial: i, Err: err}
-	}
-	canceled := false
-	run.Interrupt = func() bool {
-		canceled = ctx.Err() != nil
-		return canceled
-	}
-	if bo.Sink != nil {
-		run.Obs = obs.NewObserver(t.Count.N(), core.HasLeader(pr), obs.ObserverOptions{
-			Sink:          bo.Sink,
-			ProgressEvery: bo.ProgressEvery,
-			Trial:         i,
-			NoPairs:       true,
-		})
-	}
-	res, err := run.Run(budget)
-	br := BatchResult{Trial: i, Result: Result{Converged: res.Converged, Steps: res.Steps, NonNull: res.NonNull}, Attempts: 1, Err: err}
-	if canceled {
-		br.Status, br.Reason = TrialAborted, "canceled"
-	}
-	return br
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
+	"slices"
 
 	"popnaming/internal/core"
 	"popnaming/internal/obs"
@@ -62,8 +62,13 @@ type countRNG struct {
 	src *rng.Source
 }
 
-func newCountRNG(seed int64) countRNG {
-	return countRNG{src: rng.New(seed)}
+// seed restarts the generator at seed's stream, allocating its source
+// on first use and reusing it after.
+func (r *countRNG) seed(seed int64) {
+	if r.src == nil {
+		r.src = new(rng.Source)
+	}
+	r.src.Seed(seed)
 }
 
 // uint64n returns an unbiased uniform draw from [0, n). n must be > 0.
@@ -187,34 +192,47 @@ func NewCountRunner(p core.Protocol, cfg *core.CountConfig, seed int64) (*CountR
 // newCountRunner is NewCountRunner over tab, p's compiled table, when it
 // is non-nil: batches compile once and share the table across trials.
 func newCountRunner(p core.Protocol, tab *core.Compiled, cfg *core.CountConfig, seed int64) (*CountRunner, error) {
+	r := new(CountRunner)
+	if err := r.reset(p, tab, cfg, seed); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// reset makes r the runner newCountRunner(p, tab, cfg, seed) returns,
+// keeping its weight rows, blocks and generator for the engine to
+// reuse, and reports the same error.
+func (r *CountRunner) reset(p core.Protocol, tab *core.Compiled, cfg *core.CountConfig, seed int64) error {
 	if core.HasLeader(p) != (cfg.Leader != nil) {
-		return nil, fmt.Errorf("sim: protocol %q and count configuration disagree about leader presence", p.Name())
+		return fmt.Errorf("sim: protocol %q and count configuration disagree about leader presence", p.Name())
 	}
 	if tab == nil {
 		if q := p.States(); q > maxCompiledStates {
-			return nil, fmt.Errorf("sim: count engine requires a compiled table: %q has %d states (max %d)", p.Name(), q, maxCompiledStates)
+			return fmt.Errorf("sim: count engine requires a compiled table: %q has %d states (max %d)", p.Name(), q, maxCompiledStates)
 		}
 		var err error
 		if tab, err = core.Compile(p); err != nil {
-			return nil, fmt.Errorf("sim: count engine requires a compiled table: %w", err)
+			return fmt.Errorf("sim: count engine requires a compiled table: %w", err)
 		}
 	}
 	if len(cfg.Counts) != p.States() {
-		return nil, fmt.Errorf("sim: count configuration has %d states, protocol %q declares %d", len(cfg.Counts), p.Name(), p.States())
+		return fmt.Errorf("sim: count configuration has %d states, protocol %q declares %d", len(cfg.Counts), p.Name(), p.States())
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	n := cfg.N()
 	if n < 2 && cfg.Leader == nil {
-		return nil, fmt.Errorf("sim: population too small for interactions (n=%d, no leader)", n)
+		return fmt.Errorf("sim: population too small for interactions (n=%d, no leader)", n)
 	}
 	if n < 1 {
-		return nil, fmt.Errorf("sim: population too small for interactions (n=%d)", n)
+		return fmt.Errorf("sim: population too small for interactions (n=%d)", n)
 	}
 	pairs, _ := core.TotalPairWeight(n, cfg.Leader != nil)
 	lp, _ := p.(core.LeaderProtocol)
-	return &CountRunner{Proto: p, Cfg: cfg, Seed: seed, tab: tab, lp: lp, n: n, pairs: pairs}, nil
+	*r = CountRunner{Proto: p, Cfg: cfg, Seed: seed, tab: tab, lp: lp, n: n, pairs: pairs,
+		rng: r.rng, rows: r.rows[:0], blocks: r.blocks[:0]}
+	return nil
 }
 
 // Steps returns the number of interactions executed so far.
@@ -237,9 +255,12 @@ func (r *CountRunner) ensure() error {
 	}
 	r.adj = r.tab.NonNull()
 	q := len(r.Cfg.Counts)
-	r.rows = make([]countRow, q)
+	r.rows = slices.Grow(r.rows[:0], q)[:q]
+	clear(r.rows)
 	r.shift = uint(bits.Len(uint(q-1))+1) / 2 // ⌈log₂ √q⌉
-	r.blocks = make([]uint64, (q-1)>>r.shift+1)
+	nb := (q-1)>>r.shift + 1
+	r.blocks = slices.Grow(r.blocks[:0], nb)[:nb]
+	clear(r.blocks)
 	for x := range r.rows {
 		r.rows[x].resp = r.recountResp(core.State(x))
 		r.reweigh(core.State(x))
@@ -247,7 +268,7 @@ func (r *CountRunner) ensure() error {
 	if r.lp != nil {
 		r.leaderSet()
 	}
-	r.rng = newCountRNG(r.Seed)
+	r.rng.seed(r.Seed)
 	if r.Obs != nil {
 		r.Obs.CompileRules(r.tab)
 		r.Obs.TrackCensus(r.Cfg.Counts)
@@ -536,15 +557,8 @@ func (r *CountRunner) skip(k int) {
 // mobile state (state 0 when the protocol declares none) plus the
 // initialized leader — UniformConfig without the agent array.
 func UniformCountConfig(p core.Protocol, n int) *core.CountConfig {
-	var s core.State
-	if up, ok := p.(core.UniformInitProtocol); ok {
-		s = up.InitMobile()
-	}
-	cc := core.NewCountConfig(p.States())
-	cc.Counts[s] = n
-	if lp, ok := p.(core.LeaderProtocol); ok {
-		cc.Leader = lp.InitLeader()
-	}
+	cc := new(core.CountConfig)
+	_ = countStart(cc, p, n, "uniform")
 	return cc
 }
 
@@ -554,26 +568,12 @@ func UniformCountConfig(p core.Protocol, n int) *core.CountConfig {
 // "arbitrary" is ArbitraryConfig drawn from seed, for protocols that
 // support it. Other keys are an error.
 func AgentStart(p core.Protocol, n int, initKey string, seed int64) (*core.Config, error) {
-	switch initKey {
-	case "zero":
-		cfg := core.NewConfig(n, 0)
-		if lp, ok := p.(core.LeaderProtocol); ok {
-			cfg.Leader = lp.InitLeader()
-		}
-		return cfg, nil
-	case "uniform":
-		return UniformConfig(p, n), nil
-	case "arbitrary":
-		ap, ok := p.(core.ArbitraryInitProtocol)
-		if !ok {
-			return nil, fmt.Errorf("protocol %q does not support arbitrary initialization", p.Name())
-		}
-		src := rng.Get(seed)
-		cfg := ArbitraryConfig(ap, n, rand.New(src))
-		rng.Put(src)
-		return cfg, nil
+	var s agentStart
+	if err := s.reset(p, n, initKey, seed); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown init %q (zero | uniform | arbitrary)", initKey)
+	cfg := s.cfg
+	return &cfg, nil
 }
 
 // AgentScheduler builds the agent-engine scheduler for a scheduler key,
@@ -582,12 +582,19 @@ func AgentStart(p core.Protocol, n int, initKey string, seed int64) (*core.Confi
 // CheckAgentScheduler rejects is an error, reported before any
 // constructor could panic on it.
 func AgentScheduler(p core.Protocol, n int, key string, seed int64) (sched.Scheduler, error) {
+	return agentScheduler(new(sched.Random), p, n, key, seed)
+}
+
+// agentScheduler is AgentScheduler with a random scheduler reset in
+// rnd.
+func agentScheduler(rnd *sched.Random, p core.Protocol, n int, key string, seed int64) (sched.Scheduler, error) {
 	if err := CheckAgentScheduler(p, n, key); err != nil {
 		return nil, err
 	}
 	switch key {
 	case "random":
-		return sched.NewRandom(n, core.HasLeader(p), seed), nil
+		rnd.Reset(n, core.HasLeader(p), seed)
+		return rnd, nil
 	case "roundrobin":
 		return sched.NewRoundRobin(n, core.HasLeader(p)), nil
 	}
@@ -623,18 +630,32 @@ func CheckAgentScheduler(p core.Protocol, n int, key string) error {
 // and a leader starts initialized either way. Other keys have no count
 // representation ("arbitrary" draws an agent array) and are an error.
 func CountStart(p core.Protocol, n int, initKey string) (*core.CountConfig, error) {
+	cc := new(core.CountConfig)
+	if err := countStart(cc, p, n, initKey); err != nil {
+		return nil, err
+	}
+	return cc, nil
+}
+
+// countStart makes cc the start CountStart(p, n, initKey) returns, and
+// reports the same error.
+func countStart(cc *core.CountConfig, p core.Protocol, n int, initKey string) error {
+	var s core.State
 	switch initKey {
 	case "zero":
-		cc := core.NewCountConfig(p.States())
-		cc.Counts[0] = n
-		if lp, ok := p.(core.LeaderProtocol); ok {
-			cc.Leader = lp.InitLeader()
-		}
-		return cc, nil
 	case "uniform":
-		return UniformCountConfig(p, n), nil
+		if up, ok := p.(core.UniformInitProtocol); ok {
+			s = up.InitMobile()
+		}
+	default:
+		return fmt.Errorf("init %q is not count-representable (zero | uniform)", initKey)
 	}
-	return nil, fmt.Errorf("init %q is not count-representable (zero | uniform)", initKey)
+	cc.Reset(p.States())
+	cc.Counts[s] = n
+	if lp, ok := p.(core.LeaderProtocol); ok {
+		cc.Leader = lp.InitLeader()
+	}
+	return nil
 }
 
 // CountUnsupported names the first part of a run request the count

@@ -74,7 +74,8 @@ func FuzzCountSampler(f *testing.F) {
 		if err := r.ensure(); err != nil {
 			t.Fatal(err)
 		}
-		moves := newCountRNG(seed + 1)
+		var moves countRNG
+		moves.seed(seed + 1)
 
 		check := func(step int) {
 			t.Helper()

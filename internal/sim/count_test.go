@@ -128,7 +128,8 @@ func blockTotal(t testing.TB, r *CountRunner) uint64 {
 func TestCountSamplerProportional(t *testing.T) {
 	t.Run("blocks", func(t *testing.T) {
 		r := readyCountRunner(t, denseProto(4), []int{5, 0, 3, 2}, nil, 42)
-		u := newCountRNG(43)
+		var u countRNG
+		u.seed(43)
 		check := func(name string, draws int) {
 			t.Helper()
 			w := r.weight()
@@ -314,7 +315,8 @@ func TestCountRunnerConservesN(t *testing.T) {
 // is non-null.
 func TestDrawResponderExcludesSoleAgent(t *testing.T) {
 	r := readyCountRunner(t, denseProto(4), []int{1, 9, 0, 0}, nil, 5)
-	u := newCountRNG(6)
+	var u countRNG
+	u.seed(6)
 	initiated := 0
 	for i := 0; i < 5000; i++ {
 		x, y, _ := r.pair(u.uint64n(r.weight()))

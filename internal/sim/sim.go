@@ -119,7 +119,8 @@ type Runner struct {
 
 	engineInit bool
 	tab        *core.Compiled // nil: interpreted path
-	census     *core.Census   // non-nil iff tab is
+	census     *core.Census   // &cs iff tab is non-nil
+	cs         core.Census    // the census, kept by reset for reuse
 	lp         core.LeaderProtocol
 	rnd        *sched.Random // non-nil when Sched is a *sched.Random
 }
@@ -127,10 +128,18 @@ type Runner struct {
 // NewRunner returns a runner over the given protocol, scheduler and
 // starting configuration.
 func NewRunner(p core.Protocol, s sched.Scheduler, c *core.Config) *Runner {
+	r := new(Runner)
+	r.reset(p, s, c)
+	return r
+}
+
+// reset makes r the runner NewRunner(p, s, c) returns, keeping its
+// census's memory for the engine to reuse.
+func (r *Runner) reset(p core.Protocol, s sched.Scheduler, c *core.Config) {
 	if core.HasLeader(p) != (c.Leader != nil) {
 		panic(fmt.Sprintf("sim: protocol %q and configuration disagree about leader presence", p.Name()))
 	}
-	return &Runner{Proto: p, Sched: s, Cfg: c}
+	*r = Runner{Proto: p, Sched: s, Cfg: c, cs: r.cs}
 }
 
 // Steps returns the number of interactions executed so far.
@@ -180,13 +189,12 @@ func (r *Runner) initEngine(tab *core.Compiled) {
 	if r.Interpret || tab == nil {
 		return
 	}
-	census, err := core.NewCensus(tab, r.Cfg)
-	if err != nil {
+	if err := r.cs.Reset(tab, r.Cfg); err != nil {
 		// Configuration outside the declared state space: stay on the
 		// interface path, which imposes no such contract.
 		return
 	}
-	r.tab, r.census = tab, census
+	r.tab, r.census = tab, &r.cs
 	r.rnd, _ = r.Sched.(*sched.Random)
 	if r.Obs != nil {
 		r.Obs.CompileRules(tab)
@@ -444,15 +452,21 @@ func (r *Runner) runCompiled(maxSteps int) Result {
 // protocol declares one (state 0 otherwise), and the initialized leader
 // when the protocol has one.
 func UniformConfig(p core.Protocol, n int) *core.Config {
+	c := new(core.Config)
+	uniformConfig(c, p, n)
+	return c
+}
+
+// uniformConfig makes c the configuration UniformConfig(p, n) returns.
+func uniformConfig(c *core.Config, p core.Protocol, n int) {
 	var s core.State
 	if up, ok := p.(core.UniformInitProtocol); ok {
 		s = up.InitMobile()
 	}
-	c := core.NewConfig(n, s)
+	c.Reset(n, s)
 	if lp, ok := p.(core.LeaderProtocol); ok {
 		c.Leader = lp.InitLeader()
 	}
-	return c
 }
 
 // ArbitraryConfig builds an adversarially initialized configuration: all
@@ -460,7 +474,15 @@ func UniformConfig(p core.Protocol, n int) *core.Config {
 // protocol supports arbitrary leader initialization — a random leader
 // state; otherwise the initialized leader.
 func ArbitraryConfig(p core.ArbitraryInitProtocol, n int, r *rand.Rand) *core.Config {
-	c := core.NewConfig(n, 0)
+	c := new(core.Config)
+	arbitraryConfig(c, p, n, r)
+	return c
+}
+
+// arbitraryConfig makes c the configuration ArbitraryConfig(p, n, r)
+// returns.
+func arbitraryConfig(c *core.Config, p core.ArbitraryInitProtocol, n int, r *rand.Rand) {
+	c.Reset(n, 0)
 	for i := range c.Mobile {
 		c.Mobile[i] = p.RandomMobile(r)
 	}
@@ -470,5 +492,4 @@ func ArbitraryConfig(p core.ArbitraryInitProtocol, n int, r *rand.Rand) *core.Co
 	case core.LeaderProtocol:
 		c.Leader = lp.InitLeader()
 	}
-	return c
 }
