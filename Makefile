@@ -2,7 +2,7 @@ GO ?= go
 
 # Engine microbenchmarks gating the compiled-engine performance claims
 # (see DESIGN.md "Performance" and EXPERIMENTS.md).
-ENGINE_BENCH = BenchmarkStepThroughput|BenchmarkSilenceCheck|BenchmarkRunConverge|BenchmarkBatchThroughput|BenchmarkConfigKey|BenchmarkConfigAppendKey|BenchmarkConfigMultisetKey|BenchmarkConfigAppendMultisetKey|BenchmarkCorrupt
+ENGINE_BENCH = BenchmarkStepThroughput|BenchmarkSilenceCheck|BenchmarkRunConverge|BenchmarkBatchThroughput|BenchmarkConfigKey|BenchmarkConfigAppendKey|BenchmarkConfigMultisetKey|BenchmarkConfigAppendMultisetKey|BenchmarkCorrupt|BenchmarkCensusApply|BenchmarkSeed
 
 # Parallel search / exploration benchmarks gating the worker-pool
 # claims (see DESIGN.md "Parallel model checking" and EXPERIMENTS.md).
@@ -11,7 +11,7 @@ SEARCH_BENCH = BenchmarkSymmetricNaming|BenchmarkBuildLarge|BenchmarkBuildDeep|B
 # Fault-layer benchmarks gating the robustness claims: the nil-injector
 # fast path must stay allocation-free and within the engine baseline
 # (see docs/robustness.md and EXPERIMENTS.md).
-FAULT_BENCH = BenchmarkRunnerNilInjector|BenchmarkRunnerEmptyInjector|BenchmarkRunnerCrashSuppression|BenchmarkE22Stabilize
+FAULT_BENCH = BenchmarkRunnerNilInjector|BenchmarkRunnerEmptyInjector|BenchmarkRunnerCrashSuppression|BenchmarkRunnerObsOverhead|BenchmarkE22Stabilize
 
 # Service closed-loop load benchmark gating the ppserved latency and
 # throughput numbers (see docs/service.md and EXPERIMENTS.md).

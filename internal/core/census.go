@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -14,14 +15,17 @@ import (
 // 0, an O(1) counter check instead of an O(n²) scan over agent pairs
 // with an interface call each. Per applied transition the counts update
 // in O(1); the activePairs counter is touched only when a state's
-// occupancy crosses the 0↔1 or 1↔2 boundary, costing one null-bitset
-// row-and-column walk (≤ 2|Q| bit tests) in those rare steps and
-// nothing otherwise.
+// occupancy crosses the 0↔1 or 1↔2 boundary. The census keeps an
+// occupancy bitset beside the counts, so a 0↔1 crossing costs two
+// popcounts per word of ⌈|Q|/64⌉ — the state's non-null row and column
+// (Compiled.row, Compiled.col) masked by the occupied states — and a
+// 1↔2 crossing one bit test of the diagonal.
 //
 // A Census belongs to one runner; it is not safe for concurrent use.
 type Census struct {
 	tab    *Compiled
 	counts []int
+	occ    []uint64 // bit s set iff counts[s] > 0
 	active int
 }
 
@@ -36,12 +40,13 @@ func NewCensus(tab *Compiled, cfg *Config) (*Census, error) {
 }
 
 // Reset makes cs the census NewCensus(tab, cfg) returns, reusing its
-// occupancy vector, and reports the same error (leaving cs unusable
-// until the next Reset).
+// occupancy vector and bitset, and reports the same error (leaving cs
+// unusable until the next Reset).
 func (cs *Census) Reset(tab *Compiled, cfg *Config) error {
 	q := tab.States()
 	cs.tab = tab
 	cs.counts = slices.Grow(cs.counts[:0], q)[:q]
+	cs.occ = slices.Grow(cs.occ[:0], tab.w)[:tab.w]
 	return cs.Resync(cfg)
 }
 
@@ -60,28 +65,43 @@ func NewCensusCounts(tab *Compiled, counts []int) (*Census, error) {
 			return nil, fmt.Errorf("core: census: negative count %d for state %d", c, s)
 		}
 	}
-	cs := &Census{tab: tab, counts: counts}
-	cs.active = cs.recount()
+	cs := &Census{tab: tab, counts: counts, occ: make([]uint64, tab.w)}
+	cs.recount()
 	return cs, nil
 }
 
-// recount recomputes activePairs from scratch (O(occupied²) bit tests).
-func (cs *Census) recount() int {
+// recount rebuilds the occupancy bitset from the counts and recomputes
+// activePairs from scratch: one masked popcount of each occupied
+// state's non-null row, less its diagonal where it holds one agent.
+func (cs *Census) recount() {
+	clear(cs.occ)
+	for s, c := range cs.counts {
+		if c > 0 {
+			cs.occ[s>>6] |= 1 << (s & 63)
+		}
+	}
 	active := 0
 	for x, cx := range cs.counts {
 		if cx == 0 {
 			continue
 		}
-		for y, cy := range cs.counts {
-			if cy == 0 || (x == y && cx < 2) {
-				continue
-			}
-			if !cs.tab.Null(State(x), State(y)) {
-				active++
-			}
+		active += cs.pairs(cs.tab.row(State(x)))
+		if cx < 2 && !cs.tab.Null(State(x), State(x)) {
+			active--
 		}
 	}
-	return active
+	cs.active = active
+}
+
+// pairs counts the occupied states in a row or column bitset.
+func (cs *Census) pairs(set []uint64) int {
+	occ := cs.occ
+	set = set[:len(occ)]
+	n := 0
+	for k, o := range occ {
+		n += bits.OnesCount64(set[k] & o)
+	}
+	return n
 }
 
 // Resync rebuilds the census from cfg after an external mutation (for
@@ -101,7 +121,7 @@ func (cs *Census) Resync(cfg *Config) error {
 	for _, s := range cfg.Mobile {
 		cs.counts[s]++
 	}
-	cs.active = cs.recount()
+	cs.recount()
 	return nil
 }
 
@@ -137,18 +157,10 @@ func (cs *Census) add(s State) {
 	switch cs.counts[i] {
 	case 1:
 		// s became occupied: pairs (s, y) and (y, s) against every other
-		// occupied state become schedulable.
-		for y, cy := range cs.counts {
-			if cy == 0 || y == i {
-				continue
-			}
-			if !cs.tab.Null(s, State(y)) {
-				cs.active++
-			}
-			if !cs.tab.Null(State(y), s) {
-				cs.active++
-			}
-		}
+		// occupied state become schedulable. s's own bit is still clear,
+		// so the diagonal is left out.
+		cs.active += cs.pairs(cs.tab.row(s)) + cs.pairs(cs.tab.col(s))
+		cs.occ[i>>6] |= 1 << (i & 63)
 	case 2:
 		// The diagonal pair (s, s) needs two agents.
 		if !cs.tab.Null(s, s) {
@@ -163,17 +175,8 @@ func (cs *Census) remove(s State) {
 	case 0:
 		panic(fmt.Sprintf("core: census underflow for state %d", s))
 	case 1:
-		for y, cy := range cs.counts {
-			if cy == 0 || y == i {
-				continue
-			}
-			if !cs.tab.Null(s, State(y)) {
-				cs.active--
-			}
-			if !cs.tab.Null(State(y), s) {
-				cs.active--
-			}
-		}
+		cs.occ[i>>6] &^= 1 << (i & 63)
+		cs.active -= cs.pairs(cs.tab.row(s)) + cs.pairs(cs.tab.col(s))
 	case 2:
 		if !cs.tab.Null(s, s) {
 			cs.active--

@@ -30,6 +30,11 @@ type Compiled struct {
 	// null is a bitset over the same index space: bit set iff the pair
 	// (x, y) is a null transition.
 	null []uint64
+	// rows and cols hold, for each state s, a bitset of w words over
+	// the states: row s has bit y set iff (s, y) is non-null, column s
+	// bit x iff (x, s) is. Both are carved from null's allocation.
+	rows, cols []uint64
+	w          int
 
 	adjOnce sync.Once
 	adj     Adjacency
@@ -109,12 +114,18 @@ func Compile(p Protocol) (*Compiled, error) {
 	if q < 1 {
 		return nil, fmt.Errorf("core: compile %q: non-positive state count %d", p.Name(), q)
 	}
+	w := (q + 63) / 64
+	nullWords := (q*q + 63) / 64
+	bitsets := make([]uint64, nullWords+2*q*w)
 	c := &Compiled{
 		src:  p,
 		q:    q,
 		outA: make([]State, q*q),
 		outB: make([]State, q*q),
-		null: make([]uint64, (q*q+63)/64),
+		null: bitsets[:nullWords:nullWords],
+		rows: bitsets[nullWords : nullWords+q*w : nullWords+q*w],
+		cols: bitsets[nullWords+q*w:],
+		w:    w,
 	}
 	c.lp, _ = p.(LeaderProtocol)
 	for x := 0; x < q; x++ {
@@ -133,6 +144,9 @@ func Compile(p Protocol) (*Compiled, error) {
 			c.outB[idx] = y2
 			if int(x2) == x && int(y2) == y {
 				c.null[idx>>6] |= 1 << (idx & 63)
+			} else {
+				c.rows[x*w+y>>6] |= 1 << (y & 63)
+				c.cols[y*w+x>>6] |= 1 << (x & 63)
 			}
 		}
 	}
@@ -210,3 +224,9 @@ func (c *Compiled) Null(x, y State) bool {
 	idx := int(x)*c.q + int(y)
 	return c.null[idx>>6]&(1<<(idx&63)) != 0
 }
+
+// row returns the bitset of the states y with (s, y) non-null, and col
+// that of the states x with (x, s) non-null: ⌈|Q|/64⌉ words each, bit y
+// in word y/64.
+func (c *Compiled) row(s State) []uint64 { return c.rows[int(s)*c.w : (int(s)+1)*c.w] }
+func (c *Compiled) col(s State) []uint64 { return c.cols[int(s)*c.w : (int(s)+1)*c.w] }

@@ -46,7 +46,7 @@ func (pr *NaiveVariant) Mobile(x, y core.State) (core.State, core.State) {
 }
 
 // InitLeader implements core.LeaderProtocol.
-func (pr *NaiveVariant) InitLeader() core.LeaderState { return BST{} }
+func (pr *NaiveVariant) InitLeader() core.LeaderState { return initBST }
 
 // Count extracts the BST's population-size estimate.
 func (pr *NaiveVariant) Count(c *core.Config) int { return c.Leader.(BST).N }

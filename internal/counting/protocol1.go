@@ -77,10 +77,16 @@ func (pr *Protocol1) Mobile(x, y core.State) (core.State, core.State) {
 	return HomonymRule(x, y)
 }
 
+// initBST is BST{}, boxed once, so InitLeader allocates nothing.
+var initBST core.LeaderState = BST{}
+
 // InitLeader implements core.LeaderProtocol: the BST starts with both
 // counters at zero. Protocol 1 requires this initialization (the mobile
 // agents may start arbitrarily).
-func (pr *Protocol1) InitLeader() core.LeaderState { return BST{} }
+func (pr *Protocol1) InitLeader() core.LeaderState { return initBST }
+
+// bstBoxes holds Protocol 1's leader states, boxed once per process.
+var bstBoxes = NewLeaderBoxes(func(n, k int) core.LeaderState { return BST{N: n, K: k} })
 
 // LeaderInteract implements core.LeaderProtocol: lines 1-9 of Protocol 1.
 func (pr *Protocol1) LeaderInteract(l core.LeaderState, x core.State) (core.LeaderState, core.State) {
@@ -89,7 +95,7 @@ func (pr *Protocol1) LeaderInteract(l core.LeaderState, x core.State) (core.Lead
 	if n2 == b.N && k2 == b.K {
 		return l, x2 // unchanged leader: l, not a fresh BST, which would box a copy
 	}
-	return BST{N: n2, K: k2}, x2
+	return bstBoxes.Box(pr.p-1, n2, k2), x2
 }
 
 // Count extracts the BST's current population-size estimate.

@@ -46,8 +46,8 @@ type Injector struct {
 	alp  core.ArbitraryLeaderProtocol // nil unless needed
 	lp   core.LeaderProtocol          // nil unless needed
 	seed int64
-	// rng draws from an rng.Source, allocated on the first draw and
-	// kept by Reset; seeded reports that it holds seed's stream.
+	// rng draws from an rng.Lazy, allocated on the first draw and kept
+	// by Reset; seeded reports that it holds seed's stream.
 	rng    *rand.Rand
 	seeded bool
 
@@ -179,14 +179,16 @@ func (inj *Injector) FireConv(step int64, cfg *core.Config) (fired, mutated bool
 	}
 }
 
-// rand returns the injector's RNG, seeding it on first use. Seeding
-// fills a 607-word generator register, and an injector that never
-// draws — admission's capability check, or a run that ends before its
-// first drawing event — need not pay for it.
+// rand returns the injector's RNG, seeding it on first use, so an
+// injector that never draws — admission's capability check, or a run
+// that ends before its first drawing event — allocates no generator.
+// The generator is an rng.Lazy: a plan draws a few words per event, and
+// a lazily seeded register computes only the words those draws read,
+// not all 607.
 func (inj *Injector) rand() *rand.Rand {
 	if !inj.seeded {
 		if inj.rng == nil {
-			inj.rng = rand.New(new(rng.Source))
+			inj.rng = rand.New(new(rng.Lazy))
 		}
 		inj.rng.Seed(inj.seed)
 		inj.seeded = true
@@ -283,6 +285,12 @@ func (inj *Injector) Suppress(pair core.Pair) bool {
 	}
 	return pair.B >= 0 && inj.crashed[pair.B]
 }
+
+// Suppressing reports whether Suppress may drop the next interaction:
+// an omission burst is under way or an agent is crashed. While it
+// reports false, Suppress returns false and changes nothing, so a
+// runner may skip calling it until the next event fires.
+func (inj *Injector) Suppressing() bool { return inj.omit > 0 || inj.ncrashed > 0 }
 
 // NumCrashed returns the number of currently crashed agents.
 func (inj *Injector) NumCrashed() int { return inj.ncrashed }

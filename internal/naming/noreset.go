@@ -47,7 +47,7 @@ func (pr *NoReset) Mobile(x, y core.State) (core.State, core.State) {
 }
 
 // InitLeader implements core.LeaderProtocol.
-func (pr *NoReset) InitLeader() core.LeaderState { return ResetBST{} }
+func (pr *NoReset) InitLeader() core.LeaderState { return initResetBST }
 
 // RandomLeader implements core.ArbitraryLeaderProtocol (so the ablation
 // experiment can draw the same adversarial leader states Protocol 2
@@ -70,7 +70,7 @@ func (pr *NoReset) LeaderInteract(l core.LeaderState, x core.State) (core.Leader
 	b := l.(ResetBST)
 	if b.N <= pr.p && (x == 0 || int(x) > b.N) {
 		n2, k2, x2 := counting.CountingStep(b.N, b.K, x, pr.p+1, pr.p)
-		return ResetBST{N: n2, K: k2}, x2
+		return resetBoxes.Box(pr.p, n2, k2), x2
 	}
 	return l, x // null: l, not b, which would box a fresh copy
 }

@@ -75,9 +75,13 @@ func (pr *SelfStab) Mobile(x, y core.State) (core.State, core.State) {
 	return counting.HomonymRule(x, y)
 }
 
+// initResetBST is ResetBST{}, boxed once: InitLeader and the reset
+// line return it without allocating.
+var initResetBST core.LeaderState = ResetBST{}
+
 // InitLeader implements core.LeaderProtocol. Protocol 2 is correct from
 // any leader state; the zero state is merely the canonical one.
-func (pr *SelfStab) InitLeader() core.LeaderState { return ResetBST{} }
+func (pr *SelfStab) InitLeader() core.LeaderState { return initResetBST }
 
 // RandomLeader implements core.ArbitraryLeaderProtocol: an arbitrary
 // leader state within the declared variable domains n in [0, P+1],
@@ -94,16 +98,21 @@ func (pr *SelfStab) RandomMobile(r *rand.Rand) core.State {
 	return core.State(r.Intn(pr.p + 1))
 }
 
+// resetBoxes holds the ResetBST leader states of Protocol 2 and of its
+// no-reset ablation, boxed once per process.
+var resetBoxes = counting.NewLeaderBoxes(func(n, k int) core.LeaderState { return ResetBST{N: n, K: k} })
+
 // LeaderInteract implements core.LeaderProtocol: Protocol 1's update with
-// nLimit = P+1 and maxName = P, plus the reset line.
+// nLimit = P+1 and maxName = P, plus the reset line. A changed leader
+// state comes pre-boxed from resetBoxes, so the step allocates nothing.
 func (pr *SelfStab) LeaderInteract(l core.LeaderState, x core.State) (core.LeaderState, core.State) {
 	b := l.(ResetBST)
 	if b.N <= pr.p && (x == 0 || int(x) > b.N) { // line 2
 		n2, k2, x2 := counting.CountingStep(b.N, b.K, x, pr.p+1, pr.p)
-		return ResetBST{N: n2, K: k2}, x2
+		return resetBoxes.Box(pr.p, n2, k2), x2
 	}
 	if b.N > pr.p && x == 0 { // line 11: naming failed; restart
-		return ResetBST{}, x // line 12
+		return initResetBST, x // line 12
 	}
 	return l, x // null: l, not b, which would box a fresh copy
 }

@@ -12,6 +12,13 @@
 // A batch worker owns the sources of the trial state it reuses (see
 // sim.RunBatch) and re-seeds them with each trial's seeds.
 //
+// Lazy is the same stream seeded on demand: Seed is O(1), and each of
+// the first 334 draws computes the one or two register words it is the
+// first to read. Streams that draw a handful of words — a fault
+// injector's, an arbitrary start's — use it; streams that draw
+// thousands — the random scheduler's, the count engine's — use Source,
+// whose draws carry no per-draw test.
+//
 // The generator is Mitchell and Reeds' additive lagged Fibonacci
 // sequence x[n] = x[n−607] + x[n−273] mod 2⁶⁴. Seeding fills its
 // 607-word register from the congruential sequence s[k+1] = 48271·s[k]
@@ -102,14 +109,9 @@ func New(seed int64) *Source {
 func (s *Source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = length - lag
-	seed %= mod
-	if seed < 0 {
-		seed += mod
-	}
-	if seed == 0 {
-		seed = zero
-	}
-	x := uint64(seed)
+	x := reduce(seed)
+	// word(x, i) for every i, written out: word is over the inlining
+	// budget, and a call per word costs about a quarter more.
 	for i := range s.vec {
 		k := 3 * i
 		u := int64(mulmod(x, pow[k])) << 40
@@ -117,6 +119,30 @@ func (s *Source) Seed(seed int64) {
 		u ^= int64(mulmod(x, pow[k+2]))
 		s.vec[i] = u ^ cooked[i]
 	}
+}
+
+// reduce maps a seed to the start of its seeding sequence, in
+// [1, 2³¹−1).
+func reduce(seed int64) uint64 {
+	seed %= mod
+	if seed < 0 {
+		seed += mod
+	}
+	if seed == 0 {
+		seed = zero
+	}
+	return uint64(seed)
+}
+
+// word returns register word i as seeding from the reduced seed x
+// leaves it: three terms of x's seeding sequence, XORed with word i's
+// constant.
+func word(x uint64, i int) int64 {
+	k := 3 * i
+	u := int64(mulmod(x, pow[k])) << 40
+	u ^= int64(mulmod(x, pow[k+1])) << 20
+	u ^= int64(mulmod(x, pow[k+2]))
+	return u ^ cooked[i]
 }
 
 // mulmod returns x·y mod 2³¹−1 for x, y < 2³¹−1. Since 2³¹ ≡ 1, the
@@ -155,5 +181,53 @@ func (s *Source) Uint64() uint64 {
 // Int63 returns the next word with its top bit cleared, as
 // rand.Source's Int63 does.
 func (s *Source) Int63() int64 {
+	return int64(s.Uint64() & mask63)
+}
+
+// Lazy is Source seeded on demand, for streams that draw a handful of
+// words: Seed only records the seed, and each draw computes the
+// register words it is the first to read. Draw k (from 0) reads word
+// 333−k as its feed and word 606−k as its tap; from draw 273 on the
+// tap is a word an earlier draw wrote, and from draw 334 on the feed
+// is too, so draw k computes word 333−k and, while k < 273, word 606−k,
+// and the 334th draw leaves the whole register computed. A stream of d
+// draws then pays for min(2d, 607) words, not 607, and each draw for a
+// test of left. Lazy implements rand.Source64.
+type Lazy struct {
+	src  Source
+	x    uint64 // the reduced seed
+	left int    // draws that still compute register words
+}
+
+// Seed resets the generator to the state rand.NewSource(seed) starts
+// in, computing no register word.
+func (s *Lazy) Seed(seed int64) {
+	s.src.tap = 0
+	s.src.feed = length - lag
+	s.x = reduce(seed)
+	s.left = length - lag
+}
+
+// Uint64 returns the next 64-bit word of the stream.
+func (s *Lazy) Uint64() uint64 {
+	if s.left > 0 {
+		s.fill()
+	}
+	return s.src.Uint64()
+}
+
+// fill computes the register words the next draw is the first to read.
+func (s *Lazy) fill() {
+	k := length - lag - s.left
+	s.left--
+	s.src.vec[length-lag-1-k] = word(s.x, length-lag-1-k)
+	if k < lag {
+		s.src.vec[length-1-k] = word(s.x, length-1-k)
+	}
+}
+
+// Int63 returns the next word with its top bit cleared, as
+// rand.Source's Int63 does.
+func (s *Lazy) Int63() int64 {
 	return int64(s.Uint64() & mask63)
 }

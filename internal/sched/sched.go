@@ -49,10 +49,13 @@ const randBatch = 128
 // The source is rng.Source, math/rand's seeded stream drawn without an
 // interface call. It is seeded on the first refill, not at
 // construction: seeding fills a 607-word register, and a scheduler
-// that never draws need not pay for it. Reset turns a Random into a
-// new one in place, keeping the register for the next seeding, so a
-// batch worker runs all its trials on one scheduler (see
-// sim.RunBatch); there is no pool and nothing to release.
+// that never draws need not pay for it. It is not the lazily seeded
+// rng.Lazy: the first refill alone draws 128 words, and a run draws
+// thousands more, where Lazy's per-draw test would cost more than the
+// seeding it saves. Reset turns a Random into a new one in place,
+// keeping the register for the next seeding, so a batch worker runs
+// all its trials on one scheduler (see sim.RunBatch); there is no pool
+// and nothing to release.
 type Random struct {
 	n          int
 	withLeader bool

@@ -39,9 +39,9 @@ func BenchmarkRunnerNilInjector(b *testing.B) {
 	}
 }
 
-// BenchmarkRunnerEmptyInjector measures the injector-aware loop with an
-// exhausted (empty) plan: the per-step overhead is one NextStep compare
-// plus the two-integer Suppress fast path.
+// BenchmarkRunnerEmptyInjector measures a runner with an exhausted
+// (empty) plan. Such an injector never suppresses, so Run keeps the
+// fused loop in one segment, as with no injector.
 func BenchmarkRunnerEmptyInjector(b *testing.B) {
 	run := swapPopulation(2)
 	inj, err := fault.NewInjector(&fault.Plan{}, run.Proto, 2)
@@ -59,7 +59,7 @@ func BenchmarkRunnerEmptyInjector(b *testing.B) {
 
 // BenchmarkRunnerCrashSuppression measures steady-state suppression: two
 // crashed agents in the swap population force the crashed-pair check on
-// every scheduler draw.
+// every scheduler draw, and every interaction through Step.
 func BenchmarkRunnerCrashSuppression(b *testing.B) {
 	run := swapPopulation(3)
 	plan, err := fault.Parse("@0:crash=2")

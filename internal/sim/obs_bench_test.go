@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"popnaming/internal/core"
+	"popnaming/internal/fault"
 	"popnaming/internal/naming"
 	"popnaming/internal/obs"
 	"popnaming/internal/sched"
@@ -18,7 +19,9 @@ import (
 // to a discarding sink. The run/* rungs drive the same workload through
 // Run, which takes the fused loop with or without an observer; the
 // quiet window is disabled so that Run executes exactly b.N
-// interactions, converged or not, as the Step rungs do.
+// interactions, converged or not, as the Step rungs do. "run/corrupt"
+// runs unobserved under a plan that corrupts one agent every 4,096
+// interactions, which cuts the fused loop at every event.
 func BenchmarkRunnerObsOverhead(b *testing.B) {
 	const n = 64
 	pr := naming.NewAsymmetric(n)
@@ -58,4 +61,24 @@ func BenchmarkRunnerObsOverhead(b *testing.B) {
 			}
 		})
 	}
+	b.Run("run/corrupt", func(b *testing.B) {
+		run := mk(nil)
+		plan := new(fault.Plan)
+		for s := int64(4096); s < int64(b.N); s += 4096 {
+			plan.Events = append(plan.Events, fault.Event{Step: s, Kind: fault.Corrupt, Arg: 1})
+		}
+		inj, err := fault.NewInjector(plan, pr, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run.Inject = inj
+		b.ReportAllocs()
+		b.ResetTimer()
+		if res := run.Run(b.N); res.Steps != b.N {
+			b.Fatalf("ran %d of %d steps", res.Steps, b.N)
+		}
+		if len(inj.Fired()) != len(plan.Events) {
+			b.Fatalf("fired %d of %d events", len(inj.Fired()), len(plan.Events))
+		}
+	})
 }

@@ -109,8 +109,9 @@ type Runner struct {
 	// plan event has fired — a silent population still interacts
 	// (nullly), so the run idles toward pending step triggers, and a
 	// budget-exhausted run reports Converged only if it is silent with
-	// the plan exhausted. A nil Inject keeps the fused loop untouched
-	// and costs the generic loop one pointer test per interaction.
+	// the plan exhausted. Run keeps the fused loop under an injector,
+	// cut at each step event; only while the injector suppresses pairs
+	// do its interactions go through Step, one at a time.
 	Inject *fault.Injector
 
 	steps   int
@@ -354,9 +355,11 @@ func (r *Runner) result(converged bool) Result {
 // run is Run without finishing the observer (Supervise calls it once
 // per slice). An injector's due step events fire before the
 // interaction that crosses them, and its conv events at a successful
-// silence check (see settled); without an injector or an OnStep hook,
-// a compiled runner under the random scheduler takes the fused loop,
-// observed or not.
+// silence check (see settled). Without an OnStep hook, a compiled
+// runner under the random scheduler takes the fused loop, observed or
+// not, in segments that end at the injector's next step event or at a
+// successful silence check. While the injector suppresses pairs, each
+// interaction goes through Step, as it does on the generic path.
 func (r *Runner) run(maxSteps int) Result {
 	r.ensureEngine()
 	inj := r.Inject
@@ -366,43 +369,55 @@ func (r *Runner) run(maxSteps int) Result {
 	if r.silent() && r.settled() {
 		return r.result(true)
 	}
-	if inj == nil && r.tab != nil && r.rnd != nil && r.OnStep == nil {
-		return r.runCompiled(maxSteps)
-	}
 	threshold := r.quietThreshold()
+	fused := r.rnd != nil && r.OnStep == nil
 	for r.steps < maxSteps {
+		bound := maxSteps
 		if inj != nil {
 			if next := inj.NextStep(); next >= 0 && int64(r.steps) >= next && inj.FireDue(int64(r.steps), r.Cfg) {
 				r.Resync()
 			}
+			if next := inj.NextStep(); next >= 0 && next < int64(bound) {
+				bound = int(next)
+			}
 		}
-		r.Step()
-		if r.quiet > 0 && r.quiet%threshold == 0 && r.silent() && r.settled() {
+		var silent bool
+		if fused && r.tab != nil && (inj == nil || !inj.Suppressing()) {
+			silent = r.runCompiled(bound, threshold)
+		} else {
+			r.Step()
+			silent = r.quiet > 0 && r.quiet%threshold == 0 && r.silent()
+		}
+		if silent && r.settled() {
 			return r.result(true)
 		}
 	}
 	return r.result(r.silent() && (inj == nil || inj.Exhausted()))
 }
 
-// runCompiled is the fused hot loop. It must preserve the exact control
-// flow of the generic path — same silence-check points, same counter
-// semantics, the observer fed at the same point as applyCompiled feeds
-// it — so that compiled and interpreted runs of one seed yield
-// identical Results and journals (the differential tests assert this).
-func (r *Runner) runCompiled(maxSteps int) Result {
+// runCompiled is the fused hot loop. It runs interactions until steps
+// reaches bound or a silence check succeeds, and reports whether one
+// did. It must preserve the exact control flow of the generic path —
+// same silence-check points, same counter semantics, the observer fed
+// at the same point as applyCompiled feeds it — so that compiled and
+// interpreted runs of one seed yield identical Results and journals
+// (the differential tests assert this). Instead of testing
+// quiet%threshold on every null interaction, it counts down the null
+// interactions left to the next check.
+func (r *Runner) runCompiled(bound, threshold int) bool {
 	var (
-		threshold = r.quietThreshold()
-		tab       = r.tab
-		cs        = r.census
-		rnd       = r.rnd
-		o         = r.Obs
-		m         = r.Cfg.Mobile
-		steps     = r.steps
-		nonNull   = r.nonNull
-		quiet     = r.quiet
-		converged = false
+		tab     = r.tab
+		cs      = r.census
+		rnd     = r.rnd
+		o       = r.Obs
+		m       = r.Cfg.Mobile
+		steps   = r.steps
+		nonNull = r.nonNull
+		quiet   = r.quiet
+		left    = threshold - quiet%threshold // null steps to the next check
+		silent  = false
 	)
-	for steps < maxSteps {
+	for steps < bound {
 		pair := rnd.Next()
 		var changed bool
 		if pair.A >= 0 && pair.B >= 0 {
@@ -432,19 +447,20 @@ func (r *Runner) runCompiled(maxSteps int) Result {
 		if changed {
 			nonNull++
 			quiet = 0
+			left = threshold
 		} else {
 			quiet++
-			if quiet%threshold == 0 && cs.Silent(r.Cfg.Leader) {
-				converged = true
-				break
+			if left--; left == 0 {
+				left = threshold
+				if cs.Silent(r.Cfg.Leader) {
+					silent = true
+					break
+				}
 			}
 		}
 	}
 	r.steps, r.nonNull, r.quiet = steps, nonNull, quiet
-	if !converged {
-		converged = r.silent()
-	}
-	return Result{Converged: converged, Steps: steps, NonNull: nonNull, Final: r.Cfg}
+	return silent
 }
 
 // UniformConfig builds the protocol's intended starting configuration

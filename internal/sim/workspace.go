@@ -154,7 +154,10 @@ func (ws *workspace) runCount(ctx context.Context, pr core.Protocol, tab *core.C
 }
 
 // agentStart is an agent-engine start together with the generator an
-// arbitrary start is drawn from; reset rebuilds both in place.
+// arbitrary start is drawn from; reset rebuilds both in place. The
+// generator is an rng.Lazy: an arbitrary start draws about one word per
+// agent, so at the small populations a grid cell runs, seeding all 607
+// register words would cost more than the draws.
 type agentStart struct {
 	cfg core.Config
 	rnd *rand.Rand // allocated on the first arbitrary start
@@ -179,7 +182,7 @@ func (s *agentStart) reset(p core.Protocol, n int, initKey string, seed int64) e
 			return fmt.Errorf("protocol %q does not support arbitrary initialization", p.Name())
 		}
 		if s.rnd == nil {
-			s.rnd = rand.New(new(rng.Source))
+			s.rnd = rand.New(new(rng.Lazy))
 		}
 		s.rnd.Seed(seed)
 		arbitraryConfig(&s.cfg, ap, n, s.rnd)
